@@ -36,7 +36,7 @@ use bench::Table;
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::streams::machine_rng;
 use coresets::vc_coreset::PeelingVcCoreset;
-use coresets::CoresetParams;
+use coresets::{CoresetParams, MatchingProblem, VcProblem};
 use distsim::{
     ArenaProtocol, CoordinatorProtocol, FaultPlan, FaultReport, FaultRunOptions, ProtocolError,
     RetryPolicy,
@@ -155,6 +155,8 @@ fn main() {
     let protocol = CoordinatorProtocol::random(k);
     let matching_builder = MaximumMatchingCoreset::new();
     let vc_builder = PeelingVcCoreset::new();
+    let matching_problem = MatchingProblem(&matching_builder);
+    let vc_problem = VcProblem(&vc_builder);
     let mut points = Vec::new();
 
     let mut table = Table::new(
@@ -189,7 +191,7 @@ fn main() {
             let plan = FaultPlan::machine_failure(FAULT_SEED + step as u64, p);
 
             let faulty = protocol
-                .run_matching_faulty(g, &matching_builder, SEED, &plan, &retry)
+                .run(g, &matching_problem, SEED, &plan, &retry)
                 .expect("survivor composition never fails under ComposeSurvivors");
             let identical = faulty.run.answer.edges() == clean_matching.answer.edges();
             if step == 0 {
@@ -232,7 +234,7 @@ fn main() {
             });
 
             let faulty_vc = protocol
-                .run_vertex_cover_faulty(g, &vc_builder, SEED, &plan, &retry)
+                .run(g, &vc_problem, SEED, &plan, &retry)
                 .expect("survivor composition never fails under ComposeSurvivors");
             let identical_vc = faulty_vc.run.answer == clean_vc.answer;
             if !faulty_vc.faults.degraded {
@@ -266,7 +268,7 @@ fn main() {
         for lost in 0..k {
             let plan = FaultPlan::new(FAULT_SEED).losing(vec![lost]);
             let run = protocol
-                .run_matching_faulty(g, &matching_builder, SEED, &plan, &RetryPolicy::default())
+                .run(g, &matching_problem, SEED, &plan, &RetryPolicy::default())
                 .expect("losing one of k >= 2 machines leaves survivors");
             let best_survivor = survivors_answers
                 .iter()
@@ -286,7 +288,7 @@ fn main() {
 
             let vc_plan = FaultPlan::new(FAULT_SEED).losing(vec![lost]);
             let vc_run = protocol
-                .run_vertex_cover_faulty(g, &vc_builder, SEED, &vc_plan, &RetryPolicy::default())
+                .run(g, &vc_problem, SEED, &vc_plan, &RetryPolicy::default())
                 .expect("losing one of k >= 2 machines leaves survivors");
             assert!(vc_run.faults.degraded && vc_run.faults.lost_machines == vec![lost]);
         }
@@ -328,7 +330,7 @@ fn main() {
         kill_after_leaves: Some(killed_after_leaves),
     };
     let err = ArenaProtocol::tree(2)
-        .run_matching_resumable(&arena, &matching_builder, SEED, &opts)
+        .run(&arena, &matching_problem, SEED, &opts)
         .expect_err("the kill knob must interrupt the run");
     assert_eq!(
         err,
@@ -338,7 +340,7 @@ fn main() {
     );
     opts.kill_after_leaves = None;
     let resumed = ArenaProtocol::tree(2)
-        .run_matching_resumable(&arena, &matching_builder, SEED, &opts)
+        .run(&arena, &matching_problem, SEED, &opts)
         .expect("resumed run completes");
     let resumed_bit_identical = resumed.run.answer.edges() == clean_ooc.answer.edges();
     assert!(

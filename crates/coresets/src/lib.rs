@@ -13,30 +13,39 @@
 //!
 //! ## Crate layout
 //!
-//! * [`params`] — shared coreset parameters (`n`, `k`, approximation target).
+//! The protocol is one algorithm — random partition, per-machine coreset,
+//! composition at the coordinator — written once against [`Problem`]:
+//!
+//! * [`problem`] — the [`Problem`] trait and its two instances,
+//!   [`MatchingProblem`] (Theorem 1) and [`VcProblem`] (Theorem 2). Every
+//!   driver is generic over it: [`pipeline`] here; in `distsim` the in-memory
+//!   `CoordinatorProtocol::run`, the out-of-core `ArenaProtocol::run`, the
+//!   MapReduce simulator and the churn service.
 //! * [`matching_coreset`] — the maximum-matching coreset (Theorem 1), the
 //!   arbitrary-maximal-matching negative control (Section 1.2), and the
 //!   subsampled α-approximation variant (Remark 5.2).
 //! * [`vc_coreset`] — the peeling coreset `VC-Coreset` (Theorem 2), the
 //!   local-minimum-vertex-cover negative control, and the vertex-grouping
 //!   α-approximation variant (Remark 5.8).
-//! * [`greedy_match`](mod@greedy_match) — the `GreedyMatch` combining process used by the
-//!   analysis of Theorem 1 (Lemma 3.1/3.2), exposed so experiment E10 can
-//!   trace its per-step growth.
-//! * [`compose`] — coordinator-side composition: union the coresets and solve.
-//! * [`cache`] — the fingerprint-keyed per-machine coreset cache the churn
-//!   service uses to rebuild only dirty machines' coresets.
-//! * [`capped`] — size-capped coreset wrappers for the lower-bound
-//!   experiments (Theorems 3 and 4).
-//! * [`weighted`] — the Crouch–Stubbs weighted-matching extension.
+//! * [`compose`] — coordinator-side composition: union the coresets and
+//!   solve; [`Problem::compose`] calls into it.
+//! * [`tree`] — hierarchical composition (Mirrokni–Zadimoghaddam): merge
+//!   coresets `fan_in` at a time over `log k` levels, re-coreseting each
+//!   union ([`reduce_levels`], [`TreeFolder`], [`tree_compose`]).
 //! * [`streams`] — per-machine `ChaCha8Rng` streams derived from
 //!   `(seed, machine)` — extended to `(seed, level, node)` for tree nodes —
 //!   the basis of cross-thread-count determinism.
-//! * [`tree`] — hierarchical composition (Mirrokni–Zadimoghaddam): merge
-//!   coresets `fan_in` at a time over `log k` levels, re-coreseting each
-//!   union, so no merge node materializes more than `fan_in` coresets.
 //! * [`pipeline`] — end-to-end convenience runners (random partition → build
 //!   coresets on parallel OS threads → compose), the API most examples use.
+//! * [`params`] — shared coreset parameters (`n`, `k`, approximation target).
+//! * [`cache`] — the fingerprint-keyed per-machine coreset cache the churn
+//!   service uses to rebuild only dirty machines' coresets.
+//! * [`greedy_match`](mod@greedy_match) — the `GreedyMatch` combining process used by the
+//!   analysis of Theorem 1 (Lemma 3.1/3.2), exposed so experiment E10 can
+//!   trace its per-step growth.
+//! * [`capped`] — size-capped coreset wrappers for the lower-bound
+//!   experiments (Theorems 3 and 4).
+//! * [`weighted`] — the Crouch–Stubbs weighted-matching extension.
 //!
 //! ## Quick start
 //!
@@ -68,6 +77,7 @@ pub mod greedy_match;
 pub mod matching_coreset;
 pub mod params;
 pub mod pipeline;
+pub mod problem;
 pub mod streams;
 pub mod tree;
 pub mod vc_coreset;
@@ -88,10 +98,10 @@ pub use params::CoresetParams;
 pub use pipeline::{
     DistributedMatching, DistributedVertexCover, MatchingRunResult, VertexCoverRunResult,
 };
+pub use problem::{MatchingProblem, Problem, VcProblem};
 pub use streams::{machine_jobs, machine_rng, node_rng};
 pub use tree::{
-    merge_matching_coresets, merge_vc_coresets, reduce_levels, tree_compose_vertex_cover,
-    tree_solve_matching, TreeFolder, TreePlan,
+    merge_matching_coresets, merge_vc_coresets, reduce_levels, tree_compose, TreeFolder, TreePlan,
 };
 pub use vc_coreset::{
     GroupedVcCoreset, LocalCoverCoreset, PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput,

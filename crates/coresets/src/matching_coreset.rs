@@ -41,6 +41,24 @@ pub trait MatchingCoresetBuilder: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// A borrowed builder builds the same coresets, so drivers can wrap a
+/// caller's `&B` in a [`crate::problem::MatchingProblem`].
+impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
+    fn build(
+        &self,
+        piece: GraphView<'_>,
+        params: &CoresetParams,
+        machine: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        (**self).build(piece, params, machine, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// Theorem 1 coreset: an arbitrary maximum matching of the piece.
 ///
 /// The solve runs on the calling worker thread's reusable

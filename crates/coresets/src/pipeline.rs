@@ -7,16 +7,11 @@
 //! one edge permutation and **zero** per-machine graph clones (experiment
 //! E12 pins this down via `graph::metrics`).
 //!
-//! These are the entry points most applications and examples use. They model
-//! the full simultaneous protocol of the paper on a single host: the `k`
-//! "machines" build their coresets concurrently on a scoped pool of real
-//! `std::thread` workers (the vendored rayon backend; worker count from
-//! `RC_THREADS` / `RAYON_NUM_THREADS` or all available cores) that race a
-//! work-stealing chunk queue, so a dense machine of a skewed partition
-//! occupies one worker while its siblings drain the rest, and the
-//! returned reports include the per-machine coreset sizes so that callers can
-//! reason about communication (the `distsim` crate layers precise accounting
-//! and the MapReduce model on top of these primitives).
+//! These are the entry points most applications and examples use: the `k`
+//! "machines" build their coresets concurrently on the vendored rayon
+//! work-stealing pool, and the reports include per-machine coreset sizes so
+//! callers can reason about communication (`distsim` adds precise accounting
+//! and the MapReduce model).
 //!
 //! **Determinism:** the random partition is drawn and every machine's private
 //! `ChaCha8Rng` stream is derived from `(seed, machine)` *before* the
@@ -29,39 +24,20 @@
 //! order-defined greedy scans stay sequential (see [`crate::compose`] and
 //! [`crate::weighted`]).
 //!
-//! **Solver hot path:** every maximum-matching solve in the run — the
-//! per-piece coresets and the coordinator's composed solve — goes through
-//! [`matching::MatchingEngine`]: the piece is compacted onto its non-isolated
-//! vertices, one CSR is shared by the bipartiteness check and the solver, the
-//! blossom search state is an epoch-reset workspace reused across the solves
-//! of each worker thread, and the composed solve is warm-started from the
-//! best per-machine coreset (see [`crate::compose::solve_composed_matching`]).
-//! Experiment E13 (`exp_solver_hotpath`) measures this path against the
-//! pre-overhaul solver.
-//!
-//! **Vertex-cover hot path:** symmetrically, every peeling and
-//! 2-approximation call — the per-piece `VC-Coreset` peelings and the
-//! coordinator's composition — runs on the worker thread's reusable
-//! `vertexcover::VcEngine`: threshold rounds peel through a bucket queue in
-//! `O(vertices peeled + edges removed)` instead of rescanning the residual
-//! buffer, and the composed 2-approximation scans the residual slices
-//! without materializing their union. A full VC run performs **zero**
-//! per-round edge-buffer reallocations
-//! (`graph::metrics::vc_peel_scratch_elems` stays 0; experiment E14,
-//! `exp_vc_hotpath`, measures this path against the pre-engine peeling).
+//! Both runners are one generic run over [`crate::problem::Problem`]; the
+//! per-piece solves and the composition run on the reusable matching and
+//! vertex-cover engines (see [`crate::matching_coreset`],
+//! [`crate::vc_coreset`] and [`crate::compose`]).
 
-use crate::compose::{compose_vertex_cover, solve_composed_matching};
 use crate::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use crate::params::CoresetParams;
-use crate::streams::machine_jobs;
-use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
+use crate::problem::{MatchingProblem, Problem, VcProblem};
+use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder};
 use graph::partition::PartitionedGraph;
 use graph::{Graph, GraphError, GraphView};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use vertexcover::VertexCover;
 
 /// Result of a distributed matching run.
@@ -100,24 +76,39 @@ impl VertexCoverRunResult {
     }
 }
 
+/// `(answer, coreset sizes, piece sizes)` of one protocol run over `pieces`:
+/// every machine's summary is built on the pool from its pre-derived
+/// `(seed, machine)` stream, then the coordinator composes them flat.
+fn run_pieces<P: Problem>(
+    problem: &P,
+    n: usize,
+    pieces: &[GraphView<'_>],
+    seed: u64,
+) -> (P::Answer, Vec<usize>, Vec<usize>) {
+    let params = CoresetParams::new(n, pieces.len().max(1));
+    let summaries = problem.build_all(pieces, &params, seed);
+    let coreset_sizes = summaries
+        .iter()
+        .map(P::message)
+        .map(|(e, v)| e + v)
+        .collect();
+    let piece_sizes = pieces.iter().map(GraphView::m).collect();
+    (problem.compose_all(&summaries), coreset_sizes, piece_sizes)
+}
+
 /// End-to-end distributed maximum matching via randomized composable coresets
 /// (Theorem 1 + the coordinator's maximum matching).
 #[derive(Clone)]
 pub struct DistributedMatching<B: MatchingCoresetBuilder = MaximumMatchingCoreset> {
     k: usize,
-    builder: B,
-    coordinator_algorithm: MaximumMatchingAlgorithm,
+    problem: MatchingProblem<B>,
 }
 
 impl DistributedMatching<MaximumMatchingCoreset> {
     /// The paper's default configuration: maximum-matching coresets on `k`
     /// machines, maximum matching at the coordinator.
     pub fn new(k: usize) -> Self {
-        DistributedMatching {
-            k,
-            builder: MaximumMatchingCoreset::new(),
-            coordinator_algorithm: MaximumMatchingAlgorithm::Auto,
-        }
+        DistributedMatching::with_builder(k, MaximumMatchingCoreset::new())
     }
 }
 
@@ -127,24 +118,15 @@ impl<B: MatchingCoresetBuilder> DistributedMatching<B> {
     pub fn with_builder(k: usize, builder: B) -> Self {
         DistributedMatching {
             k,
-            builder,
-            coordinator_algorithm: MaximumMatchingAlgorithm::Auto,
+            problem: MatchingProblem(builder),
         }
-    }
-
-    /// Overrides the algorithm the coordinator runs on the composed graph.
-    pub fn coordinator_algorithm(mut self, algorithm: MaximumMatchingAlgorithm) -> Self {
-        self.coordinator_algorithm = algorithm;
-        self
     }
 
     /// Runs the protocol on `g` with a random `k`-partition derived from
     /// `seed`. The per-machine coreset construction runs on parallel OS
     /// threads; see the module docs for the determinism guarantee.
     pub fn run(&self, g: &Graph, seed: u64) -> Result<MatchingRunResult, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // One edge permutation into the arena; pieces are zero-copy views.
-        let partition = PartitionedGraph::random(g, self.k, &mut rng)?;
+        let partition = PartitionedGraph::random(g, self.k, &mut ChaCha8Rng::seed_from_u64(seed))?;
         Ok(self.run_on_partition(g.n(), &partition.views(), seed))
     }
 
@@ -159,16 +141,7 @@ impl<B: MatchingCoresetBuilder> DistributedMatching<B> {
         pieces: &[GraphView<'_>],
         seed: u64,
     ) -> MatchingRunResult {
-        let params = CoresetParams::new(n, pieces.len().max(1));
-        // All randomness is fixed here, before the fan-out: machine i's
-        // stream is a pure function of (seed, i).
-        let coresets: Vec<Graph> = machine_jobs(pieces, seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| self.builder.build(*piece, &params, i, &mut rng))
-            .collect();
-        let coreset_sizes = coresets.iter().map(Graph::m).collect();
-        let piece_sizes = pieces.iter().map(GraphView::m).collect();
-        let matching = solve_composed_matching(&coresets, self.coordinator_algorithm);
+        let (matching, coreset_sizes, piece_sizes) = run_pieces(&self.problem, n, pieces, seed);
         MatchingRunResult {
             matching,
             coreset_sizes,
@@ -182,32 +155,30 @@ impl<B: MatchingCoresetBuilder> DistributedMatching<B> {
 #[derive(Clone)]
 pub struct DistributedVertexCover<B: VcCoresetBuilder = PeelingVcCoreset> {
     k: usize,
-    builder: B,
+    problem: VcProblem<B>,
 }
 
 impl DistributedVertexCover<PeelingVcCoreset> {
     /// The paper's default configuration: peeling coresets on `k` machines.
     pub fn new(k: usize) -> Self {
-        DistributedVertexCover {
-            k,
-            builder: PeelingVcCoreset::new(),
-        }
+        DistributedVertexCover::with_builder(k, PeelingVcCoreset::new())
     }
 }
 
 impl<B: VcCoresetBuilder> DistributedVertexCover<B> {
     /// Uses a custom coreset builder (e.g. the local-cover negative control).
     pub fn with_builder(k: usize, builder: B) -> Self {
-        DistributedVertexCover { k, builder }
+        DistributedVertexCover {
+            k,
+            problem: VcProblem(builder),
+        }
     }
 
     /// Runs the protocol on `g` with a random `k`-partition derived from
     /// `seed`. The per-machine coreset construction runs on parallel OS
     /// threads; see the module docs for the determinism guarantee.
     pub fn run(&self, g: &Graph, seed: u64) -> Result<VertexCoverRunResult, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // One edge permutation into the arena; pieces are zero-copy views.
-        let partition = PartitionedGraph::random(g, self.k, &mut rng)?;
+        let partition = PartitionedGraph::random(g, self.k, &mut ChaCha8Rng::seed_from_u64(seed))?;
         Ok(self.run_on_partition(g.n(), &partition.views(), seed))
     }
 
@@ -219,14 +190,7 @@ impl<B: VcCoresetBuilder> DistributedVertexCover<B> {
         pieces: &[GraphView<'_>],
         seed: u64,
     ) -> VertexCoverRunResult {
-        let params = CoresetParams::new(n, pieces.len().max(1));
-        let outputs: Vec<VcCoresetOutput> = machine_jobs(pieces, seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| self.builder.build(*piece, &params, i, &mut rng))
-            .collect();
-        let coreset_sizes = outputs.iter().map(VcCoresetOutput::size).collect();
-        let piece_sizes = pieces.iter().map(GraphView::m).collect();
-        let cover = compose_vertex_cover(&outputs);
+        let (cover, coreset_sizes, piece_sizes) = run_pieces(&self.problem, n, pieces, seed);
         VertexCoverRunResult {
             cover,
             coreset_sizes,

@@ -31,16 +31,13 @@
 //! two shapes, across thread counts, and under scheduler fuzzing — pinned by
 //! `tests/determinism.rs` and the E16 in-binary asserts.
 
-use crate::compose::{compose_vertex_cover, solve_composed_matching};
 use crate::matching_coreset::MatchingCoresetBuilder;
 use crate::params::CoresetParams;
+use crate::problem::Problem;
 use crate::streams::node_rng;
 use crate::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
 use graph::{Graph, GraphView};
-use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rayon::prelude::*;
-use vertexcover::VertexCover;
 
 /// The canonical shape of a composition tree over `leaves` items with the
 /// given fan-in: per-level widths plus consecutive grouping. Both the
@@ -118,28 +115,13 @@ impl TreePlan {
             "pushed {pushed} exceeds {} leaves",
             self.leaves()
         );
-        let levels = self.levels();
-        let mut pending = vec![0usize; levels + 1];
-        let mut emitted = vec![0usize; levels + 1];
+        // Replay the pushes through a folder of unit items.
+        let mut folder = TreeFolder::new(self.leaves(), self.fan_in, |_, _, _: Vec<()>| ());
         for _ in 0..pushed {
-            pending[0] += 1;
-            for level in 1..=levels {
-                loop {
-                    let node = emitted[level];
-                    if node >= self.width(level) {
-                        break;
-                    }
-                    let size = self.group_size(level, node);
-                    if pending[level - 1] < size {
-                        break;
-                    }
-                    pending[level - 1] -= size;
-                    emitted[level] = node + 1;
-                    pending[level] += 1;
-                }
-            }
+            folder.push(());
         }
-        (pending, emitted)
+        let pending = folder.pending.iter().map(Vec::len).collect();
+        (pending, folder.emitted)
     }
 }
 
@@ -385,49 +367,35 @@ pub fn merge_vc_coresets<B: VcCoresetBuilder + ?Sized>(
     }
 }
 
-/// Tree-composes matching coresets and solves the roots: merge/re-coreset
+/// Tree-composes machine summaries and composes the roots: merge/re-coreset
 /// over `⌈log_f k⌉` levels ([`reduce_levels`], merges on the work-stealing
-/// pool), then one flat [`solve_composed_matching`] over the `≤ fan_in`
-/// roots. With `k ≤ fan_in` this degenerates to the flat composition.
-pub fn tree_solve_matching<B: MatchingCoresetBuilder + ?Sized>(
+/// pool), then one flat [`Problem::compose`] over the `≤ fan_in` roots. With
+/// `k ≤ fan_in` this is exactly the flat composition.
+pub fn tree_compose<P: Problem>(
+    problem: &P,
     n: usize,
-    coresets: Vec<Graph>,
-    builder: &B,
+    summaries: Vec<P::Summary>,
     params: &CoresetParams,
     seed: u64,
     fan_in: usize,
-    algorithm: MaximumMatchingAlgorithm,
-) -> Matching {
-    let roots = reduce_levels(coresets, fan_in, &|level, node, group: Vec<Graph>| {
-        merge_matching_coresets(n, params, builder, seed, level, node, &group)
+) -> P::Answer {
+    let roots = reduce_levels(summaries, fan_in, &|level, node, group| {
+        problem.merge(n, params, seed, level, node, group)
     });
-    solve_composed_matching(&roots, algorithm)
-}
-
-/// Tree-composes vertex-cover coresets: merge/re-coreset over `⌈log_f k⌉`
-/// levels, then one flat [`compose_vertex_cover`] over the `≤ fan_in` roots.
-pub fn tree_compose_vertex_cover<B: VcCoresetBuilder + ?Sized>(
-    n: usize,
-    outputs: Vec<VcCoresetOutput>,
-    builder: &B,
-    params: &CoresetParams,
-    seed: u64,
-    fan_in: usize,
-) -> VertexCover {
-    let roots = reduce_levels(outputs, fan_in, &|level, node, group| {
-        merge_vc_coresets(n, params, builder, seed, level, node, group)
-    });
-    compose_vertex_cover(&roots)
+    problem.compose_all(&roots)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::solve_composed_matching;
     use crate::matching_coreset::MaximumMatchingCoreset;
+    use crate::problem::{MatchingProblem, VcProblem};
     use crate::streams::machine_rng;
     use crate::vc_coreset::PeelingVcCoreset;
     use graph::gen::er::gnp;
     use graph::PartitionedGraph;
+    use matching::maximum::MaximumMatchingAlgorithm;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -567,14 +535,13 @@ mod tests {
         for seed in 0..4 {
             let (g, coresets, params) = protocol_coresets(seed, 400, 0.02, 9);
             let best = coresets.iter().map(Graph::m).max().unwrap();
-            let m = tree_solve_matching(
+            let m = tree_compose(
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 g.n(),
                 coresets,
-                &MaximumMatchingCoreset::new(),
                 &params,
                 seed,
                 2,
-                MaximumMatchingAlgorithm::Auto,
             );
             assert!(m.is_valid_for(&g));
             assert!(
@@ -589,14 +556,13 @@ mod tests {
     fn tree_with_k_at_most_fan_in_equals_flat_composition() {
         let (_, coresets, params) = protocol_coresets(11, 300, 0.03, 3);
         let flat = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-        let tree = tree_solve_matching(
+        let tree = tree_compose(
+            &MatchingProblem(MaximumMatchingCoreset::new()),
             300,
             coresets,
-            &MaximumMatchingCoreset::new(),
             &params,
             11,
             4,
-            MaximumMatchingAlgorithm::Auto,
         );
         assert_eq!(flat.edges(), tree.edges());
     }
@@ -616,10 +582,10 @@ mod tests {
                     PeelingVcCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
                 })
                 .collect();
-            let cover = tree_compose_vertex_cover(
+            let cover = tree_compose(
+                &VcProblem(PeelingVcCoreset::new()),
                 g.n(),
                 outputs,
-                &PeelingVcCoreset::new(),
                 &params,
                 seed,
                 2,

@@ -70,6 +70,24 @@ pub trait VcCoresetBuilder: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// A borrowed builder builds the same coresets, so drivers can wrap a
+/// caller's `&B` in a [`crate::problem::VcProblem`].
+impl<B: VcCoresetBuilder + ?Sized> VcCoresetBuilder for &B {
+    fn build(
+        &self,
+        piece: GraphView<'_>,
+        params: &CoresetParams,
+        machine: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> VcCoresetOutput {
+        (**self).build(piece, params, machine, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// Theorem 2 coreset (`VC-Coreset` in the paper).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeelingVcCoreset;

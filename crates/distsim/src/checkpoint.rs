@@ -29,6 +29,7 @@
 
 use crate::comm::CommunicationCost;
 use crate::error::ProtocolError;
+use crate::faults::FaultReport;
 use coresets::vc_coreset::VcCoresetOutput;
 use graph::arena_file::crc32;
 use graph::{Edge, Graph};
@@ -67,16 +68,9 @@ pub struct ArenaCheckpoint<T> {
     pub pending: Vec<Vec<T>>,
     /// Communication recorded for the processed leaves.
     pub communication: CommunicationCost,
-    /// Faults injected so far.
-    pub injected: u64,
-    /// Re-executions performed so far.
-    pub retried: u64,
-    /// Machines that failed at least once but delivered.
-    pub recovered: u64,
-    /// Simulated ticks spent so far.
-    pub ticks: u64,
-    /// Machines permanently lost so far, in index order.
-    pub lost_machines: Vec<usize>,
+    /// Fault accounting of the processed leaves (its injected, retried,
+    /// recovered, ticks and lost-machine fields are persisted).
+    pub faults: FaultReport,
 }
 
 /// Sequential little-endian reader over a checkpoint body; every take
@@ -92,24 +86,23 @@ impl<'a> ByteReader<'a> {
         ByteReader { bytes, pos: 0 }
     }
 
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let end = self.pos.checked_add(N)?;
+        let chunk = self.bytes.get(self.pos..end)?.try_into().ok()?;
+        self.pos = end;
+        Some(chunk)
+    }
+
     fn take_u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
+        self.take().map(u8::from_le_bytes)
     }
 
     fn take_u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let chunk: [u8; 8] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u64::from_le_bytes(chunk))
+        self.take().map(u64::from_le_bytes)
     }
 
     fn take_u32(&mut self) -> Option<u32> {
-        let end = self.pos.checked_add(4)?;
-        let chunk: [u8; 4] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u32::from_le_bytes(chunk))
+        self.take().map(u32::from_le_bytes)
     }
 
     /// A length prefix, bounded by the bytes actually remaining so corrupt
@@ -234,16 +227,17 @@ fn encode_checkpoint<T: CheckpointItem>(key: &CheckpointKey, ck: &ArenaCheckpoin
     for x in [key.n, key.k, key.m, key.seed, key.fan_in, key.fault_seed] {
         put_u64(&mut out, x);
     }
+    let f = &ck.faults;
     for x in [
         ck.pushed as u64,
-        ck.injected,
-        ck.retried,
-        ck.recovered,
-        ck.ticks,
+        f.injected,
+        f.retried,
+        f.recovered,
+        f.ticks,
     ] {
         put_u64(&mut out, x);
     }
-    let lost: Vec<u64> = ck.lost_machines.iter().map(|&m| m as u64).collect();
+    let lost: Vec<u64> = f.lost_machines.iter().map(|&m| m as u64).collect();
     put_u64_slice(&mut out, &lost);
     put_u64_slice(&mut out, &ck.communication.per_machine_words);
     put_u64_slice(&mut out, &ck.communication.per_machine_bits);
@@ -292,15 +286,17 @@ fn decode_checkpoint<T: CheckpointItem>(
         return None;
     }
     let pushed = usize::try_from(r.take_u64()?).ok()?;
-    let injected = r.take_u64()?;
-    let retried = r.take_u64()?;
-    let recovered = r.take_u64()?;
-    let ticks = r.take_u64()?;
-    let lost_machines = r
+    let mut faults = FaultReport::new(key.fault_seed);
+    faults.injected = r.take_u64()?;
+    faults.retried = r.take_u64()?;
+    faults.recovered = r.take_u64()?;
+    faults.ticks = r.take_u64()?;
+    faults.lost_machines = r
         .take_u64_vec()?
         .into_iter()
         .map(|m| usize::try_from(m).ok())
         .collect::<Option<Vec<_>>>()?;
+    faults.degraded = !faults.lost_machines.is_empty();
     let communication = CommunicationCost {
         per_machine_words: r.take_u64_vec()?,
         per_machine_bits: r.take_u64_vec()?,
@@ -321,11 +317,7 @@ fn decode_checkpoint<T: CheckpointItem>(
         pushed,
         pending,
         communication,
-        injected,
-        retried,
-        recovered,
-        ticks,
-        lost_machines,
+        faults,
     })
 }
 
@@ -387,11 +379,15 @@ mod tests {
             pushed: 2,
             pending: vec![vec![g1, g2], vec![], vec![]],
             communication,
-            injected: 3,
-            retried: 2,
-            recovered: 1,
-            ticks: 12,
-            lost_machines: vec![4],
+            faults: FaultReport {
+                injected: 3,
+                retried: 2,
+                recovered: 1,
+                ticks: 12,
+                lost_machines: vec![4],
+                degraded: true,
+                ..FaultReport::new(7)
+            },
         }
     }
 
@@ -417,11 +413,7 @@ mod tests {
             }
         }
         assert_eq!(back.communication, ck.communication);
-        assert_eq!(
-            (back.injected, back.retried, back.recovered, back.ticks),
-            (3, 2, 1, 12)
-        );
-        assert_eq!(back.lost_machines, vec![4]);
+        assert_eq!(back.faults, ck.faults);
     }
 
     #[test]
@@ -438,11 +430,7 @@ mod tests {
                 residual: Graph::from_pairs(100, vec![(1, 2)]).unwrap(),
             }]],
             communication: CommunicationCost::default(),
-            injected: 0,
-            retried: 0,
-            recovered: 0,
-            ticks: 0,
-            lost_machines: vec![],
+            faults: FaultReport::new(7),
         };
         save_checkpoint(&path, &key, &ck).unwrap();
         let back: ArenaCheckpoint<VcCoresetOutput> = load_checkpoint(&path, &key).expect("loads");

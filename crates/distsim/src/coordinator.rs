@@ -1,44 +1,35 @@
-//! The coordinator (simultaneous communication) model.
+//! The coordinator (simultaneous communication) model and its two protocol
+//! drivers.
 //!
-//! A [`CoordinatorProtocol`] run proceeds exactly as in the paper's model
-//! (Section 2, "Communication Complexity"):
+//! A run proceeds exactly as in the paper's model (Section 2,
+//! "Communication Complexity"): the edge set is **randomly partitioned**
+//! across `k` machines, every machine simultaneously sends one message — its
+//! coreset, whose size is charged to the communication cost — and the
+//! coordinator combines the messages into the answer.
 //!
-//! 1. the edge set is **randomly partitioned** across `k` machines,
-//! 2. every machine simultaneously sends one message to the coordinator —
-//!    here, its coreset — with its size charged to the communication cost,
-//! 3. the coordinator combines the messages and outputs the answer; no
-//!    further interaction happens.
+//! That shape is one algorithm for both problems, so each driver is written
+//! once, generic over [`coresets::Problem`]:
 //!
-//! Machines execute **simultaneously on real OS threads**: the vendored rayon
-//! backend spawns a scoped pool of `std::thread` workers (worker count from
-//! `RC_THREADS` / `RAYON_NUM_THREADS`, or every available core) that race a
-//! **work-stealing chunk queue** over the machines — a worker that finishes a
-//! sparse machine immediately claims more work, so one dense machine of a
-//! skewed partition no longer serializes the fan-out (experiment E15,
-//! `exp_sched_scaling`). All randomness is
-//! fixed *before* that fan-out — the edge partition is drawn from the run
-//! seed, and machine `i`'s private `ChaCha8Rng` stream is derived from
-//! `(seed, i)` via [`coresets::streams::machine_rng`] — and per-machine
-//! messages are collected in machine order, so a run's answer, coreset sizes
-//! and communication cost are bit-identical for any thread count or schedule
-//! (asserted by `tests/determinism.rs`).
+//! * [`CoordinatorProtocol::run`] — in memory: the machines fan out on the
+//!   vendored rayon work-stealing pool, and tree composition merges each
+//!   level's nodes in parallel ([`coresets::reduce_levels`]).
+//! * [`ArenaProtocol::run`] — out of core: pieces stream one segment at a
+//!   time from an on-disk [`ArenaFile`] into a streaming [`TreeFolder`],
+//!   whose state can be checkpointed after every leaf and resumed.
 //!
-//! Both the per-machine coreset solves and the coordinator's composed solve
-//! run on the compacted, epoch-reset, warm-started matching engine
-//! ([`matching::MatchingEngine`]; experiment E13): each worker thread reuses
-//! one engine across the machines it simulates, and
-//! [`coresets::solve_composed_matching`] seeds the final solve with the best
-//! machine's matching. The vertex-cover side runs on the analogous
-//! `vertexcover::VcEngine` (experiment E14): bucket-queue peeling per
-//! machine and a union-free composed 2-approximation at the coordinator,
-//! with zero per-round edge-buffer reallocations across the whole run.
+//! Neither can replace the other: one keeps level-parallel merges, the other
+//! bounded memory. Both run under a [`FaultPlan`] (retry by replaying the
+//! machine's RNG stream, then the plan's [`DegradedComposition`] policy);
+//! `run_matching` / `run_vertex_cover` are the fault-free special case.
 //!
-//! The coordinator's own composition step is parallel where its sub-solves
-//! are independent: the warm-start screen over the received coresets and the
-//! per-residual-slice statistics feeding the composed 2-approximation fan
-//! out on the same work-stealing pool and reduce deterministically (see
-//! `coresets::compose`), so composition answers are also bit-identical at
-//! every thread count.
+//! **Determinism.** All randomness is fixed by position, never by schedule:
+//! the partition is drawn from the run seed, machine `i` builds on
+//! `machine_rng(seed, i)`, tree node `(level, node)` merges on
+//! `node_rng(seed, level, node)`, fault decisions are pure functions of
+//! `(fault_seed, site)`, and messages are collected in machine order. Answers,
+//! coreset sizes and communication are therefore bit-identical for any thread
+//! count or schedule (`tests/determinism.rs`), and an arena written from the
+//! in-memory partition reproduces the in-memory answer bit for bit.
 
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint, ArenaCheckpoint, CheckpointItem, CheckpointKey,
@@ -50,18 +41,14 @@ use crate::faults::{
     MachineOutcome, RetryPolicy,
 };
 use coresets::matching_coreset::MatchingCoresetBuilder;
-use coresets::streams::{machine_jobs, machine_rng};
-use coresets::tree::{merge_matching_coresets, merge_vc_coresets, TreeFolder};
-use coresets::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
-use coresets::{
-    compose_vertex_cover, solve_composed_matching, tree_compose_vertex_cover, tree_solve_matching,
-    CoresetParams,
-};
+use coresets::streams::machine_rng;
+use coresets::tree::{tree_compose, TreeFolder};
+use coresets::vc_coreset::VcCoresetBuilder;
+use coresets::{CoresetParams, MatchingProblem, Problem, VcProblem};
 use graph::arena_file::{ArenaFile, SegmentLoader, SegmentRetryPolicy};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
-use graph::{metrics, Graph, GraphError};
+use graph::{metrics, Graph};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -80,9 +67,44 @@ pub enum ComposeMode {
     /// `≤ fan_in` roots flat. Bounded per-node memory; bit-identical across
     /// thread counts (see [`coresets::tree`]).
     Tree {
-        /// Coresets merged per tree node; must be at least 2.
+        /// Coresets merged per tree node; a driver rejects values below 2
+        /// with [`ProtocolError::InvalidFanIn`].
         fan_in: usize,
     },
+}
+
+impl ComposeMode {
+    /// The fan-in this mode composes `k` summaries with. Flat composition is
+    /// the degenerate tree whose root set is all `k` summaries: a fan-in wide
+    /// enough that no merge round fires.
+    fn fan_in(self, k: usize) -> Result<usize, ProtocolError> {
+        match self {
+            ComposeMode::Flat => Ok(k.max(2)),
+            ComposeMode::Tree { fan_in } if fan_in >= 2 => Ok(fan_in),
+            ComposeMode::Tree { fan_in } => Err(ProtocolError::InvalidFanIn { fan_in }),
+        }
+    }
+}
+
+/// Applies the plan's loss policy to a run's losses.
+fn check_losses(report: &FaultReport, k: usize, plan: &FaultPlan) -> Result<(), ProtocolError> {
+    if report.lost_machines.len() == k {
+        return Err(ProtocolError::NoSurvivors);
+    }
+    if report.degraded && plan.on_loss == DegradedComposition::Fail {
+        return Err(ProtocolError::MachinesLost {
+            machines: report.lost_machines.clone(),
+        });
+    }
+    Ok(())
+}
+
+/// `|answer| / |fault_free|`, with an empty fault-free answer counting as 1.
+fn achieved_ratio<P: Problem>(answer: &P::Answer, fault_free: &P::Answer) -> f64 {
+    match P::answer_len(fault_free) {
+        0 => 1.0,
+        b => P::answer_len(answer) as f64 / b as f64,
+    }
 }
 
 /// Configuration of one simultaneous-protocol run.
@@ -129,6 +151,74 @@ impl CoordinatorProtocol {
         self
     }
 
+    /// Runs the protocol for `problem` on `g` under a fault plan. Machines
+    /// build on the work-stealing pool inside [`run_machine_with_faults`],
+    /// retrying by replay of `machine_rng(seed, i)`, so a fully recovered run
+    /// is bit-identical to the fault-free one; a machine that exhausts the
+    /// budget contributes [`Problem::placeholder`] to the composition.
+    pub fn run<P: Problem>(
+        &self,
+        g: &Graph,
+        problem: &P,
+        seed: u64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> Result<FaultyRun<P::Answer>, ProtocolError> {
+        let fan_in = self.compose.fan_in(self.k)?;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // One edge permutation into the arena; each machine computes on a
+        // zero-copy view of its slice.
+        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
+        let (n, views) = (g.n(), partition.views());
+        let params = CoresetParams::new(n, self.k);
+        let model = CostModel::for_n(n);
+        let injector = FaultInjector::new(plan.clone());
+        let build = |i: usize| problem.build(views[i], &params, i, &mut machine_rng(seed, i));
+        let outcomes: Vec<MachineOutcome<P::Summary>> = (0..self.k)
+            .into_par_iter()
+            .map(|i| run_machine_with_faults(&injector, retry, i, || build(i)))
+            .collect();
+
+        let mut report = FaultReport::new(plan.fault_seed);
+        let mut communication = CommunicationCost::default();
+        let mut summaries = Vec::with_capacity(self.k);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            report.absorb(i, &outcome);
+            summaries.push(match outcome.summary {
+                Some(summary) => {
+                    let (edges, vertices) = P::message(&summary);
+                    communication.record_message(&model, edges, vertices);
+                    summary
+                }
+                None => P::placeholder(n),
+            });
+        }
+        check_losses(&report, self.k, plan)?;
+
+        let compose = |s: Vec<P::Summary>| tree_compose(problem, n, s, &params, seed, fan_in);
+        // The degraded baseline is cheap to recover in memory: lost machines
+        // are deterministic replays, so rebuild them and compose everything.
+        let fault_free = report.degraded.then(|| {
+            let mut full = summaries.clone();
+            for &i in &report.lost_machines {
+                full[i] = build(i);
+            }
+            compose(full)
+        });
+        let answer = compose(summaries);
+        if let Some(clean) = fault_free {
+            report.achieved_vs_fault_free = Some(achieved_ratio::<P>(&answer, &clean));
+        }
+        Ok(FaultyRun {
+            run: SimultaneousRun {
+                answer,
+                communication,
+                piece_sizes: partition.piece_sizes(),
+            },
+            faults: report,
+        })
+    }
+
     /// Runs the matching protocol: each machine sends the coreset built by
     /// `builder`, the coordinator extracts a maximum matching of the union.
     pub fn run_matching<B: MatchingCoresetBuilder>(
@@ -136,42 +226,11 @@ impl CoordinatorProtocol {
         g: &Graph,
         builder: &B,
         seed: u64,
-    ) -> Result<SimultaneousRun<Matching>, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // One edge permutation into the arena; each machine computes on a
-        // zero-copy view of its slice.
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-
-        // Machine RNG streams are derived from (seed, machine) before the
-        // fan-out; the parallel stage consumes only machine-local state.
-        let coresets: Vec<Graph> = machine_jobs(&partition.views(), seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| builder.build(*piece, &params, i, &mut rng))
-            .collect();
-
-        let mut communication = CommunicationCost::default();
-        for c in &coresets {
-            communication.record_message(&model, c.m(), 0);
-        }
-        let answer = match self.compose {
-            ComposeMode::Flat => solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto),
-            ComposeMode::Tree { fan_in } => tree_solve_matching(
-                g.n(),
-                coresets,
-                builder,
-                &params,
-                seed,
-                fan_in,
-                MaximumMatchingAlgorithm::Auto,
-            ),
-        };
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: partition.piece_sizes(),
-        })
+    ) -> Result<SimultaneousRun<Matching>, ProtocolError> {
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        Ok(self
+            .run(g, &MatchingProblem(builder), seed, &plan, &retry)?
+            .run)
     }
 
     /// Runs the vertex-cover protocol: each machine sends the coreset built by
@@ -183,231 +242,18 @@ impl CoordinatorProtocol {
         g: &Graph,
         builder: &B,
         seed: u64,
-    ) -> Result<SimultaneousRun<VertexCover>, GraphError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-
-        let outputs: Vec<VcCoresetOutput> = machine_jobs(&partition.views(), seed)
-            .into_par_iter()
-            .map(|(i, piece, mut rng)| builder.build(*piece, &params, i, &mut rng))
-            .collect();
-
-        let mut communication = CommunicationCost::default();
-        for o in &outputs {
-            communication.record_message(&model, o.residual.m(), o.fixed_vertices.len());
-        }
-        let answer = match self.compose {
-            ComposeMode::Flat => compose_vertex_cover(&outputs),
-            ComposeMode::Tree { fan_in } => {
-                tree_compose_vertex_cover(g.n(), outputs, builder, &params, seed, fan_in)
-            }
-        };
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: partition.piece_sizes(),
-        })
-    }
-
-    /// Runs the matching protocol under a fault plan: machine failures are
-    /// injected deterministically, failed machines are **re-executed by
-    /// replaying** their `machine_rng(seed, i)` stream (so a run in which
-    /// every machine eventually delivers is bit-identical to the fault-free
-    /// run), and machines that exhaust the retry budget fall through to the
-    /// plan's [`DegradedComposition`] policy.
-    pub fn run_matching_faulty<B: MatchingCoresetBuilder>(
-        &self,
-        g: &Graph,
-        builder: &B,
-        seed: u64,
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> Result<FaultyRun<Matching>, ProtocolError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-        let injector = FaultInjector::new(plan.clone());
-        let views = partition.views();
-
-        let jobs: Vec<(usize, _)> = views.iter().copied().enumerate().collect();
-        let outcomes: Vec<MachineOutcome<Graph>> = jobs
-            .into_par_iter()
-            .map(|(i, piece)| {
-                run_machine_with_faults(&injector, retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                })
-            })
-            .collect();
-
-        let mut report = FaultReport::new(plan.fault_seed);
-        let mut communication = CommunicationCost::default();
-        let mut coresets: Vec<Graph> = Vec::with_capacity(self.k);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(coreset) => {
-                    communication.record_message(&model, coreset.m(), 0);
-                    coresets.push(coreset);
-                }
-                // Empty placeholder: keeps the composition tree's shape and
-                // its (level, node) RNG streams identical to a fault-free
-                // run, while contributing no edges.
-                None => coresets.push(Graph::empty(g.n())),
-            }
-        }
-        self.check_losses(&report, plan)?;
-
-        let solve = |cs: Vec<Graph>| match self.compose {
-            ComposeMode::Flat => solve_composed_matching(&cs, MaximumMatchingAlgorithm::Auto),
-            ComposeMode::Tree { fan_in } => tree_solve_matching(
-                g.n(),
-                cs,
-                builder,
-                &params,
-                seed,
-                fan_in,
-                MaximumMatchingAlgorithm::Auto,
-            ),
-        };
-        // The degraded baseline is cheap to recover in-memory: lost machines
-        // are deterministic replays, so rebuild them and compose everything.
-        let baseline = if report.degraded {
-            let mut full = coresets.clone();
-            for &i in &report.lost_machines {
-                full[i] = builder.build(views[i], &params, i, &mut machine_rng(seed, i));
-            }
-            Some(solve(full).len())
-        } else {
-            None
-        };
-        let answer = solve(coresets);
-        report.achieved_vs_fault_free = Some(match baseline {
-            None | Some(0) => 1.0,
-            Some(b) => answer.len() as f64 / b as f64,
-        });
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: partition.piece_sizes(),
-            },
-            faults: report,
-        })
-    }
-
-    /// Runs the vertex-cover protocol under a fault plan (same retry-by-
-    /// replay and degraded-composition semantics as
-    /// [`CoordinatorProtocol::run_matching_faulty`]).
-    pub fn run_vertex_cover_faulty<B: VcCoresetBuilder>(
-        &self,
-        g: &Graph,
-        builder: &B,
-        seed: u64,
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> Result<FaultyRun<VertexCover>, ProtocolError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let params = CoresetParams::new(g.n(), self.k);
-        let model = CostModel::for_n(g.n());
-        let injector = FaultInjector::new(plan.clone());
-        let views = partition.views();
-
-        let jobs: Vec<(usize, _)> = views.iter().copied().enumerate().collect();
-        let outcomes: Vec<MachineOutcome<VcCoresetOutput>> = jobs
-            .into_par_iter()
-            .map(|(i, piece)| {
-                run_machine_with_faults(&injector, retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                })
-            })
-            .collect();
-
-        let mut report = FaultReport::new(plan.fault_seed);
-        let mut communication = CommunicationCost::default();
-        let mut outputs: Vec<VcCoresetOutput> = Vec::with_capacity(self.k);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(output) => {
-                    communication.record_message(
-                        &model,
-                        output.residual.m(),
-                        output.fixed_vertices.len(),
-                    );
-                    outputs.push(output);
-                }
-                None => outputs.push(VcCoresetOutput {
-                    fixed_vertices: Vec::new(),
-                    residual: Graph::empty(g.n()),
-                }),
-            }
-        }
-        self.check_losses(&report, plan)?;
-
-        let solve = |os: Vec<VcCoresetOutput>| match self.compose {
-            ComposeMode::Flat => compose_vertex_cover(&os),
-            ComposeMode::Tree { fan_in } => {
-                tree_compose_vertex_cover(g.n(), os, builder, &params, seed, fan_in)
-            }
-        };
-        let baseline = if report.degraded {
-            let mut full = outputs.clone();
-            for &i in &report.lost_machines {
-                full[i] = builder.build(views[i], &params, i, &mut machine_rng(seed, i));
-            }
-            Some(solve(full).len())
-        } else {
-            None
-        };
-        let answer = solve(outputs);
-        report.achieved_vs_fault_free = Some(match baseline {
-            None | Some(0) => 1.0,
-            Some(b) => answer.len() as f64 / b as f64,
-        });
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: partition.piece_sizes(),
-            },
-            faults: report,
-        })
-    }
-
-    /// Applies the plan's loss policy to the run's losses.
-    fn check_losses(&self, report: &FaultReport, plan: &FaultPlan) -> Result<(), ProtocolError> {
-        if report.lost_machines.len() == self.k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if report.degraded && plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
-            });
-        }
-        Ok(())
+    ) -> Result<SimultaneousRun<VertexCover>, ProtocolError> {
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        Ok(self.run(g, &VcProblem(builder), seed, &plan, &retry)?.run)
     }
 }
 
 /// Out-of-core protocol runner: the partition lives in an on-disk
-/// [`ArenaFile`], machine pieces are streamed one at a time through a
-/// [`SegmentLoader`], and composition is hierarchical by default — so peak
-/// memory is one segment plus the live coresets of `log k` levels, never the
-/// full arena (experiment E16's in-binary bound).
-///
-/// The leaf coresets use the same `(seed, machine)` streams and the tree the
-/// same `(seed, level, node)` streams as the in-memory
-/// [`CoordinatorProtocol`] over the same partition, so for an arena written
-/// from that partition the answers are **bit-identical** to the in-memory
-/// run — the file format and the bounded-memory schedule are invisible in
-/// the output (asserted by E16 and `tests/tree_compose.rs`).
-///
-/// Leaves are built sequentially (each needs the loader's single resident
-/// segment); the composition-side solves inside each merge and the final
-/// root solve still ride the work-stealing pool.
+/// [`ArenaFile`] and machine pieces stream one at a time through a
+/// [`SegmentLoader`], so peak memory is one segment plus the live coresets of
+/// `log k` tree levels, never the full arena (experiment E16's in-binary
+/// bound). Leaves are built sequentially; the solves inside each merge and
+/// the root composition still ride the work-stealing pool.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaProtocol {
     /// How the coordinator composes the received coresets.
@@ -430,478 +276,191 @@ impl ArenaProtocol {
         }
     }
 
-    /// Runs the matching protocol from an on-disk arena: stream each
-    /// machine's segment, build its coreset, drop the segment, compose.
+    /// Runs the protocol for `problem` from an on-disk arena: stream each
+    /// machine's segment, build its summary, drop the segment, push the
+    /// summary into the streaming tree, and compose the roots. `k` and `n`
+    /// come from the arena header. Every live summary, merge union and the
+    /// root's [`Problem::ROOT_SCRATCH_PASSES`] are charged to
+    /// [`graph::metrics::resident_edges`] beside the loader's segments.
     ///
-    /// `k` and `n` come from the arena header; every coreset buffer alive at
-    /// the coordinator (plus merge scratch) is charged to
-    /// [`graph::metrics::resident_edges`], alongside the loader's segment
-    /// accounting.
+    /// * Segment faults ([`FaultPlan::segment_plan`]) are injected inside the
+    ///   [`SegmentLoader`] and retried up to the retry budget; machine faults
+    ///   retry by replay as in [`CoordinatorProtocol::run`].
+    /// * A segment still unreadable after the budget, injected or genuine,
+    ///   loses its machine to the plan's [`DegradedComposition`] policy; an
+    ///   *unarmed* plan surfaces [`ProtocolError::Segment`] instead.
+    /// * With `opts.checkpoint` set, the folder's state is persisted after
+    ///   every leaf, a rerun resumes after the last one, and the file is
+    ///   deleted on completion. Resuming is bit-identical to an uninterrupted
+    ///   run (`tests/faults.rs` kills at every leaf).
+    pub fn run<P: Problem>(
+        &self,
+        arena: &ArenaFile,
+        problem: &P,
+        seed: u64,
+        opts: &FaultRunOptions,
+    ) -> Result<FaultyRun<P::Answer>, ProtocolError>
+    where
+        P::Summary: CheckpointItem,
+    {
+        let (n, k) = (arena.n(), arena.k());
+        let fan_in = self.compose.fan_in(k)?;
+        let params = CoresetParams::new(n, k);
+        let model = CostModel::for_n(n);
+        let injector = FaultInjector::new(opts.plan.clone());
+        let key = CheckpointKey {
+            problem: <P::Summary as CheckpointItem>::PROBLEM,
+            n: n as u64,
+            k: k as u64,
+            m: arena.m() as u64,
+            seed,
+            fan_in: fan_in as u64,
+            fault_seed: opts.plan.fault_seed,
+        };
+        let edges = |s: &P::Summary| P::message(s).0;
+        let merge = |level: usize, node: usize, group: Vec<P::Summary>| {
+            let union_edges: usize = group.iter().map(edges).sum();
+            metrics::record_resident_edges_acquired(union_edges);
+            let merged = problem.merge(n, &params, seed, level, node, group);
+            metrics::record_resident_edges_released(union_edges);
+            metrics::record_resident_edges_acquired(edges(&merged));
+            metrics::record_resident_edges_released(union_edges);
+            merged
+        };
+
+        let resumed = opts
+            .checkpoint
+            .as_deref()
+            .and_then(|p| load_checkpoint::<P::Summary>(p, &key));
+        let (mut communication, mut report, mut folder, start) = match resumed {
+            Some(ck) => {
+                metrics::record_resident_edges_acquired(
+                    ck.pending.iter().flatten().map(edges).sum(),
+                );
+                let folder = TreeFolder::resume(k, fan_in, merge, ck.pushed, ck.pending);
+                (ck.communication, ck.faults, folder, ck.pushed)
+            }
+            None => (
+                CommunicationCost::default(),
+                FaultReport::new(opts.plan.fault_seed),
+                TreeFolder::new(k, fan_in, merge),
+                0,
+            ),
+        };
+
+        let mut loader = SegmentLoader::new(arena)?;
+        loader.set_fault_plan(Some(opts.plan.segment_plan()));
+        loader.set_retry_policy(SegmentRetryPolicy {
+            max_attempts: opts.retry.max_attempts.max(1),
+        });
+        for i in start..k {
+            let (injected_before, retried_before) = (loader.injected_faults(), loader.retries());
+            let outcome: MachineOutcome<P::Summary> = match loader.load(i) {
+                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
+                    problem.build(piece, &params, i, &mut machine_rng(seed, i))
+                }),
+                Err(source) if !opts.plan.is_armed() => {
+                    return Err(ProtocolError::Segment { machine: i, source })
+                }
+                Err(_) => MachineOutcome {
+                    summary: None,
+                    injected: 0,
+                    retried: 0,
+                    ticks: 0,
+                },
+            };
+            // Fold the loader's per-segment injection/retry deltas into the
+            // run totals; segment retries are charged the flat base backoff
+            // on the simulated tick clock.
+            let d_inj = loader.injected_faults() - injected_before;
+            let d_ret = loader.retries() - retried_before;
+            report.injected += d_inj;
+            report.retried += d_ret;
+            report.ticks = report
+                .ticks
+                .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
+            if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
+                // Recovered at the segment layer only; absorb() below would
+                // not see those injections.
+                report.recovered += 1;
+            }
+            report.absorb(i, &outcome);
+            folder.push(match outcome.summary {
+                Some(summary) => {
+                    let (edges, vertices) = P::message(&summary);
+                    communication.record_message(&model, edges, vertices);
+                    metrics::record_resident_edges_acquired(edges);
+                    summary
+                }
+                None => P::placeholder(n),
+            });
+            if let Some(path) = opts.checkpoint.as_deref() {
+                save_checkpoint(
+                    path,
+                    &key,
+                    &ArenaCheckpoint {
+                        pushed: folder.pushed(),
+                        pending: folder.pending().to_vec(),
+                        communication: communication.clone(),
+                        faults: report.clone(),
+                    },
+                )?;
+            }
+            if opts.kill_after_leaves == Some(folder.pushed()) {
+                return Err(ProtocolError::Interrupted {
+                    pushed: folder.pushed(),
+                });
+            }
+        }
+        loader.release();
+        check_losses(&report, k, &opts.plan)?;
+        let roots = folder.finish();
+        let root_edges: usize = roots.iter().map(edges).sum();
+        let scratch = P::ROOT_SCRATCH_PASSES * root_edges;
+        metrics::record_resident_edges_acquired(scratch);
+        let answer = problem.compose_all(&roots);
+        metrics::record_resident_edges_released(root_edges + scratch);
+        if report.degraded {
+            // The fault-free baseline needs every segment intact; a genuinely
+            // corrupt arena has no computable baseline.
+            let clean = self.run(arena, problem, seed, &FaultRunOptions::default());
+            report.achieved_vs_fault_free = clean
+                .ok()
+                .map(|c| achieved_ratio::<P>(&answer, &c.run.answer));
+        }
+        if let Some(path) = opts.checkpoint.as_deref() {
+            let _ = std::fs::remove_file(path);
+        }
+        Ok(FaultyRun {
+            run: SimultaneousRun {
+                answer,
+                communication,
+                piece_sizes: arena.piece_sizes(),
+            },
+            faults: report,
+        })
+    }
+
+    /// Runs the matching protocol from an on-disk arena, fault-free.
     pub fn run_matching<B: MatchingCoresetBuilder>(
         &self,
         arena: &ArenaFile,
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<Matching>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
-        let model = CostModel::for_n(n);
-        let mut communication = CommunicationCost::default();
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            // Flat composition is the degenerate tree whose "root set" is all
-            // k coresets: a fan-in wide enough that no merge round fires.
-            ComposeMode::Flat => arena.k().max(2),
-        };
-        let merge = |level: usize, node: usize, group: Vec<Graph>| {
-            let union_edges: usize = group.iter().map(Graph::m).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_matching_coresets(n, &params, builder, seed, level, node, &group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-        let mut folder = TreeFolder::new(arena.k(), fan_in, merge);
-        let mut loader = SegmentLoader::new(arena)?;
-        for i in 0..arena.k() {
-            let piece = loader
-                .load(i)
-                .map_err(|source| ProtocolError::Segment { machine: i, source })?;
-            let coreset = builder.build(piece, &params, i, &mut machine_rng(seed, i));
-            communication.record_message(&model, coreset.m(), 0);
-            metrics::record_resident_edges_acquired(coreset.m());
-            folder.push(coreset);
-        }
-        loader.release();
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(Graph::m).sum();
-        // The final flat solve's compaction scratch is one more union pass.
-        metrics::record_resident_edges_acquired(root_edges);
-        let answer = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
-        metrics::record_resident_edges_released(2 * root_edges);
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: arena.piece_sizes(),
-        })
+        let opts = FaultRunOptions::default();
+        Ok(self.run(arena, &MatchingProblem(builder), seed, &opts)?.run)
     }
 
-    /// Runs the vertex-cover protocol from an on-disk arena (same schedule
-    /// and accounting as [`ArenaProtocol::run_matching`]).
+    /// Runs the vertex-cover protocol from an on-disk arena, fault-free.
     pub fn run_vertex_cover<B: VcCoresetBuilder>(
         &self,
         arena: &ArenaFile,
         builder: &B,
         seed: u64,
     ) -> Result<SimultaneousRun<VertexCover>, ProtocolError> {
-        let n = arena.n();
-        let params = CoresetParams::new(n, arena.k());
-        let model = CostModel::for_n(n);
-        let mut communication = CommunicationCost::default();
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            ComposeMode::Flat => arena.k().max(2),
-        };
-        let merge = |level: usize, node: usize, group: Vec<VcCoresetOutput>| {
-            let union_edges: usize = group.iter().map(|o| o.residual.m()).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_vc_coresets(n, &params, builder, seed, level, node, group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.residual.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-        let mut folder = TreeFolder::new(arena.k(), fan_in, merge);
-        let mut loader = SegmentLoader::new(arena)?;
-        for i in 0..arena.k() {
-            let piece = loader
-                .load(i)
-                .map_err(|source| ProtocolError::Segment { machine: i, source })?;
-            let output = builder.build(piece, &params, i, &mut machine_rng(seed, i));
-            communication.record_message(&model, output.residual.m(), output.fixed_vertices.len());
-            metrics::record_resident_edges_acquired(output.residual.m());
-            folder.push(output);
-        }
-        loader.release();
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
-        let answer = compose_vertex_cover(&roots);
-        metrics::record_resident_edges_released(root_edges);
-        Ok(SimultaneousRun {
-            answer,
-            communication,
-            piece_sizes: arena.piece_sizes(),
-        })
-    }
-
-    /// Runs the matching protocol from an arena under a fault plan, with
-    /// optional checkpoint/resume.
-    ///
-    /// Fault semantics:
-    ///
-    /// * Arena-segment faults (transient I/O, checksum corruption) are
-    ///   injected inside the [`SegmentLoader`] from
-    ///   [`FaultPlan::segment_plan`] and retried up to the machine retry
-    ///   budget; machine-level faults use the same retry-by-replay loop as
-    ///   [`CoordinatorProtocol::run_matching_faulty`].
-    /// * A machine whose segment stays unreadable after the budget — whether
-    ///   the failure was injected or genuine — is **permanently lost** and
-    ///   handled by the plan's [`DegradedComposition`] policy (an *unarmed*
-    ///   plan instead surfaces [`ProtocolError::Segment`], matching
-    ///   [`ArenaProtocol::run_matching`]).
-    /// * With `opts.checkpoint` set, the folder's pending state is persisted
-    ///   after every completed leaf and a rerun resumes after the last one;
-    ///   the checkpoint is deleted once the run completes. A resumed run's
-    ///   answer is bit-identical to an uninterrupted one (`tests/faults.rs`
-    ///   kills at every leaf to pin this).
-    pub fn run_matching_resumable<B: MatchingCoresetBuilder>(
-        &self,
-        arena: &ArenaFile,
-        builder: &B,
-        seed: u64,
-        opts: &FaultRunOptions,
-    ) -> Result<FaultyRun<Matching>, ProtocolError> {
-        let n = arena.n();
-        let k = arena.k();
-        let params = CoresetParams::new(n, k);
-        let model = CostModel::for_n(n);
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            ComposeMode::Flat => k.max(2),
-        };
-        let injector = FaultInjector::new(opts.plan.clone());
-        let key = CheckpointKey {
-            problem: <Graph as CheckpointItem>::PROBLEM,
-            n: n as u64,
-            k: k as u64,
-            m: arena.m() as u64,
-            seed,
-            fan_in: fan_in as u64,
-            fault_seed: opts.plan.fault_seed,
-        };
-        let merge = |level: usize, node: usize, group: Vec<Graph>| {
-            let union_edges: usize = group.iter().map(Graph::m).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_matching_coresets(n, &params, builder, seed, level, node, &group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-
-        let mut communication = CommunicationCost::default();
-        let mut report = FaultReport::new(opts.plan.fault_seed);
-        let resumed = opts
-            .checkpoint
-            .as_deref()
-            .and_then(|p| load_checkpoint::<Graph>(p, &key));
-        let (mut folder, start) = match resumed {
-            Some(ck) => {
-                communication = ck.communication;
-                report.injected = ck.injected;
-                report.retried = ck.retried;
-                report.recovered = ck.recovered;
-                report.ticks = ck.ticks;
-                report.degraded = !ck.lost_machines.is_empty();
-                report.lost_machines = ck.lost_machines;
-                let live: usize = ck.pending.iter().flatten().map(Graph::m).sum();
-                metrics::record_resident_edges_acquired(live);
-                let pushed = ck.pushed;
-                (
-                    TreeFolder::resume(k, fan_in, merge, pushed, ck.pending),
-                    pushed,
-                )
-            }
-            None => (TreeFolder::new(k, fan_in, merge), 0),
-        };
-
-        let mut loader = SegmentLoader::new(arena)?;
-        loader.set_fault_plan(Some(opts.plan.segment_plan()));
-        loader.set_retry_policy(SegmentRetryPolicy {
-            max_attempts: opts.retry.max_attempts.max(1),
-        });
-        let (mut seg_injected, mut seg_retried) = (0u64, 0u64);
-        for i in start..k {
-            let outcome: MachineOutcome<Graph> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                }),
-                Err(source) => {
-                    if !opts.plan.is_armed() {
-                        return Err(ProtocolError::Segment { machine: i, source });
-                    }
-                    MachineOutcome {
-                        summary: None,
-                        injected: 0,
-                        retried: 0,
-                        ticks: 0,
-                    }
-                }
-            };
-            // Fold the loader's per-segment injection/retry deltas into the
-            // run totals; segment retries are charged the flat base backoff
-            // on the simulated tick clock.
-            let d_inj = loader.injected_faults() - seg_injected;
-            let d_ret = loader.retries() - seg_retried;
-            seg_injected += d_inj;
-            seg_retried += d_ret;
-            report.injected += d_inj;
-            report.retried += d_ret;
-            report.ticks = report
-                .ticks
-                .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
-            if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
-                // Recovered at the segment layer only; absorb() below would
-                // not see those injections.
-                report.recovered += 1;
-            }
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(coreset) => {
-                    communication.record_message(&model, coreset.m(), 0);
-                    metrics::record_resident_edges_acquired(coreset.m());
-                    folder.push(coreset);
-                }
-                None => folder.push(Graph::empty(n)),
-            }
-            if let Some(path) = opts.checkpoint.as_deref() {
-                save_checkpoint(
-                    path,
-                    &key,
-                    &ArenaCheckpoint {
-                        pushed: folder.pushed(),
-                        pending: folder.pending().to_vec(),
-                        communication: communication.clone(),
-                        injected: report.injected,
-                        retried: report.retried,
-                        recovered: report.recovered,
-                        ticks: report.ticks,
-                        lost_machines: report.lost_machines.clone(),
-                    },
-                )?;
-            }
-            if opts.kill_after_leaves == Some(folder.pushed()) {
-                return Err(ProtocolError::Interrupted {
-                    pushed: folder.pushed(),
-                });
-            }
-        }
-        loader.release();
-        if report.lost_machines.len() == k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if report.degraded && opts.plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
-            });
-        }
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(Graph::m).sum();
-        metrics::record_resident_edges_acquired(root_edges);
-        let answer = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
-        metrics::record_resident_edges_released(2 * root_edges);
-        report.achieved_vs_fault_free = if report.degraded {
-            // The fault-free baseline needs every segment intact; a genuinely
-            // corrupt arena has no computable baseline.
-            self.run_matching(arena, builder, seed)
-                .ok()
-                .map(|clean| match clean.answer.len() {
-                    0 => 1.0,
-                    b => answer.len() as f64 / b as f64,
-                })
-        } else {
-            Some(1.0)
-        };
-        if let Some(path) = opts.checkpoint.as_deref() {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: arena.piece_sizes(),
-            },
-            faults: report,
-        })
-    }
-
-    /// Runs the vertex-cover protocol from an arena under a fault plan, with
-    /// optional checkpoint/resume (same semantics as
-    /// [`ArenaProtocol::run_matching_resumable`]).
-    pub fn run_vertex_cover_resumable<B: VcCoresetBuilder>(
-        &self,
-        arena: &ArenaFile,
-        builder: &B,
-        seed: u64,
-        opts: &FaultRunOptions,
-    ) -> Result<FaultyRun<VertexCover>, ProtocolError> {
-        let n = arena.n();
-        let k = arena.k();
-        let params = CoresetParams::new(n, k);
-        let model = CostModel::for_n(n);
-        let fan_in = match self.compose {
-            ComposeMode::Tree { fan_in } => fan_in,
-            ComposeMode::Flat => k.max(2),
-        };
-        let injector = FaultInjector::new(opts.plan.clone());
-        let key = CheckpointKey {
-            problem: <VcCoresetOutput as CheckpointItem>::PROBLEM,
-            n: n as u64,
-            k: k as u64,
-            m: arena.m() as u64,
-            seed,
-            fan_in: fan_in as u64,
-            fault_seed: opts.plan.fault_seed,
-        };
-        let merge = |level: usize, node: usize, group: Vec<VcCoresetOutput>| {
-            let union_edges: usize = group.iter().map(|o| o.residual.m()).sum();
-            metrics::record_resident_edges_acquired(union_edges);
-            let merged = merge_vc_coresets(n, &params, builder, seed, level, node, group);
-            metrics::record_resident_edges_released(union_edges);
-            metrics::record_resident_edges_acquired(merged.residual.m());
-            metrics::record_resident_edges_released(union_edges);
-            merged
-        };
-
-        let mut communication = CommunicationCost::default();
-        let mut report = FaultReport::new(opts.plan.fault_seed);
-        let resumed = opts
-            .checkpoint
-            .as_deref()
-            .and_then(|p| load_checkpoint::<VcCoresetOutput>(p, &key));
-        let (mut folder, start) = match resumed {
-            Some(ck) => {
-                communication = ck.communication;
-                report.injected = ck.injected;
-                report.retried = ck.retried;
-                report.recovered = ck.recovered;
-                report.ticks = ck.ticks;
-                report.degraded = !ck.lost_machines.is_empty();
-                report.lost_machines = ck.lost_machines;
-                let live: usize = ck.pending.iter().flatten().map(|o| o.residual.m()).sum();
-                metrics::record_resident_edges_acquired(live);
-                let pushed = ck.pushed;
-                (
-                    TreeFolder::resume(k, fan_in, merge, pushed, ck.pending),
-                    pushed,
-                )
-            }
-            None => (TreeFolder::new(k, fan_in, merge), 0),
-        };
-
-        let mut loader = SegmentLoader::new(arena)?;
-        loader.set_fault_plan(Some(opts.plan.segment_plan()));
-        loader.set_retry_policy(SegmentRetryPolicy {
-            max_attempts: opts.retry.max_attempts.max(1),
-        });
-        let (mut seg_injected, mut seg_retried) = (0u64, 0u64);
-        for i in start..k {
-            let outcome: MachineOutcome<VcCoresetOutput> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                    builder.build(piece, &params, i, &mut machine_rng(seed, i))
-                }),
-                Err(source) => {
-                    if !opts.plan.is_armed() {
-                        return Err(ProtocolError::Segment { machine: i, source });
-                    }
-                    MachineOutcome {
-                        summary: None,
-                        injected: 0,
-                        retried: 0,
-                        ticks: 0,
-                    }
-                }
-            };
-            // Fold the loader's per-segment injection/retry deltas into the
-            // run totals; segment retries are charged the flat base backoff
-            // on the simulated tick clock.
-            let d_inj = loader.injected_faults() - seg_injected;
-            let d_ret = loader.retries() - seg_retried;
-            seg_injected += d_inj;
-            seg_retried += d_ret;
-            report.injected += d_inj;
-            report.retried += d_ret;
-            report.ticks = report
-                .ticks
-                .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
-            if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
-                // Recovered at the segment layer only; absorb() below would
-                // not see those injections.
-                report.recovered += 1;
-            }
-            report.absorb(i, &outcome);
-            match outcome.summary {
-                Some(output) => {
-                    communication.record_message(
-                        &model,
-                        output.residual.m(),
-                        output.fixed_vertices.len(),
-                    );
-                    metrics::record_resident_edges_acquired(output.residual.m());
-                    folder.push(output);
-                }
-                None => folder.push(VcCoresetOutput {
-                    fixed_vertices: Vec::new(),
-                    residual: Graph::empty(n),
-                }),
-            }
-            if let Some(path) = opts.checkpoint.as_deref() {
-                save_checkpoint(
-                    path,
-                    &key,
-                    &ArenaCheckpoint {
-                        pushed: folder.pushed(),
-                        pending: folder.pending().to_vec(),
-                        communication: communication.clone(),
-                        injected: report.injected,
-                        retried: report.retried,
-                        recovered: report.recovered,
-                        ticks: report.ticks,
-                        lost_machines: report.lost_machines.clone(),
-                    },
-                )?;
-            }
-            if opts.kill_after_leaves == Some(folder.pushed()) {
-                return Err(ProtocolError::Interrupted {
-                    pushed: folder.pushed(),
-                });
-            }
-        }
-        loader.release();
-        if report.lost_machines.len() == k {
-            return Err(ProtocolError::NoSurvivors);
-        }
-        if report.degraded && opts.plan.on_loss == DegradedComposition::Fail {
-            return Err(ProtocolError::MachinesLost {
-                machines: report.lost_machines.clone(),
-            });
-        }
-        let roots = folder.finish();
-        let root_edges: usize = roots.iter().map(|o| o.residual.m()).sum();
-        let answer = compose_vertex_cover(&roots);
-        metrics::record_resident_edges_released(root_edges);
-        report.achieved_vs_fault_free = if report.degraded {
-            self.run_vertex_cover(arena, builder, seed)
-                .ok()
-                .map(|clean| match clean.answer.len() {
-                    0 => 1.0,
-                    b => answer.len() as f64 / b as f64,
-                })
-        } else {
-            Some(1.0)
-        };
-        if let Some(path) = opts.checkpoint.as_deref() {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(FaultyRun {
-            run: SimultaneousRun {
-                answer,
-                communication,
-                piece_sizes: arena.piece_sizes(),
-            },
-            faults: report,
-        })
+        let opts = FaultRunOptions::default();
+        Ok(self.run(arena, &VcProblem(builder), seed, &opts)?.run)
     }
 }
 
@@ -947,6 +506,7 @@ mod tests {
     use super::*;
     use coresets::matching_coreset::MaximumMatchingCoreset;
     use coresets::vc_coreset::PeelingVcCoreset;
+    use coresets::TreePlan;
     use graph::gen::er::gnp;
     use matching::maximum::maximum_matching;
     use rand::SeedableRng;
@@ -1021,6 +581,21 @@ mod tests {
         assert!(CoordinatorProtocol::random(0)
             .run_matching(&g, &MaximumMatchingCoreset::new(), 0)
             .is_err());
+    }
+
+    #[test]
+    fn fan_in_below_two_is_a_typed_error() {
+        let g = gnp(60, 0.1, &mut rng(20));
+        for fan_in in [0, 1] {
+            let err = CoordinatorProtocol::tree(8, fan_in)
+                .run_matching(&g, &MaximumMatchingCoreset::new(), 1)
+                .unwrap_err();
+            assert_eq!(err, ProtocolError::InvalidFanIn { fan_in });
+            let err = CoordinatorProtocol::tree(8, fan_in)
+                .run_vertex_cover(&g, &PeelingVcCoreset::new(), 1)
+                .unwrap_err();
+            assert_eq!(err, ProtocolError::InvalidFanIn { fan_in });
+        }
     }
 
     #[test]
@@ -1129,6 +704,24 @@ mod tests {
     }
 
     #[test]
+    fn arena_fan_in_below_two_is_a_typed_error() {
+        let _guard = arena_lock();
+        let g = gnp(80, 0.08, &mut rng(21));
+        let (arena, path) = arena_of(&g, 4, 3, "fan_in");
+        for fan_in in [0, 1] {
+            let err = ArenaProtocol::tree(fan_in)
+                .run_matching(&arena, &MaximumMatchingCoreset::new(), 3)
+                .unwrap_err();
+            assert_eq!(err, ProtocolError::InvalidFanIn { fan_in });
+            let err = ArenaProtocol::tree(fan_in)
+                .run_vertex_cover(&arena, &PeelingVcCoreset::new(), 3)
+                .unwrap_err();
+            assert_eq!(err, ProtocolError::InvalidFanIn { fan_in });
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
     fn arena_tree_peak_resident_stays_bounded() {
         let _guard = arena_lock();
         let g = gnp(600, 0.05, &mut rng(10));
@@ -1146,7 +739,7 @@ mod tests {
         // Peak stayed below the full arena plus tree overhead — the bound E16
         // asserts at 10^7-edge scale (levels + 1 live coreset layers of at
         // most n/2 edges each, one segment, merge scratch).
-        let levels = coresets::TreePlan::new(k, fan_in).levels();
+        let levels = TreePlan::new(k, fan_in).levels();
         let m = arena.m();
         let bound = (2 * (m / k + fan_in * (g.n() / 2) * (levels + 1))) as u64;
         assert!(
@@ -1164,9 +757,9 @@ mod tests {
             .run_matching(&g, &MaximumMatchingCoreset::new(), 17)
             .unwrap();
         let faulty = p
-            .run_matching_faulty(
+            .run(
                 &g,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 17,
                 &FaultPlan::new(99),
                 &RetryPolicy::default(),
@@ -1190,9 +783,9 @@ mod tests {
             .unwrap();
         let plan = FaultPlan::machine_failure(4242, 0.2);
         let faulty = p
-            .run_matching_faulty(
+            .run(
                 &g,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 23,
                 &plan,
                 &RetryPolicy::attempts(12),
@@ -1223,9 +816,9 @@ mod tests {
             .run_matching(&g, &MaximumMatchingCoreset::new(), 3)
             .unwrap();
         let faulty = p
-            .run_matching_faulty(
+            .run(
                 &g,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 3,
                 &plan,
                 &RetryPolicy::default(),
@@ -1246,9 +839,9 @@ mod tests {
         let p = CoordinatorProtocol::random(6);
         let plan = FaultPlan::new(1).losing(vec![2]);
         let faulty = p
-            .run_matching_faulty(
+            .run(
                 &g,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 9,
                 &plan,
                 &RetryPolicy::attempts(8),
@@ -1269,9 +862,9 @@ mod tests {
         let (k, seed) = (5, 31);
         let plan = FaultPlan::new(2).losing(vec![0]);
         let faulty = CoordinatorProtocol::random(k)
-            .run_vertex_cover_faulty(
+            .run(
                 &g,
-                &PeelingVcCoreset::new(),
+                &VcProblem(PeelingVcCoreset::new()),
                 seed,
                 &plan,
                 &RetryPolicy::default(),
@@ -1310,9 +903,9 @@ mod tests {
         let mut plan = FaultPlan::new(3).losing(vec![1]);
         plan.on_loss = DegradedComposition::Fail;
         let err = p
-            .run_matching_faulty(
+            .run(
                 &g,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 1,
                 &plan,
                 &RetryPolicy::default(),
@@ -1322,9 +915,9 @@ mod tests {
 
         let all = FaultPlan::new(3).losing(vec![0, 1, 2]);
         let err = p
-            .run_vertex_cover_faulty(
+            .run(
                 &g,
-                &PeelingVcCoreset::new(),
+                &VcProblem(PeelingVcCoreset::new()),
                 1,
                 &all,
                 &RetryPolicy::default(),
@@ -1343,9 +936,9 @@ mod tests {
             .run_matching(&arena, &MaximumMatchingCoreset::new(), seed)
             .unwrap();
         let faulty = ArenaProtocol::tree(fan_in)
-            .run_matching_resumable(
+            .run(
                 &arena,
-                &MaximumMatchingCoreset::new(),
+                &MatchingProblem(MaximumMatchingCoreset::new()),
                 seed,
                 &FaultRunOptions::default(),
             )
@@ -1377,7 +970,12 @@ mod tests {
             ..FaultRunOptions::default()
         };
         let faulty = ArenaProtocol::tree(fan_in)
-            .run_matching_resumable(&arena, &MaximumMatchingCoreset::new(), seed, &opts)
+            .run(
+                &arena,
+                &MatchingProblem(MaximumMatchingCoreset::new()),
+                seed,
+                &opts,
+            )
             .unwrap();
         std::fs::remove_file(path).unwrap();
         assert!(faulty.faults.injected > 0, "this seed must inject faults");
@@ -1406,13 +1004,13 @@ mod tests {
             ..FaultRunOptions::default()
         };
         let err = ArenaProtocol::tree(fan_in)
-            .run_vertex_cover_resumable(&arena, &PeelingVcCoreset::new(), seed, &opts)
+            .run(&arena, &VcProblem(PeelingVcCoreset::new()), seed, &opts)
             .unwrap_err();
         assert_eq!(err, ProtocolError::Interrupted { pushed: 3 });
         assert!(ckpt.exists(), "kill must leave a checkpoint behind");
         opts.kill_after_leaves = None;
         let resumed = ArenaProtocol::tree(fan_in)
-            .run_vertex_cover_resumable(&arena, &PeelingVcCoreset::new(), seed, &opts)
+            .run(&arena, &VcProblem(PeelingVcCoreset::new()), seed, &opts)
             .unwrap();
         std::fs::remove_file(path).unwrap();
         assert_eq!(uninterrupted.answer, resumed.run.answer);

@@ -40,6 +40,12 @@ pub enum ProtocolError {
         /// simulated kill.
         pushed: usize,
     },
+    /// Tree composition was configured with a fan-in below 2 (a 1-ary merge
+    /// never shrinks the tree).
+    InvalidFanIn {
+        /// The rejected fan-in.
+        fan_in: usize,
+    },
     /// Every machine was permanently lost; there is nothing to compose.
     NoSurvivors,
     /// At least one machine was permanently lost and the plan's loss policy
@@ -64,6 +70,10 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Interrupted { pushed } => write!(
                 f,
                 "run interrupted after checkpointing {pushed} completed leaves"
+            ),
+            ProtocolError::InvalidFanIn { fan_in } => write!(
+                f,
+                "tree composition needs a fan-in of at least 2, got {fan_in}"
             ),
             ProtocolError::NoSurvivors => {
                 write!(f, "all machines permanently lost; nothing to compose")
@@ -133,5 +143,8 @@ mod tests {
         assert!(ProtocolError::Interrupted { pushed: 5 }
             .to_string()
             .contains('5'));
+        assert!(ProtocolError::InvalidFanIn { fan_in: 1 }
+            .to_string()
+            .contains("got 1"));
     }
 }

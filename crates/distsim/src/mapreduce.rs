@@ -13,33 +13,21 @@
 //! If the input is already randomly distributed, round 1 can be skipped and
 //! the algorithm takes a single round. The simulator tracks, per round, the
 //! maximum number of words resident on any machine so that the memory budget
-//! claim can be checked experimentally (experiment E8). As in the
-//! coordinator model, every maximum-matching solve (per-machine coresets,
-//! machine `M`'s composed solve) runs on the compacted, epoch-reset,
-//! warm-started [`matching::MatchingEngine`] (experiment E13), and every
-//! vertex-cover peeling / composition runs on the bucket-queue
-//! `vertexcover::VcEngine` (experiment E14).
-//!
-//! Round 2's fan-out runs on the vendored rayon backend's **work-stealing
-//! chunk queue** (experiment E15): machines are handed to scoped workers a
-//! chunk at a time, so a machine holding a disproportionate share of the
-//! shuffled edges cannot serialize the round. Machine `M`'s composition also
-//! fans out its independent sub-solves (warm-start screening, residual-slice
-//! statistics) on the same pool; results reassemble in machine order, so
-//! simulated rounds stay bit-identical at every thread count.
+//! claim can be checked experimentally (experiment E8). Round 2 is the same
+//! generic [`coresets::Problem`] run as every other driver: machines build
+//! on the work-stealing pool from pre-derived `(seed, machine)` streams, and
+//! results reassemble in machine order, so simulated rounds stay
+//! bit-identical at every thread count.
 
 use crate::comm::CostModel;
 use coresets::matching_coreset::MatchingCoresetBuilder;
-use coresets::streams::machine_jobs;
-use coresets::vc_coreset::{VcCoresetBuilder, VcCoresetOutput};
-use coresets::{compose_vertex_cover, solve_composed_matching, CoresetParams};
+use coresets::vc_coreset::VcCoresetBuilder;
+use coresets::{CoresetParams, MatchingProblem, Problem, VcProblem};
 use graph::partition::PartitionedGraph;
-use graph::{Graph, GraphError, GraphView};
+use graph::{Graph, GraphError};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vertexcover::VertexCover;
 
@@ -120,16 +108,7 @@ impl MapReduceSimulator {
         builder: &B,
         seed: u64,
     ) -> Result<MapReduceOutcome<Matching>, GraphError> {
-        self.run_generic(g, seed, |pieces, params, machine_seed| {
-            // Per-machine RNG streams are fixed before the round-2 fan-out.
-            let coresets: Vec<Graph> = machine_jobs(pieces, machine_seed)
-                .into_par_iter()
-                .map(|(i, p, mut rng)| builder.build(*p, params, i, &mut rng))
-                .collect();
-            let coreset_words: Vec<u64> = coresets.iter().map(|c| 2 * c.m() as u64).collect();
-            let answer = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-            (answer, coreset_words)
-        })
+        self.run(g, &MatchingProblem(builder), seed)
     }
 
     /// Runs the two-round (or one-round) coreset algorithm for minimum vertex
@@ -140,27 +119,16 @@ impl MapReduceSimulator {
         builder: &B,
         seed: u64,
     ) -> Result<MapReduceOutcome<VertexCover>, GraphError> {
-        self.run_generic(g, seed, |pieces, params, machine_seed| {
-            let outputs: Vec<VcCoresetOutput> = machine_jobs(pieces, machine_seed)
-                .into_par_iter()
-                .map(|(i, p, mut rng)| builder.build(*p, params, i, &mut rng))
-                .collect();
-            let model = CostModel::for_n(params.n);
-            let coreset_words: Vec<u64> = outputs
-                .iter()
-                .map(|o| model.words(o.residual.m(), o.fixed_vertices.len()))
-                .collect();
-            let answer = compose_vertex_cover(&outputs);
-            (answer, coreset_words)
-        })
+        self.run(g, &VcProblem(builder), seed)
     }
 
-    fn run_generic<T>(
+    /// Runs the two-round (or one-round) coreset algorithm for `problem`.
+    fn run<P: Problem>(
         &self,
         g: &Graph,
+        problem: &P,
         seed: u64,
-        solve: impl FnOnce(&[GraphView<'_>], &CoresetParams, u64) -> (T, Vec<u64>),
-    ) -> Result<MapReduceOutcome<T>, GraphError> {
+    ) -> Result<MapReduceOutcome<P::Answer>, GraphError> {
         let k = self.config.k;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut rounds = Vec::new();
@@ -187,8 +155,14 @@ impl MapReduceSimulator {
         // Round 2: build coresets locally (in parallel, each machine on its
         // own pre-derived RNG stream), send them to machine M, solve there.
         let params = CoresetParams::new(g.n(), k);
-        let (answer, coreset_words) = solve(&partition.views(), &params, seed);
-        let central_words: u64 = coreset_words.iter().sum();
+        let summaries = problem.build_all(&partition.views(), &params, seed);
+        let model = CostModel::for_n(g.n());
+        let central_words: u64 = summaries
+            .iter()
+            .map(P::message)
+            .map(|(edges, vertices)| model.words(edges, vertices))
+            .sum();
+        let answer = problem.compose_all(&summaries);
         rounds.push(RoundStats {
             description: "coresets: build locally, union and solve on the designated machine"
                 .into(),

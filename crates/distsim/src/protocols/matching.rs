@@ -6,12 +6,11 @@
 
 use crate::coordinator::CoordinatorProtocol;
 use crate::error::ProtocolError;
-use crate::faults::{FaultPlan, RetryPolicy};
 use crate::report::MatchingProtocolReport;
 use coresets::matching_coreset::{
     MatchingCoresetBuilder, MaximumMatchingCoreset, SubsampledMatchingCoreset,
 };
-use graph::{Graph, GraphError};
+use graph::Graph;
 
 /// Runs a matching protocol with an arbitrary coreset builder and reports the
 /// achieved approximation against `reference_matching_size` (the exact optimum
@@ -22,7 +21,7 @@ pub fn report_matching_protocol<B: MatchingCoresetBuilder>(
     builder: &B,
     reference_matching_size: usize,
     seed: u64,
-) -> Result<MatchingProtocolReport, GraphError> {
+) -> Result<MatchingProtocolReport, ProtocolError> {
     let run = CoordinatorProtocol::random(k).run_matching(g, builder, seed)?;
     let matching_size = run.answer.len();
     Ok(MatchingProtocolReport {
@@ -38,40 +37,13 @@ pub fn report_matching_protocol<B: MatchingCoresetBuilder>(
     })
 }
 
-/// Runs a matching protocol under a fault plan and reports the outcome with
-/// the run's [`crate::faults::FaultReport`] attached.
-pub fn report_matching_protocol_faulty<B: MatchingCoresetBuilder>(
-    g: &Graph,
-    k: usize,
-    builder: &B,
-    reference_matching_size: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<MatchingProtocolReport, ProtocolError> {
-    let faulty =
-        CoordinatorProtocol::random(k).run_matching_faulty(g, builder, seed, plan, retry)?;
-    let matching_size = faulty.run.answer.len();
-    Ok(MatchingProtocolReport {
-        protocol: builder.name().to_string(),
-        k,
-        n: g.n(),
-        m: g.m(),
-        matching_size,
-        reference_matching_size,
-        approximation_ratio: MatchingProtocolReport::ratio(reference_matching_size, matching_size),
-        communication: faulty.run.communication,
-        faults: Some(faulty.faults),
-    })
-}
-
 /// Runs the paper's default protocol (Theorem 1: maximum-matching coresets).
 pub fn report_default_matching_protocol(
     g: &Graph,
     k: usize,
     reference_matching_size: usize,
     seed: u64,
-) -> Result<MatchingProtocolReport, GraphError> {
+) -> Result<MatchingProtocolReport, ProtocolError> {
     report_matching_protocol(
         g,
         k,
@@ -90,7 +62,7 @@ pub fn report_subsampled_protocol(
     alpha: f64,
     reference_matching_size: usize,
     seed: u64,
-) -> Result<MatchingProtocolReport, GraphError> {
+) -> Result<MatchingProtocolReport, ProtocolError> {
     let builder = SubsampledMatchingCoreset::new(alpha);
     let mut report = report_matching_protocol(g, k, &builder, reference_matching_size, seed)?;
     report.protocol = format!("subsampled(alpha={alpha})");

@@ -3,12 +3,11 @@
 use crate::comm::{CommunicationCost, CostModel};
 use crate::coordinator::CoordinatorProtocol;
 use crate::error::ProtocolError;
-use crate::faults::{FaultPlan, RetryPolicy};
 use crate::report::VertexCoverProtocolReport;
 use coresets::vc_coreset::{GroupedVcCoreset, PeelingVcCoreset, VcCoresetBuilder};
 use coresets::CoresetParams;
 use graph::partition::PartitionedGraph;
-use graph::{Graph, GraphError};
+use graph::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vertexcover::VertexCover;
@@ -22,7 +21,7 @@ pub fn report_vertex_cover_protocol<B: VcCoresetBuilder>(
     builder: &B,
     reference_cover_size: usize,
     seed: u64,
-) -> Result<VertexCoverProtocolReport, GraphError> {
+) -> Result<VertexCoverProtocolReport, ProtocolError> {
     let run = CoordinatorProtocol::random(k).run_vertex_cover(g, builder, seed)?;
     let cover_size = run.answer.len();
     Ok(VertexCoverProtocolReport {
@@ -39,44 +38,13 @@ pub fn report_vertex_cover_protocol<B: VcCoresetBuilder>(
     })
 }
 
-/// Runs a vertex-cover protocol under a fault plan and reports the outcome
-/// with the run's [`crate::faults::FaultReport`] attached. Feasibility is
-/// judged against the full input graph: a degraded cover that misses edges of
-/// lost machines reports `feasible: false`, which is itself a measured
-/// result.
-pub fn report_vertex_cover_protocol_faulty<B: VcCoresetBuilder>(
-    g: &Graph,
-    k: usize,
-    builder: &B,
-    reference_cover_size: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<VertexCoverProtocolReport, ProtocolError> {
-    let faulty =
-        CoordinatorProtocol::random(k).run_vertex_cover_faulty(g, builder, seed, plan, retry)?;
-    let cover_size = faulty.run.answer.len();
-    Ok(VertexCoverProtocolReport {
-        protocol: builder.name().to_string(),
-        k,
-        n: g.n(),
-        m: g.m(),
-        feasible: faulty.run.answer.covers(g),
-        cover_size,
-        reference_cover_size,
-        approximation_ratio: VertexCoverProtocolReport::ratio(cover_size, reference_cover_size),
-        communication: faulty.run.communication,
-        faults: Some(faulty.faults),
-    })
-}
-
 /// Runs the paper's default protocol (Theorem 2: peeling coresets).
 pub fn report_default_vertex_cover_protocol(
     g: &Graph,
     k: usize,
     reference_cover_size: usize,
     seed: u64,
-) -> Result<VertexCoverProtocolReport, GraphError> {
+) -> Result<VertexCoverProtocolReport, ProtocolError> {
     report_vertex_cover_protocol(g, k, &PeelingVcCoreset::new(), reference_cover_size, seed)
 }
 
@@ -90,7 +58,7 @@ pub fn report_grouped_protocol(
     alpha: f64,
     reference_cover_size: usize,
     seed: u64,
-) -> Result<VertexCoverProtocolReport, GraphError> {
+) -> Result<VertexCoverProtocolReport, ProtocolError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let partition = PartitionedGraph::random(g, k, &mut rng)?;
     let params = CoresetParams::new(g.n(), k);

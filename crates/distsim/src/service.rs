@@ -36,7 +36,7 @@ use coresets::streams::machine_rng;
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{
     compose_vertex_cover_refs, solve_composed_matching_refs, CoresetCache, CoresetCacheKey,
-    CoresetParams,
+    CoresetParams, MatchingProblem, Problem, VcProblem,
 };
 use dynamic::DynamicCover;
 use graph::{ChurnOp, ChurnPartition, Graph, GraphError};
@@ -146,23 +146,19 @@ impl GraphService {
     fn refresh(&mut self) -> Result<BatchOutcome, ProtocolError> {
         let k = self.cfg.k;
         let seed = self.cfg.seed;
-        let fingerprints: Vec<u64> = (0..k)
-            .map(|i| self.partition.piece_fingerprint(i))
-            .collect();
         let mut missing: Vec<(usize, CoresetCacheKey)> = Vec::new();
-        for (i, &fp) in fingerprints.iter().enumerate() {
+        for i in 0..k {
             let key = CoresetCacheKey {
                 seed,
                 machine: i,
-                piece_fingerprint: fp,
+                piece_fingerprint: self.partition.piece_fingerprint(i),
             };
             // The two caches are filled in lockstep, so one probe decides;
-            // the vc cache's counters are kept in sync below.
-            if self.matching_cache.lookup(&key).is_none() {
-                self.vc_cache.lookup(&key);
+            // both probe so their counters stay in sync.
+            let hit = self.matching_cache.lookup(&key).is_some();
+            self.vc_cache.lookup(&key);
+            if !hit {
                 missing.push((i, key));
-            } else {
-                self.vc_cache.lookup(&key);
             }
         }
 
@@ -171,44 +167,22 @@ impl GraphService {
         // machine_rng(seed, i) stream per builder call.
         let partition = &self.partition;
         let params = &self.params;
-        let built: Vec<(usize, Graph, VcCoresetOutput)> = missing
+        let built: Vec<(Graph, VcCoresetOutput)> = missing
             .par_iter()
             .map(|&(i, _)| {
                 let piece = partition.piece(i);
-                let mc = MaximumMatchingCoreset::new().build(
-                    piece,
-                    params,
-                    i,
-                    &mut machine_rng(seed, i),
-                );
-                let vc = PeelingVcCoreset::new().build(piece, params, i, &mut machine_rng(seed, i));
-                (i, mc, vc)
+                let mc = MATCHING.build(piece, params, i, &mut machine_rng(seed, i));
+                (mc, VC.build(piece, params, i, &mut machine_rng(seed, i)))
             })
             .collect();
         let rebuilt = built.len();
-        for ((_, key), (i, mc, vc)) in missing.into_iter().zip(built) {
-            debug_assert_eq!(key.machine, i);
+        for ((_, key), (mc, vc)) in missing.into_iter().zip(built) {
             self.matching_cache.insert(key, mc);
             self.vc_cache.insert(key, vc);
         }
 
-        let matching_refs: Vec<&Graph> = (0..k)
-            .map(|i| match self.matching_cache.slot(i) {
-                Some(c) => c,
-                // Unreachable: every miss was just rebuilt and inserted.
-                None => unreachable!("machine {i} has no cached matching coreset"), // xtask: allow(error-hygiene)
-            })
-            .collect();
-        self.last_matching =
-            solve_composed_matching_refs(&matching_refs, MaximumMatchingAlgorithm::Auto);
-        let vc_refs: Vec<&VcCoresetOutput> = (0..k)
-            .map(|i| match self.vc_cache.slot(i) {
-                Some(c) => c,
-                // Unreachable: every miss was just rebuilt and inserted.
-                None => unreachable!("machine {i} has no cached vc coreset"), // xtask: allow(error-hygiene)
-            })
-            .collect();
-        self.last_cover = compose_vertex_cover_refs(&vc_refs);
+        self.last_matching = compose_slots(&MATCHING, &self.matching_cache);
+        self.last_cover = compose_slots(&VC, &self.vc_cache);
 
         Ok(BatchOutcome {
             applied: 0,
@@ -286,6 +260,25 @@ impl std::fmt::Debug for GraphService {
             .field("cover", &self.last_cover.len())
             .finish()
     }
+}
+
+/// The service's matching problem: the paper's Theorem 1 coreset.
+const MATCHING: MatchingProblem<MaximumMatchingCoreset> = MatchingProblem(MaximumMatchingCoreset {
+    algorithm: MaximumMatchingAlgorithm::Auto,
+});
+/// The service's vertex-cover problem: the paper's Theorem 2 coreset.
+const VC: VcProblem<PeelingVcCoreset> = VcProblem(PeelingVcCoreset);
+
+/// Composes `problem`'s answer over borrowed cache slots, in machine order.
+fn compose_slots<P: Problem>(problem: &P, cache: &CoresetCache<P::Summary>) -> P::Answer {
+    let refs: Vec<&P::Summary> = (0..cache.k())
+        .map(|i| match cache.slot(i) {
+            Some(summary) => summary,
+            // Unreachable: every miss was just rebuilt and inserted.
+            None => unreachable!("machine {i} has no cached coreset"), // xtask: allow(error-hygiene)
+        })
+        .collect();
+    problem.compose(&refs)
 }
 
 /// The frozen naive baseline E18 compares against: re-partition from scratch

@@ -20,7 +20,7 @@
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::streams::machine_rng;
 use coresets::vc_coreset::PeelingVcCoreset;
-use coresets::CoresetParams;
+use coresets::{CoresetParams, MatchingProblem, VcProblem};
 use distsim::coordinator::{ArenaProtocol, CoordinatorProtocol, FaultRunOptions};
 use distsim::{FaultPlan, ProtocolError, RetryPolicy};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
@@ -102,7 +102,7 @@ proptest! {
         let lost = lost_set(k, f, pick);
         let plan = FaultPlan::new(7).losing(lost.clone());
         let run = CoordinatorProtocol::random(k)
-            .run_matching_faulty(&g, &MaximumMatchingCoreset::new(), seed, &plan, &RetryPolicy::default())
+            .run(&g, &MatchingProblem(MaximumMatchingCoreset::new()), seed, &plan, &RetryPolicy::default())
             .expect("a survivor remains, so composition proceeds");
         prop_assert!(run.run.answer.is_valid_for(&g));
         prop_assert_eq!(&run.faults.lost_machines, &lost);
@@ -134,7 +134,7 @@ proptest! {
         let lost = lost_set(k, f, pick);
         let plan = FaultPlan::new(11).losing(lost.clone());
         let run = CoordinatorProtocol::random(k)
-            .run_vertex_cover_faulty(&g, &PeelingVcCoreset::new(), seed, &plan, &RetryPolicy::default())
+            .run(&g, &VcProblem(PeelingVcCoreset::new()), seed, &plan, &RetryPolicy::default())
             .expect("a survivor remains, so composition proceeds");
         prop_assert!(run.faults.degraded);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -181,10 +181,10 @@ fn recovered_runs_are_bit_identical_across_schedules_and_threads() {
         let plan = FaultPlan::machine_failure(fault_seed, 0.25);
         let run_once = || {
             let m = protocol
-                .run_matching_faulty(&g, &builder, seed, &plan, &retry)
+                .run(&g, &MatchingProblem(&builder), seed, &plan, &retry)
                 .expect("retry budget recovers every machine");
             let c = protocol
-                .run_vertex_cover_faulty(&g, &vc_builder, seed, &plan, &retry)
+                .run(&g, &VcProblem(&vc_builder), seed, &plan, &retry)
                 .expect("retry budget recovers every machine");
             (m, c)
         };
@@ -250,7 +250,7 @@ fn killing_at_every_leaf_and_resuming_is_bit_identical() {
         ..FaultRunOptions::default()
     };
     let uninterrupted = protocol
-        .run_matching_resumable(&arena, &builder, seed, &opts)
+        .run(&arena, &MatchingProblem(&builder), seed, &opts)
         .expect("transient faults recover within the budget");
     assert!(!uninterrupted.faults.degraded);
 
@@ -264,14 +264,14 @@ fn killing_at_every_leaf_and_resuming_is_bit_identical() {
         killed.checkpoint = Some(ckpt.clone());
         killed.kill_after_leaves = Some(kill_at);
         let err = protocol
-            .run_matching_resumable(&arena, &builder, seed, &killed)
+            .run(&arena, &MatchingProblem(&builder), seed, &killed)
             .expect_err("the kill knob must interrupt the run");
         assert_eq!(err, ProtocolError::Interrupted { pushed: kill_at });
         assert!(ckpt.exists(), "kill at {kill_at} must leave a checkpoint");
 
         killed.kill_after_leaves = None;
         let resumed = protocol
-            .run_matching_resumable(&arena, &builder, seed, &killed)
+            .run(&arena, &MatchingProblem(&builder), seed, &killed)
             .expect("resumed run completes");
         assert_eq!(
             resumed.run.answer.edges(),
@@ -310,7 +310,7 @@ fn checkpoints_do_not_leak_across_run_configurations() {
         ..FaultRunOptions::default()
     };
     let err = protocol
-        .run_vertex_cover_resumable(&arena, &builder, 37, &opts)
+        .run(&arena, &VcProblem(&builder), 37, &opts)
         .expect_err("the kill knob must interrupt the run");
     assert_eq!(err, ProtocolError::Interrupted { pushed: 2 });
     assert!(ckpt.exists());
@@ -319,7 +319,7 @@ fn checkpoints_do_not_leak_across_run_configurations() {
     // key mismatches, so the run starts fresh and must equal a plain run.
     opts.kill_after_leaves = None;
     let crossed = protocol
-        .run_vertex_cover_resumable(&arena, &builder, 38, &opts)
+        .run(&arena, &VcProblem(&builder), 38, &opts)
         .expect("fresh run completes");
     let plain = protocol
         .run_vertex_cover(&arena, &builder, 38)

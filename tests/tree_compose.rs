@@ -20,8 +20,7 @@
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{
-    machine_rng, solve_composed_matching, tree_compose_vertex_cover, tree_solve_matching,
-    CoresetParams,
+    machine_rng, solve_composed_matching, tree_compose, CoresetParams, MatchingProblem, VcProblem,
 };
 use distsim::{ArenaProtocol, CoordinatorProtocol};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
@@ -105,14 +104,13 @@ proptest! {
         let coresets = matching_coresets(&g, k, seed);
         let best = coresets.iter().map(Graph::m).max().unwrap_or(0);
         let params = CoresetParams::new(g.n(), k);
-        let answer = tree_solve_matching(
+        let answer = tree_compose(
+            &MatchingProblem(MaximumMatchingCoreset::new()),
             g.n(),
             coresets,
-            &MaximumMatchingCoreset::new(),
             &params,
             seed,
             fan_in,
-            MaximumMatchingAlgorithm::Auto,
         );
         prop_assert!(answer.is_valid_for(&g));
         prop_assert!(
@@ -141,10 +139,10 @@ proptest! {
                 PeelingVcCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
             })
             .collect();
-        let cover = tree_compose_vertex_cover(
+        let cover = tree_compose(
+            &VcProblem(PeelingVcCoreset::new()),
             g.n(),
             outputs,
-            &PeelingVcCoreset::new(),
             &params,
             seed,
             fan_in,
