@@ -2,8 +2,9 @@
 //! coreset construction → composition), including the rayon parallel speedup
 //! over machines (T1 in DESIGN.md).
 
-use coresets::{DistributedMatching, DistributedVertexCover};
+use coresets::{MaximumMatchingCoreset, PeelingVcCoreset};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use distsim::CoordinatorProtocol;
 use graph::gen::er::gnp;
 use graph::Graph;
 use rand::SeedableRng;
@@ -23,10 +24,10 @@ fn bench_matching_protocol(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 black_box(
-                    DistributedMatching::new(k)
-                        .run(&g, 3)
+                    CoordinatorProtocol::random(k)
+                        .run_matching(&g, &MaximumMatchingCoreset::new(), 3)
                         .unwrap()
-                        .matching
+                        .answer
                         .len(),
                 )
             });
@@ -43,10 +44,10 @@ fn bench_vertex_cover_protocol(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 black_box(
-                    DistributedVertexCover::new(k)
-                        .run(&g, 3)
+                    CoordinatorProtocol::random(k)
+                        .run_vertex_cover(&g, &PeelingVcCoreset::new(), 3)
                         .unwrap()
-                        .cover
+                        .answer
                         .len(),
                 )
             });

@@ -7,17 +7,56 @@
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Table};
-use distsim::protocols::matching::{report_default_matching_protocol, report_subsampled_protocol};
-use distsim::protocols::vertex_cover::{
-    report_default_vertex_cover_protocol, report_grouped_protocol,
+use coresets::{
+    CoresetParams, GroupedVcCoreset, MaximumMatchingCoreset, PeelingVcCoreset,
+    SubsampledMatchingCoreset,
 };
+use distsim::CoordinatorProtocol;
 use graph::gen::bipartite::planted_matching_bipartite;
+use graph::{Graph, PartitionedGraph};
 use matching::maximum::maximum_matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vertexcover::approx::two_approx_cover;
+use vertexcover::VertexCover;
 
 const EXP_ID: u64 = 7;
+
+/// `(achieved matching size, total words)` of a random-partition run of the
+/// matching protocol whose machines send `builder`'s coresets.
+fn matching_run<B: coresets::MatchingCoresetBuilder>(
+    g: &Graph,
+    k: usize,
+    builder: &B,
+    seed: u64,
+) -> (usize, u64) {
+    let run = CoordinatorProtocol::random(k)
+        .run_matching(g, builder, seed)
+        .expect("k >= 1");
+    (run.answer.len(), run.communication.total_words())
+}
+
+/// `(cover size, total words)` of the Theorem 2 peeling protocol.
+fn peeling_run(g: &Graph, k: usize, seed: u64) -> (usize, u64) {
+    let run = CoordinatorProtocol::random(k)
+        .run_vertex_cover(g, &PeelingVcCoreset::new(), seed)
+        .expect("k >= 1");
+    (run.answer.len(), run.communication.total_words())
+}
+
+/// `(cover, total words)` of the Remark 5.8 grouped protocol: the Theorem 2
+/// coreset runs on the contracted graph and the cover is expanded back.
+/// Communication is charged on the contracted coresets, each item as if it
+/// were an edge (2 ids), a conservative upper bound.
+fn grouped_run(g: &Graph, k: usize, alpha: f64, seed: u64) -> (VertexCover, u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let partition = PartitionedGraph::random(g, k, &mut rng).expect("k >= 1");
+    let params = CoresetParams::new(g.n(), k);
+    let grouped = GroupedVcCoreset::for_alpha(alpha, g.n());
+    let (cover, sizes) = grouped.run_protocol(&partition.views(), &params, seed);
+    let words = sizes.iter().map(|&s| 2 * s as u64).sum();
+    (VertexCover::from_vertices(cover), words)
+}
 
 fn main() {
     println!("# E7 — communication of the simultaneous protocols (Results 1 & 3)\n");
@@ -48,17 +87,17 @@ fn main() {
     );
     for k in [4usize, 8, 16, 32, 64] {
         let seed = trial_seed(EXP_ID, 10 + k as u64);
-        let mat = report_default_matching_protocol(&g, k, matching_opt, seed).expect("k >= 1");
-        let vc = report_default_vertex_cover_protocol(&g, k, cover_ref, seed).expect("k >= 1");
+        let (matched, mat_words) = matching_run(&g, k, &MaximumMatchingCoreset::new(), seed);
+        let (cover, vc_words) = peeling_run(&g, k, seed);
         let nk = (n * k) as f64;
         table_k.add_row(vec![
             k.to_string(),
-            mat.communication.total_words().to_string(),
-            fmt_f(mat.communication.total_words() as f64 / nk),
-            fmt_f(mat.approximation_ratio),
-            vc.communication.total_words().to_string(),
-            fmt_f(vc.communication.total_words() as f64 / nk),
-            fmt_f(vc.approximation_ratio),
+            mat_words.to_string(),
+            fmt_f(mat_words as f64 / nk),
+            fmt_f(matching_opt as f64 / matched as f64),
+            vc_words.to_string(),
+            fmt_f(vc_words as f64 / nk),
+            fmt_f(cover as f64 / cover_ref as f64),
         ]);
     }
     println!("{table_k}");
@@ -81,18 +120,19 @@ fn main() {
     );
     for alpha in [2.0f64, 4.0, 8.0, 16.0] {
         let seed = trial_seed(EXP_ID, 1000 + alpha as u64);
-        let sub = report_subsampled_protocol(&g, k, alpha, matching_opt, seed).expect("k >= 1");
-        let grouped = report_grouped_protocol(&g, k, alpha, cover_ref, seed).expect("k >= 1");
+        let (matched, sub_words) =
+            matching_run(&g, k, &SubsampledMatchingCoreset::new(alpha), seed);
+        let (grouped, grouped_words) = grouped_run(&g, k, alpha, seed);
         let nk = (n * k) as f64;
         let log_n = (n as f64).log2();
         table_alpha.add_row(vec![
             fmt_f(alpha),
-            sub.communication.total_words().to_string(),
-            fmt_f(sub.communication.total_words() as f64 * alpha * alpha / nk),
-            fmt_f(sub.approximation_ratio),
-            grouped.communication.total_words().to_string(),
-            fmt_f(grouped.communication.total_words() as f64 * alpha / (nk * log_n)),
-            fmt_f(grouped.approximation_ratio),
+            sub_words.to_string(),
+            fmt_f(sub_words as f64 * alpha * alpha / nk),
+            fmt_f(matching_opt as f64 / matched as f64),
+            grouped_words.to_string(),
+            fmt_f(grouped_words as f64 * alpha / (nk * log_n)),
+            fmt_f(grouped.len() as f64 / cover_ref as f64),
         ]);
     }
     println!("{table_alpha}");
@@ -108,42 +148,31 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(EXP_ID, 9999));
     let dense = graph::gen::er::gnp(n_dense, 0.025, &mut rng);
     let dense_cover_ref = two_approx_cover(&dense).len().max(1);
-    let dense_base = report_default_vertex_cover_protocol(
-        &dense,
-        k_dense,
-        dense_cover_ref,
-        trial_seed(EXP_ID, 500),
-    )
-    .expect("k >= 1");
+    let (_, dense_base_words) = peeling_run(&dense, k_dense, trial_seed(EXP_ID, 500));
 
     let mut table_dense = Table::new(
         format!(
             "E7c: Remark 5.8 on a dense input (n = {n_dense}, m = {}, k = {k_dense}); ungrouped peeling protocol uses {} words",
             dense.m(),
-            dense_base.communication.total_words()
+            dense_base_words
         ),
         &["alpha", "group size", "grouped words", "words / ungrouped words", "grouped vc ratio", "feasible"],
     );
     for alpha in [32.0f64, 64.0, 128.0, 256.0] {
-        let grouped = report_grouped_protocol(
+        let (grouped, grouped_words) = grouped_run(
             &dense,
             k_dense,
             alpha,
-            dense_cover_ref,
             trial_seed(EXP_ID, 600 + alpha as u64),
-        )
-        .expect("k >= 1");
+        );
         let group_size = ((alpha / (n_dense as f64).log2()).floor() as usize).max(1);
         table_dense.add_row(vec![
             fmt_f(alpha),
             group_size.to_string(),
-            grouped.communication.total_words().to_string(),
-            fmt_f(
-                grouped.communication.total_words() as f64
-                    / dense_base.communication.total_words() as f64,
-            ),
-            fmt_f(grouped.approximation_ratio),
-            grouped.feasible.to_string(),
+            grouped_words.to_string(),
+            fmt_f(grouped_words as f64 / dense_base_words as f64),
+            fmt_f(grouped.len() as f64 / dense_cover_ref as f64),
+            grouped.covers(&dense).to_string(),
         ]);
     }
     println!("{table_dense}");

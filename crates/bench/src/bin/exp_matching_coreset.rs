@@ -6,7 +6,8 @@
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Summary, Table};
-use coresets::DistributedMatching;
+use coresets::MaximumMatchingCoreset;
+use distsim::CoordinatorProtocol;
 use graph::gen::bipartite::{planted_matching_bipartite, random_bipartite};
 use graph::gen::er::gnp;
 use graph::gen::powerlaw::chung_lu;
@@ -70,13 +71,19 @@ fn main() {
             let mut sizes = Vec::new();
             let mut coreset_edges = Vec::new();
             for t in 0..TRIALS {
-                let result = DistributedMatching::new(k)
-                    .run(&g, trial_seed(EXP_ID, 100 + t))
+                let result = CoordinatorProtocol::random(k)
+                    .run_matching(
+                        &g,
+                        &MaximumMatchingCoreset::new(),
+                        trial_seed(EXP_ID, 100 + t),
+                    )
                     .expect("k >= 1");
-                assert!(result.matching.is_valid_for(&g));
-                ratios.push(opt as f64 / result.matching.len().max(1) as f64);
-                sizes.push(result.matching.len() as f64);
-                coreset_edges.push(result.coreset_sizes.iter().sum::<usize>() as f64 / k as f64);
+                assert!(result.answer.is_valid_for(&g));
+                ratios.push(opt as f64 / result.answer.len().max(1) as f64);
+                sizes.push(result.answer.len() as f64);
+                // A matching coreset's message is 2 words per edge.
+                let edges = result.communication.total_words() / 2;
+                coreset_edges.push(edges as f64 / k as f64);
             }
             let ratio = Summary::of(&ratios);
             let size = Summary::of(&sizes);

@@ -6,7 +6,8 @@
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Summary, Table};
-use coresets::{CappedMatchingCoreset, DistributedMatching};
+use coresets::{CappedMatchingCoreset, MaximumMatchingCoreset};
+use distsim::CoordinatorProtocol;
 use graph::gen::hard::d_matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -61,13 +62,18 @@ fn main() {
                 let g = inst.graph.to_graph();
                 let opt_lb = inst.matching_lower_bound(); // ~ n - n/alpha
 
-                let capped = DistributedMatching::with_builder(k, CappedMatchingCoreset::new(cap))
-                    .run(&g, seed)
-                    .expect("k >= 1");
-                let uncapped = DistributedMatching::new(k).run(&g, seed).expect("k >= 1");
-                ratios.push(opt_lb as f64 / capped.matching.len().max(1) as f64);
-                sizes.push(capped.matching.len() as f64);
-                uncapped_ratios.push(opt_lb as f64 / uncapped.matching.len().max(1) as f64);
+                let protocol = CoordinatorProtocol::random(k);
+                let capped = protocol
+                    .run_matching(&g, &CappedMatchingCoreset::new(cap), seed)
+                    .expect("k >= 1")
+                    .answer;
+                let uncapped = protocol
+                    .run_matching(&g, &MaximumMatchingCoreset::new(), seed)
+                    .expect("k >= 1")
+                    .answer;
+                ratios.push(opt_lb as f64 / capped.len().max(1) as f64);
+                sizes.push(capped.len() as f64);
+                uncapped_ratios.push(opt_lb as f64 / uncapped.len().max(1) as f64);
             }
             table.add_row(vec![
                 fmt_f(alpha),

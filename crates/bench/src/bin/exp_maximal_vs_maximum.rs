@@ -6,7 +6,8 @@
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Summary, Table};
-use coresets::{AvoidingMaximalMatchingCoreset, DistributedMatching};
+use coresets::{AvoidingMaximalMatchingCoreset, MaximumMatchingCoreset};
+use distsim::CoordinatorProtocol;
 use graph::gen::hard::maximal_matching_trap;
 
 const EXP_ID: u64 = 2;
@@ -38,16 +39,19 @@ fn main() {
         let mut bad_ratios = Vec::new();
         for t in 0..TRIALS {
             let seed = trial_seed(EXP_ID, k as u64 * 10 + t);
-            let good = DistributedMatching::new(k)
-                .run(&inst.graph, seed)
-                .expect("k >= 1");
-            let bad = DistributedMatching::with_builder(k, avoid.clone())
-                .run(&inst.graph, seed)
-                .expect("k >= 1");
-            assert!(good.matching.is_valid_for(&inst.graph));
-            assert!(bad.matching.is_valid_for(&inst.graph));
-            good_ratios.push(opt as f64 / good.matching.len().max(1) as f64);
-            bad_ratios.push(opt as f64 / bad.matching.len().max(1) as f64);
+            let protocol = CoordinatorProtocol::random(k);
+            let good = protocol
+                .run_matching(&inst.graph, &MaximumMatchingCoreset::new(), seed)
+                .expect("k >= 1")
+                .answer;
+            let bad = protocol
+                .run_matching(&inst.graph, &avoid, seed)
+                .expect("k >= 1")
+                .answer;
+            assert!(good.is_valid_for(&inst.graph));
+            assert!(bad.is_valid_for(&inst.graph));
+            good_ratios.push(opt as f64 / good.len().max(1) as f64);
+            bad_ratios.push(opt as f64 / bad.len().max(1) as f64);
         }
         let good = Summary::of(&good_ratios);
         let bad = Summary::of(&bad_ratios);

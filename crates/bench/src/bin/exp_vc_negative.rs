@@ -12,7 +12,8 @@
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Summary, Table};
-use coresets::{DistributedVertexCover, LocalCoverCoreset};
+use coresets::{LocalCoverCoreset, PeelingVcCoreset};
+use distsim::CoordinatorProtocol;
 use graph::gen::structured::star_forest;
 
 const EXP_ID: u64 = 4;
@@ -46,21 +47,21 @@ fn main() {
         let mut adversarial = Vec::new();
         for t in 0..TRIALS {
             let seed = trial_seed(EXP_ID, k as u64 * 7 + t);
-            let a = DistributedVertexCover::new(k)
-                .run(&g, seed)
-                .expect("k >= 1");
-            let b = DistributedVertexCover::with_builder(k, LocalCoverCoreset::new())
-                .run(&g, seed)
-                .expect("k >= 1");
-            let c = DistributedVertexCover::with_builder(k, LocalCoverCoreset::adversarial())
-                .run(&g, seed)
-                .expect("k >= 1");
-            assert!(a.cover.covers(&g));
-            assert!(b.cover.covers(&g));
-            assert!(c.cover.covers(&g));
-            peel.push(a.cover.len() as f64 / opt);
-            local.push(b.cover.len() as f64 / opt);
-            adversarial.push(c.cover.len() as f64 / opt);
+            let protocol = CoordinatorProtocol::random(k);
+            let a = protocol.run_vertex_cover(&g, &PeelingVcCoreset::new(), seed);
+            let b = protocol.run_vertex_cover(&g, &LocalCoverCoreset::new(), seed);
+            let c = protocol.run_vertex_cover(&g, &LocalCoverCoreset::adversarial(), seed);
+            let (a, b, c) = (
+                a.expect("k >= 1").answer,
+                b.expect("k >= 1").answer,
+                c.expect("k >= 1").answer,
+            );
+            assert!(a.covers(&g));
+            assert!(b.covers(&g));
+            assert!(c.covers(&g));
+            peel.push(a.len() as f64 / opt);
+            local.push(b.len() as f64 / opt);
+            adversarial.push(c.len() as f64 / opt);
         }
         table.add_row(vec![
             k.to_string(),

@@ -12,8 +12,8 @@
 //! The underlying coreset constructions run on the worker thread's reusable
 //! engines (`matching::MatchingEngine` for the matching coreset,
 //! `vertexcover::VcEngine` for the peeling coreset), so the capped wrappers
-//! inherit the allocation-free hot paths of experiments E13/E14; only the
-//! cap itself copies (a bounded prefix of) the coreset.
+//! inherit the engines' allocation-free hot paths; only the cap itself
+//! copies (a bounded prefix of) the coreset.
 
 use crate::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use crate::params::CoresetParams;

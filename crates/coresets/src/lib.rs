@@ -18,7 +18,7 @@
 //!
 //! * [`problem`] — the [`Problem`] trait and its two instances,
 //!   [`MatchingProblem`] (Theorem 1) and [`VcProblem`] (Theorem 2). Every
-//!   driver is generic over it: [`pipeline`] here; in `distsim` the in-memory
+//!   driver is generic over it, all in `distsim`: the in-memory
 //!   `CoordinatorProtocol::run`, the out-of-core `ArenaProtocol::run`, the
 //!   MapReduce simulator and the churn service.
 //! * [`matching_coreset`] — the maximum-matching coreset (Theorem 1), the
@@ -35,8 +35,6 @@
 //! * [`streams`] — per-machine `ChaCha8Rng` streams derived from
 //!   `(seed, machine)` — extended to `(seed, level, node)` for tree nodes —
 //!   the basis of cross-thread-count determinism.
-//! * [`pipeline`] — end-to-end convenience runners (random partition → build
-//!   coresets on parallel OS threads → compose), the API most examples use.
 //! * [`params`] — shared coreset parameters (`n`, `k`, approximation target).
 //! * [`cache`] — the fingerprint-keyed per-machine coreset cache the churn
 //!   service uses to rebuild only dirty machines' coresets.
@@ -49,22 +47,35 @@
 //!
 //! ## Quick start
 //!
+//! One flat protocol round, written directly against [`Problem`]. The
+//! `distsim` crate's `CoordinatorProtocol` runs the same round and adds
+//! communication accounting, tree composition and fault injection.
+//!
 //! ```
-//! use coresets::pipeline::{DistributedMatching, DistributedVertexCover};
+//! use coresets::{
+//!     CoresetParams, MatchingProblem, MaximumMatchingCoreset, PeelingVcCoreset, Problem,
+//!     VcProblem,
+//! };
 //! use graph::gen::er::gnp;
+//! use graph::PartitionedGraph;
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(7);
 //! let g = gnp(500, 0.02, &mut rng);
+//! let k = 8;
+//! let partition = PartitionedGraph::random(&g, k, &mut rng).unwrap();
+//! let (pieces, params) = (partition.views(), CoresetParams::new(g.n(), k));
 //!
 //! // O(1)-approximate maximum matching from 8 machines' coresets.
-//! let result = DistributedMatching::new(8).run(&g, 7).unwrap();
-//! assert!(result.matching.is_valid_for(&g));
+//! let matching = MatchingProblem(MaximumMatchingCoreset::new());
+//! let answer = matching.compose_all(&matching.build_all(&pieces, &params, 7));
+//! assert!(answer.is_valid_for(&g));
 //!
-//! // O(log n)-approximate vertex cover from the same model.
-//! let result = DistributedVertexCover::new(8).run(&g, 7).unwrap();
-//! assert!(result.cover.covers(&g));
+//! // O(log n)-approximate vertex cover from the same partition.
+//! let vc = VcProblem(PeelingVcCoreset::new());
+//! let cover = vc.compose_all(&vc.build_all(&pieces, &params, 7));
+//! assert!(cover.covers(&g));
 //! ```
 
 #![warn(missing_docs)]
@@ -76,7 +87,6 @@ pub mod compose;
 pub mod greedy_match;
 pub mod matching_coreset;
 pub mod params;
-pub mod pipeline;
 pub mod problem;
 pub mod streams;
 pub mod tree;
@@ -95,9 +105,6 @@ pub use matching_coreset::{
     MaximumMatchingCoreset, SubsampledMatchingCoreset,
 };
 pub use params::CoresetParams;
-pub use pipeline::{
-    DistributedMatching, DistributedVertexCover, MatchingRunResult, VertexCoverRunResult,
-};
 pub use problem::{MatchingProblem, Problem, VcProblem};
 pub use streams::{machine_jobs, machine_rng, node_rng};
 pub use tree::{

@@ -64,8 +64,7 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
 /// The solve runs on the calling worker thread's reusable
 /// [`matching::MatchingEngine`] (vertex compaction, one shared CSR for the
 /// bipartiteness check + solver, epoch-reset blossom workspace), so building
-/// many coresets on one thread allocates the solver state once — the E13 hot
-/// path.
+/// many coresets on one thread allocates the solver state once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaximumMatchingCoreset {
     /// Which maximum-matching algorithm to run on the piece (Theorem 1 holds

@@ -15,8 +15,8 @@
 //! thread's reusable `vertexcover::VcEngine` (via the `vertexcover` free
 //! functions): the bucket-queue peeling core performs zero per-round
 //! edge-buffer reallocations — `graph::metrics::vc_peel_scratch_elems` stays
-//! 0 across a protocol run, asserted by experiment E14 (`exp_vc_hotpath`) and
-//! the determinism suite. Engine outputs are invariant under workspace
+//! 0 across a protocol run, asserted by the determinism suite
+//! (`tests/determinism.rs`). Engine outputs are invariant under workspace
 //! reuse, so this sharing never affects the cross-thread-count determinism
 //! guarantee.
 
@@ -310,7 +310,7 @@ impl GroupedVcCoreset {
         seed: u64,
     ) -> (Vec<VertexId>, Vec<usize>) {
         use rayon::prelude::*;
-        // Same fan-out discipline as the pipeline runners: per-machine RNG
+        // Same fan-out discipline as the protocol drivers: per-machine RNG
         // streams fixed before the parallel stage, outputs in machine order.
         let outputs: Vec<VcCoresetOutput> = crate::streams::machine_jobs(pieces, seed)
             .into_par_iter()

@@ -348,72 +348,83 @@ impl ArenaProtocol {
             ),
         };
 
-        let mut loader = SegmentLoader::new(arena)?;
-        loader.set_fault_plan(Some(opts.plan.segment_plan()));
-        loader.set_retry_policy(SegmentRetryPolicy {
-            max_attempts: opts.retry.max_attempts.max(1),
-        });
-        for i in start..k {
-            let (injected_before, retried_before) = (loader.injected_faults(), loader.retries());
-            let outcome: MachineOutcome<P::Summary> = match loader.load(i) {
-                Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                    problem.build(piece, &params, i, &mut machine_rng(seed, i))
-                }),
-                Err(source) if !opts.plan.is_armed() => {
-                    return Err(ProtocolError::Segment { machine: i, source })
-                }
-                Err(_) => MachineOutcome {
-                    summary: None,
-                    injected: 0,
-                    retried: 0,
-                    ticks: 0,
-                },
-            };
-            // Fold the loader's per-segment injection/retry deltas into the
-            // run totals; segment retries are charged the flat base backoff
-            // on the simulated tick clock.
-            let d_inj = loader.injected_faults() - injected_before;
-            let d_ret = loader.retries() - retried_before;
-            report.injected += d_inj;
-            report.retried += d_ret;
-            report.ticks = report
-                .ticks
-                .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
-            if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
-                // Recovered at the segment layer only; absorb() below would
-                // not see those injections.
-                report.recovered += 1;
-            }
-            report.absorb(i, &outcome);
-            folder.push(match outcome.summary {
-                Some(summary) => {
-                    let (edges, vertices) = P::message(&summary);
-                    communication.record_message(&model, edges, vertices);
-                    metrics::record_resident_edges_acquired(edges);
-                    summary
-                }
-                None => P::placeholder(n),
+        // Everything pushed into the folder is charged as resident, so an
+        // error return must release what is still pending there.
+        let streamed = (|| -> Result<(), ProtocolError> {
+            let mut loader = SegmentLoader::new(arena)?;
+            loader.set_fault_plan(Some(opts.plan.segment_plan()));
+            loader.set_retry_policy(SegmentRetryPolicy {
+                max_attempts: opts.retry.max_attempts.max(1),
             });
-            if let Some(path) = opts.checkpoint.as_deref() {
-                save_checkpoint(
-                    path,
-                    &key,
-                    &ArenaCheckpoint {
-                        pushed: folder.pushed(),
-                        pending: folder.pending().to_vec(),
-                        communication: communication.clone(),
-                        faults: report.clone(),
+            for i in start..k {
+                let (injected_before, retried_before) =
+                    (loader.injected_faults(), loader.retries());
+                let outcome: MachineOutcome<P::Summary> = match loader.load(i) {
+                    Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
+                        problem.build(piece, &params, i, &mut machine_rng(seed, i))
+                    }),
+                    Err(source) if !opts.plan.is_armed() => {
+                        return Err(ProtocolError::Segment { machine: i, source })
+                    }
+                    Err(_) => MachineOutcome {
+                        summary: None,
+                        injected: 0,
+                        retried: 0,
+                        ticks: 0,
                     },
-                )?;
-            }
-            if opts.kill_after_leaves == Some(folder.pushed()) {
-                return Err(ProtocolError::Interrupted {
-                    pushed: folder.pushed(),
+                };
+                // Fold the loader's per-segment injection/retry deltas into the
+                // run totals; segment retries are charged the flat base backoff
+                // on the simulated tick clock.
+                let d_inj = loader.injected_faults() - injected_before;
+                let d_ret = loader.retries() - retried_before;
+                report.injected += d_inj;
+                report.retried += d_ret;
+                report.ticks = report
+                    .ticks
+                    .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
+                if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
+                    // Recovered at the segment layer only; absorb() below would
+                    // not see those injections.
+                    report.recovered += 1;
+                }
+                report.absorb(i, &outcome);
+                folder.push(match outcome.summary {
+                    Some(summary) => {
+                        let (edges, vertices) = P::message(&summary);
+                        communication.record_message(&model, edges, vertices);
+                        metrics::record_resident_edges_acquired(edges);
+                        summary
+                    }
+                    None => P::placeholder(n),
                 });
+                if let Some(path) = opts.checkpoint.as_deref() {
+                    save_checkpoint(
+                        path,
+                        &key,
+                        &ArenaCheckpoint {
+                            pushed: folder.pushed(),
+                            pending: folder.pending().to_vec(),
+                            communication: communication.clone(),
+                            faults: report.clone(),
+                        },
+                    )?;
+                }
+                if opts.kill_after_leaves == Some(folder.pushed()) {
+                    return Err(ProtocolError::Interrupted {
+                        pushed: folder.pushed(),
+                    });
+                }
             }
+            loader.release();
+            check_losses(&report, k, &opts.plan)
+        })();
+        if let Err(err) = streamed {
+            metrics::record_resident_edges_released(
+                folder.pending().iter().flatten().map(edges).sum(),
+            );
+            return Err(err);
         }
-        loader.release();
-        check_losses(&report, k, &opts.plan)?;
         let roots = folder.finish();
         let root_edges: usize = roots.iter().map(edges).sum();
         let scratch = P::ROOT_SCRATCH_PASSES * root_edges;
@@ -580,6 +591,14 @@ mod tests {
         let g = gnp(50, 0.1, &mut rng(5));
         assert!(CoordinatorProtocol::random(0)
             .run_matching(&g, &MaximumMatchingCoreset::new(), 0)
+            .is_err());
+    }
+
+    #[test]
+    fn vertex_cover_with_zero_machines_is_rejected() {
+        let g = gnp(50, 0.1, &mut rng(4));
+        assert!(CoordinatorProtocol::random(0)
+            .run_vertex_cover(&g, &PeelingVcCoreset::new(), 1)
             .is_err());
     }
 
@@ -927,6 +946,32 @@ mod tests {
     }
 
     #[test]
+    fn failed_arena_run_releases_its_resident_edges() {
+        let _guard = arena_lock();
+        let g = gnp(300, 0.03, &mut rng(22));
+        let (k, fan_in, seed) = (6, 2, 59);
+        let (arena, path) = arena_of(&g, k, seed, "lost_fail");
+        let mut plan = FaultPlan::new(4).losing(vec![1]);
+        plan.on_loss = DegradedComposition::Fail;
+        let opts = FaultRunOptions {
+            plan,
+            ..FaultRunOptions::default()
+        };
+        let before = metrics::resident_edges();
+        let err = ArenaProtocol::tree(fan_in)
+            .run(
+                &arena,
+                &MatchingProblem(MaximumMatchingCoreset::new()),
+                seed,
+                &opts,
+            )
+            .unwrap_err();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(err, ProtocolError::MachinesLost { machines: vec![1] });
+        assert_eq!(metrics::resident_edges(), before, "failed run leaked");
+    }
+
+    #[test]
     fn resumable_run_without_faults_matches_plain_arena_run() {
         let _guard = arena_lock();
         let g = gnp(380, 0.02, &mut rng(17));
@@ -998,6 +1043,7 @@ mod tests {
         let uninterrupted = ArenaProtocol::tree(fan_in)
             .run_vertex_cover(&arena, &PeelingVcCoreset::new(), seed)
             .unwrap();
+        let before = metrics::resident_edges();
         let mut opts = FaultRunOptions {
             checkpoint: Some(ckpt.clone()),
             kill_after_leaves: Some(3),
@@ -1008,11 +1054,13 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ProtocolError::Interrupted { pushed: 3 });
         assert!(ckpt.exists(), "kill must leave a checkpoint behind");
+        assert_eq!(metrics::resident_edges(), before, "interrupted run leaked");
         opts.kill_after_leaves = None;
         let resumed = ArenaProtocol::tree(fan_in)
             .run(&arena, &VcProblem(PeelingVcCoreset::new()), seed, &opts)
             .unwrap();
         std::fs::remove_file(path).unwrap();
+        assert_eq!(metrics::resident_edges(), before, "resumed run leaked");
         assert_eq!(uninterrupted.answer, resumed.run.answer);
         assert_eq!(uninterrupted.communication, resumed.run.communication);
         assert!(

@@ -14,12 +14,8 @@
 //!   paper (Section 1.1, "MapReduce Framework"): machines with `Õ(n√n)`
 //!   memory, computation proceeds in rounds, and the paper's algorithm needs
 //!   two rounds (one if the input is already randomly distributed).
-//! * [`protocols`] — concrete protocols: the paper's coreset protocols for
-//!   matching and vertex cover, the communication-efficient variants of
-//!   Remarks 5.2 and 5.8, and the *filtering* baseline of Lattanzi et al.
-//!   (the prior state of the art the paper compares rounds against).
-//! * [`report`] — serde-serialisable run reports consumed by the experiment
-//!   binaries in the `bench` crate.
+//! * [`protocols`] — the *filtering* baseline of Lattanzi et al. (the prior
+//!   state of the art the paper compares rounds against).
 //! * [`service`] — the edge-churn serving driver: batched updates through a
 //!   [`graph::ChurnPartition`] overlay, instant incremental answers from a
 //!   [`dynamic::DynamicCover`], and dirty-piece-only coreset rebuilds through
@@ -28,6 +24,33 @@
 //!   deterministic fault injection keyed by `(fault_seed, site)`, retry by
 //!   replaying per-machine RNG streams, degraded composition over survivors,
 //!   and checksummed checkpoint/resume for out-of-core runs.
+//!
+//! ## Quick start
+//!
+//! ```
+//! use coresets::{MaximumMatchingCoreset, PeelingVcCoreset};
+//! use distsim::CoordinatorProtocol;
+//! use graph::gen::er::gnp;
+//! use rand::SeedableRng;
+//! use rand_chacha::ChaCha8Rng;
+//!
+//! let g = gnp(500, 0.02, &mut ChaCha8Rng::seed_from_u64(7));
+//! let protocol = CoordinatorProtocol::random(8);
+//!
+//! // O(1)-approximate maximum matching from 8 machines' coresets.
+//! let run = protocol
+//!     .run_matching(&g, &MaximumMatchingCoreset::new(), 7)
+//!     .unwrap();
+//! assert!(run.answer.is_valid_for(&g));
+//! assert_eq!(run.communication.message_count(), 8);
+//!
+//! // O(log n)-approximate vertex cover from the same model.
+//! let run = protocol
+//!     .run_vertex_cover(&g, &PeelingVcCoreset::new(), 7)
+//!     .unwrap();
+//! assert!(run.answer.covers(&g));
+//! assert_eq!(run.piece_sizes.iter().sum::<usize>(), g.m());
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +62,6 @@ pub mod error;
 pub mod faults;
 pub mod mapreduce;
 pub mod protocols;
-pub mod report;
 pub mod service;
 
 pub use checkpoint::{ArenaCheckpoint, CheckpointItem, CheckpointKey};
@@ -52,5 +74,4 @@ pub use faults::{
     DegradedComposition, FaultInjector, FaultPlan, FaultReport, MachineFault, RetryPolicy,
 };
 pub use mapreduce::{MapReduceConfig, MapReduceOutcome, MapReduceSimulator};
-pub use report::{MatchingProtocolReport, VertexCoverProtocolReport};
 pub use service::{naive_full_round, BatchOutcome, GraphService, GraphServiceConfig};

@@ -1,17 +1,8 @@
-//! Concrete end-to-end protocols with reporting.
+//! Baseline protocols the paper compares against.
 //!
-//! * [`matching`] — the paper's matching protocols (Theorem 1 coreset and the
-//!   Remark 5.2 subsampled variant) wrapped with approximation/communication
-//!   reporting.
-//! * [`vertex_cover`] — the paper's vertex-cover protocols (Theorem 2 coreset
-//!   and the Remark 5.8 grouped variant).
 //! * [`filtering`] — the Lattanzi–Moseley–Suri–Vassilvitskii *filtering*
 //!   MapReduce baseline used for the round-complexity comparison.
 
 pub mod filtering;
-pub mod matching;
-pub mod vertex_cover;
 
 pub use filtering::{filtering_matching, filtering_vertex_cover, FilteringOutcome};
-pub use matching::{report_matching_protocol, report_subsampled_protocol};
-pub use vertex_cover::{report_grouped_protocol, report_vertex_cover_protocol};

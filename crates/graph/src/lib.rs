@@ -28,9 +28,9 @@
 //!   time so 10⁷–10⁸-edge protocol runs never hold the whole arena resident.
 //! * [`metrics`] — process-wide counters (edges materialized into owned
 //!   per-machine graphs; legacy peeling scratch elements; resident-edge
-//!   high-water accounting for the out-of-core path) backing the data-path
-//!   experiment E12, the vertex-cover hot-path experiment E14, and the
-//!   hierarchical-composition experiment E16.
+//!   high-water accounting for the out-of-core path) backing the
+//!   determinism suite, the hierarchical-composition experiment E16 and the
+//!   churn-serving experiment E18.
 //! * [`gen`] — graph generators: Erdős–Rényi, random bipartite, planted
 //!   matchings, stars, power-law (Chung–Lu), and the paper's hard
 //!   distributions `D_Matching` (Section 4.1/5.1) and `D_VC` (Section 4.2/5.3).

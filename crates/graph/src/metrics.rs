@@ -9,10 +9,10 @@
 //! [`crate::view::GraphView::to_graph`] copies a piece out of an arena or
 //! when [`crate::partition::EdgePartition`] materializes owned pieces.
 //!
-//! Experiment E12 (`exp_partition_datapath`) resets the counter, runs the old
-//! and the new data path, and records both readings in
-//! `BENCH_datapath.json`: the legacy path reports `m` edges per run, the
-//! arena path reports 0.
+//! The retired experiment E12 recorded both readings in
+//! `BENCH_datapath.json`: the legacy path reported `m` edges per run, the
+//! arena path 0. Experiment E18 (`exp_dynamic_churn`) asserts the churn
+//! service keeps it at 0.
 
 //!
 //! A second counter plays the same role for the vertex-cover side:
@@ -20,8 +20,8 @@
 //! (edge-buffer copies, per-round degree arrays, peel flags) allocated by the
 //! *legacy* Parnas–Ron peeling path. The engine-backed peeling
 //! (`vertexcover::VcEngine`) performs none of those allocations, so a full VC
-//! protocol run leaves the counter untouched — experiment E14
-//! (`exp_vc_hotpath`) and the determinism suite assert exactly that.
+//! protocol run leaves the counter untouched — the determinism suite
+//! (`tests/determinism.rs`) asserts exactly that.
 
 //!
 //! A third pair of counters backs the out-of-core experiment E16
@@ -46,18 +46,11 @@ pub fn record_piece_edges_materialized(edges: usize) {
     PIECE_EDGES_MATERIALIZED.fetch_add(edges as u64, Ordering::Relaxed);
 }
 
-/// Total edges materialized into owned per-machine graphs since the last
-/// [`reset_piece_edges_materialized`] (process-wide).
+/// Total edges materialized into owned per-machine graphs since process
+/// start (process-wide; read deltas through [`MetricsScope`]).
 #[inline]
 pub fn piece_edges_materialized() -> u64 {
     PIECE_EDGES_MATERIALIZED.load(Ordering::Relaxed)
-}
-
-/// Resets the materialization counter to zero (benchmarks call this between
-/// phases).
-#[inline]
-pub fn reset_piece_edges_materialized() {
-    PIECE_EDGES_MATERIALIZED.store(0, Ordering::Relaxed);
 }
 
 /// Records that a peeling round (or call) allocated `words` words of scratch:
@@ -69,20 +62,12 @@ pub fn record_vc_peel_scratch(words: usize) {
 }
 
 /// Total scratch elements (edge slots, degree counters, peel flags)
-/// allocated by legacy peeling since the last
-/// [`reset_vc_peel_scratch`] (process-wide). Stays 0 across engine-backed
-/// protocol runs — the "zero per-round edge-buffer reallocations" claim of
-/// experiment E14.
+/// allocated by legacy peeling since process start (process-wide). Engine-backed
+/// protocol runs never move it — the "zero per-round edge-buffer
+/// reallocations" claim `tests/determinism.rs` asserts.
 #[inline]
 pub fn vc_peel_scratch_elems() -> u64 {
     VC_PEEL_SCRATCH_WORDS.load(Ordering::Relaxed)
-}
-
-/// Resets the peeling-scratch counter to zero (benchmarks call this between
-/// phases).
-#[inline]
-pub fn reset_vc_peel_scratch() {
-    VC_PEEL_SCRATCH_WORDS.store(0, Ordering::Relaxed);
 }
 
 /// Records that `edges` edge records became resident in an accounted buffer
@@ -219,9 +204,7 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         // The counter is process-wide and tests run concurrently, so assert
-        // only monotone relative movement. Resetting here would race with
-        // other tests' reads; `reset_piece_edges_materialized` is exercised
-        // by the single-process E12 binary instead.
+        // only monotone relative movement.
         let before = piece_edges_materialized();
         record_piece_edges_materialized(7);
         record_piece_edges_materialized(3);

@@ -97,7 +97,7 @@ impl<'a> GraphView<'a> {
     /// This is the *only* place the zero-copy data path pays for an owned
     /// per-piece graph, so the copy is recorded in
     /// [`crate::metrics::piece_edges_materialized`] — the allocation proxy
-    /// that experiment E12 tracks.
+    /// that experiment E18 asserts stays at zero.
     pub fn to_graph(&self) -> Graph {
         crate::metrics::record_piece_edges_materialized(self.edges.len());
         Graph::from_edges_unchecked(self.n, self.edges.to_vec())

@@ -25,8 +25,9 @@
 //! which are applied in ascending vertex order like the classic `for i in
 //! 0..n` sweep. The search is therefore **step-identical** to the textbook
 //! implementation: for the same input and initial matching it returns the
-//! exact same maximum matching, only without the `O(n)` work (experiment
-//! E13 pins this against a frozen copy of the pre-overhaul solver).
+//! exact same maximum matching, only without the `O(n)` work (the retired
+//! experiment E13 pinned this against a frozen copy of the pre-overhaul
+//! solver; `BENCH_solver.json` keeps its record).
 //!
 //! Callers with many solves (the coreset builders, the coordinator) should
 //! reuse one workspace via [`blossom_maximum_matching_with`] or the

@@ -32,7 +32,7 @@
 //! per *solve* (not per search) and a full stamp clear when a `u32` epoch
 //! counter wraps after 2³² searches — counted in
 //! [`BlossomWorkspace::full_resets`] and asserted to be zero by the unit
-//! tests and by experiment E13.
+//! tests and the engine-equivalence tests.
 //!
 //! The workspace is allocated once and reused across solves (the matching
 //! engine keeps one per thread), so steady-state solves perform **zero**
@@ -112,8 +112,8 @@ impl BlossomWorkspace {
     /// Number of `O(n)` stamp clears ever performed. Stays 0 in practice: a
     /// full reset only happens when a `u32` epoch counter wraps around, i.e.
     /// after 2³² searches (or as many LCA/contraction marks). The unit tests
-    /// and experiment E13 assert this counter, pinning the "zero per-search
-    /// `O(n)` resets" claim.
+    /// and the engine-equivalence tests assert this counter, pinning the
+    /// "zero per-search `O(n)` resets" claim.
     #[inline]
     pub fn full_resets(&self) -> u64 {
         self.full_resets

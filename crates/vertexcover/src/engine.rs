@@ -35,8 +35,9 @@
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
 //! (`tests/engine_equivalence.rs` pins this against
-//! [`crate::peeling::peel_with_thresholds_reference`], and experiment E14
-//! re-asserts it at scale), and independent of workspace history — the epoch
+//! [`crate::peeling::peel_with_thresholds_reference`], and
+//! `tests/hard_instances.rs` re-asserts it on a star-heavy graph), and
+//! independent of workspace history — the epoch
 //! stamps make stale state invisible, so the per-thread engine reuse behind
 //! the free functions never affects determinism.
 

@@ -14,8 +14,9 @@
 //!   graphs, used as ground truth in the experiments.
 //! * [`engine`] / [`workspace`] — the reusable [`VcEngine`] every free
 //!   function above runs on: vertex compaction, epoch-stamped scratch and
-//!   the bucket-queue peeling core (experiment E14, `exp_vc_hotpath`),
-//!   mirroring `matching::MatchingEngine` on the matching side.
+//!   the bucket-queue peeling core, mirroring `matching::MatchingEngine` on
+//!   the matching side. The retired experiment E14 measured it against the
+//!   pre-engine path (`BENCH_vc.json`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

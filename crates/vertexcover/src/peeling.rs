@@ -78,7 +78,7 @@ pub fn peel_with_thresholds<G: GraphRef + ?Sized>(g: &G, thresholds: &[usize]) -
 ///
 /// Every scratch allocation is recorded in
 /// [`graph::metrics::vc_peel_scratch_elems`]; the engine path records
-/// nothing, which is how experiment E14 and the determinism suite assert
+/// nothing, which is how the determinism suite asserts
 /// that protocol runs never fall back to this path. Output is identical to
 /// [`peel_with_thresholds`], round by round (pinned by the
 /// engine-equivalence proptests).
@@ -241,8 +241,8 @@ mod tests {
     fn reference_path_records_scratch_and_matches_engine() {
         // The counter is process-wide and tests run concurrently, so assert
         // only monotone movement here; the engine path's *zero*-scratch
-        // claim is asserted in single-threaded contexts (experiment E14 and
-        // `tests/determinism.rs`, whose processes never call the reference).
+        // claim is asserted in `tests/determinism.rs`, whose process never
+        // calls the reference.
         let g = gnp(200, 0.05, &mut rng(4));
         let schedule = parnas_ron_schedule(g.n(), 4);
         let engine_out = peel_with_thresholds(&g, &schedule);

@@ -34,8 +34,8 @@
 //! equals the current epoch; bumping the epoch invalidates all entries in
 //! `O(1)`. The only `O(total capacity)` write is a full stamp clear when the
 //! `u32` epoch wraps after 2³² scopes — counted in
-//! [`VcWorkspace::full_resets`] and asserted zero by the unit tests, the
-//! engine-equivalence proptests, and experiment E14.
+//! [`VcWorkspace::full_resets`] and asserted zero by the unit tests and the
+//! engine-equivalence proptests.
 
 use graph::VertexId;
 use std::collections::BinaryHeap;
@@ -107,9 +107,9 @@ impl VcWorkspace {
 
     /// Number of `O(capacity)` stamp clears ever performed. Stays 0 in
     /// practice: a full reset only happens when the `u32` epoch counter wraps
-    /// after 2³² scopes. The unit tests, the engine-equivalence proptests and
-    /// experiment E14 assert this counter, pinning the "zero per-round
-    /// `O(n)` resets" claim.
+    /// after 2³² scopes. The unit tests and the engine-equivalence proptests
+    /// assert this counter, pinning the "zero per-round `O(n)` resets"
+    /// claim.
     #[inline]
     pub fn full_resets(&self) -> u64 {
         self.full_resets

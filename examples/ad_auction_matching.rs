@@ -9,7 +9,8 @@
 //!
 //! Run with `cargo run --release --example ad_auction_matching`.
 
-use distsim::protocols::matching::{report_default_matching_protocol, report_subsampled_protocol};
+use coresets::{MaximumMatchingCoreset, SubsampledMatchingCoreset};
+use distsim::CoordinatorProtocol;
 use graph::gen::bipartite::planted_matching_bipartite;
 use matching::maximum::maximum_matching;
 use rand::SeedableRng;
@@ -31,31 +32,25 @@ fn main() {
     );
     println!("maximum assignment size (centralised): {opt}\n");
 
-    let k = 32; // ingestion servers
+    let protocol = CoordinatorProtocol::random(32); // ingestion servers
     println!(
         "{:<28} {:>10} {:>12} {:>14}",
         "protocol", "matched", "ratio", "words sent"
     );
-    for (label, report) in [
-        (
-            "exact coreset (Thm 1)",
-            report_default_matching_protocol(&g, k, opt, 1).expect("k >= 1"),
-        ),
-        (
-            "subsampled alpha=2 (Rmk 5.2)",
-            report_subsampled_protocol(&g, k, 2.0, opt, 1).expect("k >= 1"),
-        ),
-        (
-            "subsampled alpha=4 (Rmk 5.2)",
-            report_subsampled_protocol(&g, k, 4.0, opt, 1).expect("k >= 1"),
-        ),
+    let exact = protocol.run_matching(&g, &MaximumMatchingCoreset::new(), 1);
+    let subsampled = |alpha| protocol.run_matching(&g, &SubsampledMatchingCoreset::new(alpha), 1);
+    for (label, run) in [
+        ("exact coreset (Thm 1)", exact),
+        ("subsampled alpha=2 (Rmk 5.2)", subsampled(2.0)),
+        ("subsampled alpha=4 (Rmk 5.2)", subsampled(4.0)),
     ] {
+        let run = run.expect("k >= 1");
         println!(
             "{:<28} {:>10} {:>12.3} {:>14}",
             label,
-            report.matching_size,
-            report.approximation_ratio,
-            report.communication.total_words()
+            run.answer.len(),
+            opt as f64 / run.answer.len().max(1) as f64,
+            run.communication.total_words()
         );
     }
     println!("\nThe exact coreset keeps the assignment within a small constant of optimal");

@@ -3,7 +3,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use coresets::{DistributedMatching, DistributedVertexCover};
+use coresets::{MaximumMatchingCoreset, PeelingVcCoreset};
+use distsim::CoordinatorProtocol;
 use graph::gen::er::gnp;
 use matching::maximum::maximum_matching;
 use rand::SeedableRng;
@@ -19,38 +20,43 @@ fn main() {
     // 2. The model: the edges are randomly partitioned across k machines, each
     //    machine sends a small coreset, the coordinator solves on the union.
     let k = 16;
+    let protocol = CoordinatorProtocol::random(k);
 
     // 3. Maximum matching (Theorem 1): each machine's coreset is any maximum
     //    matching of its piece, at most n/2 edges.
-    let result = DistributedMatching::new(k).run(&g, 7).expect("k >= 1");
+    let result = protocol
+        .run_matching(&g, &MaximumMatchingCoreset::new(), 7)
+        .expect("k >= 1");
     let opt = maximum_matching(&g).len();
+    let words = result.communication.total_words();
     println!("\n-- maximum matching --");
     println!("optimum (whole graph):        {opt}");
-    println!("coreset composition:          {}", result.matching.len());
+    println!("coreset composition:          {}", result.answer.len());
     println!(
         "approximation ratio:          {:.3}",
-        opt as f64 / result.matching.len() as f64
+        opt as f64 / result.answer.len() as f64
     );
     println!(
-        "communication (edges total):  {} (~{:.2} per vertex per machine)",
-        result.total_coreset_size(),
-        result.total_coreset_size() as f64 / (n * k) as f64
+        "communication (words total):  {words} (~{:.2} per vertex per machine)",
+        words as f64 / (n * k) as f64
     );
 
     // 4. Minimum vertex cover (Theorem 2): each machine peels its high-degree
     //    vertices and forwards the sparse residual subgraph.
-    let result = DistributedVertexCover::new(k).run(&g, 7).expect("k >= 1");
-    assert!(result.cover.covers(&g));
+    let result = protocol
+        .run_vertex_cover(&g, &PeelingVcCoreset::new(), 7)
+        .expect("k >= 1");
+    assert!(result.answer.covers(&g));
     println!("\n-- minimum vertex cover --");
     println!("matching lower bound on OPT:  {opt}");
-    println!("coreset composition:          {}", result.cover.len());
+    println!("coreset composition:          {}", result.answer.len());
     println!(
         "ratio vs lower bound:         {:.3}",
-        result.cover.len() as f64 / opt as f64
+        result.answer.len() as f64 / opt as f64
     );
     println!(
-        "total coreset size:           {}",
-        result.total_coreset_size()
+        "communication (words total):  {}",
+        result.communication.total_words()
     );
     println!("\n(the paper proves O(1) and O(log n) approximation respectively, w.h.p.)");
 }

@@ -1,6 +1,6 @@
 //! Cross-thread-count determinism: for a fixed seed, every protocol's
-//! **complete** output — matching edge lists, cover vertex sets, coreset
-//! sizes, communication costs, MapReduce round stats — must be bit-identical
+//! **complete** output — matching edge lists, cover vertex sets, message
+//! words, communication costs, MapReduce round stats — must be bit-identical
 //! whether the simulated machines run on 1, 2, or 8 worker threads.
 //!
 //! This is the contract that makes the experiment tables in EXPERIMENTS.md
@@ -13,7 +13,6 @@
 
 use coresets::matching_coreset::{MaximumMatchingCoreset, SubsampledMatchingCoreset};
 use coresets::vc_coreset::PeelingVcCoreset;
-use coresets::{DistributedMatching, DistributedVertexCover};
 use distsim::coordinator::CoordinatorProtocol;
 use distsim::mapreduce::{MapReduceConfig, MapReduceSimulator};
 use graph::gen::er::gnp;
@@ -113,22 +112,6 @@ fn mapreduce_vertex_cover_is_thread_count_invariant() {
     });
 }
 
-#[test]
-fn pipeline_runners_are_thread_count_invariant() {
-    let g = workload(1000, 0.012, 5);
-    assert_same_across_thread_counts(|| {
-        let m = DistributedMatching::new(6).run(&g, 46).unwrap();
-        let c = DistributedVertexCover::new(6).run(&g, 46).unwrap();
-        (
-            m.matching.edges().to_vec(),
-            m.coreset_sizes,
-            m.piece_sizes,
-            c.cover.sorted_vertices(),
-            c.coreset_sizes,
-        )
-    });
-}
-
 /// The subsampled coreset (Remark 5.2) actually *consumes* its per-machine
 /// RNG stream, so this is the sharpest determinism test: any coupling between
 /// scheduling and randomness would show up here.
@@ -149,14 +132,16 @@ fn rng_consuming_builder_is_thread_count_invariant() {
 fn hard_instance_runs_are_thread_count_invariant() {
     let inst = maximal_matching_trap(400, 0.125).unwrap();
     assert_same_across_thread_counts(|| {
-        let run = DistributedMatching::new(8).run(&inst.graph, 48).unwrap();
-        (run.matching.edges().to_vec(), run.coreset_sizes)
+        let run = CoordinatorProtocol::random(8)
+            .run_matching(&inst.graph, &MaximumMatchingCoreset::new(), 48)
+            .unwrap();
+        (run.answer.edges().to_vec(), run.communication)
     });
 }
 
-/// E14's engine on the protocol path, pinned: for this fixed seed the VC
-/// pipeline's complete output — cover vertices and coreset sizes — is
-/// bit-identical at 1 / 4 worker threads *and* matches the recorded
+/// The VC engine on the protocol path, pinned: for this fixed seed the VC
+/// protocol's complete output — cover vertices and per-machine message
+/// words — is bit-identical at 1 / 4 worker threads *and* matches the recorded
 /// regression values, and the whole run performs zero legacy peeling-scratch
 /// allocations (`graph::metrics::vc_peel_scratch_elems` untouched — the
 /// "zero per-round edge-buffer reallocations" contract of the VcEngine).
@@ -166,8 +151,13 @@ fn vc_pipeline_fixed_seed_regression_with_engine() {
     let g = workload(2000, 0.05, 14);
     let scratch_before = graph::metrics::vc_peel_scratch_elems();
     let run_once = || {
-        let run = DistributedVertexCover::new(4).run(&g, 49).unwrap();
-        (run.cover.sorted_vertices(), run.coreset_sizes)
+        let run = CoordinatorProtocol::random(4)
+            .run_vertex_cover(&g, &PeelingVcCoreset::new(), 49)
+            .unwrap();
+        (
+            run.answer.sorted_vertices(),
+            run.communication.per_machine_words,
+        )
     };
     let reference = with_threads(1, run_once);
     let parallel = with_threads(4, run_once);
@@ -178,15 +168,16 @@ fn vc_pipeline_fixed_seed_regression_with_engine() {
         "an engine-backed protocol run must never take the legacy peeling path"
     );
 
-    // Fixed-seed regression: pin the exact output of the engine pipeline
-    // (the peeling rounds fire here — coreset sizes are well below the
-    // ~25k-edge pieces).
-    let (cover, coreset_sizes) = reference;
+    // Fixed-seed regression: pin the exact output of the engine-backed
+    // protocol (the peeling rounds fire here — each message, 2 words per
+    // residual edge plus 1 per fixed vertex, is well below the ~50k words
+    // of a ~25k-edge piece).
+    let (cover, words) = reference;
     assert_eq!(cover.len(), 1992, "pinned cover size");
     assert_eq!(
-        coreset_sizes,
-        vec![17077, 17103, 17245, 16805],
-        "pinned coreset sizes"
+        words,
+        vec![33863, 33940, 34227, 33331],
+        "pinned per-machine message words"
     );
     let fingerprint: u64 = cover
         .iter()

@@ -5,8 +5,6 @@
 //! `PartitionedGraph::new(.., Random, seed_from_u64(seed))` and build machine
 //! `i` on `machine_rng(seed, i)`:
 //!
-//! * `Distributed{Matching,VertexCover}::run` (the `coresets::pipeline`
-//!   runners);
 //! * `CoordinatorProtocol::random(k).run_*`;
 //! * `MapReduceSimulator` with `k` machines;
 //! * `ArenaProtocol::flat()` over an arena written from the same partition;
@@ -17,10 +15,7 @@
 //! the answer bit for bit, and on the communication and piece sizes wherever
 //! a driver reports them.
 
-use coresets::{
-    DistributedMatching, DistributedVertexCover, MatchingProblem, MaximumMatchingCoreset,
-    PeelingVcCoreset, VcProblem,
-};
+use coresets::{MatchingProblem, MaximumMatchingCoreset, PeelingVcCoreset, VcProblem};
 use distsim::{
     ArenaProtocol, CoordinatorProtocol, FaultPlan, MapReduceConfig, MapReduceOutcome,
     MapReduceSimulator, RetryPolicy, SimultaneousRun,
@@ -108,7 +103,6 @@ proptest! {
     ) {
         let builder = MaximumMatchingCoreset::new();
         let coordinator = CoordinatorProtocol::random(k).run_matching(&g, &builder, seed).unwrap();
-        let pipeline = DistributedMatching::new(k).run(&g, seed).unwrap();
         let map_reduce = mapreduce(k).run_matching(&g, &builder, seed).unwrap();
         let arena = arena_of(&g, k, seed);
         let ooc = ArenaProtocol::flat().run_matching(&arena.file, &builder, seed).unwrap();
@@ -120,7 +114,6 @@ proptest! {
 
         let want = coordinator.answer.edges();
         prop_assert!(coordinator.answer.is_valid_for(&g));
-        prop_assert_eq!(pipeline.matching.edges(), want);
         prop_assert_eq!(map_reduce.answer.edges(), want);
         prop_assert_eq!(ooc.answer.edges(), want);
         prop_assert_eq!(faulty.run.answer.edges(), want);
@@ -129,12 +122,7 @@ proptest! {
         prop_assert_eq!(&faulty.run.communication, &coordinator.communication);
         let (reported, expected) = central_words(&map_reduce, &coordinator);
         prop_assert_eq!(reported, expected);
-        // A matching coreset of `s` edges is a message of `2s` words.
-        let pipeline_words: Vec<u64> =
-            pipeline.coreset_sizes.iter().map(|&s| 2 * s as u64).collect();
-        prop_assert_eq!(&pipeline_words, &coordinator.communication.per_machine_words);
 
-        prop_assert_eq!(&pipeline.piece_sizes, &coordinator.piece_sizes);
         prop_assert_eq!(&ooc.piece_sizes, &coordinator.piece_sizes);
         prop_assert_eq!(&faulty.run.piece_sizes, &coordinator.piece_sizes);
     }
@@ -148,7 +136,6 @@ proptest! {
         let builder = PeelingVcCoreset::new();
         let coordinator =
             CoordinatorProtocol::random(k).run_vertex_cover(&g, &builder, seed).unwrap();
-        let pipeline = DistributedVertexCover::new(k).run(&g, seed).unwrap();
         let map_reduce = mapreduce(k).run_vertex_cover(&g, &builder, seed).unwrap();
         let arena = arena_of(&g, k, seed);
         let ooc = ArenaProtocol::flat().run_vertex_cover(&arena.file, &builder, seed).unwrap();
@@ -160,7 +147,6 @@ proptest! {
 
         let want = &coordinator.answer;
         prop_assert!(want.covers(&g));
-        prop_assert_eq!(&pipeline.cover, want);
         prop_assert_eq!(&map_reduce.answer, want);
         prop_assert_eq!(&ooc.answer, want);
         prop_assert_eq!(&faulty.run.answer, want);
@@ -170,7 +156,6 @@ proptest! {
         let (reported, expected) = central_words(&map_reduce, &coordinator);
         prop_assert_eq!(reported, expected);
 
-        prop_assert_eq!(&pipeline.piece_sizes, &coordinator.piece_sizes);
         prop_assert_eq!(&ooc.piece_sizes, &coordinator.piece_sizes);
         prop_assert_eq!(&faulty.run.piece_sizes, &coordinator.piece_sizes);
     }

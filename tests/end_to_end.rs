@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full pipelines of the paper, end to end.
 
-use coresets::matching_coreset::MaximumMatchingCoreset;
+use coresets::matching_coreset::{MaximumMatchingCoreset, SubsampledMatchingCoreset};
 use coresets::vc_coreset::PeelingVcCoreset;
-use coresets::{DistributedMatching, DistributedVertexCover};
 use distsim::coordinator::CoordinatorProtocol;
 use distsim::mapreduce::{MapReduceConfig, MapReduceSimulator};
 use distsim::protocols::filtering::filtering_matching;
@@ -30,12 +29,14 @@ fn theorem1_bound_holds_across_workloads_and_k() {
     for (w, g) in workloads.into_iter().enumerate() {
         let opt = maximum_matching(&g).len();
         for k in [2usize, 5, 9] {
-            let result = DistributedMatching::new(k).run(&g, 100 + w as u64).unwrap();
-            assert!(result.matching.is_valid_for(&g));
+            let result = CoordinatorProtocol::random(k)
+                .run_matching(&g, &MaximumMatchingCoreset::new(), 100 + w as u64)
+                .unwrap();
+            assert!(result.answer.is_valid_for(&g));
             assert!(
-                9 * result.matching.len() >= opt,
+                9 * result.answer.len() >= opt,
                 "workload {w}, k {k}: {} vs opt {opt}",
-                result.matching.len()
+                result.answer.len()
             );
         }
     }
@@ -51,16 +52,16 @@ fn theorem2_cover_is_feasible_and_reasonably_small() {
         let lb = maximum_matching(&g).len().max(1);
         let log_n = (g.n() as f64).log2();
         for k in [3usize, 8] {
-            let result = DistributedVertexCover::new(k)
-                .run(&g, 200 + w as u64)
+            let result = CoordinatorProtocol::random(k)
+                .run_vertex_cover(&g, &PeelingVcCoreset::new(), 200 + w as u64)
                 .unwrap();
-            assert!(result.cover.covers(&g));
+            assert!(result.answer.covers(&g));
             // |min VC| <= 2 * |max matching|, so cover / lb <= 2 * true ratio;
             // allow the full O(log n) slack with a constant of 4.
             assert!(
-                (result.cover.len() as f64) <= 4.0 * log_n * lb as f64,
+                (result.answer.len() as f64) <= 4.0 * log_n * lb as f64,
                 "workload {w}, k {k}: cover {} vs bound {}",
-                result.cover.len(),
+                result.answer.len(),
                 4.0 * log_n * lb as f64
             );
         }
@@ -80,12 +81,59 @@ fn coreset_quality_is_algorithm_agnostic() {
         MaximumMatchingAlgorithm::Blossom,
     ] {
         let builder = MaximumMatchingCoreset::with_algorithm(algorithm);
-        let result = DistributedMatching::with_builder(k, builder)
-            .run(&g, 77)
+        let result = CoordinatorProtocol::random(k)
+            .run_matching(&g, &builder, 77)
             .unwrap();
-        assert!(result.matching.is_valid_for(&g));
-        assert!(9 * result.matching.len() >= opt, "{algorithm:?}");
+        assert!(result.answer.is_valid_for(&g));
+        assert!(9 * result.answer.len() >= opt, "{algorithm:?}");
     }
+}
+
+/// The exact-coreset protocol sends one message per machine and lands within
+/// a small ratio of the optimum on a planted bipartite instance.
+#[test]
+fn default_protocol_has_small_ratio() {
+    let (bg, planted) = planted_matching_bipartite(400, 0.005, &mut rng(1));
+    let g = bg.to_graph();
+    let opt = maximum_matching(&g).len();
+    assert!(opt >= planted.len());
+    let result = CoordinatorProtocol::random(8)
+        .run_matching(&g, &MaximumMatchingCoreset::new(), 3)
+        .unwrap();
+    assert!(result.answer.is_valid_for(&g));
+    let ratio = opt as f64 / result.answer.len().max(1) as f64;
+    assert!(ratio >= 1.0 - 1e-9);
+    assert!(ratio <= 3.0, "ratio {ratio}");
+    assert_eq!(result.communication.message_count(), 8);
+}
+
+/// Remark 5.2: subsampling the maximum-matching coresets with probability
+/// `1/alpha` cuts communication, while the composed matching stays within a
+/// small multiple of the exact-coreset protocol's ratio.
+#[test]
+fn subsampled_protocol_trades_communication_for_ratio() {
+    let (bg, _) = planted_matching_bipartite(600, 0.004, &mut rng(2));
+    let g = bg.to_graph();
+    let opt = maximum_matching(&g).len() as f64;
+    let p = CoordinatorProtocol::random(6);
+    let full = p
+        .run_matching(&g, &MaximumMatchingCoreset::new(), 5)
+        .unwrap();
+    let alpha = 4.0;
+    let sub = p
+        .run_matching(&g, &SubsampledMatchingCoreset::new(alpha), 5)
+        .unwrap();
+    assert_eq!(full.communication.message_count(), 6);
+    assert!(sub.communication.total_words() < full.communication.total_words());
+    let full_ratio = opt / full.answer.len() as f64;
+    let sub_ratio = opt / sub.answer.len().max(1) as f64;
+    assert!(full_ratio <= 3.0, "exact-coreset ratio {full_ratio}");
+    // The subsampled protocol may be worse, but not by much more than alpha
+    // (generous slack for noise).
+    assert!(
+        sub_ratio <= alpha * full_ratio * 2.0,
+        "subsampled ratio {sub_ratio} vs exact {full_ratio}"
+    );
 }
 
 /// Coordinator-model protocol and the MapReduce simulation agree on quality,
@@ -146,39 +194,46 @@ fn filtering_baseline_is_correct_but_needs_more_rounds() {
 #[test]
 fn runs_are_reproducible_across_the_stack() {
     let g = gnp(700, 0.01, &mut rng(7));
-    let a = DistributedMatching::new(5).run(&g, 31).unwrap();
-    let b = DistributedMatching::new(5).run(&g, 31).unwrap();
-    assert_eq!(a.matching.edges(), b.matching.edges());
-    assert_eq!(a.coreset_sizes, b.coreset_sizes);
+    let p = CoordinatorProtocol::random(5);
+    let matching = || p.run_matching(&g, &MaximumMatchingCoreset::new(), 31);
+    let (a, b) = (matching().unwrap(), matching().unwrap());
+    assert_eq!(a.answer.edges(), b.answer.edges());
+    assert_eq!(a.communication, b.communication);
 
-    let c = DistributedVertexCover::new(5).run(&g, 31).unwrap();
-    let d = DistributedVertexCover::new(5).run(&g, 31).unwrap();
-    assert_eq!(c.cover.sorted_vertices(), d.cover.sorted_vertices());
+    let cover = || p.run_vertex_cover(&g, &PeelingVcCoreset::new(), 31);
+    let (c, d) = (cover().unwrap(), cover().unwrap());
+    assert_eq!(c.answer.sorted_vertices(), d.answer.sorted_vertices());
 }
 
 /// Degenerate inputs flow through the whole stack without panicking.
 #[test]
 fn degenerate_inputs_are_handled() {
+    let matching = |g: &Graph, k: usize, seed: u64| {
+        CoordinatorProtocol::random(k)
+            .run_matching(g, &MaximumMatchingCoreset::new(), seed)
+            .unwrap()
+            .answer
+    };
+    let cover = |g: &Graph, k: usize, seed: u64| {
+        CoordinatorProtocol::random(k)
+            .run_vertex_cover(g, &PeelingVcCoreset::new(), seed)
+            .unwrap()
+            .answer
+    };
     let empty = Graph::empty(50);
-    let m = DistributedMatching::new(4).run(&empty, 1).unwrap();
-    assert!(m.matching.is_empty());
-    let c = DistributedVertexCover::new(4).run(&empty, 1).unwrap();
-    assert!(c.cover.is_empty());
+    assert!(matching(&empty, 4, 1).is_empty());
+    assert!(cover(&empty, 4, 1).is_empty());
 
     let single_edge = Graph::from_pairs(4, vec![(1, 2)]).unwrap();
-    let m = DistributedMatching::new(8).run(&single_edge, 2).unwrap();
-    assert_eq!(m.matching.len(), 1);
-    let c = DistributedVertexCover::new(8).run(&single_edge, 2).unwrap();
-    assert!(c.cover.covers(&single_edge));
+    assert_eq!(matching(&single_edge, 8, 2).len(), 1);
+    assert!(cover(&single_edge, 8, 2).covers(&single_edge));
 
     // Solving with more machines than edges.
     let tiny = gnp(30, 0.05, &mut rng(8));
-    let m = DistributedMatching::new(64).run(&tiny, 3).unwrap();
-    assert!(m.matching.is_valid_for(&tiny));
+    assert!(matching(&tiny, 64, 3).is_valid_for(&tiny));
 
     // A maximum matching on one machine (k = 1) equals the true optimum.
     let g = gnp(400, 0.01, &mut rng(9));
     let opt = maximum_matching_with(&g, MaximumMatchingAlgorithm::Auto).len();
-    let one = DistributedMatching::new(1).run(&g, 4).unwrap();
-    assert_eq!(one.matching.len(), opt);
+    assert_eq!(matching(&g, 1, 4).len(), opt);
 }

@@ -12,16 +12,35 @@
 
 use coresets::capped::cap_vc_coreset;
 use coresets::compose::compose_vertex_cover;
-use coresets::matching_coreset::AvoidingMaximalMatchingCoreset;
-use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
-use coresets::{machine_rng, CappedMatchingCoreset, CoresetParams, DistributedMatching};
+use coresets::matching_coreset::{AvoidingMaximalMatchingCoreset, MaximumMatchingCoreset};
+use coresets::vc_coreset::{
+    LocalCoverCoreset, PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput,
+};
+use coresets::{machine_rng, CappedMatchingCoreset, CoresetParams, MatchingCoresetBuilder};
+use distsim::CoordinatorProtocol;
 use graph::gen::hard::{d_matching, d_vc, maximal_matching_trap};
+use graph::gen::structured::star_forest;
 use graph::partition::PartitionedGraph;
+use graph::Graph;
+use matching::Matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
+}
+
+/// The composed matching of `builder`'s coresets on `k` random machines.
+fn composed_matching<B: MatchingCoresetBuilder>(
+    g: &Graph,
+    k: usize,
+    builder: &B,
+    seed: u64,
+) -> Matching {
+    CoordinatorProtocol::random(k)
+        .run_matching(g, builder, seed)
+        .unwrap()
+        .answer
 }
 
 /// On D_Matching the uncapped coreset composition recovers a large matching,
@@ -36,23 +55,21 @@ fn capped_coresets_degrade_on_d_matching() {
     let g = inst.graph.to_graph();
     let opt_lb = inst.matching_lower_bound();
 
-    let uncapped = DistributedMatching::new(k).run(&g, 5).unwrap();
+    let uncapped = composed_matching(&g, k, &MaximumMatchingCoreset::new(), 5);
     let tiny_cap = ((n as f64 / (alpha * alpha)) as usize / 8).max(1);
-    let capped = DistributedMatching::with_builder(k, CappedMatchingCoreset::new(tiny_cap))
-        .run(&g, 5)
-        .unwrap();
+    let capped = composed_matching(&g, k, &CappedMatchingCoreset::new(tiny_cap), 5);
 
-    assert!(uncapped.matching.is_valid_for(&g));
-    assert!(capped.matching.is_valid_for(&g));
+    assert!(uncapped.is_valid_for(&g));
+    assert!(capped.is_valid_for(&g));
     assert!(
-        uncapped.matching.len() as f64 >= 1.5 * capped.matching.len() as f64,
+        uncapped.len() as f64 >= 1.5 * capped.len() as f64,
         "uncapped {} should clearly beat capped {}",
-        uncapped.matching.len(),
-        capped.matching.len()
+        uncapped.len(),
+        capped.len()
     );
     // The uncapped composition is a constant-factor approximation of the
     // planted matching, as Theorem 1 promises.
-    assert!(9 * uncapped.matching.len() >= opt_lb);
+    assert!(9 * uncapped.len() >= opt_lb);
 }
 
 /// E5 promoted to a regression: sweep the per-machine cap across the
@@ -76,11 +93,9 @@ fn theorem3_cap_sweep_regression() {
     let ratios: Vec<f64> = caps
         .iter()
         .map(|&cap| {
-            let run = DistributedMatching::with_builder(k, CappedMatchingCoreset::new(cap))
-                .run(&g, seed)
-                .unwrap();
-            assert!(run.matching.is_valid_for(&g));
-            opt_lb / run.matching.len().max(1) as f64
+            let run = composed_matching(&g, k, &CappedMatchingCoreset::new(cap), seed);
+            assert!(run.is_valid_for(&g));
+            opt_lb / run.len().max(1) as f64
         })
         .collect();
 
@@ -99,8 +114,8 @@ fn theorem3_cap_sweep_regression() {
         ratios[0]
     );
     // (c) The uncapped protocol stays a small-constant-factor approximation.
-    let uncapped = DistributedMatching::new(k).run(&g, seed).unwrap();
-    let uncapped_ratio = opt_lb / uncapped.matching.len().max(1) as f64;
+    let uncapped = composed_matching(&g, k, &MaximumMatchingCoreset::new(), seed);
+    let uncapped_ratio = opt_lb / uncapped.len().max(1) as f64;
     assert!(
         uncapped_ratio <= 3.0,
         "uncapped ratio {uncapped_ratio} should be a small constant (Theorem 1)"
@@ -249,13 +264,11 @@ fn trap_instance_separates_maximal_from_maximum() {
     for k in [4usize, 16] {
         let inst = maximal_matching_trap(n, 1.0 / k as f64).unwrap();
         let avoid = AvoidingMaximalMatchingCoreset::new(inst.planted_matching.iter().copied());
-        let good = DistributedMatching::new(k).run(&inst.graph, 9).unwrap();
-        let bad = DistributedMatching::with_builder(k, avoid)
-            .run(&inst.graph, 9)
-            .unwrap();
+        let good = composed_matching(&inst.graph, k, &MaximumMatchingCoreset::new(), 9);
+        let bad = composed_matching(&inst.graph, k, &avoid, 9);
         let opt = inst.matching_lower_bound() as f64;
-        let good_ratio = opt / good.matching.len().max(1) as f64;
-        let bad_ratio = opt / bad.matching.len().max(1) as f64;
+        let good_ratio = opt / good.len().max(1) as f64;
+        let bad_ratio = opt / bad.len().max(1) as f64;
         assert!(
             good_ratio <= 1.5,
             "k={k}: maximum-coreset ratio {good_ratio}"
@@ -272,6 +285,31 @@ fn trap_instance_separates_maximal_from_maximum() {
     }
 }
 
+/// The Section 1.2 star separation for vertex cover: local covers of the
+/// pieces compose to a cover many times the optimum on a star forest, while
+/// the peeling coresets stay close to it.
+#[test]
+fn peeling_beats_local_cover_on_star_forests() {
+    let g = star_forest(6, 200);
+    let p = CoordinatorProtocol::random(10);
+    let good = p
+        .run_vertex_cover(&g, &PeelingVcCoreset::new(), 11)
+        .unwrap()
+        .answer;
+    let bad = p
+        .run_vertex_cover(&g, &LocalCoverCoreset::adversarial(), 11)
+        .unwrap()
+        .answer;
+    assert!(good.covers(&g));
+    assert!(bad.covers(&g));
+    assert!(
+        bad.len() >= 3 * good.len(),
+        "local covers ({}) should be much larger than the composed peeling cover ({})",
+        bad.len(),
+        good.len()
+    );
+}
+
 /// The bucket-queue peeling engine on a skewed-degree (star-heavy) graph:
 /// high-degree centres force the threshold rounds to actually fire (the
 /// sparse-piece pre-screen cannot short-circuit), and the engine must agree
@@ -280,8 +318,6 @@ fn trap_instance_separates_maximal_from_maximum() {
 #[test]
 fn bucket_queue_peeling_on_star_heavy_graph() {
     use graph::gen::er::gnp;
-    use graph::gen::structured::star_forest;
-    use graph::Graph;
     use vertexcover::peeling::{peel_with_thresholds, peel_with_thresholds_reference};
 
     // 30 stars of 600 leaves each, plus G(n, p) noise over the same vertex
@@ -313,15 +349,19 @@ fn bucket_queue_peeling_on_star_heavy_graph() {
 
     // Per-piece peeling through the full protocol: feasible, and the peeled
     // centres strip the star edges out of the residual coresets, so the
-    // total communication drops well below the input size.
-    let vc = coresets::DistributedVertexCover::new(k).run(&g, 7).unwrap();
-    assert!(vc.cover.covers(&g));
-    assert!(vc.cover.len() < n, "cover must be non-trivial");
+    // total communication drops well below the input size. Each residual
+    // edge is 2 words and each fixed vertex 1, so the words bound is twice
+    // the edges-plus-vertices bound.
+    let vc = CoordinatorProtocol::random(k)
+        .run_vertex_cover(&g, &PeelingVcCoreset::new(), 7)
+        .unwrap();
+    assert!(vc.answer.covers(&g));
+    assert!(vc.answer.len() < n, "cover must be non-trivial");
+    let words = vc.communication.total_words();
     assert!(
-        vc.total_coreset_size() < g.m() - 12_000,
+        words < 2 * (g.m() as u64 - 12_000),
         "peeling the centres must strip most star edges from the coresets \
-         (total {} vs m {})",
-        vc.total_coreset_size(),
+         (total {words} words vs m {})",
         g.m()
     );
 }

@@ -5,7 +5,8 @@
 use coresets::compose::{compose_vertex_cover, solve_composed_matching};
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
-use coresets::{machine_rng, CoresetParams, DistributedMatching, DistributedVertexCover};
+use coresets::{machine_rng, CoresetParams};
+use distsim::CoordinatorProtocol;
 use graph::partition::EdgePartition;
 use graph::{Graph, GraphRef};
 use matching::greedy::maximal_matching;
@@ -148,7 +149,7 @@ proptest! {
         prop_assert!(cover.len() <= g.n());
     }
 
-    /// End-to-end pipeline: the composed matching is never smaller than the
+    /// End-to-end protocol: the composed matching is never smaller than the
     /// best single machine's matching — composition can only help, since the
     /// union of the coresets contains every machine's maximum matching.
     #[test]
@@ -161,27 +162,34 @@ proptest! {
             .map(|p| maximum_matching(p).len())
             .max()
             .unwrap_or(0);
-        let run = DistributedMatching::new(k).run_on_partition(g.n(), &graph::views_of(part.pieces()), seed);
-        prop_assert!(run.matching.is_valid_for(&g));
+        // The coordinator draws the same partition from the same seed.
+        let run = CoordinatorProtocol::random(k)
+            .run_matching(&g, &MaximumMatchingCoreset::new(), seed)
+            .unwrap()
+            .answer;
+        prop_assert!(run.is_valid_for(&g));
         prop_assert!(
-            run.matching.len() >= best_single,
+            run.len() >= best_single,
             "composed {} < best single machine {best_single}",
-            run.matching.len()
+            run.len()
         );
     }
 
-    /// End-to-end pipeline: the composed vertex cover is always a feasible
+    /// End-to-end protocol: the composed vertex cover is always a feasible
     /// cover of the original graph, and by weak duality never smaller than
     /// the maximum-matching lower bound.
     #[test]
     fn composed_cover_is_valid_and_dominates_matching_bound(g in arb_graph(90, 400), k in 1usize..9, seed in any::<u64>()) {
-        let run = DistributedVertexCover::new(k).run(&g, seed).unwrap();
-        prop_assert!(run.cover.covers(&g));
+        let run = CoordinatorProtocol::random(k)
+            .run_vertex_cover(&g, &PeelingVcCoreset::new(), seed)
+            .unwrap()
+            .answer;
+        prop_assert!(run.covers(&g));
         let mm = maximum_matching(&g).len();
         prop_assert!(
-            run.cover.len() >= mm,
+            run.len() >= mm,
             "cover {} below the maximum-matching lower bound {mm}",
-            run.cover.len()
+            run.len()
         );
     }
 
