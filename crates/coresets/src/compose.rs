@@ -18,14 +18,15 @@
 //!   ([`vertexcover::two_approx_cover_concat`]), so the coordinator's VC
 //!   composition performs zero edge-buffer allocations.
 //!
-//! The *independent* parts of the coordinator's work run on the work-stealing
-//! pool: the warm-start screen over per-machine coresets
-//! ([`solve_composed_matching`]) and the per-residual-slice extent/degree
-//! statistics feeding the concatenated 2-approximation
-//! ([`compose_vertex_cover`]) both fan out per machine and reduce
-//! deterministically (results in machine order; `max`/`sum` folds). The
-//! greedy maximal-matching scan itself is order-defined and stays
-//! sequential — parallelism never changes any composed answer.
+//! The per-residual-slice extent/degree statistics feeding the concatenated
+//! 2-approximation ([`compose_vertex_cover`]) fan out per machine on the
+//! work-stealing pool and reduce deterministically (results in machine
+//! order; `max`/`sum` folds). The greedy maximal-matching scan itself is
+//! order-defined and stays sequential — parallelism never changes any
+//! composed answer. The matching side's warm-start pick
+//! ([`solve_composed_matching`]) needs no screen at all: it visits the
+//! coresets largest first and stops at the first one that is a matching,
+//! which with the paper's builders is the first one it checks.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
@@ -98,28 +99,30 @@ pub fn solve_composed_matching_refs(
 /// the earlier machine). Builders whose messages are not matchings (none of
 /// the paper's, but the trait does not forbid it) are skipped defensively.
 ///
-/// Two passes: a parallel borrow-only screen (`(size, is-matching)` per
-/// piece, machine order preserved by the pool's indexed reassembly), then
-/// one sequential argmax and a **single** edge-list clone of the winner —
-/// the old single-pass loop cloned every improving candidate, including
-/// ones that immediately lost to a later machine.
+/// Candidates are visited by size descending, then machine ascending, and
+/// the first one that is a matching wins. That is the same winner as
+/// checking every coreset, but the matching check (a hash set over the
+/// coreset's endpoints) normally runs once: with the paper's builders the
+/// first candidate is already a matching. Only sizes are read for the rest.
 fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
-    let stats: Vec<(usize, bool)> = coresets
-        .par_iter()
-        .map(|c| (c.m(), edges_form_matching(c.edges())))
-        .collect();
-    let mut best: Option<usize> = None;
-    for (i, &(m, is_matching)) in stats.iter().enumerate() {
-        if is_matching && m > best.map_or(0, |b| stats[b].0) {
-            best = Some(i);
+    let mut below = usize::MAX;
+    while let Some(size) = coresets
+        .iter()
+        .map(|c| c.m())
+        .filter(|&m| m > 0 && m < below)
+        .max()
+    {
+        if let Some(winner) = coresets
+            .iter()
+            .find(|c| c.m() == size && edges_form_matching(c.edges()))
+        {
+            // The one clone this function performs: the winner's edges
+            // become the warm-start matching handed to the solver.
+            return Some(Matching::from_edges(winner.edges().to_vec())); // xtask: allow(hot-path-alloc)
         }
+        below = size;
     }
-    best.map(|i| {
-        // The one clone this function performs: the winner's edges become the
-        // warm-start matching handed to the solver.
-        Matching::try_from_edges(coresets[i].edges().to_vec()) // xtask: allow(hot-path-alloc)
-            .expect("winner passed the matching screen")
-    })
+    None
 }
 
 /// Composes vertex-cover coresets: the union of all fixed vertices plus a
@@ -317,6 +320,22 @@ mod tests {
         assert!(best_piece_matching(&[&not_matching]).is_none());
         assert!(best_piece_matching(&[&Graph::empty(4)]).is_none());
         assert!(best_piece_matching(&[]).is_none());
+    }
+
+    /// When the largest coreset is not a matching, the pick falls to the
+    /// next size down, where the earlier of two equal-sized matchings wins.
+    #[test]
+    fn warm_start_skips_a_larger_non_matching_and_breaks_the_next_tie_by_machine() {
+        let small = Graph::from_pairs(12, vec![(10, 11)]).unwrap();
+        let first = Graph::from_pairs(12, vec![(0, 1), (2, 3)]).unwrap();
+        let second = Graph::from_pairs(12, vec![(4, 5), (6, 7)]).unwrap();
+        let not_matching = Graph::from_pairs(12, vec![(0, 1), (1, 2), (2, 3)]).unwrap();
+        let warm = best_piece_matching(&[&small, &not_matching, &first, &second])
+            .expect("three valid candidates");
+        assert_eq!(warm.edges(), first.edges());
+        let warm = best_piece_matching(&[&second, &small, &first, &not_matching])
+            .expect("three valid candidates");
+        assert_eq!(warm.edges(), second.edges());
     }
 
     #[test]

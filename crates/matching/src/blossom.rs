@@ -29,6 +29,50 @@
 //! experiment E13 pinned this against a frozen copy of the pre-overhaul
 //! solver; `BENCH_solver.json` keeps its record).
 //!
+//! **Failed searches are pruned** (Edmonds' Hungarian-tree deletion). A
+//! search from a free vertex `r` that finds no augmenting path marks every
+//! vertex it labelled as dead for the rest of the solve, and later searches
+//! skip dead neighbours. Without this, every free vertex that cannot be
+//! augmented re-explores the trees of earlier failed searches; on R-MAT
+//! coreset unions that re-exploration was most of the solve's adjacency
+//! reads. The pruning is exact, by this lemma:
+//!
+//! *Lemma.* Let `T` be the tree of a failed search from `r`, with outer
+//! (even) vertices `O` and inner (odd) vertices `I`. Then
+//! 1. every neighbour of a vertex of `O` lies in `T`: the search scanned
+//!    every outer vertex to the end and labelled everything it read;
+//! 2. every vertex of `T` except `r` is matched to a vertex of `T`;
+//! 3. no augmenting path of a later matching of the solve touches `T`, so
+//!    1 and 2 hold until the solve ends.
+//!
+//! *Proof of 3.* The components of the outer vertices are the blossoms of
+//! `T`: `|I| + 1` odd sets, each adjacent only to itself and to `I`. So any
+//! matching leaves at least one outer vertex unmatched, and `M` leaves
+//! exactly `r`. Let `P` be `M`-augmenting and `M' = M ⊕ P`. If `P` ended at
+//! `r`, `M'` would match all of `O`. Otherwise `M'` also leaves only `r`
+//! unmatched in `T`, and the count is tight: each non-root blossom has
+//! exactly one vertex matched into `I`, and `M'` matches every vertex of
+//! `T − r` inside `T`. Both edges of `P` at a vertex of `T − r` then lie
+//! inside `T`, so `P` would have to stay in `T` and end at a free vertex of
+//! `T`, and there is none besides `r`.
+//!
+//! *Step identity.* A later search reaches `T` only through an inner vertex
+//! `x`, from a live outer vertex, by 1. The unpruned search labels `x`
+//! inner and continues through its matched edge into `x`'s child blossom.
+//! From there every alternating path returns to `I` only along unmatched
+//! edges, so it never makes a vertex of `I` outer, never leaves `T`, and by
+//! 2 and 3 never finds a free vertex. The excursion therefore only adds dead
+//! entries to the BFS queue and stamps dead vertices. The BFS order of live
+//! vertices, every contraction among them, every augmenting path and the
+//! final `mate` array are exactly the unpruned search's. In particular a
+//! failed pruned search labels exactly the live part of the unpruned
+//! search's tree, so by induction over the failed searches the dead set is a
+//! union of trees that each satisfy the lemma. Skipping dead
+//! neighbours removes only the excursions: the same free roots are searched
+//! ([`BlossomWorkspace::searches`] is unchanged) and
+//! [`BlossomWorkspace::edge_scans`] can only drop. A `#[cfg(test)]` copy of
+//! the unpruned search is the oracle of the differential tests below.
+//!
 //! Callers with many solves (the coreset builders, the coordinator) should
 //! reuse one workspace via [`blossom_maximum_matching_with`] or the
 //! [`MatchingEngine`](crate::engine::MatchingEngine), which additionally
@@ -72,6 +116,19 @@ pub fn blossom_maximum_matching_with<G: GraphRef + ?Sized>(
 /// (debug builds assert). Returns the matched edges in ascending vertex
 /// order.
 pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
+    solve(adj, ws, warm, augment_from)
+}
+
+/// The solve around one augmenting-search routine: warm seed, greedy
+/// initialisation, one search per free vertex in vertex order, matched
+/// edges out. Shared with the unpruned test oracle, so the two differ only
+/// in the search.
+fn solve(
+    adj: &Csr,
+    ws: &mut BlossomWorkspace,
+    warm: &[Edge],
+    mut search: impl FnMut(&mut BlossomWorkspace, &Csr, u32) -> bool,
+) -> Vec<Edge> {
     let n = adj.n();
     ws.begin_solve(n);
 
@@ -107,7 +164,7 @@ pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Ve
         // A free vertex with no incident edges cannot start an augmenting
         // path; skipping it avoids even the O(1) epoch bump.
         if ws.mate[v as usize] == NONE && adj.degree(v) > 0 {
-            augment_from(ws, adj, v);
+            search(ws, adj, v);
         }
     }
 
@@ -124,13 +181,16 @@ pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Ve
 }
 
 /// Attempts to find and apply an augmenting path starting at the free vertex
-/// `root`. Returns `true` if the matching was augmented.
+/// `root`, skipping dead vertices. Returns `true` if the matching was
+/// augmented; on failure the search's tree is marked dead (see the
+/// [module docs](self)).
 fn augment_from(ws: &mut BlossomWorkspace, adj: &Csr, root: u32) -> bool {
     ws.begin_search(root);
 
-    while let Some(v) = ws.queue.pop_front() {
-        for &to in adj.neighbors(v) {
-            if ws.find_base(v) == ws.find_base(to) || ws.mate[v as usize] == to {
+    while let Some(v) = ws.dequeue() {
+        let neighbors = adj.neighbors(v);
+        for (i, &to) in neighbors.iter().enumerate() {
+            if ws.is_dead(to) || ws.find_base(v) == ws.find_base(to) || ws.mate[v as usize] == to {
                 continue;
             }
             if to == root
@@ -147,15 +207,18 @@ fn augment_from(ws: &mut BlossomWorkspace, adj: &Csr, root: u32) -> bool {
                 ws.set_parent(to, v);
                 if ws.mate[to as usize] == NONE {
                     // Augmenting path found: flip matched edges along it.
+                    ws.count_scans(i + 1);
                     augment_along(ws, to);
                     return true;
                 }
                 let next = ws.mate[to as usize];
                 ws.set_used(next);
-                ws.queue.push_back(next);
+                ws.enqueue(next);
             }
         }
+        ws.count_scans(neighbors.len());
     }
+    ws.mark_tree_dead();
     false
 }
 
@@ -223,7 +286,7 @@ fn contract(ws: &mut BlossomWorkspace, cur_base: u32) {
         ws.link_base(b, cur_base);
         if !ws.is_used(b) {
             ws.set_used(b);
-            ws.queue.push_back(b);
+            ws.enqueue(b);
         }
     }
     candidates.clear();
@@ -245,17 +308,248 @@ fn augment_along(ws: &mut BlossomWorkspace, mut v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::{maximal_matching, maximal_matching_shuffled};
     use crate::hopcroft_karp::hopcroft_karp_size;
     use crate::matching::brute_force_maximum_matching_size;
     use graph::gen::bipartite::random_bipartite;
-    use graph::gen::er::gnp;
-    use graph::gen::structured::{complete, cycle, path, star};
+    use graph::gen::er::{gnm, gnp};
+    use graph::gen::rmat::rmat_graph500;
+    use graph::gen::structured::{complete, cycle, path, star, star_forest};
     use graph::Graph;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The unpruned search: the oracle the pruned [`augment_from`] must
+    /// match step for step. It counts its adjacency reads the same way, so
+    /// the two `edge_scans()` compare.
+    fn augment_from_reference(ws: &mut BlossomWorkspace, adj: &Csr, root: u32) -> bool {
+        ws.begin_search(root);
+
+        while let Some(v) = ws.dequeue() {
+            let neighbors = adj.neighbors(v);
+            for (i, &to) in neighbors.iter().enumerate() {
+                if ws.find_base(v) == ws.find_base(to) || ws.mate[v as usize] == to {
+                    continue;
+                }
+                if to == root
+                    || (ws.mate[to as usize] != NONE && ws.parent_of(ws.mate[to as usize]) != NONE)
+                {
+                    let cur_base = lca(ws, v, to);
+                    ws.bump_mark();
+                    ws.candidates.clear();
+                    mark_path(ws, v, cur_base, to);
+                    mark_path(ws, to, cur_base, v);
+                    contract(ws, cur_base);
+                } else if ws.parent_of(to) == NONE {
+                    ws.set_parent(to, v);
+                    if ws.mate[to as usize] == NONE {
+                        ws.count_scans(i + 1);
+                        augment_along(ws, to);
+                        return true;
+                    }
+                    let next = ws.mate[to as usize];
+                    ws.set_used(next);
+                    ws.enqueue(next);
+                }
+            }
+            ws.count_scans(neighbors.len());
+        }
+        false
+    }
+
+    fn reference_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
+        solve(adj, ws, warm, augment_from_reference)
+    }
+
+    /// Hub `0` with `leaves` pendant leaves, joined by one edge to vertex 1
+    /// of an odd clique on `1..=clique`. Greedy matches the hub to 1 and
+    /// pairs up the rest of the clique, so every leaf search fails after
+    /// exploring the whole clique: the worst case for re-exploration.
+    fn flower(clique: usize, leaves: usize) -> Graph {
+        assert!(clique % 2 == 1, "the clique must be odd");
+        let mut pairs = vec![(0, 1)];
+        for u in 1..=clique as u32 {
+            for v in u + 1..=clique as u32 {
+                pairs.push((u, v));
+            }
+        }
+        let first_leaf = clique as u32 + 1;
+        pairs.extend((first_leaf..first_leaf + leaves as u32).map(|l| (0, l)));
+        Graph::from_pairs(1 + clique + leaves, pairs).unwrap()
+    }
+
+    /// `g` with its vertex ids permuted at random and `extra` random edges
+    /// added (duplicates and self-loops dropped), so the solver's vertex
+    /// order and the graph's odd cycles both vary.
+    fn shuffle_and_perturb(g: &Graph, extra: usize, r: &mut ChaCha8Rng) -> Graph {
+        let n = g.n() as u32;
+        let mut perm: Vec<u32> = (0..n).collect();
+        perm.shuffle(r);
+        let mut pairs: Vec<(u32, u32)> = g
+            .edges()
+            .iter()
+            .map(|e| (perm[e.u as usize], perm[e.v as usize]))
+            .collect();
+        for _ in 0..extra {
+            pairs.push((r.gen_range(0..n), r.gen_range(0..n)));
+        }
+        pairs.retain(|&(u, v)| u != v);
+        let mut edges: Vec<Edge> = pairs.into_iter().map(|(u, v)| Edge::new(u, v)).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        Graph::from_edges_unchecked(g.n(), edges)
+    }
+
+    /// The union of `k` random-order maximal matchings of `base`: a
+    /// coordinator-style union whose overlapping matchings form many odd
+    /// cycles.
+    fn union_of_maximal_matchings(base: &Graph, k: usize, r: &mut ChaCha8Rng) -> Graph {
+        let pieces: Vec<Graph> = (0..k)
+            .map(|_| {
+                let m = maximal_matching_shuffled(base, r);
+                Graph::from_edges_unchecked(base.n(), m.edges().to_vec())
+            })
+            .collect();
+        Graph::union(&pieces.iter().collect::<Vec<_>>())
+    }
+
+    /// Graph sizes scale up in optimized builds: `cargo test -p matching
+    /// --release blossom` runs the differential test at full size.
+    const SCALE: usize = if cfg!(debug_assertions) { 2 } else { 8 };
+
+    /// One graph of each differential family, drawn from `seed`.
+    fn families(seed: u64) -> Vec<(&'static str, Graph)> {
+        let mut r = rng(seed);
+        let n = r.gen_range(2..40 * SCALE);
+        let max_m = n * (n - 1) / 2;
+        let uniform = gnm(n, r.gen_range(0..max_m.min(4 * n) + 1), &mut r);
+        let scale = r.gen_range(4..7 + SCALE.ilog2());
+        let skewed = rmat_graph500(scale, r.gen_range(2..10), &mut r);
+        let stars = star_forest(r.gen_range(1..6 * SCALE), r.gen_range(1..10));
+        let extra = r.gen_range(0..stars.n() / 4 + 1);
+        let stars = shuffle_and_perturb(&stars, extra, &mut r);
+        let base = if r.gen_bool(0.5) {
+            gnm(n, (n * r.gen_range(2..8)).min(max_m), &mut r)
+        } else {
+            rmat_graph500(scale, r.gen_range(4..12), &mut r)
+        };
+        let k = r.gen_range(2..9);
+        let union = union_of_maximal_matchings(&base, k, &mut r);
+        let flower = flower(
+            2 * r.gen_range(1..5 * SCALE) + 1,
+            r.gen_range(0..25 * SCALE),
+        );
+        vec![
+            ("gnm", uniform),
+            ("rmat", skewed),
+            ("star-forest", stars),
+            ("matching-union", union),
+            ("flower", flower),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 256 }))]
+
+        /// Pruning is invisible: on every family, cold and warm-started
+        /// from a maximal matching, the pruned solver returns exactly the
+        /// unpruned oracle's edges after the same number of searches, and
+        /// never reads more adjacency entries.
+        #[test]
+        fn pruned_solver_is_bit_identical_to_the_unpruned_reference(seed in any::<u64>()) {
+            for (family, g) in families(seed) {
+                let adj = Csr::from_ref(&g);
+                let greedy = maximal_matching(&g);
+                for warm in [&[][..], greedy.edges()] {
+                    let (mut pruned, mut reference) =
+                        (BlossomWorkspace::new(), BlossomWorkspace::new());
+                    let got = blossom_on_csr(&adj, &mut pruned, warm);
+                    let want = reference_on_csr(&adj, &mut reference, warm);
+                    let label = format!("{family} (n={}, m={}, warm={})", g.n(), g.m(), !warm.is_empty());
+                    prop_assert_eq!(&got, &want, "{}", label);
+                    prop_assert_eq!(pruned.searches(), reference.searches(), "{}", label);
+                    prop_assert!(
+                        pruned.edge_scans() <= reference.edge_scans(),
+                        "{}: {} scans pruned vs {} unpruned",
+                        label,
+                        pruned.edge_scans(),
+                        reference.edge_scans()
+                    );
+                    prop_assert_eq!(pruned.full_resets(), 0);
+                }
+            }
+        }
+    }
+
+    /// The work bound pruning buys on the flower graph (hub matched into
+    /// an odd `K_41`, 200 leaves on the hub). Unpruned, each of the 200
+    /// leaf searches re-explores the clique; pruned, only the first does
+    /// and the other 199 stop at the dead hub.
+    #[test]
+    fn flower_graph_scans_are_linear_once_failed_trees_are_pruned() {
+        const CLIQUE: usize = 41;
+        const LEAVES: usize = 200;
+        /// Pruned scans must stay within this multiple of `n + m`...
+        const PRUNED_BOUND: u64 = 2;
+        /// ...while the unpruned search must exceed this one.
+        const REFERENCE_FLOOR: u64 = 50;
+
+        let g = flower(CLIQUE, LEAVES);
+        let size = (g.n() + g.m()) as u64;
+        let adj = Csr::from_ref(&g);
+        let (mut pruned, mut reference) = (BlossomWorkspace::new(), BlossomWorkspace::new());
+        let got = blossom_on_csr(&adj, &mut pruned, &[]);
+        let want = reference_on_csr(&adj, &mut reference, &[]);
+        assert_eq!(got, want);
+        assert_eq!(
+            got.len(),
+            1 + CLIQUE / 2,
+            "hub-1 plus a near-perfect clique matching"
+        );
+        assert!(got.contains(&Edge::new(0, 1)), "the hub stays matched to 1");
+        assert_eq!(pruned.searches(), LEAVES as u64);
+        assert_eq!(pruned.searches(), reference.searches());
+        assert!(
+            pruned.edge_scans() <= PRUNED_BOUND * size,
+            "pruned: {} scans for n + m = {size}",
+            pruned.edge_scans()
+        );
+        assert!(
+            reference.edge_scans() > REFERENCE_FLOOR * size,
+            "unpruned: {} scans for n + m = {size}",
+            reference.edge_scans()
+        );
+        assert_eq!(pruned.full_resets(), 0);
+        assert_eq!(reference.full_resets(), 0);
+    }
+
+    /// Dead marks are scoped to one solve: a workspace that pruned a flower
+    /// must solve the next graph, which reuses those vertex ids as live
+    /// augmentable vertices, exactly like a fresh workspace.
+    #[test]
+    fn dead_marks_do_not_leak_into_the_next_solve() {
+        let mut ws = BlossomWorkspace::new();
+        let first = Csr::from_ref(&flower(9, 30));
+        blossom_on_csr(&first, &mut ws, &[]);
+        // All 40 ids are dead now. Ten 4-vertex paths `b-c` + `b-a` + `c-d`
+        // over the same ids, numbered so that greedy matches the middle edge
+        // `b-c` and each path needs one augmentation `a-b-c-d`.
+        let second = Graph::from_pairs(
+            40,
+            (0..40)
+                .step_by(4)
+                .flat_map(|b| [(b, b + 1), (b, b + 2), (b + 1, b + 3)]),
+        )
+        .unwrap();
+        let reused = blossom_maximum_matching_with(&second, &mut ws);
+        assert_eq!(reused, blossom_maximum_matching(&second));
+        assert_eq!(reused.len(), 20);
     }
 
     #[test]

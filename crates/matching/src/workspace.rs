@@ -25,20 +25,31 @@
 //!   other vertices' entries. The classic flat-array semantics — every
 //!   member of a contracted blossom answers the new base — are preserved
 //!   because member chains run through their old base.
+//! * **Dead marks.** A search that finds no augmenting path has grown a
+//!   Hungarian tree, which no later search of the same solve can use (see
+//!   the [blossom docs](crate::blossom)). Its vertices are marked dead and
+//!   later searches skip them. The marks are scoped to **one solve**: they
+//!   are cleared with the `mate` fill in `begin_solve`, so a mark left by an
+//!   earlier graph on a reused workspace can never hide a live vertex. The
+//!   failed tree is read off the search's own queue: the queue is a `Vec`
+//!   with a head index, so after a failed search it still holds every outer
+//!   vertex the search labelled, and their mates are the inner ones.
+//!   Marking costs time proportional to the tree, with no second list.
 //!
 //! **Epoch-reset invariant:** a stamped entry is meaningful iff its stamp
 //! equals the *current* epoch; bumping the epoch therefore invalidates all
-//! entries in `O(1)`. The only `O(n)` writes left are one `mate`-array fill
-//! per *solve* (not per search) and a full stamp clear when a `u32` epoch
-//! counter wraps after 2³² searches — counted in
+//! entries in `O(1)`. The only `O(n)` writes left are one `mate` and one
+//! dead-mark fill per *solve* (not per search) and a full stamp clear when a
+//! `u32` epoch counter wraps after 2³² searches — counted in
 //! [`BlossomWorkspace::full_resets`] and asserted to be zero by the unit
 //! tests and the engine-equivalence tests.
 //!
 //! The workspace is allocated once and reused across solves (the matching
 //! engine keeps one per thread), so steady-state solves perform **zero**
-//! per-search `O(n)` work and zero per-search allocations.
-
-use std::collections::VecDeque;
+//! per-search `O(n)` work and zero per-search allocations: every step of a
+//! search, dead marking included, costs time proportional to the vertices
+//! and adjacency entries it touches. [`BlossomWorkspace::edge_scans`] counts
+//! those adjacency entries.
 
 pub(crate) const NONE: u32 = u32::MAX;
 
@@ -67,11 +78,16 @@ pub struct BlossomWorkspace {
     /// Bases joining the blossom being contracted (collected by the
     /// mark-path walk, applied in ascending order).
     pub(crate) candidates: Vec<u32>,
-    /// BFS queue of the current search.
-    pub(crate) queue: VecDeque<u32>,
+    /// BFS queue of the current search; `queue[..head]` has been scanned.
+    /// Never drained, so it keeps the search's whole outer-vertex history.
+    queue: Vec<u32>,
+    head: usize,
+    /// `dead[v]`: `v` lies in the tree of a failed search; reset per solve.
+    dead: Vec<bool>,
     /// `mate[v]` = partner of `v` or [`NONE`]; reset once per solve.
     pub(crate) mate: Vec<u32>,
     searches: u64,
+    edge_scans: u64,
     full_resets: u64,
 }
 
@@ -96,9 +112,12 @@ impl BlossomWorkspace {
             base_stamp: Vec::new(),
             mark: Vec::new(),
             candidates: Vec::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            head: 0,
+            dead: Vec::new(),
             mate: Vec::new(),
             searches: 0,
+            edge_scans: 0,
             full_resets: 0,
         }
     }
@@ -107,6 +126,15 @@ impl BlossomWorkspace {
     #[inline]
     pub fn searches(&self) -> u64 {
         self.searches
+    }
+
+    /// Number of adjacency entries the augmenting searches have read
+    /// (lifetime): the solver's "edges scanned" work counter. Entries that
+    /// lead to a dead vertex count too, since the search reads them before
+    /// skipping them.
+    #[inline]
+    pub fn edge_scans(&self) -> u64 {
+        self.edge_scans
     }
 
     /// Number of `O(n)` stamp clears ever performed. Stays 0 in practice: a
@@ -120,8 +148,8 @@ impl BlossomWorkspace {
     }
 
     /// Prepares the workspace for a solve on an `n`-vertex graph: grows the
-    /// arrays if needed and fills `mate` with [`NONE`] (the one `O(n)` write
-    /// per solve).
+    /// arrays if needed, fills `mate` with [`NONE`] and clears the dead marks
+    /// (the `O(n)` writes per solve).
     pub(crate) fn begin_solve(&mut self, n: usize) {
         if self.used.len() < n {
             self.used.resize(n, 0);
@@ -133,6 +161,8 @@ impl BlossomWorkspace {
         }
         self.mate.clear();
         self.mate.resize(n, NONE);
+        self.dead.clear();
+        self.dead.resize(n, false);
     }
 
     /// Starts a new augmenting search rooted at `root`: bumps the search
@@ -156,8 +186,47 @@ impl BlossomWorkspace {
             }
         };
         self.queue.clear();
+        self.head = 0;
         self.set_used(root);
-        self.queue.push_back(root);
+        self.queue.push(root);
+    }
+
+    /// Appends `v` to the search queue.
+    #[inline]
+    pub(crate) fn enqueue(&mut self, v: u32) {
+        self.queue.push(v);
+    }
+
+    /// The next unscanned queue entry, if any. Entries stay in the queue.
+    #[inline]
+    pub(crate) fn dequeue(&mut self) -> Option<u32> {
+        let v = *self.queue.get(self.head)?;
+        self.head += 1;
+        Some(v)
+    }
+
+    /// Adds `entries` adjacency reads to [`Self::edge_scans`].
+    #[inline]
+    pub(crate) fn count_scans(&mut self, entries: usize) {
+        self.edge_scans += entries as u64;
+    }
+
+    #[inline]
+    pub(crate) fn is_dead(&self, v: u32) -> bool {
+        self.dead[v as usize]
+    }
+
+    /// Marks the tree of the search that just failed as dead: every outer
+    /// vertex it queued and their mates, which are its inner vertices (the
+    /// root has no mate). `O(tree size)`.
+    pub(crate) fn mark_tree_dead(&mut self) {
+        for &v in &self.queue {
+            self.dead[v as usize] = true;
+            let m = self.mate[v as usize];
+            if m != NONE {
+                self.dead[m as usize] = true;
+            }
+        }
     }
 
     /// Starts a new LCA-visited / blossom-membership scope by bumping the
@@ -300,6 +369,23 @@ mod tests {
         ws.bump_mark();
         assert!(!ws.is_marked(1));
         assert_eq!(ws.full_resets(), 0);
+    }
+
+    #[test]
+    fn dead_marks_cover_the_queue_history_and_its_mates_until_the_next_solve() {
+        let mut ws = BlossomWorkspace::new();
+        ws.begin_solve(6);
+        (ws.mate[1], ws.mate[2], ws.mate[3], ws.mate[4]) = (2, 1, 4, 3);
+        ws.begin_search(0);
+        ws.enqueue(2);
+        assert_eq!(ws.dequeue(), Some(0));
+        assert_eq!(ws.dequeue(), Some(2));
+        assert_eq!(ws.dequeue(), None);
+        // Scanned entries stay queued: the root, 2 and 2's mate 1 die.
+        ws.mark_tree_dead();
+        assert!((0..6).all(|v| ws.is_dead(v) == (v <= 2)));
+        ws.begin_solve(6);
+        assert!((0..6).all(|v| !ws.is_dead(v)), "marks last one solve");
     }
 
     #[test]

@@ -1,9 +1,16 @@
 //! Properties pinning the matching engine (compaction + epoch-reset
-//! workspace + fused dispatch + warm starts) to the simple reference
-//! algorithms: the new hot path must be a pure performance change, never a
-//! behavioural one.
+//! workspace + failed-tree pruning + fused dispatch + warm starts) to the
+//! simple reference algorithms: the new hot path must be a pure performance
+//! change, never a behavioural one.
+//!
+//! Besides uniform `gnm` draws, the properties draw skewed R-MAT graphs and
+//! star forests with random chords. Those are the inputs where searches fail
+//! and the blossom solver marks trees dead, so a dead mark that outlived its
+//! solve on a reused workspace would show there.
 
 use graph::gen::er::gnm;
+use graph::gen::rmat::rmat_graph500;
+use graph::gen::structured::star_forest;
 use graph::{Csr, Edge, Graph, VertexId};
 use matching::blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
 use matching::hopcroft_karp::hopcroft_karp_size;
@@ -11,7 +18,8 @@ use matching::matching::brute_force_maximum_matching_size;
 use matching::maximum::{maximum_matching, maximum_matching_warm, MaximumMatchingAlgorithm};
 use matching::{maximal_matching, BlossomWorkspace, MatchingEngine};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
@@ -20,6 +28,50 @@ fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
         let max_m = n * (n - 1) / 2;
         gnm(n, ((max_m as f64) * density) as usize, &mut rng)
     })
+}
+
+/// Graph500 R-MAT graphs on `2^scale` vertices: skewed degrees, many
+/// vertices competing for a few hubs.
+fn arb_rmat(
+    scales: std::ops::Range<u32>,
+    edge_factors: std::ops::Range<usize>,
+) -> impl Strategy<Value = Graph> {
+    (scales, edge_factors, any::<u64>()).prop_map(|(scale, edge_factor, seed)| {
+        rmat_graph500(scale, edge_factor, &mut ChaCha8Rng::seed_from_u64(seed))
+    })
+}
+
+/// Star forests under a random vertex relabeling, plus up to `max_chords`
+/// random extra edges that close odd cycles. Most leaves cannot be matched,
+/// so most augmenting searches fail.
+fn arb_star_forest(
+    max_stars: usize,
+    max_leaves: usize,
+    max_chords: usize,
+) -> impl Strategy<Value = Graph> {
+    (1..max_stars, 1..max_leaves, 0..max_chords + 1, any::<u64>()).prop_map(
+        |(stars, leaves, chords, seed)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let forest = star_forest(stars, leaves);
+            let n = forest.n() as u32;
+            let mut perm: Vec<u32> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            let mut edges: Vec<Edge> = forest
+                .edges()
+                .iter()
+                .map(|e| Edge::new(perm[e.u as usize], perm[e.v as usize]))
+                .collect();
+            for _ in 0..chords {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    edges.push(Edge::new(u, v));
+                }
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            Graph::from_edges_unchecked(forest.n(), edges)
+        },
+    )
 }
 
 /// Spreads a graph's vertices over a sparse id space (multiplying ids by
@@ -38,7 +90,11 @@ proptest! {
 
     /// The engine's size equals exhaustive search on small graphs.
     #[test]
-    fn engine_size_matches_brute_force(g in arb_graph(12, 0.3)) {
+    fn engine_size_matches_brute_force(g in prop_oneof![
+        arb_graph(12, 0.3),
+        arb_rmat(2..4, 1..3),
+        arb_star_forest(4, 4, 4),
+    ]) {
         let mut engine = MatchingEngine::new();
         let m = engine.solve(&g);
         prop_assert!(m.is_valid_for(&g));
@@ -69,7 +125,11 @@ proptest! {
     /// Warm-started solves return the same size as cold solves (always a
     /// maximum matching) and stay valid.
     #[test]
-    fn warm_start_size_identical_to_cold(g in arb_graph(60, 0.1)) {
+    fn warm_start_size_identical_to_cold(g in prop_oneof![
+        arb_graph(60, 0.1),
+        arb_rmat(3..7, 2..8),
+        arb_star_forest(10, 8, 12),
+    ]) {
         let cold = maximum_matching(&g);
         let warm_seed = maximal_matching(&g);
         for alg in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
@@ -82,7 +142,11 @@ proptest! {
     /// A reused workspace never changes blossom's answer (epoch stamps make
     /// stale state invisible) and never falls back to an O(n) reset.
     #[test]
-    fn workspace_reuse_is_invisible(graphs in proptest::collection::vec(arb_graph(50, 0.12), 1..6)) {
+    fn workspace_reuse_is_invisible(graphs in proptest::collection::vec(prop_oneof![
+        arb_graph(50, 0.12),
+        arb_rmat(3..7, 2..8),
+        arb_star_forest(10, 8, 12),
+    ], 1..6)) {
         let mut ws = BlossomWorkspace::new();
         for g in &graphs {
             let reused = blossom_maximum_matching_with(g, &mut ws);

@@ -17,7 +17,7 @@ use distsim::coordinator::CoordinatorProtocol;
 use distsim::mapreduce::{MapReduceConfig, MapReduceSimulator};
 use graph::gen::er::gnp;
 use graph::gen::hard::maximal_matching_trap;
-use graph::Graph;
+use graph::{Edge, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::ThreadPoolBuilder;
@@ -44,6 +44,16 @@ fn assert_same_across_thread_counts<T: PartialEq + std::fmt::Debug>(f: impl Fn()
             "output diverged between 1 and {threads} worker threads"
         );
     }
+}
+
+/// Order-sensitive fingerprint of a matching's edge list, for the pins.
+fn matching_fingerprint(edges: &[Edge]) -> u64 {
+    edges.iter().fold(0u64, |acc, e| {
+        acc.wrapping_mul(31)
+            .wrapping_add(e.u as u64)
+            .wrapping_mul(31)
+            .wrapping_add(e.v as u64)
+    })
 }
 
 fn workload(n: usize, p: f64, seed: u64) -> Graph {
@@ -217,14 +227,76 @@ fn tree_mode_fixed_seed_regression() {
 
     // Fixed-seed regression: pin the exact tree-composed matching.
     assert_eq!(reference.len(), 749, "pinned matching size");
-    let fingerprint: u64 = reference.iter().fold(0u64, |acc, e| {
-        acc.wrapping_mul(31)
-            .wrapping_add(e.u as u64)
-            .wrapping_mul(31)
-            .wrapping_add(e.v as u64)
-    });
     assert_eq!(
-        fingerprint, 0xe276_6ef8_03f8_513b,
+        matching_fingerprint(&reference),
+        0xe276_6ef8_03f8_513b,
+        "pinned matching fingerprint"
+    );
+}
+
+/// Flat composition on a skewed input, pinned: the 16-coreset union of a
+/// small R-MAT graph is not bipartite, so the coordinator's root solve runs
+/// blossom, and many of its augmenting searches fail (hub-heavy unions leave
+/// most low-degree vertices unmatchable) — the searches whose trees the
+/// solver prunes. The answer is bit-identical at 1 / 4 worker threads and
+/// under two forced scheduler-fuzz seeds, and matches the recorded values.
+#[test]
+fn flat_rmat_fixed_seed_regression() {
+    use coresets::matching_coreset::MatchingCoresetBuilder;
+    use coresets::{machine_rng, solve_composed_matching, CoresetParams};
+    use graph::gen::rmat::rmat_graph500;
+    use graph::partition::PartitionedGraph;
+    use matching::maximum::{two_coloring, MaximumMatchingAlgorithm};
+    use rayon::sched_fuzz::with_fuzz;
+
+    const SEED: u64 = 19;
+    const K: usize = 16;
+    let g = rmat_graph500(11, 16, &mut ChaCha8Rng::seed_from_u64(SEED));
+    let run_once = || {
+        let run = CoordinatorProtocol::random(K)
+            .run_matching(&g, &MaximumMatchingCoreset::new(), SEED)
+            .unwrap();
+        run.answer.edges().to_vec()
+    };
+    let reference = with_threads(1, run_once);
+    assert_eq!(
+        with_threads(4, run_once),
+        reference,
+        "1 vs 4 worker threads"
+    );
+    for fuzz in [21u64, 89] {
+        let fuzzed = with_fuzz(Some(fuzz), || with_threads(4, run_once));
+        assert_eq!(fuzzed, reference, "fuzz seed {fuzz}");
+    }
+
+    // Rebuild the coresets the coordinator received and check that its root
+    // union provably takes the blossom path.
+    let part = PartitionedGraph::random(&g, K, &mut ChaCha8Rng::seed_from_u64(SEED)).unwrap();
+    let params = CoresetParams::new(g.n(), K);
+    let coresets: Vec<Graph> = part
+        .views()
+        .iter()
+        .enumerate()
+        .map(|(i, piece)| {
+            MaximumMatchingCoreset::new().build(*piece, &params, i, &mut machine_rng(SEED, i))
+        })
+        .collect();
+    let refs: Vec<&Graph> = coresets.iter().collect();
+    assert!(
+        two_coloring(&Graph::union(&refs)).is_none(),
+        "the root union must be non-bipartite"
+    );
+    assert_eq!(
+        solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto).edges(),
+        reference.as_slice(),
+        "the rebuilt root solve is the protocol's answer"
+    );
+
+    // Fixed-seed regression: pin the exact flat-composed matching.
+    assert_eq!(reference.len(), 733, "pinned matching size");
+    assert_eq!(
+        matching_fingerprint(&reference),
+        0xfa22_d6b0_ac86_b335,
         "pinned matching fingerprint"
     );
 }
@@ -240,7 +312,7 @@ fn tree_mode_fixed_seed_regression() {
 #[test]
 fn churn_service_fixed_seed_regression() {
     use distsim::{naive_full_round, GraphService, GraphServiceConfig};
-    use graph::{ChurnOp, Edge};
+    use graph::ChurnOp;
     use rand::Rng;
     use rayon::sched_fuzz::with_fuzz;
 
