@@ -30,7 +30,7 @@
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
-use matching::matching::{edges_form_matching, Matching};
+use matching::matching::Matching;
 use matching::maximum::{maximum_matching_concat, MaximumMatchingAlgorithm};
 use rayon::prelude::*;
 use vertexcover::approx::two_approx_cover_concat;
@@ -102,8 +102,10 @@ pub fn solve_composed_matching_refs(
 /// Candidates are visited by size descending, then machine ascending, and
 /// the first one that is a matching wins. That is the same winner as
 /// checking every coreset, but the matching check (a hash set over the
-/// coreset's endpoints) normally runs once: with the paper's builders the
-/// first candidate is already a matching. Only sizes are read for the rest.
+/// coreset's endpoints) normally runs once, inside the one
+/// [`Matching::try_from_edges`] that also builds the winner: with the
+/// paper's builders the first candidate is already a matching. Only sizes are
+/// read for the rest.
 fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
     let mut below = usize::MAX;
     while let Some(size) = coresets
@@ -112,13 +114,14 @@ fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
         .filter(|&m| m > 0 && m < below)
         .max()
     {
-        if let Some(winner) = coresets
+        // Each candidate checked costs one clone of its edges, which become
+        // the warm-start matching handed to the solver if it passes.
+        let winner = coresets
             .iter()
-            .find(|c| c.m() == size && edges_form_matching(c.edges()))
-        {
-            // The one clone this function performs: the winner's edges
-            // become the warm-start matching handed to the solver.
-            return Some(Matching::from_edges(winner.edges().to_vec())); // xtask: allow(hot-path-alloc)
+            .filter(|c| c.m() == size)
+            .find_map(|c| Matching::try_from_edges(c.edges().to_vec())); // xtask: allow(hot-path-alloc)
+        if winner.is_some() {
+            return winner;
         }
         below = size;
     }

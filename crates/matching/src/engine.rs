@@ -11,7 +11,8 @@
 //!    `k = 16` leaves ~29% of the ids isolated, and the coordinator's
 //!    coreset union touches even fewer), so every downstream per-vertex
 //!    array shrinks to the live vertex count.
-//! 2. **One shared CSR** — built once from the compacted edges and walked by
+//! 2. **One shared CSR** — the engine's own [`Csr`], refilled in place from
+//!    the compacted edges with sorted lists, and walked by
 //!    *both* the bipartiteness check
 //!    ([`two_coloring_with_csr`]) and
 //!    the solver. The old `Auto` dispatch built a CSR for the colouring,
@@ -29,6 +30,11 @@
 //!    solve from the best per-machine coreset: the union of `k` matchings
 //!    has maximum degree ≤ `k` and already contains a matching of size
 //!    ≥ OPT/3 of the union, so most augmenting work is skipped.
+//! 5. **Output check** — the solver's edges are checked vertex-disjoint in
+//!    local ids against an engine-owned mark array (`O(|M|)`, marks cleared
+//!    afterwards) before they are mapped back and wrapped as a [`Matching`].
+//!    The check runs on every solve and panics like
+//!    [`Matching::from_edges`] does.
 //!
 //! The free functions in [`crate::maximum`] run on a per-thread engine
 //! (`thread_local`), so the protocol layers get cross-solve buffer reuse for
@@ -45,8 +51,8 @@ use crate::workspace::BlossomWorkspace;
 use graph::{Csr, Edge, GraphRef, VertexCompactor};
 use std::cell::RefCell;
 
-/// A reusable maximum-matching solver: compaction scratch + blossom
-/// workspace, allocated once and reused across solves.
+/// A reusable maximum-matching solver: compaction scratch, CSR, blossom
+/// workspace and output-check marks, allocated once and reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker (or use the thread-local engine behind
@@ -54,7 +60,10 @@ use std::cell::RefCell;
 #[derive(Debug, Clone, Default)]
 pub struct MatchingEngine {
     compactor: VertexCompactor,
+    csr: Csr,
     workspace: BlossomWorkspace,
+    /// Output-check marks by local id; all `false` between solves.
+    marks: Vec<bool>,
 }
 
 impl MatchingEngine {
@@ -138,40 +147,66 @@ impl MatchingEngine {
         self.solve_compacted(warm, algorithm)
     }
 
-    /// The shared solve tail: one CSR from the compactor's relabeled edges,
-    /// warm edges mapped through the same relabeling, fused dispatch, and
-    /// expansion back to original ids.
+    /// The shared solve tail: the engine's CSR refilled from the compactor's
+    /// relabeled edges, warm edges mapped through the same relabeling, fused
+    /// dispatch, the output check, and expansion back to original ids.
     fn solve_compacted(
         &mut self,
         warm: Option<&Matching>,
         algorithm: MaximumMatchingAlgorithm,
     ) -> Matching {
-        let adj = Csr::from_edges(self.compactor.n_local(), self.compactor.local_edges());
+        let MatchingEngine {
+            compactor,
+            csr: adj,
+            workspace,
+            marks,
+        } = self;
+        // Sorted lists: the solvers' traversal order defines the answer.
+        adj.rebuild(compactor.n_local(), compactor.local_edges());
         let warm_local: Vec<Edge> = warm
             .map(|m| {
                 m.edges()
                     .iter()
-                    .filter_map(|&e| self.compactor.to_local_edge(e))
+                    .filter_map(|&e| compactor.to_local_edge(e))
                     .collect()
             })
             .unwrap_or_default();
 
         let local_edges = match algorithm {
-            MaximumMatchingAlgorithm::Blossom => {
-                blossom_on_csr(&adj, &mut self.workspace, &warm_local)
-            }
+            MaximumMatchingAlgorithm::Blossom => blossom_on_csr(adj, workspace, &warm_local),
             MaximumMatchingAlgorithm::HopcroftKarp => {
-                let color = two_coloring_with_csr(&adj)
+                let color = two_coloring_with_csr(adj)
                     .expect("HopcroftKarp requested on a non-bipartite graph");
-                hopcroft_karp_on_csr(&adj, &color, &warm_local)
+                hopcroft_karp_on_csr(adj, &color, &warm_local)
             }
-            MaximumMatchingAlgorithm::Auto => match two_coloring_with_csr(&adj) {
-                Some(color) => hopcroft_karp_on_csr(&adj, &color, &warm_local),
-                None => blossom_on_csr(&adj, &mut self.workspace, &warm_local),
+            MaximumMatchingAlgorithm::Auto => match two_coloring_with_csr(adj) {
+                Some(color) => hopcroft_karp_on_csr(adj, &color, &warm_local),
+                None => blossom_on_csr(adj, workspace, &warm_local),
             },
         };
-        Matching::from_edges(self.compactor.expand_edges(&local_edges))
+        assert_vertex_disjoint(marks, compactor.n_local(), &local_edges);
+        Matching::from_edges_unchecked(compactor.expand_edges(&local_edges))
     }
+}
+
+/// Panics with [`Matching::from_edges`]'s message unless `edges` (local ids
+/// below `n`) are pairwise vertex-disjoint; a self-loop shares an endpoint
+/// with itself. `marks` must be all `false` on entry and is all `false`
+/// again on return, whether the check passes or panics.
+fn assert_vertex_disjoint(marks: &mut Vec<bool>, n: usize, edges: &[Edge]) {
+    if marks.len() < n {
+        marks.resize(n, false);
+    }
+    let mut disjoint = true;
+    for e in edges {
+        disjoint &= !std::mem::replace(&mut marks[e.u as usize], true);
+        disjoint &= !std::mem::replace(&mut marks[e.v as usize], true);
+    }
+    for e in edges {
+        marks[e.u as usize] = false;
+        marks[e.v as usize] = false;
+    }
+    assert!(disjoint, "edges do not form a matching");
 }
 
 thread_local! {
@@ -284,6 +319,40 @@ mod tests {
         assert!(engine
             .solve_concat(8, &[], None, MaximumMatchingAlgorithm::Auto)
             .is_empty());
+    }
+
+    #[test]
+    fn output_check_accepts_a_matching_and_clears_its_marks() {
+        let mut marks = Vec::new();
+        assert_vertex_disjoint(&mut marks, 6, &[Edge::new(0, 5), Edge::new(1, 2)]);
+        assert_vertex_disjoint(&mut marks, 6, &[]);
+        assert_eq!(marks.len(), 6);
+        assert!(marks.iter().all(|&m| !m), "no mark may outlive the check");
+        // The cleared marks accept the same endpoints again.
+        assert_vertex_disjoint(&mut marks, 6, &[Edge::new(2, 5), Edge::new(0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edges do not form a matching")]
+    fn output_check_rejects_a_shared_endpoint() {
+        assert_vertex_disjoint(&mut Vec::new(), 4, &[Edge::new(0, 1), Edge::new(1, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edges do not form a matching")]
+    fn output_check_rejects_a_self_loop() {
+        assert_vertex_disjoint(&mut Vec::new(), 4, &[Edge { u: 3, v: 3 }]);
+    }
+
+    #[test]
+    fn a_failed_output_check_leaves_no_mark() {
+        let mut marks = Vec::new();
+        let shared = [Edge::new(0, 1), Edge::new(2, 3), Edge::new(1, 3)];
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            assert_vertex_disjoint(&mut marks, 4, &shared)
+        }));
+        assert!(failed.is_err());
+        assert!(marks.iter().all(|&m| !m));
     }
 
     #[test]

@@ -32,9 +32,10 @@ fn solve_pairs(g: &BipartiteGraph) -> Vec<u32> {
     let mut pair_right = vec![NIL; right_n];
     let mut dist = vec![INF; left_n];
     let mut stack = Vec::new();
+    let mut queue = VecDeque::new();
 
     loop {
-        if !bfs(&adj, &pair_left, &pair_right, &mut dist) {
+        if !bfs(&adj, &pair_left, &pair_right, &mut dist, &mut queue) {
             break;
         }
         let mut augmented = false;
@@ -115,9 +116,11 @@ pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge>
     // dist is indexed by vertex id but only consulted for left vertices.
     let mut dist = vec![INF; n];
     let mut stack = Vec::new();
+    // One BFS queue for every phase; each phase drains it.
+    let mut queue = VecDeque::new();
 
     loop {
-        if !bfs_csr(adj, &lefts, &pair, &mut dist) {
+        if !bfs_csr(adj, &lefts, &pair, &mut dist, &mut queue) {
             break;
         }
         let mut augmented = false;
@@ -138,8 +141,14 @@ pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge>
         .collect()
 }
 
-fn bfs(adj: &LeftCsr, pair_left: &[u32], pair_right: &[u32], dist: &mut [u32]) -> bool {
-    let mut queue = VecDeque::new();
+fn bfs(
+    adj: &LeftCsr,
+    pair_left: &[u32],
+    pair_right: &[u32],
+    dist: &mut [u32],
+    queue: &mut VecDeque<u32>,
+) -> bool {
+    queue.clear();
     for (l, &p) in pair_left.iter().enumerate() {
         if p == NIL {
             dist[l] = 0;
@@ -218,9 +227,16 @@ fn dfs(
 }
 
 /// BFS phase over the fused representation: left vertices and their partners
-/// live in the same id space, `pair` covers both sides.
-fn bfs_csr(adj: &Csr, lefts: &[u32], pair: &[u32], dist: &mut [u32]) -> bool {
-    let mut queue = VecDeque::new();
+/// live in the same id space, `pair` covers both sides. `queue` is the
+/// solve's reused BFS queue.
+fn bfs_csr(
+    adj: &Csr,
+    lefts: &[u32],
+    pair: &[u32],
+    dist: &mut [u32],
+    queue: &mut VecDeque<u32>,
+) -> bool {
+    queue.clear();
     for &l in lefts {
         if pair[l as usize] == NIL {
             dist[l as usize] = 0;

@@ -31,6 +31,11 @@ impl Matching {
         Self::try_from_edges(edges).expect("edges do not form a matching")
     }
 
+    /// Wraps edges the caller has already checked to be vertex-disjoint.
+    pub(crate) fn from_edges_unchecked(edges: Vec<Edge>) -> Self {
+        Matching { edges }
+    }
+
     /// Builds a matching from edges, returning `None` if two edges share an
     /// endpoint.
     pub fn try_from_edges(edges: Vec<Edge>) -> Option<Self> {

@@ -5,11 +5,13 @@
 //! [`VcEngine`] is the solve path behind every free function in this crate
 //! ([`crate::peeling`], [`crate::approx`], [`crate::lp`], [`crate::exact`])
 //! and therefore behind the vertex-cover half of every protocol run. One
-//! engine owns two reusable pieces of state:
+//! engine owns three reusable pieces of state:
 //!
 //! * a [`graph::VertexCompactor`] that relabels inputs onto their
 //!   non-isolated vertices (monotonically, so orderings survive) before the
-//!   structure-building solvers run, and
+//!   structure-building solvers run,
+//! * a [`graph::Csr`] refilled in place by every solve that walks
+//!   adjacency, and
 //! * a [`VcWorkspace`] whose epoch-stamped flags, stamped degree counts and
 //!   bucket queue replace every per-call `vec![false; n]` / `vec![0; n]`
 //!   allocation of the pre-engine path.
@@ -25,13 +27,18 @@
 //!   whose thresholds start at `n/(4k)` — no round can peel anything and the
 //!   outcome is produced with **no further work**: empty rounds plus the
 //!   input edge list as the residual.
-//! * **Bucket-queue rounds.** Otherwise the piece is compacted, one CSR is
-//!   built over the live vertices, and the degrees are counting-sorted into
-//!   the workspace's bucket queue. The vertices of degree `>= t` are a
-//!   suffix of the degree-sorted array (read off in `O(peeled)`), and
-//!   removing a peeled vertex decrements each live neighbour with an `O(1)`
-//!   bucket swap — so a round costs `O(vertices peeled + edges removed)`,
-//!   and rounds that peel nothing cost `O(1)`.
+//! * **Bucket-queue rounds.** Otherwise the piece is compacted, the engine's
+//!   CSR is refilled over the live vertices with **unsorted** neighbour lists
+//!   ([`graph::Csr::rebuild_unsorted`], no per-vertex sorts), and the degrees
+//!   are counting-sorted into the workspace's bucket queue. Neighbour order
+//!   cannot reach the output: a round peels exactly the vertices whose
+//!   residual degree is `>= t`, and the degree decrements commute, so the
+//!   peeled sets, the rounds and the residual are the same in any order.
+//!   The vertices of degree `>= t` are a suffix of the degree-sorted array
+//!   (read off in `O(peeled)`), and removing a peeled vertex decrements each
+//!   live neighbour with an `O(1)` bucket swap — so a round costs
+//!   `O(vertices peeled + edges removed)`, and rounds that peel nothing cost
+//!   `O(1)`.
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
 //! (`tests/engine_equivalence.rs` pins this against
@@ -59,6 +66,7 @@ use std::cell::RefCell;
 #[derive(Debug, Clone, Default)]
 pub struct VcEngine {
     compactor: VertexCompactor,
+    csr: Csr,
     workspace: VcWorkspace,
 }
 
@@ -85,7 +93,10 @@ impl VcEngine {
         let n = g.n();
         let edges = g.edges();
         let rounds = thresholds.iter().filter(|&&t| t > 0).count();
+        // The outcome's per-round output vectors, each allocated once.
+        // xtask: allow(hot-path-alloc)
         let mut peeled_per_round: Vec<Vec<VertexId>> = Vec::with_capacity(rounds);
+        // xtask: allow(hot-path-alloc)
         let mut used_thresholds: Vec<usize> = Vec::with_capacity(rounds);
 
         // Pre-screen: count degrees once (O(m), stamped — no O(n) pass) and
@@ -117,15 +128,17 @@ impl VcEngine {
             };
         }
 
-        // Bucket-queue rounds: compact onto the live vertices, build one CSR,
-        // counting-sort the degrees into the bucket queue.
+        // Bucket-queue rounds: compact onto the live vertices, refill the CSR
+        // (unsorted: see the module docs), counting-sort the degrees into the
+        // bucket queue.
         let VcEngine {
             compactor,
+            csr: adj,
             workspace: ws,
         } = self;
         compactor.compact(g);
         let n_local = compactor.n_local();
-        let adj = Csr::from_edges(n_local, compactor.local_edges());
+        adj.rebuild_unsorted(n_local, compactor.local_edges());
         ws.begin_scope(n_local);
         for v in 0..n_local as VertexId {
             ws.set_degree(v, adj.degree(v) as u32);
@@ -251,11 +264,12 @@ impl VcEngine {
         }
         let VcEngine {
             compactor,
+            csr: adj,
             workspace: ws,
         } = self;
         compactor.compact(g);
         let n_local = compactor.n_local();
-        let adj = Csr::from_edges(n_local, compactor.local_edges());
+        adj.rebuild(n_local, compactor.local_edges());
         ws.begin_scope(n_local);
         ws.heap.clear();
         for v in 0..n_local as VertexId {

@@ -10,7 +10,7 @@
 //! | `hash-collections` | protocol/solver crates | no `HashMap`/`HashSet` — iteration order is nondeterministic and the protocol's only sanctioned randomness is the partition RNG stream |
 //! | `nondeterminism` | everywhere except `crates/bench` | no `thread_rng` / `from_entropy` / `SystemTime` / `Instant::now` — ambient entropy and wall-clock must never reach an answer |
 //! | `env-threads` | everywhere walked | only `vendor/rayon` may read `RC_THREADS` / `RAYON_NUM_THREADS` — one resolution point keeps thread-count semantics single-sourced |
-//! | `hot-path-alloc` | functions in `hotpaths.toml` | no `vec![` / `Vec::new` / `.to_vec()` / `.clone()` / `collect::<Vec` in engine inner loops |
+//! | `hot-path-alloc` | functions in `hotpaths.toml` | no `vec![` / `Vec::new` / `Vec::with_capacity` / `VecDeque::new` / `VecDeque::with_capacity` / `.to_vec()` / `.clone()` / `collect::<Vec` in engine inner loops |
 //! | `missing-docs` | `graph` / `coresets` / `distsim` / `dynamic` | every `pub fn` carries a doc comment |
 //! | `error-hygiene` | `graph` / `distsim` / `dynamic` | no `.unwrap()` / `.expect(` / `panic!` in library code — fallible paths surface typed `GraphError`/protocol errors so the fault-tolerant runtime can retry or degrade instead of aborting |
 //!
@@ -314,18 +314,28 @@ pub fn lint_tokens(rel_path: &str, lexed: &LexedFile, hotpaths: &HotPathConfig) 
     out
 }
 
+/// `Type::constructor` paths the alloc lint flags, with their display form.
+const ALLOC_CONSTRUCTORS: [(&str, &str, &str); 4] = [
+    ("Vec", "new", "Vec::new"),
+    ("Vec", "with_capacity", "Vec::with_capacity"),
+    ("VecDeque", "new", "VecDeque::new"),
+    ("VecDeque", "with_capacity", "VecDeque::with_capacity"),
+];
+
 /// Returns the alloc-lint pattern starting at token `i`, if any.
 fn alloc_pattern_at(toks: &[Token], i: usize) -> Option<&'static str> {
     let t = &toks[i];
     if t.is_ident("vec") && matches!(toks.get(i + 1), Some(p) if p.is_punct('!')) {
         return Some("vec![");
     }
-    if t.is_ident("Vec")
-        && matches!(toks.get(i + 1), Some(p) if p.is_punct(':'))
+    if matches!(toks.get(i + 1), Some(p) if p.is_punct(':'))
         && matches!(toks.get(i + 2), Some(p) if p.is_punct(':'))
-        && matches!(toks.get(i + 3), Some(n) if n.is_ident("new"))
     {
-        return Some("Vec::new");
+        for (ty, ctor, what) in ALLOC_CONSTRUCTORS {
+            if t.is_ident(ty) && matches!(toks.get(i + 3), Some(n) if n.is_ident(ctor)) {
+                return Some(what);
+            }
+        }
     }
     if t.is_punct('.') {
         if matches!(toks.get(i + 1), Some(n) if n.is_ident("to_vec")) {

@@ -112,6 +112,40 @@ fn hot_path_alloc_fixture_fires_only_inside_watched_fn() {
 }
 
 #[test]
+fn hot_path_alloc_fixture_flags_sized_and_queue_constructors() {
+    let cfg = HotPathConfig::from_entries(vec![HotPath {
+        file: "crates/matching/src/hopcroft_karp.rs".into(),
+        functions: vec!["bfs_csr".into()],
+        reason: "fixture".into(),
+    }]);
+    let diags = lint_fixture(
+        "bad_hot_path_capacity.rs",
+        "crates/matching/src/hopcroft_karp.rs",
+        &cfg,
+    );
+    assert!(
+        diags.iter().all(|d| d.rule == "hot-path-alloc"),
+        "{diags:?}"
+    );
+    // `Vec::with_capacity`, `VecDeque::new` and `VecDeque::with_capacity`
+    // inside `bfs_csr`; the pragma'd output buffer (line 12) and the queue
+    // in `cold_path` (line 16) must NOT appear.
+    assert_eq!(lines(&diags, "hot-path-alloc"), vec![8, 9, 10]);
+    let named: Vec<&str> = diags
+        .iter()
+        .map(|d| d.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        named,
+        vec![
+            "Vec::with_capacity",
+            "VecDeque::new",
+            "VecDeque::with_capacity"
+        ]
+    );
+}
+
+#[test]
 fn missing_docs_fixture_fires_at_exact_line() {
     let diags = lint_fixture(
         "bad_missing_docs.rs",
