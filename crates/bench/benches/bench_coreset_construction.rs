@@ -6,7 +6,7 @@ use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder};
 use coresets::CoresetParams;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::gen::er::gnp;
-use graph::partition::EdgePartition;
+use graph::partition::PartitionedGraph;
 use graph::{Graph, GraphRef};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,8 +15,8 @@ use std::hint::black_box;
 fn one_piece(n: usize, k: usize) -> (Graph, CoresetParams) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let g = gnp(n, 8.0 / n as f64, &mut rng);
-    let partition = EdgePartition::random(&g, k, &mut rng).unwrap();
-    (partition.pieces()[0].clone(), CoresetParams::new(n, k))
+    let partition = PartitionedGraph::random(&g, k, &mut rng).unwrap();
+    (partition.piece(0).to_graph(), CoresetParams::new(n, k))
 }
 
 fn bench_matching_coreset(c: &mut Criterion) {

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::gen::bipartite::random_bipartite;
 use graph::gen::er::gnp;
 use graph::gen::hard::d_matching;
-use graph::partition::EdgePartition;
+use graph::partition::PartitionedGraph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -58,11 +58,7 @@ fn bench_partition(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
-                black_box(
-                    EdgePartition::random(&g, k, &mut rng)
-                        .unwrap()
-                        .total_edges(),
-                )
+                black_box(PartitionedGraph::random(&g, k, &mut rng).unwrap().m())
             });
         });
     }

@@ -1,15 +1,15 @@
-//! E18 — dynamic edge-churn serving: dirty-piece re-coresets vs the frozen
-//! naive full-repartition-re-solve baseline.
+//! E18 — dynamic edge-churn serving: dirty-piece re-coresets vs the naive
+//! full-repartition-re-solve baseline.
 //!
 //! A [`distsim::GraphService`] absorbs batches of edge inserts/deletes
 //! through a churn-stable hash-partition overlay, keeps instant incremental
 //! answers (maximal matching + matched-endpoint cover) between rounds, and
 //! after each batch rebuilds coresets **only for machines whose piece
 //! fingerprint changed** before recomposing the protocol answers from its
-//! fingerprint-keyed caches. The baseline, frozen in `distsim` as
-//! [`distsim::naive_full_round`], does what a batch-only pipeline must do on
-//! every batch: re-partition the whole current graph from scratch and
-//! rebuild all `k` machines' coresets.
+//! fingerprint-keyed cache. The baseline, [`distsim::naive_full_round`] (the
+//! coordinator driver on an edge-hash partition), does what a batch-only
+//! pipeline must do on every batch: re-partition the whole current graph
+//! from scratch and rebuild all `k` machines' coresets.
 //!
 //! Correctness is asserted before any number is recorded:
 //!
@@ -109,11 +109,10 @@ struct BenchReport {
     /// Whether the ≥ [`SPEEDUP_BAR`] assertion was armed (full workload,
     /// `ops_per_batch ≪ k`); the CI workload records its ratio honestly.
     bar_asserted: bool,
-    /// Cumulative (hits, misses) of the two coreset caches over the run.
-    matching_cache_hits: u64,
-    matching_cache_misses: u64,
-    vc_cache_hits: u64,
-    vc_cache_misses: u64,
+    /// Cumulative (hits, misses) of the service's coreset cache over the
+    /// run (one probe per machine per batch).
+    cache_hits: u64,
+    cache_misses: u64,
     /// Piece edge buffers materialized across the whole run (asserted 0).
     piece_edges_materialized: u64,
     determinism: Vec<DeterminismProbe>,
@@ -402,8 +401,7 @@ fn main() {
         );
     }
 
-    let (mh, mm) = svc.matching_cache_stats();
-    let (vh, vm) = svc.vc_cache_stats();
+    let (cache_hits, cache_misses) = svc.matching_cache_stats();
     let report = BenchReport {
         host_available_parallelism: cores,
         ci_mode,
@@ -424,10 +422,8 @@ fn main() {
         speedup,
         speedup_bar: SPEEDUP_BAR,
         bar_asserted,
-        matching_cache_hits: mh,
-        matching_cache_misses: mm,
-        vc_cache_hits: vh,
-        vc_cache_misses: vm,
+        cache_hits,
+        cache_misses,
         piece_edges_materialized,
         determinism,
         batch_samples: samples,

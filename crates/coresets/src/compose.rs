@@ -4,8 +4,6 @@
 //! obtained by running an (arbitrary) algorithm for the problem on the
 //! **union** of the coresets. This module implements exactly that step:
 //!
-//! * [`compose_matching`] — union the matching-coreset subgraphs (kept for
-//!   callers that want the composed graph itself).
 //! * [`solve_composed_matching`] — maximum matching of the union, solved
 //!   straight off the coreset edge slices in machine order
 //!   ([`matching::maximum::maximum_matching_concat`]) — the union `Graph` is
@@ -35,12 +33,6 @@ use matching::maximum::{maximum_matching_concat, MaximumMatchingAlgorithm};
 use rayon::prelude::*;
 use vertexcover::approx::two_approx_cover_concat;
 use vertexcover::VertexCover;
-
-/// Unions matching-coreset subgraphs into the coordinator's composed graph.
-pub fn compose_matching(coresets: &[Graph]) -> Graph {
-    let refs: Vec<&Graph> = coresets.iter().collect();
-    Graph::union(&refs)
-}
 
 /// Extracts a maximum matching of the coresets' union — the coordinator's
 /// full computation for the matching problem.
@@ -201,8 +193,7 @@ mod tests {
     use crate::params::CoresetParams;
     use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder};
     use graph::gen::er::gnp;
-    use graph::partition::EdgePartition;
-    use graph::GraphRef;
+    use graph::partition::PartitionedGraph;
     use matching::maximum::maximum_matching;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -216,22 +207,22 @@ mod tests {
         let mut r = rng(1);
         let g = gnp(400, 0.02, &mut r);
         let k = 6;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 MaximumMatchingCoreset::new().build(
-                    p.as_view(),
+                    p,
                     &params,
                     i,
                     &mut crate::streams::machine_rng(0, i),
                 )
             })
             .collect();
-        let composed = compose_matching(&coresets);
+        let composed = Graph::union(&coresets.iter().collect::<Vec<_>>());
         assert!(composed.m() <= k * g.n() / 2, "coreset union is O(nk)");
         // Every composed edge is an original edge.
         let orig: std::collections::HashSet<_> = g.edges().iter().collect();
@@ -243,15 +234,15 @@ mod tests {
         let mut r = rng(2);
         let g = gnp(500, 0.015, &mut r);
         let k = 4;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 MaximumMatchingCoreset::new().build(
-                    p.as_view(),
+                    p,
                     &params,
                     i,
                     &mut crate::streams::machine_rng(0, i),
@@ -275,19 +266,14 @@ mod tests {
         let mut r = rng(3);
         let g = gnp(900, 0.01, &mut r);
         let k = 5;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let outputs: Vec<VcCoresetOutput> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
-                PeelingVcCoreset::new().build(
-                    p.as_view(),
-                    &params,
-                    i,
-                    &mut crate::streams::machine_rng(0, i),
-                )
+                PeelingVcCoreset::new().build(p, &params, i, &mut crate::streams::machine_rng(0, i))
             })
             .collect();
         let cover = compose_vertex_cover(&outputs);
@@ -347,19 +333,14 @@ mod tests {
         let mut r = rng(4);
         let g = gnp(700, 0.012, &mut r);
         let k = 4;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let outputs: Vec<VcCoresetOutput> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
-                PeelingVcCoreset::new().build(
-                    p.as_view(),
-                    &params,
-                    i,
-                    &mut crate::streams::machine_rng(1, i),
-                )
+                PeelingVcCoreset::new().build(p, &params, i, &mut crate::streams::machine_rng(1, i))
             })
             .collect();
         let cover = compose_vertex_cover(&outputs);

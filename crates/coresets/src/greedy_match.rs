@@ -67,8 +67,8 @@ mod tests {
     use crate::params::CoresetParams;
     use graph::gen::bipartite::planted_matching_bipartite;
     use graph::gen::er::gnp;
-    use graph::partition::EdgePartition;
-    use graph::{Graph, GraphRef};
+    use graph::partition::PartitionedGraph;
+    use graph::Graph;
     use matching::maximum::maximum_matching;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -82,15 +82,15 @@ mod tests {
         let mut r = rng(1);
         let g = gnp(300, 0.02, &mut r);
         let k = 5;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 MaximumMatchingCoreset::new().build(
-                    p.as_view(),
+                    p,
                     &params,
                     i,
                     &mut crate::streams::machine_rng(0, i),
@@ -116,15 +116,15 @@ mod tests {
         let g = gnp(800, 0.01, &mut r);
         let opt = maximum_matching(&g).len();
         for k in [2usize, 4, 8] {
-            let part = EdgePartition::random(&g, k, &mut r).unwrap();
+            let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
             let params = CoresetParams::new(g.n(), k);
             let coresets: Vec<Graph> = part
-                .pieces()
-                .iter()
+                .views()
+                .into_iter()
                 .enumerate()
                 .map(|(i, p)| {
                     MaximumMatchingCoreset::new().build(
-                        p.as_view(),
+                        p,
                         &params,
                         i,
                         &mut crate::streams::machine_rng(0, i),
@@ -149,15 +149,15 @@ mod tests {
         let (bg, _) = planted_matching_bipartite(n_side, 0.002, &mut r);
         let g = bg.to_graph();
         let k = 6;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 MaximumMatchingCoreset::new().build(
-                    p.as_view(),
+                    p,
                     &params,
                     i,
                     &mut crate::streams::machine_rng(0, i),
@@ -195,15 +195,15 @@ mod tests {
         let mut r = rng(4);
         let g = gnp(250, 0.03, &mut r);
         let k = 4;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 MaximumMatchingCoreset::new().build(
-                    p.as_view(),
+                    p,
                     &params,
                     i,
                     &mut crate::streams::machine_rng(0, i),

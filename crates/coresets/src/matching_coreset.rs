@@ -311,7 +311,7 @@ impl MatchingCoresetBuilder for SubsampledMatchingCoreset {
 mod tests {
     use super::*;
     use graph::gen::er::gnp;
-    use graph::partition::EdgePartition;
+    use graph::partition::PartitionedGraph;
     use graph::GraphRef;
     use matching::matching::Matching;
     use rand::SeedableRng;
@@ -334,16 +334,15 @@ mod tests {
     fn maximum_coreset_is_a_maximum_matching_of_the_piece() {
         let mut r = rng(1);
         let g = gnp(120, 0.05, &mut r);
-        let part = EdgePartition::random(&g, 4, &mut r).unwrap();
-        let piece = &part.pieces()[0];
-        let coreset =
-            MaximumMatchingCoreset::new().build(piece.as_view(), &params(120, 4), 0, &mut mrng(0));
+        let part = PartitionedGraph::random(&g, 4, &mut r).unwrap();
+        let piece = part.piece(0);
+        let coreset = MaximumMatchingCoreset::new().build(piece, &params(120, 4), 0, &mut mrng(0));
         // The coreset is a subgraph of the piece and forms a matching.
         let piece_edges: std::collections::HashSet<_> = piece.edges().iter().collect();
         assert!(coreset.edges().iter().all(|e| piece_edges.contains(e)));
         assert!(Matching::try_from_edges(coreset.edges().to_vec()).is_some());
         // Its size equals the maximum matching size of the piece.
-        let opt = matching::maximum::maximum_matching(piece).len();
+        let opt = matching::maximum::maximum_matching(&piece).len();
         assert_eq!(coreset.m(), opt);
     }
 

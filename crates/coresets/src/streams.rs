@@ -7,18 +7,8 @@
 //! bit-identical across thread counts and schedules. This is the invariant
 //! the workspace's determinism test suite (`tests/determinism.rs`) pins down.
 
+use graph::mix64;
 use rand_chacha::ChaCha8Rng;
-
-/// SplitMix64 — the standard 64-bit finalizer used to decorrelate nearby
-/// seeds before they become ChaCha key material.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives machine `machine`'s private RNG stream for a run with seed `seed`.
 ///
@@ -50,9 +40,11 @@ pub fn node_rng(seed: u64, level: usize, node: usize) -> ChaCha8Rng {
     let mut state = seed
         ^ (node as u64).wrapping_mul(0xA076_1D64_78BD_642F)
         ^ (level as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    // Four draws of a SplitMix64 generator started at `state`.
     let mut key = [0u8; 32];
     for chunk in key.chunks_exact_mut(8) {
-        chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
+        chunk.copy_from_slice(&mix64(state).to_le_bytes());
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     }
     ChaCha8Rng::from_seed(key)
 }

@@ -14,11 +14,9 @@
 //! Every peeling and 2-approximation call below runs on the calling worker
 //! thread's reusable `vertexcover::VcEngine` (via the `vertexcover` free
 //! functions): the bucket-queue peeling core performs zero per-round
-//! edge-buffer reallocations — `graph::metrics::vc_peel_scratch_elems` stays
-//! 0 across a protocol run, asserted by the determinism suite
-//! (`tests/determinism.rs`). Engine outputs are invariant under workspace
+//! edge-buffer reallocations. Engine outputs are invariant under workspace
 //! reuse, so this sharing never affects the cross-thread-count determinism
-//! guarantee.
+//! guarantee (`tests/determinism.rs`).
 
 use crate::params::CoresetParams;
 use graph::{Graph, GraphView, VertexId};
@@ -338,7 +336,7 @@ mod tests {
     use super::*;
     use graph::gen::er::gnp;
     use graph::gen::structured::{star, star_forest};
-    use graph::partition::EdgePartition;
+    use graph::partition::PartitionedGraph;
     use graph::GraphRef;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -377,13 +375,13 @@ mod tests {
         let n = 1500;
         let g = gnp(n, 0.01, &mut r);
         let k = 6;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(n, k);
         let outputs: Vec<VcCoresetOutput> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| PeelingVcCoreset::new().build(p.as_view(), &params, i, &mut mrng(i)))
+            .map(|(i, p)| PeelingVcCoreset::new().build(p, &params, i, &mut mrng(i)))
             .collect();
         let cover = compose_and_check(&g, &outputs);
         // O(log n) approximation with a generous constant: the optimum is at
@@ -429,14 +427,14 @@ mod tests {
         let g = star_forest(4, 64);
         let k = 8;
         let mut r = rng(3);
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let adversarial = LocalCoverCoreset::adversarial();
         let outputs: Vec<VcCoresetOutput> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| adversarial.build(p.as_view(), &params, i, &mut mrng(i)))
+            .map(|(i, p)| adversarial.build(p, &params, i, &mut mrng(i)))
             .collect();
         // The union of local covers does cover the graph...
         let cover = compose_and_check(&g, &outputs);
@@ -480,12 +478,11 @@ mod tests {
         let n = 1200;
         let g = gnp(n, 0.01, &mut r);
         let k = 5;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let params = CoresetParams::new(n, k);
 
         let grouped = GroupedVcCoreset::new(3);
-        let (cover_vertices, grouped_sizes) =
-            grouped.run_protocol(&graph::views_of(part.pieces()), &params, 4);
+        let (cover_vertices, grouped_sizes) = grouped.run_protocol(&part.views(), &params, 4);
         let cover = VertexCover::from_vertices(cover_vertices);
         assert!(
             cover.covers(&g),
@@ -494,12 +491,12 @@ mod tests {
 
         // The ungrouped peeling coreset sizes, for comparison.
         let ungrouped_sizes: Vec<usize> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| {
                 PeelingVcCoreset::new()
-                    .build(p.as_view(), &params, i, &mut mrng(i))
+                    .build(p, &params, i, &mut mrng(i))
                     .size()
             })
             .collect();

@@ -25,12 +25,17 @@
 //! the previous checkpoint intact. Loads are *lenient by design*: a missing,
 //! truncated, checksum-corrupt, or parameter-mismatched file yields `None`
 //! and the run simply starts fresh — a bad checkpoint must never be able to
-//! wedge a protocol.
+//! wedge a protocol. That includes a well-formed file whose *shape* the run
+//! cannot resume from: `pushed` must be at most `k`, and the pending levels
+//! must have exactly the lengths
+//! [`TreePlan::state_after`]`(pushed)` expects of the run's tree, so
+//! [`coresets::TreeFolder::resume`] never sees a snapshot it would reject.
 
 use crate::comm::CommunicationCost;
 use crate::error::ProtocolError;
 use crate::faults::FaultReport;
 use coresets::vc_coreset::VcCoresetOutput;
+use coresets::TreePlan;
 use graph::arena_file::crc32;
 use graph::{Edge, Graph};
 
@@ -286,6 +291,9 @@ fn decode_checkpoint<T: CheckpointItem>(
         return None;
     }
     let pushed = usize::try_from(r.take_u64()?).ok()?;
+    if pushed as u64 > key.k {
+        return None;
+    }
     let mut faults = FaultReport::new(key.fault_seed);
     faults.injected = r.take_u64()?;
     faults.retried = r.take_u64()?;
@@ -301,10 +309,18 @@ fn decode_checkpoint<T: CheckpointItem>(
         per_machine_words: r.take_u64_vec()?,
         per_machine_bits: r.take_u64_vec()?,
     };
-    let levels = r.take_count(8)?;
-    let mut pending = Vec::with_capacity(levels);
-    for _ in 0..levels {
+    let fan_in = usize::try_from(key.fan_in).ok().filter(|&f| f >= 2)?;
+    let plan = TreePlan::new(usize::try_from(key.k).ok()?, fan_in);
+    let (lens, _) = plan.state_after(pushed);
+    if r.take_count(8)? != lens.len() {
+        return None;
+    }
+    let mut pending = Vec::with_capacity(lens.len());
+    for want in lens {
         let items = r.take_count(1)?;
+        if items != want {
+            return None;
+        }
         let level = (0..items)
             .map(|_| T::decode(&mut r))
             .collect::<Option<Vec<_>>>()?;
@@ -375,9 +391,12 @@ mod tests {
         let mut communication = CommunicationCost::default();
         communication.record_message(&crate::comm::CostModel::for_n(100), 3, 0);
         communication.record_message(&crate::comm::CostModel::for_n(100), 1, 0);
+        communication.record_message(&crate::comm::CostModel::for_n(100), 0, 0);
+        // Three leaves pushed into an 8-leaf binary tree: leaves 0 and 1
+        // merged into `g1` on level 1, leaf 2 (`g2`) still pending.
         ArenaCheckpoint {
-            pushed: 2,
-            pending: vec![vec![g1, g2], vec![], vec![]],
+            pushed: 3,
+            pending: vec![vec![g2], vec![g1], vec![]],
             communication,
             faults: FaultReport {
                 injected: 3,
@@ -425,10 +444,14 @@ mod tests {
         };
         let ck = ArenaCheckpoint {
             pushed: 1,
-            pending: vec![vec![VcCoresetOutput {
-                fixed_vertices: vec![7, 3, 99],
-                residual: Graph::from_pairs(100, vec![(1, 2)]).unwrap(),
-            }]],
+            pending: vec![
+                vec![VcCoresetOutput {
+                    fixed_vertices: vec![7, 3, 99],
+                    residual: Graph::from_pairs(100, vec![(1, 2)]).unwrap(),
+                }],
+                vec![],
+                vec![],
+            ],
             communication: CommunicationCost::default(),
             faults: FaultReport::new(7),
         };
@@ -506,8 +529,11 @@ mod tests {
         let path = tmp_path("atomic");
         let key = demo_key();
         save_checkpoint(&path, &key, &demo_checkpoint()).unwrap();
+        // Five leaves: two level-1 merges merged again on level 2, leaf 4
+        // pending.
         let mut later = demo_checkpoint();
         later.pushed = 5;
+        later.pending.swap(1, 2);
         save_checkpoint(&path, &key, &later).unwrap();
         let back: ArenaCheckpoint<Graph> = load_checkpoint(&path, &key).expect("loads");
         assert_eq!(back.pushed, 5);
@@ -518,5 +544,34 @@ mod tests {
             "tmp file must be renamed away"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_the_tree_cannot_resume_are_discarded() {
+        let key = demo_key();
+        let decodes = |ck: &ArenaCheckpoint<Graph>| {
+            decode_checkpoint::<Graph>(&key, &encode_checkpoint(&key, ck)).is_some()
+        };
+        assert!(decodes(&demo_checkpoint()));
+        // More leaves pushed than the run has machines.
+        let mut too_many = demo_checkpoint();
+        too_many.pushed = key.k as usize + 3;
+        assert!(!decodes(&too_many));
+        // A level missing, and a level too many.
+        let mut short = demo_checkpoint();
+        short.pending.pop();
+        assert!(!decodes(&short));
+        let mut long = demo_checkpoint();
+        long.pending.push(Vec::new());
+        assert!(!decodes(&long));
+        // Right level count, wrong length on one level.
+        let mut wrong_len = demo_checkpoint();
+        let leaf = wrong_len.pending[0][0].clone();
+        wrong_len.pending[0].push(leaf);
+        assert!(!decodes(&wrong_len));
+        // The demo's levels under another `pushed`.
+        let mut stale = demo_checkpoint();
+        stale.pushed = 4;
+        assert!(!decodes(&stale));
     }
 }

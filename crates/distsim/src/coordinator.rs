@@ -20,7 +20,10 @@
 //! Neither can replace the other: one keeps level-parallel merges, the other
 //! bounded memory. Both run under a [`FaultPlan`] (retry by replaying the
 //! machine's RNG stream, then the plan's [`DegradedComposition`] policy);
-//! `run_matching` / `run_vertex_cover` are the fault-free special case.
+//! `run_matching` / `run_vertex_cover` are the fault-free special case. The
+//! in-memory driver also carries the other batch rounds: the MapReduce
+//! simulator ([`crate::mapreduce`]) is one flat run, and the churn service's
+//! oracle ([`crate::naive_full_round`]) runs it on an edge-hash partition.
 //!
 //! **Determinism.** All randomness is fixed by position, never by schedule:
 //! the partition is drawn from the run seed, machine `i` builds on
@@ -151,11 +154,14 @@ impl CoordinatorProtocol {
         self
     }
 
-    /// Runs the protocol for `problem` on `g` under a fault plan. Machines
-    /// build on the work-stealing pool inside [`run_machine_with_faults`],
-    /// retrying by replay of `machine_rng(seed, i)`, so a fully recovered run
-    /// is bit-identical to the fault-free one; a machine that exhausts the
-    /// budget contributes [`Problem::placeholder`] to the composition.
+    /// Runs the protocol for `problem` on `g` under a fault plan: partitions
+    /// `g` with the protocol's strategy (drawing from
+    /// `ChaCha8Rng::seed_from_u64(seed)`), then runs every machine on its
+    /// piece. Machines build on the work-stealing pool inside
+    /// [`run_machine_with_faults`], retrying by replay of
+    /// `machine_rng(seed, i)`, so a fully recovered run is bit-identical to
+    /// the fault-free one; a machine that exhausts the budget contributes
+    /// [`Problem::placeholder`] to the composition.
     pub fn run<P: Problem>(
         &self,
         g: &Graph,
@@ -164,24 +170,39 @@ impl CoordinatorProtocol {
         plan: &FaultPlan,
         retry: &RetryPolicy,
     ) -> Result<FaultyRun<P::Answer>, ProtocolError> {
-        let fan_in = self.compose.fan_in(self.k)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // One edge permutation into the arena; each machine computes on a
         // zero-copy view of its slice.
         let partition = PartitionedGraph::new(g, self.k, self.strategy, &mut rng)?;
-        let (n, views) = (g.n(), partition.views());
-        let params = CoresetParams::new(n, self.k);
+        self.run_on(&partition, problem, seed, plan, retry)
+    }
+
+    /// [`CoordinatorProtocol::run`] on a given partition: one machine per
+    /// piece, composed with the protocol's [`ComposeMode`]. The partition's
+    /// own `k` and `n` are used; the protocol's strategy is not consulted.
+    pub(crate) fn run_on<P: Problem>(
+        &self,
+        partition: &PartitionedGraph,
+        problem: &P,
+        seed: u64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> Result<FaultyRun<P::Answer>, ProtocolError> {
+        let k = partition.k();
+        let fan_in = self.compose.fan_in(k)?;
+        let (n, views) = (partition.n(), partition.views());
+        let params = CoresetParams::new(n, k);
         let model = CostModel::for_n(n);
         let injector = FaultInjector::new(plan.clone());
         let build = |i: usize| problem.build(views[i], &params, i, &mut machine_rng(seed, i));
-        let outcomes: Vec<MachineOutcome<P::Summary>> = (0..self.k)
+        let outcomes: Vec<MachineOutcome<P::Summary>> = (0..k)
             .into_par_iter()
             .map(|i| run_machine_with_faults(&injector, retry, i, || build(i)))
             .collect();
 
         let mut report = FaultReport::new(plan.fault_seed);
         let mut communication = CommunicationCost::default();
-        let mut summaries = Vec::with_capacity(self.k);
+        let mut summaries = Vec::with_capacity(k);
         for (i, outcome) in outcomes.into_iter().enumerate() {
             report.absorb(i, &outcome);
             summaries.push(match outcome.summary {
@@ -193,7 +214,7 @@ impl CoordinatorProtocol {
                 None => P::placeholder(n),
             });
         }
-        check_losses(&report, self.k, plan)?;
+        check_losses(&report, k, plan)?;
 
         let compose = |s: Vec<P::Summary>| tree_compose(problem, n, s, &params, seed, fan_in);
         // The degraded baseline is cheap to recover in memory: lost machines
@@ -1067,5 +1088,57 @@ mod tests {
             !ckpt.exists(),
             "completed run must remove its checkpoint file"
         );
+    }
+
+    #[test]
+    fn checkpoints_with_a_bad_shape_start_fresh() {
+        let _guard = arena_lock();
+        let g = gnp(300, 0.02, &mut rng(23));
+        let (k, fan_in, seed) = (6, 2, 11);
+        let (arena, path) = arena_of(&g, k, seed, "bad_shape");
+        let ckpt =
+            std::env::temp_dir().join(format!("rc_coord_ckpt_{}_shape.bin", std::process::id()));
+        let problem = MatchingProblem(MaximumMatchingCoreset::new());
+        let uninterrupted = ArenaProtocol::tree(fan_in)
+            .run_matching(&arena, &MaximumMatchingCoreset::new(), seed)
+            .unwrap();
+        let opts = FaultRunOptions {
+            checkpoint: Some(ckpt.clone()),
+            ..FaultRunOptions::default()
+        };
+        let key = CheckpointKey {
+            problem: <Graph as CheckpointItem>::PROBLEM,
+            n: g.n() as u64,
+            k: k as u64,
+            m: g.m() as u64,
+            seed,
+            fan_in: fan_in as u64,
+            fault_seed: opts.plan.fault_seed,
+        };
+        let item = || Graph::from_pairs(g.n(), vec![(0, 1)]).unwrap();
+        // A 6-leaf binary tree has three pending levels; after 2 pushes it
+        // holds one level-1 item.
+        for (pushed, pending) in [
+            (k + 3, vec![vec![], vec![], vec![]]),
+            (2, vec![vec![], vec![item()]]),
+            (2, vec![vec![item()], vec![item()], vec![]]),
+        ] {
+            let bad = ArenaCheckpoint {
+                pushed,
+                pending,
+                communication: CommunicationCost::default(),
+                faults: FaultReport::new(opts.plan.fault_seed),
+            };
+            save_checkpoint(&ckpt, &key, &bad).unwrap();
+            let before = metrics::resident_edges();
+            let run = ArenaProtocol::tree(fan_in)
+                .run(&arena, &problem, seed, &opts)
+                .unwrap();
+            assert_eq!(metrics::resident_edges(), before, "fresh start leaked");
+            assert_eq!(run.run.answer, uninterrupted.answer, "pushed {pushed}");
+            assert_eq!(run.run.communication, uninterrupted.communication);
+            assert!(!ckpt.exists(), "the completed run removes the checkpoint");
+        }
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -29,6 +29,7 @@
 //! *permanently lost* and handled by the [`DegradedComposition`] policy.
 
 use graph::arena_file::SegmentFaultPlan;
+use graph::mix64;
 use serde::{Deserialize, Serialize};
 
 /// Salt decorrelating crash-before-summarize decisions.
@@ -40,25 +41,15 @@ const SALT_MESSAGE_LOST: u64 = 0xFA17_57A6_E003_4057;
 /// Salt decorrelating straggler decisions.
 const SALT_STRAGGLER: u64 = 0xFA17_57A6_E004_57A6;
 
-/// SplitMix64 finalizer (same construction the RNG-stream derivation and the
-/// arena-level fault plan use) — decorrelates adjacent seeds and sites.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic unit-interval draw for one `(seed, machine, attempt, salt)`
 /// site — the pure replacement for "roll a die when the fault might happen".
 fn site_unit(seed: u64, machine: usize, attempt: u32, salt: u64) -> f64 {
-    let mut state = seed
+    let state = seed
         ^ (machine as u64).wrapping_mul(0xA076_1D64_78BD_642F)
         ^ (attempt as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
         ^ salt;
-    let _ = splitmix64(&mut state);
-    let x = splitmix64(&mut state);
+    // The second draw of a SplitMix64 generator started at `state`.
+    let x = mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

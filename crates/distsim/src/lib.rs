@@ -19,7 +19,8 @@
 //! * [`service`] — the edge-churn serving driver: batched updates through a
 //!   [`graph::ChurnPartition`] overlay, instant incremental answers from a
 //!   [`dynamic::DynamicCover`], and dirty-piece-only coreset rebuilds through
-//!   fingerprint-keyed caches (experiment E18).
+//!   one fingerprint-keyed cache, checked against the coordinator driver
+//!   itself ([`naive_full_round`]; experiment E18).
 //! * [`faults`], [`checkpoint`], [`error`] — the fault-tolerant runtime:
 //!   deterministic fault injection keyed by `(fault_seed, site)`, retry by
 //!   replaying per-machine RNG streams, degraded composition over survivors,

@@ -13,21 +13,21 @@
 //! If the input is already randomly distributed, round 1 can be skipped and
 //! the algorithm takes a single round. The simulator tracks, per round, the
 //! maximum number of words resident on any machine so that the memory budget
-//! claim can be checked experimentally (experiment E8). Round 2 is the same
-//! generic [`coresets::Problem`] run as every other driver: machines build
-//! on the work-stealing pool from pre-derived `(seed, machine)` streams, and
-//! results reassemble in machine order, so simulated rounds stay
-//! bit-identical at every thread count.
+//! claim can be checked experimentally (experiment E8). The computation
+//! itself is one flat [`CoordinatorProtocol::random`] run: the driver's
+//! random partition is round 1's shuffle, and its per-machine builds and
+//! coordinator composition are round 2, so a MapReduce answer is
+//! bit-identical to the coordinator model's at every thread count. The round
+//! statistics are read off the run's piece sizes and message words.
 
-use crate::comm::CostModel;
+use crate::coordinator::CoordinatorProtocol;
+use crate::error::ProtocolError;
+use crate::faults::{FaultPlan, RetryPolicy};
 use coresets::matching_coreset::MatchingCoresetBuilder;
 use coresets::vc_coreset::VcCoresetBuilder;
-use coresets::{CoresetParams, MatchingProblem, Problem, VcProblem};
-use graph::partition::PartitionedGraph;
-use graph::{Graph, GraphError};
+use coresets::{MatchingProblem, Problem, VcProblem};
+use graph::Graph;
 use matching::matching::Matching;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use vertexcover::VertexCover;
 
@@ -107,7 +107,7 @@ impl MapReduceSimulator {
         g: &Graph,
         builder: &B,
         seed: u64,
-    ) -> Result<MapReduceOutcome<Matching>, GraphError> {
+    ) -> Result<MapReduceOutcome<Matching>, ProtocolError> {
         self.run(g, &MatchingProblem(builder), seed)
     }
 
@@ -118,51 +118,39 @@ impl MapReduceSimulator {
         g: &Graph,
         builder: &B,
         seed: u64,
-    ) -> Result<MapReduceOutcome<VertexCover>, GraphError> {
+    ) -> Result<MapReduceOutcome<VertexCover>, ProtocolError> {
         self.run(g, &VcProblem(builder), seed)
     }
 
-    /// Runs the two-round (or one-round) coreset algorithm for `problem`.
+    /// Runs the two-round (or one-round) coreset algorithm for `problem` as
+    /// one fault-free flat coordinator run.
     fn run<P: Problem>(
         &self,
         g: &Graph,
         problem: &P,
         seed: u64,
-    ) -> Result<MapReduceOutcome<P::Answer>, GraphError> {
-        let k = self.config.k;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut rounds = Vec::new();
-
-        // Round 1 (shuffle): produce a random k-partition into the shared
-        // edge arena. The memory high water mark of the round is the largest
-        // piece any machine receives (each machine holds its share of the
-        // input plus what it receives; the received share dominates and is
-        // what we report).
-        let partition = PartitionedGraph::random(g, k, &mut rng)?;
-        let max_piece_words = partition
-            .piece_sizes()
+    ) -> Result<MapReduceOutcome<P::Answer>, ProtocolError> {
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let run = CoordinatorProtocol::random(self.config.k)
+            .run(g, problem, seed, &plan, &retry)?
+            .run;
+        // Round 1 (shuffle) leaves every machine holding its random piece:
+        // the largest piece is the round's memory high-water mark.
+        let max_piece_words = run
+            .piece_sizes
             .iter()
             .map(|&m| 2 * m as u64)
             .max()
             .unwrap_or(0);
+        let mut rounds = Vec::new();
         if !self.config.input_already_random {
             rounds.push(RoundStats {
                 description: "shuffle: random re-partitioning of the edges".into(),
                 max_words_per_machine: max_piece_words,
             });
         }
-
-        // Round 2: build coresets locally (in parallel, each machine on its
-        // own pre-derived RNG stream), send them to machine M, solve there.
-        let params = CoresetParams::new(g.n(), k);
-        let summaries = problem.build_all(&partition.views(), &params, seed);
-        let model = CostModel::for_n(g.n());
-        let central_words: u64 = summaries
-            .iter()
-            .map(P::message)
-            .map(|(edges, vertices)| model.words(edges, vertices))
-            .sum();
-        let answer = problem.compose_all(&summaries);
+        // Round 2: the designated machine receives every coreset.
+        let central_words = run.communication.total_words();
         rounds.push(RoundStats {
             description: "coresets: build locally, union and solve on the designated machine"
                 .into(),
@@ -173,7 +161,7 @@ impl MapReduceSimulator {
             .iter()
             .all(|r| r.max_words_per_machine <= self.config.memory_words);
         Ok(MapReduceOutcome {
-            answer,
+            answer: run.answer,
             rounds,
             within_memory_budget,
         })

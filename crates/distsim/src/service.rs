@@ -10,35 +10,40 @@
 //!   current graph would produce;
 //! * a [`dynamic::DynamicCover`] (wrapping a [`dynamic::DynamicMatcher`]) —
 //!   instant per-update approximate answers between protocol re-solves;
-//! * two fingerprint-keyed [`coresets::CoresetCache`]s — the per-machine
-//!   matching and vertex-cover coresets from the last protocol round.
+//! * one fingerprint-keyed [`coresets::CoresetCache`] — each machine's
+//!   matching coreset and vertex-cover coreset from the last protocol round,
+//!   cached together under one key.
 //!
-//! After each batch ([`GraphService::apply_batch`]) the coordinator
-//! re-coresets **only the machines whose piece fingerprint changed**: clean
-//! machines' cached coresets are reused verbatim, dirty machines rebuild on
-//! the work-stealing pool with their pre-derived `machine_rng(seed, i)`
-//! streams, and the composed answers are extracted over borrowed cache slots
-//! ([`coresets::solve_composed_matching_refs`] /
-//! [`coresets::compose_vertex_cover_refs`]).
+//! [`GraphService::apply_batch`] is atomic: it checks every op's endpoints
+//! before applying any, so a rejected batch leaves the graph and the answers
+//! untouched. After each applied batch the service probes the cache once per
+//! machine and re-coresets **only the machines whose piece fingerprint
+//! changed**: clean machines' cached coresets are reused verbatim, dirty
+//! machines rebuild on the work-stealing pool with their pre-derived
+//! `machine_rng(seed, i)` streams, and the composed answers are extracted
+//! over borrowed cache slots.
 //!
-//! **Answer identity.** The cached-composition answers equal a from-scratch
-//! batch run of the same protocol on the current graph, bit for bit: hash
-//! placement means churn on one edge never moves another edge's machine, the
-//! churn partition keeps pieces in canonical sorted order (so piece content
+//! **Answer identity.** The cached-composition answers equal
+//! [`naive_full_round`] on the current graph, bit for bit: hash placement
+//! means churn on one edge never moves another edge's machine, the churn
+//! partition keeps pieces in canonical sorted order (so piece content
 //! equality *is* fingerprint equality), and coreset builds are pure in
-//! `(piece content, params, machine, machine_rng(seed, machine))`. This is
-//! asserted per batch by experiment E18 (`exp_dynamic_churn`) and pinned by
+//! `(piece content, params, machine, machine_rng(seed, machine))`.
+//! [`naive_full_round`] is the production driver itself
+//! ([`crate::CoordinatorProtocol`] on an edge-hash partition), so the one
+//! cached loop is checked against the one driver: per batch by experiment
+//! E18 (`exp_dynamic_churn`) and this module's proptest, and pinned by
 //! `tests/determinism.rs`.
 
+use crate::coordinator::{CoordinatorProtocol, FaultyRun};
 use crate::error::ProtocolError;
-use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
+use crate::faults::{FaultPlan, RetryPolicy};
+use coresets::matching_coreset::MaximumMatchingCoreset;
 use coresets::streams::machine_rng;
-use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
-use coresets::{
-    compose_vertex_cover_refs, solve_composed_matching_refs, CoresetCache, CoresetCacheKey,
-    CoresetParams, MatchingProblem, Problem, VcProblem,
-};
+use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetOutput};
+use coresets::{CoresetCache, CoresetCacheKey, CoresetParams, MatchingProblem, Problem, VcProblem};
 use dynamic::DynamicCover;
+use graph::partition::PartitionedGraph;
 use graph::{ChurnOp, ChurnPartition, Graph, GraphError};
 use matching::matching::Matching;
 use matching::maximum::MaximumMatchingAlgorithm;
@@ -95,8 +100,8 @@ pub struct GraphService {
     params: CoresetParams,
     partition: ChurnPartition,
     incremental: DynamicCover,
-    matching_cache: CoresetCache<Graph>,
-    vc_cache: CoresetCache<VcCoresetOutput>,
+    /// Each machine's `(matching coreset, vertex-cover coreset)`.
+    cache: CoresetCache<(Graph, VcCoresetOutput)>,
     last_matching: Matching,
     last_cover: VertexCover,
 }
@@ -112,8 +117,7 @@ impl GraphService {
             params: CoresetParams::new(g.n(), cfg.k),
             partition,
             incremental,
-            matching_cache: CoresetCache::new(cfg.k),
-            vc_cache: CoresetCache::new(cfg.k),
+            cache: CoresetCache::new(cfg.k),
             last_matching: Matching::new(),
             last_cover: VertexCover::new(),
         };
@@ -123,7 +127,15 @@ impl GraphService {
 
     /// Applies a batch of updates, refreshes only the dirty machines'
     /// coresets, and recomposes the protocol answers.
+    ///
+    /// The batch is atomic: if any op names a vertex outside `0..n`, the
+    /// typed [`GraphError::VertexOutOfRange`] is returned before any op is
+    /// applied, so the graph, the answers and the cache are unchanged.
     pub fn apply_batch(&mut self, ops: &[ChurnOp]) -> Result<BatchOutcome, ProtocolError> {
+        let n = self.partition.n();
+        if let Some(e) = ops.iter().map(ChurnOp::edge).find(|e| e.v as usize >= n) {
+            return Err(GraphError::VertexOutOfRange { vertex: e.v, n }.into());
+        }
         let mut applied = 0usize;
         for &op in ops {
             let changed = self.partition.apply(op)?;
@@ -153,11 +165,7 @@ impl GraphService {
                 machine: i,
                 piece_fingerprint: self.partition.piece_fingerprint(i),
             };
-            // The two caches are filled in lockstep, so one probe decides;
-            // both probe so their counters stay in sync.
-            let hit = self.matching_cache.lookup(&key).is_some();
-            self.vc_cache.lookup(&key);
-            if !hit {
+            if self.cache.lookup(&key).is_none() {
                 missing.push((i, key));
             }
         }
@@ -176,13 +184,21 @@ impl GraphService {
             })
             .collect();
         let rebuilt = built.len();
-        for ((_, key), (mc, vc)) in missing.into_iter().zip(built) {
-            self.matching_cache.insert(key, mc);
-            self.vc_cache.insert(key, vc);
+        for ((_, key), summaries) in missing.into_iter().zip(built) {
+            self.cache.insert(key, summaries);
         }
 
-        self.last_matching = compose_slots(&MATCHING, &self.matching_cache);
-        self.last_cover = compose_slots(&VC, &self.vc_cache);
+        let slots: Vec<&(Graph, VcCoresetOutput)> = (0..k)
+            .map(|i| match self.cache.slot(i) {
+                Some(slot) => slot,
+                // Unreachable: every miss was just rebuilt and inserted.
+                None => unreachable!("machine {i} has no cached coreset"), // xtask: allow(error-hygiene)
+            })
+            .collect();
+        let coresets: Vec<&Graph> = slots.iter().map(|s| &s.0).collect();
+        let outputs: Vec<&VcCoresetOutput> = slots.iter().map(|s| &s.1).collect();
+        self.last_matching = MATCHING.compose(&coresets);
+        self.last_cover = VC.compose(&outputs);
 
         Ok(BatchOutcome {
             applied: 0,
@@ -221,14 +237,10 @@ impl GraphService {
         &self.partition
     }
 
-    /// Cumulative `(hits, misses)` of the matching-coreset cache.
+    /// Cumulative `(hits, misses)` of the coreset cache: one probe per
+    /// machine per protocol round.
     pub fn matching_cache_stats(&self) -> (u64, u64) {
-        (self.matching_cache.hits(), self.matching_cache.misses())
-    }
-
-    /// Cumulative `(hits, misses)` of the vertex-cover-coreset cache.
-    pub fn vc_cache_stats(&self) -> (u64, u64) {
-        (self.vc_cache.hits(), self.vc_cache.misses())
+        (self.cache.hits(), self.cache.misses())
     }
 
     /// The service's configuration.
@@ -269,51 +281,33 @@ const MATCHING: MatchingProblem<MaximumMatchingCoreset> = MatchingProblem(Maximu
 /// The service's vertex-cover problem: the paper's Theorem 2 coreset.
 const VC: VcProblem<PeelingVcCoreset> = VcProblem(PeelingVcCoreset);
 
-/// Composes `problem`'s answer over borrowed cache slots, in machine order.
-fn compose_slots<P: Problem>(problem: &P, cache: &CoresetCache<P::Summary>) -> P::Answer {
-    let refs: Vec<&P::Summary> = (0..cache.k())
-        .map(|i| match cache.slot(i) {
-            Some(summary) => summary,
-            // Unreachable: every miss was just rebuilt and inserted.
-            None => unreachable!("machine {i} has no cached coreset"), // xtask: allow(error-hygiene)
-        })
-        .collect();
-    problem.compose(&refs)
-}
-
-/// The frozen naive baseline E18 compares against: re-partition from scratch
-/// and rebuild **every** machine's coreset after each batch, composing the
-/// same way. Returns `(matching, cover)` of one full round over `g`.
-///
-/// Kept in `distsim` (not the bench binary) so the determinism suite can pin
-/// service answers against it directly.
+/// One from-scratch protocol round over `g` — the oracle the service is
+/// checked against (experiment E18 and the determinism suite). Partitions
+/// `g` by edge hash ([`PartitionedGraph::by_edge_hash`]), then runs the
+/// service's matching and vertex-cover problems through the production
+/// driver with flat composition, every machine rebuilt. Returns
+/// `(matching, cover)`.
 pub fn naive_full_round(
     g: &Graph,
     k: usize,
     seed: u64,
 ) -> Result<(Matching, VertexCover), GraphError> {
-    let partition = graph::partition::PartitionedGraph::by_edge_hash(g, k, seed)?;
-    let params = CoresetParams::new(g.n(), k);
-    let views = partition.views();
-    let coresets: Vec<Graph> = views
-        .par_iter()
-        .enumerate()
-        .map(|(i, piece)| {
-            MaximumMatchingCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
-        })
-        .collect();
-    let outputs: Vec<VcCoresetOutput> = views
-        .par_iter()
-        .enumerate()
-        .map(|(i, piece)| {
-            PeelingVcCoreset::new().build(*piece, &params, i, &mut machine_rng(seed, i))
-        })
-        .collect();
-    let refs: Vec<&Graph> = coresets.iter().collect();
-    let matching = solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
-    let out_refs: Vec<&VcCoresetOutput> = outputs.iter().collect();
-    let cover = compose_vertex_cover_refs(&out_refs);
+    let partition = PartitionedGraph::by_edge_hash(g, k, seed)?;
+    let protocol = CoordinatorProtocol::random(k);
+    let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+    let matching = answer(protocol.run_on(&partition, &MATCHING, seed, &plan, &retry));
+    let cover = answer(protocol.run_on(&partition, &VC, seed, &plan, &retry));
     Ok((matching, cover))
+}
+
+/// The answer of a fault-free flat run on an existing partition, which
+/// cannot fail: no fault is armed, the flat fan-in is at least 2, and the
+/// partition has at least one machine.
+fn answer<T>(run: Result<FaultyRun<T>, ProtocolError>) -> T {
+    match run {
+        Ok(run) => run.run.answer,
+        Err(e) => unreachable!("fault-free flat round failed: {e}"), // xtask: allow(error-hygiene)
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +315,7 @@ mod tests {
     use super::*;
     use graph::gen::er::gnp;
     use graph::Edge;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -376,7 +371,6 @@ mod tests {
         assert_eq!(outcome.machines_cached, 7);
         let (hits, misses) = svc.matching_cache_stats();
         assert_eq!((hits, misses), (7, 9));
-        assert_eq!(svc.vc_cache_stats(), (7, 9));
         // Deleting it again restores the fingerprint: the machine's rebuilt
         // coreset is keyed by content, but content reverted, so the slot key
         // no longer matches and it rebuilds once more.
@@ -411,6 +405,60 @@ mod tests {
                 assert_eq!((vertex, n), (60, 50));
             }
             other => panic!("expected VertexOutOfRange, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_changes_nothing() {
+        let g = gnp(300, 0.02, &mut ChaCha8Rng::seed_from_u64(5));
+        let mut svc = GraphService::new(&g, GraphServiceConfig::new(6, 11)).unwrap();
+        let (graph, matching, cover) = (
+            svc.current_graph(),
+            svc.matching().clone(),
+            svc.cover().clone(),
+        );
+        let stats = svc.matching_cache_stats();
+        // A valid delete ahead of an out-of-range insert: neither may land.
+        let matched = matching.edges()[0];
+        let batch = [ChurnOp::Delete(matched), ChurnOp::Insert(Edge::new(1, 305))];
+        match svc.apply_batch(&batch) {
+            Err(ProtocolError::Graph(GraphError::VertexOutOfRange { vertex, n })) => {
+                assert_eq!((vertex, n), (305, 300));
+            }
+            other => panic!("expected VertexOutOfRange, got {other:?}"),
+        }
+        assert_eq!(svc.current_graph(), graph);
+        assert_eq!(svc.m(), graph.m());
+        assert_eq!(svc.matching(), &matching);
+        assert_eq!(svc.cover(), &cover);
+        assert_eq!(svc.matching_cache_stats(), stats);
+        assert!(svc.matching().is_valid_for(&svc.current_graph()));
+        assert!(svc.incremental().cover().covers(&svc.current_graph()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The cached service answers equal a from-scratch driver round after
+        /// every batch, for any machine count and seed.
+        #[test]
+        fn service_matches_the_driver_after_random_batches(
+            n in 8usize..80,
+            p in 0.02f64..0.2,
+            k in 1usize..9,
+            seed in any::<u64>(),
+            batches in proptest::collection::vec(1usize..20, 1..5),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = gnp(n, p, &mut rng);
+            let mut svc = GraphService::new(&g, GraphServiceConfig::new(k, seed)).unwrap();
+            for (b, &len) in batches.iter().enumerate() {
+                let ops = churn_ops(n as u32, len, seed ^ b as u64);
+                svc.apply_batch(&ops).unwrap();
+                let (m, c) = naive_full_round(&svc.current_graph(), k, seed).unwrap();
+                prop_assert_eq!(svc.matching(), &m);
+                prop_assert_eq!(svc.cover(), &c);
+            }
         }
     }
 }

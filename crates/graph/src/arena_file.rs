@@ -27,7 +27,7 @@
 //!
 //! Version-1 files (`RCARENA1`, no checksum table) are still read: loaders
 //! simply skip checksum verification for them. New files are always written
-//! as version 2; [`write_arena_file_v1`] exists for compatibility tests.
+//! as version 2 (only this module's tests write version 1).
 //!
 //! The segment table must start at offset 0 and tile the record section
 //! exactly (`offset[i+1] = offset[i] + len[i]`, totals equal to `m`);
@@ -55,6 +55,7 @@
 //! [`SegmentRetryPolicy`] bounds how many attempts each segment gets before
 //! the last error is surfaced to the caller.
 
+use crate::churn::mix64;
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::metrics;
@@ -126,25 +127,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC32_INIT, bytes))
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic fault-decision mixing (SplitMix64; self-contained so the
-// graph crate keeps zero dependencies on the coreset layer).
-// ---------------------------------------------------------------------------
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Maps a `(seed, segment, attempt, salt)` site to a uniform `[0, 1)` value.
 /// Pure in its inputs, so fault decisions are identical across thread counts
 /// and scheduler interleavings.
 fn site_unit(seed: u64, segment: u64, attempt: u64, salt: u64) -> f64 {
     let mut x = seed ^ salt;
-    x = splitmix64(x ^ splitmix64(segment.wrapping_mul(0xA076_1D64_78BD_642F)));
-    x = splitmix64(x ^ splitmix64(attempt.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
+    x = mix64(x ^ mix64(segment.wrapping_mul(0xA076_1D64_78BD_642F)));
+    x = mix64(x ^ mix64(attempt.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -257,13 +246,6 @@ fn io_err(what: &str, e: std::io::Error) -> GraphError {
 /// Overwrites any existing file.
 pub fn write_arena_file(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
     write_arena_impl(path, arena, ARENA_VERSION)
-}
-
-/// Serializes a partitioned edge arena in the legacy version-1 format (no
-/// checksum table). Exists so compatibility tests can pin that v1 files
-/// remain readable; new code should use [`write_arena_file`].
-pub fn write_arena_file_v1(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
-    write_arena_impl(path, arena, 1)
 }
 
 fn write_arena_impl(path: &Path, arena: &PartitionedGraph, version: u32) -> Result<(), GraphError> {
@@ -775,6 +757,13 @@ mod tests {
     use crate::gen::er::gnp;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Serializes a partitioned edge arena in the legacy version-1 format
+    /// (no checksum table), so these tests can pin that v1 files remain
+    /// readable.
+    fn write_arena_file_v1(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
+        write_arena_impl(path, arena, 1)
+    }
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("rc_arena_test_{}_{tag}.bin", std::process::id()))

@@ -54,10 +54,15 @@ impl ChurnOp {
     }
 }
 
-/// SplitMix64 finalizer (stateless form): the standard 64-bit bit mixer used
-/// to turn structured inputs into decorrelated hash values.
+/// The SplitMix64 output function: adds the golden-ratio increment to `z`
+/// and finalizes it into a decorrelated 64-bit value. Edge placement and
+/// piece fingerprints here, the per-machine RNG keys (`coresets::streams`)
+/// and both fault planners mix through it.
+///
+/// A SplitMix64 *generator* with state `s` returns `mix64(s)` and then
+/// advances `s` by `0x9E37_79B9_7F4A_7C15`.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -27,10 +27,9 @@
 //!   arenas plus [`SegmentLoader`], which streams one machine segment at a
 //!   time so 10⁷–10⁸-edge protocol runs never hold the whole arena resident.
 //! * [`metrics`] — process-wide counters (edges materialized into owned
-//!   per-machine graphs; legacy peeling scratch elements; resident-edge
-//!   high-water accounting for the out-of-core path) backing the
-//!   determinism suite, the hierarchical-composition experiment E16 and the
-//!   churn-serving experiment E18.
+//!   per-machine graphs; resident-edge high-water accounting for the
+//!   out-of-core path) backing the hierarchical-composition experiment E16
+//!   and the churn-serving experiment E18.
 //! * [`gen`] — graph generators: Erdős–Rényi, random bipartite, planted
 //!   matchings, stars, power-law (Chung–Lu), and the paper's hard
 //!   distributions `D_Matching` (Section 4.1/5.1) and `D_VC` (Section 4.2/5.3).
@@ -51,7 +50,6 @@ pub mod edge;
 pub mod error;
 pub mod gen;
 pub mod graph;
-pub mod io;
 pub mod metrics;
 pub mod partition;
 pub mod stats;
@@ -59,33 +57,15 @@ pub mod view;
 pub mod weighted;
 
 pub use arena_file::{
-    write_arena_file, write_arena_file_v1, ArenaFile, SegmentFault, SegmentFaultPlan,
-    SegmentLoader, SegmentRetryPolicy,
+    write_arena_file, ArenaFile, SegmentFault, SegmentFaultPlan, SegmentLoader, SegmentRetryPolicy,
 };
 pub use bipartite::BipartiteGraph;
-pub use churn::{edge_machine, fingerprint_edges, ChurnOp, ChurnPartition};
+pub use churn::{edge_machine, fingerprint_edges, mix64, ChurnOp, ChurnPartition};
 pub use compact::VertexCompactor;
 pub use csr::Csr;
 pub use edge::{Edge, VertexId, WeightedEdge};
 pub use error::GraphError;
 pub use graph::{Adjacency, Graph};
-pub use partition::{EdgePartition, PartitionStrategy, PartitionedGraph};
+pub use partition::{PartitionStrategy, PartitionedGraph};
 pub use view::{views_of, GraphRef, GraphView};
 pub use weighted::WeightedGraph;
-
-/// Convenience prelude re-exporting the items needed by most downstream code.
-pub mod prelude {
-    pub use crate::arena_file::{
-        write_arena_file, write_arena_file_v1, ArenaFile, SegmentFault, SegmentFaultPlan,
-        SegmentLoader, SegmentRetryPolicy,
-    };
-    pub use crate::bipartite::BipartiteGraph;
-    pub use crate::churn::{edge_machine, fingerprint_edges, ChurnOp, ChurnPartition};
-    pub use crate::csr::Csr;
-    pub use crate::edge::{Edge, VertexId, WeightedEdge};
-    pub use crate::error::GraphError;
-    pub use crate::graph::{Adjacency, Graph};
-    pub use crate::partition::{EdgePartition, PartitionStrategy, PartitionedGraph};
-    pub use crate::view::{views_of, GraphRef, GraphView};
-    pub use crate::weighted::WeightedGraph;
-}

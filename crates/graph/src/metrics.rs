@@ -6,25 +6,14 @@
 //! owned graphs. That claim is hard to see from wall-clock alone, so this
 //! module keeps a process-wide counter of *edges materialized into owned
 //! per-machine graphs* — incremented exactly when
-//! [`crate::view::GraphView::to_graph`] copies a piece out of an arena or
-//! when [`crate::partition::EdgePartition`] materializes owned pieces.
+//! [`crate::view::GraphView::to_graph`] copies a piece out of an arena.
 //!
 //! The retired experiment E12 recorded both readings in
 //! `BENCH_datapath.json`: the legacy path reported `m` edges per run, the
 //! arena path 0. Experiment E18 (`exp_dynamic_churn`) asserts the churn
 //! service keeps it at 0.
-
 //!
-//! A second counter plays the same role for the vertex-cover side:
-//! [`vc_peel_scratch_elems`] counts the elements of per-call / per-round scratch
-//! (edge-buffer copies, per-round degree arrays, peel flags) allocated by the
-//! *legacy* Parnas–Ron peeling path. The engine-backed peeling
-//! (`vertexcover::VcEngine`) performs none of those allocations, so a full VC
-//! protocol run leaves the counter untouched — the determinism suite
-//! (`tests/determinism.rs`) asserts exactly that.
-
-//!
-//! A third pair of counters backs the out-of-core experiment E16
+//! A second pair of counters backs the out-of-core experiment E16
 //! (`exp_tree_compose`): [`resident_edges`] tracks how many edge records are
 //! currently held in memory by accounted holders (arena segment buffers,
 //! live coresets and merge scratch in the tree-composition runner), and
@@ -36,7 +25,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static PIECE_EDGES_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
-static VC_PEEL_SCRATCH_WORDS: AtomicU64 = AtomicU64::new(0);
 static RESIDENT_EDGES: AtomicU64 = AtomicU64::new(0);
 static PEAK_RESIDENT_EDGES: AtomicU64 = AtomicU64::new(0);
 
@@ -51,23 +39,6 @@ pub fn record_piece_edges_materialized(edges: usize) {
 #[inline]
 pub fn piece_edges_materialized() -> u64 {
     PIECE_EDGES_MATERIALIZED.load(Ordering::Relaxed)
-}
-
-/// Records that a peeling round (or call) allocated `words` words of scratch:
-/// an edge-buffer copy, a per-round degree array, or a per-call peel-flag
-/// array. Only the legacy (pre-engine) peeling path calls this.
-#[inline]
-pub fn record_vc_peel_scratch(words: usize) {
-    VC_PEEL_SCRATCH_WORDS.fetch_add(words as u64, Ordering::Relaxed);
-}
-
-/// Total scratch elements (edge slots, degree counters, peel flags)
-/// allocated by legacy peeling since process start (process-wide). Engine-backed
-/// protocol runs never move it — the "zero per-round edge-buffer
-/// reallocations" claim `tests/determinism.rs` asserts.
-#[inline]
-pub fn vc_peel_scratch_elems() -> u64 {
-    VC_PEEL_SCRATCH_WORDS.load(Ordering::Relaxed)
 }
 
 /// Records that `edges` edge records became resident in an accounted buffer
@@ -117,8 +88,6 @@ pub fn reset_peak_resident_edges() {
 pub struct MetricsSnapshot {
     /// Reading of [`piece_edges_materialized`].
     pub piece_edges_materialized: u64,
-    /// Reading of [`vc_peel_scratch_elems`].
-    pub vc_peel_scratch_elems: u64,
     /// Reading of [`resident_edges`].
     pub resident_edges: u64,
     /// Reading of [`peak_resident_edges`].
@@ -130,7 +99,6 @@ impl MetricsSnapshot {
     pub fn take() -> Self {
         MetricsSnapshot {
             piece_edges_materialized: piece_edges_materialized(),
-            vc_peel_scratch_elems: vc_peel_scratch_elems(),
             resident_edges: resident_edges(),
             peak_resident_edges: peak_resident_edges(),
         }
@@ -140,10 +108,10 @@ impl MetricsSnapshot {
 /// A scoped counter guard: snapshot at entry, read per-scope deltas on
 /// demand — no manual reset bookkeeping.
 ///
-/// The monotone counters ([`piece_edges_materialized`],
-/// [`vc_peel_scratch_elems`]) are handled purely by subtraction, so any
-/// number of scopes may overlap (each sees its own delta, plus whatever
-/// concurrent scopes added — the counters are process-wide by design).
+/// The monotone counter ([`piece_edges_materialized`]) is handled purely by
+/// subtraction, so any number of scopes may overlap (each sees its own delta,
+/// plus whatever concurrent scopes added — the counters are process-wide by
+/// design).
 ///
 /// The one counter that *cannot* be scoped by subtraction is the high-water
 /// mark: before this type, `reset_peak_resident_edges` was the only counter
@@ -178,11 +146,6 @@ impl MetricsScope {
         piece_edges_materialized().saturating_sub(self.start.piece_edges_materialized)
     }
 
-    /// Legacy peeling scratch elements allocated since entry.
-    pub fn vc_peel_scratch_elems(&self) -> u64 {
-        vc_peel_scratch_elems().saturating_sub(self.start.vc_peel_scratch_elems)
-    }
-
     /// Net change in resident edge records since entry (negative when the
     /// scope released more than it acquired).
     pub fn resident_edges_delta(&self) -> i64 {
@@ -212,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn peel_scratch_counter_accumulates() {
-        let before = vc_peel_scratch_elems();
-        record_vc_peel_scratch(5);
-        record_vc_peel_scratch(4);
-        assert!(vc_peel_scratch_elems() >= before + 9);
-    }
-
-    #[test]
     fn resident_accounting_moves_peak_monotonically() {
         // Process-wide counters and concurrent tests: assert only relative,
         // monotone movement from this test's own acquire/release pairs.
@@ -237,11 +192,9 @@ mod tests {
         let global_before = piece_edges_materialized();
         let scope = MetricsScope::enter();
         record_piece_edges_materialized(11);
-        record_vc_peel_scratch(4);
         // Scoped deltas move by at least this test's contributions (other
         // concurrent tests can only add).
         assert!(scope.piece_edges_materialized() >= 11);
-        assert!(scope.vc_peel_scratch_elems() >= 4);
         // The globals were never reset: monotone from the caller's view.
         assert!(piece_edges_materialized() >= global_before + 11);
         // A nested scope starts from the current reading, so it does not see

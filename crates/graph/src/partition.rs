@@ -13,20 +13,12 @@
 //! * [`PartitionStrategy::RoundRobin`] — a deterministic but "spread out"
 //!   partition, useful for sanity comparisons.
 //!
-//! Two partition containers are provided:
-//!
-//! * [`PartitionedGraph`] — the **edge arena**: one machine-sorted copy of the
-//!   edge permutation plus `k + 1` offsets (a CSR over machines). Per-machine
-//!   access returns zero-copy [`GraphView`]s; this is what all protocol
-//!   runners use, so a full run copies the edge set exactly once.
-//! * [`EdgePartition`] — owned per-machine [`Graph`]s, materialized from a
-//!   [`PartitionedGraph`]. Retained for callers that need `'static` pieces;
-//!   every materialization is charged to
-//!   [`crate::metrics::piece_edges_materialized`].
-//!
-//! For a fixed RNG the two containers produce byte-identical per-machine edge
-//! sequences (the arena fill is a stable counting sort by machine, exactly
-//! the order the bucketing construction used).
+//! The partition container is [`PartitionedGraph`], the **edge arena**: one
+//! machine-sorted copy of the edge permutation plus `k + 1` offsets (a CSR
+//! over machines). Per-machine access returns zero-copy [`GraphView`]s, so a
+//! full protocol run copies the edge set exactly once. A caller that needs an
+//! owned piece copies it out with [`GraphView::to_graph`], which charges the
+//! copy to [`crate::metrics::piece_edges_materialized`].
 
 use crate::bipartite::BipartiteGraph;
 use crate::edge::{Edge, WeightedEdge};
@@ -57,9 +49,7 @@ pub enum PartitionStrategy {
 ///
 /// `piece(i)` is the slice `edges[offsets[i] .. offsets[i + 1]]`, returned as
 /// a zero-copy [`GraphView`]; within a machine the edges keep their original
-/// relative order (the fill is a stable counting sort by machine), so the
-/// per-machine sequences are byte-identical to what bucketing into owned
-/// graphs produced.
+/// relative order (the fill is a stable counting sort by machine).
 ///
 /// This is the storage type of the paper's model itself — the partitioned
 /// edge set is the unit of storage, not `k` independent graphs — and the
@@ -79,10 +69,9 @@ impl PartitionedGraph {
     /// Partitions `g` into `k` machine slices using `strategy`, copying the
     /// edge set exactly once (into the machine-sorted arena).
     ///
-    /// For [`PartitionStrategy::Random`] the supplied RNG drives the machine
-    /// choice of every edge (consuming it exactly as [`EdgePartition::new`]
-    /// always has); the other strategies are deterministic and ignore the
-    /// RNG.
+    /// For [`PartitionStrategy::Random`] the supplied RNG draws the machine
+    /// of every edge, one `gen_range(0..k)` per edge in input order; the
+    /// other strategies are deterministic and ignore the RNG.
     pub fn new<R: Rng + ?Sized>(
         g: &Graph,
         k: usize,
@@ -197,107 +186,12 @@ impl PartitionedGraph {
         self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Total number of edges across all pieces (identical to [`Self::m`];
-    /// kept for parity with [`EdgePartition::total_edges`]).
-    #[inline]
-    pub fn total_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Reassembles the original edge set from the arena, in machine-major
     /// order (not canonical sorted order — the multiset, not the layout, is
     /// what reuniting restores). Pieces of a partition are disjoint by
     /// construction, so this is a single preallocated copy, no dedup pass.
     pub fn reunite(&self) -> Graph {
-        let g = Graph::from_edges_unchecked(self.n, self.edges.clone());
-        debug_assert_eq!(g.m(), self.total_edges(), "partition must preserve m");
-        g
-    }
-
-    /// Materializes owned per-machine [`Graph`]s (the legacy representation).
-    ///
-    /// Copies every piece out of the arena; the copies are charged to
-    /// [`crate::metrics::piece_edges_materialized`].
-    pub fn materialize(&self) -> EdgePartition {
-        let pieces = (0..self.k()).map(|i| self.piece(i).to_graph()).collect();
-        EdgePartition {
-            pieces,
-            strategy: self.strategy,
-        }
-    }
-}
-
-/// Owned per-machine subgraphs of a partitioned edge set, all sharing the
-/// original vertex set.
-///
-/// Protocol runners operate on [`PartitionedGraph`] views and never build
-/// this; it remains for callers that genuinely need owned pieces (e.g. to
-/// move them across threads with `'static` lifetimes or mutate them).
-#[derive(Debug, Clone)]
-pub struct EdgePartition {
-    pieces: Vec<Graph>,
-    strategy: PartitionStrategy,
-}
-
-impl EdgePartition {
-    /// Partitions `g` into `k` owned pieces using `strategy`.
-    ///
-    /// Equivalent to [`PartitionedGraph::new`] followed by
-    /// [`PartitionedGraph::materialize`] — same RNG consumption, same
-    /// per-machine edge order.
-    pub fn new<R: Rng + ?Sized>(
-        g: &Graph,
-        k: usize,
-        strategy: PartitionStrategy,
-        rng: &mut R,
-    ) -> Result<Self, GraphError> {
-        Ok(PartitionedGraph::new(g, k, strategy, rng)?.materialize())
-    }
-
-    /// Convenience constructor for the paper's model (random partitioning).
-    pub fn random<R: Rng + ?Sized>(g: &Graph, k: usize, rng: &mut R) -> Result<Self, GraphError> {
-        Self::new(g, k, PartitionStrategy::Random, rng)
-    }
-
-    /// The per-machine subgraphs.
-    #[inline]
-    pub fn pieces(&self) -> &[Graph] {
-        &self.pieces
-    }
-
-    /// Number of machines.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// The strategy that produced this partition.
-    #[inline]
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// Total number of edges across all pieces (equals `m` of the original
-    /// graph — partitioning never duplicates or drops edges).
-    pub fn total_edges(&self) -> usize {
-        self.pieces.iter().map(Graph::m).sum()
-    }
-
-    /// Reassembles the original edge set by concatenating all pieces.
-    ///
-    /// Pieces of a partition are edge-disjoint by construction, so the result
-    /// is built with a single preallocated copy; the debug invariant checks
-    /// that no edge was duplicated or dropped.
-    pub fn reunite(&self) -> Graph {
-        let n = self.pieces.first().map_or(0, Graph::n);
-        let total = self.total_edges();
-        let mut edges = Vec::with_capacity(total);
-        for p in &self.pieces {
-            edges.extend_from_slice(p.edges());
-        }
-        let g = Graph::from_edges_unchecked(n, edges);
-        debug_assert_eq!(g.m(), total, "partition must preserve m");
-        g
+        Graph::from_edges_unchecked(self.n, self.edges.clone())
     }
 }
 
@@ -415,15 +309,15 @@ mod tests {
     fn random_partition_is_a_partition() {
         let mut r = rng(1);
         let g = gnp(200, 0.05, &mut r);
-        let part = EdgePartition::random(&g, 7, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, 7, &mut r).unwrap();
         assert_eq!(part.k(), 7);
-        assert_eq!(part.total_edges(), g.m());
+        assert_eq!(part.m(), g.m());
         let reunited = part.reunite();
         assert_eq!(reunited.m(), g.m());
         // Every original edge appears in exactly one piece.
         for e in g.edges() {
             let count = part
-                .pieces()
+                .views()
                 .iter()
                 .filter(|p| p.edges().contains(e))
                 .count();
@@ -435,8 +329,18 @@ mod tests {
     fn zero_machines_rejected() {
         let mut r = rng(2);
         let g = gnp(10, 0.3, &mut r);
+        for strategy in [
+            PartitionStrategy::Random,
+            PartitionStrategy::RoundRobin,
+            PartitionStrategy::Adversarial,
+        ] {
+            assert!(matches!(
+                PartitionedGraph::new(&g, 0, strategy, &mut r),
+                Err(GraphError::InvalidMachineCount { k: 0 })
+            ));
+        }
         assert!(matches!(
-            EdgePartition::random(&g, 0, &mut r),
+            PartitionedGraph::by_edge_hash(&g, 0, 1),
             Err(GraphError::InvalidMachineCount { k: 0 })
         ));
     }
@@ -445,10 +349,10 @@ mod tests {
     fn k_greater_than_m_leaves_empty_pieces() {
         let mut r = rng(3);
         let g = Graph::from_pairs(4, vec![(0, 1), (2, 3)]).unwrap();
-        let part = EdgePartition::random(&g, 10, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, 10, &mut r).unwrap();
         assert_eq!(part.k(), 10);
-        assert_eq!(part.total_edges(), 2);
-        let nonempty = part.pieces().iter().filter(|p| !p.is_empty()).count();
+        assert_eq!(part.m(), 2);
+        let nonempty = part.views().iter().filter(|p| !p.is_empty()).count();
         assert!(nonempty <= 2);
     }
 
@@ -457,9 +361,9 @@ mod tests {
         let mut r = rng(4);
         let g = gnp(300, 0.1, &mut r);
         let k = 8;
-        let part = EdgePartition::random(&g, k, &mut r).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut r).unwrap();
         let expected = g.m() as f64 / k as f64;
-        for p in part.pieces() {
+        for p in part.views() {
             let ratio = p.m() as f64 / expected;
             assert!(
                 ratio > 0.6 && ratio < 1.4,
@@ -473,12 +377,11 @@ mod tests {
     fn round_robin_is_deterministic_and_balanced() {
         let mut r = rng(5);
         let g = gnp(100, 0.1, &mut r);
-        let p1 = EdgePartition::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(99)).unwrap();
-        let p2 = EdgePartition::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(7)).unwrap();
-        for (a, b) in p1.pieces().iter().zip(p2.pieces()) {
-            assert_eq!(a.edges(), b.edges());
-        }
-        let sizes: Vec<usize> = p1.pieces().iter().map(Graph::m).collect();
+        let p1 = PartitionedGraph::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(99)).unwrap();
+        let p2 = PartitionedGraph::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(7)).unwrap();
+        assert_eq!(p1.arena(), p2.arena());
+        let sizes = p1.piece_sizes();
+        assert_eq!(sizes, p2.piece_sizes());
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
         assert!(max - min <= 1);
@@ -490,10 +393,11 @@ mod tests {
         // of 0's neighbourhood on each machine.
         let n = 101;
         let g = Graph::from_pairs(n, (1..n as u32).map(|v| (0, v))).unwrap();
-        let part = EdgePartition::new(&g, 4, PartitionStrategy::Adversarial, &mut rng(0)).unwrap();
-        assert_eq!(part.total_edges(), 100);
+        let part =
+            PartitionedGraph::new(&g, 4, PartitionStrategy::Adversarial, &mut rng(0)).unwrap();
+        assert_eq!(part.m(), 100);
         // Chunks are contiguous in sorted order: piece 0 gets neighbours 1..=25, etc.
-        let piece0 = &part.pieces()[0];
+        let piece0 = part.piece(0).to_graph();
         assert_eq!(piece0.m(), 25);
         assert!(piece0.has_edge(0, 1));
         assert!(piece0.has_edge(0, 25));
@@ -536,36 +440,15 @@ mod tests {
     #[test]
     fn empty_graph_partitions_cleanly() {
         let g = Graph::empty(10);
-        let part = EdgePartition::random(&g, 3, &mut rng(8)).unwrap();
-        assert_eq!(part.total_edges(), 0);
-        assert!(part.pieces().iter().all(Graph::is_empty));
-    }
-
-    #[test]
-    fn arena_views_match_materialized_pieces_exactly() {
-        // The zero-copy arena and the owned pieces must expose byte-identical
-        // per-machine edge sequences for the same RNG draws.
-        let g = gnp(150, 0.06, &mut rng(21));
         for strategy in [
             PartitionStrategy::Random,
             PartitionStrategy::RoundRobin,
             PartitionStrategy::Adversarial,
         ] {
-            let arena = PartitionedGraph::new(&g, 5, strategy, &mut rng(77)).unwrap();
-            let owned = EdgePartition::new(&g, 5, strategy, &mut rng(77)).unwrap();
-            assert_eq!(arena.k(), owned.k());
-            assert_eq!(
-                arena.piece_sizes(),
-                arena.views().iter().map(|v| v.m()).collect::<Vec<_>>()
-            );
-            for (i, piece) in owned.pieces().iter().enumerate() {
-                assert_eq!(
-                    arena.piece(i).edges(),
-                    piece.edges(),
-                    "{strategy:?} piece {i}"
-                );
-                assert_eq!(arena.piece(i).n(), piece.n());
-            }
+            let part = PartitionedGraph::new(&g, 3, strategy, &mut rng(8)).unwrap();
+            assert_eq!(part.m(), 0);
+            assert_eq!(part.piece_sizes(), vec![0; 3]);
+            assert!(part.views().iter().all(|p| p.is_empty() && p.n() == 10));
         }
     }
 
@@ -574,7 +457,7 @@ mod tests {
         let g = gnp(120, 0.08, &mut rng(22));
         let arena = PartitionedGraph::random(&g, 7, &mut rng(23)).unwrap();
         assert_eq!(arena.m(), g.m());
-        assert_eq!(arena.total_edges(), g.m());
+        assert_eq!(arena.piece_sizes().iter().sum::<usize>(), g.m());
         let mut perm: Vec<Edge> = arena.arena().to_vec();
         perm.sort_unstable();
         let mut orig: Vec<Edge> = g.edges().to_vec();
@@ -600,13 +483,17 @@ mod tests {
         let g = gnp(80, 0.1, &mut rng(26));
         let arena = PartitionedGraph::random(&g, 4, &mut rng(27)).unwrap();
         // The counter is process-wide and tests run concurrently, so only
-        // assert monotone movement attributable to this materialization.
+        // assert monotone movement attributable to these copies.
         let mid = crate::metrics::piece_edges_materialized();
-        let _ = arena.materialize();
+        for (i, view) in arena.views().into_iter().enumerate() {
+            let owned = view.to_graph();
+            assert_eq!(owned.edges(), arena.piece(i).edges());
+            assert_eq!(owned.n(), g.n());
+        }
         let after = crate::metrics::piece_edges_materialized();
         assert!(
             after - mid >= g.m() as u64,
-            "materializing owned pieces copies every edge"
+            "copying every piece out of the arena copies every edge"
         );
     }
 

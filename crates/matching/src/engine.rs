@@ -225,11 +225,11 @@ pub(crate) fn with_thread_engine<T>(f: impl FnOnce(&mut MatchingEngine) -> T) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::brute_force_maximum_matching_size;
     use graph::gen::er::gnp;
     use graph::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use testkit::brute_force_maximum_matching_size;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)

@@ -60,11 +60,11 @@ fn greedy_over(n: usize, edges: impl Iterator<Item = Edge>) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::brute_force_maximum_matching_size;
     use graph::gen::er::gnp;
     use graph::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use testkit::brute_force_maximum_matching_size;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)

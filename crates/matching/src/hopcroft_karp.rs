@@ -5,80 +5,36 @@
 //! requires *some* maximum matching of each piece, and Hopcroft–Karp provides
 //! it fast enough for the large-n experiments.
 //!
-//! Two front ends share the same BFS/DFS phase machinery:
-//!
-//! * [`hopcroft_karp`] / [`hopcroft_karp_size`] operate on an explicit
-//!   [`BipartiteGraph`] via its flat [`BipartiteGraph::left_csr`].
-//! * [`hopcroft_karp_on_csr`] is the fused path used by the matching
-//!   engine's `Auto` dispatch: it runs directly on a general-graph [`Csr`]
-//!   plus the 2-colouring that proved bipartiteness, so no intermediate
-//!   `BipartiteGraph` (or `(left, right)` pair vector) is ever materialized.
+//! There is one phase loop, [`hopcroft_karp_on_csr`]. It runs on a
+//! general-graph [`Csr`] plus the 2-colouring that proved bipartiteness: the
+//! matching engine's `Auto` dispatch solves the same CSR its bipartiteness
+//! check walked, with no `BipartiteGraph` or pair vector in between.
+//! [`hopcroft_karp`] / [`hopcroft_karp_size`] adapt an explicit
+//! [`BipartiteGraph`] to it: flatten with [`BipartiteGraph::to_graph`]
+//! (right vertex `r` becomes `left_n + r`), colour each vertex by its side,
+//! solve, and map every matched edge back to a `(left, right)` pair.
 
-use graph::bipartite::LeftCsr;
 use graph::{BipartiteGraph, Csr, Edge, VertexId};
 use std::collections::VecDeque;
 
 const NIL: u32 = u32::MAX;
 const INF: u32 = u32::MAX;
 
-/// Runs the phase loop on a left-CSR, returning `pair_left`.
-fn solve_pairs(g: &BipartiteGraph) -> Vec<u32> {
-    let left_n = g.left_n();
-    let right_n = g.right_n();
-    let adj = g.left_csr();
-
-    // pair_left[l] = right partner of l (or NIL); pair_right[r] = left partner.
-    let mut pair_left = vec![NIL; left_n];
-    let mut pair_right = vec![NIL; right_n];
-    let mut dist = vec![INF; left_n];
-    let mut stack = Vec::new();
-    let mut queue = VecDeque::new();
-
-    loop {
-        if !bfs(&adj, &pair_left, &pair_right, &mut dist, &mut queue) {
-            break;
-        }
-        let mut augmented = false;
-        for l in 0..left_n {
-            if pair_left[l] == NIL
-                && dfs(
-                    l,
-                    &adj,
-                    &mut pair_left,
-                    &mut pair_right,
-                    &mut dist,
-                    &mut stack,
-                )
-            {
-                augmented = true;
-            }
-        }
-        if !augmented {
-            break;
-        }
-    }
-    pair_left
-}
-
 /// Computes a maximum matching of the bipartite graph, returned as
-/// `(left, right)` pairs.
-///
-/// The left-side adjacency is built once as a flat CSR
-/// ([`BipartiteGraph::left_csr`]) — one contiguous allocation instead of the
-/// per-call `Vec<Vec<_>>` rebuild.
+/// `(left, right)` pairs in ascending left order.
 pub fn hopcroft_karp(g: &BipartiteGraph) -> Vec<(VertexId, VertexId)> {
-    let pair_left = solve_pairs(g);
-    (0..g.left_n())
-        .filter(|&l| pair_left[l] != NIL)
-        .map(|l| (l as VertexId, pair_left[l]))
+    let flat = g.to_graph();
+    let color: Vec<u8> = (0..flat.n()).map(|v| u8::from(v >= g.left_n())).collect();
+    let offset = g.left_n() as VertexId;
+    hopcroft_karp_on_csr(&Csr::from_graph(&flat), &color, &[])
+        .into_iter()
+        .map(|e| (e.u, e.v - offset))
         .collect()
 }
 
-/// Computes only the maximum matching *size*: the matched entries of the
-/// internal `pair_left` array are counted directly, without materialising the
-/// `(left, right)` pair vector that [`hopcroft_karp`] returns.
+/// Computes only the maximum matching *size* of the bipartite graph.
 pub fn hopcroft_karp_size(g: &BipartiteGraph) -> usize {
-    solve_pairs(g).iter().filter(|&&p| p != NIL).count()
+    hopcroft_karp(g).len()
 }
 
 /// Maximum matching of a bipartite *general-graph* CSR, driven by a proper
@@ -141,90 +97,10 @@ pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge>
         .collect()
 }
 
-fn bfs(
-    adj: &LeftCsr,
-    pair_left: &[u32],
-    pair_right: &[u32],
-    dist: &mut [u32],
-    queue: &mut VecDeque<u32>,
-) -> bool {
-    queue.clear();
-    for (l, &p) in pair_left.iter().enumerate() {
-        if p == NIL {
-            dist[l] = 0;
-            queue.push_back(l as u32);
-        } else {
-            dist[l] = INF;
-        }
-    }
-    let mut found_augmenting = false;
-    while let Some(l) = queue.pop_front() {
-        for &r in adj.neighbors(l as usize) {
-            let next = pair_right[r as usize];
-            if next == NIL {
-                found_augmenting = true;
-            } else if dist[next as usize] == INF {
-                dist[next as usize] = dist[l as usize] + 1;
-                queue.push_back(next);
-            }
-        }
-    }
-    found_augmenting
-}
-
 /// One stack frame of the iterative alternating-path DFS: the left vertex,
 /// the next neighbour index to try, and the right vertex currently descended
 /// through (to flip on success).
 type DfsFrame = (u32, u32, u32);
-
-fn dfs(
-    l: usize,
-    adj: &LeftCsr,
-    pair_left: &mut [u32],
-    pair_right: &mut [u32],
-    dist: &mut [u32],
-    stack: &mut Vec<DfsFrame>,
-) -> bool {
-    // Iterative version of the classic recursion (identical traversal order
-    // and output); augmenting paths grow with the phase number, so deep
-    // instances must not consume call stack.
-    stack.clear();
-    stack.push((l as u32, 0, NIL));
-    loop {
-        let depth = stack.len() - 1;
-        let (v, mut i, _) = stack[depth];
-        let neighbors = adj.neighbors(v as usize);
-        let mut descended = false;
-        while (i as usize) < neighbors.len() {
-            let r = neighbors[i as usize];
-            i += 1;
-            let next = pair_right[r as usize];
-            if next == NIL {
-                // Free right vertex: flip the whole alternating path.
-                stack[depth].2 = r;
-                for &(lv, _, rv) in stack.iter().rev() {
-                    pair_left[lv as usize] = rv;
-                    pair_right[rv as usize] = lv;
-                }
-                return true;
-            }
-            if dist[next as usize] == dist[v as usize] + 1 {
-                stack[depth] = (v, i, r);
-                stack.push((next, 0, NIL));
-                descended = true;
-                break;
-            }
-        }
-        if descended {
-            continue;
-        }
-        dist[v as usize] = INF;
-        stack.pop();
-        if stack.is_empty() {
-            return false;
-        }
-    }
-}
 
 /// BFS phase over the fused representation: left vertices and their partners
 /// live in the same id space, `pair` covers both sides. `queue` is the
@@ -268,7 +144,7 @@ fn dfs_csr(
     stack: &mut Vec<DfsFrame>,
 ) -> bool {
     // Iterative alternating-path DFS over the fused representation (same
-    // traversal as the recursive classic; see `dfs`).
+    // traversal as the recursive classic).
     stack.clear();
     stack.push((l, 0, NIL));
     loop {
@@ -309,11 +185,128 @@ fn dfs_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::brute_force_maximum_matching_size;
+    use graph::bipartite::LeftCsr;
     use graph::gen::bipartite::{planted_matching_bipartite, random_bipartite};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::collections::HashSet;
+    use testkit::brute_force_maximum_matching_size;
+
+    /// The pre-adapter phase loop over a left-side CSR, kept as the oracle
+    /// the [`hopcroft_karp`] adapter must match pair for pair.
+    fn reference_pairs(g: &BipartiteGraph) -> Vec<(VertexId, VertexId)> {
+        let adj = g.left_csr();
+        // pair_left[l] = right partner of l (or NIL); pair_right[r] = left partner.
+        let mut pair_left = vec![NIL; g.left_n()];
+        let mut pair_right = vec![NIL; g.right_n()];
+        let mut dist = vec![INF; g.left_n()];
+        let mut stack = Vec::new();
+        let mut queue = VecDeque::new();
+        while bfs(&adj, &pair_left, &pair_right, &mut dist, &mut queue) {
+            let mut augmented = false;
+            for l in 0..g.left_n() {
+                if pair_left[l] == NIL
+                    && dfs(
+                        l,
+                        &adj,
+                        &mut pair_left,
+                        &mut pair_right,
+                        &mut dist,
+                        &mut stack,
+                    )
+                {
+                    augmented = true;
+                }
+            }
+            if !augmented {
+                break;
+            }
+        }
+        (0..g.left_n())
+            .filter(|&l| pair_left[l] != NIL)
+            .map(|l| (l as VertexId, pair_left[l]))
+            .collect()
+    }
+
+    fn bfs(
+        adj: &LeftCsr,
+        pair_left: &[u32],
+        pair_right: &[u32],
+        dist: &mut [u32],
+        queue: &mut VecDeque<u32>,
+    ) -> bool {
+        queue.clear();
+        for (l, &p) in pair_left.iter().enumerate() {
+            if p == NIL {
+                dist[l] = 0;
+                queue.push_back(l as u32);
+            } else {
+                dist[l] = INF;
+            }
+        }
+        let mut found_augmenting = false;
+        while let Some(l) = queue.pop_front() {
+            for &r in adj.neighbors(l as usize) {
+                let next = pair_right[r as usize];
+                if next == NIL {
+                    found_augmenting = true;
+                } else if dist[next as usize] == INF {
+                    dist[next as usize] = dist[l as usize] + 1;
+                    queue.push_back(next);
+                }
+            }
+        }
+        found_augmenting
+    }
+
+    fn dfs(
+        l: usize,
+        adj: &LeftCsr,
+        pair_left: &mut [u32],
+        pair_right: &mut [u32],
+        dist: &mut [u32],
+        stack: &mut Vec<DfsFrame>,
+    ) -> bool {
+        // Iterative version of the classic recursion (identical traversal order
+        // and output); augmenting paths grow with the phase number, so deep
+        // instances must not consume call stack.
+        stack.clear();
+        stack.push((l as u32, 0, NIL));
+        loop {
+            let depth = stack.len() - 1;
+            let (v, mut i, _) = stack[depth];
+            let neighbors = adj.neighbors(v as usize);
+            let mut descended = false;
+            while (i as usize) < neighbors.len() {
+                let r = neighbors[i as usize];
+                i += 1;
+                let next = pair_right[r as usize];
+                if next == NIL {
+                    // Free right vertex: flip the whole alternating path.
+                    stack[depth].2 = r;
+                    for &(lv, _, rv) in stack.iter().rev() {
+                        pair_left[lv as usize] = rv;
+                        pair_right[rv as usize] = lv;
+                    }
+                    return true;
+                }
+                if dist[next as usize] == dist[v as usize] + 1 {
+                    stack[depth] = (v, i, r);
+                    stack.push((next, 0, NIL));
+                    descended = true;
+                    break;
+                }
+            }
+            if descended {
+                continue;
+            }
+            dist[v as usize] = INF;
+            stack.pop();
+            if stack.is_empty() {
+                return false;
+            }
+        }
+    }
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -432,6 +425,21 @@ mod tests {
             let warm_seed = crate::greedy::maximal_matching(&g);
             let warm = hopcroft_karp_on_csr(&adj, &color, warm_seed.edges());
             assert_eq!(cold.len(), warm.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn adapter_returns_the_reference_loops_pairs() {
+        let mut r = rng(0x4b);
+        for case in 0..400u64 {
+            let (left, right): (usize, usize) = (r.gen_range(1..61), r.gen_range(1..61));
+            let p = r.gen_range(0.01..0.33);
+            let g = if case % 2 == 0 {
+                random_bipartite(left, right, p, &mut rng(case))
+            } else {
+                planted_matching_bipartite(left, p, &mut rng(case)).0
+            };
+            assert_eq!(hopcroft_karp(&g), reference_pairs(&g), "case {case}");
         }
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::engine::with_thread_engine;
 use crate::matching::Matching;
-use graph::{BipartiteGraph, Csr, Edge, GraphRef, VertexId};
+use graph::{Csr, Edge, GraphRef, VertexId};
 use std::collections::VecDeque;
 
 /// Which maximum-matching algorithm to run.
@@ -123,27 +123,15 @@ pub fn two_coloring_with_csr(adj: &Csr) -> Option<Vec<u8>> {
     Some(color)
 }
 
-/// Converts a bipartite matching (left, right) pairs into a [`Matching`] over
-/// the ids of [`BipartiteGraph::to_graph`] (right ids offset by `left_n`).
-pub fn bipartite_pairs_to_matching(g: &BipartiteGraph, pairs: &[(VertexId, VertexId)]) -> Matching {
-    let offset = g.left_n() as VertexId;
-    Matching::from_edges(
-        pairs
-            .iter()
-            .map(|&(l, r)| Edge::new(l, offset + r))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::brute_force_maximum_matching_size;
     use graph::gen::er::gnp;
     use graph::gen::structured::{cycle, path, star};
     use graph::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use testkit::brute_force_maximum_matching_size;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -207,14 +195,6 @@ mod tests {
     #[should_panic(expected = "non-bipartite")]
     fn hopcroft_karp_on_odd_cycle_panics() {
         let _ = maximum_matching_with(&cycle(5), MaximumMatchingAlgorithm::HopcroftKarp);
-    }
-
-    #[test]
-    fn bipartite_pairs_conversion() {
-        let bg = BipartiteGraph::from_pairs(3, 3, vec![(0, 0), (1, 2)]).unwrap();
-        let m = bipartite_pairs_to_matching(&bg, &[(0, 0), (1, 2)]);
-        assert_eq!(m.len(), 2);
-        assert!(m.is_valid_for(&bg.to_graph()));
     }
 
     #[test]

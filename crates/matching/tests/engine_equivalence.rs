@@ -14,13 +14,13 @@ use graph::gen::structured::star_forest;
 use graph::{Csr, Edge, Graph, VertexId};
 use matching::blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
 use matching::hopcroft_karp::hopcroft_karp_size;
-use matching::matching::brute_force_maximum_matching_size;
 use matching::maximum::{maximum_matching, maximum_matching_warm, MaximumMatchingAlgorithm};
 use matching::{maximal_matching, BlossomWorkspace, MatchingEngine};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use testkit::brute_force_maximum_matching_size;
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
     (2usize..max_n, any::<u64>()).prop_map(move |(n, seed)| {

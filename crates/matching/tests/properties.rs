@@ -8,15 +8,14 @@ use graph::Graph;
 use matching::blossom::blossom_maximum_matching;
 use matching::greedy::{maximal_matching, maximal_matching_shuffled};
 use matching::hopcroft_karp::{hopcroft_karp, hopcroft_karp_size};
-use matching::matching::{brute_force_maximum_matching_size, Matching};
+use matching::matching::Matching;
 use matching::maximum::{maximum_matching, two_coloring};
-use matching::weighted::{
-    brute_force_maximum_weight, crouch_stubbs_maximum, greedy_weighted_matching,
-};
+use matching::weighted::{crouch_stubbs_maximum, greedy_weighted_matching};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use testkit::{brute_force_maximum_matching_size, brute_force_maximum_weight};
 
 fn small_graph() -> impl Strategy<Value = Graph> {
     (2usize..16, any::<u64>(), 0usize..40).prop_map(|(n, seed, m)| {

@@ -41,8 +41,8 @@
 //!   `O(1)`.
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
-//! (`tests/engine_equivalence.rs` pins this against
-//! [`crate::peeling::peel_with_thresholds_reference`], and
+//! (`tests/engine_equivalence.rs` pins this against the frozen
+//! `testkit::peel_with_thresholds_reference`, and
 //! `tests/hard_instances.rs` re-asserts it on a star-heavy graph), and
 //! independent of workspace history — the epoch
 //! stamps make stale state invisible, so the per-thread engine reuse behind
@@ -384,7 +384,7 @@ mod tests {
         let mut engine = VcEngine::new();
         for seed in 0..10 {
             let g = gnp(80, 0.12, &mut rng(seed));
-            let reference = crate::peeling::peel_with_thresholds_reference(&g, &[20, 9, 4, 2]);
+            let reference = testkit::peel_with_thresholds_reference(&g, &[20, 9, 4, 2]);
             let engine_out = engine.peel_with_thresholds(&g, &[20, 9, 4, 2]);
             assert_eq!(engine_out.peeled_per_round, reference.peeled_per_round);
             assert_eq!(engine_out.thresholds, reference.thresholds);

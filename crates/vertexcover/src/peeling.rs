@@ -15,15 +15,14 @@
 //! The free functions run on the calling thread's reusable
 //! [`VcEngine`](crate::engine::VcEngine), whose bucket-queue core peels each
 //! round in `O(vertices peeled + edges removed)` with **zero** per-round
-//! edge-buffer reallocations. The pre-engine implementation is preserved as
-//! [`peel_with_thresholds_reference`] — the differential-testing baseline,
-//! whose per-call and per-round scratch allocations are recorded in
-//! [`graph::metrics::vc_peel_scratch_elems`] so protocol runs can assert they
-//! never take it.
+//! edge-buffer reallocations. The pre-engine loop lives on only as the
+//! dev-only `testkit::peel_with_thresholds_reference`, the baseline the
+//! engine is differentially tested against round by round; no shipped crate
+//! can reach it.
 
 use crate::cover::VertexCover;
 use crate::engine::with_thread_engine;
-use graph::{Edge, Graph, GraphRef, VertexId};
+use graph::{Graph, GraphRef, VertexId};
 
 /// The result of running the peeling process on a graph.
 #[derive(Debug, Clone)]
@@ -69,60 +68,6 @@ impl PeelingOutcome {
 /// (`tests/engine_equivalence.rs` pins this property).
 pub fn peel_with_thresholds<G: GraphRef + ?Sized>(g: &G, thresholds: &[usize]) -> PeelingOutcome {
     with_thread_engine(|engine| engine.peel_with_thresholds(g, thresholds))
-}
-
-/// The pre-engine peeling implementation, kept verbatim as the differential
-/// baseline: one edge-buffer copy up front, then every round allocates a
-/// fresh degree array and rescans + `retain`s the whole residual buffer —
-/// `O(m · rounds + n · rounds)`.
-///
-/// Every scratch allocation is recorded in
-/// [`graph::metrics::vc_peel_scratch_elems`]; the engine path records
-/// nothing, which is how the determinism suite asserts
-/// that protocol runs never fall back to this path. Output is identical to
-/// [`peel_with_thresholds`], round by round (pinned by the
-/// engine-equivalence proptests).
-pub fn peel_with_thresholds_reference<G: GraphRef + ?Sized>(
-    g: &G,
-    thresholds: &[usize],
-) -> PeelingOutcome {
-    let n = g.n();
-    let mut edges: Vec<Edge> = g.edges().to_vec();
-    graph::metrics::record_vc_peel_scratch(edges.len());
-    let mut peeled_per_round = Vec::with_capacity(thresholds.len());
-    let mut used_thresholds = Vec::with_capacity(thresholds.len());
-    let mut peeled_now = vec![false; n];
-    graph::metrics::record_vc_peel_scratch(n);
-
-    for &t in thresholds {
-        if t == 0 {
-            continue;
-        }
-        let mut degrees = vec![0usize; n];
-        graph::metrics::record_vc_peel_scratch(n);
-        for e in &edges {
-            degrees[e.u as usize] += 1;
-            degrees[e.v as usize] += 1;
-        }
-        let peeled: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| degrees[v as usize] >= t)
-            .collect();
-        for &v in &peeled {
-            peeled_now[v as usize] = true;
-        }
-        edges.retain(|e| !peeled_now[e.u as usize] && !peeled_now[e.v as usize]);
-        for &v in &peeled {
-            peeled_now[v as usize] = false;
-        }
-        peeled_per_round.push(peeled);
-        used_thresholds.push(t);
-    }
-
-    PeelingOutcome {
-        peeled_per_round,
-        thresholds: used_thresholds,
-        residual: Graph::from_edges_unchecked(n, edges),
-    }
 }
 
 /// The classic Parnas–Ron threshold schedule for an `n`-vertex graph:
@@ -238,21 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_path_records_scratch_and_matches_engine() {
-        // The counter is process-wide and tests run concurrently, so assert
-        // only monotone movement here; the engine path's *zero*-scratch
-        // claim is asserted in `tests/determinism.rs`, whose process never
-        // calls the reference.
+    fn reference_path_matches_engine() {
         let g = gnp(200, 0.05, &mut rng(4));
         let schedule = parnas_ron_schedule(g.n(), 4);
         let engine_out = peel_with_thresholds(&g, &schedule);
-        let before = graph::metrics::vc_peel_scratch_elems();
-        let reference = peel_with_thresholds_reference(&g, &schedule);
-        assert!(
-            graph::metrics::vc_peel_scratch_elems() > before,
-            "the reference path must record its per-round scratch"
-        );
+        let reference = testkit::peel_with_thresholds_reference(&g, &schedule);
         assert_eq!(engine_out.peeled_per_round, reference.peeled_per_round);
+        assert_eq!(engine_out.thresholds, reference.thresholds);
         assert_eq!(engine_out.residual, reference.residual);
     }
 }

@@ -10,9 +10,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
+use testkit::peel_with_thresholds_reference;
 use vertexcover::exact::{exact_cover_branch_and_bound, koenig_cover};
 use vertexcover::lp::{lp_vertex_cover, HalfIntegralSolution};
-use vertexcover::peeling::{parnas_ron_schedule, peel_with_thresholds_reference};
+use vertexcover::peeling::parnas_ron_schedule;
 use vertexcover::{greedy_degree_cover, two_approx_cover, VcEngine, VertexCover};
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {

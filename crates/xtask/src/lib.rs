@@ -13,7 +13,9 @@
 //! * **Crate hygiene** ([`lint_workspace`]) — every non-vendor crate must
 //!   carry `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` in its entry
 //!   source file and inherit the centralized `[workspace.lints]` table via
-//!   `[lints] workspace = true` in its manifest.
+//!   `[lints] workspace = true` in its manifest, and may name the
+//!   test-oracle crate `testkit` only under `[dev-dependencies]`, so test
+//!   oracles stay out of every shipped build by construction.
 //!
 //! Everything is hand-rolled (lexer, TOML subset, directory walk): the
 //! workspace builds fully offline and the linter must not be the first thing
@@ -135,7 +137,8 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
 }
 
 /// The crate-hygiene audit for one crate directory: lint headers in the
-/// entry source file and `[lints] workspace = true` in the manifest.
+/// entry source file, `[lints] workspace = true` in the manifest, and no
+/// `testkit` outside the manifest's dev-dependencies.
 pub fn lint_crate_hygiene(root: &Path, crate_dir: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let manifest = crate_dir.join("Cargo.toml");
@@ -176,11 +179,21 @@ pub fn lint_crate_hygiene(root: &Path, crate_dir: &Path) -> Vec<Diagnostic> {
         Ok(text) => {
             if !manifest_inherits_workspace_lints(&text) {
                 diags.push(Diagnostic {
-                    file: rel_manifest,
+                    file: rel_manifest.clone(),
                     line: 1,
                     rule: "crate-hygiene",
                     message: "manifest does not inherit the centralized lint table: add \
                               `[lints]\\nworkspace = true`"
+                        .to_string(),
+                });
+            }
+            for line in testkit_outside_dev_dependencies(&text) {
+                diags.push(Diagnostic {
+                    file: rel_manifest.clone(),
+                    line,
+                    rule: "crate-hygiene",
+                    message: "`testkit` holds test oracles: name it only under \
+                              `[dev-dependencies]`"
                         .to_string(),
                 });
             }
@@ -234,6 +247,36 @@ fn manifest_inherits_workspace_lints(text: &str) -> bool {
     false
 }
 
+/// 1-based lines of a manifest that make `testkit` part of a crate's build:
+/// a `testkit` key (or a `package = "testkit"` rename) in a `dependencies` or
+/// `build-dependencies` table, or a `[dependencies.testkit]`-style table.
+/// Dev-dependency tables and the root's `[workspace.dependencies]`
+/// declaration may name it.
+fn testkit_outside_dev_dependencies(text: &str) -> Vec<usize> {
+    let ships = |table: &str| {
+        let kind = table.rsplit('.').next().unwrap_or(table);
+        matches!(kind, "dependencies" | "build-dependencies") && table != "workspace.dependencies"
+    };
+    let mut lines = Vec::new();
+    let mut table = String::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            table = name.trim().to_string();
+            if table.strip_suffix(".testkit").is_some_and(ships) {
+                lines.push(i + 1);
+            }
+            continue;
+        }
+        let key = line.split(['=', '.']).next().unwrap_or("").trim();
+        let renamed = line.contains("package") && line.contains("\"testkit\"");
+        if (key == "testkit" || renamed) && ships(&table) {
+            lines.push(i + 1);
+        }
+    }
+    lines
+}
+
 /// Locates the workspace root: walks up from `start` to the first directory
 /// whose `Cargo.toml` declares `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
@@ -276,5 +319,20 @@ mod tests {
         assert!(!manifest_inherits_workspace_lints(
             "[lints.rust]\nworkspace = true\n"
         ));
+    }
+
+    #[test]
+    fn testkit_is_allowed_only_as_a_dev_dependency() {
+        let allowed = "[workspace.dependencies]\ntestkit = { path = \"crates/testkit\" }\n\
+                       [dev-dependencies]\ntestkit.workspace = true\n\
+                       [target.'cfg(unix)'.dev-dependencies]\ntestkit = \"0.1\"\n\
+                       [dev-dependencies.testkit]\npath = \"../testkit\"\n";
+        assert!(testkit_outside_dev_dependencies(allowed).is_empty());
+        let shipped = "[dependencies]\ntestkit.workspace = true\n\
+                       [build-dependencies]\noracles = { package = \"testkit\" }\n\
+                       [target.'cfg(unix)'.dependencies]\ntestkit = \"0.1\"\n\
+                       [dependencies.testkit]\npath = \"../testkit\"\n\
+                       [dependencies]\ntestkits = \"0.1\"\n";
+        assert_eq!(testkit_outside_dev_dependencies(shipped), vec![2, 4, 6, 7]);
     }
 }

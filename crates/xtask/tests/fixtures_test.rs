@@ -224,6 +224,19 @@ fn crate_hygiene_flags_missing_headers_and_lint_inheritance() {
     );
 }
 
+#[test]
+fn crate_hygiene_flags_testkit_outside_dev_dependencies() {
+    let root = fixture_dir();
+    let diags = xtask::lint_crate_hygiene(&root, &root.join("bad_testkit_dep"));
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    let d = &diags[0];
+    assert_eq!(
+        (d.rule, d.file.as_str(), d.line),
+        ("crate-hygiene", "bad_testkit_dep/Cargo.toml", 11)
+    );
+    assert!(d.message.contains("[dev-dependencies]"), "{d:?}");
+}
+
 /// CLI contract half 1: the binary exits nonzero on a broken workspace and
 /// prints `file:line: [rule]` diagnostics.
 #[test]

@@ -318,7 +318,8 @@ fn peeling_beats_local_cover_on_star_forests() {
 #[test]
 fn bucket_queue_peeling_on_star_heavy_graph() {
     use graph::gen::er::gnp;
-    use vertexcover::peeling::{peel_with_thresholds, peel_with_thresholds_reference};
+    use testkit::peel_with_thresholds_reference;
+    use vertexcover::peeling::peel_with_thresholds;
 
     // 30 stars of 600 leaves each, plus G(n, p) noise over the same vertex
     // set: a heavy-tailed degree sequence (centres ~600, noise degree ~4).

@@ -7,14 +7,14 @@ use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset}
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{machine_rng, CoresetParams};
 use distsim::CoordinatorProtocol;
-use graph::partition::EdgePartition;
-use graph::{Graph, GraphRef};
+use graph::partition::PartitionedGraph;
+use graph::Graph;
 use matching::greedy::maximal_matching;
-use matching::matching::brute_force_maximum_matching_size;
 use matching::maximum::{maximum_matching, MaximumMatchingAlgorithm};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use testkit::brute_force_maximum_matching_size;
 use vertexcover::approx::two_approx_cover;
 use vertexcover::exact::{exact_cover_branch_and_bound, koenig_cover};
 
@@ -34,8 +34,8 @@ proptest! {
     #[test]
     fn partition_preserves_edges(g in arb_graph(120, 500), k in 1usize..12, seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
-        prop_assert_eq!(part.total_edges(), g.m());
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
+        prop_assert_eq!(part.m(), g.m());
         prop_assert_eq!(part.reunite().m(), g.m());
     }
 
@@ -86,13 +86,13 @@ proptest! {
     #[test]
     fn matching_coreset_composition_is_sound(g in arb_graph(80, 400), k in 1usize..8, seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| MaximumMatchingCoreset::new().build(p.as_view(), &params, i, &mut machine_rng(seed, i)))
+            .map(|(i, p)| MaximumMatchingCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
         for c in &coresets {
             prop_assert!(c.m() <= g.n() / 2 + 1);
@@ -114,18 +114,18 @@ proptest! {
         g in arb_graph(90, 500), k in 1usize..8, seed in any::<u64>()
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| MaximumMatchingCoreset::new().build(p.as_view(), &params, i, &mut machine_rng(seed, i)))
+            .map(|(i, p)| MaximumMatchingCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
         // Warm-started path (solve_composed_matching seeds from the best
         // coreset) vs a cold solve of the identical union.
         let warm = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-        let union = coresets::compose_matching(&coresets);
+        let union = Graph::union(&coresets.iter().collect::<Vec<_>>());
         let cold = matching::maximum::maximum_matching_with(&union, MaximumMatchingAlgorithm::Auto);
         prop_assert!(warm.is_valid_for(&union));
         prop_assert_eq!(warm.len(), cold.len());
@@ -136,13 +136,13 @@ proptest! {
     #[test]
     fn vc_coreset_composition_always_covers(g in arb_graph(80, 400), k in 1usize..8, seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let outputs: Vec<VcCoresetOutput> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| PeelingVcCoreset::new().build(p.as_view(), &params, i, &mut machine_rng(seed, i)))
+            .map(|(i, p)| PeelingVcCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
         let cover = compose_vertex_cover(&outputs);
         prop_assert!(cover.covers(&g));
@@ -155,11 +155,11 @@ proptest! {
     #[test]
     fn composed_matching_dominates_best_single_machine(g in arb_graph(90, 400), k in 1usize..9, seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
         let best_single = part
-            .pieces()
-            .iter()
-            .map(|p| maximum_matching(p).len())
+            .views()
+            .into_iter()
+            .map(|p| maximum_matching(&p).len())
             .max()
             .unwrap_or(0);
         // The coordinator draws the same partition from the same seed.
@@ -198,13 +198,13 @@ proptest! {
     #[test]
     fn greedy_match_is_dominated_by_exact_composition(g in arb_graph(60, 250), k in 1usize..6, seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let part = EdgePartition::random(&g, k, &mut rng).unwrap();
+        let part = PartitionedGraph::random(&g, k, &mut rng).unwrap();
         let params = CoresetParams::new(g.n(), k);
         let coresets: Vec<Graph> = part
-            .pieces()
-            .iter()
+            .views()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| MaximumMatchingCoreset::new().build(p.as_view(), &params, i, &mut machine_rng(seed, i)))
+            .map(|(i, p)| MaximumMatchingCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
         let (greedy, trace) = coresets::greedy_match::greedy_match(g.n(), &coresets);
         prop_assert!(greedy.is_valid_for(&g));
