@@ -7,19 +7,26 @@
 //! stopped and produces the **bit-identical** final answer (pinned by the
 //! kill-at-every-node test in `tests/faults.rs`).
 //!
-//! Format (`RCCKPT01`, all integers little-endian):
+//! Format (`RCCKPT02`, all integers little-endian):
 //!
 //! | field                         | bytes                                  |
 //! |-------------------------------|----------------------------------------|
-//! | magic `RCCKPT01`              | 8                                      |
+//! | magic `RCCKPT02`              | 8                                      |
 //! | problem tag (0 = matching, 1 = vertex cover) | 1                       |
-//! | n, k, m, seed, fan_in, fault_seed | 6 × 8                              |
+//! | n, k, m, seed, fan_in, fault_seed, plan digest | 7 × 8                 |
 //! | pushed, injected, retried, recovered, ticks | 5 × 8                    |
 //! | lost machines                 | 8 (count) + 8 each                     |
 //! | per-message words             | 8 (count) + 8 each                     |
 //! | per-message bits              | 8 (count) + 8 each                     |
 //! | pending levels                | 8 (count), then per level: 8 (count) + items |
 //! | CRC-32 of everything above    | 4                                      |
+//!
+//! The plan digest folds the whole [`FaultPlan`] and the effective
+//! [`RetryPolicy`] into one word: they decide which leaves are lost, and a
+//! lost leaf is stored as a placeholder in the pending levels, so a
+//! checkpoint may only resume a run that injects and retries the same
+//! faults. A file with any other magic, such as `RCCKPT01`, starts the run
+//! fresh.
 //!
 //! Writes are atomic (`<path>.tmp` then rename), so a crash mid-write leaves
 //! the previous checkpoint intact. Loads are *lenient by design*: a missing,
@@ -33,18 +40,18 @@
 
 use crate::comm::CommunicationCost;
 use crate::error::ProtocolError;
-use crate::faults::FaultReport;
+use crate::faults::{FaultPlan, FaultReport, RetryPolicy};
 use coresets::vc_coreset::VcCoresetOutput;
 use coresets::TreePlan;
 use graph::arena_file::crc32;
-use graph::{Edge, Graph};
+use graph::{mix64, ArenaFile, Edge, Graph};
 
 /// File magic of the checkpoint format.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT01";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT02";
 
 /// Identity of the run a checkpoint belongs to. A checkpoint is only resumed
 /// when every field matches — a checkpoint from a different graph, seed,
-/// fan-in or fault universe is silently discarded.
+/// fan-in, fault plan or retry policy is silently discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointKey {
     /// Problem tag ([`CheckpointItem::PROBLEM`]).
@@ -61,6 +68,66 @@ pub struct CheckpointKey {
     pub fan_in: u64,
     /// Fault-universe seed.
     pub fault_seed: u64,
+    /// Digest of the whole fault plan and the effective retry policy.
+    pub plan_digest: u64,
+}
+
+impl CheckpointKey {
+    /// The key of an arena run of the problem whose summaries are `S`.
+    pub(crate) fn of_run<S: CheckpointItem>(
+        arena: &ArenaFile,
+        seed: u64,
+        fan_in: usize,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> Self {
+        CheckpointKey {
+            problem: S::PROBLEM,
+            n: arena.n() as u64,
+            k: arena.k() as u64,
+            m: arena.m() as u64,
+            seed,
+            fan_in: fan_in as u64,
+            fault_seed: plan.fault_seed,
+            plan_digest: plan_digest(plan, retry),
+        }
+    }
+}
+
+/// A `mix64` fold over every field of `plan` (probabilities by their bits,
+/// the forced losses in order after their count) and the retry policy as the
+/// attempt loop applies it.
+fn plan_digest(plan: &FaultPlan, retry: &RetryPolicy) -> u64 {
+    // Destructured so a new plan field cannot be left out of the digest.
+    let FaultPlan {
+        fault_seed,
+        crash_before_prob,
+        crash_after_prob,
+        message_loss_prob,
+        straggler_prob,
+        straggler_ticks,
+        segment_io_prob,
+        lose_machines,
+        on_loss,
+    } = plan;
+    let fields = [
+        *fault_seed,
+        crash_before_prob.to_bits(),
+        crash_after_prob.to_bits(),
+        message_loss_prob.to_bits(),
+        straggler_prob.to_bits(),
+        *straggler_ticks,
+        segment_io_prob.to_bits(),
+        *on_loss as u64,
+        u64::from(retry.max_attempts.max(1)),
+        retry.backoff_ticks,
+        lose_machines.len() as u64,
+    ];
+    let losses = lose_machines.iter().map(|&m| m as u64);
+    fields
+        .into_iter()
+        .chain(losses)
+        .fold(0, |h, x| mix64(h ^ x))
 }
 
 /// Snapshot of an in-flight arena run: everything needed to resume the
@@ -229,7 +296,15 @@ fn encode_checkpoint<T: CheckpointItem>(key: &CheckpointKey, ck: &ArenaCheckpoin
     let mut out = Vec::new();
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.push(key.problem);
-    for x in [key.n, key.k, key.m, key.seed, key.fan_in, key.fault_seed] {
+    for x in [
+        key.n,
+        key.k,
+        key.m,
+        key.seed,
+        key.fan_in,
+        key.fault_seed,
+        key.plan_digest,
+    ] {
         put_u64(&mut out, x);
     }
     let f = &ck.faults;
@@ -286,6 +361,7 @@ fn decode_checkpoint<T: CheckpointItem>(
         seed: r.take_u64()?,
         fan_in: r.take_u64()?,
         fault_seed: r.take_u64()?,
+        plan_digest: r.take_u64()?,
     };
     if found != *key {
         return None;
@@ -382,6 +458,7 @@ mod tests {
             seed: 42,
             fan_in: 2,
             fault_seed: 7,
+            plan_digest: plan_digest(&FaultPlan::new(7), &RetryPolicy::default()),
         }
     }
 
@@ -514,6 +591,10 @@ mod tests {
                 problem: VcCoresetOutput::PROBLEM,
                 ..key
             },
+            CheckpointKey {
+                plan_digest: key.plan_digest ^ 1,
+                ..key
+            },
         ] {
             assert!(
                 load_checkpoint::<Graph>(&path, &bad).is_none(),
@@ -522,6 +603,47 @@ mod tests {
         }
         assert!(load_checkpoint::<Graph>(&path, &key).is_some());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn plan_digest_tells_apart_every_plan_field_and_the_retry_policy() {
+        let (base, retry) = (FaultPlan::new(7), RetryPolicy::default());
+        let mut variants = vec![(base.clone(), retry)];
+        let mut vary = |edit: fn(&mut FaultPlan)| {
+            let mut plan = base.clone();
+            edit(&mut plan);
+            variants.push((plan, retry));
+        };
+        vary(|p| p.fault_seed = 8);
+        vary(|p| p.crash_before_prob = 0.25);
+        vary(|p| p.crash_after_prob = 0.25);
+        vary(|p| p.message_loss_prob = 0.25);
+        vary(|p| p.straggler_prob = 0.25);
+        vary(|p| p.straggler_ticks = 5);
+        vary(|p| p.segment_io_prob = 0.25);
+        vary(|p| p.lose_machines = vec![1]);
+        vary(|p| p.lose_machines = vec![1, 2]);
+        vary(|p| p.lose_machines = vec![2, 1]);
+        vary(|p| p.on_loss = crate::faults::DegradedComposition::Fail);
+        variants.push((base.clone(), RetryPolicy::attempts(3)));
+        variants.push((
+            base.clone(),
+            RetryPolicy {
+                backoff_ticks: 5,
+                ..retry
+            },
+        ));
+        let mut digests: Vec<u64> = variants.iter().map(|(p, r)| plan_digest(p, r)).collect();
+        let count = digests.len();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), count, "two different runs share a digest");
+        // Zero attempts run as one, so they share its digest.
+        let zero = RetryPolicy {
+            max_attempts: 0,
+            ..retry
+        };
+        assert_eq!(plan_digest(&base, &zero), plan_digest(&base, &retry));
     }
 
     #[test]

@@ -48,9 +48,9 @@ use coresets::streams::machine_rng;
 use coresets::tree::{tree_compose, TreeFolder};
 use coresets::vc_coreset::VcCoresetBuilder;
 use coresets::{CoresetParams, MatchingProblem, Problem, VcProblem};
-use graph::arena_file::{ArenaFile, SegmentLoader, SegmentRetryPolicy};
+use graph::arena_file::{ArenaFile, SegmentLoader};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
-use graph::{metrics, Graph};
+use graph::{metrics, Graph, GraphError};
 use matching::matching::Matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -197,7 +197,7 @@ impl CoordinatorProtocol {
         let build = |i: usize| problem.build(views[i], &params, i, &mut machine_rng(seed, i));
         let outcomes: Vec<MachineOutcome<P::Summary>> = (0..k)
             .into_par_iter()
-            .map(|i| run_machine_with_faults(&injector, retry, i, || build(i)))
+            .map(|i| run_machine_with_faults(&injector, retry, i, || Ok(build(i))))
             .collect();
 
         let mut report = FaultReport::new(plan.fault_seed);
@@ -304,12 +304,15 @@ impl ArenaProtocol {
     /// root's [`Problem::ROOT_SCRATCH_PASSES`] are charged to
     /// [`graph::metrics::resident_edges`] beside the loader's segments.
     ///
-    /// * Segment faults ([`FaultPlan::segment_plan`]) are injected inside the
-    ///   [`SegmentLoader`] and retried up to the retry budget; machine faults
-    ///   retry by replay as in [`CoordinatorProtocol::run`].
-    /// * A segment still unreadable after the budget, injected or genuine,
-    ///   loses its machine to the plan's [`DegradedComposition`] policy; an
-    ///   *unarmed* plan surfaces [`ProtocolError::Segment`] instead.
+    /// * Each attempt of machine `i` reads segment `i` and builds on it inside
+    ///   [`run_machine_with_faults`], so a failed read — injected
+    ///   ([`FaultPlan::segment_io_prob`]) or genuine, such as a CRC mismatch —
+    ///   is retried by replay like any machine fault, on the same budget and
+    ///   backoff schedule.
+    /// * A machine that exhausts the budget is lost to the plan's
+    ///   [`DegradedComposition`] policy; under an *unarmed* plan it can only
+    ///   have failed on a genuine read error, which surfaces as
+    ///   [`ProtocolError::Segment`] instead.
     /// * With `opts.checkpoint` set, the folder's state is persisted after
     ///   every leaf, a rerun resumes after the last one, and the file is
     ///   deleted on completion. Resuming is bit-identical to an uninterrupted
@@ -329,15 +332,7 @@ impl ArenaProtocol {
         let params = CoresetParams::new(n, k);
         let model = CostModel::for_n(n);
         let injector = FaultInjector::new(opts.plan.clone());
-        let key = CheckpointKey {
-            problem: <P::Summary as CheckpointItem>::PROBLEM,
-            n: n as u64,
-            k: k as u64,
-            m: arena.m() as u64,
-            seed,
-            fan_in: fan_in as u64,
-            fault_seed: opts.plan.fault_seed,
-        };
+        let key = CheckpointKey::of_run::<P::Summary>(arena, seed, fan_in, &opts.plan, &opts.retry);
         let edges = |s: &P::Summary| P::message(s).0;
         let merge = |level: usize, node: usize, group: Vec<P::Summary>| {
             let union_edges: usize = group.iter().map(edges).sum();
@@ -373,41 +368,16 @@ impl ArenaProtocol {
         // error return must release what is still pending there.
         let streamed = (|| -> Result<(), ProtocolError> {
             let mut loader = SegmentLoader::new(arena)?;
-            loader.set_fault_plan(Some(opts.plan.segment_plan()));
-            loader.set_retry_policy(SegmentRetryPolicy {
-                max_attempts: opts.retry.max_attempts.max(1),
-            });
             for i in start..k {
-                let (injected_before, retried_before) =
-                    (loader.injected_faults(), loader.retries());
-                let outcome: MachineOutcome<P::Summary> = match loader.load(i) {
-                    Ok(piece) => run_machine_with_faults(&injector, &opts.retry, i, || {
-                        problem.build(piece, &params, i, &mut machine_rng(seed, i))
-                    }),
-                    Err(source) if !opts.plan.is_armed() => {
-                        return Err(ProtocolError::Segment { machine: i, source })
+                let mut outcome: MachineOutcome<P::Summary, GraphError> =
+                    run_machine_with_faults(&injector, &opts.retry, i, || {
+                        let piece = loader.load(i)?;
+                        Ok(problem.build(piece, &params, i, &mut machine_rng(seed, i)))
+                    });
+                if !opts.plan.is_armed() {
+                    if let Some(source) = outcome.error.take() {
+                        return Err(ProtocolError::Segment { machine: i, source });
                     }
-                    Err(_) => MachineOutcome {
-                        summary: None,
-                        injected: 0,
-                        retried: 0,
-                        ticks: 0,
-                    },
-                };
-                // Fold the loader's per-segment injection/retry deltas into the
-                // run totals; segment retries are charged the flat base backoff
-                // on the simulated tick clock.
-                let d_inj = loader.injected_faults() - injected_before;
-                let d_ret = loader.retries() - retried_before;
-                report.injected += d_inj;
-                report.retried += d_ret;
-                report.ticks = report
-                    .ticks
-                    .saturating_add(opts.retry.backoff_ticks.saturating_mul(d_ret));
-                if d_inj > 0 && outcome.summary.is_some() && outcome.injected == 0 {
-                    // Recovered at the segment layer only; absorb() below would
-                    // not see those injections.
-                    report.recovered += 1;
                 }
                 report.absorb(i, &outcome);
                 folder.push(match outcome.summary {
@@ -1053,6 +1023,84 @@ mod tests {
     }
 
     #[test]
+    fn failing_every_read_loses_every_machine() {
+        let _guard = arena_lock();
+        let g = gnp(200, 0.03, &mut rng(24));
+        let (arena, path) = arena_of(&g, 4, 5, "reads_fail");
+        let mut plan = FaultPlan::new(6);
+        plan.segment_io_prob = 1.0;
+        let opts = FaultRunOptions {
+            plan,
+            retry: RetryPolicy::attempts(3),
+            ..FaultRunOptions::default()
+        };
+        let before = metrics::resident_edges();
+        let err = ArenaProtocol::tree(2)
+            .run(
+                &arena,
+                &MatchingProblem(MaximumMatchingCoreset::new()),
+                5,
+                &opts,
+            )
+            .unwrap_err();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(err, ProtocolError::NoSurvivors);
+        assert_eq!(metrics::resident_edges(), before, "failed run leaked");
+    }
+
+    #[test]
+    fn corrupt_segment_is_surfaced_unarmed_and_lost_armed() {
+        let _guard = arena_lock();
+        let g = gnp(300, 0.03, &mut rng(25));
+        let (k, fan_in, seed) = (5, 2, 61);
+        let (arena, path) = arena_of(&g, k, seed, "corrupt");
+        // Overwrite record 0 of segment 0 with record 1: every record still
+        // decodes as a canonical edge, so only the CRC catches it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let rec = 40 + 20 * k;
+        let dup: [u8; 8] = bytes[rec + 8..rec + 16].try_into().unwrap();
+        assert_ne!(bytes[rec..rec + 8], dup, "adjacent records should differ");
+        bytes[rec..rec + 8].copy_from_slice(&dup);
+        std::fs::write(&path, &bytes).unwrap();
+        let problem = MatchingProblem(MaximumMatchingCoreset::new());
+        let before = metrics::resident_edges();
+
+        let unarmed = FaultRunOptions {
+            retry: RetryPolicy::attempts(4),
+            ..FaultRunOptions::default()
+        };
+        let err = ArenaProtocol::tree(fan_in)
+            .run(&arena, &problem, seed, &unarmed)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ProtocolError::Segment {
+                    machine: 0,
+                    source: GraphError::ArenaChecksumMismatch { segment: 0, .. },
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(metrics::resident_edges(), before, "failed run leaked");
+
+        let armed = FaultRunOptions {
+            plan: FaultPlan::new(1).losing(vec![k - 1]),
+            ..unarmed
+        };
+        let run = ArenaProtocol::tree(fan_in)
+            .run(&arena, &problem, seed, &armed)
+            .unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(run.faults.lost_machines, vec![0, k - 1]);
+        assert!(run.faults.degraded);
+        assert!(run.run.answer.is_valid_for(&g));
+        // The fault-free rerun hits the same corruption: no baseline.
+        assert_eq!(run.faults.achieved_vs_fault_free, None);
+        assert_eq!(metrics::resident_edges(), before, "degraded run leaked");
+    }
+
+    #[test]
     fn killed_run_resumes_to_the_identical_answer() {
         let _guard = arena_lock();
         let g = gnp(350, 0.02, &mut rng(19));
@@ -1106,15 +1154,7 @@ mod tests {
             checkpoint: Some(ckpt.clone()),
             ..FaultRunOptions::default()
         };
-        let key = CheckpointKey {
-            problem: <Graph as CheckpointItem>::PROBLEM,
-            n: g.n() as u64,
-            k: k as u64,
-            m: g.m() as u64,
-            seed,
-            fan_in: fan_in as u64,
-            fault_seed: opts.plan.fault_seed,
-        };
+        let key = CheckpointKey::of_run::<Graph>(&arena, seed, fan_in, &opts.plan, &opts.retry);
         let item = || Graph::from_pairs(g.n(), vec![(0, 1)]).unwrap();
         // A 6-leaf binary tree has three pending levels; after 2 pushes it
         // holds one level-1 item.
@@ -1137,6 +1177,60 @@ mod tests {
             assert_eq!(metrics::resident_edges(), before, "fresh start leaked");
             assert_eq!(run.run.answer, uninterrupted.answer, "pushed {pushed}");
             assert_eq!(run.run.communication, uninterrupted.communication);
+            assert!(!ckpt.exists(), "the completed run removes the checkpoint");
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_resume_only_under_their_own_plan_and_retry_policy() {
+        let _guard = arena_lock();
+        let g = gnp(300, 0.02, &mut rng(23));
+        let (k, fan_in, seed) = (6, 2, 11);
+        let (arena, path) = arena_of(&g, k, seed, "plan_key");
+        let ckpt =
+            std::env::temp_dir().join(format!("rc_coord_ckpt_{}_plan.bin", std::process::id()));
+        let protocol = ArenaProtocol::tree(fan_in);
+        let problem = MatchingProblem(MaximumMatchingCoreset::new());
+        // The checkpointed prefix holds machine 1 as a lost placeholder.
+        let lossy = FaultPlan::new(0).losing(vec![1]);
+        let mut flaky_reads = lossy.clone();
+        flaky_reads.segment_io_prob = 0.25;
+        for rerun in [
+            FaultRunOptions::default(),
+            FaultRunOptions {
+                plan: flaky_reads,
+                ..FaultRunOptions::default()
+            },
+            FaultRunOptions {
+                plan: lossy.clone(),
+                retry: RetryPolicy::attempts(3),
+                ..FaultRunOptions::default()
+            },
+        ] {
+            let killed = FaultRunOptions {
+                plan: lossy.clone(),
+                checkpoint: Some(ckpt.clone()),
+                kill_after_leaves: Some(3),
+                ..FaultRunOptions::default()
+            };
+            let err = protocol.run(&arena, &problem, seed, &killed).unwrap_err();
+            assert_eq!(err, ProtocolError::Interrupted { pushed: 3 });
+            let expected = protocol.run(&arena, &problem, seed, &rerun).unwrap();
+            let resumed = protocol
+                .run(
+                    &arena,
+                    &problem,
+                    seed,
+                    &FaultRunOptions {
+                        checkpoint: Some(ckpt.clone()),
+                        ..rerun
+                    },
+                )
+                .unwrap();
+            assert_eq!(resumed.run.answer, expected.run.answer);
+            assert_eq!(resumed.run.communication, expected.run.communication);
+            assert_eq!(resumed.faults, expected.faults);
             assert!(!ckpt.exists(), "the completed run removes the checkpoint");
         }
         std::fs::remove_file(path).unwrap();

@@ -9,28 +9,29 @@
 //! straggler delays are accounted as tick counts summed per machine
 //! (order-independent), never measured with `Instant::now`.
 //!
-//! The fault-site taxonomy:
+//! The fault-site taxonomy, in the order [`FaultInjector::decide`] checks
+//! it:
 //!
 //! | site                  | effect                                            |
 //! |-----------------------|---------------------------------------------------|
+//! | piece read            | reading the machine's piece fails transiently     |
 //! | crash before summarize| machine dies before building its coreset          |
 //! | crash after summarize | coreset built, machine dies before sending        |
 //! | message lost          | coreset built and sent, never arrives             |
 //! | straggler             | coreset arrives after `straggler_ticks` extra ticks|
-//! | segment I/O           | arena read fails transiently (graph layer)        |
-//! | segment checksum      | arena read decodes but fails its CRC (graph layer)|
 //!
-//! The first four are decided here; the two segment sites are delegated to
-//! [`graph::arena_file::SegmentFaultPlan`], built from the same fault seed by
-//! [`FaultPlan::segment_plan`]. Recovery is **retry by replay**: a failed
+//! Every site is decided here, and every failed attempt — injected, or a
+//! real read error such as an arena segment failing its CRC — is retried by
+//! the one loop in [`run_machine_with_faults`], against one budget and one
+//! backoff schedule per machine. Recovery is **retry by replay**: a failed
 //! attempt re-derives the machine's private `machine_rng(seed, i)` stream
 //! from scratch, so a run in which every machine eventually succeeds is
 //! bit-identical to the fault-free run. Machines that exhaust the budget are
 //! *permanently lost* and handled by the [`DegradedComposition`] policy.
 
-use graph::arena_file::SegmentFaultPlan;
 use graph::mix64;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Salt decorrelating crash-before-summarize decisions.
 const SALT_CRASH_BEFORE: u64 = 0xFA17_57A6_E001_C4A5;
@@ -40,6 +41,8 @@ const SALT_CRASH_AFTER: u64 = 0xFA17_57A6_E002_C4A5;
 const SALT_MESSAGE_LOST: u64 = 0xFA17_57A6_E003_4057;
 /// Salt decorrelating straggler decisions.
 const SALT_STRAGGLER: u64 = 0xFA17_57A6_E004_57A6;
+/// Salt decorrelating piece-read decisions.
+const SALT_SEGMENT_IO: u64 = 0x51DE_10AD_1001_F417;
 
 /// Deterministic unit-interval draw for one `(seed, machine, attempt, salt)`
 /// site — the pure replacement for "roll a die when the fault might happen".
@@ -56,6 +59,9 @@ fn site_unit(seed: u64, machine: usize, attempt: u32, salt: u64) -> f64 {
 /// A machine-level fault selected for one `(machine, attempt)` site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineFault {
+    /// Reading the machine's piece fails transiently (in out-of-core runs,
+    /// its arena segment): no coreset is built and the attempt fails.
+    SegmentRead,
     /// The machine dies before its summarize step: no coreset is built and
     /// the attempt fails.
     CrashBeforeSummarize,
@@ -147,12 +153,10 @@ pub struct FaultPlan {
     pub straggler_prob: f64,
     /// Extra simulated ticks one straggle costs.
     pub straggler_ticks: u64,
-    /// Probability one arena-segment read attempt fails with a transient
-    /// I/O error (out-of-core runs only).
+    /// Probability reading a machine's piece fails transiently. Out-of-core
+    /// runs read an arena segment; in memory the piece is a view of the
+    /// partition, so only the failure itself is simulated.
     pub segment_io_prob: f64,
-    /// Probability one arena-segment read attempt decodes to corrupted bytes
-    /// and fails its CRC (out-of-core runs only).
-    pub segment_checksum_prob: f64,
     /// Machines forced to fail **every** attempt regardless of probabilities
     /// — the knob behind the "lose any single machine" experiments.
     pub lose_machines: Vec<usize>,
@@ -177,7 +181,6 @@ impl FaultPlan {
             straggler_prob: 0.0,
             straggler_ticks: 0,
             segment_io_prob: 0.0,
-            segment_checksum_prob: 0.0,
             lose_machines: Vec::new(),
             on_loss: DegradedComposition::ComposeSurvivors,
         }
@@ -199,16 +202,6 @@ impl FaultPlan {
         self
     }
 
-    /// The arena-level (graph-layer) half of this plan, keyed by the same
-    /// fault seed.
-    pub fn segment_plan(&self) -> SegmentFaultPlan {
-        SegmentFaultPlan {
-            seed: self.fault_seed,
-            io_prob: self.segment_io_prob,
-            checksum_prob: self.segment_checksum_prob,
-        }
-    }
-
     /// True if this plan can inject at least one fault.
     pub fn is_armed(&self) -> bool {
         self.crash_before_prob > 0.0
@@ -216,7 +209,6 @@ impl FaultPlan {
             || self.message_loss_prob > 0.0
             || self.straggler_prob > 0.0
             || self.segment_io_prob > 0.0
-            || self.segment_checksum_prob > 0.0
             || !self.lose_machines.is_empty()
     }
 }
@@ -241,8 +233,8 @@ impl FaultInjector {
 
     /// The fault striking machine `machine`'s attempt number `attempt`, if
     /// any. Pure: depends only on `(fault_seed, machine, attempt)`. Sites are
-    /// checked in pipeline order (crash-before, crash-after, message-lost,
-    /// straggler); the first hit wins.
+    /// checked in pipeline order (piece read, crash-before, crash-after,
+    /// message-lost, straggler); the first hit wins.
     pub fn decide(&self, machine: usize, attempt: u32) -> Option<MachineFault> {
         if self.plan.lose_machines.contains(&machine) {
             return Some(MachineFault::CrashBeforeSummarize);
@@ -251,7 +243,9 @@ impl FaultInjector {
         let hit = |prob: f64, salt: u64| {
             prob > 0.0 && site_unit(p.fault_seed, machine, attempt, salt) < prob
         };
-        if hit(p.crash_before_prob, SALT_CRASH_BEFORE) {
+        if hit(p.segment_io_prob, SALT_SEGMENT_IO) {
+            Some(MachineFault::SegmentRead)
+        } else if hit(p.crash_before_prob, SALT_CRASH_BEFORE) {
             Some(MachineFault::CrashBeforeSummarize)
         } else if hit(p.crash_after_prob, SALT_CRASH_AFTER) {
             Some(MachineFault::CrashAfterSummarize)
@@ -267,9 +261,12 @@ impl FaultInjector {
 
 /// What happened to one machine across its attempt loop.
 #[derive(Debug, Clone)]
-pub struct MachineOutcome<T> {
+pub struct MachineOutcome<T, E = Infallible> {
     /// The machine's delivered summary; `None` if it was permanently lost.
     pub summary: Option<T>,
+    /// The last error an attempt returned, kept only if the machine was
+    /// lost (`None` when injected faults alone used up its budget).
+    pub error: Option<E>,
     /// Faults injected into this machine (all sites, all attempts).
     pub injected: u64,
     /// Re-execution attempts performed (attempts beyond the first).
@@ -278,28 +275,33 @@ pub struct MachineOutcome<T> {
     pub ticks: u64,
 }
 
-impl<T> MachineOutcome<T> {
+impl<T, E> MachineOutcome<T, E> {
     /// True if the machine failed at least once but ultimately delivered.
     pub fn recovered(&self) -> bool {
         self.summary.is_some() && self.injected > 0
     }
 }
 
-/// Runs one machine's summarize step under a fault injector and retry
-/// policy.
+/// Runs one machine's attempts under a fault injector and retry policy —
+/// the one retry loop of the runtime.
 ///
-/// `build` is called once per surviving attempt and must re-derive all of
-/// its randomness from scratch (retry by replay): protocol runners pass a
-/// closure that reconstructs `machine_rng(seed, machine)` internally, which
-/// makes a recovered machine's summary bit-identical to its fault-free one.
-pub fn run_machine_with_faults<T>(
+/// `summarize` reads the machine's piece and builds its summary. It is
+/// called once per attempt that no read or crash-before fault stops, and
+/// must re-derive all of its randomness from scratch (retry by replay):
+/// protocol runners pass a closure that reconstructs
+/// `machine_rng(seed, machine)` internally, which makes a recovered
+/// machine's summary bit-identical to its fault-free one. An error it
+/// returns fails the attempt like an injected fault, on the same budget and
+/// backoff schedule.
+pub fn run_machine_with_faults<T, E>(
     injector: &FaultInjector,
     retry: &RetryPolicy,
     machine: usize,
-    mut build: impl FnMut() -> T,
-) -> MachineOutcome<T> {
+    mut summarize: impl FnMut() -> Result<T, E>,
+) -> MachineOutcome<T, E> {
     let mut out = MachineOutcome {
         summary: None,
+        error: None,
         injected: 0,
         retried: 0,
         ticks: 0,
@@ -309,26 +311,34 @@ pub fn run_machine_with_faults<T>(
             out.retried += 1;
             out.ticks = out.ticks.saturating_add(retry.backoff_before(attempt));
         }
-        match injector.decide(machine, attempt) {
-            Some(MachineFault::CrashBeforeSummarize) => {
+        let result = match injector.decide(machine, attempt) {
+            Some(MachineFault::SegmentRead | MachineFault::CrashBeforeSummarize) => {
                 out.injected += 1;
+                continue;
             }
-            Some(MachineFault::CrashAfterSummarize) | Some(MachineFault::MessageLost) => {
+            Some(MachineFault::CrashAfterSummarize | MachineFault::MessageLost) => {
                 // The work happens, the result is discarded: wasted attempts
                 // still cost what the fault model says they cost.
                 out.injected += 1;
-                let _ = build();
+                if let Err(e) = summarize() {
+                    out.error = Some(e);
+                }
+                continue;
             }
             Some(MachineFault::Straggler) => {
                 out.injected += 1;
                 out.ticks = out.ticks.saturating_add(injector.plan().straggler_ticks);
-                out.summary = Some(build());
+                summarize()
+            }
+            None => summarize(),
+        };
+        match result {
+            Ok(summary) => {
+                out.summary = Some(summary);
+                out.error = None;
                 return out;
             }
-            None => {
-                out.summary = Some(build());
-                return out;
-            }
+            Err(e) => out.error = Some(e),
         }
     }
     out
@@ -340,10 +350,10 @@ pub fn run_machine_with_faults<T>(
 pub struct FaultReport {
     /// Seed of the injected fault universe.
     pub fault_seed: u64,
-    /// Total faults injected (machine sites plus arena-segment sites).
+    /// Total faults injected (every site, every attempt).
     pub injected: u64,
-    /// Re-execution attempts performed (machine replays plus segment
-    /// re-reads).
+    /// Re-execution attempts performed (attempts beyond each machine's
+    /// first).
     pub retried: u64,
     /// Machines that failed at least once but ultimately delivered.
     pub recovered: u64,
@@ -376,7 +386,7 @@ impl FaultReport {
     }
 
     /// Folds one machine's outcome into the run totals.
-    pub fn absorb<T>(&mut self, machine: usize, outcome: &MachineOutcome<T>) {
+    pub fn absorb<T, E>(&mut self, machine: usize, outcome: &MachineOutcome<T, E>) {
         self.injected += outcome.injected;
         self.retried += outcome.retried;
         self.ticks = self.ticks.saturating_add(outcome.ticks);
@@ -394,28 +404,44 @@ impl FaultReport {
 mod tests {
     use super::*;
 
+    /// A plan whose only armed site is the piece read.
+    fn read_faults(fault_seed: u64, p: f64) -> FaultPlan {
+        let mut plan = FaultPlan::new(fault_seed);
+        plan.segment_io_prob = p;
+        plan
+    }
+
     #[test]
     fn decisions_are_pure_and_reproducible() {
-        let inj = FaultInjector::new(FaultPlan::machine_failure(9, 0.5));
-        for machine in 0..32 {
-            for attempt in 0..4 {
-                assert_eq!(
-                    inj.decide(machine, attempt),
-                    inj.decide(machine, attempt),
-                    "machine {machine} attempt {attempt}"
-                );
+        for plan in [FaultPlan::machine_failure(9, 0.5), read_faults(9, 0.5)] {
+            let inj = FaultInjector::new(plan);
+            for machine in 0..32 {
+                for attempt in 0..4 {
+                    assert_eq!(
+                        inj.decide(machine, attempt),
+                        inj.decide(machine, attempt),
+                        "machine {machine} attempt {attempt}"
+                    );
+                }
             }
         }
+        let reads = FaultInjector::new(read_faults(9, 0.5));
+        assert!((0..32).any(|m| reads.decide(m, 0) == Some(MachineFault::SegmentRead)));
+        assert!(
+            (0..32).all(|m| matches!(reads.decide(m, 0), None | Some(MachineFault::SegmentRead)))
+        );
     }
 
     #[test]
     fn decisions_depend_on_seed_machine_and_attempt() {
-        let a = FaultInjector::new(FaultPlan::machine_failure(1, 0.5));
-        let b = FaultInjector::new(FaultPlan::machine_failure(2, 0.5));
-        let differs_by_seed = (0..64).any(|m| a.decide(m, 0) != b.decide(m, 0));
-        assert!(differs_by_seed, "fault universes must differ across seeds");
-        let differs_by_attempt = (0..64).any(|m| a.decide(m, 0) != a.decide(m, 1));
-        assert!(differs_by_attempt, "retries must face fresh fault rolls");
+        for plan in [FaultPlan::machine_failure, read_faults] {
+            let a = FaultInjector::new(plan(1, 0.5));
+            let b = FaultInjector::new(plan(2, 0.5));
+            let differs_by_seed = (0..64).any(|m| a.decide(m, 0) != b.decide(m, 0));
+            assert!(differs_by_seed, "fault universes must differ across seeds");
+            let differs_by_attempt = (0..64).any(|m| a.decide(m, 0) != a.decide(m, 1));
+            assert!(differs_by_attempt, "retries must face fresh fault rolls");
+        }
     }
 
     #[test]
@@ -490,7 +516,7 @@ mod tests {
         let mut builds = 0;
         let out = run_machine_with_faults(&inj, &retry, 0, || {
             builds += 1;
-            "summary"
+            Ok::<_, Infallible>("summary")
         });
         assert_eq!(out.summary, Some("summary"));
         assert!(out.recovered());
@@ -506,8 +532,9 @@ mod tests {
             max_attempts: 4,
             backoff_ticks: 2,
         };
-        let out = run_machine_with_faults(&inj, &retry, 0, || "never");
+        let out = run_machine_with_faults(&inj, &retry, 0, || Ok::<_, Infallible>("never"));
         assert!(out.summary.is_none());
+        assert!(out.error.is_none(), "only injected faults failed it");
         assert_eq!(out.injected, 4);
         assert_eq!(out.retried, 3);
         assert_eq!(out.ticks, 2 + 4 + 8, "three exponential backoffs");
@@ -529,7 +556,7 @@ mod tests {
             &FaultInjector::new(plan),
             &RetryPolicy::default(),
             0,
-            || "late",
+            || Ok::<_, Infallible>("late"),
         );
         assert_eq!(out.summary, Some("late"));
         assert_eq!(out.ticks, 17);
@@ -540,19 +567,21 @@ mod tests {
     #[test]
     fn report_absorbs_outcomes_in_machine_order() {
         let mut report = FaultReport::new(11);
-        report.absorb(
+        report.absorb::<(), Infallible>(
             0,
             &MachineOutcome {
                 summary: Some(()),
+                error: None,
                 injected: 2,
                 retried: 2,
                 ticks: 30,
             },
         );
-        report.absorb::<()>(
+        report.absorb::<(), Infallible>(
             1,
             &MachineOutcome {
                 summary: None,
+                error: None,
                 injected: 3,
                 retried: 2,
                 ticks: 30,
@@ -579,14 +608,41 @@ mod tests {
     }
 
     #[test]
-    fn segment_plan_shares_the_fault_seed() {
-        let mut plan = FaultPlan::new(77);
-        plan.segment_io_prob = 0.25;
-        plan.segment_checksum_prob = 0.125;
-        let seg = plan.segment_plan();
-        assert_eq!(seg.seed, 77);
-        assert_eq!(seg.io_prob, 0.25);
-        assert_eq!(seg.checksum_prob, 0.125);
-        assert!(plan.is_armed());
+    fn failed_attempts_share_the_budget_and_keep_the_last_error() {
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_ticks: 1,
+        };
+        // A real error on every attempt: nothing injected, every retry paid
+        // on the exponential schedule, the last error kept.
+        let unarmed = FaultInjector::new(FaultPlan::new(0));
+        let mut calls = 0;
+        let out = run_machine_with_faults(&unarmed, &retry, 0, || {
+            calls += 1;
+            Err::<(), _>(calls)
+        });
+        assert!(out.summary.is_none());
+        assert_eq!(out.error, Some(3));
+        assert_eq!((out.injected, out.retried, out.ticks), (0, 2, 1 + 2));
+        // One failed attempt, then a delivery: the error is dropped.
+        let mut calls = 0;
+        let out = run_machine_with_faults(&unarmed, &retry, 0, || {
+            calls += 1;
+            if calls == 1 {
+                Err("transient")
+            } else {
+                Ok("summary")
+            }
+        });
+        assert_eq!((out.summary, out.error), (Some("summary"), None));
+        assert_eq!((out.retried, out.ticks), (1, 1));
+        // A read fault on every attempt: the attempt never runs.
+        let reads = FaultInjector::new(read_faults(4, 1.0));
+        assert!(reads.plan().is_armed());
+        let out = run_machine_with_faults(&reads, &retry, 0, || -> Result<(), ()> {
+            panic!("a failed read does no work")
+        });
+        assert!(out.summary.is_none() && out.error.is_none());
+        assert_eq!((out.injected, out.retried, out.ticks), (3, 2, 3));
     }
 }

@@ -1,7 +1,7 @@
 //! Versioned binary on-disk format for a partitioned edge arena, plus a
-//! bounded-memory segment loader with checksum verification, deterministic
-//! fault injection, and bounded retry — the out-of-core substrate of the
-//! hierarchical composition runner (ROADMAP items 1 and 3).
+//! bounded-memory segment loader with checksum verification — the
+//! out-of-core substrate of the hierarchical composition runner (ROADMAP
+//! items 1 and 3).
 //!
 //! A [`crate::partition::PartitionedGraph`] is already laid out as one
 //! machine-sorted edge permutation with `k + 1` offsets. This module persists
@@ -25,17 +25,13 @@
 //! | 40+16k     | 4·k   | checksum table: CRC32 (IEEE) of each segment's record bytes |
 //! | 40+16k+4k  | 8·m   | edge records: `(u: u32, v: u32)`, canonical `u < v`, machine-major |
 //!
-//! Version-1 files (`RCARENA1`, no checksum table) are still read: loaders
-//! simply skip checksum verification for them. New files are always written
-//! as version 2 (only this module's tests write version 1).
-//!
 //! The segment table must start at offset 0 and tile the record section
 //! exactly (`offset[i+1] = offset[i] + len[i]`, totals equal to `m`);
 //! [`ArenaFile::open`] rejects anything else with a typed
 //! [`GraphError`] — truncation, bad magic, unknown version, and
 //! table/offset inconsistencies each have their own variant, and no code
-//! path panics on malformed input. A version-2 segment whose record bytes do
-//! not hash to the recorded CRC32 is rejected at load time with
+//! path panics on malformed input. A segment whose record bytes do not hash
+//! to the recorded CRC32 is rejected at load time with
 //! [`GraphError::ArenaChecksumMismatch`] instead of producing silently-wrong
 //! edges.
 //!
@@ -45,17 +41,10 @@
 //! assert the out-of-core path's `peak_resident_edges` high-water mark
 //! against the per-piece bound while the flat path peaks at `m`.
 //!
-//! # Fault injection
-//!
-//! [`SegmentLoader`] can carry a [`SegmentFaultPlan`]: a seeded, *pure*
-//! decision function that injects transient I/O errors or checksum failures
-//! keyed by `(fault_seed, segment, attempt)`. Decisions depend on nothing
-//! but those inputs — no wall clock, no ambient RNG — so a faulty run is
-//! bit-reproducible across thread counts and scheduler-fuzz seeds. A
-//! [`SegmentRetryPolicy`] bounds how many attempts each segment gets before
-//! the last error is surfaced to the caller.
+//! The loader only reads: a failed read returns its typed error, and whether
+//! to retry is the caller's decision (the protocol driver retries a machine's
+//! whole attempt, read and build together).
 
-use crate::churn::mix64;
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::metrics;
@@ -67,15 +56,13 @@ use std::path::{Path, PathBuf};
 
 /// Magic bytes identifying a version-2 edge-arena file.
 pub const ARENA_MAGIC: [u8; 8] = *b"RCARENA2";
-/// Magic bytes of the legacy version-1 format (still readable).
-pub const ARENA_MAGIC_V1: [u8; 8] = *b"RCARENA1";
-/// The format version this build writes (it reads versions 1 and 2).
+/// The format version this build reads and writes.
 pub const ARENA_VERSION: u32 = 2;
 /// Bytes in the fixed-size header that precedes the segment table.
 const HEADER_BYTES: u64 = 40;
 /// Bytes per segment-table entry (`offset: u64`, `len: u64`).
 const SEGMENT_ENTRY_BYTES: u64 = 16;
-/// Bytes per checksum-table entry (`crc32: u32`), version 2 only.
+/// Bytes per checksum-table entry (`crc32: u32`).
 const CRC_ENTRY_BYTES: u64 = 4;
 /// Bytes per edge record (`u: u32`, `v: u32`).
 const RECORD_BYTES: u64 = 8;
@@ -121,99 +108,10 @@ fn crc32_finish(state: u32) -> u32 {
     state ^ 0xFFFF_FFFF
 }
 
-/// CRC32 (IEEE) of `bytes` — the checksum recorded per segment in
-/// version-2 arena files.
+/// CRC32 (IEEE) of `bytes` — the checksum recorded per segment in arena
+/// files.
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC32_INIT, bytes))
-}
-
-/// Maps a `(seed, segment, attempt, salt)` site to a uniform `[0, 1)` value.
-/// Pure in its inputs, so fault decisions are identical across thread counts
-/// and scheduler interleavings.
-fn site_unit(seed: u64, segment: u64, attempt: u64, salt: u64) -> f64 {
-    let mut x = seed ^ salt;
-    x = mix64(x ^ mix64(segment.wrapping_mul(0xA076_1D64_78BD_642F)));
-    x = mix64(x ^ mix64(attempt.wrapping_mul(0xD6E8_FEB8_6659_FD93)));
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Salt separating injected-I/O decisions from injected-checksum decisions.
-const SALT_SEGMENT_IO: u64 = 0x51DE_10AD_1001_F417;
-/// Salt for injected checksum-corruption decisions.
-const SALT_SEGMENT_CHECKSUM: u64 = 0x51DE_10AD_C0DE_C417;
-
-/// The kind of failure a [`SegmentFaultPlan`] injects at a load site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentFault {
-    /// A transient I/O error: the attempt fails with
-    /// [`GraphError::ArenaIo`]; a retry re-reads the same healthy bytes.
-    Io,
-    /// A transient corruption: the attempt fails with
-    /// [`GraphError::ArenaChecksumMismatch`], as if the bytes read did not
-    /// match the recorded CRC32.
-    Checksum,
-}
-
-/// Seeded plan for deterministically injecting segment-read failures.
-///
-/// Each `(segment, attempt)` pair is an independent Bernoulli draw computed
-/// by pure mixing of `(seed, segment, attempt)` — no ambient entropy and no
-/// clock — so the same plan produces the same faults on every run,
-/// regardless of thread count or scheduler interleaving.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegmentFaultPlan {
-    /// Seed for the fault-decision stream (independent of the protocol seed).
-    pub seed: u64,
-    /// Probability that a given attempt fails with an injected I/O error.
-    pub io_prob: f64,
-    /// Probability that a given attempt fails with an injected checksum
-    /// mismatch (evaluated only if no I/O fault fired).
-    pub checksum_prob: f64,
-}
-
-impl SegmentFaultPlan {
-    /// A plan with the given seed and no faults enabled; set the
-    /// probability fields to arm it.
-    pub fn new(seed: u64) -> Self {
-        SegmentFaultPlan {
-            seed,
-            io_prob: 0.0,
-            checksum_prob: 0.0,
-        }
-    }
-
-    /// Decides whether attempt number `attempt` at loading `segment` fails,
-    /// and how. Pure in `(self.seed, segment, attempt)`.
-    pub fn decide(&self, segment: usize, attempt: u32) -> Option<SegmentFault> {
-        if site_unit(self.seed, segment as u64, attempt as u64, SALT_SEGMENT_IO) < self.io_prob {
-            return Some(SegmentFault::Io);
-        }
-        if site_unit(
-            self.seed,
-            segment as u64,
-            attempt as u64,
-            SALT_SEGMENT_CHECKSUM,
-        ) < self.checksum_prob
-        {
-            return Some(SegmentFault::Checksum);
-        }
-        None
-    }
-}
-
-/// Bounded-retry policy for segment loads: each segment gets up to
-/// `max_attempts` tries before the last error is returned to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentRetryPolicy {
-    /// Maximum attempts per segment load (values below 1 behave as 1).
-    pub max_attempts: u32,
-}
-
-impl Default for SegmentRetryPolicy {
-    /// One attempt: no retries.
-    fn default() -> Self {
-        SegmentRetryPolicy { max_attempts: 1 }
-    }
 }
 
 fn strategy_to_byte(s: PartitionStrategy) -> u8 {
@@ -245,23 +143,14 @@ fn io_err(what: &str, e: std::io::Error) -> GraphError {
 /// described in the module docs (per-segment CRC32 checksum table included).
 /// Overwrites any existing file.
 pub fn write_arena_file(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
-    write_arena_impl(path, arena, ARENA_VERSION)
-}
-
-fn write_arena_impl(path: &Path, arena: &PartitionedGraph, version: u32) -> Result<(), GraphError> {
     let file = File::create(path).map_err(|e| io_err("creating arena file", e))?;
     let mut w = BufWriter::new(file);
     let write = |w: &mut BufWriter<File>, bytes: &[u8]| {
         w.write_all(bytes)
             .map_err(|e| io_err("writing arena file", e))
     };
-    let magic = if version == 1 {
-        ARENA_MAGIC_V1
-    } else {
-        ARENA_MAGIC
-    };
-    write(&mut w, &magic)?;
-    write(&mut w, &version.to_le_bytes())?;
+    write(&mut w, &ARENA_MAGIC)?;
+    write(&mut w, &ARENA_VERSION.to_le_bytes())?;
     write(&mut w, &[strategy_to_byte(arena.strategy()), 0, 0, 0])?;
     write(&mut w, &(arena.n() as u64).to_le_bytes())?;
     write(&mut w, &(arena.k() as u64).to_le_bytes())?;
@@ -272,18 +161,16 @@ fn write_arena_impl(path: &Path, arena: &PartitionedGraph, version: u32) -> Resu
         write(&mut w, &(len as u64).to_le_bytes())?;
         offset += len as u64;
     }
-    if version >= 2 {
-        let records = arena.arena();
-        let mut start = 0usize;
-        for len in arena.piece_sizes() {
-            let mut state = CRC32_INIT;
-            for e in &records[start..start + len] {
-                state = crc32_update(state, &e.u.to_le_bytes());
-                state = crc32_update(state, &e.v.to_le_bytes());
-            }
-            write(&mut w, &crc32_finish(state).to_le_bytes())?;
-            start += len;
+    let records = arena.arena();
+    let mut start = 0usize;
+    for len in arena.piece_sizes() {
+        let mut state = CRC32_INIT;
+        for e in &records[start..start + len] {
+            state = crc32_update(state, &e.u.to_le_bytes());
+            state = crc32_update(state, &e.v.to_le_bytes());
         }
+        write(&mut w, &crc32_finish(state).to_le_bytes())?;
+        start += len;
     }
     for e in arena.arena() {
         write(&mut w, &e.u.to_le_bytes())?;
@@ -293,28 +180,24 @@ fn write_arena_impl(path: &Path, arena: &PartitionedGraph, version: u32) -> Resu
 }
 
 /// Validated metadata of an on-disk edge arena: header fields plus the
-/// segment table (and, for version-2 files, the per-segment CRC32 checksum
-/// table). Opening is cheap (header + tables only); edge records are
+/// segment table and the per-segment CRC32 checksum table. Opening is cheap (header + tables only); edge records are
 /// streamed later through a [`SegmentLoader`].
 #[derive(Debug, Clone)]
 pub struct ArenaFile {
     path: PathBuf,
-    version: u32,
     n: usize,
     k: usize,
     m: usize,
     strategy: PartitionStrategy,
     /// Per-machine `(offset, len)` into the record section, in records.
     segments: Vec<(usize, usize)>,
-    /// Per-machine CRC32 of the segment's record bytes; `None` for v1 files.
-    crcs: Option<Vec<u32>>,
+    /// Per-machine CRC32 of the segment's record bytes.
+    crcs: Vec<u32>,
 }
 
 impl ArenaFile {
     /// Opens `path`, validates the header and tables, and returns the
-    /// arena's metadata. Both format versions are accepted: version 2
-    /// (`RCARENA2`, with checksum table) and legacy version 1 (`RCARENA1`,
-    /// without).
+    /// arena's metadata.
     ///
     /// Malformed inputs are rejected with typed errors, never panics:
     /// [`GraphError::ArenaBadMagic`], [`GraphError::ArenaBadVersion`],
@@ -334,13 +217,9 @@ impl ArenaFile {
         let take = (file_len.min(8)) as usize;
         file.read_exact(&mut magic[..take])
             .map_err(|e| io_err("reading arena magic", e))?;
-        let magic_version = if magic == ARENA_MAGIC {
-            2u32
-        } else if magic == ARENA_MAGIC_V1 {
-            1u32
-        } else {
+        if magic != ARENA_MAGIC {
             return Err(GraphError::ArenaBadMagic { found: magic });
-        };
+        }
         if file_len < HEADER_BYTES {
             return Err(GraphError::ArenaTruncated {
                 expected_bytes: HEADER_BYTES,
@@ -352,7 +231,7 @@ impl ArenaFile {
         file.read_exact(&mut rest)
             .map_err(|e| io_err("reading arena header", e))?;
         let version = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        if version != magic_version {
+        if version != ARENA_VERSION {
             return Err(GraphError::ArenaBadVersion { found: version });
         }
         let strategy = strategy_from_byte(rest[4])?;
@@ -377,9 +256,8 @@ impl ArenaFile {
             });
         }
 
-        let crc_table_bytes = if version >= 2 { CRC_ENTRY_BYTES } else { 0 };
         let expected_bytes = k
-            .checked_mul(SEGMENT_ENTRY_BYTES + crc_table_bytes)
+            .checked_mul(SEGMENT_ENTRY_BYTES + CRC_ENTRY_BYTES)
             .and_then(|t| m.checked_mul(RECORD_BYTES).map(|r| (t, r)))
             .and_then(|(t, r)| HEADER_BYTES.checked_add(t)?.checked_add(r))
             .ok_or_else(|| GraphError::ArenaCorrupt {
@@ -431,22 +309,16 @@ impl ArenaFile {
             });
         }
 
-        let crcs = if version >= 2 {
-            let mut crcs = Vec::with_capacity(k as usize);
-            let mut entry = [0u8; CRC_ENTRY_BYTES as usize];
-            for _ in 0..k {
-                file.read_exact(&mut entry)
-                    .map_err(|e| io_err("reading arena checksum table", e))?;
-                crcs.push(u32::from_le_bytes(entry));
-            }
-            Some(crcs)
-        } else {
-            None
-        };
+        let mut crcs = Vec::with_capacity(k as usize);
+        let mut entry = [0u8; CRC_ENTRY_BYTES as usize];
+        for _ in 0..k {
+            file.read_exact(&mut entry)
+                .map_err(|e| io_err("reading arena checksum table", e))?;
+            crcs.push(u32::from_le_bytes(entry));
+        }
 
         Ok(ArenaFile {
             path: path.to_path_buf(),
-            version,
             n: n as usize,
             k: k as usize,
             m: m as usize,
@@ -460,12 +332,6 @@ impl ArenaFile {
     #[inline]
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The format version recorded in the file header (1 or 2).
-    #[inline]
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Number of vertices (shared by every piece).
@@ -496,12 +362,6 @@ impl ArenaFile {
     pub fn piece_sizes(&self) -> Vec<usize> {
         self.segments.iter().map(|&(_, len)| len).collect()
     }
-
-    /// The CRC32 recorded for segment `i`, or `None` for version-1 files
-    /// (which carry no checksum table).
-    pub fn segment_crc(&self, i: usize) -> Option<u32> {
-        self.crcs.as_ref().map(|c| c[i])
-    }
 }
 
 /// Streams one machine segment of an [`ArenaFile`] at a time into a reusable
@@ -512,26 +372,19 @@ impl ArenaFile {
 /// the previous one. Every acquire/release is charged to
 /// [`crate::metrics::resident_edges`] so E16 can measure the high-water mark.
 ///
-/// Version-2 arenas are checksum-verified on every load: the CRC32 of the
-/// bytes actually read must match the file's checksum table or the load
-/// fails with [`GraphError::ArenaChecksumMismatch`]. An optional
-/// [`SegmentFaultPlan`] injects deterministic transient faults, and a
-/// [`SegmentRetryPolicy`] bounds how many attempts each segment gets.
+/// Every load is checksum-verified: the CRC32 of the bytes actually read
+/// must match the file's checksum table or the load fails with
+/// [`GraphError::ArenaChecksumMismatch`].
 #[derive(Debug)]
 pub struct SegmentLoader<'a> {
     arena: &'a ArenaFile,
     file: File,
     buf: Vec<Edge>,
     resident: usize,
-    faults: Option<SegmentFaultPlan>,
-    retry: SegmentRetryPolicy,
-    injected: u64,
-    retries: u64,
 }
 
 impl<'a> SegmentLoader<'a> {
-    /// Opens the arena's backing file for segment streaming, with no fault
-    /// injection and no retries.
+    /// Opens the arena's backing file for segment streaming.
     pub fn new(arena: &'a ArenaFile) -> Result<Self, GraphError> {
         let file = File::open(arena.path()).map_err(|e| io_err("opening arena for reading", e))?;
         Ok(SegmentLoader {
@@ -539,34 +392,7 @@ impl<'a> SegmentLoader<'a> {
             file,
             buf: Vec::new(),
             resident: 0,
-            faults: None,
-            retry: SegmentRetryPolicy::default(),
-            injected: 0,
-            retries: 0,
         })
-    }
-
-    /// Arms deterministic fault injection on this loader. Pass `None` to
-    /// disarm.
-    pub fn set_fault_plan(&mut self, plan: Option<SegmentFaultPlan>) {
-        self.faults = plan;
-    }
-
-    /// Sets the bounded-retry policy applied to every segment load.
-    pub fn set_retry_policy(&mut self, retry: SegmentRetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Number of faults this loader has injected so far (all attempts).
-    #[inline]
-    pub fn injected_faults(&self) -> u64 {
-        self.injected
-    }
-
-    /// Number of retry attempts (attempts beyond the first) consumed so far.
-    #[inline]
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// Loads machine `i`'s segment into the reusable buffer, replacing (and
@@ -574,10 +400,9 @@ impl<'a> SegmentLoader<'a> {
     /// zero-copy view. Records decode through a fixed-size stack chunk —
     /// peak extra memory is one segment plus 32 KiB regardless of `m`.
     ///
-    /// For version-2 arenas the decoded bytes are CRC32-verified against the
-    /// file's checksum table. Failed attempts (injected or real) are retried
-    /// up to the loader's [`SegmentRetryPolicy`]; when the budget is
-    /// exhausted the last error is returned.
+    /// The decoded bytes are CRC32-verified against the file's checksum
+    /// table. A failed read returns its typed error and leaves nothing
+    /// resident; the next load starts from a cleared buffer.
     ///
     /// # Panics
     ///
@@ -585,9 +410,9 @@ impl<'a> SegmentLoader<'a> {
     /// return typed errors.
     pub fn load(&mut self, i: usize) -> Result<GraphView<'_>, GraphError> {
         assert!(i < self.arena.k(), "machine index {i} out of range");
-        let (offset, len) = self.arena.segments[i];
         self.release();
-        self.load_segment_with_retry(i, offset, len)?;
+        self.read_segment(i)?;
+        let len = self.buf.len();
         metrics::record_resident_edges_acquired(len);
         self.resident = len;
         Ok(GraphView::new_unchecked(self.arena.n(), &self.buf))
@@ -595,13 +420,12 @@ impl<'a> SegmentLoader<'a> {
 
     /// Loads the *entire* record section (all `m` records resident at once —
     /// the frozen flat baseline E16 compares against) and returns one view
-    /// per machine, in machine order. Each segment is checksum-verified and
-    /// retried independently, exactly as in [`SegmentLoader::load`].
+    /// per machine, in machine order. Each segment is checksum-verified
+    /// exactly as in [`SegmentLoader::load`].
     pub fn load_all(&mut self) -> Result<Vec<GraphView<'_>>, GraphError> {
         self.release();
         for i in 0..self.arena.k() {
-            let (offset, len) = self.arena.segments[i];
-            self.load_segment_with_retry(i, offset, len)?;
+            self.read_segment(i)?;
         }
         metrics::record_resident_edges_acquired(self.arena.m());
         self.resident = self.arena.m();
@@ -630,74 +454,18 @@ impl<'a> SegmentLoader<'a> {
         self.buf.clear();
     }
 
-    /// Appends segment `segment` to `self.buf`, retrying failed attempts up
-    /// to the retry budget. On success the buffer has grown by exactly `len`
-    /// records; on failure it is truncated back to its starting length and
-    /// the last attempt's error is returned.
-    fn load_segment_with_retry(
-        &mut self,
-        segment: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<(), GraphError> {
-        let base = self.buf.len();
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last = Ok(());
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.retries += 1;
-            }
-            self.buf.truncate(base);
-            match self.attempt_segment(segment, offset, len, attempt) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = Err(e),
-            }
-        }
-        self.buf.truncate(base);
-        last
-    }
-
-    /// One attempt at reading and verifying a segment: consults the fault
-    /// plan first (injected faults consume the attempt), then reads, decodes,
-    /// and checksum-verifies the real bytes.
-    fn attempt_segment(
-        &mut self,
-        segment: usize,
-        offset: usize,
-        len: usize,
-        attempt: u32,
-    ) -> Result<(), GraphError> {
-        if let Some(plan) = self.faults {
-            match plan.decide(segment, attempt) {
-                Some(SegmentFault::Io) => {
-                    self.injected += 1;
-                    return Err(GraphError::ArenaIo {
-                        context: format!(
-                            "injected transient I/O fault on segment {segment} (attempt {attempt})"
-                        ),
-                    });
-                }
-                Some(SegmentFault::Checksum) => {
-                    self.injected += 1;
-                    let expected = self.arena.segment_crc(segment).unwrap_or(0);
-                    return Err(GraphError::ArenaChecksumMismatch {
-                        segment,
-                        expected,
-                        found: !expected,
-                    });
-                }
-                None => {}
-            }
-        }
+    /// Appends segment `segment` to `self.buf` and verifies its bytes
+    /// against the checksum table.
+    fn read_segment(&mut self, segment: usize) -> Result<(), GraphError> {
+        let (offset, len) = self.arena.segments[segment];
         let found = self.load_range(offset, len)?;
-        if let Some(expected) = self.arena.segment_crc(segment) {
-            if expected != found {
-                return Err(GraphError::ArenaChecksumMismatch {
-                    segment,
-                    expected,
-                    found,
-                });
-            }
+        let expected = self.arena.crcs[segment];
+        if expected != found {
+            return Err(GraphError::ArenaChecksumMismatch {
+                segment,
+                expected,
+                found,
+            });
         }
         Ok(())
     }
@@ -708,13 +476,9 @@ impl<'a> SegmentLoader<'a> {
     fn load_range(&mut self, offset: usize, len: usize) -> Result<u32, GraphError> {
         let n = self.arena.n();
         self.buf.reserve(len);
-        let table_bytes = if self.arena.version >= 2 {
-            SEGMENT_ENTRY_BYTES + CRC_ENTRY_BYTES
-        } else {
-            SEGMENT_ENTRY_BYTES
-        };
-        let base =
-            HEADER_BYTES + self.arena.k() as u64 * table_bytes + offset as u64 * RECORD_BYTES;
+        let base = HEADER_BYTES
+            + self.arena.k() as u64 * (SEGMENT_ENTRY_BYTES + CRC_ENTRY_BYTES)
+            + offset as u64 * RECORD_BYTES;
         self.file
             .seek(SeekFrom::Start(base))
             .map_err(|e| io_err("seeking to arena segment", e))?;
@@ -758,13 +522,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// Serializes a partitioned edge arena in the legacy version-1 format
-    /// (no checksum table), so these tests can pin that v1 files remain
-    /// readable.
-    fn write_arena_file_v1(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
-        write_arena_impl(path, arena, 1)
-    }
-
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("rc_arena_test_{}_{tag}.bin", std::process::id()))
     }
@@ -782,8 +539,8 @@ mod tests {
         (path, arena)
     }
 
-    /// Byte offset of the record section in a v2 file with `k` machines.
-    fn v2_records_base(k: usize) -> usize {
+    /// Byte offset of the record section in a file with `k` machines.
+    fn records_base(k: usize) -> usize {
         40 + k * 16 + k * 4
     }
 
@@ -798,7 +555,6 @@ mod tests {
     fn round_trip_preserves_layout_and_pieces() {
         let (path, arena) = write_sample("round_trip", 1, 5);
         let file = ArenaFile::open(&path).unwrap();
-        assert_eq!(file.version(), 2);
         assert_eq!(file.n(), arena.n());
         assert_eq!(file.k(), arena.k());
         assert_eq!(file.m(), arena.m());
@@ -811,37 +567,6 @@ mod tests {
             assert_eq!(view.n(), arena.n());
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v1_files_still_open_and_load() {
-        let arena = sample_arena(21, 4);
-        let path = tmp_path("v1_compat");
-        write_arena_file_v1(&path, &arena).unwrap();
-        let file = ArenaFile::open(&path).unwrap();
-        assert_eq!(file.version(), 1);
-        assert_eq!(file.segment_crc(0), None);
-        assert_eq!(file.piece_sizes(), arena.piece_sizes());
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        for i in 0..arena.k() {
-            assert_eq!(loader.load(i).unwrap().edges(), arena.piece(i).edges());
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v1_and_v2_record_sections_are_identical() {
-        let arena = sample_arena(22, 3);
-        let p1 = tmp_path("v1_bytes");
-        let p2 = tmp_path("v2_bytes");
-        write_arena_file_v1(&p1, &arena).unwrap();
-        write_arena_file(&p2, &arena).unwrap();
-        let b1 = std::fs::read(&p1).unwrap();
-        let b2 = std::fs::read(&p2).unwrap();
-        assert_eq!(&b1[40 + 3 * 16..], &b2[v2_records_base(3)..]);
-        assert_eq!(b2.len(), b1.len() + 3 * 4);
-        let _ = std::fs::remove_file(&p1);
-        let _ = std::fs::remove_file(&p2);
     }
 
     #[test]
@@ -930,14 +655,19 @@ mod tests {
 
     #[test]
     fn magic_and_version_must_agree() {
-        // A v1 magic carrying a version-2 header field is rejected: the
-        // reader must not guess which layout to trust.
+        // The retired version-1 magic is not an arena this build reads,
+        // whatever the version field says.
         let (path, _) = write_sample("magic_mismatch", 15, 3);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(&ARENA_MAGIC_V1);
+        bytes[..8].copy_from_slice(b"RCARENA1");
         std::fs::write(&path, &bytes).unwrap();
         let err = ArenaFile::open(&path).unwrap_err();
-        assert_eq!(err, GraphError::ArenaBadVersion { found: 2 });
+        assert_eq!(
+            err,
+            GraphError::ArenaBadMagic {
+                found: *b"RCARENA1"
+            }
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1048,7 +778,7 @@ mod tests {
         // First record of segment 0: make it a self-loop (u == v). Decode
         // validation fires before the checksum comparison, so this is
         // ArenaCorrupt, not ArenaChecksumMismatch.
-        let rec = v2_records_base(2);
+        let rec = records_base(2);
         let u = u32::from_le_bytes(bytes[rec..rec + 4].try_into().unwrap());
         bytes[rec + 4..rec + 8].copy_from_slice(&u.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -1067,7 +797,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // Overwrite record 0 with record 1's bytes: every record still
         // decodes as a valid canonical edge, so only the checksum can tell.
-        let rec = v2_records_base(2);
+        let rec = records_base(2);
         let dup: [u8; 8] = bytes[rec + 8..rec + 16].try_into().unwrap();
         let original: [u8; 8] = bytes[rec..rec + 8].try_into().unwrap();
         assert_ne!(dup, original, "adjacent records should differ");
@@ -1089,161 +819,6 @@ mod tests {
         }
         // Segment 1 is untouched and still loads.
         assert_eq!(loader.load(1).unwrap().edges(), arena.piece(1).edges());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn persistent_checksum_corruption_survives_retries() {
-        let (path, _) = write_sample("crc_retry", 17, 2);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let rec = v2_records_base(2);
-        let dup: [u8; 8] = bytes[rec + 8..rec + 16].try_into().unwrap();
-        bytes[rec..rec + 8].copy_from_slice(&dup);
-        std::fs::write(&path, &bytes).unwrap();
-        let file = ArenaFile::open(&path).unwrap();
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        loader.set_retry_policy(SegmentRetryPolicy { max_attempts: 4 });
-        let err = loader.load(0).unwrap_err();
-        assert!(
-            matches!(err, GraphError::ArenaChecksumMismatch { .. }),
-            "{err}"
-        );
-        // Real corruption is re-read identically on every attempt: all
-        // retries were consumed, none injected.
-        assert_eq!(loader.retries(), 3);
-        assert_eq!(loader.injected_faults(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fault_plan_decisions_are_pure_and_seed_dependent() {
-        let plan = SegmentFaultPlan {
-            seed: 99,
-            io_prob: 0.5,
-            checksum_prob: 0.25,
-        };
-        for segment in 0..8 {
-            for attempt in 0..4 {
-                assert_eq!(
-                    plan.decide(segment, attempt),
-                    plan.decide(segment, attempt),
-                    "decision must be pure"
-                );
-            }
-        }
-        let other = SegmentFaultPlan { seed: 100, ..plan };
-        let a: Vec<_> = (0..64).map(|s| plan.decide(s, 0)).collect();
-        let b: Vec<_> = (0..64).map(|s| other.decide(s, 0)).collect();
-        assert_ne!(a, b, "different seeds should differ somewhere in 64 sites");
-        // Probabilities roughly respected across many sites.
-        let fired = a.iter().filter(|d| d.is_some()).count();
-        assert!(fired > 64 / 4, "p≈0.625 should fire often, got {fired}/64");
-    }
-
-    #[test]
-    fn injected_transient_fault_recovers_within_retry_budget() {
-        let (path, arena) = write_sample("inject_recover", 18, 3);
-        let file = ArenaFile::open(&path).unwrap();
-
-        // Find a seed whose plan faults segment 0 attempt 0 but not
-        // attempt 1 — deterministic given the pure decision function.
-        let seed = (0..u64::MAX)
-            .find(|&s| {
-                let p = SegmentFaultPlan {
-                    seed: s,
-                    io_prob: 0.6,
-                    checksum_prob: 0.0,
-                };
-                p.decide(0, 0).is_some() && p.decide(0, 1).is_none()
-            })
-            .unwrap();
-        let plan = SegmentFaultPlan {
-            seed,
-            io_prob: 0.6,
-            checksum_prob: 0.0,
-        };
-
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        loader.set_fault_plan(Some(plan));
-        loader.set_retry_policy(SegmentRetryPolicy { max_attempts: 2 });
-        let view = loader.load(0).unwrap();
-        assert_eq!(view.edges(), arena.piece(0).edges());
-        assert_eq!(loader.injected_faults(), 1);
-        assert_eq!(loader.retries(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_surfaces_typed_error() {
-        let (path, _) = write_sample("inject_exhaust", 19, 2);
-        let file = ArenaFile::open(&path).unwrap();
-        let plan = SegmentFaultPlan {
-            seed: 7,
-            io_prob: 1.0,
-            checksum_prob: 0.0,
-        };
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        loader.set_fault_plan(Some(plan));
-        loader.set_retry_policy(SegmentRetryPolicy { max_attempts: 3 });
-        let err = loader.load(0).unwrap_err();
-        assert!(matches!(err, GraphError::ArenaIo { .. }), "{err}");
-        assert!(err.to_string().contains("injected"), "{err}");
-        assert_eq!(loader.injected_faults(), 3);
-        assert_eq!(loader.retries(), 2);
-        // The buffer was rolled back: a later clean load works.
-        loader.set_fault_plan(None);
-        assert!(loader.load(1).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn injected_checksum_fault_is_typed_mismatch() {
-        let (path, _) = write_sample("inject_crc", 20, 2);
-        let file = ArenaFile::open(&path).unwrap();
-        let plan = SegmentFaultPlan {
-            seed: 7,
-            io_prob: 0.0,
-            checksum_prob: 1.0,
-        };
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        loader.set_fault_plan(Some(plan));
-        let err = loader.load(1).unwrap_err();
-        match err {
-            GraphError::ArenaChecksumMismatch { segment, .. } => assert_eq!(segment, 1),
-            other => panic!("expected checksum mismatch, got {other}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_all_retries_each_segment_independently() {
-        let (path, arena) = write_sample("load_all_retry", 23, 3);
-        let file = ArenaFile::open(&path).unwrap();
-        let seed = (0..u64::MAX)
-            .find(|&s| {
-                let p = SegmentFaultPlan {
-                    seed: s,
-                    io_prob: 0.5,
-                    checksum_prob: 0.0,
-                };
-                // At least one first-attempt fault somewhere, every
-                // segment clean by its second attempt.
-                (0..3).any(|i| p.decide(i, 0).is_some()) && (0..3).all(|i| p.decide(i, 1).is_none())
-            })
-            .unwrap();
-        let plan = SegmentFaultPlan {
-            seed,
-            io_prob: 0.5,
-            checksum_prob: 0.0,
-        };
-        let mut loader = SegmentLoader::new(&file).unwrap();
-        loader.set_fault_plan(Some(plan));
-        loader.set_retry_policy(SegmentRetryPolicy { max_attempts: 2 });
-        let views = loader.load_all().unwrap();
-        for (i, v) in views.iter().enumerate() {
-            assert_eq!(v.edges(), arena.piece(i).edges(), "piece {i}");
-        }
-        assert!(loader.injected_faults() >= 1);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -26,7 +26,7 @@
 //! of the current graph would produce. That identity is what makes
 //! clean-piece coreset reuse provably sound (`coresets::cache` keys on it)
 //! and lets a dynamic run assert equality against a from-scratch batch run.
-//! When the pending-op volume crosses a threshold, the journals are
+//! When the pending ops reach a quarter of the edge count, the journals are
 //! [compacted](ChurnPartition::compact) back into one fresh arena and every
 //! machine becomes clean again.
 
@@ -34,6 +34,10 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::view::GraphView;
+
+/// The journals compact once their pending ops reach `1 / COMPACT_DIVISOR`
+/// of the current edge count.
+const COMPACT_DIVISOR: usize = 4;
 
 /// One edge-churn operation applied to a [`ChurnPartition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +61,7 @@ impl ChurnOp {
 /// The SplitMix64 output function: adds the golden-ratio increment to `z`
 /// and finalizes it into a decorrelated 64-bit value. Edge placement and
 /// piece fingerprints here, the per-machine RNG keys (`coresets::streams`)
-/// and both fault planners mix through it.
+/// and the fault planner mix through it.
 ///
 /// A SplitMix64 *generator* with state `s` returns `mix64(s)` and then
 /// advances `s` by `0x9E37_79B9_7F4A_7C15`.
@@ -166,15 +170,11 @@ pub struct ChurnPartition {
     /// Pending journal ops per machine since the last compaction.
     pending: Vec<usize>,
     pending_total: usize,
-    /// Compact when `pending_total * compact_den >= max(m, 1) * compact_num`.
-    compact_num: usize,
-    compact_den: usize,
 }
 
 impl ChurnPartition {
     /// Partitions `g` across `k` machines under the churn-stable
-    /// [`edge_machine`] placement for `seed`, with the default compaction
-    /// threshold (pending ops ≥ ¼ of the current edge count).
+    /// [`edge_machine`] placement for `seed`.
     pub fn new(g: &Graph, k: usize, seed: u64) -> Result<Self, GraphError> {
         if k == 0 {
             return Err(GraphError::InvalidMachineCount { k });
@@ -195,22 +195,7 @@ impl ChurnPartition {
             fp_stale: vec![false; k],
             pending: vec![0; k],
             pending_total: 0,
-            compact_num: 1,
-            compact_den: 4,
         })
-    }
-
-    /// Overrides the compaction threshold: compact when
-    /// `pending_ops * den >= max(m, 1) * num`. `den` must be non-zero.
-    pub fn with_compact_threshold(mut self, num: usize, den: usize) -> Result<Self, GraphError> {
-        if den == 0 {
-            return Err(GraphError::InvalidParameter {
-                reason: "compaction threshold denominator must be non-zero".into(),
-            });
-        }
-        self.compact_num = num;
-        self.compact_den = den;
-        Ok(self)
     }
 
     /// Number of vertices (fixed for the lifetime of the partition).
@@ -364,13 +349,11 @@ impl ChurnPartition {
         (0..self.k()).map(|i| self.piece_fingerprint(i)).collect()
     }
 
-    /// Compacts the journals back into one fresh machine-major arena if the
-    /// pending-op volume has crossed the configured threshold. Returns
-    /// whether a compaction ran.
+    /// Compacts the journals back into one fresh machine-major arena once
+    /// the pending ops reach a quarter of the current edge count
+    /// (`pending · 4 ≥ max(m, 1)`). Returns whether a compaction ran.
     pub fn maybe_compact(&mut self) -> bool {
-        if self.pending_total * self.compact_den >= self.m.max(1) * self.compact_num
-            && self.pending_total > 0
-        {
+        if self.pending_total * COMPACT_DIVISOR >= self.m.max(1) && self.pending_total > 0 {
             self.compact();
             true
         } else {
@@ -561,10 +544,7 @@ mod tests {
     #[test]
     fn threshold_compaction_triggers() {
         let g = gnp(60, 0.1, &mut rng(7));
-        let mut part = ChurnPartition::new(&g, 3, 2)
-            .unwrap()
-            .with_compact_threshold(1, 100)
-            .unwrap();
+        let mut part = ChurnPartition::new(&g, 3, 2).unwrap();
         let mut applied = 0;
         let mut compacted = false;
         for u in 0..60u32 {
@@ -586,7 +566,7 @@ mod tests {
         }
         assert!(
             compacted,
-            "threshold 1/100 must compact after {applied} ops"
+            "the quarter threshold must compact after {applied} ops"
         );
         assert_eq!(part.pending_ops(), 0);
     }

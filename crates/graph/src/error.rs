@@ -50,8 +50,8 @@ pub enum GraphError {
         /// What was being done, plus the rendered I/O error.
         context: String,
     },
-    /// An arena file did not start with the `RCARENA1` magic bytes — it is
-    /// not an edge-arena file at all (or is empty/garbage).
+    /// An arena file did not start with the `RCARENA2` magic bytes — it is
+    /// not an edge-arena file this build reads (or is empty/garbage).
     ArenaBadMagic {
         /// The first bytes actually found (zero-padded if the file was
         /// shorter than the magic).
@@ -78,7 +78,7 @@ pub enum GraphError {
         /// Human-readable description of the inconsistency.
         reason: String,
     },
-    /// A version-2 arena segment's decoded bytes do not hash to the CRC32
+    /// An arena segment's decoded bytes do not hash to the CRC32
     /// recorded in the file's checksum table — the segment was corrupted on
     /// disk or in transit. Without the checksum this would have been
     /// silently-wrong edges; with it, the error is typed and carries the

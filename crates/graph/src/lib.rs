@@ -56,9 +56,7 @@ pub mod stats;
 pub mod view;
 pub mod weighted;
 
-pub use arena_file::{
-    write_arena_file, ArenaFile, SegmentFault, SegmentFaultPlan, SegmentLoader, SegmentRetryPolicy,
-};
+pub use arena_file::{write_arena_file, ArenaFile, SegmentLoader};
 pub use bipartite::BipartiteGraph;
 pub use churn::{edge_machine, fingerprint_edges, mix64, ChurnOp, ChurnPartition};
 pub use compact::VertexCompactor;
