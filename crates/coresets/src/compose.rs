@@ -16,21 +16,18 @@
 //!   ([`vertexcover::two_approx_cover_concat`]), so the coordinator's VC
 //!   composition performs zero edge-buffer allocations.
 //!
-//! The per-residual-slice extent/degree statistics feeding the concatenated
-//! 2-approximation ([`compose_vertex_cover`]) fan out per machine on the
-//! work-stealing pool and reduce deterministically (results in machine
-//! order; `max`/`sum` folds). The greedy maximal-matching scan itself is
-//! order-defined and stays sequential — parallelism never changes any
-//! composed answer. The matching side's warm-start pick
-//! ([`solve_composed_matching`]) needs no screen at all: it visits the
-//! coresets largest first and stops at the first one that is a matching,
-//! which with the paper's builders is the first one it checks.
+//! The concatenated 2-approximation ([`compose_vertex_cover`]) needs no pass
+//! before its scan: it reads its vertex range and edge total off the
+//! residuals' own `n()` and `m()`, and its greedy maximal-matching scan is
+//! order-defined and sequential. The matching side's warm-start pick
+//! ([`solve_composed_matching`]) visits the coresets largest first and stops
+//! at the first one that is a matching, which with the paper's builders is
+//! the first one it checks.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
 use matching::matching::Matching;
 use matching::maximum::{maximum_matching_concat, MaximumMatchingAlgorithm};
-use rayon::prelude::*;
 use vertexcover::approx::two_approx_cover_concat;
 use vertexcover::VertexCover;
 
@@ -127,10 +124,9 @@ fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
 /// machine order — duplicate edges across residuals are no-ops for the
 /// greedy maximal matching, so the cover equals the one computed on the
 /// materialized [`Graph::union`] (pinned by the composition tests) while
-/// allocating no union buffer at all. A parallel per-slice statistics pass
-/// (`residual_slice_stats`) sizes the scan's workspace to the vertices the
-/// residuals actually touch and skips it entirely when the residual union is
-/// edgeless; the greedy scan itself is order-defined and stays sequential.
+/// allocating no union buffer at all. The scan's vertex range is the largest
+/// residual `n()`, which bounds every endpoint, and the scan is skipped when
+/// the residuals hold no edge.
 pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
     let refs: Vec<&VcCoresetOutput> = outputs.iter().collect();
     compose_vertex_cover_refs(&refs)
@@ -141,10 +137,8 @@ pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
 /// freshly rebuilt pieces without cloning (see
 /// [`solve_composed_matching_refs`]).
 pub fn compose_vertex_cover_refs(outputs: &[&VcCoresetOutput]) -> VertexCover {
-    if outputs.is_empty() {
-        return VertexCover::new();
-    }
-    let (n, total_edges) = residual_slice_stats(outputs);
+    let n = outputs.iter().map(|o| o.residual.n()).max().unwrap_or(0);
+    let total_edges: usize = outputs.iter().map(|o| o.residual.m()).sum();
     let mut cover = VertexCover::new();
     if total_edges > 0 {
         let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
@@ -156,34 +150,6 @@ pub fn compose_vertex_cover_refs(outputs: &[&VcCoresetOutput]) -> VertexCover {
         }
     }
     cover
-}
-
-/// Parallel per-residual-slice statistics feeding [`two_approx_cover_concat`]:
-/// each machine's slice is scanned for its vertex extent (1 + max endpoint)
-/// and edge count on the work-stealing pool, then the per-slice results fold
-/// deterministically (`max` extent, `sum` of counts).
-///
-/// The tight extent sizes the 2-approximation's epoch-stamped workspace to
-/// the vertices the residuals actually touch instead of each machine's
-/// declared `n` — output-invariant, because the greedy scan only ever flags
-/// endpoints of scanned edges — and a zero edge total lets the caller skip
-/// the scan (and its workspace warm-up) outright.
-fn residual_slice_stats(outputs: &[&VcCoresetOutput]) -> (usize, usize) {
-    let per_slice: Vec<(usize, usize)> = outputs
-        .par_iter()
-        .map(|o| {
-            let edges = o.residual.edges();
-            let extent = edges
-                .iter()
-                .map(|e| e.u.max(e.v) as usize + 1)
-                .max()
-                .unwrap_or(0);
-            (extent, edges.len())
-        })
-        .collect();
-    per_slice
-        .into_iter()
-        .fold((0, 0), |(n, m), (extent, count)| (n.max(extent), m + count))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! The vertex-cover engine: compaction + bucket-queue peeling + epoch-reset
-//! scratch, mirroring [`matching::MatchingEngine`]'s role on the matching
-//! side.
+//! The vertex-cover engine: candidate-only bucket-queue peeling, compaction
+//! for the structure-building solvers, and epoch-reset scratch, mirroring
+//! [`matching::MatchingEngine`]'s role on the matching side.
 //!
 //! [`VcEngine`] is the solve path behind every free function in this crate
 //! ([`crate::peeling`], [`crate::approx`], [`crate::lp`], [`crate::exact`])
@@ -9,36 +9,50 @@
 //!
 //! * a [`graph::VertexCompactor`] that relabels inputs onto their
 //!   non-isolated vertices (monotonically, so orderings survive) before the
-//!   structure-building solvers run,
+//!   greedy, LP and exact solvers run,
 //! * a [`graph::Csr`] refilled in place by every solve that walks
 //!   adjacency, and
-//! * a [`VcWorkspace`] whose epoch-stamped flags, stamped degree counts and
-//!   bucket queue replace every per-call `vec![false; n]` / `vec![0; n]`
-//!   allocation of the pre-engine path.
+//! * a [`VcWorkspace`] whose epoch-stamped flags, interleaved degree slots,
+//!   mark bits and bucket queue replace every per-call `vec![false; n]` /
+//!   `vec![0; n]` allocation of the pre-engine path.
 //!
 //! The peeling core ([`VcEngine::peel_with_thresholds`]) is where the
 //! asymptotics change. The old path rescanned and `retain`ed the full
 //! residual edge buffer every threshold round — `O(m · rounds)` plus a fresh
-//! `O(n)` degree array per round. The engine runs peeling in two regimes:
+//! `O(n)` degree array per round. The engine instead works on the
+//! *candidates*: the vertices whose degree reaches the smallest positive
+//! threshold `t_min`. Residual degrees only fall, so no other vertex can ever
+//! be peeled, and only edges between two candidates ever lower a degree that
+//! is read again. This holds for every schedule, zeros, repeats and
+//! non-monotone orders included.
 //!
-//! * **Pre-screen.** Degrees are counted once into the stamped workspace
-//!   (`O(m)`, no `O(n)` pass). If the maximum degree is below every
-//!   threshold — the common case for sparse pieces of a random `k`-partition,
-//!   whose thresholds start at `n/(4k)` — no round can peel anything and the
-//!   outcome is produced with **no further work**: empty rounds plus the
-//!   input edge list as the residual.
-//! * **Bucket-queue rounds.** Otherwise the piece is compacted, the engine's
-//!   CSR is refilled over the live vertices with **unsorted** neighbour lists
-//!   ([`graph::Csr::rebuild_unsorted`], no per-vertex sorts), and the degrees
-//!   are counting-sorted into the workspace's bucket queue. Neighbour order
-//!   cannot reach the output: a round peels exactly the vertices whose
-//!   residual degree is `>= t`, and the degree decrements commute, so the
-//!   peeled sets, the rounds and the residual are the same in any order.
-//!   The vertices of degree `>= t` are a suffix of the degree-sorted array
-//!   (read off in `O(peeled)`), and removing a peeled vertex decrements each
-//!   live neighbour with an `O(1)` bucket swap — so a round costs
+//! * **Count.** One pass counts degrees into the workspace's interleaved
+//!   stamped slots (`O(m)`, no `O(n)` pass) and lists each vertex the moment
+//!   its degree reaches `t_min`. With no positive threshold nothing is
+//!   counted. With no candidate — the common case for sparse pieces of a
+//!   random `k`-partition, whose thresholds start at `n/(4k)` — every round
+//!   is empty and the input edge list is the residual, with **no further
+//!   work**.
+//! * **Bucket-queue rounds over the candidates.** Otherwise the candidates
+//!   get local ids `0..c`, one pass against the candidate marks collects the
+//!   candidate–candidate edges, and the engine's CSR is refilled over those
+//!   `c` vertices only, with **unsorted** neighbour lists
+//!   ([`graph::Csr::rebuild_unsorted`]). The candidates' full degrees are
+//!   counting-sorted into the bucket queue. Neighbour order cannot reach the
+//!   output: a round peels exactly the vertices whose residual degree is
+//!   `>= t`, and the degree decrements commute, so the peeled sets, the
+//!   rounds and the residual are the same in any order. The vertices of
+//!   degree `>= t` are a suffix of the degree-sorted array (read off in
+//!   `O(peeled)`), and removing a peeled vertex decrements each live
+//!   candidate neighbour with an `O(1)` bucket swap — so a round costs
 //!   `O(vertices peeled + edges removed)`, and rounds that peel nothing cost
 //!   `O(1)`.
+//! * **Residual.** One filter pass against the marks of the peeled
+//!   vertices keeps the other edges in input order.
+//!
+//! A call therefore costs `O(m)` for the count, the candidate-edge pass and
+//! the filter, plus `O(c + candidate edges + max degree)` for the rounds.
+//! There is no `O(n_local)` term and no CSR over the whole piece.
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
 //! (`tests/engine_equivalence.rs` pins this against the frozen
@@ -56,8 +70,9 @@ use crate::workspace::VcWorkspace;
 use graph::{BipartiteGraph, Csr, Edge, Graph, GraphRef, VertexCompactor, VertexId};
 use std::cell::RefCell;
 
-/// A reusable vertex-cover solver: compaction scratch + epoch-reset workspace
-/// + bucket-queue peeling, allocated once and reused across solves.
+/// A reusable vertex-cover solver: compaction scratch, an epoch-reset
+/// workspace and candidate-only bucket-queue peeling, allocated once and
+/// reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker, or use the thread-local engine behind the free
@@ -98,21 +113,27 @@ impl VcEngine {
         let mut peeled_per_round: Vec<Vec<VertexId>> = Vec::with_capacity(rounds);
         // xtask: allow(hot-path-alloc)
         let mut used_thresholds: Vec<usize> = Vec::with_capacity(rounds);
+        let VcEngine {
+            csr: adj,
+            workspace: ws,
+            ..
+        } = self;
 
-        // Pre-screen: count degrees once (O(m), stamped — no O(n) pass) and
-        // find the maximum. If no vertex reaches the smallest threshold,
-        // degrees can only decrease from here, so every round peels nothing.
-        self.workspace.begin_scope(n);
-        let mut max_degree = 0u32;
-        for e in edges {
-            max_degree = max_degree
-                .max(self.workspace.bump_degree(e.u))
-                .max(self.workspace.bump_degree(e.v));
+        // Count degrees once (O(m), stamped: no O(n) pass), listing the
+        // candidates: the vertices whose degree reaches the smallest positive
+        // threshold. Degrees only fall, so no other vertex can be peeled.
+        ws.begin_scope(n);
+        if let Some(t_min) = thresholds.iter().copied().filter(|&t| t > 0).min() {
+            // Degrees are `u32`. Clamping a larger threshold can only list
+            // extra candidates, and a round peels a candidate only when its
+            // own threshold admits it.
+            let t_min = u32::try_from(t_min).unwrap_or(u32::MAX);
+            for e in edges {
+                ws.count_endpoint(e.u, t_min);
+                ws.count_endpoint(e.v, t_min);
+            }
         }
-        let max_degree = max_degree as usize;
-        let min_threshold = thresholds.iter().copied().filter(|&t| t > 0).min();
-        let peels_nothing = !matches!(min_threshold, Some(t) if t <= max_degree);
-        if peels_nothing {
+        if ws.candidates.is_empty() {
             for &t in thresholds {
                 if t > 0 {
                     // Empty round marker: `Vec::new` performs no heap allocation.
@@ -128,23 +149,17 @@ impl VcEngine {
             };
         }
 
-        // Bucket-queue rounds: compact onto the live vertices, refill the CSR
-        // (unsorted: see the module docs), counting-sort the degrees into the
-        // bucket queue.
-        let VcEngine {
-            compactor,
-            csr: adj,
-            workspace: ws,
-        } = self;
-        compactor.compact(g);
-        let n_local = compactor.n_local();
-        adj.rebuild_unsorted(n_local, compactor.local_edges());
-        ws.begin_scope(n_local);
-        for v in 0..n_local as VertexId {
-            ws.set_degree(v, adj.degree(v) as u32);
-        }
-        ws.build_buckets(max_degree);
-        let mut live_end = n_local;
+        // Bucket-queue rounds over the candidates only: local ids `0..c`, a
+        // CSR of the candidate–candidate edges (unsorted: see the module
+        // docs), and the candidates' full degrees counting-sorted into the
+        // bucket queue. Only a peeled candidate's candidate neighbours ever
+        // have a degree read again, so no other edge is needed.
+        let max_degree = ws.relabel_candidates();
+        ws.collect_candidate_edges(edges);
+        let c = ws.candidates.len();
+        adj.rebuild_unsorted(c, &ws.candidate_edges);
+        ws.seed_buckets(max_degree);
+        let mut live_end = c;
 
         let mut round = std::mem::take(&mut ws.round);
         for &t in thresholds {
@@ -179,25 +194,34 @@ impl VcEngine {
                 }
             }
             live_end = start;
-            let mut peeled: Vec<VertexId> = round.iter().map(|&v| compactor.orig_of(v)).collect();
-            // The relabeling is monotone, so sorting after mapping equals the
-            // reference's ascending-id round order.
+            let mut peeled: Vec<VertexId> =
+                round.iter().map(|&v| ws.candidates[v as usize]).collect();
+            // Local ids follow the candidate list, not the original order, so
+            // each round is sorted into the reference's ascending-id order.
             peeled.sort_unstable();
             peeled_per_round.push(peeled);
             used_thresholds.push(t);
         }
         ws.round = round;
 
-        // The compacted edge list is index-aligned with the input edge list,
-        // so the residual (with original ids, in input order) is one filter
-        // pass — the only edge buffer the whole solve writes.
-        let residual: Vec<Edge> = compactor
-            .local_edges()
-            .iter()
-            .zip(edges)
-            .filter(|(le, _)| !ws.is_flagged(le.u) && !ws.is_flagged(le.v))
-            .map(|(_, oe)| *oe)
-            .collect();
+        // The residual keeps the input edges with no peeled endpoint, in
+        // input order: one filter pass against the peeled marks, compacting a
+        // copy of the input in place without a branch per edge. Something
+        // was peeled: if no earlier round peels, the `t_min` round takes every
+        // candidate.
+        debug_assert!(live_end < c, "a candidate exists, so a round peels");
+        ws.clear_marks();
+        for &v in peeled_per_round.iter().flatten() {
+            ws.mark(v);
+        }
+        let mut residual = edges.to_vec(); // xtask: allow(hot-path-alloc)
+        let mut kept = 0;
+        for i in 0..residual.len() {
+            let e = residual[i];
+            residual[kept] = e;
+            kept += usize::from(!ws.is_marked(e.u) & !ws.is_marked(e.v));
+        }
+        residual.truncate(kept);
         PeelingOutcome {
             peeled_per_round,
             thresholds: used_thresholds,
@@ -401,12 +425,41 @@ mod tests {
         let out = engine.peel_with_thresholds(&g, &[50, 10]);
         assert_eq!(out.peeled_per_round[0], vec![0]);
         assert!(out.residual.is_empty());
-        // Sparse piece: thresholds above the max degree take the pre-screen
-        // path and forward everything.
+        // Sparse piece: thresholds above the max degree list no candidate,
+        // so every edge is forwarded.
         let g = gnp(500, 0.004, &mut rng(7));
         let out = engine.peel_with_thresholds(&g, &[100, 50]);
         assert_eq!(out.peeled_per_round, vec![Vec::<u32>::new(); 2]);
         assert_eq!(out.residual.edges(), g.edges());
+    }
+
+    #[test]
+    fn candidate_that_falls_below_t_min_early_is_not_peeled() {
+        // Hub 0 (degree 5) touches candidate 1 (degree 3); candidate 8
+        // (degree 3) is elsewhere. Round 5 peels the hub, which drops 1 to
+        // degree 2 before the `t_min = 3` round, so that round peels 8 only.
+        let edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7)]
+            .into_iter()
+            .chain([(8, 9), (8, 10), (8, 11)]);
+        let g = Graph::from_pairs(12, edges).unwrap();
+        let out = VcEngine::new().peel_with_thresholds(&g, &[5, 3]);
+        assert_eq!(out.peeled_per_round, vec![vec![0], vec![8]]);
+        assert_eq!(out.residual.edges(), &[Edge::new(1, 6), Edge::new(1, 7)]);
+        let reference = testkit::peel_with_thresholds_reference(&g, &[5, 3]);
+        assert_eq!(out.peeled_per_round, reference.peeled_per_round);
+        assert_eq!(out.residual, reference.residual);
+    }
+
+    #[test]
+    fn no_positive_threshold_forwards_the_input_and_counts_the_solve() {
+        let mut engine = VcEngine::new();
+        let g = star(10);
+        for thresholds in [&[][..], &[0, 0]] {
+            let out = engine.peel_with_thresholds(&g, thresholds);
+            assert!(out.peeled_per_round.is_empty() && out.thresholds.is_empty());
+            assert_eq!(out.residual, g);
+        }
+        assert_eq!(engine.workspace().solves(), 2);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Properties pinning the vertex-cover engine (stamped degree pre-screen +
-//! compacted bucket-queue peeling + epoch-reset scratch) to the simple
+//! Properties pinning the vertex-cover engine (fused degree count +
+//! candidate-only bucket-queue peeling + epoch-reset scratch) to the simple
 //! reference algorithms: the new hot path must be a pure performance change,
 //! never a behavioural one.
 
 use graph::gen::er::gnm;
-use graph::{BipartiteGraph, Csr, Edge, Graph, VertexId};
+use graph::gen::rmat::rmat_graph500;
+use graph::{BipartiteGraph, Csr, Edge, Graph, GraphRef, GraphView, VertexId};
 use matching::greedy::maximal_matching;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
 use testkit::peel_with_thresholds_reference;
@@ -39,6 +40,118 @@ fn spread(g: &Graph, stride: u32) -> Graph {
         .map(|e| Edge::new(e.u * stride, e.v * stride))
         .collect();
     Graph::from_edges_unchecked(g.n() * stride as usize, edges)
+}
+
+/// R-MAT graphs (Graph500 parameters): a few hubs that neighbour each other,
+/// so peeling one hub decides whether another reaches a later threshold.
+fn arb_rmat(max_scale: u32) -> impl Strategy<Value = Graph> {
+    (4u32..max_scale + 1, 1usize..9, any::<u64>()).prop_map(|(scale, factor, seed)| {
+        rmat_graph500(scale, factor, &mut ChaCha8Rng::seed_from_u64(seed))
+    })
+}
+
+/// Star forests with uneven stars and random chords between the centres:
+/// every centre is a candidate, and hub–hub decrements decide later rounds.
+fn arb_star_forest_with_chords() -> impl Strategy<Value = Graph> {
+    (1usize..14, 1usize..40, 0u32..101, any::<u64>()).prop_map(
+        |(stars, max_leaves, chord_pct, seed)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut edges = Vec::new();
+            let mut centres = Vec::new();
+            let mut next: VertexId = 0;
+            for _ in 0..stars {
+                let centre = next;
+                let leaves = rng.gen_range(1..max_leaves + 1) as VertexId;
+                edges.extend((1..=leaves).map(|l| Edge::new(centre, centre + l)));
+                centres.push(centre);
+                next += leaves + 1;
+            }
+            for (i, &a) in centres.iter().enumerate() {
+                for &b in &centres[i + 1..] {
+                    if rng.gen_range(0..100) < chord_pct {
+                        edges.push(Edge::new(a, b));
+                    }
+                }
+            }
+            Graph::from_edges_unchecked(next as usize, edges)
+        },
+    )
+}
+
+/// A graph from one of the peeling families: R-MAT, star forests with
+/// chords, or small dense gnm.
+fn arb_peeling_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        arb_rmat(10),
+        arb_star_forest_with_chords(),
+        arb_graph(60, 0.15),
+    ]
+}
+
+/// The degrees of `g`, by vertex id.
+fn degrees<G: GraphRef + ?Sized>(g: &G) -> Vec<usize> {
+    let mut degree = vec![0usize; g.n()];
+    for e in g.edges() {
+        degree[e.u as usize] += 1;
+        degree[e.v as usize] += 1;
+    }
+    degree
+}
+
+/// A threshold schedule for `g` of one of six kinds (`kind % 6`), drawn with
+/// `seed`:
+///
+/// 0. the halving Parnas–Ron schedule;
+/// 1. the halving schedule followed by threshold 1, so every non-isolated
+///    vertex is a candidate;
+/// 2. arbitrary values up to the maximum degree, with zeros, repeats and
+///    non-monotone orders;
+/// 3. values drawn from the degrees themselves, so candidates sit exactly at
+///    `t_min` and fall below it as soon as a neighbour is peeled in an earlier
+///    round;
+/// 4. thresholds above every degree;
+/// 5. a high threshold first and a low `t_min` last, so a candidate of degree
+///    `t_min` next to a peeled hub drops out before the `t_min` round.
+fn schedule_for<G: GraphRef + ?Sized>(g: &G, kind: u8, seed: u64) -> Vec<usize> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let degree = degrees(g);
+    let max_degree = degree.iter().copied().max().unwrap_or(0);
+    let len = rng.gen_range(1..8);
+    match kind % 6 {
+        0 => parnas_ron_schedule(g.n(), rng.gen_range(1..4)),
+        1 => {
+            let mut schedule = parnas_ron_schedule(g.n(), 1);
+            schedule.push(1);
+            schedule
+        }
+        2 => (0..len).map(|_| rng.gen_range(0..max_degree + 2)).collect(),
+        3 => (0..len)
+            .map(|_| degree[rng.gen_range(0..degree.len())] + rng.gen_range(0..2))
+            .collect(),
+        4 => (0..len)
+            .map(|_| max_degree + 1 + rng.gen_range(0..5))
+            .collect(),
+        _ => {
+            let low = degree[rng.gen_range(0..degree.len())].max(1);
+            vec![max_degree.max(1), low + 1, low]
+        }
+    }
+}
+
+/// Asserts that `engine` peels `g` exactly as the reference does, all three
+/// fields, with no full reset.
+fn assert_peels_like_reference<G: GraphRef + ?Sized>(
+    engine: &mut VcEngine,
+    g: &G,
+    thresholds: &[usize],
+) -> Result<(), TestCaseError> {
+    let out = engine.peel_with_thresholds(g, thresholds);
+    let reference = peel_with_thresholds_reference(g, thresholds);
+    prop_assert_eq!(out.peeled_per_round, reference.peeled_per_round);
+    prop_assert_eq!(out.thresholds, reference.thresholds);
+    prop_assert_eq!(out.residual, reference.residual);
+    prop_assert_eq!(engine.workspace().full_resets(), 0);
+    Ok(())
 }
 
 /// The pre-engine greedy max-degree cover, kept as the differential baseline.
@@ -279,6 +392,67 @@ proptest! {
             prop_assert_eq!(reused_cover, VcEngine::new().two_approx_cover(g));
             let reused_greedy = engine.greedy_degree_cover(g);
             prop_assert_eq!(reused_greedy, VcEngine::new().greedy_degree_cover(g));
+        }
+        prop_assert_eq!(engine.workspace().full_resets(), 0);
+    }
+
+    /// Candidate-only peeling equals the reference on the families where
+    /// candidates neighbour each other (R-MAT hubs, chorded star centres),
+    /// under every schedule kind of [`schedule_for`].
+    #[test]
+    fn candidate_peeling_matches_reference(
+        g in arb_peeling_graph(),
+        kind in 0u8..6,
+        seed in any::<u64>(),
+    ) {
+        let thresholds = schedule_for(&g, kind, seed);
+        assert_peels_like_reference(&mut VcEngine::new(), &g, &thresholds)?;
+    }
+
+    /// The merge shape: a view over two edge-disjoint slices concatenated
+    /// into one buffer, as a tree merge peels its children's union.
+    #[test]
+    fn peeling_a_concatenated_union_matches_reference(
+        g in arb_peeling_graph(),
+        kind in 0u8..6,
+        seed in any::<u64>(),
+    ) {
+        // Two edge-disjoint slices, the second child's edges first.
+        let edges = g.edges();
+        let in_first = |i: &usize| (i ^ seed as usize).is_multiple_of(3);
+        let union: Vec<Edge> = (0..edges.len())
+            .filter(|i| !in_first(i))
+            .chain((0..edges.len()).filter(in_first))
+            .map(|i| edges[i])
+            .collect();
+        let view = GraphView::new(g.n(), &union);
+        let thresholds = schedule_for(&view, kind, seed);
+        assert_peels_like_reference(&mut VcEngine::new(), &view, &thresholds)?;
+    }
+
+    /// One engine reused across growing and shrinking `n`, with the 2-approx
+    /// and greedy covers interleaved (all three share the degree slots and
+    /// flags): every result equals a fresh engine's, and the peel equals the
+    /// reference, with zero full resets.
+    #[test]
+    fn reused_engine_peels_like_fresh_across_sizes(
+        graphs in proptest::collection::vec(arb_peeling_graph(), 2..7),
+        kind in 0u8..6,
+        seed in any::<u64>(),
+    ) {
+        let mut engine = VcEngine::new();
+        for (i, g) in graphs.iter().enumerate() {
+            let thresholds = schedule_for(g, kind.wrapping_add(i as u8), seed ^ i as u64);
+            let fresh = VcEngine::new().peel_with_thresholds(g, &thresholds);
+            let reused = engine.peel_with_thresholds(g, &thresholds);
+            prop_assert_eq!(reused.peeled_per_round, fresh.peeled_per_round);
+            prop_assert_eq!(reused.residual, fresh.residual);
+            assert_peels_like_reference(&mut engine, g, &thresholds)?;
+            prop_assert_eq!(engine.two_approx_cover(g), VcEngine::new().two_approx_cover(g));
+            prop_assert_eq!(
+                engine.greedy_degree_cover(g),
+                VcEngine::new().greedy_degree_cover(g)
+            );
         }
         prop_assert_eq!(engine.workspace().full_resets(), 0);
     }
