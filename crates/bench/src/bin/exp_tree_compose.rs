@@ -7,8 +7,8 @@
 //! (`graph::arena_file`): machine pieces are streamed one segment at a time
 //! through a `SegmentLoader`, leaf coresets are folded through the
 //! hierarchical composition tree (`coresets::tree`, fan-in 2 over `log k`
-//! levels, each merge re-coreseting its union), and only the final
-//! `≤ fan_in` roots are solved flat. Peak resident edges are tracked by
+//! levels, each merge keeping a maximum matching of its union), and only the
+//! final `≤ fan_in` roots are solved flat. Peak resident edges are tracked by
 //! `graph::metrics` and **asserted in-binary**:
 //!
 //! * the frozen flat path (arena `load_all` + flat composition) peaks at
@@ -17,15 +17,15 @@
 //!   `≤ 2·(m/k + fan_in·(n/2)·(levels+1))` — one segment plus the live
 //!   coreset layers and merge scratch — and strictly below the flat peak;
 //! * the tree answer is at least the best single leaf coreset (each merge
-//!   solves a union containing every child matching);
+//!   keeps a maximum matching of a union containing every child matching);
 //! * the arena-streamed tree answer is **bit-identical** to the in-memory
 //!   tree protocol at 1/2/4 worker threads and under two forced
 //!   scheduler-fuzz seeds — the file format and the bounded-memory schedule
 //!   are invisible in the output.
 //!
-//! The flat/tree approximation ratio is recorded honestly (re-coreseting
-//! loses a constant factor per level in theory; measured loss is the point
-//! of the experiment), not asserted.
+//! The flat/tree approximation ratio is recorded honestly (keeping one
+//! matching per node loses a constant factor per level in theory; measured
+//! loss is the point of the experiment), not asserted.
 //!
 //! Emits `BENCH_compose.json`. Regenerate with
 //! `cargo run --release -p bench --bin exp_tree_compose`
@@ -79,7 +79,8 @@ struct BenchReport {
     peak_reduction_factor: f64,
     flat_matching_size: usize,
     tree_matching_size: usize,
-    /// `flat / tree` matching size — the (honest) cost of re-coreseting.
+    /// `flat / tree` matching size — the (honest) cost of keeping one matching
+    /// per merge node.
     flat_over_tree_ratio: f64,
     best_leaf_coreset_size: usize,
     flat_secs: f64,
@@ -312,5 +313,5 @@ fn main() {
         "Removed temp arena {}. Expected shape: tree peak ~levels·n versus flat peak ~m;",
         arena_path.display()
     );
-    println!("matching ratio near 1.0 — re-coreseting each union keeps a maximum matching.");
+    println!("matching ratio near 1.0 — each merge keeps a maximum matching of its union.");
 }

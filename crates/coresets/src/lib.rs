@@ -30,8 +30,8 @@
 //! * [`compose`] — coordinator-side composition: union the coresets and
 //!   solve; [`Problem::compose`] calls into it.
 //! * [`tree`] — hierarchical composition (Mirrokni–Zadimoghaddam): merge
-//!   coresets `fan_in` at a time over `log k` levels, re-coreseting each
-//!   union ([`reduce_levels`], [`TreeFolder`], [`tree_compose`]).
+//!   coresets `fan_in` at a time over `log k` levels through the builder's
+//!   merge step ([`reduce_levels`], [`TreeFolder`], [`tree_compose`]).
 //! * [`streams`] — per-machine `ChaCha8Rng` streams derived from
 //!   `(seed, machine)` — extended to `(seed, level, node)` for tree nodes —
 //!   the basis of cross-thread-count determinism.

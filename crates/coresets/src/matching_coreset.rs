@@ -10,10 +10,11 @@
 //!   matching keeping each edge with probability `1/α`; the composition is an
 //!   α-approximation with total communication `Õ(nk/α²)`.
 
+use crate::compose::solve_composed_matching_refs;
 use crate::params::CoresetParams;
 use graph::{Csr, Edge, Graph, GraphView};
 use matching::greedy::{maximal_matching, maximal_matching_by_key};
-use matching::maximum::{maximum_matching_with, MaximumMatchingAlgorithm};
+use matching::maximum::{maximum_matching_with, merge_matching_pair, MaximumMatchingAlgorithm};
 use rand_chacha::ChaCha8Rng;
 
 /// A builder that turns one machine's piece `G^(i)` into its matching coreset
@@ -37,6 +38,31 @@ pub trait MatchingCoresetBuilder: Send + Sync {
         rng: &mut ChaCha8Rng,
     ) -> Graph;
 
+    /// Merges tree node `node`'s `group` of child coresets (edge-disjoint
+    /// subgraphs over `0..n`, in child order) into one coreset. `rng` is the
+    /// node's private stream, derived from `(seed, level, node)` by
+    /// [`crate::tree::merge_matching_coresets`].
+    ///
+    /// The default builds the coreset of the children's union, as if it were
+    /// one machine's piece.
+    fn merge(
+        &self,
+        n: usize,
+        group: &[Graph],
+        params: &CoresetParams,
+        node: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        let total: usize = group.iter().map(Graph::m).sum();
+        // The union buffer is the merge's working set: `fan_in` coresets'
+        // worth of edges, handed to the builder as one contiguous view.
+        let mut union = Vec::with_capacity(total); // xtask: allow(hot-path-alloc)
+        for g in group {
+            union.extend_from_slice(g.edges());
+        }
+        self.build(GraphView::new(n, &union), params, node, rng)
+    }
+
     /// Short human-readable name used in experiment tables.
     fn name(&self) -> &'static str;
 }
@@ -54,6 +80,17 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
         (**self).build(piece, params, machine, rng)
     }
 
+    fn merge(
+        &self,
+        n: usize,
+        group: &[Graph],
+        params: &CoresetParams,
+        node: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        (**self).merge(n, group, params, node, rng)
+    }
+
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -65,6 +102,14 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
 /// [`matching::MatchingEngine`] (vertex compaction, one shared CSR for the
 /// bipartiteness check + solver, epoch-reset blossom workspace), so building
 /// many coresets on one thread allocates the solver state once.
+///
+/// A tree merge keeps the maximum matching of the children's union that a
+/// solve warm-started from the first largest child returns — the rule the
+/// coordinator's root solve applies. Theorem 1 allows any maximum matching,
+/// and this one is cheap: for two children that are matchings it is the
+/// engine's alternating-path walk ([`matching::MatchingEngine::merge_pair`]).
+/// Larger groups, or children that are not matchings, run the warm-started
+/// solve ([`solve_composed_matching_refs`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaximumMatchingCoreset {
     /// Which maximum-matching algorithm to run on the piece (Theorem 1 holds
@@ -98,6 +143,33 @@ impl MatchingCoresetBuilder for MaximumMatchingCoreset {
         let m = maximum_matching_with(&piece, self.algorithm);
         // A matching is trivially simple; wrap it without a validation pass.
         Graph::from_edges_unchecked(piece.n(), m.into_edges())
+    }
+
+    fn merge(
+        &self,
+        n: usize,
+        group: &[Graph],
+        _params: &CoresetParams,
+        _node: usize,
+        _rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        let walked = match group {
+            [first, second] => {
+                // The warm start is the first largest child.
+                let (a, b) = if second.m() > first.m() {
+                    (second, first)
+                } else {
+                    (first, second)
+                };
+                merge_matching_pair(n, a.edges(), b.edges())
+            }
+            _ => None,
+        };
+        let m = walked.unwrap_or_else(|| {
+            let refs: Vec<&Graph> = group.iter().collect();
+            solve_composed_matching_refs(&refs, self.algorithm)
+        });
+        Graph::from_edges_unchecked(n, m.into_edges())
     }
 
     fn name(&self) -> &'static str {
@@ -415,6 +487,68 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn subsampled_rejects_alpha_below_one() {
         let _ = SubsampledMatchingCoreset::new(0.5);
+    }
+
+    fn merge_of(group: &[Graph]) -> Vec<Edge> {
+        let n = group[0].n();
+        let merged = MaximumMatchingCoreset::new().merge(n, group, &params(n, 2), 0, &mut mrng(0));
+        let mut edges = merged.edges().to_vec();
+        edges.sort_unstable();
+        edges
+    }
+
+    fn warm_started(group: &[Graph]) -> Vec<Edge> {
+        let refs: Vec<&Graph> = group.iter().collect();
+        let mut edges =
+            solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto).into_edges();
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn pair_merge_warm_starts_from_the_first_largest_child() {
+        // Path 0-1-2-3-4-5 split into x = {01, 23, 45} and y = {12, 34}: the
+        // warm start keeps itself, so the larger child wins whole, and on a
+        // tie the first child does.
+        let x = Graph::from_pairs(6, vec![(0, 1), (2, 3), (4, 5)]).unwrap();
+        let y = Graph::from_pairs(6, vec![(1, 2), (3, 4)]).unwrap();
+        assert_eq!(merge_of(&[x.clone(), y.clone()]), x.edges());
+        assert_eq!(merge_of(&[y.clone(), x.clone()]), x.edges());
+        // Path 0-1-2-3-4 split into p = {01, 23} and q = {12, 34}: equal
+        // sizes, both maximum, so the first child is the answer.
+        let p = Graph::from_pairs(5, vec![(0, 1), (2, 3)]).unwrap();
+        let q = Graph::from_pairs(5, vec![(1, 2), (3, 4)]).unwrap();
+        assert_eq!(merge_of(&[p.clone(), q.clone()]), p.edges());
+        assert_eq!(merge_of(&[q.clone(), p.clone()]), q.edges());
+        // An empty child contributes nothing.
+        assert_eq!(merge_of(&[Graph::empty(6), y.clone()]), y.edges());
+        assert_eq!(merge_of(&[y.clone(), Graph::empty(6)]), y.edges());
+    }
+
+    #[test]
+    fn merges_the_walk_cannot_take_run_the_warm_started_solve() {
+        let mut r = rng(6);
+        let g = gnp(150, 0.04, &mut r);
+        let part = PartitionedGraph::random(&g, 3, &mut r).unwrap();
+        let coresets: Vec<Graph> = part
+            .views()
+            .iter()
+            .enumerate()
+            .map(|(i, piece)| {
+                MaximumMatchingCoreset::new().build(*piece, &params(150, 3), i, &mut mrng(i))
+            })
+            .collect();
+        // Three children: the warm-started solve of their union.
+        assert_eq!(merge_of(&coresets), warm_started(&coresets));
+        // A child that is not a matching (a whole piece): the same solve.
+        let piece = Graph::from_edges_unchecked(150, part.piece(1).edges().to_vec());
+        assert!(!matching::matching::edges_form_matching(piece.edges()));
+        for pair in [
+            [coresets[0].clone(), piece.clone()],
+            [piece, coresets[2].clone()],
+        ] {
+            assert_eq!(merge_of(&pair), warm_started(&pair));
+        }
     }
 
     #[test]

@@ -6,9 +6,20 @@
 //! *associatively*: a coreset of a union of coresets is itself a coreset of
 //! the underlying edges. That licenses the production shape this module
 //! implements — merge coresets pairwise (fan-in configurable) over
-//! `⌈log_f k⌉` levels, **re-coreseting** each merged union through the
-//! existing builder traits, so no single merge node ever materializes more
-//! than `fan_in` coresets' worth of edges.
+//! `⌈log_f k⌉` levels through the builder traits, so no single merge node
+//! ever holds more than `fan_in` coresets' worth of edges:
+//!
+//! * a vertex-cover node re-coresets the union of its children's residuals
+//!   ([`merge_vc_coresets`]);
+//! * a matching node calls the builder's
+//!   [`MatchingCoresetBuilder::merge`] hook ([`merge_matching_coresets`]),
+//!   whose default re-coresets the children's union. The Theorem 1 builder
+//!   keeps the maximum matching of the union that a solve warm-started from
+//!   the first largest child returns. For two children that is `A` (the
+//!   larger) with every alternating path whose end edges both lie in the
+//!   other child switched to it, found by one `O(|A| + |B|)` walk
+//!   ([`matching::MatchingEngine::merge_pair`]) with no union copy and no
+//!   solve. Its edge set depends on the children's edge sets alone.
 //!
 //! # Determinism
 //!
@@ -312,9 +323,9 @@ impl<T, F: Fn(usize, usize, Vec<T>) -> T> TreeFolder<T, F> {
     }
 }
 
-/// Re-coresets a group of matching coresets into one: concatenates the
-/// group's (edge-disjoint) edge slices into a union buffer and runs the
-/// builder on it with the node's private `(seed, level, node)` stream.
+/// Merges a group of matching coresets into one through the builder's
+/// [`MatchingCoresetBuilder::merge`] hook, on the node's private
+/// `(seed, level, node)` stream.
 pub fn merge_matching_coresets<B: MatchingCoresetBuilder + ?Sized>(
     n: usize,
     params: &CoresetParams,
@@ -324,15 +335,8 @@ pub fn merge_matching_coresets<B: MatchingCoresetBuilder + ?Sized>(
     node: usize,
     group: &[Graph],
 ) -> Graph {
-    let total: usize = group.iter().map(Graph::m).sum();
-    // The union buffer is the merge's working set: `fan_in` coresets' worth
-    // of edges, handed to the builder as one contiguous view.
-    let mut union = Vec::with_capacity(total); // xtask: allow(hot-path-alloc)
-    for g in group {
-        union.extend_from_slice(g.edges());
-    }
     let mut rng = node_rng(seed, level, node);
-    builder.build(GraphView::new(n, &union), params, node, &mut rng)
+    builder.merge(n, group, params, node, &mut rng)
 }
 
 /// Re-coresets a group of vertex-cover coresets into one: the residual

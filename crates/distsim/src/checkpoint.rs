@@ -7,11 +7,11 @@
 //! stopped and produces the **bit-identical** final answer (pinned by the
 //! kill-at-every-node test in `tests/faults.rs`).
 //!
-//! Format (`RCCKPT02`, all integers little-endian):
+//! Format (`RCCKPT03`, all integers little-endian):
 //!
 //! | field                         | bytes                                  |
 //! |-------------------------------|----------------------------------------|
-//! | magic `RCCKPT02`              | 8                                      |
+//! | magic `RCCKPT03`              | 8                                      |
 //! | problem tag (0 = matching, 1 = vertex cover) | 1                       |
 //! | n, k, m, seed, fan_in, fault_seed, plan digest | 7 × 8                 |
 //! | pushed, injected, retried, recovered, ticks | 5 × 8                    |
@@ -25,8 +25,10 @@
 //! [`RetryPolicy`] into one word: they decide which leaves are lost, and a
 //! lost leaf is stored as a placeholder in the pending levels, so a
 //! checkpoint may only resume a run that injects and retries the same
-//! faults. A file with any other magic, such as `RCCKPT01`, starts the run
-//! fresh.
+//! faults. A file with any other magic starts the run fresh. `RCCKPT01`
+//! lacked the digest; `RCCKPT02` files hold matching merges from before they
+//! became the warm-started alternating-path walk, and resuming one would mix
+//! old and new merges in one tree.
 //!
 //! Writes are atomic (`<path>.tmp` then rename), so a crash mid-write leaves
 //! the previous checkpoint intact. Loads are *lenient by design*: a missing,
@@ -47,7 +49,7 @@ use graph::arena_file::crc32;
 use graph::{mix64, ArenaFile, Edge, Graph};
 
 /// File magic of the checkpoint format.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT02";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT03";
 
 /// Identity of the run a checkpoint belongs to. A checkpoint is only resumed
 /// when every field matches — a checkpoint from a different graph, seed,
@@ -570,6 +572,26 @@ mod tests {
             assert!(
                 decode_checkpoint::<Graph>(&key, &full[..cut]).is_none(),
                 "truncation to {cut} bytes must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoints_of_an_older_format_are_discarded() {
+        let key = demo_key();
+        let current = encode_checkpoint(&key, &demo_checkpoint());
+        assert!(decode_checkpoint::<Graph>(&key, &current).is_some());
+        // The same checkpoint as an older build wrote it: its magic, with a
+        // CRC that matches, so only the magic tells it apart.
+        for old in [*b"RCCKPT01", *b"RCCKPT02"] {
+            let mut body = current[..current.len() - 4].to_vec();
+            body[..CHECKPOINT_MAGIC.len()].copy_from_slice(&old);
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            assert!(
+                decode_checkpoint::<Graph>(&key, &body).is_none(),
+                "{} must start fresh",
+                String::from_utf8_lossy(&old)
             );
         }
     }

@@ -65,8 +65,8 @@ pub enum ComposeMode {
     #[default]
     Flat,
     /// Hierarchical composition: merge coresets `fan_in` at a time over
-    /// `⌈log_f k⌉` levels, re-coreseting each merged union through the same
-    /// builder (Mirrokni–Zadimoghaddam associativity), then solve the
+    /// `⌈log_f k⌉` levels through the builder's merge step
+    /// (Mirrokni–Zadimoghaddam associativity), then solve the
     /// `≤ fan_in` roots flat. Bounded per-node memory; bit-identical across
     /// thread counts (see [`coresets::tree`]).
     Tree {

@@ -36,6 +36,20 @@
 //!    The check runs on every solve and panics like
 //!    [`Matching::from_edges`] does.
 //!
+//! # Fan-in-2 merges
+//!
+//! A tree node that merges two child matchings `A` (the warm start) and `B`
+//! does not run the pipeline above. The union of two matchings is a set of
+//! alternating paths and even cycles, and a solver that starts from `A` and
+//! only augments, as both solvers here do, returns `A` with every path whose
+//! two end edges lie in `B` switched to `B`. That answer is unique, so
+//! [`MatchingEngine::merge_pair`] computes it with one `O(|A| + |B|)` walk
+//! over epoch-stamped mate slots: no union copy, compaction, CSR, colouring
+//! or augmenting search. It returns `None` unless both children are
+//! matchings, and the caller then runs the warm-started solve instead.
+//! [`MatchingEngine::walk_steps`] counts the edges the walks cross, at most
+//! `2(|A| + |B|)` per merge.
+//!
 //! The free functions in [`crate::maximum`] run on a per-thread engine
 //! (`thread_local`), so the protocol layers get cross-solve buffer reuse for
 //! free: each worker thread of the parallel machine fan-out keeps one engine
@@ -47,12 +61,14 @@ use crate::blossom::blossom_on_csr;
 use crate::hopcroft_karp::hopcroft_karp_on_csr;
 use crate::matching::Matching;
 use crate::maximum::{two_coloring_with_csr, MaximumMatchingAlgorithm};
+use crate::merge_walk::MergeWalk;
 use crate::workspace::BlossomWorkspace;
 use graph::{Csr, Edge, GraphRef, VertexCompactor};
 use std::cell::RefCell;
 
 /// A reusable maximum-matching solver: compaction scratch, CSR, blossom
-/// workspace and output-check marks, allocated once and reused across solves.
+/// workspace, output-check marks and merge-walk slots, allocated once and
+/// reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker (or use the thread-local engine behind
@@ -64,6 +80,7 @@ pub struct MatchingEngine {
     workspace: BlossomWorkspace,
     /// Output-check marks by local id; all `false` between solves.
     marks: Vec<bool>,
+    walk: MergeWalk,
 }
 
 impl MatchingEngine {
@@ -106,6 +123,31 @@ impl MatchingEngine {
     /// Read access to the blossom workspace (search / full-reset counters).
     pub fn workspace(&self) -> &BlossomWorkspace {
         &self.workspace
+    }
+
+    /// The maximum matching of `a ∪ b` (edge slices over `0..n`) that a
+    /// solver warm-started from `a` returns: `a` with every path component
+    /// whose two end edges lie in `b` switched to `b`, found by one
+    /// alternating-path walk (see the [module docs](self#fan-in-2-merges)).
+    ///
+    /// The edge *set* equals
+    /// `solve_concat(n, &[a, b], Some(&a), algorithm)`'s for every
+    /// algorithm; the order is `a`'s kept edges, then `b`'s switched-in
+    /// ones. Returns `None` unless `a` and `b` are both matchings.
+    pub fn merge_pair(&mut self, n: usize, a: &[Edge], b: &[Edge]) -> Option<Matching> {
+        self.walk.merge(n, a, b).map(Matching::from_edges_unchecked)
+    }
+
+    /// Edges crossed by [`MatchingEngine::merge_pair`]'s walks (lifetime):
+    /// the merge's work counter, at most `2(|a| + |b|)` per merge.
+    pub fn walk_steps(&self) -> u64 {
+        self.walk.steps()
+    }
+
+    /// `O(n)` stamp clears of the merge walk's slots (lifetime); one per
+    /// `u32` epoch wrap, so 0 in practice.
+    pub fn walk_full_resets(&self) -> u64 {
+        self.walk.full_resets()
     }
 
     /// Computes a maximum matching of the **concatenation** of `slices`
@@ -160,6 +202,7 @@ impl MatchingEngine {
             csr: adj,
             workspace,
             marks,
+            walk: _,
         } = self;
         // Sorted lists: the solvers' traversal order defines the answer.
         adj.rebuild(compactor.n_local(), compactor.local_edges());

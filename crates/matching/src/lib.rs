@@ -16,7 +16,7 @@
 //!   bipartite and Blossom otherwise.
 //! * [`engine`] — the solver hot path behind [`maximum`]: vertex compaction,
 //!   one CSR shared by the bipartiteness check and the solver, warm starts,
-//!   and per-thread buffer reuse.
+//!   the fan-in-2 merge walk, and per-thread buffer reuse.
 //! * [`workspace`] — the epoch-reset [`BlossomWorkspace`] that removes the
 //!   per-search `O(n)` clears and allocations from the blossom algorithm.
 //! * [`weighted`] — greedy weighted matching and the Crouch–Stubbs
@@ -31,6 +31,7 @@ pub mod greedy;
 pub mod hopcroft_karp;
 pub mod matching;
 pub mod maximum;
+mod merge_walk;
 pub mod weighted;
 pub mod workspace;
 
@@ -39,6 +40,8 @@ pub use engine::MatchingEngine;
 pub use greedy::{maximal_matching, maximal_matching_by_key, maximal_matching_shuffled};
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use maximum::{maximum_matching, maximum_matching_warm, MaximumMatchingAlgorithm};
+pub use maximum::{
+    maximum_matching, maximum_matching_warm, merge_matching_pair, MaximumMatchingAlgorithm,
+};
 pub use weighted::{crouch_stubbs_matching, greedy_weighted_matching, WeightedMatching};
 pub use workspace::BlossomWorkspace;

@@ -14,7 +14,8 @@
 //! [`BlossomWorkspace`](crate::workspace::BlossomWorkspace) across solves.
 //! [`maximum_matching_warm`] additionally seeds the solver with a known
 //! matching (the coordinator warm-starts the composed solve from the best
-//! per-machine coreset).
+//! per-machine coreset), and [`merge_matching_pair`] merges two matchings
+//! by the engine's alternating-path walk (a tree node's fan-in-2 merge).
 
 use crate::engine::with_thread_engine;
 use crate::matching::Matching;
@@ -79,6 +80,15 @@ pub fn maximum_matching_concat(
     algorithm: MaximumMatchingAlgorithm,
 ) -> Matching {
     with_thread_engine(|engine| engine.solve_concat(n, slices, warm, algorithm))
+}
+
+/// Merges two matchings `a` (the warm start) and `b` over `0..n` into the
+/// maximum matching of their union that a warm-started solve returns, by one
+/// alternating-path walk on the calling thread's engine (see
+/// [`crate::engine::MatchingEngine::merge_pair`]). Returns `None` unless both
+/// are matchings.
+pub fn merge_matching_pair(n: usize, a: &[Edge], b: &[Edge]) -> Option<Matching> {
+    with_thread_engine(|engine| engine.merge_pair(n, a, b))
 }
 
 /// Attempts to 2-colour the graph; returns `Some(color)` (0/1 per vertex) if

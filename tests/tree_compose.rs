@@ -1,7 +1,7 @@
 //! Cross-layer properties of hierarchical (tree) composition and the
 //! out-of-core edge arena.
 //!
-//! Three families, all over randomly generated protocol inputs:
+//! Four families, all over randomly generated protocol inputs:
 //!
 //! * **Concat-vs-union pinning** — `solve_composed_matching` now solves the
 //!   coreset edge slices in machine order without materializing the union
@@ -13,6 +13,11 @@
 //!   the original graph and at least the best single machine's coreset (every
 //!   merge solves a union containing each child matching); the tree-composed
 //!   vertex cover is feasible for the original graph.
+//! * **Tree-vs-oracle equivalence** — the coordinator's tree mode equals a
+//!   test-side tree whose every merge is the frozen union path above: the
+//!   builder's merge hook (the alternating-path walk for two children) must
+//!   keep exactly the matching a warm-started solve keeps, and the driver's
+//!   borrowed builder must forward the hook.
 //! * **Arena round-trip** — a partition written to an arena file and streamed
 //!   back through the out-of-core tree runner gives the bit-identical answer
 //!   to the in-memory tree protocol on the same seed.
@@ -20,7 +25,8 @@
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{
-    machine_rng, solve_composed_matching, tree_compose, CoresetParams, MatchingProblem, VcProblem,
+    machine_rng, reduce_levels, solve_composed_matching, tree_compose, CoresetParams,
+    MatchingProblem, VcProblem,
 };
 use distsim::{ArenaProtocol, CoordinatorProtocol};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
@@ -117,6 +123,32 @@ proptest! {
             answer.len() >= best,
             "tree answer {} below best single coreset {}", answer.len(), best
         );
+    }
+
+    /// The coordinator's tree mode equals the test-side oracle tree: the same
+    /// coresets reduced level by level, every merge and the root solved by
+    /// the frozen union path warm-started from the first largest child. The
+    /// driver wraps the caller's `&MaximumMatchingCoreset`, so a borrowed
+    /// builder that dropped the merge hook (and re-solved the cold union)
+    /// fails here. Fan-in 3 covers the groups of three (the warm-started
+    /// solve) and the pairs a short last group leaves (the walk).
+    #[test]
+    fn tree_mode_equals_the_warm_started_oracle_tree(
+        g in arb_graph(140, 700),
+        k in 2usize..12,
+        fan_in in 2usize..4,
+        seed in any::<u64>(),
+    ) {
+        let run = CoordinatorProtocol::tree(k, fan_in)
+            .run_matching(&g, &MaximumMatchingCoreset::new(), seed)
+            .unwrap();
+        let n = g.n();
+        let roots = reduce_levels(matching_coresets(&g, k, seed), fan_in, &|_, _, group| {
+            let merged = union_path_reference(&group, MaximumMatchingAlgorithm::Auto);
+            Graph::from_edges_unchecked(n, merged.into_edges())
+        });
+        let oracle = union_path_reference(&roots, MaximumMatchingAlgorithm::Auto);
+        prop_assert_eq!(run.answer.edges(), oracle.edges());
     }
 
     /// The tree-composed vertex cover covers the original graph for every
