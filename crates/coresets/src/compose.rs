@@ -126,7 +126,8 @@ fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
 /// materialized [`Graph::union`] (pinned by the composition tests) while
 /// allocating no union buffer at all. The scan's vertex range is the largest
 /// residual `n()`, which bounds every endpoint, and the scan is skipped when
-/// the residuals hold no edge.
+/// the residuals hold no edge. The fixed vertices and the scan's matched
+/// endpoints go into one vector, from which the cover is bulk-built once.
 pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
     let refs: Vec<&VcCoresetOutput> = outputs.iter().collect();
     compose_vertex_cover_refs(&refs)
@@ -138,18 +139,14 @@ pub fn compose_vertex_cover(outputs: &[VcCoresetOutput]) -> VertexCover {
 /// [`solve_composed_matching_refs`]).
 pub fn compose_vertex_cover_refs(outputs: &[&VcCoresetOutput]) -> VertexCover {
     let n = outputs.iter().map(|o| o.residual.n()).max().unwrap_or(0);
-    let total_edges: usize = outputs.iter().map(|o| o.residual.m()).sum();
-    let mut cover = VertexCover::new();
-    if total_edges > 0 {
-        let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
-        cover = two_approx_cover_concat(n, &slices);
+    let fixed = outputs
+        .iter()
+        .flat_map(|o| o.fixed_vertices.iter().copied());
+    if outputs.iter().all(|o| o.residual.m() == 0) {
+        return VertexCover::from_vertices(fixed);
     }
-    for o in outputs {
-        for &v in &o.fixed_vertices {
-            cover.insert(v);
-        }
-    }
-    cover
+    let slices: Vec<&[Edge]> = outputs.iter().map(|o| o.residual.edges()).collect();
+    two_approx_cover_concat(n, &slices, fixed)
 }
 
 #[cfg(test)]
@@ -160,6 +157,7 @@ mod tests {
     use crate::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder};
     use graph::gen::er::gnp;
     use graph::partition::PartitionedGraph;
+    use graph::VertexId;
     use matching::maximum::maximum_matching;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -291,6 +289,62 @@ mod tests {
         let warm = best_piece_matching(&[&second, &small, &first, &not_matching])
             .expect("three valid candidates");
         assert_eq!(warm.edges(), second.edges());
+    }
+
+    /// Fixed vertices that the residual scan also matches, or that repeat
+    /// across machines, enter the bulk-built cover once: it equals a cover
+    /// built insert by insert, matched endpoints first.
+    #[test]
+    fn bulk_built_cover_equals_insert_by_insert_with_overlapping_fixed_vertices() {
+        let mut r = rng(5);
+        let outputs: Vec<VcCoresetOutput> = (0..4u32)
+            .map(|i| {
+                let residual = gnp(80, 0.04, &mut r);
+                // Endpoints of the residual's own edges, a vertex every
+                // machine fixes, and one out of reach of every residual.
+                let mut fixed: Vec<VertexId> =
+                    residual.edges().iter().step_by(3).map(|e| e.v).collect();
+                fixed.extend([7, 90 + i]);
+                VcCoresetOutput {
+                    fixed_vertices: fixed,
+                    residual,
+                }
+            })
+            .collect();
+        let cover = compose_vertex_cover(&outputs);
+
+        let mut reference = VertexCover::new();
+        let mut matched = [false; 80];
+        for e in outputs.iter().flat_map(|o| o.residual.edges()) {
+            if !matched[e.u as usize] && !matched[e.v as usize] {
+                matched[e.u as usize] = true;
+                matched[e.v as usize] = true;
+                reference.insert(e.u);
+                reference.insert(e.v);
+            }
+        }
+        for o in &outputs {
+            for &v in &o.fixed_vertices {
+                reference.insert(v);
+            }
+        }
+        assert_eq!(cover, reference);
+        assert!(cover.contains(7) && cover.contains(93));
+        let fixed_only: Vec<VcCoresetOutput> = outputs
+            .iter()
+            .map(|o| VcCoresetOutput {
+                fixed_vertices: o.fixed_vertices.clone(),
+                residual: Graph::empty(80),
+            })
+            .collect();
+        let fixed: Vec<VertexId> = outputs
+            .iter()
+            .flat_map(|o| o.fixed_vertices.iter().copied())
+            .collect();
+        assert_eq!(
+            compose_vertex_cover(&fixed_only),
+            VertexCover::from_vertices(fixed)
+        );
     }
 
     #[test]

@@ -163,8 +163,11 @@ pub struct ChurnPartition {
     snaps: Vec<Vec<Edge>>,
     /// Whether machine `i` has diverged from its arena run.
     dirty: Vec<bool>,
-    /// Memoized per-machine fingerprints, valid where `fp_stale[i]` is false
-    /// (always the case for clean machines).
+    /// Memoized per-machine fingerprints, valid where `fp_stale[i]` is false.
+    /// An effective op sets its machine's flag; the next
+    /// [`piece_fingerprint`](Self::piece_fingerprint) probe re-folds the
+    /// piece and clears it. Compaction leaves the flags alone, since it
+    /// moves no edge between pieces.
     fp: Vec<u64>,
     fp_stale: Vec<bool>,
     /// Pending journal ops per machine since the last compaction.
@@ -334,18 +337,20 @@ impl ChurnPartition {
 
     /// Fingerprint of machine `i`'s current piece (see [`fingerprint_edges`]).
     ///
-    /// Clean machines answer from the memoized value in `O(1)`; machines with
-    /// pending journal ops re-fold their snapshot (`O(p)`).
-    pub fn piece_fingerprint(&self, i: usize) -> u64 {
+    /// Answers from the memoized value in `O(1)` unless an op changed the
+    /// piece since the last fold; then it re-folds the piece once (`O(p)`)
+    /// and memoizes the result, so each change costs one fold however often
+    /// the piece is probed.
+    pub fn piece_fingerprint(&mut self, i: usize) -> u64 {
         if self.fp_stale[i] {
-            fingerprint_edges(self.piece_slice(i))
-        } else {
-            self.fp[i]
+            self.fp[i] = fingerprint_edges(self.piece_slice(i));
+            self.fp_stale[i] = false;
         }
+        self.fp[i]
     }
 
     /// Fingerprints of every machine's current piece, in machine order.
-    pub fn fingerprints(&self) -> Vec<u64> {
+    pub fn fingerprints(&mut self) -> Vec<u64> {
         (0..self.k()).map(|i| self.piece_fingerprint(i)).collect()
     }
 
@@ -379,10 +384,6 @@ impl ChurnPartition {
         for i in 0..k {
             self.snaps[i].clear();
             self.dirty[i] = false;
-            if self.fp_stale[i] {
-                self.fp[i] = fingerprint_edges(self.piece_slice(i));
-                self.fp_stale[i] = false;
-            }
             self.pending[i] = 0;
         }
         self.pending_total = 0;
@@ -451,7 +452,7 @@ mod tests {
     #[test]
     fn new_partition_matches_by_edge_hash_pieces() {
         let g = gnp(300, 0.04, &mut rng(3));
-        let part = ChurnPartition::new(&g, 6, 42).unwrap();
+        let mut part = ChurnPartition::new(&g, 6, 42).unwrap();
         let batch = PartitionedGraph::by_edge_hash(&g, 6, 42).unwrap();
         assert_eq!(part.m(), g.m());
         for i in 0..6 {
@@ -539,6 +540,38 @@ mod tests {
         // fingerprint the coreset cache keys on — is back to the original.
         assert!(part.is_dirty(machine));
         assert_eq!(part.fingerprints(), fps);
+    }
+
+    /// A probe re-folds a changed piece once and memoizes the fold: after
+    /// every machine is probed no flag is stale, one effective op stales
+    /// exactly its own machine, and every fingerprint equals a fresh fold.
+    #[test]
+    fn a_probe_memoizes_the_refolded_fingerprint() {
+        let g = gnp(120, 0.08, &mut rng(10));
+        let (k, seed) = (5, 3);
+        let mut part = ChurnPartition::new(&g, k, seed).unwrap();
+        let mut r = rng(11);
+        for step in 0..80 {
+            let (u, v) = (r.gen_range(0..120u32), r.gen_range(0..120u32));
+            if u == v {
+                continue;
+            }
+            let e = Edge::new(u, v);
+            let op = if part.has_edge(e) {
+                ChurnOp::Delete(e)
+            } else {
+                ChurnOp::Insert(e)
+            };
+            part.fingerprints();
+            assert!(part.fp_stale.iter().all(|&stale| !stale), "step {step}");
+            assert!(part.apply(op).unwrap());
+            let stale: Vec<usize> = (0..k).filter(|&i| part.fp_stale[i]).collect();
+            assert_eq!(stale, vec![edge_machine(seed, k, e)], "step {step}");
+            for i in 0..k {
+                let fp = part.piece_fingerprint(i);
+                assert_eq!(fp, fingerprint_edges(part.piece(i).edges()), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -5,19 +5,29 @@
 //! is friendlier to the cache than `Vec<Vec<u32>>` (see the Rust Performance
 //! Book's guidance on heap allocations and memory locality).
 //!
-//! A `Csr` owns its two buffers and can be refilled in place:
-//! [`Csr::rebuild`] and [`Csr::rebuild_unsorted`] overwrite the previous
-//! graph and reuse the allocations, so a solver engine that keeps one `Csr`
-//! pays for its buffers once, at the size of its largest solve.
+//! A `Csr` owns its buffers and can be refilled in place: [`Csr::rebuild`]
+//! and [`Csr::rebuild_unsorted`] overwrite the previous graph and reuse the
+//! allocations, so a solver engine that keeps one `Csr` pays for its buffers
+//! once, at the size of its largest solve.
 //!
-//! [`Csr::rebuild`] sorts every neighbour list. [`Csr::rebuild_unsorted`]
-//! leaves each list in edge order, which skips the per-vertex sorts that
-//! dominate the build on skewed graphs. Only a solver whose output does not
-//! depend on neighbour order may read unsorted lists: the vertex-cover
-//! engine's peeling rounds qualify (a round peels exactly the vertices of
-//! residual degree `>= t`, and degree decrements commute), while the
-//! matching solvers' traversal order defines their answer, and
-//! [`Csr::has_edge`] binary-searches.
+//! [`Csr::rebuild_unsorted`] is one scatter: each list comes out in edge
+//! order. [`Csr::rebuild`] sorts every list without a comparison sort. When
+//! the edges are canonical (every `u <= v`, and non-decreasing in `(u, v)`),
+//! the edge-order scatter already lists each vertex's smaller neighbours
+//! in increasing order followed by its larger ones, so it is the whole
+//! build; one `O(m)` read checks for that case. Otherwise the edge-order
+//! lists move to a reused scratch buffer and a **transpose** walks them in
+//! vertex order, appending each vertex to its neighbours' lists through one
+//! cursor copy of the offsets: `O(n + m)`, and every list is sorted because
+//! the walk meets its entries in increasing order. The offsets and targets
+//! equal those of sorting each list, which the tests check against a
+//! comparison-sort oracle.
+//!
+//! Only a solver whose output does not depend on neighbour order may read
+//! unsorted lists: the vertex-cover engine's peeling rounds qualify (a round
+//! peels exactly the vertices of residual degree `>= t`, and degree
+//! decrements commute), while the matching solvers' traversal order defines
+//! their answer, and [`Csr::has_edge`] binary-searches.
 
 use crate::edge::{Edge, VertexId};
 use crate::graph::Graph;
@@ -37,6 +47,10 @@ use crate::view::{GraphRef, GraphView};
 pub struct Csr {
     offsets: Vec<u32>,
     targets: Vec<VertexId>,
+    /// The edge-order lists a sorted [`Csr::rebuild`] transposes from.
+    scratch: Vec<VertexId>,
+    /// The transpose's per-vertex write positions.
+    cursor: Vec<u32>,
 }
 
 impl Default for Csr {
@@ -45,6 +59,8 @@ impl Default for Csr {
         Csr {
             offsets: vec![0],
             targets: Vec::new(),
+            scratch: Vec::new(),
+            cursor: Vec::new(),
         }
     }
 }
@@ -55,21 +71,43 @@ impl Csr {
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
         let mut csr = Csr::default();
         csr.rebuild(n, edges);
-        csr
+        // A one-off CSR keeps no transpose scratch.
+        Csr {
+            offsets: csr.offsets,
+            targets: csr.targets,
+            ..Csr::default()
+        }
     }
 
     /// Refills this CSR with the adjacency of `n` vertices over `edges`,
     /// reusing its buffers; every neighbour list comes out sorted. The result
-    /// equals [`Csr::from_edges`]`(n, edges)`.
+    /// equals [`Csr::from_edges`]`(n, edges)`. Canonical edges take one
+    /// scatter, any other order a scatter and a transpose (see the
+    /// [module docs](self)).
     pub fn rebuild(&mut self, n: usize, edges: &[Edge]) {
         self.rebuild_unsorted(n, edges);
-        let Csr { offsets, targets } = self;
-        // Sort each neighbourhood for deterministic traversal and binary
-        // search; lists of length <= 1 already are.
-        for w in offsets.windows(2) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            if hi - lo > 1 {
-                targets[lo..hi].sort_unstable();
+        if is_canonical(edges) {
+            return;
+        }
+        let Csr {
+            offsets,
+            targets,
+            scratch,
+            cursor,
+        } = self;
+        // The edge-order lists move to the scratch buffer, and the transpose
+        // refills the targets from them, every slot exactly once.
+        std::mem::swap(targets, scratch);
+        targets.resize(scratch.len(), 0);
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        // `y` lists `x` once per time `x` lists `y`, and `x` runs upwards,
+        // so each of `y`'s lists fills in increasing order.
+        for (x, w) in offsets.windows(2).enumerate() {
+            for &y in &scratch[w[0] as usize..w[1] as usize] {
+                let slot = &mut cursor[y as usize];
+                targets[*slot as usize] = x as VertexId;
+                *slot += 1;
             }
         }
     }
@@ -80,7 +118,9 @@ impl Csr {
     /// [`Csr::rebuild`]'s. See the [module docs](self) for which solvers may
     /// read unsorted lists; [`Csr::has_edge`] may not.
     pub fn rebuild_unsorted(&mut self, n: usize, edges: &[Edge]) {
-        let Csr { offsets, targets } = self;
+        let Csr {
+            offsets, targets, ..
+        } = self;
         offsets.clear();
         offsets.resize(n + 1, 0);
         for e in edges {
@@ -159,6 +199,18 @@ impl Csr {
     }
 }
 
+/// Whether every edge has `u <= v` and the edges are non-decreasing in
+/// `(u, v)`: then the edge-order scatter lists every vertex's neighbours in
+/// increasing order. One `O(m)` read.
+fn is_canonical(edges: &[Edge]) -> bool {
+    let mut prev = Edge { u: 0, v: 0 };
+    edges.iter().all(|&e| {
+        let in_order = prev <= e && e.u <= e.v;
+        prev = e;
+        in_order
+    })
+}
+
 impl From<&Graph> for Csr {
     fn from(g: &Graph) -> Self {
         Csr::from_graph(g)
@@ -174,6 +226,13 @@ impl From<GraphView<'_>> for Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::er::gnm;
+    use crate::gen::rmat::rmat_graph500;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn csr_matches_adjacency() {
@@ -198,6 +257,8 @@ mod tests {
         assert_eq!(csr.m(), 0);
         assert!(csr.neighbors(1).is_empty());
         assert_eq!(csr.non_isolated().count(), 0);
+        let none = Csr::from_edges(0, &[]);
+        assert_eq!((none.n(), none.m()), (0, 0));
     }
 
     #[test]
@@ -219,39 +280,140 @@ mod tests {
         lists
     }
 
+    /// The comparison-sort build that [`Csr::rebuild`] replaced: the
+    /// edge-order scatter, then a sort of every list. The oracle of the
+    /// transpose.
+    fn sorted_by_comparison(n: usize, edges: &[Edge]) -> Csr {
+        let mut csr = Csr::default();
+        csr.rebuild_unsorted(n, edges);
+        let Csr {
+            offsets, targets, ..
+        } = &mut csr;
+        for w in offsets.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            if hi - lo > 1 {
+                targets[lo..hi].sort_unstable();
+            }
+        }
+        csr
+    }
+
+    /// One input of the differential tests: a gnm or R-MAT graph, maybe
+    /// spread over a larger id space or padded with isolated vertices, with
+    /// its edges in generation order, shuffled, canonical, as a
+    /// concatenation of sorted runs (a root solve's shape; runs overlap, so
+    /// edges repeat), with duplicates, sorted with some endpoints swapped, or
+    /// dropped altogether.
+    fn random_input(r: &mut ChaCha8Rng) -> (usize, Vec<Edge>) {
+        let g = if r.gen_bool(0.5) {
+            let n = r.gen_range(2..300);
+            let m = r.gen_range(0..(n * (n - 1) / 2).min(6 * n) + 1);
+            gnm(n, m, r)
+        } else {
+            rmat_graph500(r.gen_range(1..10), r.gen_range(1..12), r)
+        };
+        let stride = if r.gen_bool(0.3) {
+            r.gen_range(2..50)
+        } else {
+            1
+        };
+        let n = g.n() * stride as usize + r.gen_range(0..20);
+        let mut edges: Vec<Edge> = g
+            .edges()
+            .iter()
+            .map(|e| Edge::new(e.u * stride, e.v * stride))
+            .collect();
+        match r.gen_range(0..7) {
+            0 => {}
+            1 => edges.shuffle(r),
+            2 => edges.sort_unstable(),
+            3 => {
+                let runs: Vec<Vec<Edge>> = (0..r.gen_range(1..6))
+                    .map(|_| {
+                        let a = r.gen_range(0..edges.len() + 1);
+                        let b = r.gen_range(a..edges.len() + 1);
+                        let mut run = edges[a..b].to_vec();
+                        run.sort_unstable();
+                        run
+                    })
+                    .collect();
+                edges = runs.concat();
+            }
+            4 => {
+                let copies = edges.len() / 3;
+                edges.extend_from_within(..copies);
+                if r.gen_bool(0.5) {
+                    edges.sort_unstable();
+                } else {
+                    edges.shuffle(r);
+                }
+            }
+            5 => {
+                // Sorted as raw pairs, yet not canonical.
+                for e in &mut edges {
+                    if r.gen_bool(0.1) {
+                        *e = Edge { u: e.v, v: e.u };
+                    }
+                }
+                edges.sort_unstable();
+            }
+            _ => edges.clear(),
+        }
+        (n, edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 48 } else { 256 }))]
+
+        /// The transpose (and the one-scatter canonical path) gives the
+        /// offsets and targets of sorting every edge-order list.
+        #[test]
+        fn rebuild_equals_the_comparison_sort_oracle(seed in any::<u64>()) {
+            let mut r = ChaCha8Rng::seed_from_u64(seed);
+            let (n, edges) = random_input(&mut r);
+            let oracle = sorted_by_comparison(n, &edges);
+            let csr = Csr::from_edges(n, &edges);
+            prop_assert_eq!(&csr.offsets, &oracle.offsets);
+            prop_assert_eq!(&csr.targets, &oracle.targets);
+        }
+    }
+
+    /// One `Csr` refilled by sorted and unsorted builds in turn, across
+    /// growing and shrinking graphs, equals a fresh build every time: no
+    /// stale target, scratch or cursor entry of an earlier build shows.
     #[test]
     fn one_csr_rebuilt_across_growing_and_shrinking_graphs() {
-        use crate::gen::er::gnm;
-        use crate::gen::rmat::rmat_graph500;
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-
         let mut r = ChaCha8Rng::seed_from_u64(17);
-        let (mut sorted, mut unsorted) = (Csr::default(), Csr::default());
-        assert_eq!((sorted.n(), sorted.m()), (0, 0));
-        for round in 0..40 {
-            let g = match round % 4 {
-                0 => Graph::empty(r.gen_range(0..50)),
-                1 | 2 => {
-                    let n = r.gen_range(2..400);
-                    let m = r.gen_range(0..(n * (n - 1) / 2).min(6 * n) + 1);
-                    gnm(n, m, &mut r)
+        let mut csr = Csr::default();
+        assert_eq!((csr.n(), csr.m()), (0, 0));
+        for round in 0..80 {
+            let (n, edges) = random_input(&mut r);
+            let fresh = Csr::from_edges(n, &edges);
+            if round % 2 == 1 {
+                csr.rebuild_unsorted(n, &edges);
+                assert_eq!(csr.offsets, fresh.offsets, "round {round}");
+                for (v, list) in edge_order_lists(n, &edges).iter().enumerate() {
+                    let v = v as VertexId;
+                    assert_eq!(csr.neighbors(v), &list[..], "round {round}, {v}");
                 }
-                _ => rmat_graph500(r.gen_range(1..10), r.gen_range(1..12), &mut r),
-            };
-            let fresh = Csr::from_edges(g.n(), g.edges());
-            sorted.rebuild(g.n(), g.edges());
-            assert_eq!(sorted.offsets, fresh.offsets, "round {round}");
-            assert_eq!(sorted.targets, fresh.targets, "round {round}");
+            }
+            csr.rebuild(n, &edges);
+            assert_eq!(csr.offsets, fresh.offsets, "round {round}");
+            assert_eq!(csr.targets, fresh.targets, "round {round}");
+            assert_eq!(csr.m(), edges.len());
 
-            unsorted.rebuild_unsorted(g.n(), g.edges());
-            assert_eq!(unsorted.offsets, fresh.offsets, "round {round}");
-            assert_eq!(unsorted.m(), g.m());
-            let adj = g.adjacency();
-            for (v, list) in edge_order_lists(g.n(), g.edges()).iter().enumerate() {
-                let v = v as VertexId;
-                assert_eq!(fresh.neighbors(v), adj.neighbors(v), "round {round}, {v}");
-                assert_eq!(unsorted.neighbors(v), &list[..], "round {round}, {v}");
+            let present: BTreeSet<(VertexId, VertexId)> = edges
+                .iter()
+                .flat_map(|e| [(e.u, e.v), (e.v, e.u)])
+                .collect();
+            for &(a, b) in &present {
+                assert!(csr.has_edge(a, b), "round {round}, ({a}, {b})");
+            }
+            if n > 0 {
+                for _ in 0..64 {
+                    let (a, b) = (r.gen_range(0..n as u32), r.gen_range(0..n as u32));
+                    assert_eq!(csr.has_edge(a, b), present.contains(&(a, b)));
+                }
             }
         }
     }

@@ -12,7 +12,10 @@
 //!    coreset union touches even fewer), so every downstream per-vertex
 //!    array shrinks to the live vertex count.
 //! 2. **One shared CSR** — the engine's own [`Csr`], refilled in place from
-//!    the compacted edges with sorted lists, and walked by
+//!    the compacted edges with sorted lists ([`Csr::rebuild`]: no comparison
+//!    sort; canonical input, such as a compacted `gnp` piece, takes one
+//!    scatter, and any other order, such as a root's concatenated coresets,
+//!    a scatter and a counting transpose), and walked by
 //!    *both* the bipartiteness check
 //!    ([`two_coloring_with_csr`]) and
 //!    the solver. The old `Auto` dispatch built a CSR for the colouring,

@@ -16,7 +16,7 @@
 
 use crate::cover::VertexCover;
 use crate::engine::with_thread_engine;
-use graph::{Edge, GraphRef};
+use graph::{Edge, GraphRef, VertexId};
 
 /// 2-approximate vertex cover: take both endpoints of every edge of the
 /// greedy maximal matching over `g`'s edges in input order. Accepts any
@@ -27,13 +27,18 @@ pub fn two_approx_cover<G: GraphRef + ?Sized>(g: &G) -> VertexCover {
 
 /// 2-approximate vertex cover of the graph formed by concatenating the given
 /// edge slices (in order) over vertex ids `0..n`, **without materializing the
-/// union**: the greedy maximal matching scans the slices in sequence, and
-/// duplicate edges across slices are no-ops. Equals [`two_approx_cover`] on
-/// the (first-seen deduplicated) union graph — the coordinator composes the
-/// residual subgraphs of a vertex-cover protocol run through this entry
-/// point.
-pub fn two_approx_cover_concat(n: usize, slices: &[&[Edge]]) -> VertexCover {
-    with_thread_engine(|engine| engine.two_approx_concat(n, slices.iter().copied()))
+/// union**, united with the `fixed` vertices: the greedy maximal matching
+/// scans the slices in sequence, and duplicate edges across slices are
+/// no-ops. Equals [`two_approx_cover`] on the (first-seen deduplicated) union
+/// graph, plus `fixed` — the coordinator composes a vertex-cover protocol
+/// run (residual subgraphs and fixed vertices) through this entry point, and
+/// the cover is bulk-built once.
+pub fn two_approx_cover_concat(
+    n: usize,
+    slices: &[&[Edge]],
+    fixed: impl IntoIterator<Item = VertexId>,
+) -> VertexCover {
+    with_thread_engine(|engine| engine.two_approx_concat(n, slices.iter().copied(), fixed))
 }
 
 /// Greedy maximum-degree vertex cover: repeatedly add the vertex covering the
@@ -130,11 +135,11 @@ mod tests {
         let a = gnp(50, 0.08, &mut r);
         let b = gnp(50, 0.08, &mut r);
         let union = Graph::union(&[&a, &b]);
-        let concat = two_approx_cover_concat(50, &[a.edges(), b.edges()]);
+        let concat = two_approx_cover_concat(50, &[a.edges(), b.edges()], []);
         assert_eq!(concat, two_approx_cover(&union));
         assert!(concat.covers(&union));
         // Duplicate slices are no-ops.
-        let dup = two_approx_cover_concat(50, &[a.edges(), a.edges()]);
+        let dup = two_approx_cover_concat(50, &[a.edges(), a.edges()], []);
         assert_eq!(dup, two_approx_cover(&a));
     }
 }

@@ -245,37 +245,41 @@ impl VcEngine {
     /// [`crate::approx::two_approx_cover`]). One stamped `O(m)` scan, no
     /// per-call allocation beyond the output.
     pub fn two_approx_cover<G: GraphRef + ?Sized>(&mut self, g: &G) -> VertexCover {
-        self.two_approx_concat(g.n(), std::iter::once(g.edges()))
+        self.two_approx_concat(g.n(), std::iter::once(g.edges()), [])
     }
 
     /// 2-approximate vertex cover of the graph formed by concatenating the
-    /// given edge slices (in order) over vertex ids `0..n`.
+    /// given edge slices (in order) over vertex ids `0..n`, united with the
+    /// `fixed` vertices.
     ///
     /// This is the coordinator's composition primitive: the union of the
     /// residual subgraphs is never materialized — the greedy maximal
     /// matching scans the slices in sequence, and duplicate edges across
     /// slices are harmless no-ops (their endpoints are already matched when
     /// the duplicate arrives), so the output equals
-    /// [`Self::two_approx_cover`] on the deduplicated union graph.
+    /// [`Self::two_approx_cover`] on the deduplicated union graph, plus
+    /// `fixed`. The vertices are collected into one vector and the cover is
+    /// bulk-built from it once.
     pub fn two_approx_concat<'a>(
         &mut self,
         n: usize,
         slices: impl IntoIterator<Item = &'a [Edge]>,
+        fixed: impl IntoIterator<Item = VertexId>,
     ) -> VertexCover {
         let ws = &mut self.workspace;
         ws.begin_scope(n);
-        let mut cover = VertexCover::new();
+        // The output, duplicates and all, until the cover is built from it.
+        let mut cover: Vec<VertexId> = fixed.into_iter().collect(); // xtask: allow(hot-path-alloc)
         for slice in slices {
             for e in slice {
                 if !ws.is_flagged(e.u) && !ws.is_flagged(e.v) {
                     ws.flag(e.u);
                     ws.flag(e.v);
-                    cover.insert(e.u);
-                    cover.insert(e.v);
+                    cover.extend([e.u, e.v]);
                 }
             }
         }
-        cover
+        VertexCover::from_vertices(cover)
     }
 
     /// Greedy maximum-degree vertex cover (see
@@ -469,7 +473,7 @@ mod tests {
         let b = gnp(60, 0.05, &mut rng(2));
         let union = Graph::union(&[&a, &b]);
         let on_union = engine.two_approx_cover(&union);
-        let concat = engine.two_approx_concat(60, [a.edges(), b.edges()]);
+        let concat = engine.two_approx_concat(60, [a.edges(), b.edges()], []);
         assert_eq!(on_union, concat);
         assert!(concat.covers(&union));
     }
