@@ -6,8 +6,11 @@
 //!
 //! * [`solve_composed_matching`] — maximum matching of the union, solved
 //!   straight off the coreset edge slices in machine order
-//!   ([`matching::maximum::maximum_matching_concat`]) — the union `Graph` is
-//!   never materialized, mirroring the vertex-cover side.
+//!   ([`matching::maximum::maximum_matching_concat_forced`]) — the union
+//!   `Graph` is never materialized, mirroring the vertex-cover side. The
+//!   solver is seeded with the union's forced degree-one edges, then the
+//!   best coreset's edges on still-free vertices; exactly two matchings are
+//!   composed by the merge walk instead.
 //! * [`compose_vertex_cover`] — union the fixed vertex sets, cover the union
 //!   of the residual subgraphs with a 2-approximation, and return the
 //!   combined cover (paper, Section 3.2). The residual union is **never
@@ -23,11 +26,18 @@
 //! ([`solve_composed_matching`]) visits the coresets largest first and stops
 //! at the first one that is a matching, which with the paper's builders is
 //! the first one it checks.
+//!
+//! Tree merges do not use the root's solve: a merge of three or more
+//! children runs [`solve_warm_started_matching_refs`], the same solve without
+//! the forced step, so leaf and merge summaries do not depend on it.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
 use matching::matching::Matching;
-use matching::maximum::{maximum_matching_concat, MaximumMatchingAlgorithm};
+use matching::maximum::{
+    maximum_matching_concat, maximum_matching_concat_forced, merge_matching_pair,
+    MaximumMatchingAlgorithm,
+};
 use vertexcover::approx::two_approx_cover_concat;
 use vertexcover::VertexCover;
 
@@ -36,20 +46,29 @@ use vertexcover::VertexCover;
 ///
 /// The union is **never materialized**: the solver compacts and solves the
 /// coreset edge slices in machine order directly
-/// ([`matching::maximum::maximum_matching_concat`]), mirroring the
+/// ([`matching::maximum::maximum_matching_concat_forced`]), mirroring the
 /// vertex-cover side's [`two_approx_cover_concat`]. Per-machine coresets are
 /// edge-disjoint (each is a subgraph of its machine's partition piece), so
-/// the concatenation *is* the first-occurrence-preserving union the old
-/// `Graph::union` path built — same edge sequence into the solver, hence
-/// bit-identical answers (pinned by the composition proptests).
+/// the concatenation *is* the first-occurrence-preserving union.
 ///
-/// The solve is **warm-started** from the largest per-machine coreset that is
-/// itself a matching (with the paper's builders, every coreset is one): its
-/// edges belong to the union by construction, and seeding the solver with a
-/// matching that is already within a constant factor of the union's optimum
-/// (Theorem 1's analysis) lets the engine skip most augmenting work. Warm
-/// starts never change the returned *size* — the engine always terminates at
-/// a maximum matching of the union.
+/// Theorem 1 lets the coordinator return *any* maximum matching of the
+/// union, so the solve picks the one that is cheapest to reach. It seeds the
+/// solver in this order:
+///
+/// 1. the union's **forced edges**: Karp–Sipser's degree-one rule, applied
+///    until no degree-one vertex is left. Each lies in a maximum matching,
+///    and a union of skewed coresets is mostly pendant vertices, so they are
+///    most of the answer;
+/// 2. the edges of the largest per-machine coreset that is itself a matching
+///    (the **warm start**; with the paper's builders, every coreset is one)
+///    whose endpoints are still free;
+/// 3. the solver's vertex-order greedy pass, then augmenting searches.
+///
+/// A composition of exactly two matchings is the fan-in-2 merge instead:
+/// [`matching::maximum::merge_matching_pair`] walks the union's alternating
+/// paths from the larger one (the first on a tie) and returns the edge set
+/// the warm-started solve ([`solve_warm_started_matching_refs`]) would. Neither route changes
+/// the returned *size*: the result is always a maximum matching of the union.
 pub fn solve_composed_matching(
     coresets: &[Graph],
     algorithm: MaximumMatchingAlgorithm,
@@ -68,6 +87,41 @@ pub fn solve_composed_matching_refs(
     coresets: &[&Graph],
     algorithm: MaximumMatchingAlgorithm,
 ) -> Matching {
+    let n = shared_n(coresets);
+    if let [first, second] = coresets {
+        // The warm start is the first largest, as `best_piece_matching`
+        // would pick when both are matchings.
+        let (a, b) = if second.m() > first.m() {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        if let Some(m) = merge_matching_pair(n, a.edges(), b.edges()) {
+            return m;
+        }
+    }
+    let warm = best_piece_matching(coresets);
+    let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
+    maximum_matching_concat_forced(n, &slices, warm.as_ref(), algorithm)
+}
+
+/// A maximum matching of the coresets' union, warm-started from the largest
+/// coreset that is a matching, with no forced step: the rule
+/// [`crate::matching_coreset::MaximumMatchingCoreset`]'s tree merge applies
+/// to groups the merge walk cannot take. For two matchings its edge set is
+/// the walk's.
+pub fn solve_warm_started_matching_refs(
+    coresets: &[&Graph],
+    algorithm: MaximumMatchingAlgorithm,
+) -> Matching {
+    let n = shared_n(coresets);
+    let warm = best_piece_matching(coresets);
+    let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
+    maximum_matching_concat(n, &slices, warm.as_ref(), algorithm)
+}
+
+/// The vertex count every coreset of a composition shares.
+fn shared_n(coresets: &[&Graph]) -> usize {
     assert!(
         !coresets.is_empty(),
         "composition of zero coresets is undefined"
@@ -77,9 +131,7 @@ pub fn solve_composed_matching_refs(
         coresets.iter().all(|c| c.n() == n),
         "all coresets must share the vertex set"
     );
-    let warm = best_piece_matching(coresets);
-    let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
-    maximum_matching_concat(n, &slices, warm.as_ref(), algorithm)
+    n
 }
 
 /// The largest coreset that forms a valid matching, as the warm start for
@@ -289,6 +341,54 @@ mod tests {
         let warm = best_piece_matching(&[&second, &small, &first, &not_matching])
             .expect("three valid candidates");
         assert_eq!(warm.edges(), second.edges());
+    }
+
+    /// On a skewed coreset union (one `rmat-flat` graph: R-MAT scale 13, k =
+    /// 32) the degree-one rule settles at least 90 % of the root's answer,
+    /// where the warm start alone holds about a third, and the answer has a
+    /// cold solve's size.
+    #[test]
+    fn forced_edges_settle_most_of_an_rmat_root() {
+        use graph::gen::rmat::rmat_graph500;
+        use matching::MatchingEngine;
+        let g = rmat_graph500(13, 16, &mut rng(23));
+        let k = 32;
+        let part = PartitionedGraph::random(&g, k, &mut rng(24)).unwrap();
+        let params = CoresetParams::new(g.n(), k);
+        let coresets: Vec<Graph> = part
+            .views()
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                MaximumMatchingCoreset::new().build(
+                    p,
+                    &params,
+                    i,
+                    &mut crate::streams::machine_rng(7, i),
+                )
+            })
+            .collect();
+        let refs: Vec<&Graph> = coresets.iter().collect();
+        let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
+        let warm = best_piece_matching(&refs).expect("the coresets are matchings");
+        let mut engine = MatchingEngine::new();
+        let root =
+            engine.solve_concat_forced(g.n(), &slices, Some(&warm), MaximumMatchingAlgorithm::Auto);
+        assert_eq!(
+            root,
+            solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto),
+            "the root solve is this seeded solve"
+        );
+        let forced = engine.forced_edges() as usize;
+        assert!(
+            10 * forced >= 9 * root.len(),
+            "forced {forced} of {} answer edges (warm start {})",
+            root.len(),
+            warm.len()
+        );
+        let cold = maximum_matching(&Graph::union(&refs));
+        assert_eq!(root.len(), cold.len());
+        assert!(root.is_valid_for(&g));
     }
 
     /// Fixed vertices that the residual scan also matches, or that repeat

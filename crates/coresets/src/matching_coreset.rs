@@ -10,7 +10,7 @@
 //!   matching keeping each edge with probability `1/α`; the composition is an
 //!   α-approximation with total communication `Õ(nk/α²)`.
 
-use crate::compose::solve_composed_matching_refs;
+use crate::compose::solve_warm_started_matching_refs;
 use crate::params::CoresetParams;
 use graph::{Csr, Edge, Graph, GraphView};
 use matching::greedy::{maximal_matching, maximal_matching_by_key};
@@ -104,12 +104,15 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
 /// many coresets on one thread allocates the solver state once.
 ///
 /// A tree merge keeps the maximum matching of the children's union that a
-/// solve warm-started from the first largest child returns — the rule the
-/// coordinator's root solve applies. Theorem 1 allows any maximum matching,
-/// and this one is cheap: for two children that are matchings it is the
-/// engine's alternating-path walk ([`matching::MatchingEngine::merge_pair`]).
-/// Larger groups, or children that are not matchings, run the warm-started
-/// solve ([`solve_composed_matching_refs`]).
+/// solve warm-started from the first largest child returns. Theorem 1 allows
+/// any maximum matching, and this one is cheap: for two children that are
+/// matchings it is the engine's alternating-path walk
+/// ([`matching::MatchingEngine::merge_pair`]). Larger groups, or children
+/// that are not matchings, run the warm-started solve
+/// ([`solve_warm_started_matching_refs`]). The coordinator's root solve
+/// also seeds forced degree-one edges ahead of the warm start
+/// ([`crate::compose::solve_composed_matching`]); merges do not, so no
+/// summary depends on the root's seeding.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaximumMatchingCoreset {
     /// Which maximum-matching algorithm to run on the piece (Theorem 1 holds
@@ -167,7 +170,7 @@ impl MatchingCoresetBuilder for MaximumMatchingCoreset {
         };
         let m = walked.unwrap_or_else(|| {
             let refs: Vec<&Graph> = group.iter().collect();
-            solve_composed_matching_refs(&refs, self.algorithm)
+            solve_warm_started_matching_refs(&refs, self.algorithm)
         });
         Graph::from_edges_unchecked(n, m.into_edges())
     }
@@ -500,7 +503,7 @@ mod tests {
     fn warm_started(group: &[Graph]) -> Vec<Edge> {
         let refs: Vec<&Graph> = group.iter().collect();
         let mut edges =
-            solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto).into_edges();
+            solve_warm_started_matching_refs(&refs, MaximumMatchingAlgorithm::Auto).into_edges();
         edges.sort_unstable();
         edges
     }

@@ -1,4 +1,4 @@
-//! The maximum-matching engine: compaction + fused dispatch + warm starts.
+//! The maximum-matching engine: compaction + fused dispatch + seeded solves.
 //!
 //! [`MatchingEngine`] is the solver hot path behind
 //! [`maximum_matching`](crate::maximum::maximum_matching) and the protocol
@@ -17,22 +17,39 @@
 //!    scatter, and any other order, such as a root's concatenated coresets,
 //!    a scatter and a counting transpose), and walked by
 //!    *both* the bipartiteness check
-//!    ([`two_coloring_with_csr`]) and
+//!    ([`two_coloring_with_csr`](crate::maximum::two_coloring_with_csr)) and
 //!    the solver. The old `Auto` dispatch built a CSR for the colouring,
 //!    threw it away, then re-walked the edge list to materialize a
 //!    `BipartiteGraph`; the fused path feeds Hopcroft–Karp
-//!    ([`hopcroft_karp_on_csr`])
-//!    straight from the colouring.
+//!    ([`hopcroft_karp_on_csr`](crate::hopcroft_karp::hopcroft_karp_on_csr))
+//!    straight from the colouring. The colouring, its queue and
+//!    Hopcroft–Karp's mates, layers, left list and DFS stack are engine
+//!    buffers, reused across solves like the blossom workspace.
 //! 3. **Epoch-reset blossom** — non-bipartite inputs run
 //!    [`blossom_on_csr`] on the engine's
 //!    reusable [`BlossomWorkspace`], whose per-search cost is proportional
 //!    to the vertices the search touches (no `O(n)` clears, no per-search
 //!    allocations).
-//! 4. **Warm starts** — [`MatchingEngine::solve_warm`] seeds the solver with
-//!    a known matching. The coordinator uses this to start the composed
-//!    solve from the best per-machine coreset: the union of `k` matchings
-//!    has maximum degree ≤ `k` and already contains a matching of size
-//!    ≥ OPT/3 of the union, so most augmenting work is skipped.
+//! 4. **Seeds** — both solvers adopt a list of seed edges, in order and
+//!    skipping any that meets an already seeded vertex, before their
+//!    vertex-order greedy pass and augmenting searches. A seed changes which
+//!    maximum matching comes out and how much augmenting work is left, never
+//!    the size.
+//!    - [`MatchingEngine::solve_warm`] and [`MatchingEngine::solve_concat`]
+//!      seed with a known matching, the **warm start**. Tree merges of three
+//!      or more children start from their largest child this way.
+//!    - [`MatchingEngine::solve_concat_forced`], the coordinator's root
+//!      solve, first applies Karp–Sipser's degree-one rule to the CSR
+//!      until no degree-one vertex is left, in `O(n_local + m)` with engine
+//!      buffers (see `forced.rs`), and seeds with those **forced edges**,
+//!      then the warm start's edges on still-free vertices. Every forced
+//!      edge lies in a maximum matching of what the earlier ones leave, and
+//!      a union of skewed coresets is mostly pendant vertices: on R-MAT
+//!      roots the forced edges are nearly the whole answer, where the best
+//!      coreset alone covers about a third. The order matters: a warm edge
+//!      can take a hub that one of its pendants needs, so forcing after the
+//!      warm start leaves more to the searches.
+//!      [`MatchingEngine::forced_edges`] counts the forced edges.
 //! 5. **Output check** — the solver's edges are checked vertex-disjoint in
 //!    local ids against an engine-owned mark array (`O(|M|)`, marks cleared
 //!    afterwards) before they are mapped back and wrapped as a [`Matching`].
@@ -51,26 +68,30 @@
 //! or augmenting search. It returns `None` unless both children are
 //! matchings, and the caller then runs the warm-started solve instead.
 //! [`MatchingEngine::walk_steps`] counts the edges the walks cross, at most
-//! `2(|A| + |B|)` per merge.
+//! `2(|A| + |B|)` per merge. A coordinator that composes exactly two
+//! matchings takes the same walk.
 //!
 //! The free functions in [`crate::maximum`] run on a per-thread engine
 //! (`thread_local`), so the protocol layers get cross-solve buffer reuse for
 //! free: each worker thread of the parallel machine fan-out keeps one engine
 //! for all the pieces it processes. Outputs are independent of workspace
-//! history (the epoch stamps make stale state invisible), so this reuse is
-//! invisible to the determinism guarantees.
+//! history (the epoch stamps make stale state invisible, and every other
+//! buffer is reset before it is read), so this reuse is invisible to the
+//! determinism guarantees.
 
 use crate::blossom::blossom_on_csr;
-use crate::hopcroft_karp::hopcroft_karp_on_csr;
+use crate::forced::ForcedEdges;
+use crate::hopcroft_karp::{hopcroft_karp_with, HkBuffers};
 use crate::matching::Matching;
-use crate::maximum::{two_coloring_with_csr, MaximumMatchingAlgorithm};
+use crate::maximum::{two_coloring_into, MaximumMatchingAlgorithm};
 use crate::merge_walk::MergeWalk;
 use crate::workspace::BlossomWorkspace;
 use graph::{Csr, Edge, GraphRef, VertexCompactor};
 use std::cell::RefCell;
 
 /// A reusable maximum-matching solver: compaction scratch, CSR, blossom
-/// workspace, output-check marks and merge-walk slots, allocated once and
+/// workspace, 2-colouring and Hopcroft–Karp buffers, forced-edge state,
+/// seed list, output-check marks and merge-walk slots, allocated once and
 /// reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
@@ -81,9 +102,24 @@ pub struct MatchingEngine {
     compactor: VertexCompactor,
     csr: Csr,
     workspace: BlossomWorkspace,
+    /// 2-colouring by local id, from the last bipartiteness check.
+    color: Vec<u8>,
+    hk: HkBuffers,
+    forced: ForcedEdges,
+    /// The solver's seed edges in local ids: forced, then warm.
+    seeds: Vec<Edge>,
     /// Output-check marks by local id; all `false` between solves.
     marks: Vec<bool>,
     walk: MergeWalk,
+}
+
+/// Which seeds a solve hands its solver (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+enum Seeding {
+    /// The warm start's edges, if any.
+    Warm,
+    /// The forced edges, then the warm start's edges on still-free vertices.
+    ForcedThenWarm,
 }
 
 impl MatchingEngine {
@@ -108,9 +144,9 @@ impl MatchingEngine {
 
     /// Computes a maximum matching of `g`, seeded with `warm`.
     ///
-    /// `warm` must be a valid matching whose edges all belong to `g` (the
-    /// coordinator's warm start — the best per-machine coreset — satisfies
-    /// this by construction since every coreset is a subgraph of the union).
+    /// `warm` must be a valid matching whose edges all belong to `g` (a tree
+    /// merge's warm start, its largest child, satisfies this by construction
+    /// since every child is a subgraph of the union).
     /// Warm edges with an endpoint unknown to the compacted graph are
     /// ignored defensively. The result is a maximum matching of `g`; only
     /// the solver work changes, never the returned size.
@@ -153,9 +189,17 @@ impl MatchingEngine {
         self.walk.full_resets()
     }
 
+    /// Edges the degree-one rule of [`MatchingEngine::solve_concat_forced`]
+    /// has forced (lifetime): the forced step's work counter, at most
+    /// `n_local / 2` per solve.
+    pub fn forced_edges(&self) -> u64 {
+        self.forced.forced()
+    }
+
     /// Computes a maximum matching of the **concatenation** of `slices`
     /// (edge slices over the shared vertex set `0..n`), without materializing
-    /// the union edge list — the coordinator's flat-composition fast path.
+    /// the union edge list — the tree merge's solve for groups the walk
+    /// cannot take.
     ///
     /// For pairwise edge-disjoint slices (per-machine coresets of a
     /// partitioned graph always are) the answer is bit-identical to solving
@@ -170,11 +214,38 @@ impl MatchingEngine {
         warm: Option<&Matching>,
         algorithm: MaximumMatchingAlgorithm,
     ) -> Matching {
+        self.solve_concat_seeded(n, slices, warm, algorithm, Seeding::Warm)
+    }
+
+    /// [`MatchingEngine::solve_concat`] seeded with the union's forced
+    /// edges first and `warm`'s edges on still-free vertices second — the
+    /// coordinator's root solve (see the [module docs](self)). The answer
+    /// is a maximum matching of the union, of the same size as
+    /// `solve_concat`'s; only the edges chosen differ. Overlapping slices
+    /// are tolerated: a duplicated edge only hides a pendant from the rule.
+    pub fn solve_concat_forced(
+        &mut self,
+        n: usize,
+        slices: &[&[Edge]],
+        warm: Option<&Matching>,
+        algorithm: MaximumMatchingAlgorithm,
+    ) -> Matching {
+        self.solve_concat_seeded(n, slices, warm, algorithm, Seeding::ForcedThenWarm)
+    }
+
+    fn solve_concat_seeded(
+        &mut self,
+        n: usize,
+        slices: &[&[Edge]],
+        warm: Option<&Matching>,
+        algorithm: MaximumMatchingAlgorithm,
+        seeding: Seeding,
+    ) -> Matching {
         if slices.iter().all(|s| s.is_empty()) {
             return Matching::new();
         }
         self.compactor.compact_concat(n, slices);
-        self.solve_compacted(warm, algorithm)
+        self.solve_compacted(warm, algorithm, seeding)
     }
 
     fn solve_inner<G: GraphRef + ?Sized>(
@@ -189,46 +260,56 @@ impl MatchingEngine {
             return Matching::new();
         }
         self.compactor.compact(g);
-        self.solve_compacted(warm, algorithm)
+        self.solve_compacted(warm, algorithm, Seeding::Warm)
     }
 
     /// The shared solve tail: the engine's CSR refilled from the compactor's
-    /// relabeled edges, warm edges mapped through the same relabeling, fused
-    /// dispatch, the output check, and expansion back to original ids.
+    /// relabeled edges, the seed list (forced edges if asked, then warm
+    /// edges mapped through the same relabeling), fused dispatch, the output
+    /// check, and expansion back to original ids.
     fn solve_compacted(
         &mut self,
         warm: Option<&Matching>,
         algorithm: MaximumMatchingAlgorithm,
+        seeding: Seeding,
     ) -> Matching {
         let MatchingEngine {
             compactor,
             csr: adj,
             workspace,
+            color,
+            hk,
+            forced,
+            seeds,
             marks,
             walk: _,
         } = self;
         // Sorted lists: the solvers' traversal order defines the answer.
         adj.rebuild(compactor.n_local(), compactor.local_edges());
-        let warm_local: Vec<Edge> = warm
-            .map(|m| {
-                m.edges()
-                    .iter()
-                    .filter_map(|&e| compactor.to_local_edge(e))
-                    .collect()
-            })
-            .unwrap_or_default();
+        seeds.clear();
+        if let Seeding::ForcedThenWarm = seeding {
+            forced.run(adj, seeds);
+        }
+        if let Some(m) = warm {
+            seeds.extend(m.edges().iter().filter_map(|&e| compactor.to_local_edge(e)));
+        }
 
         let local_edges = match algorithm {
-            MaximumMatchingAlgorithm::Blossom => blossom_on_csr(adj, workspace, &warm_local),
+            MaximumMatchingAlgorithm::Blossom => blossom_on_csr(adj, workspace, seeds),
             MaximumMatchingAlgorithm::HopcroftKarp => {
-                let color = two_coloring_with_csr(adj)
-                    .expect("HopcroftKarp requested on a non-bipartite graph");
-                hopcroft_karp_on_csr(adj, &color, &warm_local)
+                assert!(
+                    two_coloring_into(adj, color, &mut hk.queue),
+                    "HopcroftKarp requested on a non-bipartite graph"
+                );
+                hopcroft_karp_with(adj, color, seeds, hk)
             }
-            MaximumMatchingAlgorithm::Auto => match two_coloring_with_csr(adj) {
-                Some(color) => hopcroft_karp_on_csr(adj, &color, &warm_local),
-                None => blossom_on_csr(adj, workspace, &warm_local),
-            },
+            MaximumMatchingAlgorithm::Auto => {
+                if two_coloring_into(adj, color, &mut hk.queue) {
+                    hopcroft_karp_with(adj, color, seeds, hk)
+                } else {
+                    blossom_on_csr(adj, workspace, seeds)
+                }
+            }
         };
         assert_vertex_disjoint(marks, compactor.n_local(), &local_edges);
         Matching::from_edges_unchecked(compactor.expand_edges(&local_edges))
@@ -399,6 +480,205 @@ mod tests {
         }));
         assert!(failed.is_err());
         assert!(marks.iter().all(|&m| !m));
+    }
+
+    /// The forced edges of `edges` over `0..n`, by the engine's rule on a
+    /// fresh CSR.
+    fn forced_of(n: usize, edges: &[Edge]) -> Vec<Edge> {
+        let mut out = Vec::new();
+        ForcedEdges::default().run(&Csr::from_edges(n, edges), &mut out);
+        out
+    }
+
+    /// A random forest on `0..n`: each vertex joins a random earlier one
+    /// with probability `p`, under a random relabeling.
+    fn random_forest(n: usize, p: f64, seed: u64) -> Graph {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut r = rng(seed);
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.shuffle(&mut r);
+        let edges: Vec<Edge> = (1..n)
+            .filter_map(|v| {
+                let parent = r.gen_range(0..v);
+                r.gen_bool(p).then(|| Edge::new(perm[v], perm[parent]))
+            })
+            .collect();
+        Graph::from_edges(n, edges).unwrap()
+    }
+
+    /// `g` without the vertices `taken` covers.
+    fn without_vertices(g: &Graph, taken: &[Edge]) -> Graph {
+        let mut gone = vec![false; g.n()];
+        for e in taken {
+            gone[e.u as usize] = true;
+            gone[e.v as usize] = true;
+        }
+        let rest: Vec<Edge> = g
+            .edges()
+            .iter()
+            .copied()
+            .filter(|e| !gone[e.u as usize] && !gone[e.v as usize])
+            .collect();
+        Graph::from_edges_unchecked(g.n(), rest)
+    }
+
+    #[test]
+    fn forced_edges_alone_are_maximum_on_random_forests() {
+        // Every forest has a leaf, and removing a forced edge's endpoints
+        // leaves a forest: the rule alone settles the whole answer.
+        let mut engine = MatchingEngine::new();
+        for seed in 0..60u64 {
+            let n = [1, 2, 7, 12, 40, 200][seed as usize % 6];
+            let g = random_forest(n, [0.5, 0.8, 1.0][seed as usize % 3], seed + 500);
+            let forced = forced_of(n, g.edges());
+            let m = Matching::try_from_edges(forced.clone()).expect("forced edges are a matching");
+            assert!(m.is_valid_for(&g), "seed {seed}");
+            let opt = MatchingEngine::new().solve(&g).len();
+            assert_eq!(forced.len(), opt, "seed {seed}");
+            if n <= 12 {
+                assert_eq!(opt, brute_force_maximum_matching_size(&g), "seed {seed}");
+            }
+            // The root solve takes them all: nothing is left to search.
+            let before = engine.forced_edges();
+            let root =
+                engine.solve_concat_forced(n, &[g.edges()], None, MaximumMatchingAlgorithm::Auto);
+            assert_eq!(engine.forced_edges() - before, opt as u64, "seed {seed}");
+            assert_eq!(root.len(), opt, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn forced_edges_plus_a_cold_solve_of_the_rest_reach_the_maximum() {
+        use graph::gen::er::gnm;
+        use graph::gen::rmat::rmat_graph500;
+        let mut cases: Vec<Graph> = Vec::new();
+        for seed in 0..40u64 {
+            cases.push(gnm(12, (seed as usize * 3) % 40, &mut rng(seed + 700)));
+        }
+        for seed in 0..12u64 {
+            cases.push(gnm(150, 90 + 20 * seed as usize, &mut rng(seed + 800)));
+            cases.push(rmat_graph500(
+                7,
+                1 + seed as usize % 4,
+                &mut rng(seed + 900),
+            ));
+        }
+        let mut engine = MatchingEngine::new();
+        for (i, g) in cases.iter().enumerate() {
+            let forced = forced_of(g.n(), g.edges());
+            assert!(
+                Matching::try_from_edges(forced.clone()).is_some(),
+                "case {i}"
+            );
+            let opt = if g.n() <= 12 {
+                brute_force_maximum_matching_size(g)
+            } else {
+                MatchingEngine::new().solve(g).len()
+            };
+            let rest = MatchingEngine::new().solve(&without_vertices(g, &forced));
+            assert_eq!(forced.len() + rest.len(), opt, "case {i}");
+            for algorithm in [
+                MaximumMatchingAlgorithm::Auto,
+                MaximumMatchingAlgorithm::Blossom,
+            ] {
+                let root = engine.solve_concat_forced(g.n(), &[g.edges()], None, algorithm);
+                assert!(root.is_valid_for(g), "case {i}");
+                assert_eq!(root.len(), opt, "case {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn forced_solve_tolerates_duplicate_edges_from_overlapping_slices() {
+        // A path 0-1-2 whose end edge is listed twice: vertex 0's list holds
+        // 1 twice, so the rule must not treat it as a pendant.
+        let twice = [Edge::new(0, 1)];
+        let path = [Edge::new(0, 1), Edge::new(1, 2)];
+        let forced = forced_of(3, &[twice[0], path[0], path[1]]);
+        assert_eq!(forced, vec![Edge::new(1, 2)]);
+        let m = MatchingEngine::new().solve_concat_forced(
+            3,
+            &[&twice, &path],
+            None,
+            MaximumMatchingAlgorithm::Auto,
+        );
+        assert_eq!(m.len(), 1);
+
+        // Random graphs cut into slices that overlap by a third of the edges.
+        let mut engine = MatchingEngine::new();
+        for seed in 0..20u64 {
+            let g = gnp(90, 0.04, &mut rng(seed + 1000));
+            let edges = g.edges();
+            let (a, b) = (edges.len() / 3, 2 * edges.len() / 3);
+            let slices: [&[Edge]; 3] = [&edges[..b], &edges[a..], &edges[..a]];
+            let warm = Matching::try_from_edges(forced_of(g.n(), &edges[..a]));
+            let m = engine.solve_concat_forced(
+                g.n(),
+                &slices,
+                warm.as_ref(),
+                MaximumMatchingAlgorithm::Auto,
+            );
+            assert!(m.is_valid_for(&g), "seed {seed}");
+            assert_eq!(
+                m.len(),
+                MatchingEngine::new().solve(&g).len(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_engine_across_growing_and_shrinking_graphs_equals_fresh_engines() {
+        use graph::gen::bipartite::random_bipartite;
+        use graph::gen::rmat::rmat_graph500;
+        let mut graphs: Vec<Graph> = Vec::new();
+        for (i, n) in [30usize, 400, 8, 250, 2, 600, 60, 120, 5]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = 1100 + i as u64;
+            graphs.push(gnp(n, (3.0 / n as f64).min(1.0), &mut rng(seed)));
+            graphs.push(random_forest(n, 0.7, seed));
+            let p = (2.5 / n as f64).min(1.0);
+            graphs.push(random_bipartite(n / 2 + 1, n / 2 + 1, p, &mut rng(seed)).to_graph());
+            graphs.push(rmat_graph500(3 + (n.ilog2() % 6), 2, &mut rng(seed)));
+        }
+        let mut engine = MatchingEngine::new();
+        for (i, g) in graphs.iter().enumerate() {
+            let half = g.m() / 2;
+            let slices = [&g.edges()[..half], &g.edges()[half..]];
+            let warm = Matching::try_from_edges(forced_of(g.n(), slices[0]));
+            let bipartite = crate::maximum::two_coloring(g).is_some();
+            let mut algorithms = vec![
+                MaximumMatchingAlgorithm::Auto,
+                MaximumMatchingAlgorithm::Blossom,
+            ];
+            if bipartite {
+                algorithms.push(MaximumMatchingAlgorithm::HopcroftKarp);
+            }
+            for algorithm in algorithms {
+                let fresh = MatchingEngine::new().solve_concat_forced(
+                    g.n(),
+                    &slices,
+                    warm.as_ref(),
+                    algorithm,
+                );
+                let reused = engine.solve_concat_forced(g.n(), &slices, warm.as_ref(), algorithm);
+                assert_eq!(reused.edges(), fresh.edges(), "graph {i} {algorithm:?}");
+                let fresh =
+                    MatchingEngine::new().solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
+                let reused = engine.solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
+                assert_eq!(reused.edges(), fresh.edges(), "graph {i} {algorithm:?}");
+                let fresh = MatchingEngine::new().solve_with(g, algorithm);
+                assert_eq!(
+                    engine.solve_with(g, algorithm).edges(),
+                    fresh.edges(),
+                    "graph {i}"
+                );
+            }
+        }
+        assert_eq!(engine.workspace().full_resets(), 0);
     }
 
     #[test]

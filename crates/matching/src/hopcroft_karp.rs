@@ -49,14 +49,49 @@ pub fn hopcroft_karp_size(g: &BipartiteGraph) -> usize {
 /// only reduce the number of phases, never the returned size. Warm edges
 /// that are not edges of the graph are skipped (debug builds assert).
 /// Returns matched edges in ascending left-vertex order.
+///
+/// This entry point allocates its phase buffers per call; the matching
+/// engine runs the same phases on buffers it keeps across solves.
 pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge> {
+    hopcroft_karp_with(adj, color, warm, &mut HkBuffers::default())
+}
+
+/// Hopcroft–Karp's per-solve state, kept by the matching engine so that a
+/// bipartite solve allocates nothing but its output: mates, BFS layers, the
+/// left-vertex list, the BFS queue (shared with the engine's 2-colouring,
+/// which runs first) and the DFS stack. Every solve resets what it reads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HkBuffers {
+    pair: Vec<u32>,
+    dist: Vec<u32>,
+    lefts: Vec<u32>,
+    pub(crate) queue: VecDeque<u32>,
+    stack: Vec<DfsFrame>,
+}
+
+/// [`hopcroft_karp_on_csr`] on reused buffers; the answer does not depend
+/// on what earlier solves left in them.
+pub(crate) fn hopcroft_karp_with(
+    adj: &Csr,
+    color: &[u8],
+    warm: &[Edge],
+    bufs: &mut HkBuffers,
+) -> Vec<Edge> {
     let n = adj.n();
     debug_assert_eq!(color.len(), n);
+    let HkBuffers {
+        pair,
+        dist,
+        lefts,
+        queue,
+        stack,
+    } = bufs;
     // pair[v] = matched partner of v (either side), or NIL. Warm edges that
     // are not edges of this graph are skipped (not just debug-asserted): a
     // foreign edge seeded into `pair` would survive into the output and make
     // it an invalid matching.
-    let mut pair = vec![NIL; n];
+    pair.clear();
+    pair.resize(n, NIL);
     for e in warm {
         if !adj.has_edge(e.u, e.v) {
             debug_assert!(false, "warm edge {e:?} does not exist in the graph");
@@ -68,20 +103,19 @@ pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge>
             pair[e.v as usize] = e.u;
         }
     }
-    let lefts: Vec<u32> = (0..n as u32).filter(|&v| color[v as usize] == 0).collect();
+    lefts.clear();
+    lefts.extend((0..n as u32).filter(|&v| color[v as usize] == 0));
     // dist is indexed by vertex id but only consulted for left vertices.
-    let mut dist = vec![INF; n];
-    let mut stack = Vec::new();
-    // One BFS queue for every phase; each phase drains it.
-    let mut queue = VecDeque::new();
+    dist.clear();
+    dist.resize(n, INF);
 
     loop {
-        if !bfs_csr(adj, &lefts, &pair, &mut dist, &mut queue) {
+        if !bfs_csr(adj, lefts, pair, dist, queue) {
             break;
         }
         let mut augmented = false;
-        for &l in &lefts {
-            if pair[l as usize] == NIL && dfs_csr(l, adj, &mut pair, &mut dist, &mut stack) {
+        for &l in lefts.iter() {
+            if pair[l as usize] == NIL && dfs_csr(l, adj, pair, dist, stack) {
                 augmented = true;
             }
         }
@@ -90,10 +124,11 @@ pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge>
         }
     }
 
+    // The matched edges are this function's output.
     lefts
-        .into_iter()
-        .filter(|&l| pair[l as usize] != NIL)
-        .map(|l| Edge::new(l, pair[l as usize]))
+        .iter()
+        .filter(|&&l| pair[l as usize] != NIL)
+        .map(|&l| Edge::new(l, pair[l as usize]))
         .collect()
 }
 

@@ -16,7 +16,8 @@
 //!   bipartite and Blossom otherwise.
 //! * [`engine`] — the solver hot path behind [`maximum`]: vertex compaction,
 //!   one CSR shared by the bipartiteness check and the solver, warm starts,
-//!   the fan-in-2 merge walk, and per-thread buffer reuse.
+//!   the coordinator's forced degree-one edges, the fan-in-2 merge walk, and
+//!   per-thread buffer reuse.
 //! * [`workspace`] — the epoch-reset [`BlossomWorkspace`] that removes the
 //!   per-search `O(n)` clears and allocations from the blossom algorithm.
 //! * [`weighted`] — greedy weighted matching and the Crouch–Stubbs
@@ -27,6 +28,7 @@
 
 pub mod blossom;
 pub mod engine;
+mod forced;
 pub mod greedy;
 pub mod hopcroft_karp;
 pub mod matching;

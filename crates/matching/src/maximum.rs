@@ -13,9 +13,10 @@
 //! bipartiteness check and the solver, and reuses the engine's epoch-reset
 //! [`BlossomWorkspace`](crate::workspace::BlossomWorkspace) across solves.
 //! [`maximum_matching_warm`] additionally seeds the solver with a known
-//! matching (the coordinator warm-starts the composed solve from the best
-//! per-machine coreset), and [`merge_matching_pair`] merges two matchings
-//! by the engine's alternating-path walk (a tree node's fan-in-2 merge).
+//! matching, [`maximum_matching_concat_forced`] seeds it with the union's
+//! forced degree-one edges and then a warm start (the coordinator's root
+//! solve), and [`merge_matching_pair`] merges two matchings by the engine's
+//! alternating-path walk (a tree node's fan-in-2 merge).
 
 use crate::engine::with_thread_engine;
 use crate::matching::Matching;
@@ -82,6 +83,19 @@ pub fn maximum_matching_concat(
     with_thread_engine(|engine| engine.solve_concat(n, slices, warm, algorithm))
 }
 
+/// [`maximum_matching_concat`] seeded with the union's forced degree-one
+/// edges before `warm` — the coordinator's root solve (see
+/// [`crate::engine::MatchingEngine::solve_concat_forced`]). Same size as
+/// `maximum_matching_concat`'s answer; the edges may differ.
+pub fn maximum_matching_concat_forced(
+    n: usize,
+    slices: &[&[Edge]],
+    warm: Option<&Matching>,
+    algorithm: MaximumMatchingAlgorithm,
+) -> Matching {
+    with_thread_engine(|engine| engine.solve_concat_forced(n, slices, warm, algorithm))
+}
+
 /// Merges two matchings `a` (the warm start) and `b` over `0..n` into the
 /// maximum matching of their union that a warm-started solve returns, by one
 /// alternating-path walk on the calling thread's engine (see
@@ -107,9 +121,18 @@ pub fn two_coloring<G: GraphRef + ?Sized>(g: &G) -> Option<Vec<u8>> {
 /// BFS seeding would cost (sparse pieces of a large partition are mostly
 /// isolated vertices).
 pub fn two_coloring_with_csr(adj: &Csr) -> Option<Vec<u8>> {
+    let mut color = Vec::new();
+    two_coloring_into(adj, &mut color, &mut VecDeque::new()).then_some(color)
+}
+
+/// [`two_coloring_with_csr`] into caller-owned buffers (the matching
+/// engine's): fills `color` and returns whether the graph is bipartite.
+/// Both buffers are reset on entry; on `false`, `color` is partial.
+pub(crate) fn two_coloring_into(adj: &Csr, color: &mut Vec<u8>, queue: &mut VecDeque<u32>) -> bool {
     let n = adj.n();
-    let mut color = vec![u8::MAX; n];
-    let mut queue = VecDeque::new();
+    color.clear();
+    color.resize(n, u8::MAX);
+    queue.clear();
     for start in 0..n {
         if color[start] != u8::MAX {
             continue;
@@ -125,12 +148,12 @@ pub fn two_coloring_with_csr(adj: &Csr) -> Option<Vec<u8>> {
                     color[w as usize] = 1 - color[v as usize];
                     queue.push_back(w);
                 } else if color[w as usize] == color[v as usize] {
-                    return None;
+                    return false;
                 }
             }
         }
     }
-    Some(color)
+    true
 }
 
 #[cfg(test)]

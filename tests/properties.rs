@@ -106,9 +106,9 @@ proptest! {
         prop_assert!(composed.len() >= best_single);
     }
 
-    /// The coordinator's warm-started composed solve (seeded from the best
-    /// per-machine coreset) returns exactly the size of a cold maximum
-    /// matching of the same union — warm starts save work, never quality.
+    /// The coordinator's seeded composed solve (forced degree-one edges,
+    /// then the best per-machine coreset) returns exactly the size of a cold
+    /// maximum matching of the same union — seeds save work, never quality.
     #[test]
     fn warm_started_composed_solve_size_identical_to_cold(
         g in arb_graph(90, 500), k in 1usize..8, seed in any::<u64>()
@@ -122,8 +122,8 @@ proptest! {
             .enumerate()
             .map(|(i, p)| MaximumMatchingCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
-        // Warm-started path (solve_composed_matching seeds from the best
-        // coreset) vs a cold solve of the identical union.
+        // Seeded path (solve_composed_matching seeds forced edges and the
+        // best coreset) vs a cold solve of the identical union.
         let warm = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
         let union = Graph::union(&coresets.iter().collect::<Vec<_>>());
         let cold = matching::maximum::maximum_matching_with(&union, MaximumMatchingAlgorithm::Auto);

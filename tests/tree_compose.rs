@@ -3,20 +3,21 @@
 //!
 //! Four families, all over randomly generated protocol inputs:
 //!
-//! * **Concat-vs-union pinning** — `solve_composed_matching` now solves the
-//!   coreset edge slices in machine order without materializing the union
-//!   `Graph`; against protocol coresets (edge-disjoint by construction) its
-//!   answer must be **bit-identical** to the frozen union path
-//!   (`Graph::union` + warm-started solve), re-implemented here as the
-//!   reference.
+//! * **Concat-vs-union pinning** — `solve_warm_started_matching_refs` (a
+//!   tree merge's solve for groups of three or more) solves the coreset edge
+//!   slices in machine order without materializing the union `Graph`;
+//!   against protocol coresets (edge-disjoint by construction) its answer
+//!   must be **bit-identical** to the frozen union path (`Graph::union` +
+//!   warm-started solve), re-implemented here as the reference.
 //! * **Flat-vs-tree equivalence** — the tree-composed matching is valid for
 //!   the original graph and at least the best single machine's coreset (every
 //!   merge solves a union containing each child matching); the tree-composed
 //!   vertex cover is feasible for the original graph.
 //! * **Tree-vs-oracle equivalence** — the coordinator's tree mode equals a
-//!   test-side tree whose every merge is the frozen union path above: the
-//!   builder's merge hook (the alternating-path walk for two children) must
-//!   keep exactly the matching a warm-started solve keeps, and the driver's
+//!   test-side tree whose every merge is the frozen union path above, and
+//!   whose roots are composed by the library's root solve: the builder's
+//!   merge hook (the alternating-path walk for two children) must keep
+//!   exactly the matching a warm-started solve keeps, and the driver's
 //!   borrowed builder must forward the hook.
 //! * **Arena round-trip** — a partition written to an arena file and streamed
 //!   back through the out-of-core tree runner gives the bit-identical answer
@@ -25,8 +26,8 @@
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{
-    machine_rng, reduce_levels, solve_composed_matching, tree_compose, CoresetParams,
-    MatchingProblem, VcProblem,
+    machine_rng, reduce_levels, solve_composed_matching, solve_warm_started_matching_refs,
+    tree_compose, CoresetParams, MatchingProblem, VcProblem,
 };
 use distsim::{ArenaProtocol, CoordinatorProtocol};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
@@ -83,8 +84,9 @@ fn union_path_reference(coresets: &[Graph], algorithm: MaximumMatchingAlgorithm)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The unmaterialized concat composition is bit-identical to the frozen
-    /// union path on protocol coresets (edge-disjoint by construction).
+    /// The unmaterialized warm-started concat composition is bit-identical to
+    /// the frozen union path on protocol coresets (edge-disjoint by
+    /// construction).
     #[test]
     fn concat_composition_is_bit_identical_to_the_union_path(
         g in arb_graph(140, 700),
@@ -92,7 +94,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let coresets = matching_coresets(&g, k, seed);
-        let concat = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let refs: Vec<&Graph> = coresets.iter().collect();
+        let concat = solve_warm_started_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
         let union = union_path_reference(&coresets, MaximumMatchingAlgorithm::Auto);
         prop_assert_eq!(concat.edges(), union.edges());
     }
@@ -126,8 +129,9 @@ proptest! {
     }
 
     /// The coordinator's tree mode equals the test-side oracle tree: the same
-    /// coresets reduced level by level, every merge and the root solved by
-    /// the frozen union path warm-started from the first largest child. The
+    /// coresets reduced level by level, every merge solved by the frozen union
+    /// path warm-started from the first largest child, and the roots composed
+    /// by the library's root solve (`solve_composed_matching`). The
     /// driver wraps the caller's `&MaximumMatchingCoreset`, so a borrowed
     /// builder that dropped the merge hook (and re-solved the cold union)
     /// fails here. Fan-in 3 covers the groups of three (the warm-started
@@ -147,8 +151,16 @@ proptest! {
             let merged = union_path_reference(&group, MaximumMatchingAlgorithm::Auto);
             Graph::from_edges_unchecked(n, merged.into_edges())
         });
-        let oracle = union_path_reference(&roots, MaximumMatchingAlgorithm::Auto);
-        prop_assert_eq!(run.answer.edges(), oracle.edges());
+        let oracle = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
+        // Two roots are composed by the merge walk, which lists edges in its
+        // children's order, and the oracle's merges list theirs in solve
+        // order: the root step compares edge sets.
+        let sorted = |m: &Matching| {
+            let mut edges = m.edges().to_vec();
+            edges.sort_unstable();
+            edges
+        };
+        prop_assert_eq!(sorted(&run.answer), sorted(&oracle));
     }
 
     /// The tree-composed vertex cover covers the original graph for every
