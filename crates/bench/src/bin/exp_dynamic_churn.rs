@@ -2,11 +2,11 @@
 //! full-repartition-re-solve baseline.
 //!
 //! A [`distsim::GraphService`] absorbs batches of edge inserts/deletes
-//! through a churn-stable hash-partition overlay, keeps instant incremental
-//! answers (maximal matching + matched-endpoint cover) between rounds, and
-//! after each batch rebuilds coresets **only for machines whose piece
-//! fingerprint changed** before recomposing the protocol answers from its
-//! fingerprint-keyed cache. The baseline, [`distsim::naive_full_round`] (the
+//! through a churn-stable hash partition, updates an incremental maximal
+//! matching and matched-endpoint cover with every op, and after each batch
+//! rebuilds coresets **only for machines whose piece fingerprint changed**
+//! before recomposing the protocol answers from its fingerprint-keyed cache;
+//! each batch reports the incremental sizes beside those answers. The baseline, [`distsim::naive_full_round`] (the
 //! coordinator driver on an edge-hash partition), does what a batch-only
 //! pipeline must do on every batch: re-partition the whole current graph
 //! from scratch and rebuild all `k` machines' coresets.
@@ -64,8 +64,7 @@ struct BatchSample {
     applied: usize,
     machines_rebuilt: usize,
     machines_cached: usize,
-    compacted: bool,
-    /// Service wall-clock for the batch: overlay updates + incremental
+    /// Service wall-clock for the batch: partition updates + incremental
     /// repairs + dirty-only rebuilds + recomposition.
     service_secs: f64,
     /// Naive wall-clock for the same state: full re-partition + all-`k`
@@ -74,7 +73,7 @@ struct BatchSample {
     /// Composed answers (asserted equal between service and naive).
     matching_size: usize,
     cover_size: usize,
-    /// Incremental (instant) answers.
+    /// Incremental answer sizes after the batch.
     approx_matching_size: usize,
     approx_cover_size: usize,
 }
@@ -297,7 +296,6 @@ fn main() {
             applied: outcome.applied,
             machines_rebuilt: outcome.machines_rebuilt,
             machines_cached: outcome.machines_cached,
-            compacted: outcome.compacted,
             service_secs,
             naive_secs,
             matching_size: outcome.matching_size,

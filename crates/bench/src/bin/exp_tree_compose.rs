@@ -25,14 +25,17 @@
 //!
 //! The flat/tree approximation ratio is recorded honestly (keeping one
 //! matching per node loses a constant factor per level in theory; measured
-//! loss is the point of the experiment), not asserted.
+//! loss is the point of the experiment), not asserted. Each path is timed
+//! over [`REPEATS`] runs ([`CI_REPEATS`] under `E16_CI`), every repeat
+//! asserted to give the same answer and peak; the report records the median
+//! wall time with its min and max.
 //!
 //! Emits `BENCH_compose.json`. Regenerate with
 //! `cargo run --release -p bench --bin exp_tree_compose`
 //! (`E16_CI=1` selects the reduced CI workload).
 
 use bench::table::fmt_f;
-use bench::Table;
+use bench::{Summary, Table};
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::streams::machine_rng;
 use coresets::{solve_composed_matching, CoresetParams, TreePlan};
@@ -55,6 +58,9 @@ const FAN_IN: usize = 2;
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 /// Forced scheduler-fuzz seeds for the adversarial-schedule cross-check.
 const FUZZ_SEEDS: [u64; 2] = [21, 89];
+/// Timed runs of each path on the full workload, and under `E16_CI`.
+const REPEATS: usize = 5;
+const CI_REPEATS: usize = 3;
 
 /// The whole `BENCH_compose.json` document.
 #[derive(Debug, Serialize)]
@@ -83,8 +89,16 @@ struct BenchReport {
     /// per merge node.
     flat_over_tree_ratio: f64,
     best_leaf_coreset_size: usize,
+    /// Timed runs of each path.
+    timing_repeats: usize,
+    /// Median, min and max wall-clock seconds of the flat path's runs.
     flat_secs: f64,
+    flat_secs_min: f64,
+    flat_secs_max: f64,
+    /// Median, min and max wall-clock seconds of the tree path's runs.
     tree_secs: f64,
+    tree_secs_min: f64,
+    tree_secs_max: f64,
     /// Thread counts whose in-memory tree run matched the arena run bit-for-bit.
     bit_identical_thread_counts: Vec<usize>,
     /// Fuzz seeds whose forced-adversarial schedule matched bit-for-bit.
@@ -99,16 +113,45 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .install(f)
 }
 
+/// Runs `path` `repeats` times, each from a fresh resident-edge peak, and
+/// asserts that every repeat returns the first one's output and peak.
+/// Returns that output, its peak and the wall-clock seconds of the repeats.
+fn timed_repeats<T: PartialEq>(
+    name: &str,
+    repeats: usize,
+    mut path: impl FnMut() -> T,
+) -> (T, u64, Summary) {
+    let mut secs = Vec::with_capacity(repeats);
+    let mut first: Option<(T, u64)> = None;
+    for repeat in 0..repeats {
+        metrics::reset_peak_resident_edges();
+        let start = Instant::now();
+        let out = path();
+        secs.push(start.elapsed().as_secs_f64());
+        let peak = metrics::peak_resident_edges();
+        match &first {
+            None => first = Some((out, peak)),
+            Some((out0, peak0)) => assert!(
+                out == *out0 && peak == *peak0,
+                "{name} repeat {repeat} differs from the first (peak {peak} vs {peak0})"
+            ),
+        }
+    }
+    let (out, peak) = first.expect("at least one repeat");
+    (out, peak, Summary::of(&secs))
+}
+
 /// The frozen pre-arena coordinator path: materialize the **entire** arena
 /// (`load_all`), build every leaf coreset with the whole edge set resident,
 /// and solve the flat composition. Charges coresets and the final union
 /// scratch to the resident-edge meter, exactly like the out-of-core runner,
-/// so the two peaks are comparable. Returns the answer and the leaf coresets.
+/// so the two peaks are comparable, and releases them on return. Returns
+/// the answer and the largest leaf coreset's size.
 fn flat_baseline(
     arena: &ArenaFile,
     builder: &MaximumMatchingCoreset,
     params: &CoresetParams,
-) -> (Matching, Vec<Graph>) {
+) -> (Matching, usize) {
     let mut loader = SegmentLoader::new(arena).expect("arena opens for flat baseline");
     let coresets: Vec<Graph> = {
         let views = loader.load_all().expect("arena reads for flat baseline");
@@ -127,18 +170,18 @@ fn flat_baseline(
     // The flat solve concatenates every coreset into one compaction pass.
     metrics::record_resident_edges_acquired(coreset_edges);
     let answer = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
-    metrics::record_resident_edges_released(coreset_edges);
-    (answer, coresets)
+    metrics::record_resident_edges_released(2 * coreset_edges);
+    (answer, coresets.iter().map(Graph::m).max().unwrap_or(0))
 }
 
 fn main() {
     let ci_mode = std::env::var("E16_CI").is_ok();
     // Full workload: 2^18 vertices, ~10^7 distinct R-MAT edges, 64 machines.
     // CI workload: 2^14 vertices, ~8·10^5 edges, 16 machines — same asserts.
-    let (scale, edge_factor, k) = if ci_mode {
-        (14u32, 50usize, 16usize)
+    let (scale, edge_factor, k, repeats) = if ci_mode {
+        (14u32, 50usize, 16usize, CI_REPEATS)
     } else {
-        (18u32, 40usize, 64usize)
+        (18u32, 40usize, 64usize, REPEATS)
     };
 
     println!("# E16: hierarchical tree composition + out-of-core edge arena\n");
@@ -177,26 +220,22 @@ fn main() {
     let plan = TreePlan::new(k, FAN_IN);
 
     // --- Frozen flat path: whole arena resident, flat composition. ---
-    metrics::reset_peak_resident_edges();
-    let flat_start = Instant::now();
-    let (flat_answer, leaf_coresets) = flat_baseline(&arena, &builder, &params);
-    let flat_secs = flat_start.elapsed().as_secs_f64();
-    let peak_resident_flat = metrics::peak_resident_edges();
-    let best_leaf_coreset_size = leaf_coresets.iter().map(Graph::m).max().unwrap_or(0);
-    drop(leaf_coresets);
+    let ((flat_answer, best_leaf_coreset_size), peak_resident_flat, flat_secs) =
+        timed_repeats("flat path", repeats, || {
+            flat_baseline(&arena, &builder, &params)
+        });
     assert!(
         peak_resident_flat >= m as u64,
         "the flat path must hold the whole arena: peak {peak_resident_flat} < m = {m}"
     );
 
     // --- Out-of-core tree path: one segment at a time, log-k merging. ---
-    metrics::reset_peak_resident_edges();
-    let tree_start = Instant::now();
-    let ooc = ArenaProtocol::tree(FAN_IN)
-        .run_matching(&arena, &builder, SEED)
-        .expect("arena protocol runs");
-    let tree_secs = tree_start.elapsed().as_secs_f64();
-    let peak_resident_tree = metrics::peak_resident_edges();
+    let (tree_answer, peak_resident_tree, tree_secs) = timed_repeats("tree path", repeats, || {
+        ArenaProtocol::tree(FAN_IN)
+            .run_matching(&arena, &builder, SEED)
+            .expect("arena protocol runs")
+            .answer
+    });
 
     let tree_peak_bound = (2 * (m / k + FAN_IN * (n / 2) * (plan.levels() + 1))) as u64;
     assert!(
@@ -209,10 +248,10 @@ fn main() {
          ({peak_resident_tree} vs {peak_resident_flat})"
     );
     assert!(
-        ooc.answer.len() >= best_leaf_coreset_size,
+        tree_answer.len() >= best_leaf_coreset_size,
         "every merge solves a union containing each child matching, so the tree \
          answer ({}) cannot drop below the best leaf coreset ({best_leaf_coreset_size})",
-        ooc.answer.len()
+        tree_answer.len()
     );
 
     // --- Bit-identity: in-memory tree protocol across thread counts and
@@ -227,7 +266,7 @@ fn main() {
         });
         assert_eq!(
             run.answer.edges(),
-            ooc.answer.edges(),
+            tree_answer.edges(),
             "in-memory tree at {threads} thread(s) diverged from the arena run"
         );
         bit_identical_thread_counts.push(threads);
@@ -243,7 +282,7 @@ fn main() {
         });
         assert_eq!(
             run.answer.edges(),
-            ooc.answer.edges(),
+            tree_answer.edges(),
             "fuzz seed {fuzz} diverged from the arena run"
         );
         bit_identical_fuzz_seeds.push(fuzz);
@@ -254,23 +293,23 @@ fn main() {
     );
 
     let peak_reduction_factor = peak_resident_flat as f64 / peak_resident_tree.max(1) as f64;
-    let flat_over_tree_ratio = flat_answer.len() as f64 / ooc.answer.len().max(1) as f64;
+    let flat_over_tree_ratio = flat_answer.len() as f64 / tree_answer.len().max(1) as f64;
 
     let mut table = Table::new(
         format!("Flat vs out-of-core tree composition (k = {k}, fan-in {FAN_IN})"),
-        &["path", "peak resident edges", "matching", "secs"],
+        &["path", "peak resident edges", "matching", "median secs"],
     );
     table.add_row(vec![
         "flat (whole arena)".to_string(),
         peak_resident_flat.to_string(),
         flat_answer.len().to_string(),
-        format!("{flat_secs:.2}"),
+        format!("{:.2}", flat_secs.median),
     ]);
     table.add_row(vec![
         format!("tree (streamed, {} levels)", plan.levels()),
         peak_resident_tree.to_string(),
-        ooc.answer.len().to_string(),
-        format!("{tree_secs:.2}"),
+        tree_answer.len().to_string(),
+        format!("{:.2}", tree_secs.median),
     ]);
     println!("{table}");
     println!(
@@ -296,11 +335,16 @@ fn main() {
         tree_peak_bound,
         peak_reduction_factor,
         flat_matching_size: flat_answer.len(),
-        tree_matching_size: ooc.answer.len(),
+        tree_matching_size: tree_answer.len(),
         flat_over_tree_ratio,
         best_leaf_coreset_size,
-        flat_secs,
-        tree_secs,
+        timing_repeats: repeats,
+        flat_secs: flat_secs.median,
+        flat_secs_min: flat_secs.min,
+        flat_secs_max: flat_secs.max,
+        tree_secs: tree_secs.median,
+        tree_secs_min: tree_secs.min,
+        tree_secs_max: tree_secs.max,
         bit_identical_thread_counts,
         bit_identical_fuzz_seeds,
     };

@@ -17,10 +17,11 @@
 //! * [`protocols`] — the *filtering* baseline of Lattanzi et al. (the prior
 //!   state of the art the paper compares rounds against).
 //! * [`service`] — the edge-churn serving driver: batched updates through a
-//!   [`graph::ChurnPartition`] overlay, instant incremental answers from a
-//!   [`dynamic::DynamicCover`], and dirty-piece-only coreset rebuilds through
-//!   one fingerprint-keyed cache, checked against the coordinator driver
-//!   itself ([`naive_full_round`]; experiment E18).
+//!   [`graph::ChurnPartition`], dirty-piece-only coreset rebuilds through
+//!   one fingerprint-keyed cache after every batch, checked against the
+//!   coordinator driver itself ([`naive_full_round`]; experiment E18), with
+//!   a [`dynamic::DynamicCover`]'s incremental sizes reported beside each
+//!   batch's refreshed answers.
 //! * [`faults`], [`checkpoint`], [`error`] — the fault-tolerant runtime:
 //!   deterministic fault injection keyed by `(fault_seed, site)`, retry by
 //!   replaying per-machine RNG streams, degraded composition over survivors,

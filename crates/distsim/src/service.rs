@@ -1,27 +1,28 @@
-//! The edge-churn serving driver: batched updates, incremental answers, and
-//! dirty-piece-only re-coresets.
+//! The edge-churn serving driver: batched updates and dirty-piece-only
+//! re-coresets.
 //!
 //! A [`GraphService`] owns three cooperating structures:
 //!
-//! * a [`graph::ChurnPartition`] — the mutable overlay over the hash-placed
-//!   `k`-machine edge arena, absorbing inserts/deletes while keeping every
-//!   machine's piece bit-identical to the piece a **from-scratch**
+//! * a [`graph::ChurnPartition`] — the hash-placed `k`-machine partition,
+//!   one sorted piece per machine, absorbing inserts/deletes while keeping
+//!   every piece bit-identical to the piece a **from-scratch**
 //!   [`graph::partition::PartitionedGraph::by_edge_hash`] partition of the
 //!   current graph would produce;
 //! * a [`dynamic::DynamicCover`] (wrapping a [`dynamic::DynamicMatcher`]) —
-//!   instant per-update approximate answers between protocol re-solves;
+//!   an incremental maximal matching and cover, updated by every op, whose
+//!   sizes each batch reports beside its refreshed protocol answers;
 //! * one fingerprint-keyed [`coresets::CoresetCache`] — each machine's
 //!   matching coreset and vertex-cover coreset from the last protocol round,
 //!   cached together under one key.
 //!
-//! [`GraphService::apply_batch`] is atomic: it checks every op's endpoints
-//! before applying any, so a rejected batch leaves the graph and the answers
-//! untouched. After each applied batch the service probes the cache once per
-//! machine and re-coresets **only the machines whose piece fingerprint
-//! changed**: clean machines' cached coresets are reused verbatim, dirty
-//! machines rebuild on the work-stealing pool with their pre-derived
-//! `machine_rng(seed, i)` streams, and the composed answers are extracted
-//! over borrowed cache slots.
+//! [`GraphService::apply_batch`] is atomic: it checks every op's edge
+//! ([`graph::Edge::checked`]) before applying any, so a rejected batch
+//! leaves the graph and the answers untouched. Every applied batch ends with
+//! a refresh: the service probes the cache once per machine and re-coresets
+//! **only the machines whose piece fingerprint changed**: clean machines'
+//! cached coresets are reused verbatim, dirty machines rebuild on the
+//! work-stealing pool with their pre-derived `machine_rng(seed, i)` streams,
+//! and the composed answers are extracted over borrowed cache slots.
 //!
 //! **Answer identity.** The cached-composition answers equal
 //! [`naive_full_round`] on the current graph, bit for bit: hash placement
@@ -81,15 +82,14 @@ pub struct BatchOutcome {
     pub machines_rebuilt: usize,
     /// Machines served from cache this batch (`k - machines_rebuilt`).
     pub machines_cached: usize,
-    /// Whether the overlay compacted its journals back into the arena.
-    pub compacted: bool,
     /// Size of the composed (protocol) matching after the batch.
     pub matching_size: usize,
     /// Size of the composed (protocol) vertex cover after the batch.
     pub cover_size: usize,
-    /// Size of the incremental matcher's maximal matching (instant answer).
+    /// Size of the incremental maximal matching after the batch, reported
+    /// beside the refreshed protocol answers.
     pub approx_matching_size: usize,
-    /// Size of the incremental matched-endpoint cover (instant answer).
+    /// Size of the incremental matched-endpoint cover after the batch.
     pub approx_cover_size: usize,
 }
 
@@ -128,28 +128,28 @@ impl GraphService {
     /// Applies a batch of updates, refreshes only the dirty machines'
     /// coresets, and recomposes the protocol answers.
     ///
-    /// The batch is atomic: if any op names a vertex outside `0..n`, the
-    /// typed [`GraphError::VertexOutOfRange`] is returned before any op is
-    /// applied, so the graph, the answers and the cache are unchanged.
+    /// The batch is atomic: if any op's edge is a self-loop or names a
+    /// vertex outside `0..n`, the typed error of the first such op
+    /// ([`graph::Edge::checked`]) is returned before any op is applied, so
+    /// the graph, the answers and the cache are unchanged. An edge given as
+    /// `u > v` is applied canonicalized.
     pub fn apply_batch(&mut self, ops: &[ChurnOp]) -> Result<BatchOutcome, ProtocolError> {
         let n = self.partition.n();
-        if let Some(e) = ops.iter().map(ChurnOp::edge).find(|e| e.v as usize >= n) {
-            return Err(GraphError::VertexOutOfRange { vertex: e.v, n }.into());
+        for op in ops {
+            op.edge().checked(n)?;
         }
         let mut applied = 0usize;
         for &op in ops {
             let changed = self.partition.apply(op)?;
             let also = self.incremental.apply(op)?;
-            debug_assert_eq!(changed, also, "overlay and matcher disagree on {op:?}");
+            debug_assert_eq!(changed, also, "partition and matcher disagree on {op:?}");
             if changed {
                 applied += 1;
             }
         }
-        let compacted = self.partition.maybe_compact();
         let mut outcome = self.refresh()?;
         outcome.applied = applied;
         outcome.batch_len = ops.len();
-        outcome.compacted = compacted;
         Ok(outcome)
     }
 
@@ -205,7 +205,6 @@ impl GraphService {
             batch_len: 0,
             machines_rebuilt: rebuilt,
             machines_cached: k - rebuilt,
-            compacted: false,
             matching_size: self.last_matching.len(),
             cover_size: self.last_cover.len(),
             approx_matching_size: self.incremental.matcher().matching_size(),
@@ -225,13 +224,13 @@ impl GraphService {
         &self.last_cover
     }
 
-    /// The incremental structures answering between rounds.
+    /// The incremental matching and cover, updated by every applied op.
     #[inline]
     pub fn incremental(&self) -> &DynamicCover {
         &self.incremental
     }
 
-    /// The churn-absorbing partition overlay.
+    /// The churn-absorbing partition.
     #[inline]
     pub fn partition(&self) -> &ChurnPartition {
         &self.partition
@@ -434,6 +433,57 @@ mod tests {
         assert_eq!(svc.matching_cache_stats(), stats);
         assert!(svc.matching().is_valid_for(&svc.current_graph()));
         assert!(svc.incremental().cover().covers(&svc.current_graph()));
+    }
+
+    /// Raw `Edge` fields can hold what `Edge::new` never builds. Each
+    /// malformed op is rejected, behind a valid op, before the partition or
+    /// the matcher takes either; a reversed edge lands canonicalized in both.
+    #[test]
+    fn malformed_ops_are_rejected_before_any_op_lands() {
+        let g = Graph::from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let mut svc = GraphService::new(&g, GraphServiceConfig::new(2, 3)).unwrap();
+        let (matching, cover) = (svc.matching().clone(), svc.cover().clone());
+        let stats = svc.matching_cache_stats();
+        for (bad, err) in [
+            (
+                ChurnOp::Insert(Edge { u: 9, v: 2 }),
+                GraphError::VertexOutOfRange { vertex: 9, n: 5 },
+            ),
+            (
+                ChurnOp::Insert(Edge { u: 3, v: 3 }),
+                GraphError::SelfLoop { vertex: 3 },
+            ),
+            (
+                ChurnOp::Delete(Edge { u: 4, v: 9 }),
+                GraphError::VertexOutOfRange { vertex: 9, n: 5 },
+            ),
+        ] {
+            let batch = [ChurnOp::Delete(Edge::new(0, 1)), bad];
+            match svc.apply_batch(&batch) {
+                Err(ProtocolError::Graph(got)) => assert_eq!(got, err, "{bad:?}"),
+                other => panic!("expected {err:?} for {bad:?}, got {other:?}"),
+            }
+            assert_eq!(svc.current_graph(), g);
+            assert_eq!((svc.matching(), svc.cover()), (&matching, &cover));
+            assert_eq!(svc.matching_cache_stats(), stats);
+            assert_eq!(svc.incremental().matcher().current_graph(), g);
+        }
+
+        let outcome = svc
+            .apply_batch(&[ChurnOp::Insert(Edge { u: 4, v: 1 })])
+            .unwrap();
+        assert_eq!(outcome.applied, 1);
+        let with = Graph::from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)]).unwrap();
+        assert_eq!(svc.current_graph(), with);
+        assert_eq!(svc.incremental().matcher().current_graph(), with);
+        let (m, c) = naive_full_round(&with, 2, 3).unwrap();
+        assert_eq!((svc.matching(), svc.cover()), (&m, &c));
+        let outcome = svc
+            .apply_batch(&[ChurnOp::Delete(Edge::new(1, 4))])
+            .unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert_eq!(svc.current_graph(), g);
+        assert_eq!(svc.incremental().matcher().current_graph(), g);
     }
 
     proptest! {

@@ -2,9 +2,11 @@
 //! protocol stack.
 //!
 //! The batch engines ([`matching::MatchingEngine`], [`vertexcover::VcEngine`])
-//! solve a frozen graph from scratch. A long-running service also needs
-//! *instant* per-update answers between protocol re-solves, which is what
-//! this crate provides:
+//! solve a frozen graph from scratch. This crate maintains answers under
+//! each edge insert or delete instead. The churn service
+//! (`distsim::GraphService`) applies every op of a batch here too, and
+//! reports these incremental sizes beside the protocol answers it refreshes
+//! after each batch:
 //!
 //! * [`DynamicMatcher`] — a **maximal** matching maintained under
 //!   `insert(u, v)` / `delete(u, v)`, with deterministic greedy rematching

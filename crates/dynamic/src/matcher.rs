@@ -202,16 +202,6 @@ impl DynamicMatcher {
         }
     }
 
-    fn check_range(&self, e: Edge) -> Result<(), GraphError> {
-        if e.v as usize >= self.n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: e.v,
-                n: self.n,
-            });
-        }
-        Ok(())
-    }
-
     /// Starts a new repair epoch (handles stamp wraparound).
     fn bump_epoch(&mut self) {
         if self.epoch == u32::MAX {
@@ -224,14 +214,15 @@ impl DynamicMatcher {
     }
 
     /// Inserts edge `e`. Returns `Ok(true)` if it was absent (and is now
-    /// present), `Ok(false)` for a duplicate no-op.
+    /// present), `Ok(false)` for a duplicate no-op. The edge is checked and
+    /// canonicalized by [`Edge::checked`] first, as in [`Self::delete`].
     ///
     /// If both endpoints are free they are matched directly; if exactly one
     /// is free, a bounded length-3 rotation through the other endpoint's
     /// mate may still grow the matching. Either way the matching stays
     /// maximal: the new edge ends with at least one matched endpoint.
     pub fn insert(&mut self, e: Edge) -> Result<bool, GraphError> {
-        self.check_range(e)?;
+        let e = e.checked(self.n)?;
         let (u, v) = (e.u as usize, e.v as usize);
         let pos_u = match self.adj[u].binary_search(&e.v) {
             Ok(_) => return Ok(false),
@@ -273,7 +264,7 @@ impl DynamicMatcher {
     /// full greedy scan (preserving maximality) plus a degree-bounded
     /// length-3 rotation attempt (recovering size where cheap).
     pub fn delete(&mut self, e: Edge) -> Result<bool, GraphError> {
-        self.check_range(e)?;
+        let e = e.checked(self.n)?;
         let (u, v) = (e.u as usize, e.v as usize);
         let pos_u = match self.adj[u].binary_search(&e.v) {
             Ok(p) => p,
@@ -587,6 +578,21 @@ mod tests {
             dm.insert(Edge::new(0, 7)),
             Err(GraphError::VertexOutOfRange { vertex: 7, .. })
         ));
+        // Raw fields: a self-loop or a large `u` is rejected, and `u > v` is
+        // canonicalized, so the canonical delete finds the edge.
+        assert_eq!(
+            dm.insert(Edge { u: 9, v: 2 }),
+            Err(GraphError::VertexOutOfRange { vertex: 9, n: 3 })
+        );
+        assert_eq!(
+            dm.delete(Edge { u: 1, v: 1 }),
+            Err(GraphError::SelfLoop { vertex: 1 })
+        );
+        assert_eq!(dm.m(), 0);
+        assert!(dm.insert(Edge { u: 2, v: 0 }).unwrap());
+        assert_eq!(dm.current_graph().edges(), &[Edge::new(0, 2)]);
+        assert!(dm.delete(Edge::new(0, 2)).unwrap());
+        assert_eq!((dm.m(), dm.matching_size()), (0, 0));
         assert!(DynamicMatcher::with_eps(3, 0.0).is_err());
         assert!(DynamicMatcher::with_eps(3, f64::NAN).is_err());
     }

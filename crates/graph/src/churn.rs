@@ -1,4 +1,4 @@
-//! Churn-aware mutable overlay over the partitioned edge arena.
+//! Churn-aware mutable partition for edge-churn serving.
 //!
 //! The batch model partitions a frozen edge set once and solves once. A
 //! long-running service instead absorbs a stream of edge insertions and
@@ -16,28 +16,19 @@
 //! [`edge_machine`]. Per edge the choice is still uniform and independent —
 //! the model of the paper — and it is reproducible from `(seed, edge)` alone.
 //!
-//! [`ChurnPartition`] maintains the arena plus per-machine **journals**:
-//! a clean machine's piece *is* its arena slice (zero-copy), while a dirty
-//! machine's piece is a sorted snapshot buffer that tracks its pending
-//! inserts and deletes. Every piece is kept in canonical sorted edge order at
-//! all times, so a piece's edge sequence — and therefore its
-//! [`fingerprint`](ChurnPartition::piece_fingerprint) — is **bit-identical**
-//! to the piece a from-scratch [`crate::partition::PartitionedGraph::by_edge_hash`] partition
-//! of the current graph would produce. That identity is what makes
-//! clean-piece coreset reuse provably sound (`coresets::cache` keys on it)
-//! and lets a dynamic run assert equality against a from-scratch batch run.
-//! When the pending ops reach a quarter of the edge count, the journals are
-//! [compacted](ChurnPartition::compact) back into one fresh arena and every
-//! machine becomes clean again.
+//! [`ChurnPartition`] keeps each machine's piece as one canonically sorted
+//! vector and edits it in place, so a piece's edge sequence — and therefore
+//! its [`fingerprint`](ChurnPartition::piece_fingerprint) — is
+//! **bit-identical** to the piece a from-scratch
+//! [`crate::partition::PartitionedGraph::by_edge_hash`] partition of the
+//! current graph would produce. That identity is what makes clean-piece
+//! coreset reuse provably sound (`coresets::cache` keys on it) and lets a
+//! dynamic run assert equality against a from-scratch batch run.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::view::GraphView;
-
-/// The journals compact once their pending ops reach `1 / COMPACT_DIVISOR`
-/// of the current edge count.
-const COMPACT_DIVISOR: usize = 4;
 
 /// One edge-churn operation applied to a [`ChurnPartition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,69 +101,45 @@ where
     mix64(acc ^ len)
 }
 
-/// Builds the machine-sorted arena (edges + offsets) of `g` under the
-/// churn-stable [`edge_machine`] placement. Shared by
-/// [`crate::partition::PartitionedGraph::by_edge_hash`] and [`ChurnPartition::new`] so the two
-/// constructions are identical by construction.
-pub(crate) fn hash_arena(g: &Graph, k: usize, seed: u64) -> (Vec<Edge>, Vec<usize>) {
-    let all = g.edges();
+/// The `k` canonically sorted pieces of `g` under the churn-stable
+/// [`edge_machine`] placement for `seed`, each allocated at its exact size.
+/// Shared by [`crate::partition::PartitionedGraph::by_edge_hash`] and
+/// [`ChurnPartition::new`], so their pieces agree by construction.
+pub(crate) fn hash_pieces(g: &Graph, k: usize, seed: u64) -> Vec<Vec<Edge>> {
     let mut counts = vec![0usize; k];
-    for &e in all {
+    for &e in g.edges() {
         counts[edge_machine(seed, k, e)] += 1;
     }
-    let mut offsets = vec![0usize; k + 1];
-    for i in 0..k {
-        offsets[i + 1] = offsets[i] + counts[i];
+    let mut pieces: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for &e in g.edges() {
+        pieces[edge_machine(seed, k, e)].push(e);
     }
-    // Counting-sort fill, then sort each machine's run: `Graph` does not
-    // guarantee an edge order (generators may emit shuffled edges), so the
-    // canonical per-piece order is established here explicitly.
-    let mut cursor = offsets.clone();
-    let mut edges = vec![Edge { u: 0, v: 1 }; all.len()];
-    for &e in all {
-        let machine = edge_machine(seed, k, e);
-        edges[cursor[machine]] = e;
-        cursor[machine] += 1;
+    // `Graph` does not guarantee an edge order (generators may emit shuffled
+    // edges), so the canonical per-piece order is established here.
+    for piece in &mut pieces {
+        piece.sort_unstable();
     }
-    for i in 0..k {
-        edges[offsets[i]..offsets[i + 1]].sort_unstable();
-    }
-    (edges, offsets)
+    pieces
 }
 
 /// A `k`-partitioned edge set that absorbs insert/delete churn while keeping
 /// every machine's piece in the canonical order a from-scratch hash-placed
-/// partition would produce.
-///
-/// Clean machines are served zero-copy from the arena; dirty machines are
-/// served from sorted per-machine snapshot buffers maintained incrementally
-/// by [`apply`](Self::apply). See the [module docs](self) for the layout and
-/// the fingerprint identity.
+/// partition would produce: one sorted vector per machine, edited in place
+/// by [`apply`](Self::apply), plus a memo of each piece's fingerprint. See
+/// the [module docs](self) for the fingerprint identity.
 #[derive(Debug, Clone)]
 pub struct ChurnPartition {
     seed: u64,
     n: usize,
     m: usize,
-    /// Machine-major arena as of the last compaction; each machine's run is
-    /// canonically sorted.
-    arena: Vec<Edge>,
-    /// `offsets.len() == k + 1`; machine `i`'s arena run is
-    /// `arena[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
-    /// Dirty machines' current piece content (sorted); empty for clean ones.
-    snaps: Vec<Vec<Edge>>,
-    /// Whether machine `i` has diverged from its arena run.
-    dirty: Vec<bool>,
+    /// Machine `i`'s current piece, canonically sorted.
+    pieces: Vec<Vec<Edge>>,
     /// Memoized per-machine fingerprints, valid where `fp_stale[i]` is false.
     /// An effective op sets its machine's flag; the next
     /// [`piece_fingerprint`](Self::piece_fingerprint) probe re-folds the
-    /// piece and clears it. Compaction leaves the flags alone, since it
-    /// moves no edge between pieces.
+    /// piece and clears it.
     fp: Vec<u64>,
     fp_stale: Vec<bool>,
-    /// Pending journal ops per machine since the last compaction.
-    pending: Vec<usize>,
-    pending_total: usize,
 }
 
 impl ChurnPartition {
@@ -182,22 +149,14 @@ impl ChurnPartition {
         if k == 0 {
             return Err(GraphError::InvalidMachineCount { k });
         }
-        let (arena, offsets) = hash_arena(g, k, seed);
-        let fp = (0..k)
-            .map(|i| fingerprint_edges(&arena[offsets[i]..offsets[i + 1]]))
-            .collect();
+        let pieces = hash_pieces(g, k, seed);
         Ok(ChurnPartition {
             seed,
             n: g.n(),
-            m: arena.len(),
-            arena,
-            offsets,
-            snaps: vec![Vec::new(); k],
-            dirty: vec![false; k],
-            fp,
+            m: g.m(),
+            fp: pieces.iter().map(fingerprint_edges).collect(),
             fp_stale: vec![false; k],
-            pending: vec![0; k],
-            pending_total: 0,
+            pieces,
         })
     }
 
@@ -216,7 +175,7 @@ impl ChurnPartition {
     /// Number of machines.
     #[inline]
     pub fn k(&self) -> usize {
-        self.offsets.len() - 1
+        self.pieces.len()
     }
 
     /// The run seed driving the [`edge_machine`] placement.
@@ -225,95 +184,36 @@ impl ChurnPartition {
         self.seed
     }
 
-    /// Whether machine `i`'s piece has diverged from its arena run since the
-    /// last compaction.
-    #[inline]
-    pub fn is_dirty(&self, i: usize) -> bool {
-        self.dirty[i]
-    }
-
-    /// Number of machines whose pieces have diverged since the last
-    /// compaction.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
-    }
-
-    /// Journal ops (inserts + deletes) applied since the last compaction.
-    #[inline]
-    pub fn pending_ops(&self) -> usize {
-        self.pending_total
-    }
-
     /// Applies one churn operation. Returns `Ok(true)` if the edge set
     /// changed, `Ok(false)` for a no-op (inserting a present edge, deleting
-    /// an absent one).
+    /// an absent one). A malformed edge is rejected by [`Edge::checked`] and
+    /// changes nothing; an edge given as `u > v` is applied canonicalized.
     ///
-    /// Cost: a binary search plus, for effective ops, an in-place sorted
-    /// insert/remove in the machine's snapshot — `O(log p + p)` for piece
-    /// size `p`. The first effective op on a clean machine additionally
-    /// copies its arena run into the snapshot buffer.
+    /// Cost: an `O(log p)` binary search in the machine's piece of size `p`
+    /// plus, for effective ops, an in-place `O(p)` shift of that one vector.
     pub fn apply(&mut self, op: ChurnOp) -> Result<bool, GraphError> {
-        let e = op.edge();
-        if e.v as usize >= self.n {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: e.v,
-                n: self.n,
-            });
-        }
+        let e = op.edge().checked(self.n)?;
         let machine = edge_machine(self.seed, self.k(), e);
-        let piece = self.piece_slice(machine);
-        let found = piece.binary_search(&e);
-        match (op, found) {
-            (ChurnOp::Insert(_), Ok(_)) | (ChurnOp::Delete(_), Err(_)) => Ok(false),
+        let piece = &mut self.pieces[machine];
+        match (op, piece.binary_search(&e)) {
+            (ChurnOp::Insert(_), Ok(_)) | (ChurnOp::Delete(_), Err(_)) => return Ok(false),
             (ChurnOp::Insert(_), Err(pos)) => {
-                self.ensure_snapshot(machine);
-                self.snaps[machine].insert(pos, e);
+                piece.insert(pos, e);
                 self.m += 1;
-                self.note_change(machine);
-                Ok(true)
             }
             (ChurnOp::Delete(_), Ok(pos)) => {
-                self.ensure_snapshot(machine);
-                self.snaps[machine].remove(pos);
+                piece.remove(pos);
                 self.m -= 1;
-                self.note_change(machine);
-                Ok(true)
             }
         }
+        self.fp_stale[machine] = true;
+        Ok(true)
     }
 
-    /// Copies machine `i`'s arena run into its snapshot buffer the first time
-    /// the machine diverges.
-    fn ensure_snapshot(&mut self, i: usize) {
-        if !self.dirty[i] {
-            let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-            self.snaps[i].clear();
-            self.snaps[i].extend_from_slice(&self.arena[lo..hi]);
-            self.dirty[i] = true;
-        }
-    }
-
-    fn note_change(&mut self, i: usize) {
-        self.fp_stale[i] = true;
-        self.pending[i] += 1;
-        self.pending_total += 1;
-    }
-
-    /// Machine `i`'s current piece content as a sorted slice.
-    #[inline]
-    fn piece_slice(&self, i: usize) -> &[Edge] {
-        if self.dirty[i] {
-            &self.snaps[i]
-        } else {
-            &self.arena[self.offsets[i]..self.offsets[i + 1]]
-        }
-    }
-
-    /// Machine `i`'s subgraph as a zero-copy view (into the arena for clean
-    /// machines, into the snapshot buffer for dirty ones).
+    /// Machine `i`'s subgraph as a zero-copy view of its piece.
     #[inline]
     pub fn piece(&self, i: usize) -> GraphView<'_> {
-        GraphView::new_unchecked(self.n, self.piece_slice(i))
+        GraphView::new_unchecked(self.n, &self.pieces[i])
     }
 
     /// Views of every machine's current subgraph, in machine order.
@@ -323,16 +223,16 @@ impl ChurnPartition {
 
     /// Current per-machine piece sizes, in machine order.
     pub fn piece_sizes(&self) -> Vec<usize> {
-        (0..self.k()).map(|i| self.piece_slice(i).len()).collect()
+        self.pieces.iter().map(Vec::len).collect()
     }
 
-    /// Whether edge `e` is currently present.
+    /// Whether edge `e` is currently present (never, for a malformed edge).
     pub fn has_edge(&self, e: Edge) -> bool {
-        if e.v as usize >= self.n {
-            return false;
-        }
-        let machine = edge_machine(self.seed, self.k(), e);
-        self.piece_slice(machine).binary_search(&e).is_ok()
+        e.checked(self.n).is_ok_and(|e| {
+            self.pieces[edge_machine(self.seed, self.k(), e)]
+                .binary_search(&e)
+                .is_ok()
+        })
     }
 
     /// Fingerprint of machine `i`'s current piece (see [`fingerprint_edges`]).
@@ -343,7 +243,7 @@ impl ChurnPartition {
     /// the piece is probed.
     pub fn piece_fingerprint(&mut self, i: usize) -> u64 {
         if self.fp_stale[i] {
-            self.fp[i] = fingerprint_edges(self.piece_slice(i));
+            self.fp[i] = fingerprint_edges(&self.pieces[i]);
             self.fp_stale[i] = false;
         }
         self.fp[i]
@@ -354,49 +254,20 @@ impl ChurnPartition {
         (0..self.k()).map(|i| self.piece_fingerprint(i)).collect()
     }
 
-    /// Compacts the journals back into one fresh machine-major arena once
-    /// the pending ops reach a quarter of the current edge count
-    /// (`pending · 4 ≥ max(m, 1)`). Returns whether a compaction ran.
+    /// Does nothing and returns `false`: every piece is already its one
+    /// sorted vector, so there is nothing to fold back. It stays only
+    /// because the benchmark's churn shadow (`exp_profile/src/layers.rs`)
+    /// calls it, and is deleted with that call in the benchmark change of
+    /// ROADMAP item 3.
     pub fn maybe_compact(&mut self) -> bool {
-        if self.pending_total * COMPACT_DIVISOR >= self.m.max(1) && self.pending_total > 0 {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Unconditionally rebuilds the arena from the current pieces, clearing
-    /// every journal; afterwards all machines are clean and every piece is
-    /// once again a zero-copy arena slice.
-    pub fn compact(&mut self) {
-        let k = self.k();
-        let mut offsets = vec![0usize; k + 1];
-        for i in 0..k {
-            offsets[i + 1] = offsets[i] + self.piece_slice(i).len();
-        }
-        let mut arena: Vec<Edge> = Vec::with_capacity(offsets[k]);
-        for i in 0..k {
-            arena.extend_from_slice(self.piece_slice(i));
-        }
-        self.arena = arena;
-        self.offsets = offsets;
-        for i in 0..k {
-            self.snaps[i].clear();
-            self.dirty[i] = false;
-            self.pending[i] = 0;
-        }
-        self.pending_total = 0;
+        false
     }
 
     /// The current edge set as an owned canonical [`Graph`] (sorted edge
     /// list). `O(m log m)`; meant for verification and baselines, not the
     /// serving path.
     pub fn current_graph(&self) -> Graph {
-        let mut edges: Vec<Edge> = Vec::with_capacity(self.m);
-        for i in 0..self.k() {
-            edges.extend_from_slice(self.piece_slice(i));
-        }
+        let mut edges = self.pieces.concat();
         edges.sort_unstable();
         Graph::from_edges_unchecked(self.n, edges)
     }
@@ -467,15 +338,13 @@ mod tests {
 
     /// The core soundness property behind coreset reuse: after arbitrary
     /// churn, every piece (edge sequence *and* fingerprint) equals the piece
-    /// of a from-scratch hash partition of the current graph — and clean
-    /// machines' fingerprints never move.
+    /// of a from-scratch hash partition of the current graph.
     #[test]
     fn churned_pieces_equal_from_scratch_partition() {
         let g = gnp(200, 0.05, &mut rng(4));
         let k = 5;
         let seed = 9;
         let mut part = ChurnPartition::new(&g, k, seed).unwrap();
-        let before_fp = part.fingerprints();
         let mut r = rng(5);
         let mut edges: Vec<Edge> = g.edges().to_vec();
         for step in 0..400 {
@@ -501,24 +370,12 @@ mod tests {
         let current = Graph::from_pairs(200, edges.iter().map(|e| (e.u, e.v))).unwrap();
         assert_eq!(part.m(), current.m());
         let scratch = PartitionedGraph::by_edge_hash(&current, k, seed).unwrap();
-        for (i, fp_before) in before_fp.iter().enumerate() {
+        for i in 0..k {
             assert_eq!(part.piece(i).edges(), scratch.piece(i).edges(), "piece {i}");
             assert_eq!(
                 part.piece_fingerprint(i),
                 fingerprint_edges(scratch.piece(i).edges())
             );
-            if !part.is_dirty(i) {
-                assert_eq!(part.piece_fingerprint(i), *fp_before);
-            }
-        }
-        // Compaction preserves all pieces and resets the journals.
-        let fps = part.fingerprints();
-        part.compact();
-        assert_eq!(part.pending_ops(), 0);
-        assert_eq!(part.dirty_count(), 0);
-        assert_eq!(part.fingerprints(), fps);
-        for i in 0..k {
-            assert_eq!(part.piece(i).edges(), scratch.piece(i).edges());
         }
         assert_eq!(part.current_graph().edges(), current.edges());
     }
@@ -536,9 +393,8 @@ mod tests {
         let machine = edge_machine(1, 4, e);
         assert_ne!(part.piece_fingerprint(machine), fps[machine]);
         assert!(part.apply(ChurnOp::Delete(e)).unwrap());
-        // The machine is still flagged dirty, but its content — and hence the
-        // fingerprint the coreset cache keys on — is back to the original.
-        assert!(part.is_dirty(machine));
+        // The piece's content — and hence the fingerprint the coreset cache
+        // keys on — is back to the original.
         assert_eq!(part.fingerprints(), fps);
     }
 
@@ -574,36 +430,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threshold_compaction_triggers() {
-        let g = gnp(60, 0.1, &mut rng(7));
-        let mut part = ChurnPartition::new(&g, 3, 2).unwrap();
-        let mut applied = 0;
-        let mut compacted = false;
-        for u in 0..60u32 {
-            for v in (u + 1)..60 {
-                if !part.has_edge(Edge::new(u, v)) {
-                    part.apply(ChurnOp::Insert(Edge::new(u, v))).unwrap();
-                    applied += 1;
-                    if part.maybe_compact() {
-                        compacted = true;
-                    }
-                }
-                if compacted {
-                    break;
-                }
-            }
-            if compacted {
-                break;
-            }
-        }
-        assert!(
-            compacted,
-            "the quarter threshold must compact after {applied} ops"
-        );
-        assert_eq!(part.pending_ops(), 0);
-    }
-
+    /// An op's raw edge is checked by `Graph::from_pairs`'s rules before it
+    /// lands, and an edge given as `u > v` lands canonicalized, so a later
+    /// delete of the canonical edge finds it.
     #[test]
     fn out_of_range_and_zero_k_are_rejected() {
         let g = gnp(10, 0.3, &mut rng(8));
@@ -612,10 +441,39 @@ mod tests {
             Err(GraphError::InvalidMachineCount { k: 0 })
         ));
         let mut part = ChurnPartition::new(&g, 2, 0).unwrap();
-        assert!(matches!(
-            part.apply(ChurnOp::Insert(Edge::new(3, 99))),
-            Err(GraphError::VertexOutOfRange { vertex: 99, .. })
-        ));
+        let fps = part.fingerprints();
+        let out = |vertex| Err(GraphError::VertexOutOfRange { vertex, n: 10 });
+        assert_eq!(part.apply(ChurnOp::Insert(Edge::new(3, 99))), out(99));
+        assert_eq!(part.apply(ChurnOp::Insert(Edge { u: 19, v: 2 })), out(19));
+        assert_eq!(
+            part.apply(ChurnOp::Delete(Edge { u: 3, v: 3 })),
+            Err(GraphError::SelfLoop { vertex: 3 })
+        );
+        assert_eq!(part.fingerprints(), fps);
+        assert_eq!(part.current_graph(), g);
         assert!(!part.has_edge(Edge::new(3, 99)));
+        assert!(!part.has_edge(Edge { u: 3, v: 3 }));
+
+        let e = (0..10u32)
+            .flat_map(|u| ((u + 1)..10).map(move |v| Edge::new(u, v)))
+            .find(|e| !g.has_edge(e.u, e.v))
+            .unwrap();
+        let reversed = Edge { u: e.v, v: e.u };
+        assert!(part.apply(ChurnOp::Insert(reversed)).unwrap());
+        assert!(part.has_edge(e) && part.has_edge(reversed));
+        assert!(part.piece(edge_machine(0, 2, e)).edges().contains(&e));
+        assert!(part.apply(ChurnOp::Delete(e)).unwrap());
+        assert_eq!(part.current_graph(), g);
+        assert_eq!(part.fingerprints(), fps);
+    }
+
+    #[test]
+    fn maybe_compact_is_a_no_op() {
+        let g = gnp(40, 0.2, &mut rng(12));
+        let mut part = ChurnPartition::new(&g, 3, 2).unwrap();
+        let fps = part.fingerprints();
+        assert!(!part.maybe_compact());
+        assert_eq!(part.fingerprints(), fps);
+        assert_eq!(part.current_graph(), g);
     }
 }

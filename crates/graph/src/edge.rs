@@ -4,6 +4,7 @@
 //! canonically with the smaller endpoint first so that equality, hashing and
 //! deduplication behave as expected for simple graphs.
 
+use crate::error::GraphError;
 use serde::{Deserialize, Serialize};
 
 /// Dense vertex identifier.
@@ -37,6 +38,25 @@ impl Edge {
         } else {
             Edge { u: b, v: a }
         }
+    }
+
+    /// This edge as the canonical edge of a graph on `n` vertices. The raw
+    /// fields may hold anything, so they are checked by
+    /// [`Graph::from_pairs`](crate::Graph::from_pairs)'s rules in its order:
+    /// [`GraphError::SelfLoop`] first, then [`GraphError::VertexOutOfRange`]
+    /// for `u`, then for `v`. Graph construction, churn ops and the
+    /// incremental matcher all check edges here.
+    #[inline]
+    pub fn checked(self, n: usize) -> Result<Self, GraphError> {
+        if self.u == self.v {
+            return Err(GraphError::SelfLoop { vertex: self.u });
+        }
+        for vertex in [self.u, self.v] {
+            if vertex as usize >= n {
+                return Err(GraphError::VertexOutOfRange { vertex, n });
+            }
+        }
+        Ok(Edge::new(self.u, self.v))
     }
 
     /// Returns both endpoints as a tuple `(u, v)` with `u <= v`.
@@ -137,6 +157,16 @@ mod tests {
     #[should_panic(expected = "self-loops")]
     fn self_loop_panics() {
         let _ = Edge::new(3, 3);
+    }
+
+    #[test]
+    fn checked_tests_self_loops_first_then_each_endpoint() {
+        let checked = |u, v| Edge { u, v }.checked(5);
+        let out = |vertex| Err(GraphError::VertexOutOfRange { vertex, n: 5 });
+        assert_eq!(checked(9, 9), Err(GraphError::SelfLoop { vertex: 9 }));
+        assert_eq!(checked(9, 7), out(9));
+        assert_eq!(checked(2, 9), out(9));
+        assert_eq!(checked(4, 1), Ok(Edge::new(1, 4)));
     }
 
     #[test]

@@ -51,16 +51,7 @@ impl Graph {
         let iter = pairs.into_iter();
         let mut edges = Vec::with_capacity(iter.size_hint().0);
         for (a, b) in iter {
-            if a == b {
-                return Err(GraphError::SelfLoop { vertex: a });
-            }
-            if a as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: a, n });
-            }
-            if b as usize >= n {
-                return Err(GraphError::VertexOutOfRange { vertex: b, n });
-            }
-            edges.push(Edge::new(a, b));
+            edges.push(Edge { u: a, v: b }.checked(n)?);
         }
         edges.sort_unstable();
         edges.dedup();

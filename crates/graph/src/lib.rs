@@ -19,10 +19,10 @@
 //!   the model of the paper, plus adversarial partitionings used as negative
 //!   controls. [`PartitionedGraph`] stores the partition as a single
 //!   machine-sorted edge arena whose pieces are zero-copy views.
-//! * [`churn`] — the mutable overlay over the arena for edge-churn serving:
-//!   churn-stable per-edge hash placement ([`edge_machine`]), per-machine
-//!   insert/delete journals with threshold compaction, and piece fingerprints
-//!   that make clean-piece coreset reuse provably sound.
+//! * [`churn`] — the mutable partition for edge-churn serving: churn-stable
+//!   per-edge hash placement ([`edge_machine`]), one sorted piece per machine
+//!   edited in place by inserts and deletes, and piece fingerprints that make
+//!   clean-piece coreset reuse provably sound.
 //! * [`arena_file`] — a versioned binary on-disk format for partitioned edge
 //!   arenas plus [`SegmentLoader`], which streams one machine segment at a
 //!   time so 10⁷–10⁸-edge protocol runs never hold the whole arena resident.

@@ -118,7 +118,7 @@ impl PartitionedGraph {
     /// [`crate::churn::edge_machine`]: each edge's machine is a salted hash
     /// of `(seed, edge)` — uniform and independent per edge, the paper's
     /// model — but reproducible from the edge's identity alone, so churn on
-    /// other edges never moves it. This is the placement the churn overlay
+    /// other edges never moves it. This is the placement the churn partition
     /// ([`crate::churn::ChurnPartition`]) and its from-scratch baselines
     /// share; the strategy reports [`PartitionStrategy::Random`] because the
     /// per-edge distribution is the same random model.
@@ -126,11 +126,15 @@ impl PartitionedGraph {
         if k == 0 {
             return Err(GraphError::InvalidMachineCount { k });
         }
-        let (edges, offsets) = crate::churn::hash_arena(g, k, seed);
+        let pieces = crate::churn::hash_pieces(g, k, seed);
+        let mut offsets = vec![0usize; k + 1];
+        for (i, piece) in pieces.iter().enumerate() {
+            offsets[i + 1] = offsets[i] + piece.len();
+        }
         Ok(PartitionedGraph {
             n: g.n(),
             strategy: PartitionStrategy::Random,
-            edges,
+            edges: pieces.concat(),
             offsets,
         })
     }

@@ -8,8 +8,9 @@
 //!
 //! * a matching of the input graph `G`,
 //! * made only of edges of the union the root composed: the leaf coresets
-//!   (flat), the tree roots (tree and arena-tree), or the cached slots
-//!   (churn-refreshed), and
+//!   (flat), the tree roots (tree and arena-tree), the cached slots
+//!   (churn-refreshed), or, for a degraded run, the same with every lost
+//!   machine's coreset replaced by the empty placeholder, and
 //! * as large as a cold maximum matching of that union.
 //!
 //! The instances are small (n ≤ 200, k 1–8) and come from four families: gnm,
@@ -17,8 +18,11 @@
 
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::tree::merge_matching_coresets;
-use coresets::{machine_rng, reduce_levels, CoresetParams};
-use distsim::{ArenaProtocol, CoordinatorProtocol, GraphService, GraphServiceConfig};
+use coresets::{machine_rng, reduce_levels, CoresetParams, MatchingProblem};
+use distsim::{
+    ArenaProtocol, ComposeMode, CoordinatorProtocol, FaultPlan, GraphService, GraphServiceConfig,
+    RetryPolicy,
+};
 use graph::gen::er::gnm;
 use graph::gen::hard::d_matching;
 use graph::gen::rmat::rmat_graph500;
@@ -93,14 +97,25 @@ fn leaf_coresets(g: &Graph, k: usize, seed: u64) -> Vec<Graph> {
         .collect()
 }
 
-/// The summaries a tree of `fan_in` hands its root: the leaf coresets
-/// reduced level by level with the builder's merge on each node's stream.
-fn tree_roots(g: &Graph, k: usize, fan_in: usize, seed: u64) -> Vec<Graph> {
-    let params = CoresetParams::new(g.n(), k);
+/// The summaries a tree of `fan_in` hands its root: `leaves` reduced level
+/// by level with the builder's merge on each node's stream.
+fn tree_roots(g: &Graph, leaves: Vec<Graph>, fan_in: usize, seed: u64) -> Vec<Graph> {
+    let params = CoresetParams::new(g.n(), leaves.len());
     let builder = MaximumMatchingCoreset::new();
-    reduce_levels(leaf_coresets(g, k, seed), fan_in, &|level, node, group| {
+    reduce_levels(leaves, fan_in, &|level, node, group| {
         merge_matching_coresets(g.n(), &params, &builder, seed, level, node, &group)
     })
+}
+
+/// The machines a degraded run loses: those whose bit is set in `pick`,
+/// kept to `1 <= |lost| < k` so at least one machine survives.
+fn lost_machines(k: usize, pick: u64) -> Vec<usize> {
+    let mut lost: Vec<usize> = (0..k).filter(|&i| pick >> i & 1 == 1).collect();
+    if lost.is_empty() {
+        lost.push((pick >> 32) as usize % k);
+    }
+    lost.truncate(k - 1);
+    lost
 }
 
 /// The three ground-truth checks of the module docs.
@@ -146,7 +161,7 @@ proptest! {
         let run = CoordinatorProtocol::tree(k, fan_in)
             .run_matching(&g, &MaximumMatchingCoreset::new(), seed)
             .unwrap();
-        let roots = tree_roots(&g, k, fan_in, seed);
+        let roots = tree_roots(&g, leaf_coresets(&g, k, seed), fan_in, seed);
         check_against_union(&run.answer, &g, &roots.iter().collect::<Vec<_>>())?;
     }
 
@@ -167,7 +182,7 @@ proptest! {
         let arena = graph::ArenaFile::open(&path).unwrap();
         let run = ArenaProtocol::tree(fan_in).run_matching(&arena, &MaximumMatchingCoreset::new(), seed);
         std::fs::remove_file(&path).unwrap();
-        let roots = tree_roots(&g, k, fan_in, seed);
+        let roots = tree_roots(&g, leaf_coresets(&g, k, seed), fan_in, seed);
         check_against_union(&run.unwrap().answer, &g, &roots.iter().collect::<Vec<_>>())?;
     }
 
@@ -207,5 +222,35 @@ proptest! {
                 .collect();
             check_against_union(svc.matching(), &now, &slots.iter().collect::<Vec<_>>())?;
         }
+    }
+
+    #[test]
+    fn degraded_root_is_a_maximum_matching_of_the_survivor_union(
+        g in arb_instance(),
+        k in 2usize..9,
+        compose in prop_oneof![
+            Just(ComposeMode::Flat),
+            (2usize..4).prop_map(|fan_in| ComposeMode::Tree { fan_in }),
+        ],
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        let lost = lost_machines(k, pick);
+        let plan = FaultPlan::new(pick).losing(lost.clone());
+        let builder = MaximumMatchingCoreset::new();
+        let run = CoordinatorProtocol::random(k)
+            .with_compose(compose)
+            .run(&g, &MatchingProblem(&builder), seed, &plan, &RetryPolicy::default())
+            .unwrap();
+        prop_assert_eq!(&run.faults.lost_machines, &lost);
+        let mut leaves = leaf_coresets(&g, k, seed);
+        for &i in &lost {
+            leaves[i] = Graph::empty(g.n());
+        }
+        let roots = match compose {
+            ComposeMode::Flat => leaves,
+            ComposeMode::Tree { fan_in } => tree_roots(&g, leaves, fan_in, seed),
+        };
+        check_against_union(&run.run.answer, &g, &roots.iter().collect::<Vec<_>>())?;
     }
 }
