@@ -3,6 +3,7 @@
 //! sizes and machine counts.
 //!
 //! Regenerate with `cargo run --release -p bench --bin exp_matching_coreset`.
+//! Every trial asserts Theorem 1's bound, ratio ≤ 9, and CI runs the binary.
 
 use bench::table::fmt_f;
 use bench::{trial_seed, Summary, Table};
@@ -18,6 +19,9 @@ use rand_chacha::ChaCha8Rng;
 
 const EXP_ID: u64 = 1;
 const TRIALS: u64 = 3;
+/// Theorem 1's approximation constant: the composed maximum-matching
+/// coresets keep at least a ninth of the optimum. Every trial asserts it.
+const THEOREM_1_RATIO: f64 = 9.0;
 
 fn workloads(seed: u64) -> Vec<(String, Graph, usize)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -79,7 +83,12 @@ fn main() {
                     )
                     .expect("k >= 1");
                 assert!(result.answer.is_valid_for(&g));
-                ratios.push(opt as f64 / result.answer.len().max(1) as f64);
+                let ratio = opt as f64 / result.answer.len().max(1) as f64;
+                assert!(
+                    ratio <= THEOREM_1_RATIO,
+                    "{name}, k = {k}, trial {t}: ratio {ratio} above Theorem 1's {THEOREM_1_RATIO}"
+                );
+                ratios.push(ratio);
                 sizes.push(result.answer.len() as f64);
                 // A matching coreset's message is 2 words per edge.
                 let edges = result.communication.total_words() / 2;

@@ -6,10 +6,10 @@
 //!
 //! * [`solve_composed_matching`] — maximum matching of the union, solved
 //!   straight off the coreset edge slices in machine order
-//!   ([`matching::maximum::maximum_matching_concat_forced`]) — the union
-//!   `Graph` is never materialized, mirroring the vertex-cover side. The
-//!   solver is seeded with the union's forced degree-one edges, then the
-//!   best coreset's edges on still-free vertices; exactly two matchings are
+//!   ([`matching::maximum::maximum_matching_concat`]) — the union `Graph`
+//!   is never materialized, mirroring the vertex-cover side. The solver is
+//!   seeded with the union's forced degree-one edges, then the best
+//!   coreset's edges on still-free vertices; exactly two matchings are
 //!   composed by the merge walk instead.
 //! * [`compose_vertex_cover`] — union the fixed vertex sets, cover the union
 //!   of the residual subgraphs with a 2-approximation, and return the
@@ -27,17 +27,16 @@
 //! at the first one that is a matching, which with the paper's builders is
 //! the first one it checks.
 //!
-//! Tree merges do not use the root's solve: a merge of three or more
-//! children runs [`solve_warm_started_matching_refs`], the same solve without
-//! the forced step, so leaf and merge summaries do not depend on it.
+//! Tree merges use the same solve: a merge node of
+//! [`crate::matching_coreset::MaximumMatchingCoreset`] composes its children
+//! with [`solve_composed_matching_refs`], so two children take the walk and
+//! larger groups the seeded solve. Leaf builds run the same engine pipeline
+//! on their piece, forced edges first, with no warm start.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
 use matching::matching::Matching;
-use matching::maximum::{
-    maximum_matching_concat, maximum_matching_concat_forced, merge_matching_pair,
-    MaximumMatchingAlgorithm,
-};
+use matching::maximum::{maximum_matching_concat, merge_matching_pair, MaximumMatchingAlgorithm};
 use vertexcover::approx::two_approx_cover_concat;
 use vertexcover::VertexCover;
 
@@ -46,7 +45,7 @@ use vertexcover::VertexCover;
 ///
 /// The union is **never materialized**: the solver compacts and solves the
 /// coreset edge slices in machine order directly
-/// ([`matching::maximum::maximum_matching_concat_forced`]), mirroring the
+/// ([`matching::maximum::maximum_matching_concat`]), mirroring the
 /// vertex-cover side's [`two_approx_cover_concat`]. Per-machine coresets are
 /// edge-disjoint (each is a subgraph of its machine's partition piece), so
 /// the concatenation *is* the first-occurrence-preserving union.
@@ -58,7 +57,7 @@ use vertexcover::VertexCover;
 /// 1. the union's **forced edges**: Karp–Sipser's degree-one rule, applied
 ///    until no degree-one vertex is left. Each lies in a maximum matching,
 ///    and a union of skewed coresets is mostly pendant vertices, so they are
-///    most of the answer;
+///    most of the answer, and often all of it;
 /// 2. the edges of the largest per-machine coreset that is itself a matching
 ///    (the **warm start**; with the paper's builders, every coreset is one)
 ///    whose endpoints are still free;
@@ -67,8 +66,9 @@ use vertexcover::VertexCover;
 /// A composition of exactly two matchings is the fan-in-2 merge instead:
 /// [`matching::maximum::merge_matching_pair`] walks the union's alternating
 /// paths from the larger one (the first on a tie) and returns the edge set
-/// the warm-started solve ([`solve_warm_started_matching_refs`]) would. Neither route changes
-/// the returned *size*: the result is always a maximum matching of the union.
+/// that a solver seeded with that one alone, and only augmenting, would.
+/// Neither route changes the returned *size*: the result is always a
+/// maximum matching of the union.
 pub fn solve_composed_matching(
     coresets: &[Graph],
     algorithm: MaximumMatchingAlgorithm,
@@ -100,21 +100,6 @@ pub fn solve_composed_matching_refs(
             return m;
         }
     }
-    let warm = best_piece_matching(coresets);
-    let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
-    maximum_matching_concat_forced(n, &slices, warm.as_ref(), algorithm)
-}
-
-/// A maximum matching of the coresets' union, warm-started from the largest
-/// coreset that is a matching, with no forced step: the rule
-/// [`crate::matching_coreset::MaximumMatchingCoreset`]'s tree merge applies
-/// to groups the merge walk cannot take. For two matchings its edge set is
-/// the walk's.
-pub fn solve_warm_started_matching_refs(
-    coresets: &[&Graph],
-    algorithm: MaximumMatchingAlgorithm,
-) -> Matching {
-    let n = shared_n(coresets);
     let warm = best_piece_matching(coresets);
     let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
     maximum_matching_concat(n, &slices, warm.as_ref(), algorithm)
@@ -372,8 +357,7 @@ mod tests {
         let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
         let warm = best_piece_matching(&refs).expect("the coresets are matchings");
         let mut engine = MatchingEngine::new();
-        let root =
-            engine.solve_concat_forced(g.n(), &slices, Some(&warm), MaximumMatchingAlgorithm::Auto);
+        let root = engine.solve_concat(g.n(), &slices, Some(&warm), MaximumMatchingAlgorithm::Auto);
         assert_eq!(
             root,
             solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto),

@@ -97,7 +97,7 @@ pub use cache::{CoresetCache, CoresetCacheKey};
 pub use capped::{cap_matching_coreset, cap_vc_coreset, CappedMatchingCoreset};
 pub use compose::{
     compose_vertex_cover, compose_vertex_cover_refs, solve_composed_matching,
-    solve_composed_matching_refs, solve_warm_started_matching_refs,
+    solve_composed_matching_refs,
 };
 pub use greedy_match::{greedy_match, GreedyMatchTrace};
 pub use matching_coreset::{

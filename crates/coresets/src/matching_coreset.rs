@@ -10,11 +10,11 @@
 //!   matching keeping each edge with probability `1/α`; the composition is an
 //!   α-approximation with total communication `Õ(nk/α²)`.
 
-use crate::compose::solve_warm_started_matching_refs;
+use crate::compose::solve_composed_matching_refs;
 use crate::params::CoresetParams;
 use graph::{Csr, Edge, Graph, GraphView};
 use matching::greedy::{maximal_matching, maximal_matching_by_key};
-use matching::maximum::{maximum_matching_with, merge_matching_pair, MaximumMatchingAlgorithm};
+use matching::maximum::{maximum_matching_with, MaximumMatchingAlgorithm};
 use rand_chacha::ChaCha8Rng;
 
 /// A builder that turns one machine's piece `G^(i)` into its matching coreset
@@ -99,20 +99,20 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
 /// Theorem 1 coreset: an arbitrary maximum matching of the piece.
 ///
 /// The solve runs on the calling worker thread's reusable
-/// [`matching::MatchingEngine`] (vertex compaction, one shared CSR for the
-/// bipartiteness check + solver, epoch-reset blossom workspace), so building
-/// many coresets on one thread allocates the solver state once.
+/// [`matching::MatchingEngine`] (vertex compaction, forced degree-one edges,
+/// and only if they leave a core one shared CSR for the bipartiteness check
+/// and the solver, with the epoch-reset blossom workspace), so building many
+/// coresets on one thread allocates the solver state once. Theorem 1 allows
+/// any maximum matching, and the forced edges make one cheap to reach: on
+/// sparse pieces they are usually the whole coreset.
 ///
-/// A tree merge keeps the maximum matching of the children's union that a
-/// solve warm-started from the first largest child returns. Theorem 1 allows
-/// any maximum matching, and this one is cheap: for two children that are
-/// matchings it is the engine's alternating-path walk
-/// ([`matching::MatchingEngine::merge_pair`]). Larger groups, or children
-/// that are not matchings, run the warm-started solve
-/// ([`solve_warm_started_matching_refs`]). The coordinator's root solve
-/// also seeds forced degree-one edges ahead of the warm start
-/// ([`crate::compose::solve_composed_matching`]); merges do not, so no
-/// summary depends on the root's seeding.
+/// A tree merge composes its children exactly as the coordinator's root
+/// does ([`crate::compose::solve_composed_matching_refs`]). Two children
+/// that are matchings take the engine's alternating-path walk
+/// ([`matching::MatchingEngine::merge_pair`]), which keeps the first largest
+/// child and switches in every path whose two end edges lie in the other.
+/// Larger groups, or children that are not matchings, run the solve seeded
+/// with the union's forced edges and then the first largest child.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaximumMatchingCoreset {
     /// Which maximum-matching algorithm to run on the piece (Theorem 1 holds
@@ -156,22 +156,8 @@ impl MatchingCoresetBuilder for MaximumMatchingCoreset {
         _node: usize,
         _rng: &mut ChaCha8Rng,
     ) -> Graph {
-        let walked = match group {
-            [first, second] => {
-                // The warm start is the first largest child.
-                let (a, b) = if second.m() > first.m() {
-                    (second, first)
-                } else {
-                    (first, second)
-                };
-                merge_matching_pair(n, a.edges(), b.edges())
-            }
-            _ => None,
-        };
-        let m = walked.unwrap_or_else(|| {
-            let refs: Vec<&Graph> = group.iter().collect();
-            solve_warm_started_matching_refs(&refs, self.algorithm)
-        });
+        let refs: Vec<&Graph> = group.iter().collect();
+        let m = solve_composed_matching_refs(&refs, self.algorithm);
         Graph::from_edges_unchecked(n, m.into_edges())
     }
 
@@ -500,10 +486,21 @@ mod tests {
         edges
     }
 
+    /// The engine's solve of the group's materialized union, seeded with its
+    /// forced edges and then the first largest child that is a matching.
     fn warm_started(group: &[Graph]) -> Vec<Edge> {
-        let refs: Vec<&Graph> = group.iter().collect();
+        use matching::matching::{edges_form_matching, Matching};
+        use matching::maximum::maximum_matching_warm;
+        let union = Graph::union(&group.iter().collect::<Vec<_>>());
+        let matchings = group.iter().filter(|c| edges_form_matching(c.edges()));
+        let size = matchings.clone().map(Graph::m).max().unwrap_or(0);
+        let warm = matchings
+            .filter(|c| c.m() == size)
+            .map(|c| Matching::from_edges(c.edges().to_vec()))
+            .next()
+            .unwrap_or_default();
         let mut edges =
-            solve_warm_started_matching_refs(&refs, MaximumMatchingAlgorithm::Auto).into_edges();
+            maximum_matching_warm(&union, &warm, MaximumMatchingAlgorithm::Auto).into_edges();
         edges.sort_unstable();
         edges
     }
@@ -541,7 +538,7 @@ mod tests {
                 MaximumMatchingCoreset::new().build(*piece, &params(150, 3), i, &mut mrng(i))
             })
             .collect();
-        // Three children: the warm-started solve of their union.
+        // Three children: the seeded solve of their union.
         assert_eq!(merge_of(&coresets), warm_started(&coresets));
         // A child that is not a matching (a whole piece): the same solve.
         let piece = Graph::from_edges_unchecked(150, part.piece(1).edges().to_vec());

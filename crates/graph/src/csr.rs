@@ -11,23 +11,27 @@
 //! once, at the size of its largest solve.
 //!
 //! [`Csr::rebuild_unsorted`] is one scatter: each list comes out in edge
-//! order. [`Csr::rebuild`] sorts every list without a comparison sort. When
-//! the edges are canonical (every `u <= v`, and non-decreasing in `(u, v)`),
-//! the edge-order scatter already lists each vertex's smaller neighbours
-//! in increasing order followed by its larger ones, so it is the whole
-//! build; one `O(m)` read checks for that case. Otherwise the edge-order
-//! lists move to a reused scratch buffer and a **transpose** walks them in
-//! vertex order, appending each vertex to its neighbours' lists through one
-//! cursor copy of the offsets: `O(n + m)`, and every list is sorted because
-//! the walk meets its entries in increasing order. The offsets and targets
-//! equal those of sorting each list, which the tests check against a
-//! comparison-sort oracle.
+//! order. [`Csr::sort_lists`] then sorts every list in place without a
+//! comparison sort, and [`Csr::rebuild`] is the two in a row. When the edges
+//! are canonical (every `u <= v`, and non-decreasing in `(u, v)`), the
+//! edge-order scatter already lists each vertex's smaller neighbours in
+//! increasing order followed by its larger ones, so the sort has nothing to
+//! do; one `O(n + m)` read of the lists checks for that case. Otherwise the
+//! edge-order lists move to a reused scratch buffer and a **transpose**
+//! walks them in vertex order, appending each vertex to its neighbours'
+//! lists through one cursor copy of the offsets: `O(n + m)`, and every list
+//! is sorted because the walk meets its entries in increasing order. The
+//! offsets and targets equal those of sorting each list, which the tests
+//! check against a comparison-sort oracle.
 //!
-//! Only a solver whose output does not depend on neighbour order may read
-//! unsorted lists: the vertex-cover engine's peeling rounds qualify (a round
+//! Only a step whose output does not depend on neighbour order may read
+//! unsorted lists. The vertex-cover engine's peeling rounds qualify (a round
 //! peels exactly the vertices of residual degree `>= t`, and degree
-//! decrements commute), while the matching solvers' traversal order defines
-//! their answer, and [`Csr::has_edge`] binary-searches.
+//! decrements commute), and so does the matching engine's forced step
+//! (Karp–Sipser's degree-one rule): the pendants a forced edge releases are
+//! pushed in id order, whatever order the list walk meets them in. The
+//! matching solvers' traversal order defines their answer, so they read
+//! sorted lists, and [`Csr::has_edge`] binary-searches.
 
 use crate::edge::{Edge, VertexId};
 use crate::graph::Graph;
@@ -81,14 +85,24 @@ impl Csr {
 
     /// Refills this CSR with the adjacency of `n` vertices over `edges`,
     /// reusing its buffers; every neighbour list comes out sorted. The result
-    /// equals [`Csr::from_edges`]`(n, edges)`. Canonical edges take one
-    /// scatter, any other order a scatter and a transpose (see the
-    /// [module docs](self)).
+    /// equals [`Csr::from_edges`]`(n, edges)`: the edge-order scatter of
+    /// [`Csr::rebuild_unsorted`], then [`Csr::sort_lists`].
     pub fn rebuild(&mut self, n: usize, edges: &[Edge]) {
         self.rebuild_unsorted(n, edges);
-        if is_canonical(edges) {
+        self.sort_lists();
+    }
+
+    /// Sorts every neighbour list in place, with no comparison sort: lists
+    /// that are all sorted already (canonical edges scatter that way) are
+    /// left as they are after one `O(n + m)` read, and any others are
+    /// rebuilt by one counting transpose (see the [module docs](self)). A
+    /// caller that reads [`Csr::rebuild_unsorted`]'s edge-order lists first
+    /// calls this to get [`Csr::rebuild`]'s CSR.
+    pub fn sort_lists(&mut self) {
+        if self.lists_are_sorted() {
             return;
         }
+        let n = self.n();
         let Csr {
             offsets,
             targets,
@@ -197,18 +211,15 @@ impl Csr {
     pub fn non_isolated(&self) -> impl Iterator<Item = VertexId> + '_ {
         (0..self.n() as VertexId).filter(move |&v| self.degree(v) > 0)
     }
-}
 
-/// Whether every edge has `u <= v` and the edges are non-decreasing in
-/// `(u, v)`: then the edge-order scatter lists every vertex's neighbours in
-/// increasing order. One `O(m)` read.
-fn is_canonical(edges: &[Edge]) -> bool {
-    let mut prev = Edge { u: 0, v: 0 };
-    edges.iter().all(|&e| {
-        let in_order = prev <= e && e.u <= e.v;
-        prev = e;
-        in_order
-    })
+    /// Whether every neighbour list is non-decreasing: the case in which
+    /// [`Csr::sort_lists`] has nothing to do. Stops at the first list out of
+    /// order, so at most one `O(n + m)` read.
+    fn lists_are_sorted(&self) -> bool {
+        self.offsets
+            .windows(2)
+            .all(|w| self.targets[w[0] as usize..w[1] as usize].is_sorted())
+    }
 }
 
 impl From<&Graph> for Csr {
@@ -396,6 +407,9 @@ mod tests {
                     let v = v as VertexId;
                     assert_eq!(csr.neighbors(v), &list[..], "round {round}, {v}");
                 }
+                // Sorting the edge-order lists in place gives the sorted build.
+                csr.sort_lists();
+                assert_eq!(csr.targets, fresh.targets, "round {round}");
             }
             csr.rebuild(n, &edges);
             assert_eq!(csr.offsets, fresh.offsets, "round {round}");

@@ -116,17 +116,51 @@ pub fn blossom_maximum_matching_with<G: GraphRef + ?Sized>(
 /// (debug builds assert). Returns the matched edges in ascending vertex
 /// order.
 pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
-    solve(adj, ws, warm, augment_from)
+    solve(adj, ws, warm, |v| adj.degree(v) > 0, augment_from)
 }
 
-/// The solve around one augmenting-search routine: warm seed, greedy
-/// initialisation, one search per free vertex in vertex order, matched
-/// edges out. Shared with the unpruned test oracle, so the two differ only
-/// in the search.
+/// [`blossom_on_csr`] seeded with `seeds`, whose augmenting searches start
+/// only at free vertices with `root(v)`: the matching engine passes its
+/// forced edges first in `seeds` and their core as `root` (see [`solve`]).
+pub(crate) fn blossom_with_roots(
+    adj: &Csr,
+    ws: &mut BlossomWorkspace,
+    seeds: &[Edge],
+    root: impl Fn(u32) -> bool,
+) -> Vec<Edge> {
+    solve(adj, ws, seeds, root, augment_from)
+}
+
+/// The solve around one augmenting-search routine: warm seed, then, over
+/// the vertices `v` with `root(v)` in vertex order, a greedy pass and one
+/// search from each that is still free; matched edges out. Shared with the
+/// unpruned test oracle, so the two differ only in the search.
+///
+/// `root` may leave out any vertex that no augmenting path of a matching
+/// containing the seeds can end at. [`blossom_on_csr`] leaves out the
+/// isolated vertices. The engine seeds the forced edges `F` of Karp–Sipser's
+/// degree-one rule first and leaves out every vertex with no neighbour
+/// outside `V(F)`, which is exact:
+///
+/// 1. `F` plus a maximum matching `N` of `G − V(F)` is a maximum matching
+///    `M*` of `G`. A vertex that `M*` matches and `F` does not is matched by
+///    `N`, inside `G − V(F)`, so it has a neighbour outside `V(F)`.
+/// 2. A search never unmatches a vertex, so every free vertex lies outside
+///    `V(F)`. If the current matching `M` is not maximum, `M ⊕ M*` holds an
+///    `M`-augmenting path, whose two ends are free in `M` and matched in
+///    `M*`: by 1, both ends have a neighbour outside `V(F)`.
+/// 3. Edmonds: once a search from a free vertex fails, no later matching of
+///    the solve has an augmenting path ending there.
+///
+/// So when every such root has been searched once, no augmenting path is
+/// left and the matching is maximum. The greedy pass skips the same
+/// vertices, which costs nothing: a free vertex whose neighbours all lie in
+/// `V(F)` has no free neighbour to take.
 fn solve(
     adj: &Csr,
     ws: &mut BlossomWorkspace,
     warm: &[Edge],
+    root: impl Fn(u32) -> bool,
     mut search: impl FnMut(&mut BlossomWorkspace, &Csr, u32) -> bool,
 ) -> Vec<Edge> {
     let n = adj.n();
@@ -149,7 +183,7 @@ fn solve(
 
     // Greedy initialisation speeds up the augmenting phase substantially.
     for v in 0..n as u32 {
-        if ws.mate[v as usize] == NONE {
+        if ws.mate[v as usize] == NONE && root(v) {
             for &w in adj.neighbors(v) {
                 if ws.mate[w as usize] == NONE {
                     ws.mate[v as usize] = w;
@@ -161,9 +195,9 @@ fn solve(
     }
 
     for v in 0..n as u32 {
-        // A free vertex with no incident edges cannot start an augmenting
-        // path; skipping it avoids even the O(1) epoch bump.
-        if ws.mate[v as usize] == NONE && adj.degree(v) > 0 {
+        // A free vertex that no augmenting path can end at is not searched,
+        // which avoids even the O(1) epoch bump.
+        if ws.mate[v as usize] == NONE && root(v) {
             search(ws, adj, v);
         }
     }
@@ -308,6 +342,7 @@ fn augment_along(ws: &mut BlossomWorkspace, mut v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forced::ForcedEdges;
     use crate::greedy::{maximal_matching, maximal_matching_shuffled};
     use crate::hopcroft_karp::hopcroft_karp_size;
     use graph::gen::bipartite::random_bipartite;
@@ -364,7 +399,7 @@ mod tests {
     }
 
     fn reference_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
-        solve(adj, ws, warm, augment_from_reference)
+        solve(adj, ws, warm, |v| adj.degree(v) > 0, augment_from_reference)
     }
 
     /// Hub `0` with `leaves` pendant leaves, joined by one edge to vertex 1
@@ -482,6 +517,36 @@ mod tests {
                         reference.edge_scans()
                     );
                     prop_assert_eq!(pruned.full_resets(), 0);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 256 }))]
+
+        /// Restricting the roots to the core is exact: seeded with the
+        /// forced edges (then a maximal matching's edges on free vertices),
+        /// the root-restricted solve reaches the size of the unrestricted
+        /// one, keeps every forced edge, and runs no more searches.
+        #[test]
+        fn core_roots_reach_the_unrestricted_size_from_the_same_seeds(seed in any::<u64>()) {
+            for (family, g) in families(seed) {
+                let adj = Csr::from_ref(&g);
+                let mut forced = ForcedEdges::default();
+                let mut seeds = Vec::new();
+                forced.run(&adj, &mut seeds);
+                let f = seeds.len();
+                for warm in [&[][..], maximal_matching(&g).edges()] {
+                    seeds.truncate(f);
+                    seeds.extend_from_slice(warm);
+                    let (mut core, mut every) = (BlossomWorkspace::new(), BlossomWorkspace::new());
+                    let restricted = blossom_with_roots(&adj, &mut core, &seeds, |v| forced.in_core(v));
+                    let unrestricted = blossom_on_csr(&adj, &mut every, &seeds);
+                    let label = format!("{family} (n={}, m={}, warm={})", g.n(), g.m(), !warm.is_empty());
+                    prop_assert_eq!(restricted.len(), unrestricted.len(), "{}", label);
+                    prop_assert!(seeds[..f].iter().all(|e| restricted.contains(e)), "{}", label);
+                    prop_assert!(core.searches() <= every.searches(), "{}", label);
                 }
             }
         }

@@ -1,8 +1,10 @@
-//! The maximum-matching engine: compaction + fused dispatch + seeded solves.
+//! The maximum-matching engine: compaction + forced edges + fused dispatch.
 //!
 //! [`MatchingEngine`] is the solver hot path behind
 //! [`maximum_matching`](crate::maximum::maximum_matching) and the protocol
-//! layers. One solve performs exactly these steps:
+//! layers: leaf coreset builds, tree merges of three or more children, the
+//! coordinator's root and the churn service's rebuilds all run one solve,
+//! which performs exactly these steps:
 //!
 //! 1. **Vertex compaction** — relabel the input onto its non-isolated
 //!    vertices with the engine's reusable
@@ -11,62 +13,56 @@
 //!    `k = 16` leaves ~29% of the ids isolated, and the coordinator's
 //!    coreset union touches even fewer), so every downstream per-vertex
 //!    array shrinks to the live vertex count.
-//! 2. **One shared CSR** — the engine's own [`Csr`], refilled in place from
-//!    the compacted edges with sorted lists ([`Csr::rebuild`]: no comparison
-//!    sort; canonical input, such as a compacted `gnp` piece, takes one
-//!    scatter, and any other order, such as a root's concatenated coresets,
-//!    a scatter and a counting transpose), and walked by
-//!    *both* the bipartiteness check
+//! 2. **Forced edges** — the engine's own [`Csr`] is refilled in place by
+//!    the edge-order scatter ([`Csr::rebuild_unsorted`]), and Karp–Sipser's
+//!    degree-one rule runs on it until no degree-one vertex is left, in
+//!    `O(n_local + m)` with engine buffers (see `forced.rs`). Every forced
+//!    edge lies in a maximum matching of what the earlier ones leave. If no
+//!    edge has both endpoints outside `V(F)`, the vertices the forced edges
+//!    `F` cover, then `F` is the answer: no sort, colouring or search.
+//!    Forests, sparse `G(n, p)` pieces and nearly every R-MAT piece end here.
+//! 3. **Core solve** — otherwise the lists are sorted in place
+//!    ([`Csr::sort_lists`], no comparison sort), and the same CSR is walked
+//!    by *both* the bipartiteness check
 //!    ([`two_coloring_with_csr`](crate::maximum::two_coloring_with_csr)) and
-//!    the solver. The old `Auto` dispatch built a CSR for the colouring,
-//!    threw it away, then re-walked the edge list to materialize a
-//!    `BipartiteGraph`; the fused path feeds Hopcroft–Karp
+//!    the solver: Hopcroft–Karp
 //!    ([`hopcroft_karp_on_csr`](crate::hopcroft_karp::hopcroft_karp_on_csr))
-//!    straight from the colouring. The colouring, its queue and
-//!    Hopcroft–Karp's mates, layers, left list and DFS stack are engine
-//!    buffers, reused across solves like the blossom workspace.
-//! 3. **Epoch-reset blossom** — non-bipartite inputs run
-//!    [`blossom_on_csr`] on the engine's
-//!    reusable [`BlossomWorkspace`], whose per-search cost is proportional
-//!    to the vertices the search touches (no `O(n)` clears, no per-search
-//!    allocations).
-//! 4. **Seeds** — both solvers adopt a list of seed edges, in order and
+//!    straight from the colouring, or the epoch-reset blossom search
+//!    ([`blossom_on_csr`](crate::blossom::blossom_on_csr)) on the engine's
+//!    [`BlossomWorkspace`]. The colouring and Hopcroft–Karp's buffers are
+//!    engine buffers too. Both solvers adopt **seeds**, in order and
 //!    skipping any that meets an already seeded vertex, before their
-//!    vertex-order greedy pass and augmenting searches. A seed changes which
-//!    maximum matching comes out and how much augmenting work is left, never
-//!    the size.
-//!    - [`MatchingEngine::solve_warm`] and [`MatchingEngine::solve_concat`]
-//!      seed with a known matching, the **warm start**. Tree merges of three
-//!      or more children start from their largest child this way.
-//!    - [`MatchingEngine::solve_concat_forced`], the coordinator's root
-//!      solve, first applies Karp–Sipser's degree-one rule to the CSR
-//!      until no degree-one vertex is left, in `O(n_local + m)` with engine
-//!      buffers (see `forced.rs`), and seeds with those **forced edges**,
-//!      then the warm start's edges on still-free vertices. Every forced
-//!      edge lies in a maximum matching of what the earlier ones leave, and
-//!      a union of skewed coresets is mostly pendant vertices: on R-MAT
-//!      roots the forced edges are nearly the whole answer, where the best
-//!      coreset alone covers about a third. The order matters: a warm edge
-//!      can take a hub that one of its pendants needs, so forcing after the
-//!      warm start leaves more to the searches.
-//!      [`MatchingEngine::forced_edges`] counts the forced edges.
-//! 5. **Output check** — the solver's edges are checked vertex-disjoint in
+//!    vertex-order greedy pass and augmenting searches: `F`, then the edges
+//!    of the **warm start** (a merge's largest child, the root's best
+//!    coreset) on still-free vertices, since a warm edge can take a hub
+//!    that one of its pendants needs. Blossom searches start only at free
+//!    vertices with a neighbour outside `V(F)`: no other vertex can end an
+//!    augmenting path (see `blossom::solve`).
+//! 4. **Output check** — the solver's edges are checked vertex-disjoint in
 //!    local ids against an engine-owned mark array (`O(|M|)`, marks cleared
 //!    afterwards) before they are mapped back and wrapped as a [`Matching`].
 //!    The check runs on every solve and panics like
 //!    [`Matching::from_edges`] does.
+//!
+//! The seeds change which maximum matching comes out and how much work is
+//! left, never its size, and the answer, edge order included, is the same
+//! for every order of the input edges. [`MatchingEngine::forced_edges`] and
+//! [`MatchingEngine::core_solves`] count the work of steps 2 and 3. An
+//! explicit [`MaximumMatchingAlgorithm::HopcroftKarp`] request colours the
+//! whole graph before step 2, so a non-bipartite graph is rejected even
+//! when `F` alone would answer it.
 //!
 //! # Fan-in-2 merges
 //!
 //! A tree node that merges two child matchings `A` (the warm start) and `B`
 //! does not run the pipeline above. The union of two matchings is a set of
 //! alternating paths and even cycles, and a solver that starts from `A` and
-//! only augments, as both solvers here do, returns `A` with every path whose
-//! two end edges lie in `B` switched to `B`. That answer is unique, so
+//! only augments returns `A` with every path whose two end edges lie in `B`
+//! switched to `B`. That answer is unique, so
 //! [`MatchingEngine::merge_pair`] computes it with one `O(|A| + |B|)` walk
 //! over epoch-stamped mate slots: no union copy, compaction, CSR, colouring
 //! or augmenting search. It returns `None` unless both children are
-//! matchings, and the caller then runs the warm-started solve instead.
+//! matchings, and the caller then runs the solve instead.
 //! [`MatchingEngine::walk_steps`] counts the edges the walks cross, at most
 //! `2(|A| + |B|)` per merge. A coordinator that composes exactly two
 //! matchings takes the same walk.
@@ -79,7 +75,7 @@
 //! buffer is reset before it is read), so this reuse is invisible to the
 //! determinism guarantees.
 
-use crate::blossom::blossom_on_csr;
+use crate::blossom::blossom_with_roots;
 use crate::forced::ForcedEdges;
 use crate::hopcroft_karp::{hopcroft_karp_with, HkBuffers};
 use crate::matching::Matching;
@@ -106,20 +102,12 @@ pub struct MatchingEngine {
     color: Vec<u8>,
     hk: HkBuffers,
     forced: ForcedEdges,
-    /// The solver's seed edges in local ids: forced, then warm.
+    /// The solve's seed edges in local ids: forced, then warm.
     seeds: Vec<Edge>,
     /// Output-check marks by local id; all `false` between solves.
     marks: Vec<bool>,
     walk: MergeWalk,
-}
-
-/// Which seeds a solve hands its solver (see the [module docs](self)).
-#[derive(Debug, Clone, Copy)]
-enum Seeding {
-    /// The warm start's edges, if any.
-    Warm,
-    /// The forced edges, then the warm start's edges on still-free vertices.
-    ForcedThenWarm,
+    core_solves: u64,
 }
 
 impl MatchingEngine {
@@ -142,11 +130,12 @@ impl MatchingEngine {
         self.solve_inner(g, None, algorithm)
     }
 
-    /// Computes a maximum matching of `g`, seeded with `warm`.
+    /// Computes a maximum matching of `g`, seeded with its forced edges and
+    /// then `warm`.
     ///
-    /// `warm` must be a valid matching whose edges all belong to `g` (a tree
-    /// merge's warm start, its largest child, satisfies this by construction
-    /// since every child is a subgraph of the union).
+    /// `warm` must be a valid matching whose edges all belong to `g` (a
+    /// tree merge's warm start, its largest child, satisfies this by
+    /// construction since every child is a subgraph of the union).
     /// Warm edges with an endpoint unknown to the compacted graph are
     /// ignored defensively. The result is a maximum matching of `g`; only
     /// the solver work changes, never the returned size.
@@ -165,14 +154,13 @@ impl MatchingEngine {
     }
 
     /// The maximum matching of `a ∪ b` (edge slices over `0..n`) that a
-    /// solver warm-started from `a` returns: `a` with every path component
-    /// whose two end edges lie in `b` switched to `b`, found by one
-    /// alternating-path walk (see the [module docs](self#fan-in-2-merges)).
+    /// solver warm-started from `a` and only augmenting returns: `a` with
+    /// every path component whose two end edges lie in `b` switched to `b`,
+    /// found by one alternating-path walk (see the
+    /// [module docs](self#fan-in-2-merges)).
     ///
-    /// The edge *set* equals
-    /// `solve_concat(n, &[a, b], Some(&a), algorithm)`'s for every
-    /// algorithm; the order is `a`'s kept edges, then `b`'s switched-in
-    /// ones. Returns `None` unless `a` and `b` are both matchings.
+    /// The order is `a`'s kept edges, then `b`'s switched-in ones. Returns
+    /// `None` unless `a` and `b` are both matchings.
     pub fn merge_pair(&mut self, n: usize, a: &[Edge], b: &[Edge]) -> Option<Matching> {
         self.walk.merge(n, a, b).map(Matching::from_edges_unchecked)
     }
@@ -189,24 +177,30 @@ impl MatchingEngine {
         self.walk.full_resets()
     }
 
-    /// Edges the degree-one rule of [`MatchingEngine::solve_concat_forced`]
-    /// has forced (lifetime): the forced step's work counter, at most
-    /// `n_local / 2` per solve.
+    /// Edges the degree-one rule has forced (lifetime): the forced step's
+    /// work counter, at most `n_local / 2` per solve.
     pub fn forced_edges(&self) -> u64 {
         self.forced.forced()
     }
 
+    /// Solves (lifetime) that the forced edges did not settle: each sorted
+    /// its CSR and ran a solver on what the forced step left.
+    pub fn core_solves(&self) -> u64 {
+        self.core_solves
+    }
+
     /// Computes a maximum matching of the **concatenation** of `slices`
-    /// (edge slices over the shared vertex set `0..n`), without materializing
-    /// the union edge list — the tree merge's solve for groups the walk
-    /// cannot take.
+    /// (edge slices over the shared vertex set `0..n`), seeded with its
+    /// forced edges and then `warm`, without materializing the union edge
+    /// list: the coordinator's root solve and the tree merge's solve for
+    /// groups the walk cannot take.
     ///
     /// For pairwise edge-disjoint slices (per-machine coresets of a
     /// partitioned graph always are) the answer is bit-identical to solving
-    /// the first-occurrence-preserving union `Graph`: compaction sees the
-    /// same edge sequence, so the solver does exactly the same work.
-    /// Overlapping slices still yield a valid maximum matching of the
-    /// underlying simple graph (duplicate edges are matching-neutral).
+    /// the first-occurrence-preserving union `Graph`. Overlapping slices
+    /// still yield a maximum matching of the underlying simple graph: a
+    /// duplicated edge is matching-neutral and only hides a pendant from
+    /// the degree-one rule.
     pub fn solve_concat(
         &mut self,
         n: usize,
@@ -214,38 +208,11 @@ impl MatchingEngine {
         warm: Option<&Matching>,
         algorithm: MaximumMatchingAlgorithm,
     ) -> Matching {
-        self.solve_concat_seeded(n, slices, warm, algorithm, Seeding::Warm)
-    }
-
-    /// [`MatchingEngine::solve_concat`] seeded with the union's forced
-    /// edges first and `warm`'s edges on still-free vertices second — the
-    /// coordinator's root solve (see the [module docs](self)). The answer
-    /// is a maximum matching of the union, of the same size as
-    /// `solve_concat`'s; only the edges chosen differ. Overlapping slices
-    /// are tolerated: a duplicated edge only hides a pendant from the rule.
-    pub fn solve_concat_forced(
-        &mut self,
-        n: usize,
-        slices: &[&[Edge]],
-        warm: Option<&Matching>,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
-        self.solve_concat_seeded(n, slices, warm, algorithm, Seeding::ForcedThenWarm)
-    }
-
-    fn solve_concat_seeded(
-        &mut self,
-        n: usize,
-        slices: &[&[Edge]],
-        warm: Option<&Matching>,
-        algorithm: MaximumMatchingAlgorithm,
-        seeding: Seeding,
-    ) -> Matching {
         if slices.iter().all(|s| s.is_empty()) {
             return Matching::new();
         }
         self.compactor.compact_concat(n, slices);
-        self.solve_compacted(warm, algorithm, seeding)
+        self.solve_compacted(warm, algorithm)
     }
 
     fn solve_inner<G: GraphRef + ?Sized>(
@@ -260,18 +227,18 @@ impl MatchingEngine {
             return Matching::new();
         }
         self.compactor.compact(g);
-        self.solve_compacted(warm, algorithm, Seeding::Warm)
+        self.solve_compacted(warm, algorithm)
     }
 
-    /// The shared solve tail: the engine's CSR refilled from the compactor's
-    /// relabeled edges, the seed list (forced edges if asked, then warm
-    /// edges mapped through the same relabeling), fused dispatch, the output
-    /// check, and expansion back to original ids.
+    /// The shared solve tail: the forced step on the edge-order CSR of the
+    /// compactor's relabeled edges, then, unless it settled the answer, the
+    /// sorted core solve seeded with the forced edges and the warm edges
+    /// mapped through the same relabeling; the output check, and expansion
+    /// back to original ids.
     fn solve_compacted(
         &mut self,
         warm: Option<&Matching>,
         algorithm: MaximumMatchingAlgorithm,
-        seeding: Seeding,
     ) -> Matching {
         let MatchingEngine {
             compactor,
@@ -283,36 +250,44 @@ impl MatchingEngine {
             seeds,
             marks,
             walk: _,
+            core_solves,
         } = self;
-        // Sorted lists: the solvers' traversal order defines the answer.
-        adj.rebuild(compactor.n_local(), compactor.local_edges());
+        // Edge-order lists: neither the colouring's verdict nor the forced
+        // step depends on neighbour order.
+        adj.rebuild_unsorted(compactor.n_local(), compactor.local_edges());
+        if algorithm == MaximumMatchingAlgorithm::HopcroftKarp {
+            // The whole graph, before F can settle it.
+            assert!(
+                two_coloring_into(adj, color, &mut hk.queue),
+                "HopcroftKarp requested on a non-bipartite graph"
+            );
+        }
         seeds.clear();
-        if let Seeding::ForcedThenWarm = seeding {
-            forced.run(adj, seeds);
-        }
-        if let Some(m) = warm {
-            seeds.extend(m.edges().iter().filter_map(|&e| compactor.to_local_edge(e)));
-        }
-
-        let local_edges = match algorithm {
-            MaximumMatchingAlgorithm::Blossom => blossom_on_csr(adj, workspace, seeds),
-            MaximumMatchingAlgorithm::HopcroftKarp => {
-                assert!(
-                    two_coloring_into(adj, color, &mut hk.queue),
-                    "HopcroftKarp requested on a non-bipartite graph"
-                );
+        let solved;
+        let local_edges: &[Edge] = if !forced.run(adj, seeds) {
+            // No edge is left between unmatched vertices: F is maximum.
+            seeds
+        } else {
+            *core_solves += 1;
+            // Sorted lists: the solvers' traversal order defines the answer.
+            adj.sort_lists();
+            if let Some(m) = warm {
+                seeds.extend(m.edges().iter().filter_map(|&e| compactor.to_local_edge(e)));
+            }
+            let bipartite = match algorithm {
+                MaximumMatchingAlgorithm::HopcroftKarp => true,
+                MaximumMatchingAlgorithm::Blossom => false,
+                MaximumMatchingAlgorithm::Auto => two_coloring_into(adj, color, &mut hk.queue),
+            };
+            solved = if bipartite {
                 hopcroft_karp_with(adj, color, seeds, hk)
-            }
-            MaximumMatchingAlgorithm::Auto => {
-                if two_coloring_into(adj, color, &mut hk.queue) {
-                    hopcroft_karp_with(adj, color, seeds, hk)
-                } else {
-                    blossom_on_csr(adj, workspace, seeds)
-                }
-            }
+            } else {
+                blossom_with_roots(adj, workspace, seeds, |v| forced.in_core(v))
+            };
+            &solved
         };
-        assert_vertex_disjoint(marks, compactor.n_local(), &local_edges);
-        Matching::from_edges_unchecked(compactor.expand_edges(&local_edges))
+        assert_vertex_disjoint(marks, compactor.n_local(), local_edges);
+        Matching::from_edges_unchecked(compactor.expand_edges(local_edges))
     }
 }
 
@@ -356,7 +331,7 @@ mod tests {
     use graph::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use testkit::brute_force_maximum_matching_size;
+    use testkit::{brute_force_maximum_matching_size, random_forest};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -490,23 +465,6 @@ mod tests {
         out
     }
 
-    /// A random forest on `0..n`: each vertex joins a random earlier one
-    /// with probability `p`, under a random relabeling.
-    fn random_forest(n: usize, p: f64, seed: u64) -> Graph {
-        use rand::seq::SliceRandom;
-        use rand::Rng;
-        let mut r = rng(seed);
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.shuffle(&mut r);
-        let edges: Vec<Edge> = (1..n)
-            .filter_map(|v| {
-                let parent = r.gen_range(0..v);
-                r.gen_bool(p).then(|| Edge::new(perm[v], perm[parent]))
-            })
-            .collect();
-        Graph::from_edges(n, edges).unwrap()
-    }
-
     /// `g` without the vertices `taken` covers.
     fn without_vertices(g: &Graph, taken: &[Edge]) -> Graph {
         let mut gone = vec![false; g.n()];
@@ -539,12 +497,13 @@ mod tests {
             if n <= 12 {
                 assert_eq!(opt, brute_force_maximum_matching_size(&g), "seed {seed}");
             }
-            // The root solve takes them all: nothing is left to search.
-            let before = engine.forced_edges();
-            let root =
-                engine.solve_concat_forced(n, &[g.edges()], None, MaximumMatchingAlgorithm::Auto);
+            // The solve takes them all and returns them: nothing is left to
+            // sort or search.
+            let (before, core_solves) = (engine.forced_edges(), engine.core_solves());
+            let solved = engine.solve_concat(n, &[g.edges()], None, MaximumMatchingAlgorithm::Auto);
             assert_eq!(engine.forced_edges() - before, opt as u64, "seed {seed}");
-            assert_eq!(root.len(), opt, "seed {seed}");
+            assert_eq!(solved.edges(), &forced[..], "seed {seed}");
+            assert_eq!(engine.core_solves(), core_solves, "seed {seed}");
         }
     }
 
@@ -582,7 +541,7 @@ mod tests {
                 MaximumMatchingAlgorithm::Auto,
                 MaximumMatchingAlgorithm::Blossom,
             ] {
-                let root = engine.solve_concat_forced(g.n(), &[g.edges()], None, algorithm);
+                let root = engine.solve_concat(g.n(), &[g.edges()], None, algorithm);
                 assert!(root.is_valid_for(g), "case {i}");
                 assert_eq!(root.len(), opt, "case {i}");
             }
@@ -597,7 +556,7 @@ mod tests {
         let path = [Edge::new(0, 1), Edge::new(1, 2)];
         let forced = forced_of(3, &[twice[0], path[0], path[1]]);
         assert_eq!(forced, vec![Edge::new(1, 2)]);
-        let m = MatchingEngine::new().solve_concat_forced(
+        let m = MatchingEngine::new().solve_concat(
             3,
             &[&twice, &path],
             None,
@@ -613,7 +572,7 @@ mod tests {
             let (a, b) = (edges.len() / 3, 2 * edges.len() / 3);
             let slices: [&[Edge]; 3] = [&edges[..b], &edges[a..], &edges[..a]];
             let warm = Matching::try_from_edges(forced_of(g.n(), &edges[..a]));
-            let m = engine.solve_concat_forced(
+            let m = engine.solve_concat(
                 g.n(),
                 &slices,
                 warm.as_ref(),
@@ -658,14 +617,6 @@ mod tests {
                 algorithms.push(MaximumMatchingAlgorithm::HopcroftKarp);
             }
             for algorithm in algorithms {
-                let fresh = MatchingEngine::new().solve_concat_forced(
-                    g.n(),
-                    &slices,
-                    warm.as_ref(),
-                    algorithm,
-                );
-                let reused = engine.solve_concat_forced(g.n(), &slices, warm.as_ref(), algorithm);
-                assert_eq!(reused.edges(), fresh.edges(), "graph {i} {algorithm:?}");
                 let fresh =
                     MatchingEngine::new().solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
                 let reused = engine.solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
@@ -679,6 +630,90 @@ mod tests {
             }
         }
         assert_eq!(engine.workspace().full_resets(), 0);
+    }
+
+    /// One input of the proptests below: a gnm graph, dense or sparse, an
+    /// R-MAT graph, a random forest, or a star forest with chords, and a
+    /// warm start (a maximal matching of a random third of its edges).
+    fn arb_input(seed: u64) -> (Graph, Matching) {
+        use graph::gen::er::gnm;
+        use graph::gen::rmat::rmat_graph500;
+        use graph::gen::structured::star_forest;
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut r = rng(seed);
+        let n = r.gen_range(2..120);
+        let pairs = |n: usize| n * (n - 1) / 2;
+        let g = match r.gen_range(0..5) {
+            0 => gnm(n, r.gen_range(0..2 * n).min(pairs(n)), &mut r),
+            1 => gnm(n.min(40), r.gen_range(0..pairs(n.min(40)) + 1), &mut r),
+            2 => rmat_graph500(r.gen_range(3..8), r.gen_range(1..8), &mut r),
+            3 => random_forest(n, r.gen_range(0.3..1.0), seed),
+            _ => {
+                let stars = star_forest(r.gen_range(1..8), r.gen_range(1..8));
+                let k = stars.n() as u32;
+                let chords = (0..r.gen_range(0..6))
+                    .map(|_| (r.gen_range(0..k), r.gen_range(0..k)))
+                    .filter(|(u, v)| u != v)
+                    .map(|(u, v)| Edge::new(u, v));
+                let mut edges: Vec<Edge> = stars.edges().iter().copied().chain(chords).collect();
+                edges.sort_unstable();
+                edges.dedup();
+                Graph::from_edges_unchecked(stars.n(), edges)
+            }
+        };
+        let mut third = g.edges().to_vec();
+        third.shuffle(&mut r);
+        third.truncate(g.m() / 3);
+        let warm = crate::greedy::maximal_matching(&Graph::from_edges_unchecked(g.n(), third));
+        (g, warm)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The solve keeps every forced edge: an augmenting path of a
+        /// matching that contains `F` never enters `V(F)`, since the vertex
+        /// forced first on it would need a second neighbour that was not
+        /// matched before it.
+        #[test]
+        fn every_forced_edge_is_in_the_answer(seed in proptest::prelude::any::<u64>()) {
+            let (g, warm) = arb_input(seed);
+            let forced = forced_of(g.n(), g.edges());
+            for algorithm in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
+                for warm in [None, Some(&warm)] {
+                    let m = MatchingEngine::new().solve_concat(g.n(), &[g.edges()], warm, algorithm);
+                    proptest::prop_assert!(m.is_valid_for(&g));
+                    for e in &forced {
+                        proptest::prop_assert!(m.edges().contains(e), "{:?} lost {:?}", algorithm, e);
+                    }
+                }
+            }
+        }
+
+        /// The answer, order included, does not depend on the order of the
+        /// input edges, for a fixed warm start: the forced step pushes the
+        /// pendants each forced edge releases in id order, and the solvers
+        /// read sorted lists.
+        #[test]
+        fn the_answer_does_not_depend_on_the_edge_order(seed in proptest::prelude::any::<u64>()) {
+            use rand::seq::SliceRandom;
+            let (g, warm) = arb_input(seed);
+            let mut shuffled = g.edges().to_vec();
+            shuffled.shuffle(&mut rng(seed ^ 0x5EED));
+            let half = shuffled.len() / 2;
+            let mut engine = MatchingEngine::new();
+            for algorithm in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
+                let want = MatchingEngine::new().solve_warm(&g, &warm, algorithm);
+                let got = engine.solve_concat(
+                    g.n(),
+                    &[&shuffled[..half], &shuffled[half..]],
+                    Some(&warm),
+                    algorithm,
+                );
+                proptest::prop_assert_eq!(got.edges(), want.edges(), "{:?}", algorithm);
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!
 //! All of the free functions here route through a per-thread
 //! [`MatchingEngine`](crate::engine::MatchingEngine): each solve compacts the
-//! graph onto its non-isolated vertices, builds **one** CSR shared by the
-//! bipartiteness check and the solver, and reuses the engine's epoch-reset
+//! graph onto its non-isolated vertices, takes its forced degree-one edges,
+//! and only if they leave a core sorts **one** CSR shared by the
+//! bipartiteness check and the solver, reusing the engine's epoch-reset
 //! [`BlossomWorkspace`](crate::workspace::BlossomWorkspace) across solves.
-//! [`maximum_matching_warm`] additionally seeds the solver with a known
-//! matching, [`maximum_matching_concat_forced`] seeds it with the union's
-//! forced degree-one edges and then a warm start (the coordinator's root
-//! solve), and [`merge_matching_pair`] merges two matchings by the engine's
+//! [`maximum_matching_warm`] and [`maximum_matching_concat`] additionally
+//! seed the solver with a known matching after the forced edges (a tree
+//! merge's largest child, the coordinator's best coreset), and
+//! [`merge_matching_pair`] merges two matchings by the engine's
 //! alternating-path walk (a tree node's fan-in-2 merge).
 
 use crate::engine::with_thread_engine;
@@ -57,9 +58,10 @@ pub fn maximum_matching<G: GraphRef + ?Sized>(g: &G) -> Matching {
 }
 
 /// Computes a maximum matching of `g`, warm-started from `warm` — a valid
-/// matching whose edges all belong to `g`. The warm start can only reduce
-/// solver work (fewer augmenting searches / phases); the returned matching is
-/// still maximum, so its *size* is identical to a cold solve.
+/// matching whose edges all belong to `g` — after its forced edges. The warm
+/// start can only reduce solver work (fewer augmenting searches / phases);
+/// the returned matching is still maximum, so its *size* is identical to a
+/// cold solve.
 pub fn maximum_matching_warm<G: GraphRef + ?Sized>(
     g: &G,
     warm: &Matching,
@@ -70,8 +72,8 @@ pub fn maximum_matching_warm<G: GraphRef + ?Sized>(
 
 /// Computes a maximum matching of the **concatenation** of `slices` (edge
 /// slices over the shared vertex set `0..n`), optionally warm-started,
-/// without materializing the union edge list — the coordinator's
-/// flat-composition fast path (see
+/// without materializing the union edge list — the coordinator's root solve
+/// and the tree merge's solve (see
 /// [`crate::engine::MatchingEngine::solve_concat`] for the bit-identity
 /// guarantee on edge-disjoint slices).
 pub fn maximum_matching_concat(
@@ -83,24 +85,11 @@ pub fn maximum_matching_concat(
     with_thread_engine(|engine| engine.solve_concat(n, slices, warm, algorithm))
 }
 
-/// [`maximum_matching_concat`] seeded with the union's forced degree-one
-/// edges before `warm` — the coordinator's root solve (see
-/// [`crate::engine::MatchingEngine::solve_concat_forced`]). Same size as
-/// `maximum_matching_concat`'s answer; the edges may differ.
-pub fn maximum_matching_concat_forced(
-    n: usize,
-    slices: &[&[Edge]],
-    warm: Option<&Matching>,
-    algorithm: MaximumMatchingAlgorithm,
-) -> Matching {
-    with_thread_engine(|engine| engine.solve_concat_forced(n, slices, warm, algorithm))
-}
-
 /// Merges two matchings `a` (the warm start) and `b` over `0..n` into the
-/// maximum matching of their union that a warm-started solve returns, by one
-/// alternating-path walk on the calling thread's engine (see
-/// [`crate::engine::MatchingEngine::merge_pair`]). Returns `None` unless both
-/// are matchings.
+/// maximum matching of their union that a solve warm-started from `a` and
+/// only augmenting returns, by one alternating-path walk on the calling
+/// thread's engine (see [`crate::engine::MatchingEngine::merge_pair`]).
+/// Returns `None` unless both are matchings.
 pub fn merge_matching_pair(n: usize, a: &[Edge], b: &[Edge]) -> Option<Matching> {
     with_thread_engine(|engine| engine.merge_pair(n, a, b))
 }
@@ -228,6 +217,34 @@ mod tests {
     #[should_panic(expected = "non-bipartite")]
     fn hopcroft_karp_on_odd_cycle_panics() {
         let _ = maximum_matching_with(&cycle(5), MaximumMatchingAlgorithm::HopcroftKarp);
+    }
+
+    /// An odd cycle `0..len` with one pendant `len + i` on each vertex `i`:
+    /// the degree-one rule matches every vertex, so only the colouring sees
+    /// the odd cycle.
+    fn odd_cycle_with_pendants(len: u32) -> Graph {
+        let ring = (0..len).map(|i| (i, (i + 1) % len));
+        let pendants = (0..len).map(|i| (i, len + i));
+        Graph::from_pairs(2 * len as usize, ring.chain(pendants)).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "non-bipartite")]
+    fn hopcroft_karp_on_a_triangle_with_pendants_panics() {
+        let g = odd_cycle_with_pendants(3);
+        assert_eq!(maximum_matching(&g).len(), 3, "the forced edges settle it");
+        let _ = maximum_matching_with(&g, MaximumMatchingAlgorithm::HopcroftKarp);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-bipartite")]
+    fn hopcroft_karp_on_a_five_cycle_with_pendants_panics() {
+        let g = odd_cycle_with_pendants(5);
+        assert_eq!(
+            maximum_matching_with(&g, MaximumMatchingAlgorithm::Blossom).len(),
+            5
+        );
+        let _ = maximum_matching_with(&g, MaximumMatchingAlgorithm::HopcroftKarp);
     }
 
     #[test]

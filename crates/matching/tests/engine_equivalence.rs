@@ -9,9 +9,11 @@
 //! solve on a reused workspace would show there.
 //!
 //! The fan-in-2 merge walk (`MatchingEngine::merge_pair`) is pinned to its
-//! oracle, the engine's solve of the two children's union warm-started from
-//! the first, on random matching pairs and on every component shape a union
-//! of two matchings can have.
+//! oracle, a warm-only solve of the two children's union (seeded with the
+//! first child, then only augmenting: `testkit::warm_only_bipartite_matching`),
+//! on random matching pairs and on every component shape a union of two
+//! matchings can have. The engine's own solve takes forced edges first, so
+//! it keeps a different maximum matching of the union.
 
 use graph::gen::er::gnm;
 use graph::gen::rmat::rmat_graph500;
@@ -19,14 +21,13 @@ use graph::gen::structured::star_forest;
 use graph::{Csr, Edge, Graph, VertexId};
 use matching::blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
 use matching::hopcroft_karp::hopcroft_karp_size;
-use matching::matching::Matching;
 use matching::maximum::{maximum_matching, maximum_matching_warm, MaximumMatchingAlgorithm};
 use matching::{maximal_matching, BlossomWorkspace, MatchingEngine};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use testkit::brute_force_maximum_matching_size;
+use testkit::{brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching};
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
     (2usize..max_n, any::<u64>()).prop_map(move |(n, seed)| {
@@ -80,6 +81,24 @@ fn arb_star_forest(
     )
 }
 
+/// Random forests on up to `max_n` vertices: the degree-one rule alone
+/// settles them.
+fn arb_forest(max_n: usize) -> impl Strategy<Value = Graph> {
+    (1usize..max_n, 0.2f64..1.0, any::<u64>()).prop_map(|(n, p, seed)| random_forest(n, p, seed))
+}
+
+/// Samples of the paper's `D_Matching(n, alpha, k)` (a dense block plus a
+/// planted matching), as general graphs.
+fn arb_d_matching(max_n: usize) -> impl Strategy<Value = Graph> {
+    (4usize..max_n, 1.5f64..4.0, 1usize..8, any::<u64>()).prop_map(|(n, alpha, k, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        graph::gen::hard::d_matching(n, alpha, k, &mut rng)
+            .unwrap()
+            .graph
+            .to_graph()
+    })
+}
+
 /// Spreads a graph's vertices over a sparse id space (multiplying ids by
 /// `stride`), so most vertex ids are isolated — the compaction regime.
 fn spread(g: &Graph, stride: u32) -> Graph {
@@ -94,17 +113,44 @@ fn spread(g: &Graph, stride: u32) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The engine's size equals exhaustive search on small graphs.
+    /// The engine's size equals exhaustive search on small graphs: sparse
+    /// and dense gnm, R-MAT, chorded star forests and forests.
     #[test]
     fn engine_size_matches_brute_force(g in prop_oneof![
         arb_graph(12, 0.3),
+        arb_graph(8, 0.7),
         arb_rmat(2..4, 1..3),
         arb_star_forest(4, 4, 4),
+        arb_forest(16),
     ]) {
         let mut engine = MatchingEngine::new();
-        let m = engine.solve(&g);
-        prop_assert!(m.is_valid_for(&g));
-        prop_assert_eq!(m.len(), brute_force_maximum_matching_size(&g));
+        let want = brute_force_maximum_matching_size(&g);
+        for alg in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
+            let m = engine.solve_with(&g, alg);
+            prop_assert!(m.is_valid_for(&g));
+            prop_assert_eq!(m.len(), want);
+        }
+    }
+
+    /// On larger bipartite inputs, forests and `D_Matching`, the engine's
+    /// size equals Hopcroft–Karp's on the same graph with no forced edges.
+    #[test]
+    fn engine_size_matches_hopcroft_karp_on_forests_and_d_matching(g in prop_oneof![
+        arb_forest(400),
+        arb_d_matching(120),
+    ]) {
+        let color = matching::maximum::two_coloring(&g).expect("bipartite");
+        let want = matching::hopcroft_karp::hopcroft_karp_on_csr(&Csr::from_ref(&g), &color, &[]).len();
+        let mut engine = MatchingEngine::new();
+        for alg in [
+            MaximumMatchingAlgorithm::Auto,
+            MaximumMatchingAlgorithm::Blossom,
+            MaximumMatchingAlgorithm::HopcroftKarp,
+        ] {
+            let m = engine.solve_with(&g, alg);
+            prop_assert!(m.is_valid_for(&g));
+            prop_assert_eq!(m.len(), want, "{:?}", alg);
+        }
     }
 
     /// Compaction round trip: solving a graph whose vertices sit at sparse
@@ -216,12 +262,12 @@ fn edge_set(edges: &[Edge]) -> Vec<Edge> {
     set
 }
 
-/// The walk's oracle: the engine's solve of `a ∪ b`, warm-started from `a`.
+/// The walk's oracle: the warm-only solve of `a ∪ b` seeded with `a`. An
+/// edge in both children is listed once, as in a union `Graph`.
 fn warm_started_merge(n: usize, a: &[Edge], b: &[Edge]) -> Vec<Edge> {
-    let warm = Matching::from_edges(a.to_vec());
-    let solved =
-        MatchingEngine::new().solve_concat(n, &[a, b], Some(&warm), MaximumMatchingAlgorithm::Auto);
-    edge_set(solved.edges())
+    let mut union = edge_set(&[a, b].concat());
+    union.dedup();
+    warm_only_bipartite_matching(n, &union, a)
 }
 
 /// Runs the walk on `engine` and checks it against the oracle: same edge
@@ -359,7 +405,7 @@ fn arb_components() -> impl Strategy<Value = (usize, Vec<Edge>, Vec<Edge>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The walk equals the warm-started engine on random pairs of
+    /// The walk equals the warm-only solve on random pairs of
     /// edge-disjoint matchings, maximal or maximum.
     #[test]
     fn merge_walk_equals_the_warm_started_engine_on_random_pairs(
@@ -374,7 +420,7 @@ proptest! {
         assert_walk_equals_oracle(&mut engine, n, &b, &a);
     }
 
-    /// The walk equals the warm-started engine on random mixes of every
+    /// The walk equals the warm-only solve on random mixes of every
     /// component shape: paths of each end-edge parity, even cycles, lone
     /// edges, and edges in both children.
     #[test]

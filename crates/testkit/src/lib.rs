@@ -9,6 +9,11 @@
 //!
 //! * [`brute_force_maximum_matching_size`] — exact maximum matching size by
 //!   exhaustive search over edge subsets.
+//! * [`warm_only_bipartite_matching`] — the matching a warm-started,
+//!   augment-only solve returns on a bipartite graph: the oracle of the
+//!   fan-in-2 matching merge.
+//! * [`random_forest`] — random forests, on which the degree-one rule is
+//!   exact.
 //! * [`brute_force_maximum_weight`] — exact maximum-weight matching value.
 //! * [`peel_with_thresholds_reference`] — the pre-engine Parnas–Ron peeling
 //!   loop, the baseline `vertexcover::VcEngine` must reproduce round by round.
@@ -20,6 +25,8 @@ pub mod matching;
 pub mod peeling;
 pub mod weighted;
 
-pub use matching::brute_force_maximum_matching_size;
+pub use matching::{
+    brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching,
+};
 pub use peeling::{peel_with_thresholds_reference, ReferencePeeling};
 pub use weighted::brute_force_maximum_weight;

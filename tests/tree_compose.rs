@@ -3,22 +3,25 @@
 //!
 //! Four families, all over randomly generated protocol inputs:
 //!
-//! * **Concat-vs-union pinning** — `solve_warm_started_matching_refs` (a
-//!   tree merge's solve for groups of three or more) solves the coreset edge
-//!   slices in machine order without materializing the union `Graph`;
-//!   against protocol coresets (edge-disjoint by construction) its answer
-//!   must be **bit-identical** to the frozen union path (`Graph::union` +
-//!   warm-started solve), re-implemented here as the reference.
+//! * **Concat-vs-union pinning** — `solve_composed_matching_refs` (the
+//!   root's solve, and a tree merge's) solves the coreset edge slices in
+//!   machine order without materializing the union `Graph`; against
+//!   protocol coresets (edge-disjoint by construction) its answer must be
+//!   **bit-identical** to the frozen union path (`Graph::union` + the
+//!   engine's solve seeded with the first largest coreset), re-implemented
+//!   here as the reference. Two matchings are composed by the merge walk,
+//!   whose reference is the warm-only solve of their union
+//!   (`testkit::warm_only_bipartite_matching`), compared as an edge set.
 //! * **Flat-vs-tree equivalence** — the tree-composed matching is valid for
 //!   the original graph and at least the best single machine's coreset (every
 //!   merge solves a union containing each child matching); the tree-composed
 //!   vertex cover is feasible for the original graph.
 //! * **Tree-vs-oracle equivalence** — the coordinator's tree mode equals a
-//!   test-side tree whose every merge is the frozen union path above, and
-//!   whose roots are composed by the library's root solve: the builder's
-//!   merge hook (the alternating-path walk for two children) must keep
-//!   exactly the matching a warm-started solve keeps, and the driver's
-//!   borrowed builder must forward the hook.
+//!   test-side tree whose every merge is the reference above, and whose
+//!   roots are composed by the library's root solve: the builder's merge
+//!   hook (the alternating-path walk for two children) must keep exactly the
+//!   matching a warm-only solve keeps, and the driver's borrowed builder
+//!   must forward the hook.
 //! * **Arena round-trip** — a partition written to an arena file and streamed
 //!   back through the out-of-core tree runner gives the bit-identical answer
 //!   to the in-memory tree protocol on the same seed.
@@ -26,7 +29,7 @@
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
 use coresets::{
-    machine_rng, reduce_levels, solve_composed_matching, solve_warm_started_matching_refs,
+    machine_rng, reduce_levels, solve_composed_matching, solve_composed_matching_refs,
     tree_compose, CoresetParams, MatchingProblem, VcProblem,
 };
 use distsim::{ArenaProtocol, CoordinatorProtocol};
@@ -37,6 +40,7 @@ use matching::maximum::{maximum_matching_warm, maximum_matching_with, MaximumMat
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use testkit::warm_only_bipartite_matching;
 
 /// Strategy: a random simple graph with up to `max_n` vertices and a
 /// density-controlled number of random edges.
@@ -65,7 +69,9 @@ fn matching_coresets(g: &Graph, k: usize, seed: u64) -> Vec<Graph> {
 
 /// The frozen pre-concat composition path, kept as the reference: materialize
 /// the first-occurrence-preserving union, warm-start from the first
-/// maximal-size coreset that is a valid matching, and solve.
+/// maximal-size coreset that is a valid matching, and solve. Two matchings
+/// are the fan-in-2 merge: the warm-only solve of their union, seeded with
+/// the first larger one.
 fn union_path_reference(coresets: &[Graph], algorithm: MaximumMatchingAlgorithm) -> Matching {
     let refs: Vec<&Graph> = coresets.iter().collect();
     let union = Graph::union(&refs);
@@ -75,18 +81,33 @@ fn union_path_reference(coresets: &[Graph], algorithm: MaximumMatchingAlgorithm)
             best = Some(i);
         }
     }
+    if let [a, b] = coresets {
+        if edges_form_matching(a.edges()) && edges_form_matching(b.edges()) {
+            let warm = if b.m() > a.m() { b } else { a };
+            let walked = warm_only_bipartite_matching(union.n(), union.edges(), warm.edges());
+            return Matching::from_edges(walked);
+        }
+    }
     match best.map(|i| Matching::try_from_edges(coresets[i].edges().to_vec()).unwrap()) {
         Some(warm) => maximum_matching_warm(&union, &warm, algorithm),
         None => maximum_matching_with(&union, algorithm),
     }
 }
 
+/// The edges of `m`, sorted: the walk lists its edges in its children's
+/// order, so walked answers compare as edge sets.
+fn sorted(m: &Matching) -> Vec<graph::Edge> {
+    let mut edges = m.edges().to_vec();
+    edges.sort_unstable();
+    edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The unmaterialized warm-started concat composition is bit-identical to
-    /// the frozen union path on protocol coresets (edge-disjoint by
-    /// construction).
+    /// The unmaterialized concat composition is bit-identical to the frozen
+    /// union path on protocol coresets (edge-disjoint by construction); two
+    /// coresets are walked, and equal the warm-only solve as an edge set.
     #[test]
     fn concat_composition_is_bit_identical_to_the_union_path(
         g in arb_graph(140, 700),
@@ -95,9 +116,13 @@ proptest! {
     ) {
         let coresets = matching_coresets(&g, k, seed);
         let refs: Vec<&Graph> = coresets.iter().collect();
-        let concat = solve_warm_started_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
+        let concat = solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
         let union = union_path_reference(&coresets, MaximumMatchingAlgorithm::Auto);
-        prop_assert_eq!(concat.edges(), union.edges());
+        if k == 2 {
+            prop_assert_eq!(sorted(&concat), sorted(&union));
+        } else {
+            prop_assert_eq!(concat.edges(), union.edges());
+        }
     }
 
     /// The tree-composed matching is valid for the original graph and never
@@ -130,12 +155,13 @@ proptest! {
 
     /// The coordinator's tree mode equals the test-side oracle tree: the same
     /// coresets reduced level by level, every merge solved by the frozen union
-    /// path warm-started from the first largest child, and the roots composed
-    /// by the library's root solve (`solve_composed_matching`). The
-    /// driver wraps the caller's `&MaximumMatchingCoreset`, so a borrowed
-    /// builder that dropped the merge hook (and re-solved the cold union)
-    /// fails here. Fan-in 3 covers the groups of three (the warm-started
-    /// solve) and the pairs a short last group leaves (the walk).
+    /// path (warm-only for two children, seeded with the forced edges and
+    /// then the first largest child for more), and the roots composed by the
+    /// library's root solve (`solve_composed_matching`). The driver wraps
+    /// the caller's `&MaximumMatchingCoreset`, so a borrowed builder that
+    /// dropped the merge hook (and re-solved the cold union) fails here.
+    /// Fan-in 3 covers the groups of three (the seeded solve) and the pairs a
+    /// short last group leaves (the walk).
     #[test]
     fn tree_mode_equals_the_warm_started_oracle_tree(
         g in arb_graph(140, 700),
@@ -155,11 +181,6 @@ proptest! {
         // Two roots are composed by the merge walk, which lists edges in its
         // children's order, and the oracle's merges list theirs in solve
         // order: the root step compares edge sets.
-        let sorted = |m: &Matching| {
-            let mut edges = m.edges().to_vec();
-            edges.sort_unstable();
-            edges
-        };
         prop_assert_eq!(sorted(&run.answer), sorted(&oracle));
     }
 
