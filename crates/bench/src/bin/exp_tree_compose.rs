@@ -44,7 +44,6 @@ use graph::gen::rmat::rmat_graph500;
 use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::{metrics, write_arena_file, ArenaFile, Graph, SegmentLoader};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::sched_fuzz::with_fuzz;
@@ -169,7 +168,7 @@ fn flat_baseline(
     let coreset_edges: usize = coresets.iter().map(Graph::m).sum();
     // The flat solve concatenates every coreset into one compaction pass.
     metrics::record_resident_edges_acquired(coreset_edges);
-    let answer = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+    let answer = solve_composed_matching(&coresets);
     metrics::record_resident_edges_released(2 * coreset_edges);
     (answer, coresets.iter().map(Graph::m).max().unwrap_or(0))
 }

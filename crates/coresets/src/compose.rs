@@ -7,10 +7,10 @@
 //! * [`solve_composed_matching`] — maximum matching of the union, solved
 //!   straight off the coreset edge slices in machine order
 //!   ([`matching::maximum::maximum_matching_concat`]) — the union `Graph`
-//!   is never materialized, mirroring the vertex-cover side. The solver is
-//!   seeded with the union's forced degree-one edges, then the best
-//!   coreset's edges on still-free vertices; exactly two matchings are
-//!   composed by the merge walk instead.
+//!   is never materialized, mirroring the vertex-cover side. The engine's
+//!   one solve path runs on it: the union's forced degree-one edges, then
+//!   blossom on what they leave. Exactly two matchings are composed by the
+//!   merge walk instead.
 //! * [`compose_vertex_cover`] — union the fixed vertex sets, cover the union
 //!   of the residual subgraphs with a 2-approximation, and return the
 //!   combined cover (paper, Section 3.2). The residual union is **never
@@ -22,16 +22,13 @@
 //! The concatenated 2-approximation ([`compose_vertex_cover`]) needs no pass
 //! before its scan: it reads its vertex range and edge total off the
 //! residuals' own `n()` and `m()`, and its greedy maximal-matching scan is
-//! order-defined and sequential. The matching side's warm-start pick
-//! ([`solve_composed_matching`]) visits the coresets largest first and stops
-//! at the first one that is a matching, which with the paper's builders is
-//! the first one it checks.
+//! order-defined and sequential.
 //!
 //! Tree merges use the same solve: a merge node of
 //! [`crate::matching_coreset::MaximumMatchingCoreset`] composes its children
-//! with [`solve_composed_matching_refs`], so two children take the walk and
-//! larger groups the seeded solve. Leaf builds run the same engine pipeline
-//! on their piece, forced edges first, with no warm start.
+//! with [`solve_composed_matching`], so two children take the walk and
+//! larger groups the engine's solve. Leaf builds run the same engine
+//! pipeline on their piece.
 
 use crate::vc_coreset::VcCoresetOutput;
 use graph::{Edge, Graph};
@@ -51,17 +48,11 @@ use vertexcover::VertexCover;
 /// the concatenation *is* the first-occurrence-preserving union.
 ///
 /// Theorem 1 lets the coordinator return *any* maximum matching of the
-/// union, so the solve picks the one that is cheapest to reach. It seeds the
-/// solver in this order:
-///
-/// 1. the union's **forced edges**: Karp–Sipser's degree-one rule, applied
-///    until no degree-one vertex is left. Each lies in a maximum matching,
-///    and a union of skewed coresets is mostly pendant vertices, so they are
-///    most of the answer, and often all of it;
-/// 2. the edges of the largest per-machine coreset that is itself a matching
-///    (the **warm start**; with the paper's builders, every coreset is one)
-///    whose endpoints are still free;
-/// 3. the solver's vertex-order greedy pass, then augmenting searches.
+/// union. The engine's solve takes the union's **forced edges** first
+/// (Karp–Sipser's degree-one rule, applied until no degree-one vertex is
+/// left; a union of skewed coresets is mostly pendant vertices, so they are
+/// most of the answer, and often all of it), then runs blossom's greedy
+/// pass and augmenting searches on what they leave.
 ///
 /// A composition of exactly two matchings is the fan-in-2 merge instead:
 /// [`matching::maximum::merge_matching_pair`] walks the union's alternating
@@ -69,12 +60,9 @@ use vertexcover::VertexCover;
 /// that a solver seeded with that one alone, and only augmenting, would.
 /// Neither route changes the returned *size*: the result is always a
 /// maximum matching of the union.
-pub fn solve_composed_matching(
-    coresets: &[Graph],
-    algorithm: MaximumMatchingAlgorithm,
-) -> Matching {
+pub fn solve_composed_matching(coresets: &[Graph]) -> Matching {
     let refs: Vec<&Graph> = coresets.iter().collect();
-    solve_composed_matching_refs(&refs, algorithm)
+    solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto)
 }
 
 /// [`solve_composed_matching`] over borrowed coresets.
@@ -83,14 +71,17 @@ pub fn solve_composed_matching(
 /// coresets and cached ones living in its [`crate::cache::CoresetCache`]
 /// slots; this variant lets it hand over `&[&Graph]` without cloning the
 /// cached pieces into a contiguous owned vector.
+///
+/// `_algorithm` is read by nothing: its type has the one variant `Auto`,
+/// and it is kept only because the benchmark (`exp_profile`) passes it. The
+/// benchmark change of ROADMAP item 3 deletes it.
 pub fn solve_composed_matching_refs(
     coresets: &[&Graph],
-    algorithm: MaximumMatchingAlgorithm,
+    _algorithm: MaximumMatchingAlgorithm,
 ) -> Matching {
     let n = shared_n(coresets);
     if let [first, second] = coresets {
-        // The warm start is the first largest, as `best_piece_matching`
-        // would pick when both are matchings.
+        // The walk keeps the first largest child whole where it can.
         let (a, b) = if second.m() > first.m() {
             (second, first)
         } else {
@@ -100,9 +91,8 @@ pub fn solve_composed_matching_refs(
             return m;
         }
     }
-    let warm = best_piece_matching(coresets);
     let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
-    maximum_matching_concat(n, &slices, warm.as_ref(), algorithm)
+    maximum_matching_concat(n, &slices)
 }
 
 /// The vertex count every coreset of a composition shares.
@@ -117,41 +107,6 @@ fn shared_n(coresets: &[&Graph]) -> usize {
         "all coresets must share the vertex set"
     );
     n
-}
-
-/// The largest coreset that forms a valid matching, as the warm start for
-/// the composed solve. Deterministic: among the coresets that are valid
-/// non-empty matchings, the **first one of maximal size wins** (ties keep
-/// the earlier machine). Builders whose messages are not matchings (none of
-/// the paper's, but the trait does not forbid it) are skipped defensively.
-///
-/// Candidates are visited by size descending, then machine ascending, and
-/// the first one that is a matching wins. That is the same winner as
-/// checking every coreset, but the matching check (a hash set over the
-/// coreset's endpoints) normally runs once, inside the one
-/// [`Matching::try_from_edges`] that also builds the winner: with the
-/// paper's builders the first candidate is already a matching. Only sizes are
-/// read for the rest.
-fn best_piece_matching(coresets: &[&Graph]) -> Option<Matching> {
-    let mut below = usize::MAX;
-    while let Some(size) = coresets
-        .iter()
-        .map(|c| c.m())
-        .filter(|&m| m > 0 && m < below)
-        .max()
-    {
-        // Each candidate checked costs one clone of its edges, which become
-        // the warm-start matching handed to the solver if it passes.
-        let winner = coresets
-            .iter()
-            .filter(|c| c.m() == size)
-            .find_map(|c| Matching::try_from_edges(c.edges().to_vec())); // xtask: allow(hot-path-alloc)
-        if winner.is_some() {
-            return winner;
-        }
-        below = size;
-    }
-    None
 }
 
 /// Composes vertex-cover coresets: the union of all fixed vertices plus a
@@ -250,7 +205,7 @@ mod tests {
                 )
             })
             .collect();
-        let m = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let m = solve_composed_matching(&coresets);
         assert!(m.is_valid_for(&g));
         // Theorem 1: constant-factor approximation (ratio <= 9 proven, much
         // better in practice).
@@ -284,58 +239,47 @@ mod tests {
     #[test]
     fn composing_nothing_yields_empty_results() {
         assert!(compose_vertex_cover(&[]).is_empty());
-        let m = solve_composed_matching(&[Graph::empty(5)], MaximumMatchingAlgorithm::Auto);
+        let m = solve_composed_matching(&[Graph::empty(5)]);
         assert!(m.is_empty());
     }
 
-    /// Pins the documented warm-start tie-break: among coresets that are
-    /// valid matchings, the **first one of maximal size** wins — a later
-    /// equally-sized piece or a larger non-matching piece never displaces it.
+    /// Pins the two-coreset tie-break: the merge walk starts from the
+    /// **first coreset of maximal size** and keeps it where it is already
+    /// maximum, so a later equal-sized coreset never displaces it, and a
+    /// larger later one does.
     #[test]
     fn warm_start_picks_the_first_coreset_of_maximal_size() {
-        let a = Graph::from_pairs(12, vec![(0, 1), (2, 3)]).unwrap();
-        // Same maximal size as `b` but earlier: must win the tie.
-        let b = Graph::from_pairs(12, vec![(4, 5), (6, 7), (8, 9)]).unwrap();
-        let c = Graph::from_pairs(12, vec![(0, 2), (1, 3), (4, 6)]).unwrap();
-        // Bigger than all of them but NOT a matching: must be skipped.
-        let not_matching = Graph::from_pairs(12, vec![(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        let warm =
-            best_piece_matching(&[&a, &b, &c, &not_matching]).expect("three valid candidates");
-        assert_eq!(warm.edges(), b.edges(), "first maximal-size piece wins");
-        // Order flipped: `c` now precedes `b`, so `c` takes the tie.
-        let warm =
-            best_piece_matching(&[&a, &c, &b, &not_matching]).expect("three valid candidates");
-        assert_eq!(warm.edges(), c.edges());
-        // Only invalid candidates (or empty ones) → no warm start.
-        assert!(best_piece_matching(&[&not_matching]).is_none());
-        assert!(best_piece_matching(&[&Graph::empty(4)]).is_none());
-        assert!(best_piece_matching(&[]).is_none());
-    }
-
-    /// When the largest coreset is not a matching, the pick falls to the
-    /// next size down, where the earlier of two equal-sized matchings wins.
-    #[test]
-    fn warm_start_skips_a_larger_non_matching_and_breaks_the_next_tie_by_machine() {
-        let small = Graph::from_pairs(12, vec![(10, 11)]).unwrap();
-        let first = Graph::from_pairs(12, vec![(0, 1), (2, 3)]).unwrap();
-        let second = Graph::from_pairs(12, vec![(4, 5), (6, 7)]).unwrap();
-        let not_matching = Graph::from_pairs(12, vec![(0, 1), (1, 2), (2, 3)]).unwrap();
-        let warm = best_piece_matching(&[&small, &not_matching, &first, &second])
-            .expect("three valid candidates");
-        assert_eq!(warm.edges(), first.edges());
-        let warm = best_piece_matching(&[&second, &small, &first, &not_matching])
-            .expect("three valid candidates");
-        assert_eq!(warm.edges(), second.edges());
+        let sorted = |m: Matching| {
+            let mut edges = m.into_edges();
+            edges.sort_unstable();
+            edges
+        };
+        // Path 0-1-2-3-4 as p = {01, 23} and q = {12, 34}: equal sizes, both
+        // maximum on the path, so the first one is the answer.
+        let p = Graph::from_pairs(5, vec![(0, 1), (2, 3)]).unwrap();
+        let q = Graph::from_pairs(5, vec![(1, 2), (3, 4)]).unwrap();
+        let pq = [p.clone(), q.clone()];
+        assert_eq!(sorted(solve_composed_matching(&pq)), p.edges());
+        let qp = [q.clone(), p.clone()];
+        assert_eq!(sorted(solve_composed_matching(&qp)), q.edges());
+        // Path 0-1-2-3-4-5 as x = {01, 23, 45} and y = {12, 34}: the larger
+        // one wins from either position.
+        let x = Graph::from_pairs(6, vec![(0, 1), (2, 3), (4, 5)]).unwrap();
+        let y = Graph::from_pairs(6, vec![(1, 2), (3, 4)]).unwrap();
+        let yx = [y.clone(), x.clone()];
+        assert_eq!(sorted(solve_composed_matching(&yx)), x.edges());
+        let xy = [x.clone(), y];
+        assert_eq!(sorted(solve_composed_matching(&xy)), x.edges());
     }
 
     /// On a skewed coreset union (one `rmat-flat` graph: R-MAT scale 13, k =
     /// 32) the degree-one rule settles at least 90 % of the root's answer,
-    /// where the warm start alone holds about a third, and the answer has a
-    /// cold solve's size.
+    /// and the answer has the size of a cold blossom solve, which takes no
+    /// forced edge.
     #[test]
     fn forced_edges_settle_most_of_an_rmat_root() {
         use graph::gen::rmat::rmat_graph500;
-        use matching::MatchingEngine;
+        use matching::{blossom_maximum_matching, MatchingEngine};
         let g = rmat_graph500(13, 16, &mut rng(23));
         let k = 32;
         let part = PartitionedGraph::random(&g, k, &mut rng(24)).unwrap();
@@ -355,22 +299,20 @@ mod tests {
             .collect();
         let refs: Vec<&Graph> = coresets.iter().collect();
         let slices: Vec<&[Edge]> = coresets.iter().map(|c| c.edges()).collect();
-        let warm = best_piece_matching(&refs).expect("the coresets are matchings");
         let mut engine = MatchingEngine::new();
-        let root = engine.solve_concat(g.n(), &slices, Some(&warm), MaximumMatchingAlgorithm::Auto);
+        let root = engine.solve_concat(g.n(), &slices);
         assert_eq!(
             root,
-            solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto),
-            "the root solve is this seeded solve"
+            solve_composed_matching(&coresets),
+            "the root solve is this solve"
         );
         let forced = engine.forced_edges() as usize;
         assert!(
             10 * forced >= 9 * root.len(),
-            "forced {forced} of {} answer edges (warm start {})",
-            root.len(),
-            warm.len()
+            "forced {forced} of {} answer edges",
+            root.len()
         );
-        let cold = maximum_matching(&Graph::union(&refs));
+        let cold = blossom_maximum_matching(&Graph::union(&refs));
         assert_eq!(root.len(), cold.len());
         assert!(root.is_valid_for(&g));
     }

@@ -10,11 +10,11 @@
 //!   matching keeping each edge with probability `1/α`; the composition is an
 //!   α-approximation with total communication `Õ(nk/α²)`.
 
-use crate::compose::solve_composed_matching_refs;
+use crate::compose::solve_composed_matching;
 use crate::params::CoresetParams;
 use graph::{Csr, Edge, Graph, GraphView};
 use matching::greedy::{maximal_matching, maximal_matching_by_key};
-use matching::maximum::{maximum_matching_with, MaximumMatchingAlgorithm};
+use matching::maximum::maximum_matching;
 use rand_chacha::ChaCha8Rng;
 
 /// A builder that turns one machine's piece `G^(i)` into its matching coreset
@@ -100,38 +100,26 @@ impl<B: MatchingCoresetBuilder + ?Sized> MatchingCoresetBuilder for &B {
 ///
 /// The solve runs on the calling worker thread's reusable
 /// [`matching::MatchingEngine`] (vertex compaction, forced degree-one edges,
-/// and only if they leave a core one shared CSR for the bipartiteness check
-/// and the solver, with the epoch-reset blossom workspace), so building many
-/// coresets on one thread allocates the solver state once. Theorem 1 allows
-/// any maximum matching, and the forced edges make one cheap to reach: on
-/// sparse pieces they are usually the whole coreset.
+/// and only if they leave a core one sorted CSR and the blossom search on
+/// the epoch-reset workspace), so building many coresets on one thread
+/// allocates the solver state once. Theorem 1 allows any maximum matching,
+/// and the forced edges make one cheap to reach: on sparse pieces they are
+/// usually the whole coreset.
 ///
 /// A tree merge composes its children exactly as the coordinator's root
-/// does ([`crate::compose::solve_composed_matching_refs`]). Two children
-/// that are matchings take the engine's alternating-path walk
+/// does ([`crate::compose::solve_composed_matching`]). Two children that are
+/// matchings take the engine's alternating-path walk
 /// ([`matching::MatchingEngine::merge_pair`]), which keeps the first largest
 /// child and switches in every path whose two end edges lie in the other.
-/// Larger groups, or children that are not matchings, run the solve seeded
-/// with the union's forced edges and then the first largest child.
+/// Larger groups, or children that are not matchings, run the engine's
+/// solve on the union.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaximumMatchingCoreset {
-    /// Which maximum-matching algorithm to run on the piece (Theorem 1 holds
-    /// for *any* of them; experiments verify the quality is unchanged).
-    pub algorithm: MaximumMatchingAlgorithm,
-}
+pub struct MaximumMatchingCoreset;
 
 impl MaximumMatchingCoreset {
-    /// Coreset using automatic algorithm selection (Hopcroft–Karp when
-    /// bipartite, Blossom otherwise).
+    /// The Theorem 1 coreset builder.
     pub fn new() -> Self {
-        Self {
-            algorithm: MaximumMatchingAlgorithm::Auto,
-        }
-    }
-
-    /// Coreset forcing a specific maximum-matching algorithm.
-    pub fn with_algorithm(algorithm: MaximumMatchingAlgorithm) -> Self {
-        Self { algorithm }
+        MaximumMatchingCoreset
     }
 }
 
@@ -143,7 +131,7 @@ impl MatchingCoresetBuilder for MaximumMatchingCoreset {
         _machine: usize,
         _rng: &mut ChaCha8Rng,
     ) -> Graph {
-        let m = maximum_matching_with(&piece, self.algorithm);
+        let m = maximum_matching(&piece);
         // A matching is trivially simple; wrap it without a validation pass.
         Graph::from_edges_unchecked(piece.n(), m.into_edges())
     }
@@ -156,8 +144,7 @@ impl MatchingCoresetBuilder for MaximumMatchingCoreset {
         _node: usize,
         _rng: &mut ChaCha8Rng,
     ) -> Graph {
-        let refs: Vec<&Graph> = group.iter().collect();
-        let m = solve_composed_matching_refs(&refs, self.algorithm);
+        let m = solve_composed_matching(group);
         Graph::from_edges_unchecked(n, m.into_edges())
     }
 
@@ -322,8 +309,6 @@ impl MatchingCoresetBuilder for AvoidingMaximalMatchingCoreset {
 pub struct SubsampledMatchingCoreset {
     /// The target approximation factor `alpha >= 1`.
     pub alpha: f64,
-    /// Algorithm for the underlying maximum matching.
-    pub algorithm: MaximumMatchingAlgorithm,
 }
 
 impl SubsampledMatchingCoreset {
@@ -334,10 +319,7 @@ impl SubsampledMatchingCoreset {
     /// Panics if `alpha < 1`.
     pub fn new(alpha: f64) -> Self {
         assert!(alpha >= 1.0, "alpha must be at least 1, got {alpha}");
-        SubsampledMatchingCoreset {
-            alpha,
-            algorithm: MaximumMatchingAlgorithm::Auto,
-        }
+        SubsampledMatchingCoreset { alpha }
     }
 }
 
@@ -350,7 +332,7 @@ impl MatchingCoresetBuilder for SubsampledMatchingCoreset {
         rng: &mut ChaCha8Rng,
     ) -> Graph {
         use rand::Rng;
-        let m = maximum_matching_with(&piece, self.algorithm);
+        let m = maximum_matching(&piece);
         // The subsampling consumes this machine's private stream: independent
         // across machines, reproducible for a fixed seed, and identical no
         // matter how the machines are scheduled onto threads.
@@ -486,21 +468,11 @@ mod tests {
         edges
     }
 
-    /// The engine's solve of the group's materialized union, seeded with its
-    /// forced edges and then the first largest child that is a matching.
-    fn warm_started(group: &[Graph]) -> Vec<Edge> {
-        use matching::matching::{edges_form_matching, Matching};
-        use matching::maximum::maximum_matching_warm;
+    /// The engine's solve of the group's materialized union: its forced
+    /// edges, then blossom on what they leave.
+    fn union_solve(group: &[Graph]) -> Vec<Edge> {
         let union = Graph::union(&group.iter().collect::<Vec<_>>());
-        let matchings = group.iter().filter(|c| edges_form_matching(c.edges()));
-        let size = matchings.clone().map(Graph::m).max().unwrap_or(0);
-        let warm = matchings
-            .filter(|c| c.m() == size)
-            .map(|c| Matching::from_edges(c.edges().to_vec()))
-            .next()
-            .unwrap_or_default();
-        let mut edges =
-            maximum_matching_warm(&union, &warm, MaximumMatchingAlgorithm::Auto).into_edges();
+        let mut edges = matching::maximum::maximum_matching(&union).into_edges();
         edges.sort_unstable();
         edges
     }
@@ -525,6 +497,8 @@ mod tests {
         assert_eq!(merge_of(&[y.clone(), Graph::empty(6)]), y.edges());
     }
 
+    /// Groups the walk cannot take run the engine's solve on their union,
+    /// whose only seeds (its warm start) are the union's forced edges.
     #[test]
     fn merges_the_walk_cannot_take_run_the_warm_started_solve() {
         let mut r = rng(6);
@@ -539,7 +513,7 @@ mod tests {
             })
             .collect();
         // Three children: the seeded solve of their union.
-        assert_eq!(merge_of(&coresets), warm_started(&coresets));
+        assert_eq!(merge_of(&coresets), union_solve(&coresets));
         // A child that is not a matching (a whole piece): the same solve.
         let piece = Graph::from_edges_unchecked(150, part.piece(1).edges().to_vec());
         assert!(!matching::matching::edges_form_matching(piece.edges()));
@@ -547,7 +521,7 @@ mod tests {
             [coresets[0].clone(), piece.clone()],
             [piece, coresets[2].clone()],
         ] {
-            assert_eq!(merge_of(&pair), warm_started(&pair));
+            assert_eq!(merge_of(&pair), union_solve(&pair));
         }
     }
 

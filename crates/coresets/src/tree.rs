@@ -399,7 +399,6 @@ mod tests {
     use crate::vc_coreset::PeelingVcCoreset;
     use graph::gen::er::gnp;
     use graph::PartitionedGraph;
-    use matching::maximum::MaximumMatchingAlgorithm;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -559,7 +558,7 @@ mod tests {
     #[test]
     fn tree_with_k_at_most_fan_in_equals_flat_composition() {
         let (_, coresets, params) = protocol_coresets(11, 300, 0.03, 3);
-        let flat = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let flat = solve_composed_matching(&coresets);
         let tree = tree_compose(
             &MatchingProblem(MaximumMatchingCoreset::new()),
             300,

@@ -47,7 +47,6 @@ use dynamic::DynamicCover;
 use graph::partition::PartitionedGraph;
 use graph::{ChurnOp, ChurnPartition, Graph, GraphError};
 use matching::matching::Matching;
-use matching::maximum::MaximumMatchingAlgorithm;
 use rayon::prelude::*;
 use vertexcover::VertexCover;
 
@@ -274,9 +273,7 @@ impl std::fmt::Debug for GraphService {
 }
 
 /// The service's matching problem: the paper's Theorem 1 coreset.
-const MATCHING: MatchingProblem<MaximumMatchingCoreset> = MatchingProblem(MaximumMatchingCoreset {
-    algorithm: MaximumMatchingAlgorithm::Auto,
-});
+const MATCHING: MatchingProblem<MaximumMatchingCoreset> = MatchingProblem(MaximumMatchingCoreset);
 /// The service's vertex-cover problem: the paper's Theorem 2 coreset.
 const VC: VcProblem<PeelingVcCoreset> = VcProblem(PeelingVcCoreset);
 

@@ -15,9 +15,8 @@
 //!   Neiman–Solomon / Onak–Rubinfeld line of dynamic matching algorithms.
 //!   Repairs the bound forces the matcher to skip accrue *dirt*; when the
 //!   dirty region exceeds its budget the matcher falls back to a full
-//!   [`matching::MatchingEngine`] re-solve, **warm-started** from the current
-//!   matching (reusing the engine's epoch-stamped `BlossomWorkspace`), which
-//!   restores a maximum matching and resets the dirt.
+//!   [`matching::MatchingEngine`] re-solve (reusing the engine's buffers),
+//!   which restores a maximum matching and resets the dirt.
 //! * [`DynamicCover`] — the matched-endpoint **2-approximate vertex cover**
 //!   of that maximal matching, plus an engine-backed refinement query that
 //!   reuses a private [`vertexcover::VcEngine`] (epoch-stamped

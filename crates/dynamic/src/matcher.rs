@@ -11,7 +11,6 @@
 //! neighbour" verdict cannot be invalidated later in the same epoch.
 
 use graph::{ChurnOp, Edge, Graph, GraphError, VertexId};
-use matching::maximum::MaximumMatchingAlgorithm;
 use matching::{Matching, MatchingEngine};
 
 /// Sentinel for "unmatched" in the mate array.
@@ -383,17 +382,13 @@ impl DynamicMatcher {
     }
 
     /// Replaces the maintained matching with a **maximum** matching of the
-    /// current graph, computed by the owned [`MatchingEngine`] warm-started
-    /// from the current matching (the engine's epoch-stamped
-    /// `BlossomWorkspace` is reused across calls). Resets the dirt and
+    /// current graph, computed by the owned [`MatchingEngine`]'s solve
+    /// (forced degree-one edges, then blossom on what they leave; the
+    /// engine's buffers are reused across calls). Resets the dirt and
     /// re-derives the repair budgets from the current `m`. Returns the new
     /// size.
     pub fn resolve_max(&mut self) -> usize {
-        let g = self.current_graph();
-        let warm = self.matching();
-        let solved = self
-            .engine
-            .solve_warm(&g, &warm, MaximumMatchingAlgorithm::Auto);
+        let solved = self.engine.solve(&self.current_graph());
         for mv in &mut self.mate {
             *mv = NONE;
         }

@@ -4,9 +4,8 @@
 //! huge vertex set*: a `gnp(1e5, 2e-4)` piece under a `k = 16` random
 //! partition touches only ~70% of the 100k vertex ids, and the coresets the
 //! coordinator composes are matchings touching even fewer. Every solver that
-//! allocates per-vertex state (blossom search arrays, Hopcroft–Karp pair
-//! maps, BFS colourings) would otherwise pay for the isolated ids on every
-//! call.
+//! allocates per-vertex state (blossom search arrays, forced-step degrees,
+//! peeling degrees) would otherwise pay for the isolated ids on every call.
 //!
 //! [`VertexCompactor`] relabels the non-isolated vertices of any
 //! [`GraphRef`] to the dense range `0..n_local` — in **increasing original-id
@@ -22,20 +21,17 @@
 //! sorted; expanding the set bits in word order then assigns the same
 //! monotone local ids a sort of the vertex ids would. A call therefore costs
 //! `O(m + n_local + w log w)`. Every array grows to the largest `n` seen, so
-//! after the first call no step is `O(n)`.
-//!
-//! [`VertexCompactor::to_local_edge`] answers from per-id `u32` epoch stamps
-//! written only for the `n_local` live vertices; a new call invalidates the
-//! previous mapping by bumping the epoch instead of clearing the arrays.
+//! after the first call no step is `O(n)`. The relabeling table is written
+//! only for the `n_local` live vertices and read only for the call's own
+//! endpoints, so what earlier calls left in it is never read.
 //!
 //! # Unwinding
 //!
 //! A word index is recorded before its word gains its first bit, so the
 //! recorded list always names every non-zero word, even if a call unwinds
 //! part-way (say, on an endpoint past the buffers). Each call clears the
-//! words its predecessor recorded before setting any bit of its own, and
-//! bumps the epoch, so no mark of an earlier call, finished or not, reaches
-//! a later one.
+//! words its predecessor recorded before setting any bit of its own, so no
+//! mark of an earlier call, finished or not, reaches a later one.
 
 use crate::edge::{Edge, VertexId};
 use crate::view::{GraphRef, GraphView};
@@ -43,17 +39,15 @@ use crate::view::{GraphRef, GraphView};
 /// Reusable vertex-compaction scratch: relabels graphs onto their non-isolated
 /// vertices and maps results back.
 ///
-/// See the [module docs](self) for the presence-bit and epoch-stamping
-/// schemes. A compactor's mapping accessors ([`VertexCompactor::n_local`],
-/// [`VertexCompactor::to_local_edge`], [`VertexCompactor::expand_edges`], …)
-/// always refer to the most recent [`VertexCompactor::compact`] call.
+/// See the [module docs](self) for the presence-bit scheme. A compactor's
+/// mapping accessors ([`VertexCompactor::n_local`],
+/// [`VertexCompactor::expand_edges`], …) always refer to the most recent
+/// [`VertexCompactor::compact`] call.
 #[derive(Debug, Clone, Default)]
 pub struct VertexCompactor {
-    /// `local_of[v]` = dense id of original vertex `v`; valid iff
-    /// `stamp[v] == epoch`.
+    /// `local_of[v]` = dense id of original vertex `v`; valid for the
+    /// current call's endpoints only.
     local_of: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
     /// Presence bits: bit `v % 64` of `present[v / 64]` is set iff `v` is an
     /// endpoint in the current call. Every non-zero word is listed in
     /// `touched`.
@@ -92,8 +86,7 @@ impl VertexCompactor {
         if self.present.len() < words {
             self.present.resize(words, 0);
         }
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
+        if self.local_of.len() < n {
             self.local_of.resize(n, 0);
         }
         // Clear the words the previous call recorded, finished or unwound.
@@ -101,15 +94,6 @@ impl VertexCompactor {
             self.present[w as usize] = 0;
         }
         self.touched.clear();
-        // Bump the epoch; on wrap-around fall back to one full clear so stale
-        // stamps from 2^32 compactions ago can never alias the new epoch.
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.stamp.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
         for s in slices {
             for e in *s {
                 for x in [e.u, e.v] {
@@ -131,7 +115,6 @@ impl VertexCompactor {
             let mut bits = self.present[w as usize];
             while bits != 0 {
                 let v = (w << 6) | bits.trailing_zeros();
-                self.stamp[v as usize] = self.epoch;
                 self.local_of[v as usize] = self.orig_of.len() as u32;
                 self.orig_of.push(v);
                 bits &= bits - 1;
@@ -171,25 +154,6 @@ impl VertexCompactor {
     #[inline]
     pub fn orig_of(&self, local: VertexId) -> VertexId {
         self.orig_of[local as usize]
-    }
-
-    /// Maps an original-id edge into compacted ids; `None` if either endpoint
-    /// was isolated in (or absent from) the compacted graph.
-    pub fn to_local_edge(&self, e: Edge) -> Option<Edge> {
-        let (u, v) = (e.u as usize, e.v as usize);
-        if u < self.stamp.len()
-            && v < self.stamp.len()
-            && self.stamp[u] == self.epoch
-            && self.stamp[v] == self.epoch
-        {
-            // Monotone relabeling keeps the canonical order.
-            Some(Edge {
-                u: self.local_of[u],
-                v: self.local_of[v],
-            })
-        } else {
-            None
-        }
     }
 
     /// Maps compacted-id edges back to original ids (preserving order; the
@@ -258,18 +222,6 @@ mod tests {
                 }));
             }
         }
-
-        fn to_local_edge(&self, e: Edge) -> Option<Edge> {
-            let (u, v) = (e.u as usize, e.v as usize);
-            (u < self.stamp.len()
-                && v < self.stamp.len()
-                && self.stamp[u] == self.epoch
-                && self.stamp[v] == self.epoch)
-                .then(|| Edge {
-                    u: self.local_of[u],
-                    v: self.local_of[v],
-                })
-        }
     }
 
     /// Spreads a graph's vertices over a sparse id space (multiplying ids by
@@ -329,13 +281,12 @@ mod tests {
 
         /// One presence-bit compactor reused across a run of calls (growing
         /// and shrinking `n`) maps every call exactly like a reused copy of
-        /// the sorting compactor: same local ids, relabeled edges, expansion
-        /// and `to_local_edge` answers, stale ids of earlier calls included.
+        /// the sorting compactor: same local ids, relabeled edges and
+        /// expansion.
         #[test]
         fn presence_bits_match_the_sorting_compactor(seed in any::<u64>()) {
             let mut r = ChaCha8Rng::seed_from_u64(seed);
             let (mut bits, mut oracle) = (VertexCompactor::new(), SortingCompactor::default());
-            let mut previous: Vec<Edge> = Vec::new();
             for call in 0..r.gen_range(1..6) {
                 let (n, slices) = random_call(&mut r);
                 let refs: Vec<&[Edge]> = slices.iter().map(Vec::as_slice).collect();
@@ -349,21 +300,6 @@ mod tests {
                     "call {}",
                     call
                 );
-                let current = refs.concat();
-                let max_id = 2 * n.max(1) as u32 + 64;
-                let random: Vec<Edge> = (0..32)
-                    .map(|_| Edge::new(r.gen_range(0..max_id), r.gen_range(max_id..2 * max_id)))
-                    .collect();
-                for probe in current.iter().chain(&previous).chain(&random) {
-                    prop_assert_eq!(
-                        bits.to_local_edge(*probe),
-                        oracle.to_local_edge(*probe),
-                        "call {}, probe {:?}",
-                        call,
-                        probe
-                    );
-                }
-                previous = current;
             }
         }
     }
@@ -372,10 +308,10 @@ mod tests {
     /// no mark behind: the next call equals a fresh compactor's.
     #[test]
     fn a_call_that_unwinds_part_way_leaks_nothing_into_the_next() {
-        // `n = 100` sizes the stamps to 100 ids and the presence words to
-        // 128: endpoint 100_000 is past every buffer (marking panics after
-        // ids 5, 70 and 7 are set), and endpoint 120 only past the stamps
-        // (expansion panics after every bit is set).
+        // `n = 100` sizes the relabeling table to 100 ids and the presence
+        // words to 128: endpoint 100_000 is past every buffer (marking panics
+        // after ids 5, 70 and 7 are set), and endpoint 120 only past the
+        // table (expansion panics after every bit is set).
         for bad in [
             [Edge::new(5, 70), Edge::new(7, 100_000)],
             [Edge::new(5, 70), Edge::new(7, 120)],
@@ -392,9 +328,6 @@ mod tests {
             assert_eq!(c.n_local(), fresh.n_local(), "{bad:?}");
             assert_eq!(c.orig_of, fresh.orig_of, "{bad:?}");
             assert_eq!(c.local_edges(), fresh.local_edges(), "{bad:?}");
-            for probe in bad.iter().chain(g.edges()) {
-                assert_eq!(c.to_local_edge(*probe), fresh.to_local_edge(*probe));
-            }
         }
     }
 
@@ -425,26 +358,19 @@ mod tests {
     }
 
     #[test]
-    fn to_local_edge_rejects_unmapped_endpoints() {
-        let g = Graph::from_pairs(10, vec![(1, 2)]).unwrap();
-        let mut c = VertexCompactor::new();
-        c.compact(&g);
-        assert_eq!(c.to_local_edge(Edge::new(1, 2)), Some(Edge::new(0, 1)));
-        assert_eq!(c.to_local_edge(Edge::new(1, 5)), None, "5 is isolated");
-        assert_eq!(c.to_local_edge(Edge::new(90, 91)), None, "out of range");
-    }
-
-    #[test]
     fn reuse_across_graphs_of_different_sizes() {
         let mut c = VertexCompactor::new();
         c.compact(&Graph::from_pairs(100, vec![(10, 90)]).unwrap());
         assert_eq!(c.n_local(), 2);
-        // A smaller graph afterwards: stale stamps from the larger graph must
-        // not leak into the new mapping.
+        // A smaller graph afterwards: the larger graph's ids must not leak
+        // into the new mapping.
         c.compact(&Graph::from_pairs(5, vec![(0, 1), (1, 2)]).unwrap());
         assert_eq!(c.n_local(), 3);
         assert_eq!(c.local_edges(), &[Edge::new(0, 1), Edge::new(1, 2)]);
-        assert_eq!(c.to_local_edge(Edge::new(10, 90)), None);
+        assert_eq!(
+            c.expand_edges(c.local_edges()),
+            [Edge::new(0, 1), Edge::new(1, 2)]
+        );
     }
 
     #[test]

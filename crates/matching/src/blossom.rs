@@ -73,11 +73,14 @@
 //! [`BlossomWorkspace::edge_scans`] can only drop. A `#[cfg(test)]` copy of
 //! the unpruned search is the oracle of the differential tests below.
 //!
-//! Callers with many solves (the coreset builders, the coordinator) should
-//! reuse one workspace via [`blossom_maximum_matching_with`] or the
-//! [`MatchingEngine`](crate::engine::MatchingEngine), which additionally
-//! compacts away isolated vertices; [`blossom_maximum_matching`] remains the
-//! simple one-shot entry point.
+//! Every [`MatchingEngine`](crate::engine::MatchingEngine) solve that the
+//! forced degree-one edges do not settle ends here, bipartite or not: the
+//! engine seeds the search with those edges and restricts its roots to
+//! their core (`blossom_with_roots`). Other callers with many solves should
+//! reuse one workspace via [`blossom_maximum_matching_with`];
+//! [`blossom_maximum_matching`] remains the simple one-shot entry point, and
+//! both search from every free vertex with no seed: the cold solve the tests
+//! compare the engine against.
 
 use crate::matching::Matching;
 use crate::workspace::{BlossomWorkspace, NONE};
@@ -101,22 +104,14 @@ pub fn blossom_maximum_matching_with<G: GraphRef + ?Sized>(
     ws: &mut BlossomWorkspace,
 ) -> Matching {
     let adj = Csr::from_ref(g);
-    Matching::from_edges(blossom_on_csr(&adj, ws, &[]))
+    Matching::from_edges(blossom_on_csr(&adj, ws))
 }
 
-/// Core solver: maximum matching of the graph described by `adj`, optionally
-/// warm-started from `warm`.
-///
-/// `warm` must be a set of vertex-disjoint edges of the graph (a
-/// [`Matching`]'s edges); the solver seeds its `mate` array with them before
-/// the greedy initialisation — the seed changes which maximum matching
-/// comes out and how much augmenting work is left, never the returned
-/// matching's *size* (the algorithm always terminates at a maximum
-/// matching). Warm edges that are not edges of the graph are skipped
-/// (debug builds assert). Returns the matched edges in ascending vertex
-/// order.
-pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
-    solve(adj, ws, warm, |v| adj.degree(v) > 0, augment_from)
+/// Core solver: maximum matching of the graph described by `adj`, with no
+/// seed and a search from every free vertex. Returns the matched edges in
+/// ascending vertex order.
+pub fn blossom_on_csr(adj: &Csr, ws: &mut BlossomWorkspace) -> Vec<Edge> {
+    solve(adj, ws, &[], |v| adj.degree(v) > 0, augment_from)
 }
 
 /// [`blossom_on_csr`] seeded with `seeds`, whose augmenting searches start
@@ -131,10 +126,16 @@ pub(crate) fn blossom_with_roots(
     solve(adj, ws, seeds, root, augment_from)
 }
 
-/// The solve around one augmenting-search routine: warm seed, then, over
+/// The solve around one augmenting-search routine: the seeds, then, over
 /// the vertices `v` with `root(v)` in vertex order, a greedy pass and one
 /// search from each that is still free; matched edges out. Shared with the
 /// unpruned test oracle, so the two differ only in the search.
+///
+/// `seeds` are edges of the graph, adopted in order as the initial matching;
+/// a seed that meets an already seeded vertex is skipped. They change which
+/// maximum matching comes out and how much augmenting work is left, never
+/// the returned matching's size: the search always ends at a maximum
+/// matching.
 ///
 /// `root` may leave out any vertex that no augmenting path of a matching
 /// containing the seeds can end at. [`blossom_on_csr`] leaves out the
@@ -159,22 +160,15 @@ pub(crate) fn blossom_with_roots(
 fn solve(
     adj: &Csr,
     ws: &mut BlossomWorkspace,
-    warm: &[Edge],
+    seeds: &[Edge],
     root: impl Fn(u32) -> bool,
     mut search: impl FnMut(&mut BlossomWorkspace, &Csr, u32) -> bool,
 ) -> Vec<Edge> {
     let n = adj.n();
     ws.begin_solve(n);
 
-    // Warm start: adopt the caller's matching as the initial mate assignment.
-    // Edges that are not edges of this graph are skipped (not just
-    // debug-asserted): a foreign edge seeded into `mate` would survive into
-    // the output and make it an invalid matching.
-    for e in warm {
-        if !adj.has_edge(e.u, e.v) {
-            debug_assert!(false, "warm edge {e:?} does not exist in the graph");
-            continue;
-        }
+    for e in seeds {
+        debug_assert!(adj.has_edge(e.u, e.v), "seed {e:?} is not an edge");
         if ws.mate[e.u as usize] == NONE && ws.mate[e.v as usize] == NONE {
             ws.mate[e.u as usize] = e.v;
             ws.mate[e.v as usize] = e.u;
@@ -398,8 +392,19 @@ mod tests {
         false
     }
 
-    fn reference_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, warm: &[Edge]) -> Vec<Edge> {
-        solve(adj, ws, warm, |v| adj.degree(v) > 0, augment_from_reference)
+    fn reference_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, seeds: &[Edge]) -> Vec<Edge> {
+        solve(
+            adj,
+            ws,
+            seeds,
+            |v| adj.degree(v) > 0,
+            augment_from_reference,
+        )
+    }
+
+    /// The pruned solver seeded with `seeds`, searching from every vertex.
+    fn seeded_on_csr(adj: &Csr, ws: &mut BlossomWorkspace, seeds: &[Edge]) -> Vec<Edge> {
+        solve(adj, ws, seeds, |v| adj.degree(v) > 0, augment_from)
     }
 
     /// Hub `0` with `leaves` pendant leaves, joined by one edge to vertex 1
@@ -492,10 +497,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 256 }))]
 
-        /// Pruning is invisible: on every family, cold and warm-started
-        /// from a maximal matching, the pruned solver returns exactly the
-        /// unpruned oracle's edges after the same number of searches, and
-        /// never reads more adjacency entries.
+        /// Pruning is invisible: on every family, cold and seeded with a
+        /// maximal matching, the pruned solver returns exactly the unpruned
+        /// oracle's edges after the same number of searches, and never
+        /// reads more adjacency entries.
         #[test]
         fn pruned_solver_is_bit_identical_to_the_unpruned_reference(seed in any::<u64>()) {
             for (family, g) in families(seed) {
@@ -504,7 +509,7 @@ mod tests {
                 for warm in [&[][..], greedy.edges()] {
                     let (mut pruned, mut reference) =
                         (BlossomWorkspace::new(), BlossomWorkspace::new());
-                    let got = blossom_on_csr(&adj, &mut pruned, warm);
+                    let got = seeded_on_csr(&adj, &mut pruned, warm);
                     let want = reference_on_csr(&adj, &mut reference, warm);
                     let label = format!("{family} (n={}, m={}, warm={})", g.n(), g.m(), !warm.is_empty());
                     prop_assert_eq!(&got, &want, "{}", label);
@@ -542,7 +547,7 @@ mod tests {
                     seeds.extend_from_slice(warm);
                     let (mut core, mut every) = (BlossomWorkspace::new(), BlossomWorkspace::new());
                     let restricted = blossom_with_roots(&adj, &mut core, &seeds, |v| forced.in_core(v));
-                    let unrestricted = blossom_on_csr(&adj, &mut every, &seeds);
+                    let unrestricted = seeded_on_csr(&adj, &mut every, &seeds);
                     let label = format!("{family} (n={}, m={}, warm={})", g.n(), g.m(), !warm.is_empty());
                     prop_assert_eq!(restricted.len(), unrestricted.len(), "{}", label);
                     prop_assert!(seeds[..f].iter().all(|e| restricted.contains(e)), "{}", label);
@@ -569,7 +574,7 @@ mod tests {
         let size = (g.n() + g.m()) as u64;
         let adj = Csr::from_ref(&g);
         let (mut pruned, mut reference) = (BlossomWorkspace::new(), BlossomWorkspace::new());
-        let got = blossom_on_csr(&adj, &mut pruned, &[]);
+        let got = blossom_on_csr(&adj, &mut pruned);
         let want = reference_on_csr(&adj, &mut reference, &[]);
         assert_eq!(got, want);
         assert_eq!(
@@ -601,7 +606,7 @@ mod tests {
     fn dead_marks_do_not_leak_into_the_next_solve() {
         let mut ws = BlossomWorkspace::new();
         let first = Csr::from_ref(&flower(9, 30));
-        blossom_on_csr(&first, &mut ws, &[]);
+        blossom_on_csr(&first, &mut ws);
         // All 40 ids are dead now. Ten 4-vertex paths `b-c` + `b-a` + `c-d`
         // over the same ids, numbered so that greedy matches the middle edge
         // `b-c` and each path needs one augmentation `a-b-c-d`.
@@ -717,16 +722,17 @@ mod tests {
         assert_eq!(ws.full_resets(), 0);
     }
 
+    /// Seeds never change the size: seeded with a maximal matching of the
+    /// same graph, the solve reaches the cold solve's size.
     #[test]
     fn warm_start_preserves_maximum_size() {
         for seed in 0..10 {
             let g = gnp(50, 0.08, &mut rng(seed + 900));
             let adj = Csr::from_ref(&g);
             let cold = blossom_maximum_matching(&g);
-            // Warm-start from a maximal matching of the same graph.
             let warm_seed = crate::greedy::maximal_matching(&g);
             let mut ws = BlossomWorkspace::new();
-            let warm = Matching::from_edges(blossom_on_csr(&adj, &mut ws, warm_seed.edges()));
+            let warm = Matching::from_edges(seeded_on_csr(&adj, &mut ws, warm_seed.edges()));
             assert_eq!(warm.len(), cold.len(), "seed {seed}");
             assert!(warm.is_valid_for(&g));
         }

@@ -1,4 +1,4 @@
-//! The maximum-matching engine: compaction + forced edges + fused dispatch.
+//! The maximum-matching engine: compaction, forced edges, then blossom.
 //!
 //! [`MatchingEngine`] is the solver hot path behind
 //! [`maximum_matching`](crate::maximum::maximum_matching) and the protocol
@@ -19,24 +19,14 @@
 //!    `O(n_local + m)` with engine buffers (see `forced.rs`). Every forced
 //!    edge lies in a maximum matching of what the earlier ones leave. If no
 //!    edge has both endpoints outside `V(F)`, the vertices the forced edges
-//!    `F` cover, then `F` is the answer: no sort, colouring or search.
+//!    `F` cover, then `F` is the answer: no sort or search.
 //!    Forests, sparse `G(n, p)` pieces and nearly every R-MAT piece end here.
 //! 3. **Core solve** — otherwise the lists are sorted in place
-//!    ([`Csr::sort_lists`], no comparison sort), and the same CSR is walked
-//!    by *both* the bipartiteness check
-//!    ([`two_coloring_with_csr`](crate::maximum::two_coloring_with_csr)) and
-//!    the solver: Hopcroft–Karp
-//!    ([`hopcroft_karp_on_csr`](crate::hopcroft_karp::hopcroft_karp_on_csr))
-//!    straight from the colouring, or the epoch-reset blossom search
-//!    ([`blossom_on_csr`](crate::blossom::blossom_on_csr)) on the engine's
-//!    [`BlossomWorkspace`]. The colouring and Hopcroft–Karp's buffers are
-//!    engine buffers too. Both solvers adopt **seeds**, in order and
-//!    skipping any that meets an already seeded vertex, before their
-//!    vertex-order greedy pass and augmenting searches: `F`, then the edges
-//!    of the **warm start** (a merge's largest child, the root's best
-//!    coreset) on still-free vertices, since a warm edge can take a hub
-//!    that one of its pendants needs. Blossom searches start only at free
-//!    vertices with a neighbour outside `V(F)`: no other vertex can end an
+//!    ([`Csr::sort_lists`], no comparison sort) and the epoch-reset blossom
+//!    search runs on the same CSR and the engine's [`BlossomWorkspace`],
+//!    bipartite or not. It adopts `F` as its initial matching, then runs its
+//!    vertex-order greedy pass and one augmenting search from each free
+//!    vertex with a neighbour outside `V(F)`: no other vertex can end an
 //!    augmenting path (see `blossom::solve`).
 //! 4. **Output check** — the solver's edges are checked vertex-disjoint in
 //!    local ids against an engine-owned mark array (`O(|M|)`, marks cleared
@@ -44,13 +34,10 @@
 //!    The check runs on every solve and panics like
 //!    [`Matching::from_edges`] does.
 //!
-//! The seeds change which maximum matching comes out and how much work is
-//! left, never its size, and the answer, edge order included, is the same
-//! for every order of the input edges. [`MatchingEngine::forced_edges`] and
-//! [`MatchingEngine::core_solves`] count the work of steps 2 and 3. An
-//! explicit [`MaximumMatchingAlgorithm::HopcroftKarp`] request colours the
-//! whole graph before step 2, so a non-bipartite graph is rejected even
-//! when `F` alone would answer it.
+//! `F` changes which maximum matching comes out and how much work is left,
+//! never its size, and the answer, edge order included, is the same for
+//! every order of the input edges. [`MatchingEngine::forced_edges`] and
+//! [`MatchingEngine::core_solves`] count the work of steps 2 and 3.
 //!
 //! # Fan-in-2 merges
 //!
@@ -60,8 +47,8 @@
 //! only augments returns `A` with every path whose two end edges lie in `B`
 //! switched to `B`. That answer is unique, so
 //! [`MatchingEngine::merge_pair`] computes it with one `O(|A| + |B|)` walk
-//! over epoch-stamped mate slots: no union copy, compaction, CSR, colouring
-//! or augmenting search. It returns `None` unless both children are
+//! over epoch-stamped mate slots: no union copy, compaction, CSR or
+//! augmenting search. It returns `None` unless both children are
 //! matchings, and the caller then runs the solve instead.
 //! [`MatchingEngine::walk_steps`] counts the edges the walks cross, at most
 //! `2(|A| + |B|)` per merge. A coordinator that composes exactly two
@@ -77,18 +64,15 @@
 
 use crate::blossom::blossom_with_roots;
 use crate::forced::ForcedEdges;
-use crate::hopcroft_karp::{hopcroft_karp_with, HkBuffers};
 use crate::matching::Matching;
-use crate::maximum::{two_coloring_into, MaximumMatchingAlgorithm};
 use crate::merge_walk::MergeWalk;
 use crate::workspace::BlossomWorkspace;
 use graph::{Csr, Edge, GraphRef, VertexCompactor};
 use std::cell::RefCell;
 
 /// A reusable maximum-matching solver: compaction scratch, CSR, blossom
-/// workspace, 2-colouring and Hopcroft–Karp buffers, forced-edge state,
-/// seed list, output-check marks and merge-walk slots, allocated once and
-/// reused across solves.
+/// workspace, forced-edge state and list, output-check marks and merge-walk
+/// slots, allocated once and reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker (or use the thread-local engine behind
@@ -98,11 +82,8 @@ pub struct MatchingEngine {
     compactor: VertexCompactor,
     csr: Csr,
     workspace: BlossomWorkspace,
-    /// 2-colouring by local id, from the last bipartiteness check.
-    color: Vec<u8>,
-    hk: HkBuffers,
     forced: ForcedEdges,
-    /// The solve's seed edges in local ids: forced, then warm.
+    /// The solve's forced edges in local ids: the blossom search's seeds.
     seeds: Vec<Edge>,
     /// Output-check marks by local id; all `false` between solves.
     marks: Vec<bool>,
@@ -116,36 +97,9 @@ impl MatchingEngine {
         Self::default()
     }
 
-    /// Computes a maximum matching of `g` with automatic algorithm selection.
+    /// Computes a maximum matching of `g`.
     pub fn solve<G: GraphRef + ?Sized>(&mut self, g: &G) -> Matching {
-        self.solve_with(g, MaximumMatchingAlgorithm::Auto)
-    }
-
-    /// Computes a maximum matching of `g` with the requested algorithm.
-    pub fn solve_with<G: GraphRef + ?Sized>(
-        &mut self,
-        g: &G,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
-        self.solve_inner(g, None, algorithm)
-    }
-
-    /// Computes a maximum matching of `g`, seeded with its forced edges and
-    /// then `warm`.
-    ///
-    /// `warm` must be a valid matching whose edges all belong to `g` (a
-    /// tree merge's warm start, its largest child, satisfies this by
-    /// construction since every child is a subgraph of the union).
-    /// Warm edges with an endpoint unknown to the compacted graph are
-    /// ignored defensively. The result is a maximum matching of `g`; only
-    /// the solver work changes, never the returned size.
-    pub fn solve_warm<G: GraphRef + ?Sized>(
-        &mut self,
-        g: &G,
-        warm: &Matching,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
-        self.solve_inner(g, Some(warm), algorithm)
+        self.solve_concat(g.n(), &[g.edges()])
     }
 
     /// Read access to the blossom workspace (search / full-reset counters).
@@ -184,16 +138,15 @@ impl MatchingEngine {
     }
 
     /// Solves (lifetime) that the forced edges did not settle: each sorted
-    /// its CSR and ran a solver on what the forced step left.
+    /// its CSR and ran the blossom search on what the forced step left.
     pub fn core_solves(&self) -> u64 {
         self.core_solves
     }
 
     /// Computes a maximum matching of the **concatenation** of `slices`
-    /// (edge slices over the shared vertex set `0..n`), seeded with its
-    /// forced edges and then `warm`, without materializing the union edge
-    /// list: the coordinator's root solve and the tree merge's solve for
-    /// groups the walk cannot take.
+    /// (edge slices over the shared vertex set `0..n`) without
+    /// materializing the union edge list: the coordinator's root solve and
+    /// the tree merge's solve for groups the walk cannot take.
     ///
     /// For pairwise edge-disjoint slices (per-machine coresets of a
     /// partitioned graph always are) the answer is bit-identical to solving
@@ -201,67 +154,24 @@ impl MatchingEngine {
     /// still yield a maximum matching of the underlying simple graph: a
     /// duplicated edge is matching-neutral and only hides a pendant from
     /// the degree-one rule.
-    pub fn solve_concat(
-        &mut self,
-        n: usize,
-        slices: &[&[Edge]],
-        warm: Option<&Matching>,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
+    pub fn solve_concat(&mut self, n: usize, slices: &[&[Edge]]) -> Matching {
         if slices.iter().all(|s| s.is_empty()) {
             return Matching::new();
         }
-        self.compactor.compact_concat(n, slices);
-        self.solve_compacted(warm, algorithm)
-    }
-
-    fn solve_inner<G: GraphRef + ?Sized>(
-        &mut self,
-        g: &G,
-        warm: Option<&Matching>,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
-        if g.is_empty() {
-            // No edges: the empty matching is maximum, and HopcroftKarp's
-            // "must be bipartite" contract holds vacuously.
-            return Matching::new();
-        }
-        self.compactor.compact(g);
-        self.solve_compacted(warm, algorithm)
-    }
-
-    /// The shared solve tail: the forced step on the edge-order CSR of the
-    /// compactor's relabeled edges, then, unless it settled the answer, the
-    /// sorted core solve seeded with the forced edges and the warm edges
-    /// mapped through the same relabeling; the output check, and expansion
-    /// back to original ids.
-    fn solve_compacted(
-        &mut self,
-        warm: Option<&Matching>,
-        algorithm: MaximumMatchingAlgorithm,
-    ) -> Matching {
         let MatchingEngine {
             compactor,
             csr: adj,
             workspace,
-            color,
-            hk,
             forced,
             seeds,
             marks,
             walk: _,
             core_solves,
         } = self;
-        // Edge-order lists: neither the colouring's verdict nor the forced
-        // step depends on neighbour order.
+        compactor.compact_concat(n, slices);
+        // Edge-order lists: the forced step does not depend on neighbour
+        // order.
         adj.rebuild_unsorted(compactor.n_local(), compactor.local_edges());
-        if algorithm == MaximumMatchingAlgorithm::HopcroftKarp {
-            // The whole graph, before F can settle it.
-            assert!(
-                two_coloring_into(adj, color, &mut hk.queue),
-                "HopcroftKarp requested on a non-bipartite graph"
-            );
-        }
         seeds.clear();
         let solved;
         let local_edges: &[Edge] = if !forced.run(adj, seeds) {
@@ -269,28 +179,15 @@ impl MatchingEngine {
             seeds
         } else {
             *core_solves += 1;
-            // Sorted lists: the solvers' traversal order defines the answer.
+            // Sorted lists: the search's traversal order defines the answer.
             adj.sort_lists();
-            if let Some(m) = warm {
-                seeds.extend(m.edges().iter().filter_map(|&e| compactor.to_local_edge(e)));
-            }
-            let bipartite = match algorithm {
-                MaximumMatchingAlgorithm::HopcroftKarp => true,
-                MaximumMatchingAlgorithm::Blossom => false,
-                MaximumMatchingAlgorithm::Auto => two_coloring_into(adj, color, &mut hk.queue),
-            };
-            solved = if bipartite {
-                hopcroft_karp_with(adj, color, seeds, hk)
-            } else {
-                blossom_with_roots(adj, workspace, seeds, |v| forced.in_core(v))
-            };
+            solved = blossom_with_roots(adj, workspace, seeds, |v| forced.in_core(v));
             &solved
         };
         assert_vertex_disjoint(marks, compactor.n_local(), local_edges);
         Matching::from_edges_unchecked(compactor.expand_edges(local_edges))
     }
 }
-
 /// Panics with [`Matching::from_edges`]'s message unless `edges` (local ids
 /// below `n`) are pairwise vertex-disjoint; a self-loop shares an endpoint
 /// with itself. `marks` must be all `false` on entry and is all `false`
@@ -362,12 +259,11 @@ mod tests {
     #[test]
     fn zero_per_search_resets_across_many_solves() {
         // The epoch counters are the whole point: a long-lived engine must
-        // never fall back to an O(n) clear. Force Blossom so searches run
-        // even on bipartite draws.
+        // never fall back to an O(n) clear.
         let mut engine = MatchingEngine::new();
         for seed in 0..20 {
             let g = gnp(300, 0.02, &mut rng(seed + 100));
-            let m = engine.solve_with(&g, MaximumMatchingAlgorithm::Blossom);
+            let m = engine.solve(&g);
             assert!(m.is_valid_for(&g));
         }
         assert!(
@@ -385,9 +281,6 @@ mod tests {
     fn empty_graph_solves_to_empty_matching() {
         let mut engine = MatchingEngine::new();
         assert!(engine.solve(&Graph::empty(5)).is_empty());
-        assert!(engine
-            .solve_with(&Graph::empty(5), MaximumMatchingAlgorithm::HopcroftKarp)
-            .is_empty());
     }
 
     #[test]
@@ -400,14 +293,9 @@ mod tests {
             let views = part.views();
             let slices: Vec<&[Edge]> = views.iter().map(|v| v.edges()).collect();
             let union = part.reunite();
-            for algorithm in [
-                MaximumMatchingAlgorithm::Auto,
-                MaximumMatchingAlgorithm::Blossom,
-            ] {
-                let by_union = MatchingEngine::new().solve_with(&union, algorithm);
-                let by_concat = MatchingEngine::new().solve_concat(g.n(), &slices, None, algorithm);
-                assert_eq!(by_union.edges(), by_concat.edges(), "seed {seed}");
-            }
+            let by_union = MatchingEngine::new().solve(&union);
+            let by_concat = MatchingEngine::new().solve_concat(g.n(), &slices);
+            assert_eq!(by_union.edges(), by_concat.edges(), "seed {seed}");
         }
     }
 
@@ -415,12 +303,8 @@ mod tests {
     fn concat_solve_of_empty_slices_is_empty() {
         let mut engine = MatchingEngine::new();
         let empty: &[Edge] = &[];
-        assert!(engine
-            .solve_concat(8, &[empty, empty], None, MaximumMatchingAlgorithm::Auto)
-            .is_empty());
-        assert!(engine
-            .solve_concat(8, &[], None, MaximumMatchingAlgorithm::Auto)
-            .is_empty());
+        assert!(engine.solve_concat(8, &[empty, empty]).is_empty());
+        assert!(engine.solve_concat(8, &[]).is_empty());
     }
 
     #[test]
@@ -500,7 +384,7 @@ mod tests {
             // The solve takes them all and returns them: nothing is left to
             // sort or search.
             let (before, core_solves) = (engine.forced_edges(), engine.core_solves());
-            let solved = engine.solve_concat(n, &[g.edges()], None, MaximumMatchingAlgorithm::Auto);
+            let solved = engine.solve_concat(n, &[g.edges()]);
             assert_eq!(engine.forced_edges() - before, opt as u64, "seed {seed}");
             assert_eq!(solved.edges(), &forced[..], "seed {seed}");
             assert_eq!(engine.core_solves(), core_solves, "seed {seed}");
@@ -537,14 +421,9 @@ mod tests {
             };
             let rest = MatchingEngine::new().solve(&without_vertices(g, &forced));
             assert_eq!(forced.len() + rest.len(), opt, "case {i}");
-            for algorithm in [
-                MaximumMatchingAlgorithm::Auto,
-                MaximumMatchingAlgorithm::Blossom,
-            ] {
-                let root = engine.solve_concat(g.n(), &[g.edges()], None, algorithm);
-                assert!(root.is_valid_for(g), "case {i}");
-                assert_eq!(root.len(), opt, "case {i}");
-            }
+            let root = engine.solve_concat(g.n(), &[g.edges()]);
+            assert!(root.is_valid_for(g), "case {i}");
+            assert_eq!(root.len(), opt, "case {i}");
         }
     }
 
@@ -556,12 +435,7 @@ mod tests {
         let path = [Edge::new(0, 1), Edge::new(1, 2)];
         let forced = forced_of(3, &[twice[0], path[0], path[1]]);
         assert_eq!(forced, vec![Edge::new(1, 2)]);
-        let m = MatchingEngine::new().solve_concat(
-            3,
-            &[&twice, &path],
-            None,
-            MaximumMatchingAlgorithm::Auto,
-        );
+        let m = MatchingEngine::new().solve_concat(3, &[&twice, &path]);
         assert_eq!(m.len(), 1);
 
         // Random graphs cut into slices that overlap by a third of the edges.
@@ -571,13 +445,7 @@ mod tests {
             let edges = g.edges();
             let (a, b) = (edges.len() / 3, 2 * edges.len() / 3);
             let slices: [&[Edge]; 3] = [&edges[..b], &edges[a..], &edges[..a]];
-            let warm = Matching::try_from_edges(forced_of(g.n(), &edges[..a]));
-            let m = engine.solve_concat(
-                g.n(),
-                &slices,
-                warm.as_ref(),
-                MaximumMatchingAlgorithm::Auto,
-            );
+            let m = engine.solve_concat(g.n(), &slices);
             assert!(m.is_valid_for(&g), "seed {seed}");
             assert_eq!(
                 m.len(),
@@ -607,48 +475,33 @@ mod tests {
         for (i, g) in graphs.iter().enumerate() {
             let half = g.m() / 2;
             let slices = [&g.edges()[..half], &g.edges()[half..]];
-            let warm = Matching::try_from_edges(forced_of(g.n(), slices[0]));
-            let bipartite = crate::maximum::two_coloring(g).is_some();
-            let mut algorithms = vec![
-                MaximumMatchingAlgorithm::Auto,
-                MaximumMatchingAlgorithm::Blossom,
-            ];
-            if bipartite {
-                algorithms.push(MaximumMatchingAlgorithm::HopcroftKarp);
-            }
-            for algorithm in algorithms {
-                let fresh =
-                    MatchingEngine::new().solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
-                let reused = engine.solve_concat(g.n(), &slices, warm.as_ref(), algorithm);
-                assert_eq!(reused.edges(), fresh.edges(), "graph {i} {algorithm:?}");
-                let fresh = MatchingEngine::new().solve_with(g, algorithm);
-                assert_eq!(
-                    engine.solve_with(g, algorithm).edges(),
-                    fresh.edges(),
-                    "graph {i}"
-                );
-            }
+            let fresh = MatchingEngine::new().solve_concat(g.n(), &slices);
+            let reused = engine.solve_concat(g.n(), &slices);
+            assert_eq!(reused.edges(), fresh.edges(), "graph {i}");
+            let fresh = MatchingEngine::new().solve(g);
+            assert_eq!(engine.solve(g).edges(), fresh.edges(), "graph {i}");
         }
         assert_eq!(engine.workspace().full_resets(), 0);
     }
 
     /// One input of the proptests below: a gnm graph, dense or sparse, an
-    /// R-MAT graph, a random forest, or a star forest with chords, and a
-    /// warm start (a maximal matching of a random third of its edges).
-    fn arb_input(seed: u64) -> (Graph, Matching) {
+    /// R-MAT graph, a random forest, a star forest with chords, or a sparse
+    /// random bipartite graph.
+    fn arb_input(seed: u64) -> Graph {
+        use graph::gen::bipartite::random_bipartite;
         use graph::gen::er::gnm;
         use graph::gen::rmat::rmat_graph500;
         use graph::gen::structured::star_forest;
-        use rand::seq::SliceRandom;
         use rand::Rng;
         let mut r = rng(seed);
         let n = r.gen_range(2..120);
         let pairs = |n: usize| n * (n - 1) / 2;
-        let g = match r.gen_range(0..5) {
+        match r.gen_range(0..6) {
             0 => gnm(n, r.gen_range(0..2 * n).min(pairs(n)), &mut r),
             1 => gnm(n.min(40), r.gen_range(0..pairs(n.min(40)) + 1), &mut r),
             2 => rmat_graph500(r.gen_range(3..8), r.gen_range(1..8), &mut r),
             3 => random_forest(n, r.gen_range(0.3..1.0), seed),
+            4 => random_bipartite(n, n, (3.0 / n as f64).min(1.0), &mut r).to_graph(),
             _ => {
                 let stars = star_forest(r.gen_range(1..8), r.gen_range(1..8));
                 let k = stars.n() as u32;
@@ -661,12 +514,7 @@ mod tests {
                 edges.dedup();
                 Graph::from_edges_unchecked(stars.n(), edges)
             }
-        };
-        let mut third = g.edges().to_vec();
-        third.shuffle(&mut r);
-        third.truncate(g.m() / 3);
-        let warm = crate::greedy::maximal_matching(&Graph::from_edges_unchecked(g.n(), third));
-        (g, warm)
+        }
     }
 
     proptest::proptest! {
@@ -678,53 +526,28 @@ mod tests {
         /// matched before it.
         #[test]
         fn every_forced_edge_is_in_the_answer(seed in proptest::prelude::any::<u64>()) {
-            let (g, warm) = arb_input(seed);
+            let g = arb_input(seed);
             let forced = forced_of(g.n(), g.edges());
-            for algorithm in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
-                for warm in [None, Some(&warm)] {
-                    let m = MatchingEngine::new().solve_concat(g.n(), &[g.edges()], warm, algorithm);
-                    proptest::prop_assert!(m.is_valid_for(&g));
-                    for e in &forced {
-                        proptest::prop_assert!(m.edges().contains(e), "{:?} lost {:?}", algorithm, e);
-                    }
-                }
+            let m = MatchingEngine::new().solve_concat(g.n(), &[g.edges()]);
+            proptest::prop_assert!(m.is_valid_for(&g));
+            for e in &forced {
+                proptest::prop_assert!(m.edges().contains(e), "lost {:?}", e);
             }
         }
 
         /// The answer, order included, does not depend on the order of the
-        /// input edges, for a fixed warm start: the forced step pushes the
-        /// pendants each forced edge releases in id order, and the solvers
-        /// read sorted lists.
+        /// input edges: the forced step pushes the pendants each forced edge
+        /// releases in id order, and the blossom search reads sorted lists.
         #[test]
         fn the_answer_does_not_depend_on_the_edge_order(seed in proptest::prelude::any::<u64>()) {
             use rand::seq::SliceRandom;
-            let (g, warm) = arb_input(seed);
+            let g = arb_input(seed);
             let mut shuffled = g.edges().to_vec();
             shuffled.shuffle(&mut rng(seed ^ 0x5EED));
             let half = shuffled.len() / 2;
-            let mut engine = MatchingEngine::new();
-            for algorithm in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
-                let want = MatchingEngine::new().solve_warm(&g, &warm, algorithm);
-                let got = engine.solve_concat(
-                    g.n(),
-                    &[&shuffled[..half], &shuffled[half..]],
-                    Some(&warm),
-                    algorithm,
-                );
-                proptest::prop_assert_eq!(got.edges(), want.edges(), "{:?}", algorithm);
-            }
+            let want = MatchingEngine::new().solve(&g);
+            let got = MatchingEngine::new().solve_concat(g.n(), &[&shuffled[..half], &shuffled[half..]]);
+            proptest::prop_assert_eq!(got.edges(), want.edges());
         }
-    }
-
-    #[test]
-    fn warm_start_with_partially_unmapped_edges_is_ignored_gracefully() {
-        // Warm matching mentions vertices isolated in g's compacted form:
-        // those edges are skipped, the rest seed the solver.
-        let g = Graph::from_pairs(10, vec![(0, 1), (2, 3)]).unwrap();
-        let warm = Matching::from_edges(vec![Edge::new(0, 1), Edge::new(7, 8)]);
-        let mut engine = MatchingEngine::new();
-        let m = engine.solve_warm(&g, &warm, MaximumMatchingAlgorithm::Auto);
-        assert_eq!(m.len(), 2);
-        assert!(m.is_valid_for(&g));
     }
 }

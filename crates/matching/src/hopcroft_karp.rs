@@ -1,18 +1,19 @@
 //! Hopcroft–Karp maximum matching for bipartite graphs in `O(m sqrt(n))`.
 //!
-//! This is the workhorse used by the matching coreset on bipartite instances
-//! (all of the paper's hard distributions are bipartite) — Theorem 1 only
-//! requires *some* maximum matching of each piece, and Hopcroft–Karp provides
-//! it fast enough for the large-n experiments.
+//! The matching engine does not run it: every engine solve takes the forced
+//! degree-one edges and then Edmonds' blossom search (see [`crate::engine`]),
+//! bipartite input or not. Hopcroft–Karp serves the callers that hold an
+//! explicit [`BipartiteGraph`]: König's theorem turns its maximum matching
+//! into a minimum vertex cover (the exact and LP vertex-cover solvers), and
+//! the tests use it as an oracle independent of the engine on bipartite
+//! inputs.
 //!
-//! There is one phase loop, [`hopcroft_karp_on_csr`]. It runs on a
-//! general-graph [`Csr`] plus the 2-colouring that proved bipartiteness: the
-//! matching engine's `Auto` dispatch solves the same CSR its bipartiteness
-//! check walked, with no `BipartiteGraph` or pair vector in between.
-//! [`hopcroft_karp`] / [`hopcroft_karp_size`] adapt an explicit
-//! [`BipartiteGraph`] to it: flatten with [`BipartiteGraph::to_graph`]
-//! (right vertex `r` becomes `left_n + r`), colour each vertex by its side,
-//! solve, and map every matched edge back to a `(left, right)` pair.
+//! There is one phase loop, [`hopcroft_karp_on_csr`], over a general-graph
+//! [`Csr`] plus a proper 2-colouring. [`hopcroft_karp`] /
+//! [`hopcroft_karp_size`] adapt an explicit [`BipartiteGraph`] to it: flatten
+//! with [`BipartiteGraph::to_graph`] (right vertex `r` becomes `left_n + r`),
+//! colour each vertex by its side, solve, and map every matched edge back to
+//! a `(left, right)` pair.
 
 use graph::{BipartiteGraph, Csr, Edge, VertexId};
 use std::collections::VecDeque;
@@ -26,7 +27,7 @@ pub fn hopcroft_karp(g: &BipartiteGraph) -> Vec<(VertexId, VertexId)> {
     let flat = g.to_graph();
     let color: Vec<u8> = (0..flat.n()).map(|v| u8::from(v >= g.left_n())).collect();
     let offset = g.left_n() as VertexId;
-    hopcroft_karp_on_csr(&Csr::from_graph(&flat), &color, &[])
+    hopcroft_karp_on_csr(&Csr::from_graph(&flat), &color)
         .into_iter()
         .map(|e| (e.u, e.v - offset))
         .collect()
@@ -39,83 +40,26 @@ pub fn hopcroft_karp_size(g: &BipartiteGraph) -> usize {
 
 /// Maximum matching of a bipartite *general-graph* CSR, driven by a proper
 /// 2-colouring (`color[v] ∈ {0, 1}`, colour-0 vertices forming the left
-/// side). This is the fused dispatch path: the same [`Csr`] that the
-/// bipartiteness check walked is solved directly — no `BipartiteGraph`, no
-/// local-id relabeling, no pair-vector round trip.
-///
-/// `warm` optionally seeds the matching with vertex-disjoint edges of the
-/// graph (each necessarily joining the two colour classes); Hopcroft–Karp's
-/// phases then start from that matching instead of the empty one, which can
-/// only reduce the number of phases, never the returned size. Warm edges
-/// that are not edges of the graph are skipped (debug builds assert).
-/// Returns matched edges in ascending left-vertex order.
-///
-/// This entry point allocates its phase buffers per call; the matching
-/// engine runs the same phases on buffers it keeps across solves.
-pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8], warm: &[Edge]) -> Vec<Edge> {
-    hopcroft_karp_with(adj, color, warm, &mut HkBuffers::default())
-}
-
-/// Hopcroft–Karp's per-solve state, kept by the matching engine so that a
-/// bipartite solve allocates nothing but its output: mates, BFS layers, the
-/// left-vertex list, the BFS queue (shared with the engine's 2-colouring,
-/// which runs first) and the DFS stack. Every solve resets what it reads.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HkBuffers {
-    pair: Vec<u32>,
-    dist: Vec<u32>,
-    lefts: Vec<u32>,
-    pub(crate) queue: VecDeque<u32>,
-    stack: Vec<DfsFrame>,
-}
-
-/// [`hopcroft_karp_on_csr`] on reused buffers; the answer does not depend
-/// on what earlier solves left in them.
-pub(crate) fn hopcroft_karp_with(
-    adj: &Csr,
-    color: &[u8],
-    warm: &[Edge],
-    bufs: &mut HkBuffers,
-) -> Vec<Edge> {
+/// side): the phases run on the CSR directly, with no `BipartiteGraph` and
+/// no local-id relabeling. Returns matched edges in ascending left-vertex
+/// order.
+pub fn hopcroft_karp_on_csr(adj: &Csr, color: &[u8]) -> Vec<Edge> {
     let n = adj.n();
     debug_assert_eq!(color.len(), n);
-    let HkBuffers {
-        pair,
-        dist,
-        lefts,
-        queue,
-        stack,
-    } = bufs;
-    // pair[v] = matched partner of v (either side), or NIL. Warm edges that
-    // are not edges of this graph are skipped (not just debug-asserted): a
-    // foreign edge seeded into `pair` would survive into the output and make
-    // it an invalid matching.
-    pair.clear();
-    pair.resize(n, NIL);
-    for e in warm {
-        if !adj.has_edge(e.u, e.v) {
-            debug_assert!(false, "warm edge {e:?} does not exist in the graph");
-            continue;
-        }
-        debug_assert_ne!(color[e.u as usize], color[e.v as usize]);
-        if pair[e.u as usize] == NIL && pair[e.v as usize] == NIL {
-            pair[e.u as usize] = e.v;
-            pair[e.v as usize] = e.u;
-        }
-    }
-    lefts.clear();
-    lefts.extend((0..n as u32).filter(|&v| color[v as usize] == 0));
+    // pair[v] = matched partner of v (either side), or NIL.
+    let mut pair = vec![NIL; n];
+    let lefts: Vec<u32> = (0..n as u32).filter(|&v| color[v as usize] == 0).collect();
     // dist is indexed by vertex id but only consulted for left vertices.
-    dist.clear();
-    dist.resize(n, INF);
+    let mut dist = vec![INF; n];
+    let (mut queue, mut stack) = (VecDeque::new(), Vec::new());
 
     loop {
-        if !bfs_csr(adj, lefts, pair, dist, queue) {
+        if !bfs_csr(adj, &lefts, &pair, &mut dist, &mut queue) {
             break;
         }
         let mut augmented = false;
-        for &l in lefts.iter() {
-            if pair[l as usize] == NIL && dfs_csr(l, adj, pair, dist, stack) {
+        for &l in &lefts {
+            if pair[l as usize] == NIL && dfs_csr(l, adj, &mut pair, &mut dist, &mut stack) {
                 augmented = true;
             }
         }
@@ -124,7 +68,6 @@ pub(crate) fn hopcroft_karp_with(
         }
     }
 
-    // The matched edges are this function's output.
     lefts
         .iter()
         .filter(|&&l| pair[l as usize] != NIL)
@@ -137,9 +80,9 @@ pub(crate) fn hopcroft_karp_with(
 /// through (to flip on success).
 type DfsFrame = (u32, u32, u32);
 
-/// BFS phase over the fused representation: left vertices and their partners
+/// BFS phase over the general-graph CSR: left vertices and their partners
 /// live in the same id space, `pair` covers both sides. `queue` is the
-/// solve's reused BFS queue.
+/// solve's BFS queue, reused across phases.
 fn bfs_csr(
     adj: &Csr,
     lefts: &[u32],
@@ -178,7 +121,7 @@ fn dfs_csr(
     dist: &mut [u32],
     stack: &mut Vec<DfsFrame>,
 ) -> bool {
-    // Iterative alternating-path DFS over the fused representation (same
+    // Iterative alternating-path DFS over the general-graph CSR (same
     // traversal as the recursive classic).
     stack.clear();
     stack.push((l, 0, NIL));
@@ -442,24 +385,10 @@ mod tests {
             let g = bg.to_graph();
             let adj = Csr::from_ref(&g);
             let color: Vec<u8> = (0..g.n()).map(|v| u8::from(v >= bg.left_n())).collect();
-            let fused = hopcroft_karp_on_csr(&adj, &color, &[]);
+            let fused = hopcroft_karp_on_csr(&adj, &color);
             assert_eq!(fused.len(), hopcroft_karp_size(&bg), "seed {seed}");
             let edge_set: HashSet<_> = g.edges().iter().copied().collect();
             assert!(fused.iter().all(|e| edge_set.contains(e)));
-        }
-    }
-
-    #[test]
-    fn fused_csr_warm_start_keeps_maximum_size() {
-        for seed in 0..5 {
-            let bg = random_bipartite(40, 40, 0.06, &mut rng(seed + 700));
-            let g = bg.to_graph();
-            let adj = Csr::from_ref(&g);
-            let color: Vec<u8> = (0..g.n()).map(|v| u8::from(v >= bg.left_n())).collect();
-            let cold = hopcroft_karp_on_csr(&adj, &color, &[]);
-            let warm_seed = crate::greedy::maximal_matching(&g);
-            let warm = hopcroft_karp_on_csr(&adj, &color, warm_seed.edges());
-            assert_eq!(cold.len(), warm.len(), "seed {seed}");
         }
     }
 

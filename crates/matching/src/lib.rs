@@ -8,16 +8,16 @@
 //! * [`Matching`] — a validated set of vertex-disjoint edges.
 //! * [`greedy`] — maximal matchings under arbitrary, random or adversarial
 //!   edge orderings.
-//! * [`hopcroft_karp`](mod@hopcroft_karp) — maximum matching in bipartite graphs in
-//!   `O(m sqrt(n))`.
+//! * [`hopcroft_karp`](mod@hopcroft_karp) — maximum matching in explicit
+//!   bipartite graphs in `O(m sqrt(n))`, for König covers and as a test
+//!   oracle.
 //! * [`blossom`] — Edmonds' blossom algorithm for maximum matching in general
 //!   graphs.
-//! * [`maximum`] — a front-end that picks Hopcroft–Karp when the graph is
-//!   bipartite and Blossom otherwise.
+//! * [`maximum`] — the maximum-matching front-end: every function runs the
+//!   engine's one solve path.
 //! * [`engine`] — the solver hot path behind [`maximum`]: vertex compaction,
-//!   one CSR shared by the bipartiteness check and the solver, warm starts,
-//!   the coordinator's forced degree-one edges, the fan-in-2 merge walk, and
-//!   per-thread buffer reuse.
+//!   forced degree-one edges, then blossom on one sorted CSR of the core, the
+//!   fan-in-2 merge walk, and per-thread buffer reuse.
 //! * [`workspace`] — the epoch-reset [`BlossomWorkspace`] that removes the
 //!   per-search `O(n)` clears and allocations from the blossom algorithm.
 //! * [`weighted`] — greedy weighted matching and the Crouch–Stubbs
@@ -42,8 +42,6 @@ pub use engine::MatchingEngine;
 pub use greedy::{maximal_matching, maximal_matching_by_key, maximal_matching_shuffled};
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use maximum::{
-    maximum_matching, maximum_matching_warm, merge_matching_pair, MaximumMatchingAlgorithm,
-};
+pub use maximum::{maximum_matching, merge_matching_pair, MaximumMatchingAlgorithm};
 pub use weighted::{crouch_stubbs_matching, greedy_weighted_matching, WeightedMatching};
 pub use workspace::BlossomWorkspace;

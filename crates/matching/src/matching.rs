@@ -151,9 +151,8 @@ impl From<Vec<Edge>> for Matching {
 }
 
 /// Returns `true` if no two of `edges` share an endpoint — the matching
-/// property, checkable on a borrowed slice without building a [`Matching`].
-/// Composition uses this to screen warm-start candidates before cloning any
-/// edge list.
+/// property, checkable on a borrowed slice without building a [`Matching`]
+/// (which [`Matching::try_from_edges`] then builds only on success).
 pub fn edges_form_matching(edges: &[Edge]) -> bool {
     // Membership-only probe set; order never observed.
     let mut seen: HashSet<VertexId> = HashSet::with_capacity(edges.len() * 2); // xtask: allow(hash-collections)

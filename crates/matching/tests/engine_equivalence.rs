@@ -1,12 +1,15 @@
-//! Properties pinning the matching engine (compaction + epoch-reset
-//! workspace + failed-tree pruning + fused dispatch + warm starts) to the
-//! simple reference algorithms: the new hot path must be a pure performance
-//! change, never a behavioural one.
+//! Properties pinning the matching engine (compaction + forced edges +
+//! epoch-reset workspace + failed-tree pruning) to the simple reference
+//! algorithms: the hot path must be a pure performance change, never a
+//! behavioural one.
 //!
 //! Besides uniform `gnm` draws, the properties draw skewed R-MAT graphs and
 //! star forests with random chords. Those are the inputs where searches fail
 //! and the blossom solver marks trees dead, so a dead mark that outlived its
-//! solve on a reused workspace would show there.
+//! solve on a reused workspace would show there. Bipartite inputs go through
+//! the same blossom search, so the bipartite shapes (sparse random and
+//! planted bipartite graphs, pieces of the maximal-matching trap, forests,
+//! `D_Matching`) are checked against Hopcroft–Karp.
 //!
 //! The fan-in-2 merge walk (`MatchingEngine::merge_pair`) is pinned to its
 //! oracle, a warm-only solve of the two children's union (seeded with the
@@ -15,19 +18,23 @@
 //! matchings can have. The engine's own solve takes forced edges first, so
 //! it keeps a different maximum matching of the union.
 
+use graph::gen::bipartite::{planted_matching_bipartite, random_bipartite};
 use graph::gen::er::gnm;
+use graph::gen::hard::maximal_matching_trap;
 use graph::gen::rmat::rmat_graph500;
 use graph::gen::structured::star_forest;
-use graph::{Csr, Edge, Graph, VertexId};
+use graph::{BipartiteGraph, Csr, Edge, Graph, PartitionedGraph, VertexId};
 use matching::blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
 use matching::hopcroft_karp::hopcroft_karp_size;
-use matching::maximum::{maximum_matching, maximum_matching_warm, MaximumMatchingAlgorithm};
+use matching::maximum::maximum_matching;
 use matching::{maximal_matching, BlossomWorkspace, MatchingEngine};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use testkit::{brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching};
+use testkit::{
+    as_bipartite, brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching,
+};
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
     (2usize..max_n, any::<u64>()).prop_map(move |(n, seed)| {
@@ -99,6 +106,51 @@ fn arb_d_matching(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Sparse random bipartite graphs with up to `max_side` vertices a side and
+/// edge probability about `3 / side`.
+fn arb_sparse_bipartite(max_side: usize) -> impl Strategy<Value = BipartiteGraph> {
+    (
+        1usize..max_side,
+        1usize..max_side,
+        2.0f64..4.0,
+        any::<u64>(),
+    )
+        .prop_map(|(left, right, degree, seed)| {
+            let p = (degree / left.max(right) as f64).min(1.0);
+            random_bipartite(left, right, p, &mut ChaCha8Rng::seed_from_u64(seed))
+        })
+}
+
+/// A planted perfect matching plus `G(n, n, p)` noise.
+fn arb_planted_bipartite(max_n: usize) -> impl Strategy<Value = BipartiteGraph> {
+    (1usize..max_n, 0.0f64..4.0, any::<u64>()).prop_map(|(n, degree, seed)| {
+        let p = (degree / n as f64).min(1.0);
+        planted_matching_bipartite(n, p, &mut ChaCha8Rng::seed_from_u64(seed)).0
+    })
+}
+
+/// One machine's piece of the maximal-matching trap (`n` planted edges, a
+/// trap block of `n / k` vertices) under a random `k`-partition: the leaf
+/// solves of experiment E2.
+fn arb_trap_piece(max_n: usize) -> impl Strategy<Value = BipartiteGraph> {
+    (2usize..max_n, 1usize..9, any::<u64>()).prop_map(|(n, k, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let trap = maximal_matching_trap(n, 1.0 / k as f64).unwrap().graph;
+        let part = PartitionedGraph::random(&trap, k, &mut rng).unwrap();
+        let piece = part.piece(rng.gen_range(0..k));
+        as_bipartite(&piece).expect("the trap is bipartite")
+    })
+}
+
+/// The bipartite shapes: sparse random, planted, and trap pieces.
+fn arb_bipartite() -> impl Strategy<Value = BipartiteGraph> {
+    prop_oneof![
+        arb_sparse_bipartite(300),
+        arb_planted_bipartite(200),
+        arb_trap_piece(200),
+    ]
+}
+
 /// Spreads a graph's vertices over a sparse id space (multiplying ids by
 /// `stride`), so most vertex ids are isolated — the compaction regime.
 fn spread(g: &Graph, stride: u32) -> Graph {
@@ -123,34 +175,23 @@ proptest! {
         arb_star_forest(4, 4, 4),
         arb_forest(16),
     ]) {
-        let mut engine = MatchingEngine::new();
-        let want = brute_force_maximum_matching_size(&g);
-        for alg in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
-            let m = engine.solve_with(&g, alg);
-            prop_assert!(m.is_valid_for(&g));
-            prop_assert_eq!(m.len(), want);
-        }
+        let m = MatchingEngine::new().solve(&g);
+        prop_assert!(m.is_valid_for(&g));
+        prop_assert_eq!(m.len(), brute_force_maximum_matching_size(&g));
     }
 
-    /// On larger bipartite inputs, forests and `D_Matching`, the engine's
-    /// size equals Hopcroft–Karp's on the same graph with no forced edges.
+    /// On forests, `D_Matching` and the bipartite shapes, the engine's
+    /// blossom size equals Hopcroft–Karp's on the graph's bipartition.
     #[test]
     fn engine_size_matches_hopcroft_karp_on_forests_and_d_matching(g in prop_oneof![
         arb_forest(400),
         arb_d_matching(120),
+        arb_bipartite().prop_map(|bg| bg.to_graph()),
     ]) {
-        let color = matching::maximum::two_coloring(&g).expect("bipartite");
-        let want = matching::hopcroft_karp::hopcroft_karp_on_csr(&Csr::from_ref(&g), &color, &[]).len();
-        let mut engine = MatchingEngine::new();
-        for alg in [
-            MaximumMatchingAlgorithm::Auto,
-            MaximumMatchingAlgorithm::Blossom,
-            MaximumMatchingAlgorithm::HopcroftKarp,
-        ] {
-            let m = engine.solve_with(&g, alg);
-            prop_assert!(m.is_valid_for(&g));
-            prop_assert_eq!(m.len(), want, "{:?}", alg);
-        }
+        let want = hopcroft_karp_size(&as_bipartite(&g).expect("bipartite"));
+        let m = MatchingEngine::new().solve(&g);
+        prop_assert!(m.is_valid_for(&g));
+        prop_assert_eq!(m.len(), want);
     }
 
     /// Compaction round trip: solving a graph whose vertices sit at sparse
@@ -174,21 +215,19 @@ proptest! {
         prop_assert_eq!(on_sparse.edges(), expected.as_slice());
     }
 
-    /// Warm-started solves return the same size as cold solves (always a
-    /// maximum matching) and stay valid.
+    /// The engine's solve, warm-started from its forced edges and
+    /// searching only from their core, returns a cold blossom solve's size
+    /// (no seed, a search from every free vertex) and stays valid.
     #[test]
     fn warm_start_size_identical_to_cold(g in prop_oneof![
         arb_graph(60, 0.1),
         arb_rmat(3..7, 2..8),
         arb_star_forest(10, 8, 12),
     ]) {
-        let cold = maximum_matching(&g);
-        let warm_seed = maximal_matching(&g);
-        for alg in [MaximumMatchingAlgorithm::Auto, MaximumMatchingAlgorithm::Blossom] {
-            let warm = maximum_matching_warm(&g, &warm_seed, alg);
-            prop_assert!(warm.is_valid_for(&g));
-            prop_assert_eq!(warm.len(), cold.len());
-        }
+        let cold = blossom_maximum_matching(&g);
+        let warm = maximum_matching(&g);
+        prop_assert!(warm.is_valid_for(&g));
+        prop_assert_eq!(warm.len(), cold.len());
     }
 
     /// A reused workspace never changes blossom's answer (epoch stamps make
@@ -208,14 +247,15 @@ proptest! {
         prop_assert_eq!(ws.full_resets(), 0);
     }
 
-    /// The engine agrees with the plain bipartite Hopcroft–Karp on bipartite
-    /// inputs (the fused dispatch path).
+    /// The engine agrees with the plain bipartite Hopcroft–Karp on dense
+    /// small bipartite graphs and on the bipartite shapes.
     #[test]
-    fn engine_matches_hopcroft_karp_on_bipartite(
-        ln in 1usize..25, rn in 1usize..25, seed in any::<u64>()
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let bg = graph::gen::bipartite::random_bipartite(ln, rn, 0.15, &mut rng);
+    fn engine_matches_hopcroft_karp_on_bipartite(bg in prop_oneof![
+        (1usize..25, 1usize..25, any::<u64>()).prop_map(|(ln, rn, seed)| {
+            random_bipartite(ln, rn, 0.15, &mut ChaCha8Rng::seed_from_u64(seed))
+        }),
+        arb_bipartite(),
+    ]) {
         let g = bg.to_graph();
         let mut engine = MatchingEngine::new();
         let m = engine.solve(&g);
@@ -227,12 +267,12 @@ proptest! {
 #[test]
 fn blossom_workspace_runs_zero_o_n_resets_at_scale() {
     // The counter behind the E13 claim: many searches over reused state,
-    // zero full clears. Force the blossom path with a non-bipartite graph.
+    // zero full clears.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let g = graph::gen::er::gnp(3_000, 1.2e-3, &mut rng);
     let mut engine = MatchingEngine::new();
     for _ in 0..3 {
-        let m = engine.solve_with(&g, MaximumMatchingAlgorithm::Blossom);
+        let m = engine.solve(&g);
         assert!(m.is_valid_for(&g));
     }
     assert!(engine.workspace().searches() > 100);
@@ -241,8 +281,8 @@ fn blossom_workspace_runs_zero_o_n_resets_at_scale() {
 
 #[test]
 fn fused_dispatch_shares_one_csr_and_matches_reference() {
-    // Deterministic spot check of the fused HK path against the
-    // BipartiteGraph-materializing reference construction.
+    // Deterministic spot check of Hopcroft–Karp on a general-graph CSR and
+    // a colouring against its BipartiteGraph entry point.
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let bg = graph::gen::bipartite::random_bipartite(80, 80, 0.05, &mut rng);
     let g = bg.to_graph();
@@ -250,7 +290,7 @@ fn fused_dispatch_shares_one_csr_and_matches_reference() {
     let color: Vec<u8> = (0..g.n() as VertexId)
         .map(|v| u8::from(v as usize >= bg.left_n()))
         .collect();
-    let fused = matching::hopcroft_karp::hopcroft_karp_on_csr(&adj, &color, &[]);
+    let fused = matching::hopcroft_karp::hopcroft_karp_on_csr(&adj, &color);
     assert_eq!(fused.len(), hopcroft_karp_size(&bg));
 }
 

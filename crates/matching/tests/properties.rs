@@ -9,7 +9,7 @@ use matching::blossom::blossom_maximum_matching;
 use matching::greedy::{maximal_matching, maximal_matching_shuffled};
 use matching::hopcroft_karp::{hopcroft_karp, hopcroft_karp_size};
 use matching::matching::Matching;
-use matching::maximum::{maximum_matching, two_coloring};
+use matching::maximum::maximum_matching;
 use matching::weighted::{crouch_stubbs_maximum, greedy_weighted_matching};
 use proptest::prelude::*;
 use rand::Rng;
@@ -67,15 +67,15 @@ proptest! {
         );
     }
 
-    /// The auto-dispatching front-end is always valid and optimal on small
-    /// graphs, bipartite or not.
+    /// The front-end is always valid and optimal on small graphs, bipartite
+    /// or not.
     #[test]
     fn maximum_matching_front_end_is_optimal(g in small_graph()) {
         let m = maximum_matching(&g);
         prop_assert!(m.is_valid_for(&g));
         prop_assert_eq!(m.len(), brute_force_maximum_matching_size(&g));
         // The 2-colouring, when it exists, is a proper colouring.
-        if let Some(colors) = two_coloring(&g) {
+        if let Some(colors) = testkit::two_coloring(&g) {
             for e in g.edges() {
                 prop_assert_ne!(colors[e.u as usize], colors[e.v as usize]);
             }

@@ -9,6 +9,9 @@
 //!
 //! * [`brute_force_maximum_matching_size`] — exact maximum matching size by
 //!   exhaustive search over edge subsets.
+//! * [`two_coloring`] and [`as_bipartite`] — bipartiteness checks, and the
+//!   explicit bipartition that lets Hopcroft–Karp check the matching engine
+//!   on bipartite inputs.
 //! * [`warm_only_bipartite_matching`] — the matching a warm-started,
 //!   augment-only solve returns on a bipartite graph: the oracle of the
 //!   fan-in-2 matching merge.
@@ -21,10 +24,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod coloring;
 pub mod matching;
 pub mod peeling;
 pub mod weighted;
 
+pub use coloring::{as_bipartite, two_coloring, two_coloring_with_csr};
 pub use matching::{
     brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching,
 };

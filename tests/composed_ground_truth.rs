@@ -1,9 +1,9 @@
 //! Ground truth for the coordinator's composed matching solve in every mode.
 //!
 //! Theorem 1 lets the coordinator return any maximum matching of the union of
-//! the summaries it composes, and the root solve picks one by seeding forced
-//! degree-one edges, then the best coreset, before its augmenting searches
-//! (or, for exactly two summaries, by the merge walk). Whatever it picks, the
+//! the summaries it composes, and the root solve picks one by taking the
+//! union's forced degree-one edges before blossom's augmenting searches (or,
+//! for exactly two summaries, by the merge walk). Whatever it picks, the
 //! answer must be
 //!
 //! * a matching of the input graph `G`,
@@ -11,10 +11,15 @@
 //!   (flat), the tree roots (tree and arena-tree), the cached slots
 //!   (churn-refreshed), or, for a degraded run, the same with every lost
 //!   machine's coreset replaced by the empty placeholder, and
-//! * as large as a cold maximum matching of that union.
+//! * as large as a cold maximum matching of that union: Hopcroft–Karp's on
+//!   its bipartition when the union is bipartite, a cold blossom solve (no
+//!   forced edges) otherwise.
 //!
-//! The instances are small (n ≤ 200, k 1–8) and come from four families: gnm,
-//! R-MAT, star forests with chords, and the paper's `D_Matching`.
+//! The instances are small (n ≤ 200, k 1–8) and come from six families: gnm,
+//! R-MAT, star forests with chords, the paper's `D_Matching`, sparse random
+//! bipartite graphs, and the maximal-matching trap of experiment E2. Every
+//! solve on a bipartite input goes through blossom too, so the last three
+//! check it against Hopcroft–Karp.
 
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::tree::merge_matching_coresets;
@@ -23,14 +28,16 @@ use distsim::{
     ArenaProtocol, ComposeMode, CoordinatorProtocol, FaultPlan, GraphService, GraphServiceConfig,
     RetryPolicy,
 };
+use graph::gen::bipartite::random_bipartite;
 use graph::gen::er::gnm;
-use graph::gen::hard::d_matching;
+use graph::gen::hard::{d_matching, maximal_matching_trap};
 use graph::gen::rmat::rmat_graph500;
 use graph::gen::structured::star_forest;
 use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::{ChurnOp, Edge, Graph};
+use matching::blossom::blossom_maximum_matching;
+use matching::hopcroft_karp::hopcroft_karp_size;
 use matching::matching::Matching;
-use matching::maximum::maximum_matching;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -64,7 +71,7 @@ fn star_forest_with_chords(stars: usize, leaves: usize, chords: usize, seed: u64
     Graph::from_edges_unchecked(forest.n(), edges)
 }
 
-/// Instances with at most 200 vertices from the four families.
+/// Instances with at most 200 vertices from the six families.
 fn arb_instance() -> impl Strategy<Value = Graph> {
     let uniform = (8usize..200, 0usize..600, any::<u64>())
         .prop_map(|(n, m, seed)| gnm(n, m.min(n * (n - 1) / 2), &mut rng(seed)));
@@ -80,7 +87,27 @@ fn arb_instance() -> impl Strategy<Value = Graph> {
             .graph
             .to_graph()
     });
-    prop_oneof![uniform, skewed, stars, hard]
+    let bipartite = (1usize..100, 1usize..100, 2.0f64..4.0, any::<u64>()).prop_map(
+        |(left, right, degree, seed)| {
+            let p = (degree / left.max(right) as f64).min(1.0);
+            random_bipartite(left, right, p, &mut rng(seed)).to_graph()
+        },
+    );
+    let trap = (2usize..60, 2usize..9).prop_map(|(n, k)| {
+        maximal_matching_trap(n, 1.0 / k as f64)
+            .expect("valid trap parameters")
+            .graph
+    });
+    prop_oneof![uniform, skewed, stars, hard, bipartite, trap]
+}
+
+/// A cold maximum matching size of `union`: Hopcroft–Karp on its
+/// bipartition when it has one, else blossom with no forced edges.
+fn cold_maximum(union: &Graph) -> usize {
+    match testkit::as_bipartite(union) {
+        Some(bipartite) => hopcroft_karp_size(&bipartite),
+        None => blossom_maximum_matching(union).len(),
+    }
 }
 
 /// The leaf coresets the coordinator builds for `seed`: its random
@@ -131,7 +158,7 @@ fn check_against_union(
         answer.edges().iter().all(|e| edges.contains(e)),
         "an answer edge is not in the composed union"
     );
-    prop_assert_eq!(answer.len(), maximum_matching(&union).len());
+    prop_assert_eq!(answer.len(), cold_maximum(&union));
     Ok(())
 }
 

@@ -1,15 +1,19 @@
 //! Cross-crate integration tests: the full pipelines of the paper, end to end.
 
-use coresets::matching_coreset::{MaximumMatchingCoreset, SubsampledMatchingCoreset};
+use coresets::matching_coreset::{
+    MatchingCoresetBuilder, MaximumMatchingCoreset, SubsampledMatchingCoreset,
+};
 use coresets::vc_coreset::PeelingVcCoreset;
+use coresets::CoresetParams;
 use distsim::coordinator::CoordinatorProtocol;
 use distsim::mapreduce::{MapReduceConfig, MapReduceSimulator};
 use distsim::protocols::filtering::filtering_matching;
 use graph::gen::bipartite::planted_matching_bipartite;
 use graph::gen::er::{gnm, gnp};
 use graph::gen::powerlaw::chung_lu;
-use graph::Graph;
-use matching::maximum::{maximum_matching, maximum_matching_with, MaximumMatchingAlgorithm};
+use graph::{Edge, Graph, GraphView};
+use matching::hopcroft_karp::hopcroft_karp;
+use matching::maximum::maximum_matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -68,25 +72,54 @@ fn theorem2_cover_is_feasible_and_reasonably_small() {
     }
 }
 
-/// The coreset quality does not depend on which maximum-matching algorithm the
-/// machines run (Theorem 1 is algorithm-agnostic).
+/// A Theorem 1 coreset whose maximum matching of each (bipartite) piece
+/// comes from Hopcroft–Karp on the piece's bipartition, not the engine.
+struct HopcroftKarpCoreset;
+
+impl MatchingCoresetBuilder for HopcroftKarpCoreset {
+    fn build(
+        &self,
+        piece: GraphView<'_>,
+        _params: &CoresetParams,
+        _machine: usize,
+        _rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        let bipartite = testkit::as_bipartite(&piece).expect("a bipartite piece");
+        let edges = hopcroft_karp(&bipartite)
+            .into_iter()
+            .map(|(l, r)| Edge::new(l, r))
+            .collect();
+        Graph::from_edges_unchecked(piece.n(), edges)
+    }
+
+    fn name(&self) -> &'static str {
+        "hopcroft-karp"
+    }
+}
+
+/// The coreset quality does not depend on which maximum matching the
+/// machines keep (Theorem 1 is algorithm-agnostic): the engine's (forced
+/// edges, then blossom) and Hopcroft–Karp's both meet the bound, and they
+/// send the same number of edges, since all maximum matchings of a piece
+/// have one size.
 #[test]
 fn coreset_quality_is_algorithm_agnostic() {
     let mut r = rng(3);
     let g = planted_matching_bipartite(600, 0.002, &mut r).0.to_graph();
     let opt = maximum_matching(&g).len();
-    let k = 6;
-    for algorithm in [
-        MaximumMatchingAlgorithm::HopcroftKarp,
-        MaximumMatchingAlgorithm::Blossom,
-    ] {
-        let builder = MaximumMatchingCoreset::with_algorithm(algorithm);
-        let result = CoordinatorProtocol::random(k)
-            .run_matching(&g, &builder, 77)
-            .unwrap();
-        assert!(result.answer.is_valid_for(&g));
-        assert!(9 * result.answer.len() >= opt, "{algorithm:?}");
+    let protocol = CoordinatorProtocol::random(6);
+    let engine = protocol
+        .run_matching(&g, &MaximumMatchingCoreset::new(), 77)
+        .unwrap();
+    let hk = protocol.run_matching(&g, &HopcroftKarpCoreset, 77).unwrap();
+    for (name, result) in [("engine", &engine), ("hopcroft-karp", &hk)] {
+        assert!(result.answer.is_valid_for(&g), "{name}");
+        assert!(9 * result.answer.len() >= opt, "{name}");
     }
+    assert_eq!(
+        engine.communication.total_words(),
+        hk.communication.total_words()
+    );
 }
 
 /// The exact-coreset protocol sends one message per machine and lands within
@@ -234,6 +267,6 @@ fn degenerate_inputs_are_handled() {
 
     // A maximum matching on one machine (k = 1) equals the true optimum.
     let g = gnp(400, 0.01, &mut rng(9));
-    let opt = maximum_matching_with(&g, MaximumMatchingAlgorithm::Auto).len();
+    let opt = maximum_matching(&g).len();
     assert_eq!(matching(&g, 1, 4).len(), opt);
 }

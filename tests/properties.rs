@@ -10,7 +10,7 @@ use distsim::CoordinatorProtocol;
 use graph::partition::PartitionedGraph;
 use graph::Graph;
 use matching::greedy::maximal_matching;
-use matching::maximum::{maximum_matching, MaximumMatchingAlgorithm};
+use matching::maximum::maximum_matching;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -97,7 +97,7 @@ proptest! {
         for c in &coresets {
             prop_assert!(c.m() <= g.n() / 2 + 1);
         }
-        let composed = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let composed = solve_composed_matching(&coresets);
         prop_assert!(composed.is_valid_for(&g));
         let opt = maximum_matching(&g).len();
         prop_assert!(composed.len() <= opt);
@@ -106,9 +106,11 @@ proptest! {
         prop_assert!(composed.len() >= best_single);
     }
 
-    /// The coordinator's seeded composed solve (forced degree-one edges,
-    /// then the best per-machine coreset) returns exactly the size of a cold
-    /// maximum matching of the same union — seeds save work, never quality.
+    /// The coordinator's composed solve, seeded with the union's forced
+    /// degree-one edges (or, for two coresets, the merge walk warm-started
+    /// from the larger one), returns exactly the size of a cold blossom
+    /// solve of the same union, with no seed — seeds save work, never
+    /// quality.
     #[test]
     fn warm_started_composed_solve_size_identical_to_cold(
         g in arb_graph(90, 500), k in 1usize..8, seed in any::<u64>()
@@ -122,11 +124,9 @@ proptest! {
             .enumerate()
             .map(|(i, p)| MaximumMatchingCoreset::new().build(p, &params, i, &mut machine_rng(seed, i)))
             .collect();
-        // Seeded path (solve_composed_matching seeds forced edges and the
-        // best coreset) vs a cold solve of the identical union.
-        let warm = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let warm = solve_composed_matching(&coresets);
         let union = Graph::union(&coresets.iter().collect::<Vec<_>>());
-        let cold = matching::maximum::maximum_matching_with(&union, MaximumMatchingAlgorithm::Auto);
+        let cold = matching::blossom_maximum_matching(&union);
         prop_assert!(warm.is_valid_for(&union));
         prop_assert_eq!(warm.len(), cold.len());
     }
@@ -209,7 +209,7 @@ proptest! {
         let (greedy, trace) = coresets::greedy_match::greedy_match(g.n(), &coresets);
         prop_assert!(greedy.is_valid_for(&g));
         prop_assert_eq!(greedy.len(), trace.final_size());
-        let exact = solve_composed_matching(&coresets, MaximumMatchingAlgorithm::Auto);
+        let exact = solve_composed_matching(&coresets);
         prop_assert!(greedy.len() <= exact.len());
         // GreedyMatch extends the first coreset greedily, so it is at least as
         // large as the largest single coreset it saw first.

@@ -7,9 +7,8 @@
 //!   root's solve, and a tree merge's) solves the coreset edge slices in
 //!   machine order without materializing the union `Graph`; against
 //!   protocol coresets (edge-disjoint by construction) its answer must be
-//!   **bit-identical** to the frozen union path (`Graph::union` + the
-//!   engine's solve seeded with the first largest coreset), re-implemented
-//!   here as the reference. Two matchings are composed by the merge walk,
+//!   **bit-identical** to the union path (`Graph::union` + the engine's
+//!   solve), re-implemented here as the reference. Two matchings are composed by the merge walk,
 //!   whose reference is the warm-only solve of their union
 //!   (`testkit::warm_only_bipartite_matching`), compared as an edge set.
 //! * **Flat-vs-tree equivalence** — the tree-composed matching is valid for
@@ -36,7 +35,7 @@ use distsim::{ArenaProtocol, CoordinatorProtocol};
 use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::Graph;
 use matching::matching::{edges_form_matching, Matching};
-use matching::maximum::{maximum_matching_warm, maximum_matching_with, MaximumMatchingAlgorithm};
+use matching::maximum::{maximum_matching, MaximumMatchingAlgorithm};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -67,20 +66,13 @@ fn matching_coresets(g: &Graph, k: usize, seed: u64) -> Vec<Graph> {
         .collect()
 }
 
-/// The frozen pre-concat composition path, kept as the reference: materialize
-/// the first-occurrence-preserving union, warm-start from the first
-/// maximal-size coreset that is a valid matching, and solve. Two matchings
-/// are the fan-in-2 merge: the warm-only solve of their union, seeded with
-/// the first larger one.
-fn union_path_reference(coresets: &[Graph], algorithm: MaximumMatchingAlgorithm) -> Matching {
+/// The pre-concat composition path, kept as the reference: materialize the
+/// first-occurrence-preserving union and solve it. Two matchings are the
+/// fan-in-2 merge: the warm-only solve of their union, seeded with the first
+/// larger one.
+fn union_path_reference(coresets: &[Graph]) -> Matching {
     let refs: Vec<&Graph> = coresets.iter().collect();
     let union = Graph::union(&refs);
-    let mut best: Option<usize> = None;
-    for (i, c) in coresets.iter().enumerate() {
-        if edges_form_matching(c.edges()) && c.m() > best.map_or(0, |b| coresets[b].m()) {
-            best = Some(i);
-        }
-    }
     if let [a, b] = coresets {
         if edges_form_matching(a.edges()) && edges_form_matching(b.edges()) {
             let warm = if b.m() > a.m() { b } else { a };
@@ -88,10 +80,7 @@ fn union_path_reference(coresets: &[Graph], algorithm: MaximumMatchingAlgorithm)
             return Matching::from_edges(walked);
         }
     }
-    match best.map(|i| Matching::try_from_edges(coresets[i].edges().to_vec()).unwrap()) {
-        Some(warm) => maximum_matching_warm(&union, &warm, algorithm),
-        None => maximum_matching_with(&union, algorithm),
-    }
+    maximum_matching(&union)
 }
 
 /// The edges of `m`, sorted: the walk lists its edges in its children's
@@ -117,7 +106,7 @@ proptest! {
         let coresets = matching_coresets(&g, k, seed);
         let refs: Vec<&Graph> = coresets.iter().collect();
         let concat = solve_composed_matching_refs(&refs, MaximumMatchingAlgorithm::Auto);
-        let union = union_path_reference(&coresets, MaximumMatchingAlgorithm::Auto);
+        let union = union_path_reference(&coresets);
         if k == 2 {
             prop_assert_eq!(sorted(&concat), sorted(&union));
         } else {
@@ -155,13 +144,13 @@ proptest! {
 
     /// The coordinator's tree mode equals the test-side oracle tree: the same
     /// coresets reduced level by level, every merge solved by the frozen union
-    /// path (warm-only for two children, seeded with the forced edges and
-    /// then the first largest child for more), and the roots composed by the
+    /// path (warm-only for two children, the engine's solve for more), and
+    /// the roots composed by the
     /// library's root solve (`solve_composed_matching`). The driver wraps
     /// the caller's `&MaximumMatchingCoreset`, so a borrowed builder that
     /// dropped the merge hook (and re-solved the cold union) fails here.
-    /// Fan-in 3 covers the groups of three (the seeded solve) and the pairs a
-    /// short last group leaves (the walk).
+    /// Fan-in 3 covers the groups of three (the engine's solve) and the
+    /// pairs a short last group leaves (the walk).
     #[test]
     fn tree_mode_equals_the_warm_started_oracle_tree(
         g in arb_graph(140, 700),
@@ -174,10 +163,10 @@ proptest! {
             .unwrap();
         let n = g.n();
         let roots = reduce_levels(matching_coresets(&g, k, seed), fan_in, &|_, _, group| {
-            let merged = union_path_reference(&group, MaximumMatchingAlgorithm::Auto);
+            let merged = union_path_reference(&group);
             Graph::from_edges_unchecked(n, merged.into_edges())
         });
-        let oracle = solve_composed_matching(&roots, MaximumMatchingAlgorithm::Auto);
+        let oracle = solve_composed_matching(&roots);
         // Two roots are composed by the merge walk, which lists edges in its
         // children's order, and the oracle's merges list theirs in solve
         // order: the root step compares edge sets.

@@ -14,10 +14,11 @@ use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::{Csr, Graph, GraphRef};
 use matching::blossom::blossom_maximum_matching;
 use matching::greedy::{maximal_matching, maximal_matching_by_key, maximal_matching_shuffled};
-use matching::maximum::{maximum_matching, two_coloring};
+use matching::maximum::maximum_matching;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use testkit::two_coloring;
 use vertexcover::approx::{greedy_degree_cover, two_approx_cover};
 use vertexcover::exact::exact_cover_branch_and_bound;
 use vertexcover::lp::lp_vertex_cover;

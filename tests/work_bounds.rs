@@ -13,7 +13,6 @@
 use graph::gen::structured::{star, star_forest};
 use graph::Graph;
 use matching::blossom::blossom_maximum_matching_with;
-use matching::maximum::MaximumMatchingAlgorithm;
 use matching::{BlossomWorkspace, MatchingEngine};
 use testkit::random_forest;
 
@@ -67,11 +66,6 @@ fn flower(clique: usize, leaves: usize) -> Graph {
     Graph::from_pairs(1 + clique + leaves, pairs).unwrap()
 }
 
-const ALGORITHMS: [MaximumMatchingAlgorithm; 2] = [
-    MaximumMatchingAlgorithm::Auto,
-    MaximumMatchingAlgorithm::Blossom,
-];
-
 #[test]
 fn forests_are_settled_by_the_forced_edges_alone() {
     let mut forests: Vec<Graph> = (0..40u64)
@@ -85,15 +79,13 @@ fn forests_are_settled_by_the_forced_edges_alone() {
     }
     for (i, g) in forests.iter().enumerate() {
         let cold = blossom_maximum_matching_with(g, &mut BlossomWorkspace::new());
-        for algorithm in ALGORITHMS {
-            let mut engine = MatchingEngine::new();
-            let m = engine.solve_with(g, algorithm);
-            assert!(m.is_valid_for(g), "forest {i}");
-            assert_eq!(m.len(), cold.len(), "forest {i}");
-            assert_eq!(engine.workspace().searches(), FOREST_SEARCHES, "forest {i}");
-            assert_eq!(engine.core_solves(), FOREST_CORE_SOLVES, "forest {i}");
-            assert_eq!(engine.forced_edges(), m.len() as u64, "forest {i}");
-        }
+        let mut engine = MatchingEngine::new();
+        let m = engine.solve(g);
+        assert!(m.is_valid_for(g), "forest {i}");
+        assert_eq!(m.len(), cold.len(), "forest {i}");
+        assert_eq!(engine.workspace().searches(), FOREST_SEARCHES, "forest {i}");
+        assert_eq!(engine.core_solves(), FOREST_CORE_SOLVES, "forest {i}");
+        assert_eq!(engine.forced_edges(), m.len() as u64, "forest {i}");
     }
 }
 
@@ -102,7 +94,7 @@ fn a_star_runs_no_search() {
     for leaves in [1, 2, 10, 500] {
         let g = star(leaves);
         let mut engine = MatchingEngine::new();
-        let m = engine.solve_with(&g, MaximumMatchingAlgorithm::Blossom);
+        let m = engine.solve(&g);
         assert_eq!(m.len(), 1);
         assert_eq!(
             engine.workspace().searches(),
@@ -127,22 +119,20 @@ fn a_flower_searches_only_its_clique() {
     // would break the bound.
     for (clique, leaves) in [(3, 10), (9, 50), (41, 200)] {
         let g = flower(clique, leaves);
-        for algorithm in ALGORITHMS {
-            let mut engine = MatchingEngine::new();
-            let m = engine.solve_with(&g, algorithm);
-            assert!(m.is_valid_for(&g));
-            assert_eq!(
-                m.len(),
-                1 + clique / 2,
-                "hub-leaf plus a near-perfect clique"
-            );
-            assert_eq!(engine.forced_edges(), 1);
-            assert_eq!(engine.core_solves(), 1);
-            let searches = engine.workspace().searches();
-            assert!(
-                searches <= flower_search_bound(clique),
-                "{algorithm:?}: {searches} searches on a {clique}-clique flower with {leaves} leaves"
-            );
-        }
+        let mut engine = MatchingEngine::new();
+        let m = engine.solve(&g);
+        assert!(m.is_valid_for(&g));
+        assert_eq!(
+            m.len(),
+            1 + clique / 2,
+            "hub-leaf plus a near-perfect clique"
+        );
+        assert_eq!(engine.forced_edges(), 1);
+        assert_eq!(engine.core_solves(), 1);
+        let searches = engine.workspace().searches();
+        assert!(
+            searches <= flower_search_bound(clique),
+            "{searches} searches on a {clique}-clique flower with {leaves} leaves"
+        );
     }
 }
