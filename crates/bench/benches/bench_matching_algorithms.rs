@@ -2,26 +2,12 @@
 //! coresets (throughput benchmark T1 in DESIGN.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graph::gen::bipartite::random_bipartite;
 use graph::gen::er::gnp;
 use matching::blossom::blossom_maximum_matching;
 use matching::greedy::maximal_matching;
-use matching::hopcroft_karp::hopcroft_karp;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-
-fn bench_hopcroft_karp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hopcroft_karp");
-    for side in [1_000usize, 4_000] {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = random_bipartite(side, side, 4.0 / side as f64, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(side), &g, |b, g| {
-            b.iter(|| black_box(hopcroft_karp(g).len()));
-        });
-    }
-    group.finish();
-}
 
 fn bench_blossom(c: &mut Criterion) {
     let mut group = c.benchmark_group("blossom");
@@ -48,5 +34,5 @@ fn bench_maximal(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hopcroft_karp, bench_blossom, bench_maximal);
+criterion_group!(benches, bench_blossom, bench_maximal);
 criterion_main!(benches);

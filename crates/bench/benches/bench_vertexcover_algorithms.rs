@@ -1,35 +1,39 @@
-//! Criterion micro-benchmarks for the vertex-cover algorithms that power the
-//! VC coresets — the counterpart of `bench_matching_algorithms` for the
-//! matching side. All entry points run on the per-thread
-//! `vertexcover::VcEngine` (bucket-queue peeling, stamped 2-approximation,
-//! compacted greedy / LP), so these benches track the engine hot path.
+//! Criterion micro-benchmarks for the two vertex-cover steps of the VC
+//! coreset protocol — the counterpart of `bench_matching_algorithms` for the
+//! matching side. Both run on the per-thread `vertexcover::VcEngine`
+//! (candidate-only scan peeling, stamped 2-approximation), so these benches
+//! track the engine hot path.
 
+use coresets::CoresetParams;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graph::gen::er::gnp;
 use graph::gen::structured::star_forest;
+use graph::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vertexcover::lp::lp_vertex_cover;
-use vertexcover::peeling::parnas_ron_peeling;
-use vertexcover::{greedy_degree_cover, two_approx_cover};
+use vertexcover::peeling::peel_with_thresholds;
+use vertexcover::two_approx_cover;
+
+/// Peels `g` at the protocol's threshold schedule for one machine.
+fn bench_one_peel(group: &mut criterion::BenchmarkGroup<'_>, name: &str, g: &Graph) {
+    let schedule = CoresetParams::new(g.n(), 1).peeling_schedule();
+    group.bench_with_input(BenchmarkId::new(name, g.n()), g, |b, g| {
+        b.iter(|| black_box(peel_with_thresholds(g, &schedule).peeled_count()));
+    });
+}
 
 fn bench_peeling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parnas_ron_peeling");
+    let mut group = c.benchmark_group("peel_with_thresholds");
     group.sample_size(10);
-    // Sparse G(n, p): the stamped pre-screen regime of the protocol pieces.
+    // Sparse G(n, p): no vertex reaches a threshold, the protocol pieces'
+    // common regime.
     for n in [10_000usize, 50_000] {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = gnp(n, 4.0 / n as f64, &mut rng);
-        group.bench_with_input(BenchmarkId::new("gnp", n), &g, |b, g| {
-            b.iter(|| black_box(parnas_ron_peeling(g, 16).peeled_count()));
-        });
+        bench_one_peel(&mut group, "gnp", &gnp(n, 4.0 / n as f64, &mut rng));
     }
-    // Star-heavy skew: every round of the bucket queue fires.
-    let g = star_forest(40, 500);
-    group.bench_with_input(BenchmarkId::new("star_forest", g.n()), &g, |b, g| {
-        b.iter(|| black_box(parnas_ron_peeling(g, 8).peeled_count()));
-    });
+    // Star-heavy skew: every centre is a candidate and a scan round peels it.
+    bench_one_peel(&mut group, "star_forest", &star_forest(40, 500));
     group.finish();
 }
 
@@ -45,37 +49,5 @@ fn bench_two_approx(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_greedy_degree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("greedy_degree_cover");
-    group.sample_size(10);
-    for n in [5_000usize, 20_000] {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = gnp(n, 6.0 / n as f64, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| black_box(greedy_degree_cover(g).len()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_lp_rounding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_vertex_cover_rounded");
-    group.sample_size(10);
-    for n in [1_000usize, 4_000] {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let g = gnp(n, 4.0 / n as f64, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| black_box(lp_vertex_cover(g).rounded_cover().len()));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_peeling,
-    bench_two_approx,
-    bench_greedy_degree,
-    bench_lp_rounding
-);
+criterion_group!(benches, bench_peeling, bench_two_approx);
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //!
 //! Every peeling and 2-approximation call below runs on the calling worker
 //! thread's reusable `vertexcover::VcEngine` (via the `vertexcover` free
-//! functions): the bucket-queue peeling core performs zero per-round
-//! edge-buffer reallocations. Engine outputs are invariant under workspace
+//! functions): the peeling core, one scan of the live candidates per round,
+//! performs zero per-round edge-buffer reallocations. Engine outputs are invariant under workspace
 //! reuse, so this sharing never affects the cross-thread-count determinism
 //! guarantee (`tests/determinism.rs`).
 

@@ -557,6 +557,7 @@ impl Drop for SegmentLoader<'_> {
 mod tests {
     use super::*;
     use crate::gen::er::gnp;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -894,5 +895,75 @@ mod tests {
         // Segment 1 is untouched and still loads.
         assert_eq!(loader.load(1).unwrap().edges(), arena.piece(1).edges());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The byte range of mutation region `region` (0 header, 1 segment
+    /// table, 2 checksum table, 3 records) in an RCARENA2 file with `k`
+    /// machines and `m` records, and the width of one field there: the
+    /// header and the segment table hold `u64` fields, the checksum table
+    /// `u32` entries, and the records one `u64` `(u, v)` pair each.
+    fn mutation_region(region: u8, k: usize, m: usize) -> (std::ops::Range<usize>, usize) {
+        let tables = 40 + 16 * k;
+        match region {
+            0 => (0..40, 8),
+            1 => (40..tables, 8),
+            2 => (tables..records_base(k), 4),
+            _ => (records_base(k)..records_base(k) + 8 * m, 8),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 256 }))]
+
+        /// One mutated byte or field anywhere in a valid file (header,
+        /// segment table, checksum table or records) makes opening and
+        /// loading every segment either fail with a typed error or succeed
+        /// with every original piece intact; nothing panics.
+        #[test]
+        fn a_structured_mutation_loads_the_original_pieces_or_errs_without_panic(
+            seed in any::<u64>(),
+            k in 1usize..9,
+            region in 0u8..4,
+            pick in any::<u64>(),
+            whole_field in any::<bool>(),
+            value in any::<u64>(),
+        ) {
+            let (path, arena) = write_sample("mutation", seed, k);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let (range, width) = mutation_region(region, k, arena.m());
+            let span = range.len();
+            if whole_field {
+                let at = range.start + (pick as usize % (span / width)) * width;
+                let field = &mut bytes[at..at + width];
+                let mut old = [0u8; 8];
+                old[..width].copy_from_slice(field);
+                let old = u64::from_le_bytes(old);
+                // A random value, a neighbour of the old one, or an extreme.
+                let new = match value % 4 {
+                    0 => value >> 2,
+                    1 => old.wrapping_add(1),
+                    2 => old.wrapping_sub(1),
+                    _ => [0, 1, u64::MAX, 1 << 32][(value >> 2) as usize % 4],
+                };
+                field.copy_from_slice(&new.to_le_bytes()[..width]);
+            } else {
+                bytes[range.start + pick as usize % span] ^= (value as u8) | 1;
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let loaded = ArenaFile::open(&path).and_then(|file| {
+                let mut loader = SegmentLoader::new(&file)?;
+                let pieces = (0..file.k())
+                    .map(|i| loader.load(i).map(|view| view.edges().to_vec()))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(pieces)
+            });
+            let _ = std::fs::remove_file(&path);
+            if let Ok(pieces) = loaded {
+                prop_assert_eq!(pieces.len(), arena.k());
+                for (i, piece) in pieces.iter().enumerate() {
+                    prop_assert_eq!(piece.as_slice(), arena.piece(i).edges());
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Bipartite graphs with explicit left/right sides.
 //!
 //! The hard distributions of the paper (`D_Matching`, `D_VC`) are bipartite
-//! graphs `G(L, R, E)` with `|L| = |R| = n`, and Hopcroft–Karp operates on
-//! bipartite inputs. A [`BipartiteGraph`] keeps the two sides separate and can
-//! be converted to a plain [`Graph`] (right vertices are offset by `left_n`)
-//! whenever a side-agnostic algorithm is needed.
+//! graphs `G(L, R, E)` with `|L| = |R| = n`. A [`BipartiteGraph`] keeps the
+//! two sides separate and can be converted to a plain [`Graph`] (right
+//! vertices are offset by `left_n`) whenever a side-agnostic algorithm is
+//! needed.
 
 use crate::edge::VertexId;
 use crate::error::GraphError;
@@ -110,57 +110,6 @@ impl BipartiteGraph {
         &self.edges
     }
 
-    /// Flat CSR of the left-side adjacency (`left vertex -> sorted right
-    /// neighbours`), one contiguous allocation instead of `Vec<Vec<_>>`.
-    ///
-    /// This is what Hopcroft–Karp and König traverse; the per-vertex
-    /// neighbour order is identical to [`Self::left_adjacency`].
-    pub fn left_csr(&self) -> LeftCsr {
-        let mut deg = vec![0u32; self.left_n];
-        for &(l, _) in &self.edges {
-            deg[l as usize] += 1;
-        }
-        let mut offsets = vec![0u32; self.left_n + 1];
-        for l in 0..self.left_n {
-            offsets[l + 1] = offsets[l] + deg[l];
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; self.edges.len()];
-        for &(l, r) in &self.edges {
-            targets[cursor[l as usize] as usize] = r;
-            cursor[l as usize] += 1;
-        }
-        for l in 0..self.left_n {
-            let (lo, hi) = (offsets[l] as usize, offsets[l + 1] as usize);
-            targets[lo..hi].sort_unstable();
-        }
-        LeftCsr { offsets, targets }
-    }
-
-    /// Left-side adjacency lists (`left vertex -> sorted right neighbours`).
-    pub fn left_adjacency(&self) -> Vec<Vec<VertexId>> {
-        let mut adj = vec![Vec::new(); self.left_n];
-        for &(l, r) in &self.edges {
-            adj[l as usize].push(r);
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        adj
-    }
-
-    /// Right-side adjacency lists (`right vertex -> sorted left neighbours`).
-    pub fn right_adjacency(&self) -> Vec<Vec<VertexId>> {
-        let mut adj = vec![Vec::new(); self.right_n];
-        for &(l, r) in &self.edges {
-            adj[r as usize].push(l);
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        adj
-    }
-
     /// Degrees of the left vertices.
     pub fn left_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.left_n];
@@ -199,44 +148,6 @@ impl BipartiteGraph {
         } else {
             (1, v - self.left_n as VertexId)
         }
-    }
-
-    /// Returns the subgraph containing only the given edges (by index).
-    pub fn edge_subgraph(&self, indices: &[usize]) -> BipartiteGraph {
-        let edges = indices.iter().map(|&i| self.edges[i]).collect();
-        BipartiteGraph {
-            left_n: self.left_n,
-            right_n: self.right_n,
-            edges,
-        }
-    }
-}
-
-/// Compressed left-side adjacency of a [`BipartiteGraph`]: neighbours of left
-/// vertex `l` are `targets[offsets[l] .. offsets[l + 1]]`, sorted.
-#[derive(Debug, Clone)]
-pub struct LeftCsr {
-    offsets: Vec<u32>,
-    targets: Vec<VertexId>,
-}
-
-impl LeftCsr {
-    /// Number of left vertices.
-    #[inline]
-    pub fn left_n(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Sorted right-side neighbours of left vertex `l`.
-    #[inline]
-    pub fn neighbors(&self, l: usize) -> &[VertexId] {
-        &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
-    }
-
-    /// Degree of left vertex `l`.
-    #[inline]
-    pub fn degree(&self, l: usize) -> usize {
-        (self.offsets[l + 1] - self.offsets[l]) as usize
     }
 }
 
@@ -281,22 +192,11 @@ mod tests {
     #[test]
     fn adjacency_and_degrees() {
         let g = small();
-        assert_eq!(g.left_adjacency(), vec![vec![0, 1], vec![1], vec![0]]);
-        assert_eq!(g.right_adjacency(), vec![vec![0, 2], vec![0, 1]]);
+        let adj = g.to_graph().adjacency();
+        assert_eq!(adj.neighbors(0), &[3, 4]);
+        assert_eq!(adj.neighbors(3), &[0, 2]);
         assert_eq!(g.left_degrees(), vec![2, 1, 1]);
         assert_eq!(g.right_degrees(), vec![2, 2]);
-    }
-
-    #[test]
-    fn left_csr_matches_left_adjacency() {
-        let g = small();
-        let csr = g.left_csr();
-        let adj = g.left_adjacency();
-        assert_eq!(csr.left_n(), 3);
-        for (l, expected) in adj.iter().enumerate() {
-            assert_eq!(csr.neighbors(l), expected.as_slice(), "left vertex {l}");
-            assert_eq!(csr.degree(l), expected.len());
-        }
     }
 
     #[test]
@@ -310,14 +210,5 @@ mod tests {
         assert!(plain.has_edge(1, 4)); // (1, R1) -> (1, 4)
         assert_eq!(g.split_vertex(3), (1, 0));
         assert_eq!(g.split_vertex(2), (0, 2));
-    }
-
-    #[test]
-    fn edge_subgraph_selects_by_index() {
-        let g = small();
-        let sub = g.edge_subgraph(&[0, 3]);
-        assert_eq!(sub.m(), 2);
-        assert_eq!(sub.edges(), &[(0, 0), (2, 0)]);
-        assert_eq!(sub.left_n(), 3);
     }
 }

@@ -207,11 +207,6 @@ impl Csr {
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// Iterates over all vertices with non-zero degree.
-    pub fn non_isolated(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.n() as VertexId).filter(move |&v| self.degree(v) > 0)
-    }
-
     /// Whether every neighbour list is non-decreasing: the case in which
     /// [`Csr::sort_lists`] has nothing to do. Stops at the first list out of
     /// order, so at most one `O(n + m)` read.
@@ -267,17 +262,8 @@ mod tests {
         assert_eq!(csr.n(), 3);
         assert_eq!(csr.m(), 0);
         assert!(csr.neighbors(1).is_empty());
-        assert_eq!(csr.non_isolated().count(), 0);
         let none = Csr::from_edges(0, &[]);
         assert_eq!((none.n(), none.m()), (0, 0));
-    }
-
-    #[test]
-    fn non_isolated_iteration() {
-        let g = Graph::from_pairs(6, vec![(1, 4)]).unwrap();
-        let csr = Csr::from_graph(&g);
-        let v: Vec<_> = csr.non_isolated().collect();
-        assert_eq!(v, vec![1, 4]);
     }
 
     /// Neighbour lists built by appending each edge's endpoints in order:

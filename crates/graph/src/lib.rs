@@ -7,7 +7,7 @@
 //! * [`Graph`] — a simple undirected graph stored as an edge list with
 //!   adjacency and CSR views ([`Adjacency`], [`Csr`]).
 //! * [`BipartiteGraph`] — a bipartite graph with explicit left/right sides,
-//!   used by the hard instances and by Hopcroft–Karp.
+//!   used by the hard instances.
 //! * [`WeightedGraph`] — edge-weighted graphs for the Crouch–Stubbs weighted
 //!   extension.
 //! * [`GraphView`] / [`GraphRef`] — borrowed, zero-copy edge-slice views and

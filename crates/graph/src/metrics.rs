@@ -146,12 +146,6 @@ impl MetricsScope {
         piece_edges_materialized().saturating_sub(self.start.piece_edges_materialized)
     }
 
-    /// Net change in resident edge records since entry (negative when the
-    /// scope released more than it acquired).
-    pub fn resident_edges_delta(&self) -> i64 {
-        resident_edges() as i64 - self.start.resident_edges as i64
-    }
-
     /// High-water mark of resident edges since entry (the scope reset the
     /// mark to the then-current resident count at entry). Only meaningful
     /// when no other measurement scope overlaps this one.
@@ -215,9 +209,6 @@ mod tests {
         // process-wide concurrency can only push it higher.
         assert!(scope.peak_resident_edges() >= 50);
         record_resident_edges_released(50);
-        // Net delta from this test's own acquire/release pair is zero, but
-        // other tests may acquire concurrently, so only bound it below.
-        assert!(scope.resident_edges_delta() >= -(500 + 50));
     }
 
     #[test]

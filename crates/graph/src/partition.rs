@@ -3,7 +3,7 @@
 //! A *random k-partitioning* of `E` assigns every edge independently and
 //! uniformly at random to one of `k` machines (paper, Section 1,
 //! "Randomized Composable Coresets"). This module implements that
-//! partitioning for plain, bipartite and weighted graphs, plus two
+//! partitioning for plain and weighted graphs, plus two
 //! *adversarial* partitionings used as negative controls:
 //!
 //! * [`PartitionStrategy::Adversarial`] — a deterministic partition designed
@@ -20,7 +20,6 @@
 //! owned piece copies it out with [`GraphView::to_graph`], which charges the
 //! copy to [`crate::metrics::piece_edges_materialized`].
 
-use crate::bipartite::BipartiteGraph;
 use crate::edge::{Edge, WeightedEdge};
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -199,37 +198,6 @@ impl PartitionedGraph {
     }
 }
 
-/// Partitions a bipartite graph's edges across `k` machines, returning one
-/// bipartite subgraph per machine (same left/right sizes).
-pub fn partition_bipartite<R: Rng + ?Sized>(
-    g: &BipartiteGraph,
-    k: usize,
-    strategy: PartitionStrategy,
-    rng: &mut R,
-) -> Result<Vec<BipartiteGraph>, GraphError> {
-    if k == 0 {
-        return Err(GraphError::InvalidMachineCount { k });
-    }
-    let assignment = assign_indices(
-        g.m(),
-        k,
-        strategy,
-        |i| {
-            let (l, r) = g.edges()[i];
-            (l as u64) << 32 | r as u64
-        },
-        rng,
-    );
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-    for (idx, &machine) in assignment.iter().enumerate() {
-        buckets[machine].push(g.edges()[idx]);
-    }
-    Ok(buckets
-        .into_iter()
-        .map(|edges| BipartiteGraph::from_pairs_unchecked(g.left_n(), g.right_n(), edges))
-        .collect())
-}
-
 /// Partitions a weighted graph's edges across `k` machines.
 pub fn partition_weighted<R: Rng + ?Sized>(
     g: &WeightedGraph,
@@ -406,20 +374,6 @@ mod tests {
         assert!(piece0.has_edge(0, 1));
         assert!(piece0.has_edge(0, 25));
         assert!(!piece0.has_edge(0, 26));
-    }
-
-    #[test]
-    fn bipartite_partition_preserves_edges() {
-        let mut r = rng(6);
-        let g = crate::gen::bipartite::random_bipartite(50, 50, 0.1, &mut r);
-        let pieces = partition_bipartite(&g, 5, PartitionStrategy::Random, &mut r).unwrap();
-        assert_eq!(pieces.len(), 5);
-        let total: usize = pieces.iter().map(BipartiteGraph::m).sum();
-        assert_eq!(total, g.m());
-        for p in &pieces {
-            assert_eq!(p.left_n(), 50);
-            assert_eq!(p.right_n(), 50);
-        }
     }
 
     #[test]

@@ -52,11 +52,6 @@ pub fn degree_histogram(g: &Graph) -> Vec<usize> {
     hist
 }
 
-/// Number of vertices with degree exactly `d`.
-pub fn count_degree(g: &Graph, d: usize) -> usize {
-    g.degrees().into_iter().filter(|&x| x == d).count()
-}
-
 /// Number of connected components (isolated vertices each count as one).
 pub fn connected_components(g: &Graph) -> usize {
     let adj = g.adjacency();
@@ -109,8 +104,6 @@ mod tests {
         let g = Graph::from_pairs(5, vec![(0, 1), (0, 2), (0, 3)]).unwrap();
         let hist = degree_histogram(&g);
         assert_eq!(hist, vec![1, 3, 0, 1]); // one isolated, three leaves, one hub of degree 3
-        assert_eq!(count_degree(&g, 1), 3);
-        assert_eq!(count_degree(&g, 3), 1);
     }
 
     #[test]

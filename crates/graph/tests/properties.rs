@@ -4,7 +4,7 @@
 use graph::gen::bipartite::{near_regular_bipartite, random_bipartite};
 use graph::gen::er::{gnm, gnp};
 use graph::gen::structured::{complete, cycle, path, star_forest};
-use graph::partition::{partition_bipartite, PartitionStrategy, PartitionedGraph};
+use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::stats::{connected_components, degree_histogram, GraphStats};
 use graph::{Csr, Edge, Graph, GraphRef, WeightedGraph};
 use proptest::prelude::*;
@@ -139,25 +139,6 @@ proptest! {
             prop_assert_eq!(csr_owned.neighbors(x), csr_view.neighbors(x));
         }
         prop_assert_eq!(v.to_graph(), g.clone());
-    }
-
-    /// Bipartite partitioning preserves edges and sides.
-    #[test]
-    fn bipartite_partition_preserves_edges(
-        left in 1usize..60,
-        right in 1usize..60,
-        p in 0.0f64..0.3,
-        k in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = random_bipartite(left, right, p, &mut rng);
-        let pieces = partition_bipartite(&g, k, PartitionStrategy::Random, &mut rng).unwrap();
-        prop_assert_eq!(pieces.iter().map(|p| p.m()).sum::<usize>(), g.m());
-        for piece in &pieces {
-            prop_assert_eq!(piece.left_n(), left);
-            prop_assert_eq!(piece.right_n(), right);
-        }
     }
 
     /// `gnp` and `gnm` stay within their declared vertex budget and edge count.

@@ -338,7 +338,6 @@ mod tests {
     use super::*;
     use crate::forced::ForcedEdges;
     use crate::greedy::{maximal_matching, maximal_matching_shuffled};
-    use crate::hopcroft_karp::hopcroft_karp_size;
     use graph::gen::bipartite::random_bipartite;
     use graph::gen::er::{gnm, gnp};
     use graph::gen::rmat::rmat_graph500;
@@ -348,7 +347,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use testkit::brute_force_maximum_matching_size;
+    use testkit::{brute_force_maximum_matching_size, hopcroft_karp_size};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)

@@ -8,9 +8,6 @@
 //! * [`Matching`] — a validated set of vertex-disjoint edges.
 //! * [`greedy`] — maximal matchings under arbitrary, random or adversarial
 //!   edge orderings.
-//! * [`hopcroft_karp`](mod@hopcroft_karp) — maximum matching in explicit
-//!   bipartite graphs in `O(m sqrt(n))`, for König covers and as a test
-//!   oracle.
 //! * [`blossom`] — Edmonds' blossom algorithm for maximum matching in general
 //!   graphs.
 //! * [`maximum`] — the maximum-matching front-end: every function runs the
@@ -30,7 +27,6 @@ pub mod blossom;
 pub mod engine;
 mod forced;
 pub mod greedy;
-pub mod hopcroft_karp;
 pub mod matching;
 pub mod maximum;
 mod merge_walk;
@@ -40,7 +36,6 @@ pub mod workspace;
 pub use blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
 pub use engine::MatchingEngine;
 pub use greedy::{maximal_matching, maximal_matching_by_key, maximal_matching_shuffled};
-pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
 pub use maximum::{maximum_matching, merge_matching_pair, MaximumMatchingAlgorithm};
 pub use weighted::{crouch_stubbs_matching, greedy_weighted_matching, WeightedMatching};

@@ -7,8 +7,8 @@
 //! compact the graph onto its non-isolated vertices, take its forced
 //! degree-one edges and, only if they leave a core, sort one CSR and run the
 //! blossom search seeded with them, on the engine's epoch-reset
-//! [`BlossomWorkspace`](crate::workspace::BlossomWorkspace).
-//! [Hopcroft–Karp](mod@crate::hopcroft_karp) is not on this path.
+//! [`BlossomWorkspace`](crate::workspace::BlossomWorkspace), bipartite
+//! input or not.
 //! [`maximum_matching_concat`] solves a concatenation of edge slices without
 //! materializing their union (the coordinator's root, a tree merge of three
 //! or more children), and [`merge_matching_pair`] merges two matchings by the
@@ -101,7 +101,7 @@ mod tests {
         .unwrap();
         assert_eq!(maximum_matching(&g).len(), 4);
         assert_eq!(crate::blossom::blossom_maximum_matching(&g).len(), 4);
-        assert_eq!(crate::hopcroft_karp::hopcroft_karp_size(&bipartition), 4);
+        assert_eq!(testkit::hopcroft_karp_size(&bipartition), 4);
     }
 
     #[test]

@@ -23,9 +23,8 @@ use graph::gen::er::gnm;
 use graph::gen::hard::maximal_matching_trap;
 use graph::gen::rmat::rmat_graph500;
 use graph::gen::structured::star_forest;
-use graph::{BipartiteGraph, Csr, Edge, Graph, PartitionedGraph, VertexId};
+use graph::{BipartiteGraph, Edge, Graph, PartitionedGraph, VertexId};
 use matching::blossom::{blossom_maximum_matching, blossom_maximum_matching_with};
-use matching::hopcroft_karp::hopcroft_karp_size;
 use matching::maximum::maximum_matching;
 use matching::{maximal_matching, BlossomWorkspace, MatchingEngine};
 use proptest::prelude::*;
@@ -33,7 +32,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use testkit::{
-    as_bipartite, brute_force_maximum_matching_size, random_forest, warm_only_bipartite_matching,
+    as_bipartite, brute_force_maximum_matching_size, hopcroft_karp_size, random_forest,
+    warm_only_bipartite_matching,
 };
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
@@ -277,21 +277,6 @@ fn blossom_workspace_runs_zero_o_n_resets_at_scale() {
     }
     assert!(engine.workspace().searches() > 100);
     assert_eq!(engine.workspace().full_resets(), 0);
-}
-
-#[test]
-fn fused_dispatch_shares_one_csr_and_matches_reference() {
-    // Deterministic spot check of Hopcroft–Karp on a general-graph CSR and
-    // a colouring against its BipartiteGraph entry point.
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let bg = graph::gen::bipartite::random_bipartite(80, 80, 0.05, &mut rng);
-    let g = bg.to_graph();
-    let adj = Csr::from_ref(&g);
-    let color: Vec<u8> = (0..g.n() as VertexId)
-        .map(|v| u8::from(v as usize >= bg.left_n()))
-        .collect();
-    let fused = matching::hopcroft_karp::hopcroft_karp_on_csr(&adj, &color);
-    assert_eq!(fused.len(), hopcroft_karp_size(&bg));
 }
 
 /// A merge output's order is never observed (the next solve compacts it and

@@ -7,7 +7,6 @@ use graph::gen::er::gnm;
 use graph::Graph;
 use matching::blossom::blossom_maximum_matching;
 use matching::greedy::{maximal_matching, maximal_matching_shuffled};
-use matching::hopcroft_karp::{hopcroft_karp, hopcroft_karp_size};
 use matching::matching::Matching;
 use matching::maximum::maximum_matching;
 use matching::weighted::{crouch_stubbs_maximum, greedy_weighted_matching};
@@ -15,7 +14,10 @@ use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use testkit::{brute_force_maximum_matching_size, brute_force_maximum_weight};
+use testkit::{
+    brute_force_maximum_matching_size, brute_force_maximum_weight, hopcroft_karp,
+    hopcroft_karp_size,
+};
 
 fn small_graph() -> impl Strategy<Value = Graph> {
     (2usize..16, any::<u64>(), 0usize..40).prop_map(|(n, seed, m)| {

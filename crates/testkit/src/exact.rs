@@ -1,44 +1,56 @@
-//! Exact minimum vertex cover.
-//!
-//! Two exact routines back the experiments' ground truth:
+//! Exact minimum vertex cover: the ground truth the vertex-cover tests and
+//! approximation checks measure against.
 //!
 //! * [`exact_cover_branch_and_bound`] — branch-and-bound with degree-1 /
 //!   degree-0 reductions, practical for graphs whose cover has a few dozen
-//!   vertices; used to validate approximation ratios on small instances.
-//! * [`koenig_cover`] — König's theorem for bipartite graphs: a minimum vertex
-//!   cover of the same size as the maximum matching, extracted from the
-//!   Hopcroft–Karp output via alternating reachability. This scales to the
-//!   large bipartite instances (all of the paper's hard distributions).
+//!   vertices.
+//! * [`koenig_cover`] — König's theorem for bipartite graphs: a minimum
+//!   vertex cover of the same size as the maximum matching, extracted from
+//!   the Hopcroft–Karp output via alternating reachability. It scales to
+//!   large bipartite instances.
+//! * [`brute_force_minimum_cover_size`] — the size by exhaustive search, for
+//!   tiny graphs.
 
-use crate::cover::VertexCover;
-use crate::engine::with_thread_engine;
+use crate::hopcroft_karp::{hopcroft_karp, left_adjacency};
 use graph::{BipartiteGraph, GraphRef, VertexId};
-use matching::hopcroft_karp::hopcroft_karp;
 use std::collections::VecDeque;
 
-/// Exact minimum vertex cover by branch and bound.
+/// Exact minimum vertex cover by branch and bound, as ascending vertex ids.
 ///
-/// Intended for small instances (tests and ratio measurements); the search
-/// applies standard reductions — isolated vertices are ignored and a vertex
-/// adjacent to a degree-1 vertex is always taken — and branches on a
-/// maximum-degree vertex (`take it` vs `take its whole neighbourhood`).
-///
-/// Runs on the calling thread's reusable [`VcEngine`](crate::engine::VcEngine):
-/// the kernelization preamble builds its editable adjacency lists over the
-/// *compacted* (non-isolated) vertices only, so the per-call setup scales
-/// with the live vertex count rather than the full id space.
-pub fn exact_cover_branch_and_bound<G: GraphRef + ?Sized>(g: &G) -> VertexCover {
-    with_thread_engine(|engine| engine.exact_cover(g))
+/// Intended for small instances: the search applies standard reductions —
+/// isolated vertices are ignored and a vertex adjacent to a degree-1 vertex
+/// is always taken — and branches on a maximum-degree vertex (`take it` vs
+/// `take its whole neighbourhood`).
+pub fn exact_cover_branch_and_bound<G: GraphRef + ?Sized>(g: &G) -> Vec<VertexId> {
+    let mut neighbors: Vec<Vec<VertexId>> = vec![Vec::new(); g.n()];
+    for e in g.edges() {
+        neighbors[e.u as usize].push(e.v);
+        neighbors[e.v as usize].push(e.u);
+    }
+    for list in &mut neighbors {
+        list.sort_unstable();
+    }
+    let mut best: Option<Vec<VertexId>> = None;
+    branch(&mut neighbors, &mut Vec::new(), &mut best);
+    let mut cover = best.unwrap_or_default();
+    cover.sort_unstable();
+    cover
 }
 
-/// The branch-and-bound search over editable adjacency lists (local ids).
-/// Shared by the engine; the lists are restored to their input state before
-/// returning.
-pub(crate) fn branch_and_bound_on_lists(neighbors: &mut Vec<Vec<VertexId>>) -> Vec<VertexId> {
-    let mut best: Option<Vec<VertexId>> = None;
-    let mut current: Vec<VertexId> = Vec::new();
-    branch(neighbors, &mut current, &mut best);
-    best.unwrap_or_default()
+/// Exact minimum vertex cover size of a tiny graph (`n <= 20`), by trying
+/// every vertex subset: the cross-check of [`exact_cover_branch_and_bound`].
+pub fn brute_force_minimum_cover_size<G: GraphRef + ?Sized>(g: &G) -> usize {
+    let n = g.n();
+    assert!(n <= 20, "brute force only for tiny graphs");
+    (0..(1u32 << n))
+        .filter(|mask| {
+            g.edges()
+                .iter()
+                .all(|e| mask & (1 << e.u) != 0 || mask & (1 << e.v) != 0)
+        })
+        .map(|mask| mask.count_ones() as usize)
+        .min()
+        .unwrap_or(0)
 }
 
 /// Undo information for one `take_vertex` call: for each touched vertex, its
@@ -58,15 +70,14 @@ fn branch(
     }
 
     // Reduction: repeatedly take the neighbour of any degree-1 vertex.
-    let mut reduced: Vec<(VertexId, UndoLog)> = Vec::new();
+    let mut reduced: Vec<UndoLog> = Vec::new();
     loop {
         let mut applied = false;
         for v in 0..neighbors.len() {
             if neighbors[v].len() == 1 {
                 let w = neighbors[v][0];
-                let removed = take_vertex(neighbors, w);
+                reduced.push(take_vertex(neighbors, w));
                 current.push(w);
-                reduced.push((w, removed));
                 applied = true;
                 break;
             }
@@ -77,9 +88,9 @@ fn branch(
         if let Some(b) = best {
             if current.len() >= b.len() {
                 // Undo reductions and bail.
-                for (w, removed) in reduced.into_iter().rev() {
+                for removed in reduced.into_iter().rev() {
                     current.pop();
-                    undo_take(neighbors, w, removed);
+                    undo_take(neighbors, removed);
                 }
                 return;
             }
@@ -105,35 +116,35 @@ fn branch(
             current.push(v);
             branch(neighbors, current, best);
             current.pop();
-            undo_take(neighbors, v, removed);
+            undo_take(neighbors, removed);
 
             // Branch 2: exclude v, therefore take all of N(v).
             let nbrs = neighbors[v as usize].clone();
             let mut undo_stack = Vec::with_capacity(nbrs.len());
             for &w in &nbrs {
-                undo_stack.push((w, take_vertex(neighbors, w)));
+                undo_stack.push(take_vertex(neighbors, w));
                 current.push(w);
             }
             branch(neighbors, current, best);
             for _ in &nbrs {
                 current.pop();
             }
-            for (w, removed) in undo_stack.into_iter().rev() {
-                undo_take(neighbors, w, removed);
+            for removed in undo_stack.into_iter().rev() {
+                undo_take(neighbors, removed);
             }
         }
     }
 
     // Undo degree-1 reductions.
-    for (w, removed) in reduced.into_iter().rev() {
+    for removed in reduced.into_iter().rev() {
         current.pop();
-        undo_take(neighbors, w, removed);
+        undo_take(neighbors, removed);
     }
 }
 
-/// Removes `v` from the graph (all incident edges); returns the list of
-/// (neighbour, position-restoring payload) needed to undo.
-fn take_vertex(neighbors: &mut [Vec<VertexId>], v: VertexId) -> Vec<(VertexId, Vec<VertexId>)> {
+/// Removes `v` from the graph (all incident edges); returns what
+/// [`undo_take`] needs to restore it.
+fn take_vertex(neighbors: &mut [Vec<VertexId>], v: VertexId) -> UndoLog {
     let mine = std::mem::take(&mut neighbors[v as usize]);
     let mut removed = Vec::with_capacity(mine.len() + 1);
     for &w in &mine {
@@ -145,17 +156,9 @@ fn take_vertex(neighbors: &mut [Vec<VertexId>], v: VertexId) -> Vec<(VertexId, V
     removed
 }
 
-fn undo_take(
-    neighbors: &mut [Vec<VertexId>],
-    v: VertexId,
-    removed: Vec<(VertexId, Vec<VertexId>)>,
-) {
+fn undo_take(neighbors: &mut [Vec<VertexId>], removed: UndoLog) {
     for (w, old) in removed {
-        if w == v {
-            neighbors[v as usize] = old;
-        } else {
-            neighbors[w as usize] = old;
-        }
+        neighbors[w as usize] = old;
     }
 }
 
@@ -163,20 +166,19 @@ fn undo_take(
 ///
 /// Computes a maximum matching with Hopcroft–Karp, runs the alternating-path
 /// reachability from unmatched left vertices, and returns
-/// `(L \ Z) ∪ (R ∩ Z)` where `Z` is the reachable set. The result is returned
-/// in the vertex ids of [`BipartiteGraph::to_graph`] (right ids offset by
-/// `left_n`) so that it can be validated against the flattened graph.
-pub fn koenig_cover(g: &BipartiteGraph) -> VertexCover {
-    let matching = hopcroft_karp(g);
+/// `(L \ Z) ∪ (R ∩ Z)` where `Z` is the reachable set. The result is in the
+/// vertex ids of [`BipartiteGraph::to_graph`] (right ids offset by `left_n`),
+/// ascending, so that it can be checked against the flattened graph.
+pub fn koenig_cover(g: &BipartiteGraph) -> Vec<VertexId> {
     let left_n = g.left_n();
     let right_n = g.right_n();
     let mut mate_left = vec![u32::MAX; left_n];
     let mut mate_right = vec![u32::MAX; right_n];
-    for &(l, r) in &matching {
+    for (l, r) in hopcroft_karp(g) {
         mate_left[l as usize] = r;
         mate_right[r as usize] = l;
     }
-    let adj = g.left_csr();
+    let adj = left_adjacency(g);
 
     // Alternating BFS from unmatched left vertices: left->right over
     // non-matching edges, right->left over matching edges.
@@ -190,7 +192,7 @@ pub fn koenig_cover(g: &BipartiteGraph) -> VertexCover {
         }
     }
     while let Some(l) = queue.pop_front() {
-        for &r in adj.neighbors(l as usize) {
+        for &r in &adj[l as usize] {
             if mate_left[l as usize] == r {
                 continue; // matching edge: not usable in this direction
             }
@@ -205,28 +207,21 @@ pub fn koenig_cover(g: &BipartiteGraph) -> VertexCover {
         }
     }
 
-    let mut cover = VertexCover::new();
-    for (l, reached) in left_reached.iter().enumerate() {
-        if !reached {
-            cover.insert(l as VertexId);
-        }
-    }
-    for (r, reached) in right_reached.iter().enumerate() {
-        if *reached {
-            cover.insert((left_n + r) as VertexId);
-        }
-    }
-    cover
+    let left = (0..left_n).filter(|&l| !left_reached[l]);
+    let right = (0..right_n)
+        .filter(|&r| right_reached[r])
+        .map(|r| left_n + r);
+    left.chain(right).map(|v| v as VertexId).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hopcroft_karp::hopcroft_karp_size;
     use graph::gen::bipartite::random_bipartite;
     use graph::gen::er::gnp;
     use graph::gen::structured::{complete, cycle, path, star, star_forest};
     use graph::Graph;
-    use matching::hopcroft_karp::hopcroft_karp_size;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -234,19 +229,11 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
-    /// Exhaustive minimum vertex cover size for tiny graphs (cross-check).
-    fn brute_force_vc_size(g: &Graph) -> usize {
-        let n = g.n();
-        assert!(n <= 20, "brute force only for tiny graphs");
-        (0..(1u32 << n))
-            .filter(|mask| {
-                g.edges()
-                    .iter()
-                    .all(|e| mask & (1 << e.u) != 0 || mask & (1 << e.v) != 0)
-            })
-            .map(|mask| mask.count_ones() as usize)
-            .min()
-            .unwrap_or(0)
+    /// Whether `cover` touches every edge of `g`.
+    fn covers<G: GraphRef + ?Sized>(cover: &[VertexId], g: &G) -> bool {
+        g.edges()
+            .iter()
+            .all(|e| cover.contains(&e.u) || cover.contains(&e.v))
     }
 
     #[test]
@@ -266,8 +253,12 @@ mod tests {
         for seed in 0..12 {
             let g = gnp(12, 0.3, &mut rng(seed));
             let cover = exact_cover_branch_and_bound(&g);
-            assert!(cover.covers(&g), "seed {seed}");
-            assert_eq!(cover.len(), brute_force_vc_size(&g), "seed {seed}");
+            assert!(covers(&cover, &g), "seed {seed}");
+            assert_eq!(
+                cover.len(),
+                brute_force_minimum_cover_size(&g),
+                "seed {seed}"
+            );
         }
     }
 
@@ -282,7 +273,7 @@ mod tests {
                 mm,
                 "König: |min VC| must equal |max matching| (seed {seed})"
             );
-            assert!(cover.covers(&bg.to_graph()), "seed {seed}");
+            assert!(covers(&cover, &bg.to_graph()), "seed {seed}");
         }
     }
 
@@ -297,7 +288,7 @@ mod tests {
         .unwrap();
         let cover = koenig_cover(&g);
         assert_eq!(cover.len(), 3);
-        assert!(cover.covers(&g.to_graph()));
+        assert!(covers(&cover, &g.to_graph()));
 
         // Perfect matching of size 4: min VC = 4.
         let g = BipartiteGraph::from_pairs(4, 4, (0..4u32).map(|i| (i, i))).unwrap();

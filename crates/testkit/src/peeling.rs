@@ -1,6 +1,20 @@
-//! The pre-engine Parnas–Ron peeling loop, frozen as a differential baseline.
+//! The pre-engine Parnas–Ron peeling loop, frozen as a differential baseline,
+//! and the classic Parnas–Ron threshold schedule the peeling tests draw.
 
 use graph::{Edge, Graph, GraphRef, VertexId};
+
+/// The classic Parnas–Ron threshold schedule for an `n`-vertex graph:
+/// `n/2, n/4, n/8, ...` down to `stop_at` (exclusive). Peeling at it and
+/// 2-approximating the residual gives an `O(log n)`-approximate cover.
+pub fn parnas_ron_schedule(n: usize, stop_at: usize) -> Vec<usize> {
+    let mut thresholds = Vec::new();
+    let mut t = n / 2;
+    while t > stop_at.max(1) {
+        thresholds.push(t);
+        t /= 2;
+    }
+    thresholds
+}
 
 /// What [`peel_with_thresholds_reference`] returns: the same three fields as
 /// `vertexcover::PeelingOutcome`, so tests compare them field by field.

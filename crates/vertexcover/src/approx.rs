@@ -1,18 +1,12 @@
-//! Approximation algorithms for minimum vertex cover.
+//! The 2-approximation for minimum vertex cover: both endpoints of a
+//! maximal matching, the classic 2-approximation the coordinator runs on the
+//! union of the residual subgraphs (paper, Section 3.2: "the vertex cover of
+//! ∪ G_Δ^(i) can be computed to within a factor of 2").
 //!
-//! * [`two_approx_cover`] — both endpoints of a maximal matching; the classic
-//!   2-approximation the coordinator runs on the union of the residual
-//!   subgraphs (paper, Section 3.2: "the vertex cover of ∪ G_Δ^(i) can be
-//!   computed to within a factor of 2").
-//! * [`greedy_degree_cover`] — repeatedly take a maximum-degree vertex; an
-//!   `H_Δ = O(log n)`-approximation used as an additional baseline.
-//!
-//! Both run on the calling thread's reusable
-//! [`VcEngine`](crate::engine::VcEngine): the 2-approximation is one stamped
-//! `O(m)` edge scan (no `vec![false; n]` per call), and the greedy cover
-//! compacts the graph onto its live vertices and reuses the engine's degree
-//! array, covered flags and heap. Outputs are identical to the pre-engine
-//! implementations and invariant under workspace reuse.
+//! [`two_approx_cover`] and [`two_approx_cover_concat`] run on the calling
+//! thread's reusable [`VcEngine`](crate::engine::VcEngine): one stamped
+//! `O(m)` edge scan (no `vec![false; n]` per call). Outputs are identical to
+//! the pre-engine implementation and invariant under workspace reuse.
 
 use crate::cover::VertexCover;
 use crate::engine::with_thread_engine;
@@ -41,22 +35,15 @@ pub fn two_approx_cover_concat(
     with_thread_engine(|engine| engine.two_approx_concat(n, slices.iter().copied(), fixed))
 }
 
-/// Greedy maximum-degree vertex cover: repeatedly add the vertex covering the
-/// most uncovered edges. `O(m log n)` with a lazy-deletion heap over the
-/// compacted CSR adjacency.
-pub fn greedy_degree_cover<G: GraphRef + ?Sized>(g: &G) -> VertexCover {
-    with_thread_engine(|engine| engine.greedy_degree_cover(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_cover_branch_and_bound;
     use graph::gen::er::gnp;
-    use graph::gen::structured::{complete, cycle, path, star};
+    use graph::gen::structured::{complete, cycle, path};
     use graph::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use testkit::exact_cover_branch_and_bound;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -88,37 +75,19 @@ mod tests {
     }
 
     #[test]
-    fn greedy_degree_covers() {
-        for seed in 0..10 {
-            let g = gnp(40, 0.1, &mut rng(seed + 100));
-            let cover = greedy_degree_cover(&g);
-            assert!(cover.covers(&g));
-        }
-    }
-
-    #[test]
-    fn greedy_degree_is_optimal_on_stars() {
-        let g = star(20);
-        let cover = greedy_degree_cover(&g);
-        assert_eq!(cover.len(), 1);
-        assert!(cover.contains(0));
-    }
-
-    #[test]
     fn structured_graphs() {
-        // Path on 4 vertices: optimum 2.
+        // Path on 4 vertices: the maximal matching {01, 23} takes all 4.
         let g = path(4);
-        assert!(two_approx_cover(&g).covers(&g));
-        assert!(greedy_degree_cover(&g).covers(&g));
-        assert!(greedy_degree_cover(&g).len() <= 3);
+        let cover = two_approx_cover(&g);
+        assert!(cover.covers(&g) && cover.len() == 4);
 
-        // Even cycle: optimum n/2.
+        // Even cycle: optimum n/2, so at most n.
         let c = cycle(8);
-        assert!(greedy_degree_cover(&c).covers(&c));
+        assert!(two_approx_cover(&c).covers(&c));
 
-        // Complete graph K5: optimum 4.
+        // Complete graph K5: a maximal matching has 2 edges, so 4 vertices.
         let k = complete(5);
-        assert_eq!(greedy_degree_cover(&k).len(), 4);
+        assert_eq!(two_approx_cover(&k).len(), 4);
         assert!(two_approx_cover(&k).covers(&k));
     }
 
@@ -126,7 +95,6 @@ mod tests {
     fn empty_graph_needs_no_cover() {
         let g = Graph::empty(7);
         assert!(two_approx_cover(&g).is_empty());
-        assert!(greedy_degree_cover(&g).is_empty());
     }
 
     #[test]

@@ -1,30 +1,25 @@
-//! The vertex-cover engine: candidate-only bucket-queue peeling, compaction
-//! for the structure-building solvers, and epoch-reset scratch, mirroring
-//! [`matching::MatchingEngine`]'s role on the matching side.
+//! The vertex-cover engine: the two steps of Theorem 2's protocol, on
+//! reused, epoch-reset scratch, mirroring [`matching::MatchingEngine`]'s role
+//! on the matching side.
 //!
-//! [`VcEngine`] is the solve path behind every free function in this crate
-//! ([`crate::peeling`], [`crate::approx`], [`crate::lp`], [`crate::exact`])
-//! and therefore behind the vertex-cover half of every protocol run. One
-//! engine owns three reusable pieces of state:
+//! [`VcEngine`] is the solve path behind the free functions in
+//! [`crate::peeling`] and [`crate::approx`], and therefore behind the
+//! vertex-cover half of every protocol run: each machine peels its piece
+//! ([`VcEngine::peel_with_thresholds`]), and the coordinator 2-approximates
+//! the union of the residuals ([`VcEngine::two_approx_concat`]). One engine
+//! owns two reusable pieces of state:
 //!
-//! * a [`graph::VertexCompactor`] that relabels inputs onto their
-//!   non-isolated vertices (monotonically, so orderings survive) before the
-//!   greedy, LP and exact solvers run,
-//! * a [`graph::Csr`] refilled in place by every solve that walks
-//!   adjacency, and
+//! * a [`graph::Csr`] over the peeling candidates, refilled in place by
+//!   every peel that has any, and
 //! * a [`VcWorkspace`] whose epoch-stamped flags, interleaved degree slots,
-//!   mark bits and bucket queue replace every per-call `vec![false; n]` /
+//!   mark bits and live list replace every per-call `vec![false; n]` /
 //!   `vec![0; n]` allocation of the pre-engine path.
 //!
-//! The peeling core ([`VcEngine::peel_with_thresholds`]) is where the
-//! asymptotics change. The old path rescanned and `retain`ed the full
-//! residual edge buffer every threshold round — `O(m · rounds)` plus a fresh
-//! `O(n)` degree array per round. The engine instead works on the
-//! *candidates*: the vertices whose degree reaches the smallest positive
-//! threshold `t_min`. Residual degrees only fall, so no other vertex can ever
-//! be peeled, and only edges between two candidates ever lower a degree that
-//! is read again. This holds for every schedule, zeros, repeats and
-//! non-monotone orders included.
+//! The peel works on the *candidates*: the vertices whose degree reaches the
+//! smallest positive threshold `t_min`. Residual degrees only fall, so no
+//! other vertex can ever be peeled, and only edges between two candidates
+//! ever lower a degree that is read again. This holds for every schedule,
+//! zeros, repeats and non-monotone orders included.
 //!
 //! * **Count.** One pass counts degrees into the workspace's interleaved
 //!   stamped slots (`O(m)`, no `O(n)` pass) and lists each vertex the moment
@@ -33,25 +28,22 @@
 //!   random `k`-partition, whose thresholds start at `n/(4k)` — every round
 //!   is empty and the input edge list is the residual, with **no further
 //!   work**.
-//! * **Bucket-queue rounds over the candidates.** Otherwise the candidates
-//!   get local ids `0..c`, one pass against the candidate marks collects the
+//! * **Scan rounds over the candidates.** Otherwise the candidates get local
+//!   ids `0..c`, one pass against the candidate marks collects the
 //!   candidate–candidate edges, and the engine's CSR is refilled over those
 //!   `c` vertices only, with **unsorted** neighbour lists
-//!   ([`graph::Csr::rebuild_unsorted`]). The candidates' full degrees are
-//!   counting-sorted into the bucket queue. Neighbour order cannot reach the
-//!   output: a round peels exactly the vertices whose residual degree is
-//!   `>= t`, and the degree decrements commute, so the peeled sets, the
-//!   rounds and the residual are the same in any order. The vertices of
-//!   degree `>= t` are a suffix of the degree-sorted array (read off in
-//!   `O(peeled)`), and removing a peeled vertex decrements each live
-//!   candidate neighbour with an `O(1)` bucket swap — so a round costs
-//!   `O(vertices peeled + edges removed)`, and rounds that peel nothing cost
-//!   `O(1)`.
+//!   ([`graph::Csr::rebuild_unsorted`]). Each positive threshold `t` is then
+//!   one pass over the live local ids: the ids whose residual degree is
+//!   `>= t` leave the list and are flagged, and then each unflagged
+//!   candidate neighbour of a peeled id loses one degree through the CSR.
+//!   The whole round is decided against its round-start degrees, and the
+//!   decrements commute, so neighbour order cannot reach the output. A round
+//!   costs `O(live candidates + edges removed)`.
 //! * **Residual.** One filter pass against the marks of the peeled
 //!   vertices keeps the other edges in input order.
 //!
 //! A call therefore costs `O(m)` for the count, the candidate-edge pass and
-//! the filter, plus `O(c + candidate edges + max degree)` for the rounds.
+//! the filter, plus `O(rounds × c + candidate edges)` for the rounds.
 //! There is no `O(n_local)` term and no CSR over the whole piece.
 //!
 //! Outputs are **identical** to the pre-engine path, round by round
@@ -63,16 +55,13 @@
 //! the free functions never affects determinism.
 
 use crate::cover::VertexCover;
-use crate::exact::branch_and_bound_on_lists;
-use crate::lp::HalfIntegralSolution;
 use crate::peeling::PeelingOutcome;
 use crate::workspace::VcWorkspace;
-use graph::{BipartiteGraph, Csr, Edge, Graph, GraphRef, VertexCompactor, VertexId};
+use graph::{Csr, Edge, Graph, GraphRef, VertexId};
 use std::cell::RefCell;
 
-/// A reusable vertex-cover solver: compaction scratch, an epoch-reset
-/// workspace and candidate-only bucket-queue peeling, allocated once and
-/// reused across solves.
+/// A reusable vertex-cover solver: the candidate CSR and an epoch-reset
+/// workspace, allocated once and reused across solves.
 ///
 /// See the [module docs](self) for the solve pipeline. Construct one per
 /// long-lived worker, or use the thread-local engine behind the free
@@ -80,7 +69,6 @@ use std::cell::RefCell;
 /// [`crate::approx::two_approx_cover`], …).
 #[derive(Debug, Clone, Default)]
 pub struct VcEngine {
-    compactor: VertexCompactor,
     csr: Csr,
     workspace: VcWorkspace,
 }
@@ -116,7 +104,6 @@ impl VcEngine {
         let VcEngine {
             csr: adj,
             workspace: ws,
-            ..
         } = self;
 
         // Count degrees once (O(m), stamped: no O(n) pass), listing the
@@ -149,67 +136,33 @@ impl VcEngine {
             };
         }
 
-        // Bucket-queue rounds over the candidates only: local ids `0..c`, a
-        // CSR of the candidate–candidate edges (unsorted: see the module
-        // docs), and the candidates' full degrees counting-sorted into the
-        // bucket queue. Only a peeled candidate's candidate neighbours ever
-        // have a degree read again, so no other edge is needed.
-        let max_degree = ws.relabel_candidates();
+        // Scan rounds over the candidates only: local ids `0..c` and a CSR of
+        // the candidate–candidate edges (unsorted: see the module docs). Only
+        // a peeled candidate's candidate neighbours ever have a degree read
+        // again, so no other edge is needed.
+        ws.relabel_candidates();
         ws.collect_candidate_edges(edges);
-        let c = ws.candidates.len();
-        adj.rebuild_unsorted(c, &ws.candidate_edges);
-        ws.seed_buckets(max_degree);
-        let mut live_end = c;
-
-        let mut round = std::mem::take(&mut ws.round);
+        adj.rebuild_unsorted(ws.candidates.len(), &ws.candidate_edges);
         for &t in thresholds {
             if t == 0 {
                 continue;
             }
-            // Vertices of residual degree >= t are exactly the suffix of the
-            // degree-sorted live region starting at bin[t]; thresholds above
-            // the current maximum clamp to an empty suffix.
-            let start = ws
-                .bin
-                .get(t)
-                .map_or(live_end, |&b| (b as usize).min(live_end));
-            if start == live_end {
-                // Empty round marker: `Vec::new` performs no heap allocation.
-                peeled_per_round.push(Vec::new()); // xtask: allow(hot-path-alloc)
-                used_thresholds.push(t);
-                continue;
-            }
-            round.clear();
-            round.extend_from_slice(&ws.vert[start..live_end]);
-            // Simultaneous semantics: the whole round is decided against the
-            // round-start degrees, then removed together.
-            for &v in &round {
-                ws.flag(v);
-            }
-            for &v in &round {
-                for &w in adj.neighbors(v) {
-                    if !ws.is_flagged(w) {
-                        ws.decrement(w);
-                    }
-                }
-            }
-            live_end = start;
-            let mut peeled: Vec<VertexId> =
-                round.iter().map(|&v| ws.candidates[v as usize]).collect();
+            ws.peel_round(adj, t);
+            let mut peeled: Vec<VertexId> = ws
+                .round
+                .iter()
+                .map(|&v| ws.candidates[v as usize])
+                .collect();
             // Local ids follow the candidate list, not the original order, so
             // each round is sorted into the reference's ascending-id order.
             peeled.sort_unstable();
             peeled_per_round.push(peeled);
             used_thresholds.push(t);
         }
-        ws.round = round;
 
         // The residual keeps the input edges with no peeled endpoint, in
         // input order: one filter pass against the peeled marks, compacting a
-        // copy of the input in place without a branch per edge. Something
-        // was peeled: if no earlier round peels, the `t_min` round takes every
-        // candidate.
-        debug_assert!(live_end < c, "a candidate exists, so a round peels");
+        // copy of the input in place without a branch per edge.
         ws.clear_marks();
         for &v in peeled_per_round.iter().flatten() {
             ws.mark(v);
@@ -227,17 +180,6 @@ impl VcEngine {
             thresholds: used_thresholds,
             residual: Graph::from_edges_unchecked(n, residual),
         }
-    }
-
-    /// The classic Parnas–Ron schedule (see
-    /// [`crate::peeling::parnas_ron_peeling`]).
-    pub fn parnas_ron_peeling<G: GraphRef + ?Sized>(
-        &mut self,
-        g: &G,
-        stop_at: usize,
-    ) -> PeelingOutcome {
-        let schedule = crate::peeling::parnas_ron_schedule(g.n(), stop_at);
-        self.peel_with_thresholds(g, &schedule)
     }
 
     /// 2-approximate vertex cover: both endpoints of the greedy maximal
@@ -281,105 +223,6 @@ impl VcEngine {
         }
         VertexCover::from_vertices(cover)
     }
-
-    /// Greedy maximum-degree vertex cover (see
-    /// [`crate::approx::greedy_degree_cover`]): lazy-deletion heap over the
-    /// compacted CSR, with the workspace providing the degree array, the
-    /// covered flags and the reused heap.
-    pub fn greedy_degree_cover<G: GraphRef + ?Sized>(&mut self, g: &G) -> VertexCover {
-        if g.is_empty() {
-            return VertexCover::new();
-        }
-        let VcEngine {
-            compactor,
-            csr: adj,
-            workspace: ws,
-        } = self;
-        compactor.compact(g);
-        let n_local = compactor.n_local();
-        adj.rebuild(n_local, compactor.local_edges());
-        ws.begin_scope(n_local);
-        ws.heap.clear();
-        for v in 0..n_local as VertexId {
-            // Compaction keeps only non-isolated vertices, so every degree is
-            // positive and belongs in the heap.
-            ws.set_degree(v, adj.degree(v) as u32);
-            ws.heap.push((adj.degree(v), v));
-        }
-        let mut uncovered_edges = compactor.local_edges().len();
-        let mut cover = VertexCover::new();
-        while uncovered_edges > 0 {
-            let (claimed_degree, v) = ws
-                .heap
-                .pop()
-                .expect("uncovered edges remain so the heap is non-empty");
-            if ws.is_flagged(v) || claimed_degree != ws.degree_of(v) as usize {
-                continue; // stale entry
-            }
-            if ws.degree_of(v) == 0 {
-                continue;
-            }
-            cover.insert(compactor.orig_of(v));
-            ws.flag(v);
-            for &w in adj.neighbors(v) {
-                if !ws.is_flagged(w) {
-                    uncovered_edges -= 1;
-                    let d = ws.dec_degree(w);
-                    if d > 0 {
-                        ws.heap.push((d as usize, w));
-                    }
-                }
-            }
-            ws.set_degree(v, 0);
-        }
-        cover
-    }
-
-    /// Half-integral vertex-cover LP optimum (see
-    /// [`crate::lp::lp_vertex_cover`]): König on the bipartite double cover
-    /// of the *compacted* graph, expanded back to original ids.
-    pub fn lp_vertex_cover<G: GraphRef + ?Sized>(&mut self, g: &G) -> HalfIntegralSolution {
-        self.compactor.compact(g);
-        let n_local = self.compactor.n_local();
-        let pairs = self
-            .compactor
-            .local_edges()
-            .iter()
-            .flat_map(|e| [(e.u, e.v), (e.v, e.u)]);
-        let double = BipartiteGraph::from_pairs(n_local, n_local, pairs)
-            .expect("double-cover ids are in range by construction");
-        let cover = crate::exact::koenig_cover(&double);
-
-        let mut values = vec![0.0f64; g.n()];
-        for v in cover.vertices() {
-            let local = if (v as usize) < n_local {
-                v as usize
-            } else {
-                v as usize - n_local
-            };
-            values[self.compactor.orig_of(local as VertexId) as usize] += 0.5;
-        }
-        HalfIntegralSolution { values }
-    }
-
-    /// Exact minimum vertex cover by branch and bound (see
-    /// [`crate::exact::exact_cover_branch_and_bound`]): the kernelization
-    /// preamble builds its editable adjacency lists over the compacted
-    /// vertices only.
-    pub fn exact_cover<G: GraphRef + ?Sized>(&mut self, g: &G) -> VertexCover {
-        self.compactor.compact(g);
-        let n_local = self.compactor.n_local();
-        let mut neighbors: Vec<Vec<VertexId>> = vec![Vec::new(); n_local];
-        for e in self.compactor.local_edges() {
-            neighbors[e.u as usize].push(e.v);
-            neighbors[e.v as usize].push(e.u);
-        }
-        for list in &mut neighbors {
-            list.sort_unstable();
-        }
-        let best = branch_and_bound_on_lists(&mut neighbors);
-        VertexCover::from_vertices(best.into_iter().map(|v| self.compactor.orig_of(v)))
-    }
 }
 
 thread_local! {
@@ -399,7 +242,7 @@ pub(crate) fn with_thread_engine<T>(f: impl FnOnce(&mut VcEngine) -> T) -> T {
 mod tests {
     use super::*;
     use graph::gen::er::gnp;
-    use graph::gen::structured::{star, star_forest};
+    use graph::gen::structured::star;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -421,10 +264,12 @@ mod tests {
         assert_eq!(engine.workspace().full_resets(), 0);
     }
 
+    /// Scan rounds fire on stars; sparse pieces take the no-candidate path.
+    /// (The name predates the scan, when the rounds ran on a bucket queue.)
     #[test]
     fn bucket_rounds_fire_on_stars_and_fast_path_on_sparse() {
         let mut engine = VcEngine::new();
-        // Star: the centre is peeled through the bucket path.
+        // Star: the centre is peeled by the first scan round.
         let g = star(100);
         let out = engine.peel_with_thresholds(&g, &[50, 10]);
         assert_eq!(out.peeled_per_round[0], vec![0]);
@@ -479,22 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_degree_is_optimal_on_star_forests() {
-        let mut engine = VcEngine::new();
-        let g = star_forest(4, 30);
-        let cover = engine.greedy_degree_cover(&g);
-        assert_eq!(cover.len(), 4);
-        assert!(cover.covers(&g));
-    }
-
-    #[test]
     fn empty_graph_is_a_no_op_everywhere() {
         let mut engine = VcEngine::new();
         let g = Graph::empty(9);
         assert_eq!(engine.peel_with_thresholds(&g, &[3, 1]).peeled_count(), 0);
         assert!(engine.two_approx_cover(&g).is_empty());
-        assert!(engine.greedy_degree_cover(&g).is_empty());
-        assert_eq!(engine.lp_vertex_cover(&g).objective(), 0.0);
-        assert!(engine.exact_cover(&g).is_empty());
     }
 }

@@ -12,13 +12,13 @@
 //! threshold schedule; the coreset crate instantiates it with the paper's
 //! schedule `t_j = n / (k · 2^{j+1})`.
 //!
-//! The free functions run on the calling thread's reusable
-//! [`VcEngine`](crate::engine::VcEngine), whose bucket-queue core peels each
-//! round in `O(vertices peeled + edges removed)` with **zero** per-round
-//! edge-buffer reallocations. The pre-engine loop lives on only as the
-//! dev-only `testkit::peel_with_thresholds_reference`, the baseline the
-//! engine is differentially tested against round by round; no shipped crate
-//! can reach it.
+//! The free function runs on the calling thread's reusable
+//! [`VcEngine`](crate::engine::VcEngine), which peels each round with one
+//! scan of the live candidates and **zero** per-round edge-buffer
+//! reallocations. The pre-engine loop lives on only as the dev-only
+//! `testkit::peel_with_thresholds_reference`, the baseline the engine is
+//! differentially tested against round by round; no shipped crate can reach
+//! it.
 
 use crate::cover::VertexCover;
 use crate::engine::with_thread_engine;
@@ -70,41 +70,23 @@ pub fn peel_with_thresholds<G: GraphRef + ?Sized>(g: &G, thresholds: &[usize]) -
     with_thread_engine(|engine| engine.peel_with_thresholds(g, thresholds))
 }
 
-/// The classic Parnas–Ron threshold schedule for an `n`-vertex graph:
-/// `n/2, n/4, n/8, ...` down to `stop_at` (exclusive).
-pub fn parnas_ron_schedule(n: usize, stop_at: usize) -> Vec<usize> {
-    let mut thresholds = Vec::new();
-    let mut t = n / 2;
-    while t > stop_at.max(1) {
-        thresholds.push(t);
-        t /= 2;
-    }
-    thresholds
-}
-
-/// The classic Parnas–Ron schedule on a single graph: thresholds
-/// `n/2, n/4, n/8, ...` down to `stop_at` (exclusive). Returns the outcome;
-/// the union of the peeled vertices plus a 2-approximate cover of the residual
-/// graph is an `O(log n)`-approximate vertex cover.
-///
-/// Runs on the calling thread's reusable engine; like
-/// [`peel_with_thresholds`], the output is invariant under workspace reuse.
-pub fn parnas_ron_peeling<G: GraphRef + ?Sized>(g: &G, stop_at: usize) -> PeelingOutcome {
-    peel_with_thresholds(g, &parnas_ron_schedule(g.n(), stop_at))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx::two_approx_cover;
-    use crate::exact::exact_cover_branch_and_bound;
     use graph::gen::er::gnp;
     use graph::gen::structured::{star, star_forest};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use testkit::{exact_cover_branch_and_bound, parnas_ron_schedule};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Peels `g` at the classic Parnas–Ron schedule down to `stop_at`.
+    fn parnas_ron_peeling(g: &Graph, stop_at: usize) -> PeelingOutcome {
+        peel_with_thresholds(g, &parnas_ron_schedule(g.n(), stop_at))
     }
 
     #[test]

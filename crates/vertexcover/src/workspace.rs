@@ -1,45 +1,39 @@
-//! Reusable, epoch-reset scratch state for the vertex-cover solvers.
+//! Reusable, epoch-reset scratch state for the vertex-cover engine.
 //!
-//! The pre-engine vertex-cover hot path allocated per call and per round:
-//! `peel_with_thresholds` copied the edge set into a working buffer, then
-//! every threshold round allocated a fresh `vec![0; n]` degree array and
-//! rescanned (and `retain`ed) the whole residual buffer — `O(m · rounds)`
-//! plus `O(n · rounds)` on the paper's workloads, where `n` is the *global*
-//! vertex count even for sparse pieces. `two_approx_cover`,
-//! `greedy_degree_cover`, the LP double cover and the branch-and-bound
-//! preamble each allocated their own `vec![false; n]` / `vec![0; n]` scratch
-//! per call.
+//! The pre-engine peeling allocated per call and per round: it copied the
+//! edge set into a working buffer, then every threshold round allocated a
+//! fresh `vec![0; n]` degree array and rescanned (and `retain`ed) the whole
+//! residual buffer — `O(m · rounds)` plus `O(n · rounds)` on the paper's
+//! workloads, where `n` is the *global* vertex count even for sparse pieces.
+//! The 2-approximation allocated its own `vec![false; n]` per call.
 //!
 //! [`VcWorkspace`] makes all of that state reusable, following the same
 //! epoch-stamp technique as `matching::BlossomWorkspace`:
 //!
 //! * **Scope stamps.** One shared per-vertex `u32` stamp array serves as the
-//!   "peeled" / "matched" / "covered" flags of whichever solver is running:
-//!   a vertex is flagged iff its stamp equals the current scope epoch, and
-//!   starting a new scope bumps the epoch — invalidating every flag in
-//!   `O(1)` with zero memory traffic.
+//!   "peeled" / "matched" flags of whichever step is running: a vertex is
+//!   flagged iff its stamp equals the current scope epoch, and starting a new
+//!   scope bumps the epoch — invalidating every flag in `O(1)` with zero
+//!   memory traffic.
 //! * **Interleaved degree slots.** Each vertex has one 8-byte slot holding
 //!   its stamp and its degree side by side (the degree is valid iff the
 //!   stamp equals the epoch), so counting an endpoint touches one cache line
-//!   and costs `O(1)` — independent of the global `n`. The same slots hold
-//!   the greedy cover's degrees and the bucket queue's.
+//!   and costs `O(1)` — independent of the global `n`.
 //! * **Candidates.** The peeling count takes the smallest positive threshold
 //!   `t_min` and lists a vertex the moment its degree reaches it. Only those
 //!   *candidates* can ever be peeled, since residual degrees only fall. They
 //!   get local ids `0..c` in list order; for the candidate–candidate edge
-//!   pass each candidate's slot lends its degree field to its local id.
+//!   pass each candidate's slot lends its degree field to its local id, and
+//!   the degree moves to a dense array over the local ids.
 //! * **Marks.** A bitset over vertex ids, one `u64` per 64 ids, marks the
 //!   candidates during the edge pass and the peeled vertices during the
 //!   residual filter. Every word that gains a bit is recorded first, and the
 //!   next scope clears only the recorded words.
-//! * **Bucket queue.** For the peeling rounds the candidates are
-//!   counting-sorted by degree into an indexed bucket structure
-//!   (`vert` / `pos` / `bin`, the Matula–Beck layout) over their local ids:
-//!   the vertices of degree `>= t` are a suffix of `vert`, read off in
-//!   `O(peeled)`, and removing a peeled vertex decrements each live
-//!   candidate neighbour with an `O(1)` bucket swap. A threshold round
-//!   therefore costs `O(vertices peeled + edges removed)` instead of a full
-//!   residual rescan, and building the queue costs `O(c + max degree)`.
+//! * **Scan rounds.** A list of the live local ids holds the candidates not
+//!   yet peeled. A threshold round is one pass over it: the ids whose
+//!   residual degree reaches the threshold leave the list and are flagged,
+//!   and then each of their unflagged candidate neighbours loses one degree.
+//!   A round therefore costs `O(live candidates + edges removed)`.
 //!
 //! **Epoch-reset invariant:** a stamped entry is meaningful iff its stamp
 //! equals the current epoch; bumping the epoch invalidates all entries in
@@ -55,8 +49,7 @@
 //! `graph::VertexCompactor`). Slots and flags are epoch-stamped, and every
 //! other array is rewritten before it is read.
 
-use graph::{Edge, VertexId};
-use std::collections::BinaryHeap;
+use graph::{Csr, Edge, VertexId};
 
 /// One vertex's stamped degree: `degree` is valid iff `stamp` equals the
 /// workspace epoch. Both halves share a cache line.
@@ -68,12 +61,12 @@ struct DegreeSlot {
 }
 
 /// Reusable vertex-cover scratch: scope stamps, interleaved degree slots,
-/// candidate marks and the bucket-queue peeling structure.
+/// candidate marks and the live list the peeling rounds scan.
 ///
 /// See the [module docs](self) for the invariants. Obtain one via
 /// [`VcWorkspace::new`] or let [`VcEngine`](crate::engine::VcEngine) manage
-/// it; the free functions in [`crate::peeling`], [`crate::approx`],
-/// [`crate::lp`] and [`crate::exact`] run on a per-thread engine.
+/// it; the free functions in [`crate::peeling`] and [`crate::approx`] run on
+/// a per-thread engine.
 #[derive(Debug, Clone)]
 pub struct VcWorkspace {
     epoch: u32,
@@ -90,16 +83,12 @@ pub struct VcWorkspace {
     marked_words: Vec<u32>,
     /// Candidate–candidate edges over local ids, in input order.
     pub(crate) candidate_edges: Vec<Edge>,
-    /// Bucket queue: local ids sorted by residual degree…
-    pub(crate) vert: Vec<VertexId>,
-    /// …the position of each local id in `vert`…
-    pos: Vec<u32>,
-    /// …and `bin[d]` = index in `vert` of the first vertex of degree `>= d`.
-    pub(crate) bin: Vec<u32>,
-    /// Per-round peel scratch (the round's peel set, sorted before output).
+    /// Residual degree of each candidate, by local id.
+    residual_degree: Vec<u32>,
+    /// The local ids not yet peeled, in local-id order.
+    live: Vec<VertexId>,
+    /// The local ids the last round peeled, in local-id order.
     pub(crate) round: Vec<VertexId>,
-    /// Lazy-deletion heap reused by `greedy_degree_cover`.
-    pub(crate) heap: BinaryHeap<(usize, VertexId)>,
     solves: u64,
     full_resets: u64,
 }
@@ -123,17 +112,15 @@ impl VcWorkspace {
             marks: Vec::new(),
             marked_words: Vec::new(),
             candidate_edges: Vec::new(),
-            vert: Vec::new(),
-            pos: Vec::new(),
-            bin: Vec::new(),
+            residual_degree: Vec::new(),
+            live: Vec::new(),
             round: Vec::new(),
-            heap: BinaryHeap::new(),
             solves: 0,
             full_resets: 0,
         }
     }
 
-    /// Number of solver scopes opened through this workspace (lifetime).
+    /// Number of scopes opened through this workspace (lifetime).
     #[inline]
     pub fn solves(&self) -> u64 {
         self.solves
@@ -149,9 +136,9 @@ impl VcWorkspace {
         self.full_resets
     }
 
-    /// Opens a new solver scope over vertex ids `0..n`: grows the per-vertex
-    /// arrays if needed, clears the previous scope's marks and bumps the
-    /// epoch, lazily invalidating every flag and degree slot.
+    /// Opens a new scope over vertex ids `0..n`: grows the per-vertex arrays
+    /// if needed, clears the previous scope's marks and bumps the epoch,
+    /// lazily invalidating every flag and degree slot.
     pub(crate) fn begin_scope(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -182,7 +169,7 @@ impl VcWorkspace {
         self.stamp[v as usize] == self.epoch
     }
 
-    /// Flags `v` in the current scope (peeled / matched / covered).
+    /// Flags `v` in the current scope (peeled / matched).
     #[inline]
     pub(crate) fn flag(&mut self, v: VertexId) {
         self.stamp[v as usize] = self.epoch;
@@ -203,37 +190,6 @@ impl VcWorkspace {
         if degree == t_min {
             self.candidates.push(v);
         }
-    }
-
-    /// The degree of `v` in the current scope (0 for untouched ids).
-    #[inline]
-    pub(crate) fn degree_of(&self, v: VertexId) -> u32 {
-        let slot = self.slots[v as usize];
-        if slot.stamp == self.epoch {
-            slot.degree
-        } else {
-            0
-        }
-    }
-
-    /// Sets the degree of `v` directly (used when degrees come from a CSR
-    /// rather than an edge scan).
-    #[inline]
-    pub(crate) fn set_degree(&mut self, v: VertexId, d: u32) {
-        self.slots[v as usize] = DegreeSlot {
-            stamp: self.epoch,
-            degree: d,
-        };
-    }
-
-    /// Decrements the degree of `v` *without* touching the bucket queue (for
-    /// the heap-based greedy cover). Returns the new value.
-    #[inline]
-    pub(crate) fn dec_degree(&mut self, v: VertexId) -> u32 {
-        let slot = &mut self.slots[v as usize];
-        debug_assert!(slot.stamp == self.epoch && slot.degree >= 1);
-        slot.degree -= 1;
-        slot.degree
     }
 
     /// Marks `v`, recording its word before the word gains its first bit.
@@ -261,25 +217,21 @@ impl VcWorkspace {
         self.marked_words.clear();
     }
 
-    /// Gives the candidates local ids `0..c` in list order: marks each one
-    /// and swaps its counted degree for its local id in its slot, parking the
-    /// degree in `pos[local]` until [`Self::seed_buckets`]. Returns the
-    /// largest candidate degree. `O(c)`.
-    pub(crate) fn relabel_candidates(&mut self) -> usize {
-        let c = self.candidates.len();
-        if self.pos.len() < c {
-            self.pos.resize(c, 0);
-        }
-        let mut max_degree = 0;
-        for i in 0..c {
+    /// Gives the candidates local ids `0..c` in list order: marks each one,
+    /// swaps its counted degree for its local id in its slot, moves the
+    /// degree to `residual_degree[local]`, and lists every local id as live.
+    /// `O(c)`.
+    pub(crate) fn relabel_candidates(&mut self) {
+        self.residual_degree.clear();
+        self.live.clear();
+        for i in 0..self.candidates.len() {
             let v = self.candidates[i];
             self.mark(v);
             let slot = &mut self.slots[v as usize];
-            self.pos[i] = slot.degree;
-            max_degree = max_degree.max(slot.degree);
+            self.residual_degree.push(slot.degree);
             slot.degree = i as u32;
+            self.live.push(i as VertexId);
         }
-        max_degree as usize
     }
 
     /// Collects the edges between two candidates, relabeled to local ids,
@@ -297,57 +249,33 @@ impl VcWorkspace {
         }
     }
 
-    /// Builds the bucket queue over local ids `0..c`: moves each candidate's
-    /// parked degree into its local slot, counting-sorts the local ids by
-    /// degree into `vert`/`pos` and fills the `bin` boundaries for degrees
-    /// `0 ..= max_degree + 1`. `O(c + max_degree)`.
-    pub(crate) fn seed_buckets(&mut self, max_degree: usize) {
-        let c = self.candidates.len();
-        for i in 0..c {
-            self.set_degree(i as VertexId, self.pos[i]);
+    /// One peeling round at threshold `t` over `adj`, the CSR of the
+    /// candidate edges on local ids. One pass over the live list moves every
+    /// id whose residual degree is `>= t` into `round` and flags it; then
+    /// each unflagged candidate neighbour of a peeled id loses one degree.
+    /// Every degree is read before any falls, so the round is judged against
+    /// its round-start degrees. `O(live + edges removed)`.
+    pub(crate) fn peel_round(&mut self, adj: &Csr, t: usize) {
+        self.round.clear();
+        let mut kept = 0;
+        for i in 0..self.live.len() {
+            let v = self.live[i];
+            if self.residual_degree[v as usize] as usize >= t {
+                self.round.push(v);
+                self.stamp[v as usize] = self.epoch;
+            } else {
+                self.live[kept] = v;
+                kept += 1;
+            }
         }
-        self.bin.clear();
-        self.bin.resize(max_degree + 2, 0);
-        for slot in &self.slots[..c] {
-            self.bin[slot.degree as usize + 1] += 1;
+        self.live.truncate(kept);
+        for &v in &self.round {
+            for &w in adj.neighbors(v) {
+                if self.stamp[w as usize] != self.epoch {
+                    self.residual_degree[w as usize] -= 1;
+                }
+            }
         }
-        for d in 0..=max_degree {
-            self.bin[d + 1] += self.bin[d];
-        }
-        // `bin` now holds the start index of every degree block; place the
-        // vertices using `bin` itself as the cursor (each `bin[d]` ends up at
-        // the start of block `d + 1`), then shift it back by one block.
-        self.vert.clear();
-        self.vert.resize(c, 0);
-        for v in 0..c {
-            let d = self.slots[v].degree as usize;
-            let slot = self.bin[d];
-            self.bin[d] += 1;
-            self.vert[slot as usize] = v as VertexId;
-            self.pos[v] = slot;
-        }
-        for d in (1..=max_degree + 1).rev() {
-            self.bin[d] = self.bin[d - 1];
-        }
-        self.bin[0] = 0;
-    }
-
-    /// Decrements the residual degree of live local id `w` by one, keeping
-    /// the bucket queue sorted with the standard `O(1)` boundary swap.
-    #[inline]
-    pub(crate) fn decrement(&mut self, w: VertexId) {
-        let d = self.slots[w as usize].degree as usize;
-        debug_assert!(d >= 1, "cannot decrement a zero-degree vertex");
-        let p = self.pos[w as usize] as usize;
-        let s = self.bin[d] as usize;
-        // Swap `w` with the first vertex of its degree block, then shrink
-        // the block from the left: `w` now lives in the (d-1)-block.
-        let other = self.vert[s];
-        self.vert.swap(p, s);
-        self.pos[other as usize] = p as u32;
-        self.pos[w as usize] = s as u32;
-        self.bin[d] += 1;
-        self.slots[w as usize].degree = (d - 1) as u32;
     }
 }
 
@@ -373,13 +301,16 @@ mod tests {
         count(&mut ws, &[0, 0, 0, 2], 2);
         assert!(ws.is_flagged(2));
         assert!(ws.is_marked(65));
-        assert_eq!(ws.degree_of(3), 2);
         assert_eq!(ws.candidates, vec![3]);
         ws.begin_scope(70);
         assert!(!ws.is_flagged(2));
         assert!(!ws.is_marked(65));
-        assert_eq!(ws.degree_of(3), 0);
         assert!(ws.candidates.is_empty());
+        // The old degree of 3 is stale: one new incidence counts as 1.
+        count(&mut ws, &[0, 0, 0, 1], 1);
+        ws.relabel_candidates();
+        assert_eq!(ws.candidates, vec![3]);
+        assert_eq!(ws.residual_degree, vec![1]);
         assert_eq!(ws.full_resets(), 0);
         assert_eq!(ws.solves(), 2);
     }
@@ -393,39 +324,47 @@ mod tests {
         }
         // 5 reaches 2 first, then 1, then 7; 5 and 1 keep counting.
         assert_eq!(ws.candidates, vec![5, 1, 7]);
-        assert_eq!(ws.degree_of(5), 3);
-        assert_eq!(ws.degree_of(1), 3);
-        assert_eq!(ws.degree_of(7), 2);
+        ws.relabel_candidates();
+        assert_eq!(ws.residual_degree, vec![3, 3, 2]);
+        assert_eq!(ws.live, vec![0, 1, 2]);
     }
 
     #[test]
-    fn buckets_sort_by_degree_and_decrement_in_place() {
+    fn scan_rounds_peel_at_round_start_degrees() {
         let mut ws = VcWorkspace::new();
         ws.begin_scope(6);
-        // Degrees: v0 = 1 (not a candidate at t_min = 2), v1 = 3, v4 = 2,
-        // v5 = 2; candidates in list order 1, 4, 5 get local ids 0, 1, 2.
-        count(&mut ws, &[1, 3, 0, 0, 2, 2], 2);
+        // Triangle 1-4-5 plus pendant 0-1: degrees 1, 3, 0, 0, 2, 2. At
+        // t_min = 2 the candidates in list order 1, 4, 5 get local ids
+        // 0, 1, 2.
+        let edges = [
+            Edge::new(0, 1),
+            Edge::new(1, 4),
+            Edge::new(4, 5),
+            Edge::new(1, 5),
+        ];
+        for e in &edges {
+            ws.count_endpoint(e.u, 2);
+            ws.count_endpoint(e.v, 2);
+        }
         assert_eq!(ws.candidates, vec![1, 4, 5]);
-        let max_degree = ws.relabel_candidates();
-        assert_eq!(max_degree, 3);
+        ws.relabel_candidates();
         assert!(ws.is_marked(1) && ws.is_marked(4) && ws.is_marked(5));
         assert!(!ws.is_marked(0));
-        ws.seed_buckets(max_degree);
-        // vert is sorted ascending by degree.
-        let degs: Vec<u32> = ws.vert.iter().map(|&v| ws.degree_of(v)).collect();
-        assert_eq!(degs, vec![2, 2, 3]);
-        // Vertices with degree >= 3 are the suffix starting at bin[3].
-        assert_eq!(ws.bin[3], 2);
-        assert_eq!(ws.vert[2], 0);
-        // Decrement local 0 (3 -> 2): stays within the live region, sorted.
-        ws.decrement(0);
-        assert_eq!(ws.degree_of(0), 2);
-        let degs: Vec<u32> = ws.vert.iter().map(|&v| ws.degree_of(v)).collect();
-        assert_eq!(degs, vec![2, 2, 2]);
-        // pos stays consistent with vert.
-        for (i, &v) in ws.vert.iter().enumerate() {
-            assert_eq!(ws.pos[v as usize] as usize, i);
-        }
+        ws.collect_candidate_edges(&edges);
+        let mut adj = Csr::default();
+        adj.rebuild_unsorted(3, &ws.candidate_edges);
+        // Threshold 3 peels local 0 (vertex 1) alone; its two candidate
+        // neighbours each lose one degree.
+        ws.peel_round(&adj, 3);
+        assert_eq!(ws.round, vec![0]);
+        assert_eq!(ws.live, vec![1, 2]);
+        assert_eq!(ws.residual_degree[1..], [1, 1]);
+        // Threshold 1 peels both survivors together: each is judged at its
+        // round-start degree 1, though peeling the other would drop it to 0.
+        ws.peel_round(&adj, 1);
+        assert_eq!(ws.round, vec![1, 2]);
+        assert!(ws.live.is_empty());
+        assert_eq!(ws.residual_degree[1..], [1, 1], "peeled ids lose nothing");
     }
 
     #[test]
@@ -463,6 +402,8 @@ mod tests {
         assert!(!ws.is_flagged(129));
         assert!(!ws.is_marked(1));
         assert!(!ws.is_marked(129));
-        assert_eq!(ws.degree_of(129), 0);
+        // A grown slot reads as degree 0: one incidence lists it at 1.
+        ws.count_endpoint(129, 1);
+        assert_eq!(ws.candidates, vec![129]);
     }
 }

@@ -36,13 +36,13 @@ use graph::gen::structured::star_forest;
 use graph::partition::{PartitionStrategy, PartitionedGraph};
 use graph::{ChurnOp, Edge, Graph};
 use matching::blossom::blossom_maximum_matching;
-use matching::hopcroft_karp::hopcroft_karp_size;
 use matching::matching::Matching;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
+use testkit::hopcroft_karp_size;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)

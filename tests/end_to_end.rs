@@ -12,10 +12,10 @@ use graph::gen::bipartite::planted_matching_bipartite;
 use graph::gen::er::{gnm, gnp};
 use graph::gen::powerlaw::chung_lu;
 use graph::{Edge, Graph, GraphView};
-use matching::hopcroft_karp::hopcroft_karp;
 use matching::maximum::maximum_matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use testkit::hopcroft_karp;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)

@@ -310,7 +310,8 @@ fn peeling_beats_local_cover_on_star_forests() {
     );
 }
 
-/// The bucket-queue peeling engine on a skewed-degree (star-heavy) graph:
+/// The scan-round peeling engine on a skewed-degree (star-heavy) graph (the
+/// test keeps the name it had when the rounds ran on a bucket queue):
 /// high-degree centres force the threshold rounds to actually fire (the
 /// sparse-piece pre-screen cannot short-circuit), and the engine must agree
 /// with the pre-engine reference peeling round by round while the composed

@@ -14,9 +14,12 @@ use matching::maximum::maximum_matching;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use testkit::brute_force_maximum_matching_size;
+use testkit::{
+    brute_force_maximum_matching_size, exact_cover_branch_and_bound, hopcroft_karp_size,
+    koenig_cover,
+};
 use vertexcover::approx::two_approx_cover;
-use vertexcover::exact::{exact_cover_branch_and_bound, koenig_cover};
+use vertexcover::VertexCover;
 
 /// Strategy: a random simple graph with up to `max_n` vertices and a
 /// density-controlled number of random edges.
@@ -59,7 +62,7 @@ proptest! {
     #[test]
     fn matching_vertex_cover_duality(g in arb_graph(26, 60)) {
         let mm = maximum_matching(&g).len();
-        let cover = exact_cover_branch_and_bound(&g);
+        let cover = VertexCover::from_vertices(exact_cover_branch_and_bound(&g));
         prop_assert!(cover.covers(&g));
         prop_assert!(cover.len() >= mm);
         prop_assert!(cover.len() <= 2 * mm);
@@ -74,10 +77,10 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let p = (m as f64 / (left * right) as f64).min(1.0);
         let bg = graph::gen::bipartite::random_bipartite(left, right, p, &mut rng);
-        let cover = koenig_cover(&bg);
+        let cover = VertexCover::from_vertices(koenig_cover(&bg));
         let flat = bg.to_graph();
         prop_assert!(cover.covers(&flat));
-        prop_assert_eq!(cover.len(), matching::hopcroft_karp::hopcroft_karp_size(&bg));
+        prop_assert_eq!(cover.len(), hopcroft_karp_size(&bg));
     }
 
     /// The composed matching coreset always yields a valid matching of the

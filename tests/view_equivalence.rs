@@ -18,11 +18,9 @@ use matching::maximum::maximum_matching;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use testkit::two_coloring;
-use vertexcover::approx::{greedy_degree_cover, two_approx_cover};
-use vertexcover::exact::exact_cover_branch_and_bound;
-use vertexcover::lp::lp_vertex_cover;
-use vertexcover::peeling::{parnas_ron_peeling, peel_with_thresholds};
+use testkit::{exact_cover_branch_and_bound, parnas_ron_schedule, two_coloring};
+use vertexcover::approx::two_approx_cover;
+use vertexcover::peeling::peel_with_thresholds;
 
 fn arb_graph(max_n: usize, density: f64) -> impl Strategy<Value = Graph> {
     (2usize..max_n, any::<u64>()).prop_map(move |(n, seed)| {
@@ -63,22 +61,18 @@ proptest! {
             two_approx_cover(&v).sorted_vertices()
         );
         prop_assert_eq!(
-            greedy_degree_cover(&g).sorted_vertices(),
-            greedy_degree_cover(&v).sorted_vertices()
+            exact_cover_branch_and_bound(&g),
+            exact_cover_branch_and_bound(&v)
         );
-        prop_assert_eq!(
-            exact_cover_branch_and_bound(&g).sorted_vertices(),
-            exact_cover_branch_and_bound(&v).sorted_vertices()
-        );
-        prop_assert_eq!(lp_vertex_cover(&g).values, lp_vertex_cover(&v).values);
 
         let thresholds = [g.n() / 2, g.n() / 4, 2];
         let a = peel_with_thresholds(&g, &thresholds);
         let b = peel_with_thresholds(&v, &thresholds);
         prop_assert_eq!(a.peeled_per_round, b.peeled_per_round);
         prop_assert_eq!(a.residual, b.residual);
-        let a = parnas_ron_peeling(&g, 2);
-        let b = parnas_ron_peeling(&v, 2);
+        let schedule = parnas_ron_schedule(g.n(), 2);
+        let a = peel_with_thresholds(&g, &schedule);
+        let b = peel_with_thresholds(&v, &schedule);
         prop_assert_eq!(a.peeled_per_round, b.peeled_per_round);
         prop_assert_eq!(a.residual, b.residual);
     }

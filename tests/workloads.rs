@@ -11,7 +11,7 @@ use matching::maximum::maximum_matching;
 use matching::Matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vertexcover::lp::lp_vertex_cover;
+use testkit::lp_lower_bound;
 use vertexcover::VertexCover;
 
 fn rng(seed: u64) -> ChaCha8Rng {
@@ -67,7 +67,7 @@ fn lp_bound_tightens_the_vertex_cover_reference() {
     // bound and the composed cover, giving a tighter measured ratio.
     let g = chung_lu(1200, 2.4, 6.0, &mut rng(2));
     let mm = maximum_matching(&g).len() as f64;
-    let lp = lp_vertex_cover(&g).objective();
+    let lp = lp_lower_bound(&g);
     let cover = cover_run(&g, 6, 3).answer;
     assert!(cover.covers(&g));
     assert!(lp >= mm - 1e-9);
