@@ -2,34 +2,38 @@
 //! recovery, degraded composition, and checksummed resumable arena runs.
 //!
 //! The coordinator model assumes every machine delivers its coreset. This
-//! experiment measures what the protocol does when they don't: the
-//! [`distsim::faults`] runtime injects deterministic machine failures
-//! (crash before/after summarize, lost message, straggler delay) keyed by
-//! `(fault_seed, machine, attempt)`, retries failed machines by **replaying
-//! their `machine_rng(seed, i)` stream**, and falls through to degraded
-//! composition over the survivors when a machine exhausts its retry budget.
+//! experiment measures what the protocol does when one doesn't: the
+//! [`distsim::faults`] runtime fails machine attempts deterministically,
+//! keyed by `(fault_seed, machine, attempt)` (a failed attempt delivers no
+//! message, whether the machine crashed or the message was lost), retries
+//! failed machines by **replaying their `machine_rng(seed, i)` stream**, and
+//! falls through to composition over the survivors when a machine exhausts
+//! its retry budget.
 //!
-//! The sweep runs machine-failure probability `p ∈ {0, 1/k, 2/k, 3/k}` on a
-//! G(n,p) workload and a skewed Chung–Lu power-law workload, for both
-//! matching and vertex cover, and records the full fault accounting
-//! (injected / retried / recovered / lost, simulated ticks, achieved versus
-//! fault-free ratio). Asserted in-binary:
+//! The sweep runs the per-attempt failure probability
+//! `p = 1 − (1 − s/k)³` for `s ∈ {0, 1, 2, 3}` (the rate at which three
+//! independent chances of `s/k` fail an attempt) on a G(n,p) workload and a
+//! skewed Chung–Lu power-law workload, for both matching and vertex cover,
+//! and records the full fault accounting (injected / retried / recovered /
+//! lost, simulated ticks, achieved versus fault-free ratio). Asserted
+//! in-binary:
 //!
 //! * at `p = 0` the faulty runner is **bit-identical** to the fault-free
 //!   protocol and injects nothing;
 //! * a run whose every machine recovers within the retry budget is
 //!   bit-identical to the fault-free run (retry-by-replay is invisible);
-//! * **losing any single machine** keeps the composed matching at least as
-//!   large as the best surviving machine's own coreset answer — the graceful
-//!   degradation guarantee of randomized composable coresets — and keeps the
+//! * every run that loses machines — at a sweep point or by **losing any
+//!   single machine** — keeps the composed matching at least as large as
+//!   the best surviving machine's own coreset answer (the graceful
+//!   degradation guarantee of randomized composable coresets) and keeps the
 //!   degraded vertex cover feasible for every surviving machine's edges;
-//! * the out-of-core arena path survives injected transient segment I/O
-//!   faults and a mid-run kill: the checkpointed, resumed, fault-injected
-//!   run is bit-identical to the clean streaming run.
+//! * the out-of-core arena path survives injected transient failures and a
+//!   mid-run kill: the checkpointed, resumed, fault-injected run is
+//!   bit-identical to the clean streaming run.
 //!
-//! Emits `BENCH_faults.json`. Regenerate with
-//! `cargo run --release -p bench --bin exp_fault_sweep`
-//! (`E17_CI=1` selects the reduced CI workload).
+//! Emits `BENCH_faults.json`, which holds no timing, so a rerun reproduces
+//! it byte for byte. Regenerate with
+//! `cargo run --release -p bench --bin exp_fault_sweep`.
 
 use bench::table::fmt_f;
 use bench::Table;
@@ -49,6 +53,7 @@ use matching::maximum::maximum_matching;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+use vertexcover::VertexCover;
 
 const SEED: u64 = 2017;
 const FAULT_SEED: u64 = 0xE17;
@@ -58,8 +63,8 @@ const FAULT_SEED: u64 = 0xE17;
 struct SweepPoint {
     workload: String,
     problem: String,
-    /// Per-site failure probability fed to [`FaultPlan::machine_failure`].
-    machine_failure_prob: f64,
+    /// Per-attempt failure probability fed to [`FaultPlan::machine_failure`].
+    failure_prob: f64,
     answer_size: usize,
     fault_free_size: usize,
     /// `true` when the output equals the fault-free run exactly.
@@ -84,7 +89,7 @@ struct SingleLossCheck {
 #[derive(Debug, Serialize)]
 struct ArenaSection {
     k: usize,
-    segment_io_prob: f64,
+    failure_prob: f64,
     injected: u64,
     retried: u64,
     ticks: u64,
@@ -95,7 +100,6 @@ struct ArenaSection {
 /// The whole `BENCH_faults.json` document.
 #[derive(Debug, Serialize)]
 struct BenchReport {
-    ci_mode: bool,
     seed: u64,
     fault_seed: u64,
     k: usize,
@@ -106,33 +110,54 @@ struct BenchReport {
     arena: ArenaSection,
 }
 
+/// `g`'s partition across `k` machines, drawn exactly as the protocol draws
+/// it at [`SEED`].
+fn partition_of(g: &Graph, k: usize) -> PartitionedGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    PartitionedGraph::new(g, k, PartitionStrategy::Random, &mut rng)
+        .expect("k >= 1 and the graph is non-empty")
+}
+
 /// Rebuilds each machine's coreset exactly as the protocol does and returns
 /// the per-machine coreset answers (the size of a maximum matching of each
 /// machine's own coreset).
-fn per_machine_answers(g: &Graph, k: usize, seed: u64) -> Vec<usize> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let partition = PartitionedGraph::new(g, k, PartitionStrategy::Random, &mut rng)
-        .expect("k >= 1 and the graph is non-empty");
-    let params = CoresetParams::new(g.n(), k);
+fn per_machine_answers(partition: &PartitionedGraph) -> Vec<usize> {
+    let params = CoresetParams::new(partition.n(), partition.k());
     let builder = MaximumMatchingCoreset::new();
     partition
         .views()
         .iter()
         .enumerate()
         .map(|(i, piece)| {
-            let coreset = builder.build(*piece, &params, i, &mut machine_rng(seed, i));
+            let coreset = builder.build(*piece, &params, i, &mut machine_rng(SEED, i));
             maximum_matching(&coreset).len()
         })
         .collect()
 }
 
+/// The largest coreset answer among the machines not in `lost`.
+fn best_survivor(answers: &[usize], lost: &[usize]) -> usize {
+    answers
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !lost.contains(i))
+        .map(|(_, &a)| a)
+        .max()
+        .expect("a degraded run keeps at least one survivor")
+}
+
+/// True if `cover` covers every edge of every piece whose machine is not in
+/// `lost` (the lost machines' edges are unknowable to the coordinator).
+fn covers_survivors(cover: &VertexCover, partition: &PartitionedGraph, lost: &[usize]) -> bool {
+    partition
+        .views()
+        .iter()
+        .enumerate()
+        .all(|(i, piece)| lost.contains(&i) || cover.covers(piece))
+}
+
 fn main() {
-    let ci_mode = std::env::var("E17_CI").is_ok();
-    let (n, k, sweep_steps) = if ci_mode {
-        (1200usize, 6usize, 3usize)
-    } else {
-        (4000usize, 8usize, 4usize)
-    };
+    let (n, k, sweep_steps) = (4000usize, 8usize, 4usize);
     let retry = RetryPolicy {
         max_attempts: 8,
         backoff_ticks: 2,
@@ -179,6 +204,8 @@ fn main() {
     );
 
     for (name, g) in workloads {
+        let partition = partition_of(g, k);
+        let answers = per_machine_answers(&partition);
         let clean_matching = protocol
             .run_matching(g, &matching_builder, SEED)
             .expect("fault-free matching protocol runs");
@@ -187,12 +214,12 @@ fn main() {
             .expect("fault-free vertex-cover protocol runs");
 
         for step in 0..sweep_steps {
-            let p = step as f64 / k as f64;
+            let p = 1.0 - (1.0 - step as f64 / k as f64).powi(3);
             let plan = FaultPlan::machine_failure(FAULT_SEED + step as u64, p);
 
             let faulty = protocol
                 .run(g, &matching_problem, SEED, &plan, &retry)
-                .expect("survivor composition never fails under ComposeSurvivors");
+                .expect("a machine survives at every sweep point");
             let identical = faulty.run.answer.edges() == clean_matching.answer.edges();
             if step == 0 {
                 assert!(
@@ -200,11 +227,18 @@ fn main() {
                     "p = 0 must be bit-identical to the fault-free run"
                 );
             }
+            let lost = &faulty.faults.lost_machines;
             if !faulty.faults.degraded {
                 assert!(
                     identical,
                     "{name}: every machine recovered, yet the answer diverged \
                      from the fault-free run at p = {p}"
+                );
+            } else {
+                assert!(
+                    faulty.run.answer.len() >= best_survivor(&answers, lost),
+                    "{name}: losing machines {lost:?} at p = {p} dropped the \
+                     composed matching below the best surviving coreset answer"
                 );
             }
             table.add_row(vec![
@@ -226,7 +260,7 @@ fn main() {
             points.push(SweepPoint {
                 workload: name.to_string(),
                 problem: "matching".to_string(),
-                machine_failure_prob: p,
+                failure_prob: p,
                 answer_size: faulty.run.answer.len(),
                 fault_free_size: clean_matching.answer.len(),
                 bit_identical_to_fault_free: identical,
@@ -235,18 +269,25 @@ fn main() {
 
             let faulty_vc = protocol
                 .run(g, &vc_problem, SEED, &plan, &retry)
-                .expect("survivor composition never fails under ComposeSurvivors");
+                .expect("a machine survives at every sweep point");
             let identical_vc = faulty_vc.run.answer == clean_vc.answer;
+            let lost = &faulty_vc.faults.lost_machines;
             if !faulty_vc.faults.degraded {
                 assert!(
                     identical_vc,
                     "{name}: recovered vertex-cover run diverged at p = {p}"
                 );
+            } else {
+                assert!(
+                    covers_survivors(&faulty_vc.run.answer, &partition, lost),
+                    "{name}: losing machines {lost:?} at p = {p} left a \
+                     surviving edge uncovered"
+                );
             }
             points.push(SweepPoint {
                 workload: name.to_string(),
                 problem: "vertex-cover".to_string(),
-                machine_failure_prob: p,
+                failure_prob: p,
                 answer_size: faulty_vc.run.answer.len(),
                 fault_free_size: clean_vc.answer.len(),
                 bit_identical_to_fault_free: identical_vc,
@@ -262,7 +303,8 @@ fn main() {
         let clean = protocol
             .run_matching(g, &matching_builder, SEED)
             .expect("fault-free matching protocol runs");
-        let survivors_answers = per_machine_answers(g, k, SEED);
+        let partition = partition_of(g, k);
+        let answers = per_machine_answers(&partition);
         let mut worst = usize::MAX;
         let mut floor = 0usize;
         for lost in 0..k {
@@ -270,27 +312,24 @@ fn main() {
             let run = protocol
                 .run(g, &matching_problem, SEED, &plan, &RetryPolicy::default())
                 .expect("losing one of k >= 2 machines leaves survivors");
-            let best_survivor = survivors_answers
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != lost)
-                .map(|(_, &a)| a)
-                .max()
-                .expect("k >= 2 leaves at least one survivor");
+            let best = best_survivor(&answers, &[lost]);
             assert!(
-                run.run.answer.len() >= best_survivor,
+                run.run.answer.len() >= best,
                 "{name}: losing machine {lost} dropped the composed matching \
-                 ({}) below the best surviving coreset answer ({best_survivor})",
+                 ({}) below the best surviving coreset answer ({best})",
                 run.run.answer.len()
             );
             worst = worst.min(run.run.answer.len());
-            floor = floor.max(best_survivor);
+            floor = floor.max(best);
 
-            let vc_plan = FaultPlan::new(FAULT_SEED).losing(vec![lost]);
             let vc_run = protocol
-                .run(g, &vc_problem, SEED, &vc_plan, &RetryPolicy::default())
+                .run(g, &vc_problem, SEED, &plan, &RetryPolicy::default())
                 .expect("losing one of k >= 2 machines leaves survivors");
             assert!(vc_run.faults.degraded && vc_run.faults.lost_machines == vec![lost]);
+            assert!(
+                covers_survivors(&vc_run.run.answer, &partition, &[lost]),
+                "{name}: losing machine {lost} left a surviving edge uncovered"
+            );
         }
         println!(
             "{name}: all {k} single-machine losses composed ≥ the best survivor \
@@ -306,10 +345,8 @@ fn main() {
         });
     }
 
-    // --- Resumable out-of-core run under segment faults + a mid-run kill. ---
-    let mut part_rng = ChaCha8Rng::seed_from_u64(SEED);
-    let partition = PartitionedGraph::new(&er, k, PartitionStrategy::Random, &mut part_rng)
-        .expect("k >= 1 and the graph is non-empty");
+    // --- Resumable out-of-core run under injected failures + a mid-run kill. ---
+    let partition = partition_of(&er, k);
     let arena_path = std::env::temp_dir().join(format!("rc_e17_arena_{}.bin", std::process::id()));
     write_arena_file(&arena_path, &partition).expect("arena file is writable");
     let arena = ArenaFile::open(&arena_path).expect("freshly written arena reopens");
@@ -320,11 +357,10 @@ fn main() {
         .expect("clean arena protocol runs");
     let ckpt_path = std::env::temp_dir().join(format!("rc_e17_ckpt_{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&ckpt_path);
-    let mut seg_plan = FaultPlan::new(FAULT_SEED);
-    seg_plan.segment_io_prob = 0.4;
+    let arena_failure_prob = 0.4;
     let killed_after_leaves = k / 2;
     let mut opts = FaultRunOptions {
-        plan: seg_plan,
+        plan: FaultPlan::machine_failure(FAULT_SEED, arena_failure_prob),
         retry,
         checkpoint: Some(ckpt_path.clone()),
         kill_after_leaves: Some(killed_after_leaves),
@@ -353,14 +389,14 @@ fn main() {
         "a completed run must remove its checkpoint"
     );
     println!(
-        "\nArena: killed after {killed_after_leaves}/{k} leaves under segment-fault \
-         injection (io_prob 0.4, {} injected, {} retried), resumed bit-identically.",
+        "\nArena: killed after {killed_after_leaves}/{k} leaves under failure \
+         injection (p = {arena_failure_prob}, {} injected, {} retried), resumed \
+         bit-identically.",
         resumed.faults.injected, resumed.faults.retried
     );
     std::fs::remove_file(&arena_path).expect("temp arena file removes");
 
     let report = BenchReport {
-        ci_mode,
         seed: SEED,
         fault_seed: FAULT_SEED,
         k,
@@ -370,7 +406,7 @@ fn main() {
         single_loss,
         arena: ArenaSection {
             k,
-            segment_io_prob: 0.4,
+            failure_prob: arena_failure_prob,
             injected: resumed.faults.injected,
             retried: resumed.faults.retried,
             ticks: resumed.faults.ticks,

@@ -7,11 +7,11 @@
 //! stopped and produces the **bit-identical** final answer (pinned by the
 //! kill-at-every-node test in `tests/faults.rs`).
 //!
-//! Format (`RCCKPT03`, all integers little-endian):
+//! Format (`RCCKPT04`, all integers little-endian):
 //!
 //! | field                         | bytes                                  |
 //! |-------------------------------|----------------------------------------|
-//! | magic `RCCKPT03`              | 8                                      |
+//! | magic `RCCKPT04`              | 8                                      |
 //! | problem tag (0 = matching, 1 = vertex cover) | 1                       |
 //! | n, k, m, seed, fan_in, fault_seed, plan digest | 7 × 8                 |
 //! | pushed, injected, retried, recovered, ticks | 5 × 8                    |
@@ -28,7 +28,8 @@
 //! faults. A file with any other magic starts the run fresh. `RCCKPT01`
 //! lacked the digest; `RCCKPT02` files hold matching merges from before they
 //! became the warm-started alternating-path walk, and resuming one would mix
-//! old and new merges in one tree.
+//! old and new merges in one tree; an `RCCKPT03` digest covers a plan with
+//! other fields, so the magic rejects it rather than a digest comparison.
 //!
 //! Writes are atomic (`<path>.tmp` then rename), so a crash mid-write leaves
 //! the previous checkpoint intact. Loads are *lenient by design*: a missing,
@@ -49,7 +50,7 @@ use graph::arena_file::crc32;
 use graph::{mix64, ArenaFile, Edge, Graph};
 
 /// File magic of the checkpoint format.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT03";
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RCCKPT04";
 
 /// Identity of the run a checkpoint belongs to. A checkpoint is only resumed
 /// when every field matches — a checkpoint from a different graph, seed,
@@ -96,31 +97,19 @@ impl CheckpointKey {
     }
 }
 
-/// A `mix64` fold over every field of `plan` (probabilities by their bits,
+/// A `mix64` fold over every field of `plan` (the probability by its bits,
 /// the forced losses in order after their count) and the retry policy as the
 /// attempt loop applies it.
 fn plan_digest(plan: &FaultPlan, retry: &RetryPolicy) -> u64 {
     // Destructured so a new plan field cannot be left out of the digest.
     let FaultPlan {
         fault_seed,
-        crash_before_prob,
-        crash_after_prob,
-        message_loss_prob,
-        straggler_prob,
-        straggler_ticks,
-        segment_io_prob,
+        failure_prob,
         lose_machines,
-        on_loss,
     } = plan;
     let fields = [
         *fault_seed,
-        crash_before_prob.to_bits(),
-        crash_after_prob.to_bits(),
-        message_loss_prob.to_bits(),
-        straggler_prob.to_bits(),
-        *straggler_ticks,
-        segment_io_prob.to_bits(),
-        *on_loss as u64,
+        failure_prob.to_bits(),
         u64::from(retry.max_attempts.max(1)),
         retry.backoff_ticks,
         lose_machines.len() as u64,
@@ -583,7 +572,7 @@ mod tests {
         assert!(decode_checkpoint::<Graph>(&key, &current).is_some());
         // The same checkpoint as an older build wrote it: its magic, with a
         // CRC that matches, so only the magic tells it apart.
-        for old in [*b"RCCKPT01", *b"RCCKPT02"] {
+        for old in [*b"RCCKPT01", *b"RCCKPT02", *b"RCCKPT03"] {
             let mut body = current[..current.len() - 4].to_vec();
             body[..CHECKPOINT_MAGIC.len()].copy_from_slice(&old);
             let crc = crc32(&body);
@@ -637,16 +626,11 @@ mod tests {
             variants.push((plan, retry));
         };
         vary(|p| p.fault_seed = 8);
-        vary(|p| p.crash_before_prob = 0.25);
-        vary(|p| p.crash_after_prob = 0.25);
-        vary(|p| p.message_loss_prob = 0.25);
-        vary(|p| p.straggler_prob = 0.25);
-        vary(|p| p.straggler_ticks = 5);
-        vary(|p| p.segment_io_prob = 0.25);
+        vary(|p| p.failure_prob = 0.25);
+        vary(|p| p.failure_prob = 0.5);
         vary(|p| p.lose_machines = vec![1]);
         vary(|p| p.lose_machines = vec![1, 2]);
         vary(|p| p.lose_machines = vec![2, 1]);
-        vary(|p| p.on_loss = crate::faults::DegradedComposition::Fail);
         variants.push((base.clone(), RetryPolicy::attempts(3)));
         variants.push((
             base.clone(),

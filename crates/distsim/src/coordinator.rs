@@ -19,7 +19,7 @@
 //!
 //! Neither can replace the other: one keeps level-parallel merges, the other
 //! bounded memory. Both run under a [`FaultPlan`] (retry by replaying the
-//! machine's RNG stream, then the plan's [`DegradedComposition`] policy);
+//! machine's RNG stream, then composition over the survivors);
 //! `run_matching` / `run_vertex_cover` are the fault-free special case. The
 //! in-memory driver also carries the other batch rounds: the MapReduce
 //! simulator ([`crate::mapreduce`]) is one flat run, and the churn service's
@@ -29,20 +29,18 @@
 //! the partition is drawn from the run seed, machine `i` builds on
 //! `machine_rng(seed, i)`, tree node `(level, node)` merges on
 //! `node_rng(seed, level, node)`, fault decisions are pure functions of
-//! `(fault_seed, site)`, and messages are collected in machine order. Answers,
-//! coreset sizes and communication are therefore bit-identical for any thread
-//! count or schedule (`tests/determinism.rs`), and an arena written from the
-//! in-memory partition reproduces the in-memory answer bit for bit.
+//! `(fault_seed, machine, attempt)`, and messages are collected in machine
+//! order. Answers, coreset sizes and communication are therefore
+//! bit-identical for any thread count or schedule (`tests/determinism.rs`),
+//! and an arena written from the in-memory partition reproduces the
+//! in-memory answer bit for bit.
 
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint, ArenaCheckpoint, CheckpointItem, CheckpointKey,
 };
 use crate::comm::{CommunicationCost, CostModel};
 use crate::error::ProtocolError;
-use crate::faults::{
-    run_machine_with_faults, DegradedComposition, FaultInjector, FaultPlan, FaultReport,
-    MachineOutcome, RetryPolicy,
-};
+use crate::faults::{run_machine_with_faults, FaultPlan, FaultReport, MachineOutcome, RetryPolicy};
 use coresets::matching_coreset::MatchingCoresetBuilder;
 use coresets::streams::machine_rng;
 use coresets::tree::{tree_compose, TreeFolder};
@@ -89,15 +87,10 @@ impl ComposeMode {
     }
 }
 
-/// Applies the plan's loss policy to a run's losses.
-fn check_losses(report: &FaultReport, k: usize, plan: &FaultPlan) -> Result<(), ProtocolError> {
+/// Composition needs a survivor: losing all `k` machines is an error.
+fn check_survivors(report: &FaultReport, k: usize) -> Result<(), ProtocolError> {
     if report.lost_machines.len() == k {
         return Err(ProtocolError::NoSurvivors);
-    }
-    if report.degraded && plan.on_loss == DegradedComposition::Fail {
-        return Err(ProtocolError::MachinesLost {
-            machines: report.lost_machines.clone(),
-        });
     }
     Ok(())
 }
@@ -193,11 +186,10 @@ impl CoordinatorProtocol {
         let (n, views) = (partition.n(), partition.views());
         let params = CoresetParams::new(n, k);
         let model = CostModel::for_n(n);
-        let injector = FaultInjector::new(plan.clone());
         let build = |i: usize| problem.build(views[i], &params, i, &mut machine_rng(seed, i));
         let outcomes: Vec<MachineOutcome<P::Summary>> = (0..k)
             .into_par_iter()
-            .map(|i| run_machine_with_faults(&injector, retry, i, || Ok(build(i))))
+            .map(|i| run_machine_with_faults(plan, retry, i, || Ok(build(i))))
             .collect();
 
         let mut report = FaultReport::new(plan.fault_seed);
@@ -214,7 +206,7 @@ impl CoordinatorProtocol {
                 None => P::placeholder(n),
             });
         }
-        check_losses(&report, k, plan)?;
+        check_survivors(&report, k)?;
 
         let compose = |s: Vec<P::Summary>| tree_compose(problem, n, s, &params, seed, fan_in);
         // The degraded baseline is cheap to recover in memory: lost machines
@@ -304,14 +296,14 @@ impl ArenaProtocol {
     /// root's [`Problem::ROOT_SCRATCH_PASSES`] are charged to
     /// [`graph::metrics::resident_edges`] beside the loader's segments.
     ///
-    /// * Each attempt of machine `i` reads segment `i` and builds on it inside
-    ///   [`run_machine_with_faults`], so a failed read — injected
-    ///   ([`FaultPlan::segment_io_prob`]) or genuine, such as a CRC mismatch —
-    ///   is retried by replay like any machine fault, on the same budget and
-    ///   backoff schedule.
-    /// * A machine that exhausts the budget is lost to the plan's
-    ///   [`DegradedComposition`] policy; under an *unarmed* plan it can only
-    ///   have failed on a genuine read error, which surfaces as
+    /// * Each attempt of machine `i` that the plan does not fail
+    ///   ([`FaultPlan::fails`]) reads segment `i` and builds on it inside
+    ///   [`run_machine_with_faults`], so a genuine read error, such as a CRC
+    ///   mismatch, is retried by replay like an injected failure, on the
+    ///   same budget and backoff schedule.
+    /// * A machine that exhausts the budget is lost, and the roots compose
+    ///   over the survivors; under an *unarmed* plan it can only have failed
+    ///   on a genuine read error, which surfaces as
     ///   [`ProtocolError::Segment`] instead.
     /// * With `opts.checkpoint` set, the folder's state is persisted after
     ///   every leaf, a rerun resumes after the last one, and the file is
@@ -331,7 +323,6 @@ impl ArenaProtocol {
         let fan_in = self.compose.fan_in(k)?;
         let params = CoresetParams::new(n, k);
         let model = CostModel::for_n(n);
-        let injector = FaultInjector::new(opts.plan.clone());
         let key = CheckpointKey::of_run::<P::Summary>(arena, seed, fan_in, &opts.plan, &opts.retry);
         let edges = |s: &P::Summary| P::message(s).0;
         let merge = |level: usize, node: usize, group: Vec<P::Summary>| {
@@ -370,7 +361,7 @@ impl ArenaProtocol {
             let mut loader = SegmentLoader::new(arena)?;
             for i in start..k {
                 let mut outcome: MachineOutcome<P::Summary, GraphError> =
-                    run_machine_with_faults(&injector, &opts.retry, i, || {
+                    run_machine_with_faults(&opts.plan, &opts.retry, i, || {
                         let piece = loader.load(i)?;
                         Ok(problem.build(piece, &params, i, &mut machine_rng(seed, i)))
                     });
@@ -408,7 +399,7 @@ impl ArenaProtocol {
                 }
             }
             loader.release();
-            check_losses(&report, k, &opts.plan)
+            check_survivors(&report, k)
         })();
         if let Err(err) = streamed {
             metrics::record_resident_edges_released(
@@ -791,7 +782,8 @@ mod tests {
         let clean = p
             .run_matching(&g, &MaximumMatchingCoreset::new(), 23)
             .unwrap();
-        let plan = FaultPlan::machine_failure(4242, 0.2);
+        // The rate at which three independent chances of 0.2 fail an attempt.
+        let plan = FaultPlan::machine_failure(4242, 1.0 - 0.8f64.powi(3));
         let faulty = p
             .run(
                 &g,
@@ -812,35 +804,6 @@ mod tests {
         assert_eq!(clean.answer.edges(), faulty.run.answer.edges());
         assert_eq!(clean.communication, faulty.run.communication);
         assert_eq!(faulty.faults.achieved_vs_fault_free, Some(1.0));
-    }
-
-    #[test]
-    fn stragglers_only_cost_simulated_ticks() {
-        let g = gnp(200, 0.04, &mut rng(13));
-        let k = 4;
-        let mut plan = FaultPlan::new(5);
-        plan.straggler_prob = 1.0;
-        plan.straggler_ticks = 7;
-        let p = CoordinatorProtocol::random(k);
-        let clean = p
-            .run_matching(&g, &MaximumMatchingCoreset::new(), 3)
-            .unwrap();
-        let faulty = p
-            .run(
-                &g,
-                &MatchingProblem(MaximumMatchingCoreset::new()),
-                3,
-                &plan,
-                &RetryPolicy::default(),
-            )
-            .unwrap();
-        // Every machine straggles exactly once, still delivers, and the
-        // answer is untouched — only the tick clock moves.
-        assert_eq!(faulty.faults.injected, k as u64);
-        assert_eq!(faulty.faults.recovered, k as u64);
-        assert_eq!(faulty.faults.ticks, 7 * k as u64);
-        assert!(!faulty.faults.degraded);
-        assert_eq!(clean.answer.edges(), faulty.run.answer.edges());
     }
 
     #[test]
@@ -907,22 +870,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_policy_fail_and_total_loss_are_typed_errors() {
+    fn losing_every_machine_is_a_typed_error() {
         let g = gnp(120, 0.05, &mut rng(16));
         let p = CoordinatorProtocol::random(3);
-        let mut plan = FaultPlan::new(3).losing(vec![1]);
-        plan.on_loss = DegradedComposition::Fail;
-        let err = p
-            .run(
-                &g,
-                &MatchingProblem(MaximumMatchingCoreset::new()),
-                1,
-                &plan,
-                &RetryPolicy::default(),
-            )
-            .unwrap_err();
-        assert_eq!(err, ProtocolError::MachinesLost { machines: vec![1] });
-
         let all = FaultPlan::new(3).losing(vec![0, 1, 2]);
         let err = p
             .run(
@@ -942,10 +892,8 @@ mod tests {
         let g = gnp(300, 0.03, &mut rng(22));
         let (k, fan_in, seed) = (6, 2, 59);
         let (arena, path) = arena_of(&g, k, seed, "lost_fail");
-        let mut plan = FaultPlan::new(4).losing(vec![1]);
-        plan.on_loss = DegradedComposition::Fail;
         let opts = FaultRunOptions {
-            plan,
+            plan: FaultPlan::new(4).losing((0..k).collect()),
             ..FaultRunOptions::default()
         };
         let before = metrics::resident_edges();
@@ -958,7 +906,7 @@ mod tests {
             )
             .unwrap_err();
         std::fs::remove_file(path).unwrap();
-        assert_eq!(err, ProtocolError::MachinesLost { machines: vec![1] });
+        assert_eq!(err, ProtocolError::NoSurvivors);
         assert_eq!(metrics::resident_edges(), before, "failed run leaked");
     }
 
@@ -995,10 +943,8 @@ mod tests {
         let plain = ArenaProtocol::tree(fan_in)
             .run_matching(&arena, &MaximumMatchingCoreset::new(), seed)
             .unwrap();
-        let mut plan = FaultPlan::new(77);
-        plan.segment_io_prob = 0.5;
         let opts = FaultRunOptions {
-            plan,
+            plan: FaultPlan::machine_failure(77, 0.5),
             retry: RetryPolicy {
                 max_attempts: 16,
                 backoff_ticks: 3,
@@ -1014,9 +960,18 @@ mod tests {
             )
             .unwrap();
         std::fs::remove_file(path).unwrap();
+        // Machine i fails its first f_i attempts, retries f_i times and
+        // waits the backoff before each of attempts 1..=f_i.
+        let failed_first = |i: usize| (0..).take_while(|&a| opts.plan.fails(i, a)).count() as u32;
+        let retried: u64 = (0..k).map(|i| u64::from(failed_first(i))).sum();
+        let ticks: u64 = (0..k)
+            .flat_map(|i| 1..=failed_first(i))
+            .map(|a| opts.retry.backoff_before(a))
+            .sum();
         assert!(faulty.faults.injected > 0, "this seed must inject faults");
-        assert_eq!(faulty.faults.retried, faulty.faults.injected);
-        assert_eq!(faulty.faults.ticks, 3 * faulty.faults.retried);
+        assert_eq!(faulty.faults.injected, retried);
+        assert_eq!(faulty.faults.retried, retried);
+        assert_eq!(faulty.faults.ticks, ticks);
         assert!(!faulty.faults.degraded);
         assert_eq!(plain.answer.edges(), faulty.run.answer.edges());
         assert_eq!(plain.communication, faulty.run.communication);
@@ -1027,10 +982,8 @@ mod tests {
         let _guard = arena_lock();
         let g = gnp(200, 0.03, &mut rng(24));
         let (arena, path) = arena_of(&g, 4, 5, "reads_fail");
-        let mut plan = FaultPlan::new(6);
-        plan.segment_io_prob = 1.0;
         let opts = FaultRunOptions {
-            plan,
+            plan: FaultPlan::machine_failure(6, 1.0),
             retry: RetryPolicy::attempts(3),
             ..FaultRunOptions::default()
         };
@@ -1057,7 +1010,7 @@ mod tests {
         // Overwrite record 0 of segment 0 with record 1: every record still
         // decodes as a canonical edge, so only the CRC catches it.
         let mut bytes = std::fs::read(&path).unwrap();
-        let rec = 40 + 20 * k;
+        let rec = 44 + 20 * k;
         let dup: [u8; 8] = bytes[rec + 8..rec + 16].try_into().unwrap();
         assert_ne!(bytes[rec..rec + 8], dup, "adjacent records should differ");
         bytes[rec..rec + 8].copy_from_slice(&dup);
@@ -1194,12 +1147,12 @@ mod tests {
         let problem = MatchingProblem(MaximumMatchingCoreset::new());
         // The checkpointed prefix holds machine 1 as a lost placeholder.
         let lossy = FaultPlan::new(0).losing(vec![1]);
-        let mut flaky_reads = lossy.clone();
-        flaky_reads.segment_io_prob = 0.25;
+        let mut flaky = lossy.clone();
+        flaky.failure_prob = 0.25;
         for rerun in [
             FaultRunOptions::default(),
             FaultRunOptions {
-                plan: flaky_reads,
+                plan: flaky,
                 ..FaultRunOptions::default()
             },
             FaultRunOptions {

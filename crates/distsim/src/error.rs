@@ -48,12 +48,6 @@ pub enum ProtocolError {
     },
     /// Every machine was permanently lost; there is nothing to compose.
     NoSurvivors,
-    /// At least one machine was permanently lost and the plan's loss policy
-    /// is [`crate::faults::DegradedComposition::Fail`].
-    MachinesLost {
-        /// The machines that exhausted their retry budget, in index order.
-        machines: Vec<usize>,
-    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -78,11 +72,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::NoSurvivors => {
                 write!(f, "all machines permanently lost; nothing to compose")
             }
-            ProtocolError::MachinesLost { machines } => write!(
-                f,
-                "{} machine(s) permanently lost ({machines:?}) and the loss policy is Fail",
-                machines.len()
-            ),
         }
     }
 }
@@ -136,10 +125,6 @@ mod tests {
     #[test]
     fn terminal_outcomes_render() {
         assert!(ProtocolError::NoSurvivors.to_string().contains("nothing"));
-        let lost = ProtocolError::MachinesLost {
-            machines: vec![1, 4],
-        };
-        assert!(lost.to_string().contains("[1, 4]"));
         assert!(ProtocolError::Interrupted { pushed: 5 }
             .to_string()
             .contains('5'));

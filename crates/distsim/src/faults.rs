@@ -1,94 +1,45 @@
 //! Deterministic fault injection for protocol runs.
 //!
-//! The runtime simulates unreliable machines without giving up the
-//! workspace's bit-reproducibility guarantee: every fault decision is a
-//! **pure function** of `(fault_seed, site, attempt)` — no RNG state, no wall
-//! clock, no thread identity — so the same [`FaultPlan`] injects the same
-//! failures at the same sites for any thread count, any schedule, and any
-//! `RC_SCHED_FUZZ` seed. Time is a *simulated tick clock*: retry backoff and
-//! straggler delays are accounted as tick counts summed per machine
+//! In the simultaneous model each machine sends one coreset message. A fault
+//! is a message that does not arrive: a crash before or after summarizing
+//! and a message lost in transit all end the attempt with nothing
+//! delivered, so the runtime models them as one event. With probability
+//! [`FaultPlan::failure_prob`] an attempt fails before the machine reads its
+//! piece, and a machine in [`FaultPlan::lose_machines`] fails every attempt.
+//!
+//! Every decision ([`FaultPlan::fails`]) is a **pure function** of
+//! `(fault_seed, machine, attempt)` — no RNG state, no wall clock, no thread
+//! identity — so the same plan fails the same attempts for any thread count,
+//! any schedule, and any `RC_SCHED_FUZZ` seed. Time is a *simulated tick
+//! clock*: retry backoff is accounted as tick counts summed per machine
 //! (order-independent), never measured with `Instant::now`.
 //!
-//! The fault-site taxonomy, in the order [`FaultInjector::decide`] checks
-//! it:
-//!
-//! | site                  | effect                                            |
-//! |-----------------------|---------------------------------------------------|
-//! | piece read            | reading the machine's piece fails transiently     |
-//! | crash before summarize| machine dies before building its coreset          |
-//! | crash after summarize | coreset built, machine dies before sending        |
-//! | message lost          | coreset built and sent, never arrives             |
-//! | straggler             | coreset arrives after `straggler_ticks` extra ticks|
-//!
-//! Every site is decided here, and every failed attempt — injected, or a
-//! real read error such as an arena segment failing its CRC — is retried by
-//! the one loop in [`run_machine_with_faults`], against one budget and one
-//! backoff schedule per machine. Recovery is **retry by replay**: a failed
-//! attempt re-derives the machine's private `machine_rng(seed, i)` stream
-//! from scratch, so a run in which every machine eventually succeeds is
-//! bit-identical to the fault-free run. Machines that exhaust the budget are
-//! *permanently lost* and handled by the [`DegradedComposition`] policy.
+//! Every failed attempt — injected, or a real read error such as an arena
+//! segment failing its CRC — is retried by the one loop in
+//! [`run_machine_with_faults`], against one budget and one backoff schedule
+//! per machine. Recovery is **retry by replay**: a failed attempt re-derives
+//! the machine's private `machine_rng(seed, i)` stream from scratch, so a
+//! run in which every machine eventually succeeds is bit-identical to the
+//! fault-free run. Machines that exhaust the budget are *permanently lost*,
+//! and the coordinator composes the survivors.
 
 use graph::mix64;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
-/// Salt decorrelating crash-before-summarize decisions.
-const SALT_CRASH_BEFORE: u64 = 0xFA17_57A6_E001_C4A5;
-/// Salt decorrelating crash-after-summarize decisions.
-const SALT_CRASH_AFTER: u64 = 0xFA17_57A6_E002_C4A5;
-/// Salt decorrelating message-loss decisions.
-const SALT_MESSAGE_LOST: u64 = 0xFA17_57A6_E003_4057;
-/// Salt decorrelating straggler decisions.
-const SALT_STRAGGLER: u64 = 0xFA17_57A6_E004_57A6;
-/// Salt decorrelating piece-read decisions.
-const SALT_SEGMENT_IO: u64 = 0x51DE_10AD_1001_F417;
+/// Salt decorrelating failure draws from the other `mix64` streams.
+const SALT_FAILURE: u64 = 0x51DE_10AD_1001_F417;
 
-/// Deterministic unit-interval draw for one `(seed, machine, attempt, salt)`
-/// site — the pure replacement for "roll a die when the fault might happen".
-fn site_unit(seed: u64, machine: usize, attempt: u32, salt: u64) -> f64 {
+/// Deterministic unit-interval draw for one `(seed, machine, attempt)` —
+/// the pure replacement for "roll a die when the fault might happen".
+fn attempt_unit(seed: u64, machine: usize, attempt: u32) -> f64 {
     let state = seed
         ^ (machine as u64).wrapping_mul(0xA076_1D64_78BD_642F)
         ^ (attempt as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
-        ^ salt;
+        ^ SALT_FAILURE;
     // The second draw of a SplitMix64 generator started at `state`.
     let x = mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// A machine-level fault selected for one `(machine, attempt)` site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineFault {
-    /// Reading the machine's piece fails transiently (in out-of-core runs,
-    /// its arena segment): no coreset is built and the attempt fails.
-    SegmentRead,
-    /// The machine dies before its summarize step: no coreset is built and
-    /// the attempt fails.
-    CrashBeforeSummarize,
-    /// The machine builds its coreset (paying the work), then dies before the
-    /// message leaves: the attempt fails.
-    CrashAfterSummarize,
-    /// The coreset is built and sent but the message never arrives: the
-    /// attempt fails.
-    MessageLost,
-    /// The machine is slow: the attempt *succeeds* but spends
-    /// [`FaultPlan::straggler_ticks`] extra simulated ticks.
-    Straggler,
-}
-
-/// What the coordinator does about machines that exhausted their retry
-/// budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedComposition {
-    /// Compose over the survivors. Lost machines contribute an empty
-    /// placeholder coreset so the composition tree keeps its shape and its
-    /// `(level, node)` RNG streams; the answer degrades gracefully (the
-    /// paper's randomized-coreset robustness claim, measured by E17).
-    #[default]
-    ComposeSurvivors,
-    /// Refuse to answer: surface
-    /// [`crate::error::ProtocolError::MachinesLost`].
-    Fail,
 }
 
 /// Retry budget and backoff schedule for failed machine attempts.
@@ -132,68 +83,38 @@ impl RetryPolicy {
     }
 }
 
-/// A complete, seeded description of which faults a run injects.
+/// A complete, seeded description of which attempts a run fails.
 ///
-/// All probabilities are per-`(machine, attempt)` site; `0.0` disables a
-/// site. The plan is pure data — cloning it and re-running reproduces the
-/// exact same failures.
-#[derive(Debug, Clone, PartialEq)]
+/// The plan is pure data — cloning it and re-running reproduces the exact
+/// same failures.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the fault universe, independent of the protocol seed: the same
     /// protocol run can be replayed under many fault universes and vice
     /// versa.
     pub fault_seed: u64,
-    /// Probability a machine crashes before summarizing.
-    pub crash_before_prob: f64,
-    /// Probability a machine crashes after summarizing, before sending.
-    pub crash_after_prob: f64,
-    /// Probability a machine's coreset message is lost in transit.
-    pub message_loss_prob: f64,
-    /// Probability a machine straggles (succeeds late).
-    pub straggler_prob: f64,
-    /// Extra simulated ticks one straggle costs.
-    pub straggler_ticks: u64,
-    /// Probability reading a machine's piece fails transiently. Out-of-core
-    /// runs read an arena segment; in memory the piece is a view of the
-    /// partition, so only the failure itself is simulated.
-    pub segment_io_prob: f64,
-    /// Machines forced to fail **every** attempt regardless of probabilities
-    /// — the knob behind the "lose any single machine" experiments.
+    /// Probability that one `(machine, attempt)` fails; `0.0` fails none.
+    pub failure_prob: f64,
+    /// Machines forced to fail **every** attempt regardless of
+    /// `failure_prob` — the knob behind the "lose any single machine"
+    /// experiments.
     pub lose_machines: Vec<usize>,
-    /// Policy for machines that stay lost after the retry budget.
-    pub on_loss: DegradedComposition,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new(0)
-    }
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (all probabilities zero).
+    /// A plan that injects nothing.
     pub fn new(fault_seed: u64) -> Self {
-        FaultPlan {
-            fault_seed,
-            crash_before_prob: 0.0,
-            crash_after_prob: 0.0,
-            message_loss_prob: 0.0,
-            straggler_prob: 0.0,
-            straggler_ticks: 0,
-            segment_io_prob: 0.0,
-            lose_machines: Vec::new(),
-            on_loss: DegradedComposition::ComposeSurvivors,
-        }
+        FaultPlan::machine_failure(fault_seed, 0.0)
     }
 
-    /// A plan where every machine-crash site fires with probability `p`
-    /// (the E17 fault-sweep shape).
+    /// A plan in which every attempt fails with probability `p` (the E17
+    /// fault-sweep shape).
     pub fn machine_failure(fault_seed: u64, p: f64) -> Self {
-        let mut plan = FaultPlan::new(fault_seed);
-        plan.crash_before_prob = p;
-        plan.crash_after_prob = p;
-        plan.message_loss_prob = p;
-        plan
+        FaultPlan {
+            fault_seed,
+            failure_prob: p,
+            lose_machines: Vec::new(),
+        }
     }
 
     /// Returns this plan with `machines` forced to be permanently lost.
@@ -202,60 +123,18 @@ impl FaultPlan {
         self
     }
 
-    /// True if this plan can inject at least one fault.
+    /// True if this plan can fail at least one attempt.
     pub fn is_armed(&self) -> bool {
-        self.crash_before_prob > 0.0
-            || self.crash_after_prob > 0.0
-            || self.message_loss_prob > 0.0
-            || self.straggler_prob > 0.0
-            || self.segment_io_prob > 0.0
-            || !self.lose_machines.is_empty()
-    }
-}
-
-/// Decides, purely, which fault (if any) strikes each `(machine, attempt)`
-/// site of a plan.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wraps a plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector { plan }
+        self.failure_prob > 0.0 || !self.lose_machines.is_empty()
     }
 
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The fault striking machine `machine`'s attempt number `attempt`, if
-    /// any. Pure: depends only on `(fault_seed, machine, attempt)`. Sites are
-    /// checked in pipeline order (piece read, crash-before, crash-after,
-    /// message-lost, straggler); the first hit wins.
-    pub fn decide(&self, machine: usize, attempt: u32) -> Option<MachineFault> {
-        if self.plan.lose_machines.contains(&machine) {
-            return Some(MachineFault::CrashBeforeSummarize);
-        }
-        let p = &self.plan;
-        let hit = |prob: f64, salt: u64| {
-            prob > 0.0 && site_unit(p.fault_seed, machine, attempt, salt) < prob
-        };
-        if hit(p.segment_io_prob, SALT_SEGMENT_IO) {
-            Some(MachineFault::SegmentRead)
-        } else if hit(p.crash_before_prob, SALT_CRASH_BEFORE) {
-            Some(MachineFault::CrashBeforeSummarize)
-        } else if hit(p.crash_after_prob, SALT_CRASH_AFTER) {
-            Some(MachineFault::CrashAfterSummarize)
-        } else if hit(p.message_loss_prob, SALT_MESSAGE_LOST) {
-            Some(MachineFault::MessageLost)
-        } else if hit(p.straggler_prob, SALT_STRAGGLER) {
-            Some(MachineFault::Straggler)
-        } else {
-            None
-        }
+    /// True if machine `machine`'s attempt number `attempt` fails. Pure:
+    /// depends only on `(fault_seed, machine, attempt)` and the plan's
+    /// fields; a zero probability is never drawn.
+    pub fn fails(&self, machine: usize, attempt: u32) -> bool {
+        self.lose_machines.contains(&machine)
+            || (self.failure_prob > 0.0
+                && attempt_unit(self.fault_seed, machine, attempt) < self.failure_prob)
     }
 }
 
@@ -265,13 +144,13 @@ pub struct MachineOutcome<T, E = Infallible> {
     /// The machine's delivered summary; `None` if it was permanently lost.
     pub summary: Option<T>,
     /// The last error an attempt returned, kept only if the machine was
-    /// lost (`None` when injected faults alone used up its budget).
+    /// lost (`None` when injected failures alone used up its budget).
     pub error: Option<E>,
-    /// Faults injected into this machine (all sites, all attempts).
+    /// Attempts the plan failed.
     pub injected: u64,
     /// Re-execution attempts performed (attempts beyond the first).
     pub retried: u64,
-    /// Simulated ticks this machine spent on backoff and straggling.
+    /// Simulated ticks this machine spent on backoff.
     pub ticks: u64,
 }
 
@@ -282,19 +161,18 @@ impl<T, E> MachineOutcome<T, E> {
     }
 }
 
-/// Runs one machine's attempts under a fault injector and retry policy —
-/// the one retry loop of the runtime.
+/// Runs one machine's attempts under a fault plan and retry policy — the one
+/// retry loop of the runtime.
 ///
 /// `summarize` reads the machine's piece and builds its summary. It is
-/// called once per attempt that no read or crash-before fault stops, and
-/// must re-derive all of its randomness from scratch (retry by replay):
-/// protocol runners pass a closure that reconstructs
-/// `machine_rng(seed, machine)` internally, which makes a recovered
-/// machine's summary bit-identical to its fault-free one. An error it
-/// returns fails the attempt like an injected fault, on the same budget and
-/// backoff schedule.
+/// called once per attempt the plan does not fail, and must re-derive all of
+/// its randomness from scratch (retry by replay): protocol runners pass a
+/// closure that reconstructs `machine_rng(seed, machine)` internally, which
+/// makes a recovered machine's summary bit-identical to its fault-free one.
+/// An error it returns fails the attempt like an injected fault, on the same
+/// budget and backoff schedule.
 pub fn run_machine_with_faults<T, E>(
-    injector: &FaultInjector,
+    plan: &FaultPlan,
     retry: &RetryPolicy,
     machine: usize,
     mut summarize: impl FnMut() -> Result<T, E>,
@@ -311,28 +189,11 @@ pub fn run_machine_with_faults<T, E>(
             out.retried += 1;
             out.ticks = out.ticks.saturating_add(retry.backoff_before(attempt));
         }
-        let result = match injector.decide(machine, attempt) {
-            Some(MachineFault::SegmentRead | MachineFault::CrashBeforeSummarize) => {
-                out.injected += 1;
-                continue;
-            }
-            Some(MachineFault::CrashAfterSummarize | MachineFault::MessageLost) => {
-                // The work happens, the result is discarded: wasted attempts
-                // still cost what the fault model says they cost.
-                out.injected += 1;
-                if let Err(e) = summarize() {
-                    out.error = Some(e);
-                }
-                continue;
-            }
-            Some(MachineFault::Straggler) => {
-                out.injected += 1;
-                out.ticks = out.ticks.saturating_add(injector.plan().straggler_ticks);
-                summarize()
-            }
-            None => summarize(),
-        };
-        match result {
+        if plan.fails(machine, attempt) {
+            out.injected += 1;
+            continue;
+        }
+        match summarize() {
             Ok(summary) => {
                 out.summary = Some(summary);
                 out.error = None;
@@ -350,7 +211,7 @@ pub fn run_machine_with_faults<T, E>(
 pub struct FaultReport {
     /// Seed of the injected fault universe.
     pub fault_seed: u64,
-    /// Total faults injected (every site, every attempt).
+    /// Attempts the plan failed (all machines).
     pub injected: u64,
     /// Re-execution attempts performed (attempts beyond each machine's
     /// first).
@@ -359,8 +220,7 @@ pub struct FaultReport {
     pub recovered: u64,
     /// Machines permanently lost, in index order.
     pub lost_machines: Vec<usize>,
-    /// Simulated ticks spent on backoff and straggler delays (summed across
-    /// machines; order-independent).
+    /// Simulated backoff ticks (summed across machines; order-independent).
     pub ticks: u64,
     /// True if composition fell back to the survivors.
     pub degraded: bool,
@@ -404,80 +264,66 @@ impl FaultReport {
 mod tests {
     use super::*;
 
-    /// A plan whose only armed site is the piece read.
-    fn read_faults(fault_seed: u64, p: f64) -> FaultPlan {
-        let mut plan = FaultPlan::new(fault_seed);
-        plan.segment_io_prob = p;
-        plan
-    }
-
     #[test]
     fn decisions_are_pure_and_reproducible() {
-        for plan in [FaultPlan::machine_failure(9, 0.5), read_faults(9, 0.5)] {
-            let inj = FaultInjector::new(plan);
-            for machine in 0..32 {
-                for attempt in 0..4 {
-                    assert_eq!(
-                        inj.decide(machine, attempt),
-                        inj.decide(machine, attempt),
-                        "machine {machine} attempt {attempt}"
-                    );
-                }
+        let plan = FaultPlan::machine_failure(9, 0.5);
+        for machine in 0..32 {
+            for attempt in 0..4 {
+                assert_eq!(
+                    plan.fails(machine, attempt),
+                    plan.clone().fails(machine, attempt),
+                    "machine {machine} attempt {attempt}"
+                );
             }
         }
-        let reads = FaultInjector::new(read_faults(9, 0.5));
-        assert!((0..32).any(|m| reads.decide(m, 0) == Some(MachineFault::SegmentRead)));
-        assert!(
-            (0..32).all(|m| matches!(reads.decide(m, 0), None | Some(MachineFault::SegmentRead)))
-        );
+        assert!((0..32).any(|m| plan.fails(m, 0)));
+        assert!((0..32).any(|m| !plan.fails(m, 0)));
     }
 
     #[test]
     fn decisions_depend_on_seed_machine_and_attempt() {
-        for plan in [FaultPlan::machine_failure, read_faults] {
-            let a = FaultInjector::new(plan(1, 0.5));
-            let b = FaultInjector::new(plan(2, 0.5));
-            let differs_by_seed = (0..64).any(|m| a.decide(m, 0) != b.decide(m, 0));
-            assert!(differs_by_seed, "fault universes must differ across seeds");
-            let differs_by_attempt = (0..64).any(|m| a.decide(m, 0) != a.decide(m, 1));
-            assert!(differs_by_attempt, "retries must face fresh fault rolls");
-        }
+        let a = FaultPlan::machine_failure(1, 0.5);
+        let b = FaultPlan::machine_failure(2, 0.5);
+        let differs_by_seed = (0..64).any(|m| a.fails(m, 0) != b.fails(m, 0));
+        assert!(differs_by_seed, "fault universes must differ across seeds");
+        let differs_by_attempt = (0..64).any(|m| a.fails(m, 0) != a.fails(m, 1));
+        assert!(differs_by_attempt, "retries must face fresh fault rolls");
+        let differs_by_machine = (0..64).any(|m| a.fails(m, 0) != a.fails(m + 1, 0));
+        assert!(differs_by_machine, "machines must face their own rolls");
     }
 
     #[test]
     fn probabilities_are_roughly_respected() {
-        let inj = FaultInjector::new(FaultPlan::machine_failure(7, 0.25));
-        let hits = (0..4000).filter(|&m| inj.decide(m, 0).is_some()).count() as f64;
-        // Three sites at p = 0.25 each, first hit wins:
-        // P(any) = 1 - 0.75^3 ≈ 0.578.
-        let expect = 4000.0 * (1.0 - 0.75f64.powi(3));
-        assert!(
-            (hits - expect).abs() < 0.1 * 4000.0,
-            "hits {hits}, expected ≈ {expect}"
-        );
+        for p in [0.1, 0.25, 0.58] {
+            let plan = FaultPlan::machine_failure(7, p);
+            let hits = (0..4000).filter(|&m| plan.fails(m, 0)).count() as f64;
+            let expect = 4000.0 * p;
+            assert!(
+                (hits - expect).abs() < 0.05 * 4000.0,
+                "p = {p}: hits {hits}, expected ≈ {expect}"
+            );
+        }
+        let certain = FaultPlan::machine_failure(7, 1.0);
+        assert!((0..256).all(|m| certain.fails(m, 3)));
     }
 
     #[test]
     fn forced_losses_override_probabilities() {
-        let inj = FaultInjector::new(FaultPlan::new(3).losing(vec![2, 5]));
+        let plan = FaultPlan::new(3).losing(vec![2, 5]);
+        assert!(plan.is_armed());
         for attempt in 0..10 {
-            assert_eq!(
-                inj.decide(2, attempt),
-                Some(MachineFault::CrashBeforeSummarize)
-            );
-            assert_eq!(
-                inj.decide(5, attempt),
-                Some(MachineFault::CrashBeforeSummarize)
-            );
-            assert_eq!(inj.decide(3, attempt), None);
+            assert!(plan.fails(2, attempt));
+            assert!(plan.fails(5, attempt));
+            assert!(!plan.fails(3, attempt));
         }
     }
 
     #[test]
     fn zero_probability_plan_injects_nothing() {
-        let inj = FaultInjector::new(FaultPlan::new(42));
-        assert!(!inj.plan().is_armed());
-        assert!((0..256).all(|m| inj.decide(m, 0).is_none()));
+        let plan = FaultPlan::new(42);
+        assert_eq!(plan, FaultPlan::machine_failure(42, 0.0));
+        assert!(!plan.is_armed());
+        assert!((0..256).all(|m| !plan.fails(m, 0)));
     }
 
     #[test]
@@ -502,19 +348,17 @@ mod tests {
         // Find a seed whose machine 0 fails attempt 0 but passes attempt 1.
         let seed = (0..1000u64)
             .find(|&s| {
-                let inj = FaultInjector::new(FaultPlan::machine_failure(s, 0.4));
-                inj.decide(0, 0).is_some()
-                    && inj.decide(0, 0) != Some(MachineFault::Straggler)
-                    && inj.decide(0, 1).is_none()
+                let plan = FaultPlan::machine_failure(s, 0.4);
+                plan.fails(0, 0) && !plan.fails(0, 1)
             })
             .expect("some seed fails first then recovers");
-        let inj = FaultInjector::new(FaultPlan::machine_failure(seed, 0.4));
+        let plan = FaultPlan::machine_failure(seed, 0.4);
         let retry = RetryPolicy {
             max_attempts: 2,
             backoff_ticks: 5,
         };
         let mut builds = 0;
-        let out = run_machine_with_faults(&inj, &retry, 0, || {
+        let out = run_machine_with_faults(&plan, &retry, 0, || {
             builds += 1;
             Ok::<_, Infallible>("summary")
         });
@@ -522,46 +366,22 @@ mod tests {
         assert!(out.recovered());
         assert_eq!(out.retried, 1);
         assert_eq!(out.ticks, 5, "one retry pays the base backoff");
-        assert!(builds >= 1);
+        assert_eq!(builds, 1, "a failed attempt does no work");
     }
 
     #[test]
     fn exhausted_budget_loses_the_machine() {
-        let inj = FaultInjector::new(FaultPlan::new(0).losing(vec![0]));
+        let plan = FaultPlan::new(0).losing(vec![0]);
         let retry = RetryPolicy {
             max_attempts: 4,
             backoff_ticks: 2,
         };
-        let out = run_machine_with_faults(&inj, &retry, 0, || Ok::<_, Infallible>("never"));
+        let out = run_machine_with_faults(&plan, &retry, 0, || Ok::<_, Infallible>("never"));
         assert!(out.summary.is_none());
         assert!(out.error.is_none(), "only injected faults failed it");
         assert_eq!(out.injected, 4);
         assert_eq!(out.retried, 3);
         assert_eq!(out.ticks, 2 + 4 + 8, "three exponential backoffs");
-    }
-
-    #[test]
-    fn straggler_succeeds_late() {
-        let seed = (0..2000u64)
-            .find(|&s| {
-                let mut plan = FaultPlan::new(s);
-                plan.straggler_prob = 0.5;
-                FaultInjector::new(plan).decide(0, 0) == Some(MachineFault::Straggler)
-            })
-            .expect("some seed straggles machine 0");
-        let mut plan = FaultPlan::new(seed);
-        plan.straggler_prob = 0.5;
-        plan.straggler_ticks = 17;
-        let out = run_machine_with_faults(
-            &FaultInjector::new(plan),
-            &RetryPolicy::default(),
-            0,
-            || Ok::<_, Infallible>("late"),
-        );
-        assert_eq!(out.summary, Some("late"));
-        assert_eq!(out.ticks, 17);
-        assert_eq!(out.retried, 0);
-        assert!(out.recovered(), "a straggle counts as an injected fault");
     }
 
     #[test]
@@ -615,7 +435,7 @@ mod tests {
         };
         // A real error on every attempt: nothing injected, every retry paid
         // on the exponential schedule, the last error kept.
-        let unarmed = FaultInjector::new(FaultPlan::new(0));
+        let unarmed = FaultPlan::new(0);
         let mut calls = 0;
         let out = run_machine_with_faults(&unarmed, &retry, 0, || {
             calls += 1;
@@ -636,11 +456,11 @@ mod tests {
         });
         assert_eq!((out.summary, out.error), (Some("summary"), None));
         assert_eq!((out.retried, out.ticks), (1, 1));
-        // A read fault on every attempt: the attempt never runs.
-        let reads = FaultInjector::new(read_faults(4, 1.0));
-        assert!(reads.plan().is_armed());
-        let out = run_machine_with_faults(&reads, &retry, 0, || -> Result<(), ()> {
-            panic!("a failed read does no work")
+        // Every attempt failed by the plan: the attempt never runs.
+        let certain = FaultPlan::machine_failure(4, 1.0);
+        assert!(certain.is_armed());
+        let out = run_machine_with_faults(&certain, &retry, 0, || -> Result<(), ()> {
+            panic!("a failed attempt does no work")
         });
         assert!(out.summary.is_none() && out.error.is_none());
         assert_eq!((out.injected, out.retried, out.ticks), (3, 2, 3));

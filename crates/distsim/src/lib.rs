@@ -23,9 +23,10 @@
 //!   a [`dynamic::DynamicCover`]'s incremental sizes reported beside each
 //!   batch's refreshed answers.
 //! * [`faults`], [`checkpoint`], [`error`] — the fault-tolerant runtime:
-//!   deterministic fault injection keyed by `(fault_seed, site)`, retry by
-//!   replaying per-machine RNG streams, degraded composition over survivors,
-//!   and checksummed checkpoint/resume for out-of-core runs.
+//!   one deterministic failure decision per `(fault_seed, machine, attempt)`
+//!   (a machine's message does not arrive), retry by replaying per-machine
+//!   RNG streams, composition over the survivors, and checksummed
+//!   checkpoint/resume for out-of-core runs.
 //!
 //! ## Quick start
 //!
@@ -72,8 +73,6 @@ pub use coordinator::{
     ArenaProtocol, ComposeMode, CoordinatorProtocol, FaultRunOptions, FaultyRun, SimultaneousRun,
 };
 pub use error::ProtocolError;
-pub use faults::{
-    DegradedComposition, FaultInjector, FaultPlan, FaultReport, MachineFault, RetryPolicy,
-};
+pub use faults::{FaultPlan, FaultReport, RetryPolicy};
 pub use mapreduce::{MapReduceConfig, MapReduceOutcome, MapReduceSimulator};
 pub use service::{naive_full_round, BatchOutcome, GraphService, GraphServiceConfig};

@@ -10,27 +10,31 @@
 //! machine's segment at a time through [`SegmentLoader`], builds that
 //! machine's coreset, and drops the segment before touching the next.
 //!
-//! # File layout (version 2, all integers little-endian)
+//! # File layout (version 3, all integers little-endian)
 //!
 //! | offset     | bytes | field |
 //! |------------|-------|-------|
-//! | 0          | 8     | magic `RCARENA2` |
-//! | 8          | 4     | format version (`2`) |
-//! | 12         | 1     | partition strategy (0 random, 1 adversarial, 2 round-robin) |
+//! | 0          | 8     | magic `RCARENA3` |
+//! | 8          | 4     | format version (`3`) |
+//! | 12         | 1     | partition strategy (0 random, 1 adversarial) |
 //! | 13         | 3     | zero padding |
 //! | 16         | 8     | `n` (vertex count) |
 //! | 24         | 8     | `k` (machine count) |
 //! | 32         | 8     | `m` (edge-record count) |
 //! | 40         | 16·k  | segment table: `(offset, len)` per machine, in records |
 //! | 40+16k     | 4·k   | checksum table: CRC32 (IEEE) of each segment's record bytes |
-//! | 40+16k+4k  | 8·m   | edge records: `(u: u32, v: u32)`, canonical `u < v`, machine-major |
+//! | 40+20k     | 4     | metadata checksum: CRC32 of bytes `0 .. 40+20k` |
+//! | 44+20k     | 8·m   | edge records: `(u: u32, v: u32)`, canonical `u < v`, machine-major |
 //!
 //! The segment table must start at offset 0 and tile the record section
 //! exactly (`offset[i+1] = offset[i] + len[i]`, totals equal to `m`);
 //! [`ArenaFile::open`] rejects anything else with a typed
 //! [`GraphError`] — truncation, bad magic, unknown version, and
 //! table/offset inconsistencies each have their own variant, and no code
-//! path panics on malformed input. A segment whose record bytes do not hash
+//! path panics on malformed input. Every byte before the records is sealed
+//! by the metadata checksum, so a changed `n` or strategy byte, which no
+//! structural check can see, fails [`ArenaFile::open`] with
+//! [`GraphError::ArenaCorrupt`]. A segment whose record bytes do not hash
 //! to the recorded CRC32 is rejected at load time with
 //! [`GraphError::ArenaChecksumMismatch`] instead of producing silently-wrong
 //! edges.
@@ -54,15 +58,16 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes identifying a version-2 edge-arena file.
-pub const ARENA_MAGIC: [u8; 8] = *b"RCARENA2";
+/// Magic bytes identifying a version-3 edge-arena file.
+pub const ARENA_MAGIC: [u8; 8] = *b"RCARENA3";
 /// The format version this build reads and writes.
-pub const ARENA_VERSION: u32 = 2;
+pub const ARENA_VERSION: u32 = 3;
 /// Bytes in the fixed-size header that precedes the segment table.
 const HEADER_BYTES: u64 = 40;
 /// Bytes per segment-table entry (`offset: u64`, `len: u64`).
 const SEGMENT_ENTRY_BYTES: u64 = 16;
-/// Bytes per checksum-table entry (`crc32: u32`).
+/// Bytes per checksum-table entry and of the metadata checksum
+/// (`crc32: u32`).
 const CRC_ENTRY_BYTES: u64 = 4;
 /// Bytes per edge record (`u: u32`, `v: u32`).
 const RECORD_BYTES: u64 = 8;
@@ -156,7 +161,6 @@ fn strategy_to_byte(s: PartitionStrategy) -> u8 {
     match s {
         PartitionStrategy::Random => 0,
         PartitionStrategy::Adversarial => 1,
-        PartitionStrategy::RoundRobin => 2,
     }
 }
 
@@ -164,7 +168,6 @@ fn strategy_from_byte(b: u8) -> Result<PartitionStrategy, GraphError> {
     match b {
         0 => Ok(PartitionStrategy::Random),
         1 => Ok(PartitionStrategy::Adversarial),
-        2 => Ok(PartitionStrategy::RoundRobin),
         _ => Err(GraphError::ArenaCorrupt {
             reason: format!("unknown partition-strategy byte {b}"),
         }),
@@ -177,26 +180,21 @@ fn io_err(what: &str, e: std::io::Error) -> GraphError {
     }
 }
 
-/// Serializes a partitioned edge arena to `path` in the version-2 format
-/// described in the module docs (per-segment CRC32 checksum table included).
-/// Overwrites any existing file.
+/// Serializes a partitioned edge arena to `path` in the version-3 format
+/// described in the module docs (per-segment CRC32 checksum table and the
+/// metadata checksum included). Overwrites any existing file.
 pub fn write_arena_file(path: &Path, arena: &PartitionedGraph) -> Result<(), GraphError> {
-    let file = File::create(path).map_err(|e| io_err("creating arena file", e))?;
-    let mut w = BufWriter::new(file);
-    let write = |w: &mut BufWriter<File>, bytes: &[u8]| {
-        w.write_all(bytes)
-            .map_err(|e| io_err("writing arena file", e))
-    };
-    write(&mut w, &ARENA_MAGIC)?;
-    write(&mut w, &ARENA_VERSION.to_le_bytes())?;
-    write(&mut w, &[strategy_to_byte(arena.strategy()), 0, 0, 0])?;
-    write(&mut w, &(arena.n() as u64).to_le_bytes())?;
-    write(&mut w, &(arena.k() as u64).to_le_bytes())?;
-    write(&mut w, &(arena.m() as u64).to_le_bytes())?;
+    let mut meta = Vec::new();
+    meta.extend_from_slice(&ARENA_MAGIC);
+    meta.extend_from_slice(&ARENA_VERSION.to_le_bytes());
+    meta.extend_from_slice(&[strategy_to_byte(arena.strategy()), 0, 0, 0]);
+    for x in [arena.n(), arena.k(), arena.m()] {
+        meta.extend_from_slice(&(x as u64).to_le_bytes());
+    }
     let mut offset = 0u64;
     for len in arena.piece_sizes() {
-        write(&mut w, &offset.to_le_bytes())?;
-        write(&mut w, &(len as u64).to_le_bytes())?;
+        meta.extend_from_slice(&offset.to_le_bytes());
+        meta.extend_from_slice(&(len as u64).to_le_bytes());
         offset += len as u64;
     }
     let records = arena.arena();
@@ -207,9 +205,19 @@ pub fn write_arena_file(path: &Path, arena: &PartitionedGraph) -> Result<(), Gra
             state = crc32_update(state, &e.u.to_le_bytes());
             state = crc32_update(state, &e.v.to_le_bytes());
         }
-        write(&mut w, &crc32_finish(state).to_le_bytes())?;
+        meta.extend_from_slice(&crc32_finish(state).to_le_bytes());
         start += len;
     }
+    let meta_crc = crc32(&meta);
+    meta.extend_from_slice(&meta_crc.to_le_bytes());
+
+    let file = File::create(path).map_err(|e| io_err("creating arena file", e))?;
+    let mut w = BufWriter::new(file);
+    let write = |w: &mut BufWriter<File>, bytes: &[u8]| {
+        w.write_all(bytes)
+            .map_err(|e| io_err("writing arena file", e))
+    };
+    write(&mut w, &meta)?;
     for e in arena.arena() {
         write(&mut w, &e.u.to_le_bytes())?;
         write(&mut w, &e.v.to_le_bytes())?;
@@ -218,8 +226,9 @@ pub fn write_arena_file(path: &Path, arena: &PartitionedGraph) -> Result<(), Gra
 }
 
 /// Validated metadata of an on-disk edge arena: header fields plus the
-/// segment table and the per-segment CRC32 checksum table. Opening is cheap (header + tables only); edge records are
-/// streamed later through a [`SegmentLoader`].
+/// segment table and the per-segment CRC32 checksum table. Opening is cheap
+/// (header + tables only); edge records are streamed later through a
+/// [`SegmentLoader`].
 #[derive(Debug, Clone)]
 pub struct ArenaFile {
     path: PathBuf,
@@ -241,7 +250,8 @@ impl ArenaFile {
     /// [`GraphError::ArenaBadMagic`], [`GraphError::ArenaBadVersion`],
     /// [`GraphError::ArenaTruncated`] (file shorter than the header/tables
     /// imply), and [`GraphError::ArenaCorrupt`] (segment table not tiling the
-    /// record section, header inconsistencies, trailing bytes).
+    /// record section, header inconsistencies, trailing bytes, or header and
+    /// tables not matching the metadata checksum, which is checked last).
     pub fn open(path: &Path) -> Result<Self, GraphError> {
         let mut file = File::open(path).map_err(|e| io_err("opening arena file", e))?;
         let file_len = file
@@ -294,10 +304,16 @@ impl ArenaFile {
             });
         }
 
+        // The header, both tables and the metadata checksum precede the
+        // records.
         let expected_bytes = k
             .checked_mul(SEGMENT_ENTRY_BYTES + CRC_ENTRY_BYTES)
             .and_then(|t| m.checked_mul(RECORD_BYTES).map(|r| (t, r)))
-            .and_then(|(t, r)| HEADER_BYTES.checked_add(t)?.checked_add(r))
+            .and_then(|(t, r)| {
+                (HEADER_BYTES + CRC_ENTRY_BYTES)
+                    .checked_add(t)?
+                    .checked_add(r)
+            })
             .ok_or_else(|| GraphError::ArenaCorrupt {
                 reason: format!("header sizes overflow: k={k}, m={m}"),
             })?;
@@ -316,12 +332,19 @@ impl ArenaFile {
             });
         }
 
+        // The size check above bounds `k` by the file length.
+        let table_bytes = (k * SEGMENT_ENTRY_BYTES) as usize;
+        let mut tables = vec![0u8; table_bytes + ((k + 1) * CRC_ENTRY_BYTES) as usize];
+        file.read_exact(&mut tables)
+            .map_err(|e| io_err("reading arena tables", e))?;
+        let (tables, stored) = tables.split_at(tables.len() - CRC_ENTRY_BYTES as usize);
+
         let mut segments = Vec::with_capacity(k as usize);
-        let mut entry = [0u8; SEGMENT_ENTRY_BYTES as usize];
         let mut expected_offset = 0u64;
-        for i in 0..k {
-            file.read_exact(&mut entry)
-                .map_err(|e| io_err("reading arena segment table", e))?;
+        for (i, entry) in tables[..table_bytes]
+            .chunks_exact(SEGMENT_ENTRY_BYTES as usize)
+            .enumerate()
+        {
             let offset = read_u64(&entry[0..8]);
             let len = read_u64(&entry[8..16]);
             if offset != expected_offset {
@@ -347,12 +370,20 @@ impl ArenaFile {
             });
         }
 
-        let mut crcs = Vec::with_capacity(k as usize);
-        let mut entry = [0u8; CRC_ENTRY_BYTES as usize];
-        for _ in 0..k {
-            file.read_exact(&mut entry)
-                .map_err(|e| io_err("reading arena checksum table", e))?;
-            crcs.push(u32::from_le_bytes(entry));
+        let crcs = tables[table_bytes..]
+            .chunks_exact(CRC_ENTRY_BYTES as usize)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+
+        let state = crc32_update(crc32_update(CRC32_INIT, &magic), &rest);
+        let found = crc32_finish(crc32_update(state, tables));
+        let stored = u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]);
+        if found != stored {
+            return Err(GraphError::ArenaCorrupt {
+                reason: format!(
+                    "metadata checksum mismatch: stored {stored:#010x}, computed {found:#010x}"
+                ),
+            });
         }
 
         Ok(ArenaFile {
@@ -516,6 +547,7 @@ impl<'a> SegmentLoader<'a> {
         self.buf.reserve(len);
         let base = HEADER_BYTES
             + self.arena.k() as u64 * (SEGMENT_ENTRY_BYTES + CRC_ENTRY_BYTES)
+            + CRC_ENTRY_BYTES
             + offset as u64 * RECORD_BYTES;
         self.file
             .seek(SeekFrom::Start(base))
@@ -579,8 +611,16 @@ mod tests {
     }
 
     /// Byte offset of the record section in a file with `k` machines.
-    fn records_base(k: usize) -> usize {
-        40 + k * 16 + k * 4
+    fn record_section(k: usize) -> usize {
+        40 + k * 16 + k * 4 + 4
+    }
+
+    /// Rewrites the metadata checksum of a `k`-machine file to match its
+    /// (edited) header and tables, so a test reaches the check it targets.
+    fn reseal(bytes: &mut [u8], k: usize) {
+        let at = record_section(k) - 4;
+        let crc = crc32(&bytes[..at]);
+        bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -722,6 +762,7 @@ mod tests {
         let (path, _) = write_sample("bad_version", 6, 3);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+        reseal(&mut bytes, 3);
         std::fs::write(&path, &bytes).unwrap();
         let err = ArenaFile::open(&path).unwrap_err();
         assert_eq!(err, GraphError::ArenaBadVersion { found: 7 });
@@ -730,19 +771,43 @@ mod tests {
 
     #[test]
     fn magic_and_version_must_agree() {
-        // The retired version-1 magic is not an arena this build reads,
-        // whatever the version field says.
+        // A retired magic is not an arena this build reads, whatever the
+        // version field says: version 2 had no metadata checksum.
         let (path, _) = write_sample("magic_mismatch", 15, 3);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(b"RCARENA1");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ArenaFile::open(&path).unwrap_err();
-        assert_eq!(
-            err,
-            GraphError::ArenaBadMagic {
-                found: *b"RCARENA1"
-            }
-        );
+        let clean = std::fs::read(&path).unwrap();
+        for old in [*b"RCARENA1", *b"RCARENA2"] {
+            let mut bytes = clean.clone();
+            bytes[..8].copy_from_slice(&old);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ArenaFile::open(&path).unwrap_err();
+            assert_eq!(err, GraphError::ArenaBadMagic { found: old });
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn metadata_checksum_catches_a_changed_vertex_count_or_table_entry() {
+        let (path, arena) = write_sample("meta_crc", 17, 3);
+        let clean = std::fs::read(&path).unwrap();
+        // `n` (bytes 16..24) plus one, and the last segment's CRC entry with
+        // one bit flipped: both pass every structural check.
+        let n_plus_one = (arena.n() as u64 + 1).to_le_bytes();
+        let last_crc = record_section(3) - 8;
+        for (at, patch) in [
+            (16, &n_plus_one[..]),
+            (last_crc, &[clean[last_crc] ^ 1][..]),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at..at + patch.len()].copy_from_slice(patch);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ArenaFile::open(&path).unwrap_err();
+            assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
+            assert!(err.to_string().contains("metadata checksum"), "{err}");
+            // Resealed, the same edit opens: only the checksum caught it.
+            reseal(&mut bytes, 3);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(ArenaFile::open(&path).is_ok());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -781,6 +846,7 @@ mod tests {
         let pos = 40 + 16;
         let old = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
         bytes[pos..pos + 8].copy_from_slice(&(old + 1).to_le_bytes());
+        reseal(&mut bytes, 3);
         std::fs::write(&path, &bytes).unwrap();
         let err = ArenaFile::open(&path).unwrap_err();
         assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
@@ -796,6 +862,7 @@ mod tests {
         let pos = 40 + 2 * 16 + 8;
         let old = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
         bytes[pos..pos + 8].copy_from_slice(&(old + 3).to_le_bytes());
+        reseal(&mut bytes, 3);
         std::fs::write(&path, &bytes).unwrap();
         let err = ArenaFile::open(&path).unwrap_err();
         assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
@@ -818,11 +885,20 @@ mod tests {
     #[test]
     fn bad_strategy_byte_rejected() {
         let (path, _) = write_sample("bad_strategy", 12, 3);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[12] = 9;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ArenaFile::open(&path).unwrap_err();
-        assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
+        let clean = std::fs::read(&path).unwrap();
+        // 2 was the retired round-robin strategy.
+        for byte in [2, 9] {
+            let mut bytes = clean.clone();
+            bytes[12] = byte;
+            reseal(&mut bytes, 3);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ArenaFile::open(&path).unwrap_err();
+            assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
+            assert!(
+                err.to_string().contains(&format!("strategy byte {byte}")),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -833,11 +909,12 @@ mod tests {
         bytes[24..32].copy_from_slice(&0u64.to_le_bytes());
         // Drop the (single) segment-table and checksum-table entries so
         // sizes stay consistent and the k check is what fires.
-        let patched: Vec<u8> = bytes[..40]
+        let mut patched: Vec<u8> = bytes[..40]
             .iter()
             .chain(&bytes[40 + 16 + 4..])
             .copied()
             .collect();
+        reseal(&mut patched, 0);
         std::fs::write(&path, &patched).unwrap();
         let err = ArenaFile::open(&path).unwrap_err();
         assert!(matches!(err, GraphError::ArenaCorrupt { .. }), "{err}");
@@ -853,7 +930,7 @@ mod tests {
         // First record of segment 0: make it a self-loop (u == v). Decode
         // validation fires before the checksum comparison, so this is
         // ArenaCorrupt, not ArenaChecksumMismatch.
-        let rec = records_base(2);
+        let rec = record_section(2);
         let u = u32::from_le_bytes(bytes[rec..rec + 4].try_into().unwrap());
         bytes[rec + 4..rec + 8].copy_from_slice(&u.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -872,7 +949,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // Overwrite record 0 with record 1's bytes: every record still
         // decodes as a valid canonical edge, so only the checksum can tell.
-        let rec = records_base(2);
+        let rec = record_section(2);
         let dup: [u8; 8] = bytes[rec + 8..rec + 16].try_into().unwrap();
         let original: [u8; 8] = bytes[rec..rec + 8].try_into().unwrap();
         assert_ne!(dup, original, "adjacent records should differ");
@@ -898,17 +975,19 @@ mod tests {
     }
 
     /// The byte range of mutation region `region` (0 header, 1 segment
-    /// table, 2 checksum table, 3 records) in an RCARENA2 file with `k`
-    /// machines and `m` records, and the width of one field there: the
-    /// header and the segment table hold `u64` fields, the checksum table
-    /// `u32` entries, and the records one `u64` `(u, v)` pair each.
+    /// table, 2 checksum table and metadata checksum, 3 records) in an
+    /// RCARENA3 file with `k` machines and `m` records, and the width of one
+    /// field there: the header and the segment table hold `u64` fields, the
+    /// checksum table and the metadata checksum `u32` entries, and the
+    /// records one `u64` `(u, v)` pair each.
     fn mutation_region(region: u8, k: usize, m: usize) -> (std::ops::Range<usize>, usize) {
         let tables = 40 + 16 * k;
+        let records = record_section(k);
         match region {
             0 => (0..40, 8),
             1 => (40..tables, 8),
-            2 => (tables..records_base(k), 4),
-            _ => (records_base(k)..records_base(k) + 8 * m, 8),
+            2 => (tables..records, 4),
+            _ => (records..records + 8 * m, 8),
         }
     }
 
@@ -916,9 +995,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 256 }))]
 
         /// One mutated byte or field anywhere in a valid file (header,
-        /// segment table, checksum table or records) makes opening and
+        /// segment table, checksum tables or records) makes opening and
         /// loading every segment either fail with a typed error or succeed
-        /// with every original piece intact; nothing panics.
+        /// with the written header and every original piece intact; nothing
+        /// panics. A changed byte before the records never opens.
         #[test]
         fn a_structured_mutation_loads_the_original_pieces_or_errs_without_panic(
             seed in any::<u64>(),
@@ -929,7 +1009,8 @@ mod tests {
             value in any::<u64>(),
         ) {
             let (path, arena) = write_sample("mutation", seed, k);
-            let mut bytes = std::fs::read(&path).unwrap();
+            let clean = std::fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
             let (range, width) = mutation_region(region, k, arena.m());
             let span = range.len();
             if whole_field {
@@ -950,7 +1031,19 @@ mod tests {
                 bytes[range.start + pick as usize % span] ^= (value as u8) | 1;
             }
             std::fs::write(&path, &bytes).unwrap();
-            let loaded = ArenaFile::open(&path).and_then(|file| {
+            let opened = ArenaFile::open(&path);
+            let meta = record_section(k);
+            prop_assert!(
+                bytes[..meta] == clean[..meta] || opened.is_err(),
+                "a file with a changed header or table byte opened"
+            );
+            if let Ok(file) = &opened {
+                prop_assert_eq!(
+                    (file.n(), file.k(), file.m(), file.strategy()),
+                    (arena.n(), arena.k(), arena.m(), arena.strategy())
+                );
+            }
+            let loaded = opened.and_then(|file| {
                 let mut loader = SegmentLoader::new(&file)?;
                 let pieces = (0..file.k())
                     .map(|i| loader.load(i).map(|view| view.edges().to_vec()))

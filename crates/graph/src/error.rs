@@ -50,7 +50,7 @@ pub enum GraphError {
         /// What was being done, plus the rendered I/O error.
         context: String,
     },
-    /// An arena file did not start with the `RCARENA2` magic bytes — it is
+    /// An arena file did not start with the `RCARENA3` magic bytes — it is
     /// not an edge-arena file this build reads (or is empty/garbage).
     ArenaBadMagic {
         /// The first bytes actually found (zero-padded if the file was
@@ -72,7 +72,8 @@ pub enum GraphError {
     },
     /// An arena file's segment table is internally inconsistent (offsets not
     /// starting at zero, segments not tiling the record section, totals
-    /// disagreeing with the header), or a decoded record violates the graph
+    /// disagreeing with the header), its header and tables do not hash to
+    /// their recorded CRC32, or a decoded record violates the graph
     /// invariants the header promises.
     ArenaCorrupt {
         /// Human-readable description of the inconsistency.

@@ -3,15 +3,12 @@
 //! A *random k-partitioning* of `E` assigns every edge independently and
 //! uniformly at random to one of `k` machines (paper, Section 1,
 //! "Randomized Composable Coresets"). This module implements that
-//! partitioning for plain and weighted graphs, plus two
-//! *adversarial* partitionings used as negative controls:
-//!
-//! * [`PartitionStrategy::Adversarial`] — a deterministic partition designed
-//!   to be hard (contiguous chunks of a sorted edge list), modelling the
-//!   adversarial setting of \[10\] in which Õ(n)-size summaries cannot beat
-//!   Θ(n^{1/3})-approximation.
-//! * [`PartitionStrategy::RoundRobin`] — a deterministic but "spread out"
-//!   partition, useful for sanity comparisons.
+//! partitioning for plain and weighted graphs, plus one *adversarial*
+//! partitioning used as the negative control:
+//! [`PartitionStrategy::Adversarial`], a deterministic partition designed
+//! to be hard (contiguous chunks of a sorted edge list), modelling the
+//! adversarial setting of \[10\] in which Õ(n)-size summaries cannot beat
+//! Θ(n^{1/3})-approximation.
 //!
 //! The partition container is [`PartitionedGraph`], the **edge arena**: one
 //! machine-sorted copy of the edge permutation plus `k + 1` offsets (a CSR
@@ -39,8 +36,6 @@ pub enum PartitionStrategy {
     /// machine sees whole neighbourhoods — the structured, adversarial case
     /// in which composable coresets provably fail.
     Adversarial,
-    /// Edge `i` goes to machine `i mod k`.
-    RoundRobin,
 }
 
 /// The edge arena of a `k`-partitioned graph: **one** machine-sorted copy of
@@ -247,7 +242,6 @@ fn assign_indices<R: Rng + ?Sized, K: Fn(usize) -> u64>(
 ) -> Vec<usize> {
     match strategy {
         PartitionStrategy::Random => (0..m).map(|_| rng.gen_range(0..k)).collect(),
-        PartitionStrategy::RoundRobin => (0..m).map(|i| i % k).collect(),
         PartitionStrategy::Adversarial => {
             // Sort edge indices by (u, v) and cut into k contiguous chunks so
             // that each machine receives whole neighbourhoods.
@@ -301,11 +295,7 @@ mod tests {
     fn zero_machines_rejected() {
         let mut r = rng(2);
         let g = gnp(10, 0.3, &mut r);
-        for strategy in [
-            PartitionStrategy::Random,
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::Adversarial,
-        ] {
+        for strategy in [PartitionStrategy::Random, PartitionStrategy::Adversarial] {
             assert!(matches!(
                 PartitionedGraph::new(&g, 0, strategy, &mut r),
                 Err(GraphError::InvalidMachineCount { k: 0 })
@@ -343,20 +333,6 @@ mod tests {
                 p.m()
             );
         }
-    }
-
-    #[test]
-    fn round_robin_is_deterministic_and_balanced() {
-        let mut r = rng(5);
-        let g = gnp(100, 0.1, &mut r);
-        let p1 = PartitionedGraph::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(99)).unwrap();
-        let p2 = PartitionedGraph::new(&g, 4, PartitionStrategy::RoundRobin, &mut rng(7)).unwrap();
-        assert_eq!(p1.arena(), p2.arena());
-        let sizes = p1.piece_sizes();
-        assert_eq!(sizes, p2.piece_sizes());
-        let max = *sizes.iter().max().unwrap();
-        let min = *sizes.iter().min().unwrap();
-        assert!(max - min <= 1);
     }
 
     #[test]
@@ -398,11 +374,7 @@ mod tests {
     #[test]
     fn empty_graph_partitions_cleanly() {
         let g = Graph::empty(10);
-        for strategy in [
-            PartitionStrategy::Random,
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::Adversarial,
-        ] {
+        for strategy in [PartitionStrategy::Random, PartitionStrategy::Adversarial] {
             let part = PartitionedGraph::new(&g, 3, strategy, &mut rng(8)).unwrap();
             assert_eq!(part.m(), 0);
             assert_eq!(part.piece_sizes(), vec![0; 3]);

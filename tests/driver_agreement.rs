@@ -74,9 +74,9 @@ fn mapreduce(k: usize) -> MapReduceSimulator {
     })
 }
 
-/// Machine crashes and lost messages at every site, with a retry budget
-/// deep enough (a machine fails an attempt with probability ≈ 0.49, so all
-/// 40 attempts fail with probability < 1e-12) that every machine recovers.
+/// Machine failures on one attempt in five, with a retry budget deep
+/// enough (all 40 attempts fail with probability 0.2^40 < 1e-27) that every
+/// machine recovers.
 fn recoverable(seed: u64) -> (FaultPlan, RetryPolicy) {
     (
         FaultPlan::machine_failure(seed ^ 0xD41F, 0.2),

@@ -240,7 +240,7 @@ fn killing_at_every_leaf_and_resuming_is_bit_identical() {
     let builder = MaximumMatchingCoreset::new();
 
     let mut plan = FaultPlan::new(0xC4A5);
-    plan.segment_io_prob = 0.3;
+    plan.failure_prob = 0.3;
     let opts = FaultRunOptions {
         plan,
         retry: RetryPolicy {

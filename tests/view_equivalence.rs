@@ -98,7 +98,6 @@ proptest! {
         seed in any::<u64>(),
         strategy in prop_oneof![
             Just(PartitionStrategy::Random),
-            Just(PartitionStrategy::RoundRobin),
             Just(PartitionStrategy::Adversarial),
         ],
     ) {
