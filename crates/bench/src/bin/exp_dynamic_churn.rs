@@ -51,7 +51,6 @@ use serde::Serialize;
 use std::time::Instant;
 
 const SEED: u64 = 2017;
-const EPS: f64 = 0.5;
 const SPEEDUP_BAR: f64 = 5.0;
 const FUZZ_SEEDS: [u64; 2] = [21, 89];
 
@@ -65,7 +64,7 @@ struct BatchSample {
     machines_rebuilt: usize,
     machines_cached: usize,
     /// Service wall-clock for the batch: partition updates + incremental
-    /// repairs + dirty-only rebuilds + recomposition.
+    /// matcher updates + dirty-only rebuilds + recomposition.
     service_secs: f64,
     /// Naive wall-clock for the same state: full re-partition + all-`k`
     /// coreset rebuilds + composition (current graph handed over for free).
@@ -93,7 +92,6 @@ struct BenchReport {
     host_available_parallelism: usize,
     ci_mode: bool,
     seed: u64,
-    eps: f64,
     n: usize,
     k: usize,
     initial_m: usize,
@@ -178,15 +176,7 @@ fn scenario_fingerprint(
     batches: usize,
     ops_per_batch: usize,
 ) -> u64 {
-    let mut svc = GraphService::new(
-        g,
-        GraphServiceConfig {
-            k,
-            seed: SEED,
-            eps: EPS,
-        },
-    )
-    .expect("service");
+    let mut svc = GraphService::new(g, GraphServiceConfig::new(k, SEED)).expect("service");
     let mut acc = 0u64;
     for batch in 0..batches {
         let ops = batch_ops(&svc.current_graph(), n, ops_per_batch, batch);
@@ -231,15 +221,8 @@ fn main() {
     let initial_m = g.m();
 
     let scope = MetricsScope::enter();
-    let mut svc = GraphService::new(
-        &g,
-        GraphServiceConfig {
-            k,
-            seed: SEED,
-            eps: EPS,
-        },
-    )
-    .expect("service construction");
+    let mut svc =
+        GraphService::new(&g, GraphServiceConfig::new(k, SEED)).expect("service construction");
     let mut acc = 0u64;
     let mut samples: Vec<BatchSample> = Vec::with_capacity(batches);
     let mut service_total_secs = 0.0f64;
@@ -428,7 +411,6 @@ fn main() {
         host_available_parallelism: cores,
         ci_mode,
         seed: SEED,
-        eps: EPS,
         n,
         k,
         initial_m,

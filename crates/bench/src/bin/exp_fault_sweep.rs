@@ -11,12 +11,12 @@
 //! its retry budget.
 //!
 //! The sweep runs the per-attempt failure probability
-//! `p = 1 − (1 − s/k)³` for `s ∈ {0, 1, 2, 3}` (the rate at which three
-//! independent chances of `s/k` fail an attempt) on a G(n,p) workload and a
-//! skewed Chung–Lu power-law workload, for both matching and vertex cover,
-//! and records the full fault accounting (injected / retried / recovered /
-//! lost, simulated ticks, achieved versus fault-free ratio). Asserted
-//! in-binary:
+//! `p = 1 − (1 − s/k)³` for `s ∈ {0, 1, 2, 3, 4}` (the rate at which three
+//! independent chances of `s/k` fail an attempt; `p = 0.875` at `s = 4`,
+//! `k = 8`) on a G(n,p) workload and a skewed Chung–Lu power-law workload,
+//! for both matching and vertex cover, and records the full fault accounting
+//! (injected / retried / recovered / lost, simulated ticks, achieved versus
+//! fault-free ratio). Asserted in-binary:
 //!
 //! * at `p = 0` the faulty runner is **bit-identical** to the fault-free
 //!   protocol and injects nothing;
@@ -27,6 +27,9 @@
 //!   the best surviving machine's own coreset answer (the graceful
 //!   degradation guarantee of randomized composable coresets) and keeps the
 //!   degraded vertex cover feasible for every surviving machine's edges;
+//! * at least one sweep point per workload and problem loses machines, so
+//!   the two degradation asserts above run at a sweep point, not only under
+//!   forced losses;
 //! * the out-of-core arena path survives injected transient failures and a
 //!   mid-run kill: the checkpointed, resumed, fault-injected run is
 //!   bit-identical to the clean streaming run.
@@ -157,7 +160,7 @@ fn covers_survivors(cover: &VertexCover, partition: &PartitionedGraph, lost: &[u
 }
 
 fn main() {
-    let (n, k, sweep_steps) = (4000usize, 8usize, 4usize);
+    let (n, k, sweep_steps) = (4000usize, 8usize, 5usize);
     let retry = RetryPolicy {
         max_attempts: 8,
         backoff_ticks: 2,
@@ -212,6 +215,7 @@ fn main() {
         let clean_vc = protocol
             .run_vertex_cover(g, &vc_builder, SEED)
             .expect("fault-free vertex-cover protocol runs");
+        let (mut degraded_matching, mut degraded_vc) = (false, false);
 
         for step in 0..sweep_steps {
             let p = 1.0 - (1.0 - step as f64 / k as f64).powi(3);
@@ -235,6 +239,7 @@ fn main() {
                      from the fault-free run at p = {p}"
                 );
             } else {
+                degraded_matching = true;
                 assert!(
                     faulty.run.answer.len() >= best_survivor(&answers, lost),
                     "{name}: losing machines {lost:?} at p = {p} dropped the \
@@ -278,6 +283,7 @@ fn main() {
                     "{name}: recovered vertex-cover run diverged at p = {p}"
                 );
             } else {
+                degraded_vc = true;
                 assert!(
                     covers_survivors(&faulty_vc.run.answer, &partition, lost),
                     "{name}: losing machines {lost:?} at p = {p} left a \
@@ -294,6 +300,11 @@ fn main() {
                 faults: faulty_vc.faults,
             });
         }
+        assert!(
+            degraded_matching && degraded_vc,
+            "{name}: no sweep point lost a machine (matching: {degraded_matching}, \
+             vertex cover: {degraded_vc}), so the degradation asserts never ran"
+        );
     }
     println!("{table}");
 

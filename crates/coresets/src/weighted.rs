@@ -235,12 +235,39 @@ mod tests {
 
     #[test]
     fn composition_of_single_machine_equals_local_crouch_stubbs_quality() {
+        // One machine's composition is Crouch–Stubbs on the whole graph: a
+        // maximum matching per weight class, combined heaviest class first.
         let n = 150;
         let g = random_weighted(n, 900, 42);
         let out = WeightedMatchingCoreset::default().build(&g);
         let composed = compose_weighted_matching(n, &[out]);
         assert!(composed.is_valid_for(&g));
-        assert!(composed.total_weight > 0.0);
+        let mut matched = vec![false; n];
+        let mut local = Vec::new();
+        for (_, class_graph) in g.weight_classes(2.0).iter().rev() {
+            for e in maximum_matching(class_graph).edges() {
+                let (u, v) = (e.u as usize, e.v as usize);
+                if !matched[u] && !matched[v] {
+                    matched[u] = true;
+                    matched[v] = true;
+                    local.push(*e);
+                }
+            }
+        }
+        let mut edges = composed.edges.clone();
+        edges.sort_unstable();
+        local.sort_unstable();
+        assert_eq!(edges, local);
+    }
+
+    #[test]
+    fn crouch_stubbs_on_uniform_weights_reduces_to_unweighted() {
+        let g =
+            WeightedGraph::from_triples(6, vec![(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]).unwrap();
+        let out = WeightedMatchingCoreset::default().build(&g);
+        let composed = compose_weighted_matching(6, &[out]);
+        assert_eq!(composed.len(), 3);
+        assert!((composed.total_weight - 3.0).abs() < 1e-9);
     }
 
     #[test]

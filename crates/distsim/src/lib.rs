@@ -20,7 +20,8 @@
 //!   [`graph::ChurnPartition`], dirty-piece-only coreset rebuilds through
 //!   one fingerprint-keyed cache after every batch, checked against the
 //!   coordinator driver itself ([`naive_full_round`]; experiment E18), with
-//!   a [`dynamic::DynamicCover`]'s incremental sizes reported beside each
+//!   the sizes of a greedy maximal matching and its matched-endpoint cover
+//!   ([`dynamic::DynamicCover`], updated per op) reported beside each
 //!   batch's refreshed answers.
 //! * [`faults`], [`checkpoint`], [`error`] — the fault-tolerant runtime:
 //!   one deterministic failure decision per `(fault_seed, machine, attempt)`

@@ -9,8 +9,9 @@
 //!   [`graph::partition::PartitionedGraph::by_edge_hash`] partition of the
 //!   current graph would produce;
 //! * a [`dynamic::DynamicCover`] (wrapping a [`dynamic::DynamicMatcher`]) —
-//!   an incremental maximal matching and cover, updated by every op, whose
-//!   sizes each batch reports beside its refreshed protocol answers;
+//!   a greedy maximal matching and its matched-endpoint cover, updated by
+//!   every op, whose sizes each batch reports beside its refreshed protocol
+//!   answers;
 //! * one fingerprint-keyed [`coresets::CoresetCache`] — each machine's
 //!   matching coreset and vertex-cover coreset from the last protocol round,
 //!   cached together under one key.
@@ -58,13 +59,15 @@ pub struct GraphServiceConfig {
     /// Protocol seed: fixes the hash placement and every machine's coreset
     /// RNG stream.
     pub seed: u64,
-    /// Repair slack of the incremental matcher (see
-    /// [`dynamic::DynamicMatcher::with_eps`]).
+    /// Read by nothing: the incremental matcher has no repair slack. Kept
+    /// only because the benchmark (`exp_profile`) passes it to
+    /// [`dynamic::DynamicCover::from_graph`]; the benchmark change of ROADMAP
+    /// item 4 deletes it.
     pub eps: f64,
 }
 
 impl GraphServiceConfig {
-    /// A config with the default repair slack `ε = 0.5`.
+    /// A config over `k` machines with protocol seed `seed` (`eps` is 0.5).
     pub fn new(k: usize, seed: u64) -> Self {
         GraphServiceConfig { k, seed, eps: 0.5 }
     }

@@ -5,55 +5,42 @@
 //! [`DynamicMatcher`] maintains maximality under churn, [`DynamicCover`]
 //! gets an always-feasible, always-2-approximate cover for free: it owns a
 //! matcher, forwards updates to it, and reads the cover off the mate array.
-//!
-//! For query-time refinement it also owns a private [`VcEngine`] whose
-//! epoch-stamped `VcWorkspace` is reused across calls —
-//! [`DynamicCover::resolve_refined`] runs the engine-backed 2-approximation
-//! on the current graph without reallocating solver scratch.
 
 use crate::matcher::DynamicMatcher;
-use graph::{ChurnOp, Edge, Graph, GraphError};
-use vertexcover::{VcEngine, VertexCover};
+use graph::{ChurnOp, Graph, GraphError};
+use vertexcover::VertexCover;
 
 /// A 2-approximate vertex cover maintained under edge churn as the matched
 /// endpoints of a [`DynamicMatcher`]'s maximal matching.
 #[derive(Debug)]
 pub struct DynamicCover {
     matcher: DynamicMatcher,
-    vc_engine: VcEngine,
 }
 
 impl DynamicCover {
-    /// An empty cover structure over `n` vertices (default repair slack).
+    /// An empty cover structure over `n` vertices.
     pub fn new(n: usize) -> Self {
         DynamicCover {
             matcher: DynamicMatcher::new(n),
-            vc_engine: VcEngine::new(),
         }
     }
 
     /// Builds the structure over `g`'s edge set (see
     /// [`DynamicMatcher::from_graph`]).
-    pub fn from_graph(g: &Graph, eps: f64) -> Result<Self, GraphError> {
+    ///
+    /// `_eps` is read by nothing, and this never fails: both are kept only
+    /// because the benchmark (`exp_profile`) passes `GraphServiceConfig::eps`
+    /// and propagates the `Result`. The benchmark change of ROADMAP item 4
+    /// deletes this crate.
+    pub fn from_graph(g: &Graph, _eps: f64) -> Result<Self, GraphError> {
         Ok(DynamicCover {
-            matcher: DynamicMatcher::from_graph(g, eps)?,
-            vc_engine: VcEngine::new(),
+            matcher: DynamicMatcher::from_graph(g),
         })
     }
 
     /// Applies one churn operation; returns whether the edge set changed.
     pub fn apply(&mut self, op: ChurnOp) -> Result<bool, GraphError> {
         self.matcher.apply(op)
-    }
-
-    /// Inserts an edge (see [`DynamicMatcher::insert`]).
-    pub fn insert(&mut self, e: Edge) -> Result<bool, GraphError> {
-        self.matcher.insert(e)
-    }
-
-    /// Deletes an edge (see [`DynamicMatcher::delete`]).
-    pub fn delete(&mut self, e: Edge) -> Result<bool, GraphError> {
-        self.matcher.delete(e)
     }
 
     /// Size of the maintained cover: both endpoints of every matching edge.
@@ -79,29 +66,13 @@ impl DynamicCover {
     pub fn matcher(&self) -> &DynamicMatcher {
         &self.matcher
     }
-
-    /// Mutable access to the underlying matcher (e.g. to call
-    /// [`DynamicMatcher::resolve_max`]).
-    #[inline]
-    pub fn matcher_mut(&mut self) -> &mut DynamicMatcher {
-        &mut self.matcher
-    }
-
-    /// Query-time refinement: the engine-backed greedy 2-approximate cover
-    /// of the **current** graph, computed on this structure's private
-    /// [`VcEngine`] (its epoch-stamped workspace is reused across calls, so
-    /// repeated refinements allocate no fresh solver scratch). Does not
-    /// change the maintained cover.
-    pub fn resolve_refined(&mut self) -> VertexCover {
-        let g = self.matcher.current_graph();
-        self.vc_engine.two_approx_cover(&g)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graph::gen::er::gnp;
+    use graph::Edge;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -118,28 +89,15 @@ mod tests {
             }
             let e = Edge::new(u, v);
             if r.gen_bool(0.5) {
-                dc.insert(e).unwrap();
+                dc.apply(ChurnOp::Insert(e)).unwrap();
             } else {
-                dc.delete(e).unwrap();
+                dc.apply(ChurnOp::Delete(e)).unwrap();
             }
             let cover = dc.cover();
             let current = dc.matcher().current_graph();
             assert!(cover.covers(&current), "cover must stay feasible");
             assert_eq!(cover.len(), dc.cover_size());
         }
-    }
-
-    #[test]
-    fn refined_cover_is_feasible_and_engine_reuse_is_stable() {
-        let g = gnp(60, 0.1, &mut ChaCha8Rng::seed_from_u64(3));
-        let mut dc = DynamicCover::from_graph(&g, 0.5).unwrap();
-        let first = dc.resolve_refined();
-        assert!(first.covers(&g));
-        // Same graph, same engine: the refinement is reproducible.
-        assert_eq!(dc.resolve_refined(), first);
-        dc.insert(Edge::new(0, 1)).unwrap();
-        let current = dc.matcher().current_graph();
-        assert!(dc.resolve_refined().covers(&current));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   fan-in-2 merge walk, and per-thread buffer reuse.
 //! * [`workspace`] — the epoch-reset [`BlossomWorkspace`] that removes the
 //!   per-search `O(n)` clears and allocations from the blossom algorithm.
-//! * [`weighted`] — greedy weighted matching and the Crouch–Stubbs
-//!   weight-class reduction used by the paper's weighted extension.
+//! * [`weighted`] — the weighted answer type and greedy weighted matching,
+//!   the baseline of the paper's weighted extension (whose Crouch–Stubbs
+//!   reduction is `coresets::weighted`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,5 +39,5 @@ pub use engine::MatchingEngine;
 pub use greedy::{maximal_matching, maximal_matching_by_key, maximal_matching_shuffled};
 pub use matching::Matching;
 pub use maximum::{maximum_matching, merge_matching_pair, MaximumMatchingAlgorithm};
-pub use weighted::{crouch_stubbs_matching, greedy_weighted_matching, WeightedMatching};
+pub use weighted::{greedy_weighted_matching, WeightedMatching};
 pub use workspace::BlossomWorkspace;

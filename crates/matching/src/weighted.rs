@@ -1,16 +1,14 @@
-//! Weighted matching: greedy 1/2-approximation and the Crouch–Stubbs
-//! weight-class reduction.
+//! Weighted matching: the [`WeightedMatching`] answer type and the greedy
+//! 1/2-approximation.
 //!
 //! The paper's Section 1.1 notes that its (unweighted) matching coreset
 //! extends to weighted graphs "using the Crouch–Stubbs technique \[22\] ...
 //! with a factor 2 loss in approximation and an extra O(log n) term in the
-//! space". The technique partitions edges into geometric weight classes, runs
-//! an unweighted matching per class, and combines the class matchings
-//! greedily from the heaviest class down.
+//! space". That reduction, its per-class coresets and its heaviest-class-first
+//! combine live in `coresets::weighted`; this module holds what it returns
+//! and the whole-input greedy baseline it is measured against.
 
-use crate::matching::Matching;
-use crate::maximum::maximum_matching;
-use graph::{Edge, Graph, VertexId, WeightedGraph};
+use graph::{Edge, VertexId, WeightedGraph};
 // Membership-only disjointness probe; iteration order never observed.
 use std::collections::HashSet; // xtask: allow(hash-collections)
 
@@ -80,45 +78,6 @@ pub fn greedy_weighted_matching(g: &WeightedGraph) -> WeightedMatching {
     out
 }
 
-/// Crouch–Stubbs reduction: split the graph into geometric weight classes
-/// (`base` is the geometric ratio, typically 2), compute an *unweighted*
-/// matching for each class with `solver`, then combine the class matchings
-/// greedily from the heaviest class down.
-///
-/// With a maximum-matching solver this is an O(1)-approximation of the
-/// maximum-weight matching; the coreset crate re-uses exactly this reduction
-/// on top of the per-class unweighted matching coresets.
-pub fn crouch_stubbs_matching<F>(g: &WeightedGraph, base: f64, mut solver: F) -> WeightedMatching
-where
-    F: FnMut(&Graph) -> Matching,
-{
-    let classes = g.weight_classes(base);
-    // Heaviest class first.
-    let mut matched = vec![false; g.n()];
-    let mut out = WeightedMatching::default();
-    for (_, class_graph) in classes.iter().rev() {
-        let class_matching = solver(class_graph);
-        for e in class_matching.edges() {
-            let (u, v) = (e.u as usize, e.v as usize);
-            if !matched[u] && !matched[v] {
-                matched[u] = true;
-                matched[v] = true;
-                out.edges.push(*e);
-                out.total_weight += g
-                    .weight_of(e.u, e.v)
-                    .expect("class subgraph edges come from the weighted graph");
-            }
-        }
-    }
-    out
-}
-
-/// Convenience wrapper: Crouch–Stubbs with base 2 and an exact
-/// maximum-matching solver per class.
-pub fn crouch_stubbs_maximum(g: &WeightedGraph) -> WeightedMatching {
-    crouch_stubbs_matching(g, 2.0, maximum_matching)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,38 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn crouch_stubbs_is_constant_approximation() {
-        for seed in 0..10 {
-            let g = random_weighted(12, 16, seed + 100);
-            let cs = crouch_stubbs_maximum(&g);
-            assert!(cs.is_valid_for(&g));
-            let opt = brute_force_maximum_weight(&g);
-            // The reduction with exact per-class matchings loses at most a
-            // factor ~4 with base 2 (2 from the geometric rounding, 2 from the
-            // greedy combination); we assert a slightly looser factor 4.5 to
-            // absorb boundary effects on tiny instances.
-            assert!(
-                4.5 * cs.total_weight + 1e-9 >= opt,
-                "seed {seed}: crouch-stubbs {} vs opt {opt}",
-                cs.total_weight
-            );
-        }
-    }
-
-    #[test]
-    fn crouch_stubbs_on_uniform_weights_reduces_to_unweighted() {
-        let g =
-            WeightedGraph::from_triples(6, vec![(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]).unwrap();
-        let cs = crouch_stubbs_maximum(&g);
-        assert_eq!(cs.len(), 3);
-        assert!((cs.total_weight - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_weighted_graph() {
         let g = WeightedGraph::empty(4);
         assert!(greedy_weighted_matching(&g).is_empty());
-        assert!(crouch_stubbs_maximum(&g).is_empty());
         assert_eq!(brute_force_maximum_weight(&g), 0.0);
     }
 

@@ -219,8 +219,7 @@ proptest! {
         k in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let cfg = GraphServiceConfig { k, seed, eps: 0.5 };
-        let mut svc = GraphService::new(&g, cfg).unwrap();
+        let mut svc = GraphService::new(&g, GraphServiceConfig::new(k, seed)).unwrap();
         let n = g.n() as u32;
         let mut r = rng(seed ^ 0xC4A2);
         for _ in 0..3 {

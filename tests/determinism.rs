@@ -307,7 +307,9 @@ fn flat_rmat_fixed_seed_regression() {
 /// incremental sizes) that equals a from-scratch `naive_full_round` of the
 /// current graph after **every** batch, is bit-identical at 1 / 4 worker
 /// threads and under two forced scheduler-fuzz seeds, and matches the
-/// recorded regression values.
+/// recorded regression values. A second fingerprint folds the protocol
+/// answers alone, so a change to the incremental matcher shows up in the
+/// first fingerprint only.
 #[test]
 fn churn_service_fixed_seed_regression() {
     use distsim::{naive_full_round, GraphService, GraphServiceConfig};
@@ -321,13 +323,9 @@ fn churn_service_fixed_seed_regression() {
     let g = workload(N, 0.02, SEED);
 
     let run_once = || {
-        let cfg = GraphServiceConfig {
-            k: K,
-            seed: SEED,
-            eps: 0.5,
-        };
-        let mut svc = GraphService::new(&g, cfg).expect("service");
+        let mut svc = GraphService::new(&g, GraphServiceConfig::new(K, SEED)).expect("service");
         let mut acc = 0u64;
+        let mut protocol = 0u64;
         for batch in 0..4u64 {
             // Deterministic churn: half fresh inserts, half deletes of
             // currently present edges, derived from (SEED, batch) only.
@@ -354,17 +352,21 @@ fn churn_service_fixed_seed_regression() {
             assert_eq!(svc.matching(), &naive_m, "batch {batch}: matching");
             assert_eq!(svc.cover(), &naive_c, "batch {batch}: cover");
 
-            acc ^= graph::fingerprint_edges(svc.matching().edges());
-            for v in svc.cover().sorted_vertices() {
-                acc = acc.wrapping_mul(31).wrapping_add(v as u64);
-            }
-            acc = acc
+            let fold_protocol_answers = |mut h: u64| {
+                h ^= graph::fingerprint_edges(svc.matching().edges());
+                for v in svc.cover().sorted_vertices() {
+                    h = h.wrapping_mul(31).wrapping_add(v as u64);
+                }
+                h
+            };
+            protocol = fold_protocol_answers(protocol);
+            acc = fold_protocol_answers(acc)
                 .wrapping_mul(31)
                 .wrapping_add(outcome.approx_matching_size as u64)
                 .wrapping_mul(31)
                 .wrapping_add(outcome.approx_cover_size as u64);
         }
-        (acc, svc.matching().len(), svc.cover().len())
+        (acc, protocol, svc.matching().len(), svc.cover().len())
     };
 
     let reference = with_threads(1, run_once);
@@ -379,11 +381,15 @@ fn churn_service_fixed_seed_regression() {
     }
 
     // Fixed-seed regression: pin the exact answer stream.
-    let (fingerprint, matching_len, cover_len) = reference;
+    let (fingerprint, protocol, matching_len, cover_len) = reference;
     assert_eq!(matching_len, 300, "pinned composed matching size");
     assert_eq!(cover_len, 556, "pinned composed cover size");
     assert_eq!(
-        fingerprint, 0xcf75_7472_0e5b_4691,
+        protocol, 0x1a6b_839a_ce6e_8972,
+        "pinned protocol-answer fingerprint"
+    );
+    assert_eq!(
+        fingerprint, 0xd945_0bc6_c8e2_3889,
         "pinned answer-stream fingerprint"
     );
 }

@@ -5,6 +5,7 @@
 use coresets::compose::{compose_vertex_cover, solve_composed_matching};
 use coresets::matching_coreset::{MatchingCoresetBuilder, MaximumMatchingCoreset};
 use coresets::vc_coreset::{PeelingVcCoreset, VcCoresetBuilder, VcCoresetOutput};
+use coresets::weighted::{compose_weighted_matching, WeightedMatchingCoreset};
 use coresets::{machine_rng, CoresetParams};
 use distsim::CoordinatorProtocol;
 use graph::partition::PartitionedGraph;
@@ -12,11 +13,11 @@ use graph::Graph;
 use matching::greedy::maximal_matching;
 use matching::maximum::maximum_matching;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use testkit::{
-    brute_force_maximum_matching_size, exact_cover_branch_and_bound, hopcroft_karp_size,
-    koenig_cover,
+    brute_force_maximum_matching_size, brute_force_maximum_weight, exact_cover_branch_and_bound,
+    hopcroft_karp_size, koenig_cover,
 };
 use vertexcover::approx::two_approx_cover;
 use vertexcover::VertexCover;
@@ -219,5 +220,26 @@ proptest! {
         if let Some(first) = coresets.first() {
             prop_assert!(greedy.len() >= first.m());
         }
+    }
+
+    /// One machine's weighted coreset, composed, is Crouch–Stubbs with a
+    /// maximum matching per base-2 weight class, so it is within a constant
+    /// factor of the maximum-weight matching, on tiny graphs where that
+    /// optimum is computable.
+    #[test]
+    fn one_machine_weighted_composition_is_within_8x_of_optimum(n in 2usize..10, m in 0usize..18, seed in any::<u64>()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let triples: Vec<(u32, u32, f64)> = (0..m)
+            .filter_map(|_| {
+                let u = rng.gen_range(0..n as u32);
+                let v = rng.gen_range(0..n as u32);
+                if u == v { None } else { Some((u, v, rng.gen_range(0.5..100.0))) }
+            })
+            .collect();
+        let g = graph::WeightedGraph::from_triples(n, triples).unwrap();
+        let out = WeightedMatchingCoreset::default().build(&g);
+        let composed = compose_weighted_matching(n, &[out]);
+        prop_assert!(composed.is_valid_for(&g));
+        prop_assert!(8.0 * composed.total_weight + 1e-9 >= brute_force_maximum_weight(&g));
     }
 }
