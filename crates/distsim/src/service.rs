@@ -286,6 +286,10 @@ const VC: VcProblem<PeelingVcCoreset> = VcProblem(PeelingVcCoreset);
 /// service's matching and vertex-cover problems through the production
 /// driver with flat composition, every machine rebuilt. Returns
 /// `(matching, cover)`.
+/// [`CoordinatorProtocol::run`]'s partition differs: it salts the same hash
+/// with a draw of `ChaCha8Rng::seed_from_u64(seed)`, not `seed`, and keeps
+/// pieces in input order, not sorted, an order the cover's 2-approximation
+/// reads when it scans residual edges.
 pub fn naive_full_round(
     g: &Graph,
     k: usize,

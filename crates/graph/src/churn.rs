@@ -9,12 +9,14 @@
 //!
 //! For that to work under churn, edge placement must be **churn-stable**: an
 //! edge's machine may depend only on the edge's identity (and the run seed),
-//! never on how many edges were placed before it. The sequential-RNG
-//! placement of [`crate::partition::PartitionedGraph::random`] does not have
-//! this property (deleting one edge shifts every later draw), so this module
-//! derives the machine from a salted hash of the endpoints instead:
-//! [`edge_machine`]. Per edge the choice is still uniform and independent —
-//! the model of the paper — and it is reproducible from `(seed, edge)` alone.
+//! never on how many edges were placed before it. [`edge_machine`] is such a
+//! placement: a salted hash of the endpoints, uniform and independent per
+//! edge — the model of the paper — and reproducible from `(salt, edge)`
+//! alone. Every random partition uses it, so a batch partition
+//! ([`crate::partition::PartitionedGraph::random`]) is churn-stable too. Two
+//! things still differ from the churn partition: the batch salt is one draw
+//! of the caller's RNG where this module salts with the run seed itself, and
+//! batch pieces keep the input order where these are sorted.
 //!
 //! [`ChurnPartition`] keeps each machine's piece as one canonically sorted
 //! vector and edits it in place, so a piece's edge sequence — and therefore
@@ -28,6 +30,7 @@
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::partition::PartitionedGraph;
 use crate::view::GraphView;
 
 /// One edge-churn operation applied to a [`ChurnPartition`].
@@ -101,27 +104,6 @@ where
     mix64(acc ^ len)
 }
 
-/// The `k` canonically sorted pieces of `g` under the churn-stable
-/// [`edge_machine`] placement for `seed`, each allocated at its exact size.
-/// Shared by [`crate::partition::PartitionedGraph::by_edge_hash`] and
-/// [`ChurnPartition::new`], so their pieces agree by construction.
-pub(crate) fn hash_pieces(g: &Graph, k: usize, seed: u64) -> Vec<Vec<Edge>> {
-    let mut counts = vec![0usize; k];
-    for &e in g.edges() {
-        counts[edge_machine(seed, k, e)] += 1;
-    }
-    let mut pieces: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for &e in g.edges() {
-        pieces[edge_machine(seed, k, e)].push(e);
-    }
-    // `Graph` does not guarantee an edge order (generators may emit shuffled
-    // edges), so the canonical per-piece order is established here.
-    for piece in &mut pieces {
-        piece.sort_unstable();
-    }
-    pieces
-}
-
 /// A `k`-partitioned edge set that absorbs insert/delete churn while keeping
 /// every machine's piece in the canonical order a from-scratch hash-placed
 /// partition would produce: one sorted vector per machine, edited in place
@@ -146,10 +128,8 @@ impl ChurnPartition {
     /// Partitions `g` across `k` machines under the churn-stable
     /// [`edge_machine`] placement for `seed`.
     pub fn new(g: &Graph, k: usize, seed: u64) -> Result<Self, GraphError> {
-        if k == 0 {
-            return Err(GraphError::InvalidMachineCount { k });
-        }
-        let pieces = hash_pieces(g, k, seed);
+        let part = PartitionedGraph::by_edge_hash(g, k, seed)?;
+        let pieces: Vec<Vec<Edge>> = part.views().iter().map(|p| p.edges().to_vec()).collect();
         Ok(ChurnPartition {
             seed,
             n: g.n(),
@@ -277,7 +257,6 @@ impl ChurnPartition {
 mod tests {
     use super::*;
     use crate::gen::er::gnp;
-    use crate::partition::PartitionedGraph;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

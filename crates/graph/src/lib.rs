@@ -15,14 +15,14 @@
 //! * [`VertexCompactor`] — epoch-stamped relabeling of a graph onto its
 //!   non-isolated vertices, the front door of the matching engine's solver
 //!   hot path (sparse pieces over a huge vertex set).
-//! * [`partition`] — the *random k-partitioning* of the edge set that defines
-//!   the model of the paper, plus adversarial partitionings used as negative
-//!   controls. [`PartitionedGraph`] stores the partition as a single
+//! * [`partition`] — the paper's *random k-partitioning* (each edge placed
+//!   by the salted [`edge_machine`] hash) and an adversarial negative
+//!   control. [`PartitionedGraph`] stores the partition as a single
 //!   machine-sorted edge arena whose pieces are zero-copy views.
-//! * [`churn`] — the mutable partition for edge-churn serving: churn-stable
-//!   per-edge hash placement ([`edge_machine`]), one sorted piece per machine
-//!   edited in place by inserts and deletes, and piece fingerprints that make
-//!   clean-piece coreset reuse provably sound.
+//! * [`churn`] — the mutable partition for edge-churn serving: the same
+//!   churn-stable placement salted with the run seed, one sorted piece per
+//!   machine edited in place by inserts and deletes, and piece fingerprints
+//!   that make clean-piece coreset reuse provably sound.
 //! * [`arena_file`] — a versioned binary on-disk format for partitioned edge
 //!   arenas plus [`SegmentLoader`], which streams one machine segment at a
 //!   time so 10⁷–10⁸-edge protocol runs never hold the whole arena resident.

@@ -2,22 +2,29 @@
 //!
 //! A *random k-partitioning* of `E` assigns every edge independently and
 //! uniformly at random to one of `k` machines (paper, Section 1,
-//! "Randomized Composable Coresets"). This module implements that
-//! partitioning for plain and weighted graphs, plus one *adversarial*
-//! partitioning used as the negative control:
-//! [`PartitionStrategy::Adversarial`], a deterministic partition designed
-//! to be hard (contiguous chunks of a sorted edge list), modelling the
-//! adversarial setting of \[10\] in which Õ(n)-size summaries cannot beat
-//! Θ(n^{1/3})-approximation.
+//! "Randomized Composable Coresets"). This module implements it for plain
+//! and weighted graphs with one placement: edge `e` goes to machine
+//! [`edge_machine`]`(salt, k, e)`, a salted hash of its endpoints, with
+//! `salt` **one** `next_u64()` of the caller's RNG whatever `m` is. An
+//! edge's machine thus depends on `(salt, e)` alone, never on its input
+//! position; the churn partition ([`crate::churn::ChurnPartition`]) uses the
+//! same hash. The negative control is [`PartitionStrategy::Adversarial`], a
+//! deterministic partition designed to be hard (contiguous chunks of a
+//! sorted edge list), modelling the adversarial setting of \[10\] in which
+//! Õ(n)-size summaries cannot beat Θ(n^{1/3})-approximation.
 //!
 //! The partition container is [`PartitionedGraph`], the **edge arena**: one
 //! machine-sorted copy of the edge permutation plus `k + 1` offsets (a CSR
-//! over machines). Per-machine access returns zero-copy [`GraphView`]s, so a
-//! full protocol run copies the edge set exactly once. A caller that needs an
+//! over machines). One pass places and counts the edges, a prefix sum turns
+//! the counts into offsets, and a stable counting scatter writes each edge
+//! once, in input order; only [`PartitionedGraph::by_edge_hash`] then sorts
+//! its pieces. Per-machine access returns zero-copy [`GraphView`]s, so a full
+//! protocol run copies the edge set exactly once. A caller that needs an
 //! owned piece copies it out with [`GraphView::to_graph`], which charges the
 //! copy to [`crate::metrics::piece_edges_materialized`].
 
-use crate::edge::{Edge, WeightedEdge};
+use crate::churn::edge_machine;
+use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::view::GraphView;
@@ -43,7 +50,7 @@ pub enum PartitionStrategy {
 ///
 /// `piece(i)` is the slice `edges[offsets[i] .. offsets[i + 1]]`, returned as
 /// a zero-copy [`GraphView`]; within a machine the edges keep their original
-/// relative order (the fill is a stable counting sort by machine).
+/// relative order (the fill is a stable counting scatter by machine).
 ///
 /// This is the storage type of the paper's model itself — the partitioned
 /// edge set is the unit of storage, not `k` independent graphs — and the
@@ -63,44 +70,18 @@ impl PartitionedGraph {
     /// Partitions `g` into `k` machine slices using `strategy`, copying the
     /// edge set exactly once (into the machine-sorted arena).
     ///
-    /// For [`PartitionStrategy::Random`] the supplied RNG draws the machine
-    /// of every edge, one `gen_range(0..k)` per edge in input order; the
-    /// other strategies are deterministic and ignore the RNG.
+    /// For [`PartitionStrategy::Random`] the RNG is drawn exactly once,
+    /// whatever `m` is: that `next_u64()` is the salt, and every edge `e`
+    /// goes to machine [`edge_machine`]`(salt, k, e)`. Each machine's piece
+    /// keeps its edges in input order, unsorted. The adversarial strategy is
+    /// deterministic and does not draw.
     pub fn new<R: Rng + ?Sized>(
         g: &Graph,
         k: usize,
         strategy: PartitionStrategy,
         rng: &mut R,
     ) -> Result<Self, GraphError> {
-        if k == 0 {
-            return Err(GraphError::InvalidMachineCount { k });
-        }
-        let all = g.edges();
-        let assignment = assign_indices(all.len(), k, strategy, |i| canonical_sort_key(g, i), rng);
-
-        let mut counts = vec![0usize; k];
-        for &machine in &assignment {
-            counts[machine] += 1;
-        }
-        let mut offsets = vec![0usize; k + 1];
-        for i in 0..k {
-            offsets[i + 1] = offsets[i] + counts[i];
-        }
-        // Stable counting-sort fill: scanning edges in input order preserves
-        // each machine's relative order. The placeholder is overwritten at
-        // every index because the cursors sweep their machine's range exactly.
-        let mut cursor = offsets.clone();
-        let mut edges = vec![Edge { u: 0, v: 1 }; all.len()];
-        for (idx, &machine) in assignment.iter().enumerate() {
-            edges[cursor[machine]] = all[idx];
-            cursor[machine] += 1;
-        }
-        Ok(PartitionedGraph {
-            n: g.n(),
-            strategy,
-            edges,
-            offsets,
-        })
+        Self::salted(g, k, strategy, || rng.next_u64())
     }
 
     /// Convenience constructor for the paper's model (random partitioning).
@@ -108,27 +89,30 @@ impl PartitionedGraph {
         Self::new(g, k, PartitionStrategy::Random, rng)
     }
 
-    /// Partitions `g` under the **churn-stable** per-edge hash placement of
-    /// [`crate::churn::edge_machine`]: each edge's machine is a salted hash
-    /// of `(seed, edge)` — uniform and independent per edge, the paper's
-    /// model — but reproducible from the edge's identity alone, so churn on
-    /// other edges never moves it. This is the placement the churn partition
-    /// ([`crate::churn::ChurnPartition`]) and its from-scratch baselines
-    /// share; the strategy reports [`PartitionStrategy::Random`] because the
-    /// per-edge distribution is the same random model.
+    /// Partitions `g` as the churn partition ([`crate::churn::ChurnPartition`])
+    /// holds it: the random partition salted with `seed` itself rather than a
+    /// draw, each piece then sorted canonically. Its pieces are the sorted
+    /// pieces of [`Self::new`] under an RNG whose first `next_u64()` is `seed`.
     pub fn by_edge_hash(g: &Graph, k: usize, seed: u64) -> Result<Self, GraphError> {
-        if k == 0 {
-            return Err(GraphError::InvalidMachineCount { k });
+        let mut part = Self::salted(g, k, PartitionStrategy::Random, || seed)?;
+        for w in part.offsets.windows(2) {
+            part.edges[w[0]..w[1]].sort_unstable();
         }
-        let pieces = crate::churn::hash_pieces(g, k, seed);
-        let mut offsets = vec![0usize; k + 1];
-        for (i, piece) in pieces.iter().enumerate() {
-            offsets[i + 1] = offsets[i] + piece.len();
-        }
+        Ok(part)
+    }
+
+    /// [`Self::new`] with the random strategy's salt taken from `salt`.
+    fn salted(
+        g: &Graph,
+        k: usize,
+        strategy: PartitionStrategy,
+        salt: impl FnOnce() -> u64,
+    ) -> Result<Self, GraphError> {
+        let (edges, offsets) = scatter(g.edges(), assign(g.edges(), |&e| e, k, strategy, salt)?);
         Ok(PartitionedGraph {
             n: g.n(),
-            strategy: PartitionStrategy::Random,
-            edges: pieces.concat(),
+            strategy,
+            edges,
             offsets,
         })
     }
@@ -193,71 +177,103 @@ impl PartitionedGraph {
     }
 }
 
-/// Partitions a weighted graph's edges across `k` machines.
+/// Partitions a weighted graph's edges across `k` machines, with the
+/// placement of [`PartitionedGraph::new`]: for the same RNG a weighted
+/// graph's pieces, weights dropped, are that partition's pieces.
 pub fn partition_weighted<R: Rng + ?Sized>(
     g: &WeightedGraph,
     k: usize,
     strategy: PartitionStrategy,
     rng: &mut R,
 ) -> Result<Vec<WeightedGraph>, GraphError> {
-    if k == 0 {
-        return Err(GraphError::InvalidMachineCount { k });
-    }
-    let assignment = assign_indices(
-        g.m(),
-        k,
-        strategy,
-        |i| {
-            let e = g.edges()[i].edge;
-            (e.u as u64) << 32 | e.v as u64
-        },
-        rng,
-    );
-    let mut buckets: Vec<Vec<WeightedEdge>> = vec![Vec::new(); k];
-    for (idx, &machine) in assignment.iter().enumerate() {
-        buckets[machine].push(g.edges()[idx]);
-    }
-    buckets
-        .into_iter()
-        .map(|edges| {
-            WeightedGraph::from_triples(g.n(), edges.iter().map(|e| (e.edge.u, e.edge.v, e.weight)))
+    let placed = assign(g.edges(), |e| e.edge, k, strategy, || rng.next_u64())?;
+    let (edges, offsets) = scatter(g.edges(), placed);
+    offsets
+        .windows(2)
+        .map(|w| {
+            let piece = &edges[w[0]..w[1]];
+            WeightedGraph::from_triples(g.n(), piece.iter().map(|e| (e.edge.u, e.edge.v, e.weight)))
         })
         .collect()
 }
 
-fn canonical_sort_key(g: &Graph, i: usize) -> u64 {
-    let e = g.edges()[i];
-    (e.u as u64) << 32 | e.v as u64
-}
+/// The `k + 1` per-machine item counts (the last is 0), then each item's
+/// machine, in input order.
+type Placement = (Vec<usize>, Vec<usize>);
 
-/// Computes, for each of `m` edge indices, the machine in `0..k` it is
-/// assigned to under the given strategy. `sort_key` is only consulted by the
-/// adversarial strategy.
-fn assign_indices<R: Rng + ?Sized, K: Fn(usize) -> u64>(
-    m: usize,
+/// Where each item (whose edge `edge` reads) goes under `strategy`. Only
+/// [`PartitionStrategy::Random`] calls `salt`, for [`place`].
+fn assign<T>(
+    items: &[T],
+    edge: impl Fn(&T) -> Edge,
     k: usize,
     strategy: PartitionStrategy,
-    sort_key: K,
-    rng: &mut R,
-) -> Vec<usize> {
-    match strategy {
-        PartitionStrategy::Random => (0..m).map(|_| rng.gen_range(0..k)).collect(),
-        PartitionStrategy::Adversarial => {
-            // Sort edge indices by (u, v) and cut into k contiguous chunks so
-            // that each machine receives whole neighbourhoods.
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by_key(|&i| sort_key(i));
-            let mut assignment = vec![0usize; m];
-            if m == 0 {
-                return assignment;
-            }
-            let chunk = m.div_ceil(k);
-            for (pos, &idx) in order.iter().enumerate() {
-                assignment[idx] = (pos / chunk).min(k - 1);
-            }
-            assignment
-        }
+    salt: impl FnOnce() -> u64,
+) -> Result<Placement, GraphError> {
+    if k == 0 {
+        return Err(GraphError::InvalidMachineCount { k });
     }
+    Ok(match strategy {
+        PartitionStrategy::Random => place(items, edge, k, salt()),
+        PartitionStrategy::Adversarial => {
+            // Sort item indices by edge and cut into k contiguous chunks so
+            // that each machine receives whole neighbourhoods.
+            let mut counts = vec![0; k + 1];
+            let mut order: Vec<usize> = (0..items.len()).collect();
+            order.sort_by_key(|&i| edge(&items[i]));
+            let chunk = items.len().div_ceil(k);
+            let mut machines = vec![0; items.len()];
+            for (pos, &i) in order.iter().enumerate() {
+                machines[i] = pos / chunk;
+                counts[pos / chunk] += 1;
+            }
+            (counts, machines)
+        }
+    })
+}
+
+/// The one random placement: item `i` with edge `e` goes to machine
+/// [`edge_machine`]`(salt, k, e)`, counted in the same pass.
+fn place<T>(items: &[T], edge: impl Fn(&T) -> Edge, k: usize, salt: u64) -> Placement {
+    // The counts come before the machine list, and `scatter` allocates the
+    // arena right after it, so the list, freed once read, lies next to the
+    // arena and the allocator can return both when the arena is dropped.
+    // With the counts between them, glibc kept 32 MiB resident when a
+    // 2M-edge graph was partitioned and dropped three times in a row.
+    let mut counts = vec![0; k + 1]; // xtask: allow(hot-path-alloc)
+    let machines = items
+        .iter()
+        .map(|t| {
+            let m = edge_machine(salt, k, edge(t));
+            counts[m] += 1;
+            m
+        })
+        .collect();
+    (counts, machines)
+}
+
+/// The stable counting scatter that fills every arena: `items` grouped by
+/// machine, machine 0 first and each machine's run in input order, plus the
+/// `k + 1` offsets of the runs, made of the counts in place. It writes every
+/// item once: no per-machine buffers, no sort.
+fn scatter<T: Copy>(items: &[T], (mut offsets, machines): Placement) -> (Vec<T>, Vec<usize>) {
+    // Inclusive prefix sums: `offsets[i]` becomes the end of machine `i`'s run.
+    let mut end = 0;
+    for o in &mut offsets {
+        end += *o;
+        *o = end;
+    }
+    // The one copy of the items. Walking them backwards and each end offset
+    // down overwrites every placeholder slot once and leaves `offsets[i]` at
+    // the start of machine `i`'s run, with the run in input order.
+    let fill = items.first().copied();
+    // xtask: allow(hot-path-alloc)
+    let mut arena = fill.map_or_else(Vec::new, |fill| vec![fill; items.len()]);
+    for (&item, &m) in items.iter().zip(&machines).rev() {
+        offsets[m] -= 1;
+        arena[offsets[m]] = item;
+    }
+    (arena, offsets)
 }
 
 #[cfg(test)]

@@ -4,11 +4,12 @@
 use graph::gen::bipartite::{near_regular_bipartite, random_bipartite};
 use graph::gen::er::{gnm, gnp};
 use graph::gen::structured::{complete, cycle, path, star_forest};
-use graph::partition::{PartitionStrategy, PartitionedGraph};
+use graph::partition::{partition_weighted, PartitionStrategy, PartitionedGraph};
 use graph::stats::{connected_components, degree_histogram, GraphStats};
-use graph::{Csr, Edge, Graph, GraphRef, WeightedGraph};
+use graph::{edge_machine, Csr, Edge, Graph, GraphRef, WeightedGraph};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 
@@ -123,6 +124,92 @@ proptest! {
         prop_assert_eq!(owned_concat.as_slice(), arena.arena());
     }
 
+    /// A random partition places every edge `e` at `edge_machine(salt, k, e)`,
+    /// `salt` being the RNG's first `next_u64()`, and keeps each piece in input
+    /// order. So the placement is a function of `(salt, e)` alone: permuting
+    /// the input moves no edge to another machine.
+    #[test]
+    fn random_placement_is_the_salted_edge_hash_in_input_order(
+        g in arb_gnm(),
+        k in 1usize..10,
+        seed in any::<u64>(),
+        shuffle in any::<u64>(),
+    ) {
+        let mut shuffled = g.edges().to_vec();
+        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(shuffle));
+        let permuted = Graph::from_edges_unchecked(g.n(), shuffled);
+        let salt = ChaCha8Rng::seed_from_u64(seed).next_u64();
+        let mut machines_of_edges = Vec::new();
+        for input in [&g, &permuted] {
+            let part = PartitionedGraph::random(input, k, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+            for i in 0..k {
+                let expected: Vec<Edge> = input
+                    .edges()
+                    .iter()
+                    .copied()
+                    .filter(|&e| edge_machine(salt, k, e) == i)
+                    .collect();
+                prop_assert_eq!(part.piece(i).edges(), expected.as_slice(), "machine {}", i);
+            }
+            let mut sorted: Vec<Vec<Edge>> = part.views().iter().map(|p| p.edges().to_vec()).collect();
+            sorted.iter_mut().for_each(|p| p.sort_unstable());
+            machines_of_edges.push(sorted);
+        }
+        prop_assert_eq!(&machines_of_edges[0], &machines_of_edges[1]);
+    }
+
+    /// Sorting each piece of a random partition gives the churn partition's
+    /// pieces, `by_edge_hash` salted with the same RNG's first `next_u64()`.
+    #[test]
+    fn sorted_random_pieces_are_the_edge_hash_pieces(
+        g in arb_gnm(),
+        k in 1usize..10,
+        seed in any::<u64>(),
+    ) {
+        let part = PartitionedGraph::random(&g, k, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+        let salt = ChaCha8Rng::seed_from_u64(seed).next_u64();
+        let hashed = PartitionedGraph::by_edge_hash(&g, k, salt).unwrap();
+        for i in 0..k {
+            let mut piece = part.piece(i).edges().to_vec();
+            piece.sort_unstable();
+            prop_assert_eq!(piece.as_slice(), hashed.piece(i).edges(), "machine {}", i);
+        }
+    }
+
+    /// A weighted partition places edges as the unweighted one does: with
+    /// the weights dropped, its pieces are `PartitionedGraph::new`'s pieces
+    /// for the same seed, under either strategy.
+    #[test]
+    fn weighted_pieces_are_the_unweighted_pieces(
+        g in arb_gnm(),
+        k in 1usize..10,
+        seed in any::<u64>(),
+        strategy in prop_oneof![
+            Just(PartitionStrategy::Random),
+            Just(PartitionStrategy::Adversarial),
+        ],
+    ) {
+        let weighted = WeightedGraph::from_triples(
+            g.n(),
+            g.edges().iter().enumerate().map(|(i, e)| (e.u, e.v, i as f64)),
+        )
+        .unwrap();
+        let pieces =
+            partition_weighted(&weighted, k, strategy, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+        let part = PartitionedGraph::new(
+            &weighted.to_unweighted(),
+            k,
+            strategy,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        )
+        .unwrap();
+        prop_assert_eq!(pieces.len(), k);
+        for (i, piece) in pieces.iter().enumerate() {
+            let edges: Vec<Edge> = piece.edges().iter().map(|e| e.edge).collect();
+            prop_assert_eq!(edges.as_slice(), part.piece(i).edges(), "machine {}", i);
+        }
+    }
+
     /// A graph's view exposes exactly the same structure as the graph itself.
     #[test]
     fn view_mirrors_owned_graph(g in arb_gnm()) {
@@ -206,4 +293,49 @@ fn structured_graph_component_counts() {
     assert_eq!(connected_components(&cycle(10)), 1);
     assert_eq!(connected_components(&star_forest(7, 3)), 7);
     assert_eq!(connected_components(&complete(5)), 1);
+}
+
+/// Per machine the edge-hash placement is uniform. For each of 64 fixed
+/// salts, the χ² statistic of the per-machine edge counts has mean
+/// `df = k − 1` and variance `2·df` if every edge lands uniformly and
+/// independently; the mean over the salts must lie within four of its
+/// standard errors, `df ± 4·√(2·df / 64)`. Checked on a 16-hub star (every
+/// hub joined to every leaf, so edges share endpoints) and a band graph
+/// (edges `(i, i + d)`, `d ≤ 8`), for k ∈ {2, 7, 64}.
+#[test]
+fn edge_hash_placement_is_uniform_per_machine() {
+    const SALTS: u64 = 64;
+    let star = Graph::from_pairs(
+        16 + 512,
+        (0..16).flat_map(|h| (16..16 + 512).map(move |v| (h, v))),
+    )
+    .unwrap();
+    let band = Graph::from_pairs(
+        1024,
+        (0..1024u32)
+            .flat_map(|i| (1..=8).map(move |d| (i, i + d)))
+            .filter(|&(_, v)| v < 1024),
+    )
+    .unwrap();
+    for (name, g) in [("16-hub star", &star), ("band", &band)] {
+        for k in [2usize, 7, 64] {
+            let expected = g.m() as f64 / k as f64;
+            let mean_chi2 = (0..SALTS)
+                .map(|salt| {
+                    let part = PartitionedGraph::by_edge_hash(g, k, salt).unwrap();
+                    part.piece_sizes()
+                        .iter()
+                        .map(|&c| (c as f64 - expected).powi(2) / expected)
+                        .sum::<f64>()
+                })
+                .sum::<f64>()
+                / SALTS as f64;
+            let df = (k - 1) as f64;
+            let slack = 4.0 * (2.0 * df / SALTS as f64).sqrt();
+            assert!(
+                (mean_chi2 - df).abs() <= slack,
+                "{name}, k = {k}: mean chi-square {mean_chi2:.2} outside {df} ± {slack:.2}"
+            );
+        }
+    }
 }

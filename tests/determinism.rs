@@ -176,17 +176,17 @@ fn vc_pipeline_fixed_seed_regression_with_engine() {
     // residual edge plus 1 per fixed vertex, is well below the ~50k words
     // of a ~25k-edge piece).
     let (cover, words) = reference;
-    assert_eq!(cover.len(), 1992, "pinned cover size");
+    assert_eq!(cover.len(), 1994, "pinned cover size");
     assert_eq!(
         words,
-        vec![33863, 33940, 34227, 33331],
+        vec![34112, 32426, 32822, 32695],
         "pinned per-machine message words"
     );
     let fingerprint: u64 = cover
         .iter()
         .fold(0u64, |acc, &v| acc.wrapping_mul(31).wrapping_add(v as u64));
     assert_eq!(
-        fingerprint, 0x840a_d37c_6594_3389,
+        fingerprint, 0x7722_53bf_7a95_d689,
         "pinned cover fingerprint"
     );
 }
@@ -225,17 +225,17 @@ fn tree_mode_fixed_seed_regression() {
     // against a warm-only solve of the union. The two roots are composed by
     // the same walk, so the answer's edge set is the one a warm-only root
     // solve returns (pinned sorted); only its order is the walk's.
-    assert_eq!(reference.len(), 763, "pinned matching size");
+    assert_eq!(reference.len(), 761, "pinned matching size");
     assert_eq!(
         matching_fingerprint(&reference),
-        0x20d5_b47d_53d6_b993,
+        0xf44c_af08_0191_7f7f,
         "pinned matching fingerprint"
     );
     let mut sorted = reference.clone();
     sorted.sort_unstable();
     assert_eq!(
         matching_fingerprint(&sorted),
-        0x5d17_9165_d372_73d3,
+        0xd058_24f0_96df_0f3f,
         "pinned sorted edge set"
     );
 }
@@ -292,10 +292,10 @@ fn flat_rmat_fixed_seed_regression() {
     );
 
     // Fixed-seed regression: pin the exact flat-composed matching.
-    assert_eq!(reference.len(), 728, "pinned matching size");
+    assert_eq!(reference.len(), 730, "pinned matching size");
     assert_eq!(
         matching_fingerprint(&reference),
-        0x7fac_f306_b43f_5410,
+        0x0b44_1014_f16d_b303,
         "pinned matching fingerprint"
     );
 }
